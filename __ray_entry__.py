@@ -685,8 +685,8 @@ def _q_minhash_pairs(sf_dir: str):
 def _q_minhash_pairs_join(sf_dir: str):
     """Same verified MinHash+LSH pair set as `minhash_pairs`, but with the
     candidate stage FORCED onto the ``mode="join"`` scale route of
-    ``band_bucket_pairs`` — the distributed (band, key) self-hash-join
-    used at unbounded bucket-table cardinality (10^12-doc corpora), where
+    ``band_bucket_pairs`` — the distributed (band, key) self-join used
+    at unbounded bucket-table cardinality (10^12-doc corpora), where
     the tree merge's single final task would not fit.  At sf0.1 the auto
     router always picks the tree path, so this query keeps the join route
     continuously benchmarked (wall + stage counts in BENCH) and
@@ -723,7 +723,7 @@ def _minhash_resolution(sf_dir: str):
 def _q_dedup_apply(sf_dir: str):
     """End-to-end dedup APPLICATION: corpus -> survivors only (every doc
     whose resolution row names a different survivor is dropped) via a
-    distributed LEFT ANTI hash join — the step a training-data pipeline
+    co-partitioned LEFT ANTI join — the step a training-data pipeline
     ships after candidate generation + resolution.  Oracle: NOT IN over
     the same recursive-closure resolution."""
     from georay.dedup import apply_dedup
@@ -834,11 +834,11 @@ def _q_ann_cosine(sf_dir: str):
 
 def _q_embed_lsh_pairs(sf_dir: str):
     """LSH-bucketed embedding near-dup (scale path): hyperplane keys ->
-    bucket groupby (NO single-task merge) -> exact-cosine verification by
-    hash-joining candidates back against the vector dataset (the corpus
-    is never broadcast).  Full value oracle: the SQL mirror recomputes the
-    hyperplane keys from the same plane matrix (passed as VALUES), joins
-    on (table, key), and applies the same cosine >= 0.30 filter."""
+    bucket groupby (NO single-task merge) -> exact-cosine verification
+    inside each bucket (the corpus is never broadcast).  Full value
+    oracle: the SQL mirror recomputes the hyperplane keys from the same
+    plane matrix (passed as VALUES), joins on (table, key), and applies
+    the same cosine >= 0.30 filter."""
     from georay.dedup import embed_lsh_pairs
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
@@ -1124,29 +1124,29 @@ def _q_poly_join(sf_dir: str):
 
 
 def _q_segment_revenue(sf_dir: str):
-    """Distributed hash join (Dataset.join) + groupby: revenue per market
-    segment in integer cents."""
+    """Co-partitioned join (``georay.partition.copartition``) + groupby:
+    revenue per market segment in integer cents.  Each partition joins
+    its orders to their customers and pre-aggregates per segment in the
+    same kernel."""
+    from georay.partition import copartition
+
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-
-    def to_cents(b: pa.Table) -> pa.Table:
-        c = _cents(b.column("o_totalprice").to_numpy())
-        return pa.table({"o_custkey": b.column("o_custkey"), "price_c": pa.array(c)})
 
     # join partitions sized to the work, capped by the cluster: a few
     # partitions per input file up to the CPU count (a fixed constant
     # starves a big cluster; CPU-count partitions over tiny inputs just
-    # pay actor spin-up)
+    # pay per-partition task overhead)
     cpus = int(ray.cluster_resources().get("CPU", 4))
     n_blocks = max(1, len(orders.input_files()))
     n_part = max(4, min(cpus, n_blocks * 4))
-    joined = orders.map_batches(to_cents, batch_format="pyarrow").join(
-        cust, join_type="inner", num_partitions=n_part, on=("o_custkey",), right_on=("c_custkey",)
-    )
 
-    def partial(b: pa.Table) -> pa.Table:
+    def partial(L: pa.Table, R: pa.Table) -> pa.Table:
+        b = L.join(R, keys="o_custkey", right_keys="c_custkey")
+        c = _cents(b.column("o_totalprice").to_numpy())
         return (
-            b.group_by("c_mktsegment")
+            pa.table({"c_mktsegment": b.column("c_mktsegment"), "price_c": pa.array(c)})
+            .group_by("c_mktsegment")
             .aggregate([("price_c", "sum"), ("price_c", "count")])
             .rename_columns(["c_mktsegment", "revenue_cents", "n_orders"])
         )
@@ -1159,7 +1159,7 @@ def _q_segment_revenue(sf_dir: str):
         )
 
     return (
-        joined.map_batches(partial, batch_format="pyarrow", batch_size=None)
+        copartition(orders, cust, "o_custkey", "c_custkey", partial, n_part)
         .repartition(1)
         .map_batches(merge, batch_format="pyarrow", batch_size=None)
     )

@@ -153,9 +153,10 @@ def cmd_curate(args):
     detected language.
 
     Scale shape: the only shuffles are the 16-byte dedup-key groupby and
-    the survivor-id join; everything else is stateless map_batches.  The
-    sample decision is a pure hash of doc_id (re-run stable), so a
-    resumed/repeated run selects identical documents."""
+    the co-partitioned survivor-id semi join; everything else is
+    stateless map_batches.  The sample decision is a pure hash of doc_id
+    (re-run stable), so a resumed/repeated run selects identical
+    documents."""
     ray = _init_ray(args.num_cpus)
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -214,15 +215,17 @@ def cmd_curate(args):
         .map_batches(lambda b: b.select(["keep_id"]), batch_format="pyarrow")
     )
     from georay.dedup import _cluster_partitions
+    from georay.partition import copartition
+
+    def keep_survivors(L: pa.Table, R: pa.Table) -> pa.Table:
+        keep_ids = R.column("keep_id").combine_chunks()
+        return L.filter(pc.is_in(L.column("doc_id"), value_set=keep_ids))
 
     # the semi join shuffles the full annotated corpus: size partitions
     # to its measured rows (filt is a fresh parquet read of the
     # checkpoint, so the count is free plan metadata), not a fixed 16
     n_part = args.num_partitions or _cluster_partitions(cap=64, ds=filt)
-    deduped = filt.join(
-        survivors, join_type="inner", num_partitions=n_part,
-        on=("doc_id",), right_on=("keep_id",),
-    )
+    deduped = copartition(filt, survivors, "doc_id", "keep_id", keep_survivors, n_part)
 
     sampled = deduped.map_batches(
         lambda b: stratified_sample_batch(

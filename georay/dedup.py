@@ -14,6 +14,11 @@ Scale design (SURVEY.md §2.8):
   bucket).
 - embedding cosine: random-hyperplane LSH bucket -> within-bucket exact
   cosine; brute-force path for small sides.
+- verification, resolution and application (candidate pairs -> texts or
+  vectors, survivors -> corpus) are keyed two-input exchanges: each is
+  one co-partitioned sort shuffle (:func:`georay.partition.copartition`)
+  whose per-partition kernel joins and scores locally; no step uses
+  Ray's actor-based ``Dataset.join``.
 
 All hashes are deterministic (fixed seeds) so runs are reproducible.
 """
@@ -27,9 +32,19 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from georay.partition import MAX_PARTITIONS, copartition, part_of
+
 MERSENNE_P = np.uint64((1 << 61) - 1)
 
 
+def _check_cap(p: int, n_rows: int, rows_per_partition: int) -> int:
+    if p > MAX_PARTITIONS:
+        raise ValueError(
+            f"{n_rows} rows at {rows_per_partition} rows per partition need {p} "
+            f"partitions, more than MAX_PARTITIONS={MAX_PARTITIONS}; raise "
+            "rows_per_partition or split the input"
+        )
+    return p
 
 
 def _cluster_partitions(mult: int = 1, cap: int = 32, ds=None,
@@ -37,13 +52,14 @@ def _cluster_partitions(mult: int = 1, cap: int = 32, ds=None,
     """Cluster-sized partition count (a fixed constant starves a big
     cluster).  ``mult`` > 1 over-partitions for group-task kernels
     (smaller per-task working sets); joins keep mult=1 (each partition
-    carries aggregator overhead).  ``cap`` bounds the fixed aggregator
+    is one more reduce task).  ``cap`` bounds that fixed per-partition
     overhead at small scale — but when ``ds``'s row count is knowable
     for free (materialized dataset / fresh parquet read; ``_meta_count``
     never computes), the count additionally grows as
     ceil(rows / rows_per_partition) past the cap, so per-partition
     shares stay bounded at 10^12 rows instead of growing linearly
-    (same rows-aware pattern as ``pipelines.events.default_partitions``)."""
+    (same rows-aware pattern as ``pipelines.events.default_partitions``).
+    A count past ``MAX_PARTITIONS`` raises ``ValueError``."""
     import ray
 
     p = max(4, min(int(ray.cluster_resources().get("CPU", 4)) * mult, cap))
@@ -54,19 +70,20 @@ def _cluster_partitions(mult: int = 1, cap: int = 32, ds=None,
         except Exception:
             n_rows = None
     if n_rows:
-        p = min(max(p, -(-int(n_rows) // max(1, rows_per_partition))), 65_536)
+        p = _check_cap(max(p, -(-int(n_rows) // max(1, rows_per_partition))),
+                       n_rows, rows_per_partition)
     return p
 
 
 def _join_partitions(big_ds, extra_rows: int | None = None, floor: int = 8,
                      rows_per_partition: int = 250_000) -> int:
-    """Hash-join partition count: every partition carries fixed
-    aggregator overhead, so the count follows the DATA — the old fixed
-    floor (8, matching the measured small-scale optimum) until the
-    bigger join side is known to exceed floor x rows_per_partition, then
-    ceil(rows / rows_per_partition) up to 65536.  Row counts come from
-    free plan metadata only (``_meta_count``); an opaque lazy side keeps
-    the floor rather than guessing."""
+    """Co-partitioned join partition count: the count follows the DATA —
+    the fixed floor (8, matching the measured small-scale optimum) until
+    the bigger join side is known to exceed floor x rows_per_partition,
+    then ceil(rows / rows_per_partition); past ``MAX_PARTITIONS`` it
+    raises ``ValueError``.  Row counts come from free plan metadata only
+    (``_meta_count``); an opaque lazy side keeps the floor rather than
+    guessing."""
     n = None
     if big_ds is not None:
         try:
@@ -80,17 +97,8 @@ def _join_partitions(big_ds, extra_rows: int | None = None, floor: int = 8,
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 4))
-    return max(min(floor, cpus), min(-(-n // rows_per_partition), 65_536))
-
-
-def _normalize_blocks(ds, n_rows: int, rows_per_block: int = 4_000_000):
-    """Rebuild a materialized dataset's blocks from actual rows before a
-    hash join: sort-based aggregates emit SCHEMALESS empty blocks for
-    empty partitions, Ray skips UDFs on empty blocks (typed-empty guards
-    never run on them), and a join partition fed such a block fails with
-    "no match for key field" — repartition constructs every output block
-    from real rows, restoring the schema everywhere."""
-    return ds.repartition(max(1, min(n_rows // rows_per_block + 1, 10_000)))
+    need = _check_cap(-(-n // rows_per_partition), n, rows_per_partition)
+    return max(min(floor, cpus), need)
 
 
 def segment_reduce(ufunc, values: np.ndarray, offsets: np.ndarray, empty_fill, axis0_shape=None):
@@ -523,9 +531,10 @@ def _bucket_lists_to_rows(b: pa.Table, out_col: str = "doc_a") -> pa.Table:
 
 
 def _join_pairs_from_slim(slim, pair_filter=None, max_bucket=None):
-    """Distributed self-hash-join pair expansion over a MATERIALIZED slim
+    """Distributed self-join pair expansion over a MATERIALIZED slim
     (band, key, doc_a[, payload]) dataset — no single merge task, no
-    per-group dispatch; every stage is a partitioned C++ join / groupby.
+    per-group dispatch: the slim rows are co-partitioned on (band, key)
+    and each partition self-joins its buckets with one Arrow hash join.
     ``pair_filter(payload_a, payload_b) -> bool mask`` verifies pairs
     inline from payloads riding the join (e.g. exact hamming on simhash)
     — no join back against the corpus.
@@ -629,7 +638,7 @@ def _join_pairs_from_slim(slim, pair_filter=None, max_bucket=None):
                     "hot", pa.array(is_hot[keep].astype(np.int32), pa.int32())
                 )
 
-            slim = slim.map_batches(thin_hot, batch_format="pyarrow")
+            slim = slim.map_batches(thin_hot, batch_format="pyarrow").materialize()
             # one marker row per thinned bucket, distinct (doc_b) so the
             # downstream pair-distinct cannot collapse the count
             markers = _rd.from_arrow(
@@ -641,19 +650,6 @@ def _join_pairs_from_slim(slim, pair_filter=None, max_bucket=None):
                     }
                 )
             )
-
-    def rename_right(b: pa.Table) -> pa.Table:
-        names = {"doc_a": "doc_b", "payload": "payload_b"}
-        keep_cols = [c for c in b.column_names if c != "hot"]
-        return b.select(keep_cols).rename_columns(
-            [names.get(c, c) for c in keep_cols]
-        )
-
-    right = slim.map_batches(rename_right, batch_format="pyarrow")
-    # slim is materialized, so its row count is free — the join partition
-    # count scales with the slim table, not just the cluster
-    n_part = _cluster_partitions(ds=slim)
-    j = slim.join(right, join_type="inner", num_partitions=n_part, on=("band", "key"))
 
     def ordered(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -680,9 +676,19 @@ def _join_pairs_from_slim(slim, pair_filter=None, max_bucket=None):
             }
         )
 
+    def self_join(L: pa.Table, R: pa.Table) -> pa.Table:
+        names = {"doc_a": "doc_b", "payload": "payload_b"}
+        right = R.select([c for c in R.column_names if c != "hot"])
+        right = right.rename_columns([names.get(c, c) for c in right.column_names])
+        return ordered(L.join(right, keys=["band", "key"]))
+
+    # slim is materialized, so its row count is free — the partition
+    # count scales with the slim table, not just the cluster
+    n_part = _cluster_partitions(ds=slim)
+    j = copartition(slim, slim, ["band", "key"], ["band", "key"], self_join, n_part)
+
     distinct = (
-        j.map_batches(ordered, batch_format="pyarrow")
-        .groupby(["doc_a", "doc_b"])
+        j.groupby(["doc_a", "doc_b"])
         .aggregate(_Max("truncated", alias_name="truncated"))
     )
     result = distinct.map_batches(_truncated_int_to_bool, batch_format="pyarrow")
@@ -805,10 +811,10 @@ def band_bucket_pairs(
     whose bucket count is itself bounded (e.g. hyperplane LSH:
     ``2^planes × tables`` buckets).
 
-    mode="join": distributed self-hash-join on (band, key) — the
-    unbounded-cardinality scale path (10^12-doc MinHash: no single merge
-    task, no per-group dispatch, every stage a partitioned C++ join /
-    groupby).
+    mode="join": distributed self-join on (band, key), co-partitioned
+    by one sort shuffle — the unbounded-cardinality scale path (10^12-doc
+    MinHash: no single merge task, no per-group dispatch, every stage a
+    partitioned Arrow join / groupby).
 
     ``max_bucket`` (pathological all-identical shards): tree/groupby
     modes TRUNCATE oversized buckets to the cap and flag the emitted
@@ -1157,7 +1163,7 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
     per-group dispatch is cheap.  No single-task merge, no broadcast.
 
     mode="join" — candidate pairs from :func:`band_bucket_pairs` are
-    hash-joined back against the vector dataset and verified
+    co-partitioned with the vector dataset and verified
     (:func:`cosine_verify_pairs`); the right shape when candidates are
     rare but buckets would not fit a group task.
 
@@ -1226,15 +1232,10 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
     # free when ds is a fresh read/materialized — is a lower bound that
     # still scales the count with the corpus past the 256 cap
     n_part = _cluster_partitions(mult=2, cap=256, ds=ds)
-    PMIX = np.uint64(0x9E3779B97F4A7C15)
 
     def add_part(b: pa.Table) -> pa.Table:
-        h = (b.column("key").to_numpy().astype(np.uint64)
-             + b.column("band").to_numpy().astype(np.uint64) * np.uint64(0x1F123BB5)) * PMIX
-        h ^= h >> np.uint64(29)
-        return b.append_column(
-            "part", pa.array((h % np.uint64(n_part)).astype(np.int32), pa.int32())
-        )
+        keys = [b.column("band").to_numpy(), b.column("key").to_numpy()]
+        return b.append_column("part", pa.array(part_of(keys, n_part)))
 
     def verify_partition(g):
         import pandas as pd
@@ -1324,80 +1325,58 @@ def _list_to_matrix(col) -> np.ndarray:
     return flat.reshape(len(col), -1)
 
 
-def _bin_to_matrix(col) -> np.ndarray:
-    """fixed_size_binary column of packed float64 rows -> (n, d) matrix."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    width = col.type.byte_width
-    raw = b"".join(col.to_pylist())
-    return np.frombuffer(raw, dtype=np.float64).reshape(len(col), width // 8)
+def _attach(L: pa.Table, on: str, R: pa.Table, id_col: str, col: str, name: str) -> pa.Table:
+    """Inner join of ``L`` and ``R`` on ``L[on] == R[id_col]``: ``L``'s
+    columns plus ``R[col]`` as ``name``.  Rows are matched on indices, so
+    ``col`` may be any type (Arrow's hash join rejects list payloads)."""
+    li = pa.table({"k": L.column(on), "li": np.arange(L.num_rows)})
+    ri = pa.table({"k": R.column(id_col), "ri": np.arange(R.num_rows)})
+    m = li.join(ri, "k")
+    return L.take(m.column("li")).append_column(name, R.column(col).take(m.column("ri")))
 
 
 def cosine_verify_pairs(pairs_ds, vectors_ds, threshold: float,
                         vec_col: str = "embedding", id_col: str = "vec_id",
                         num_partitions: int | None = None):
     """Exact-cosine verification of candidate (doc_a, doc_b) pairs via two
-    distributed hash joins against the vector dataset — the scale-safe
-    alternative to broadcasting the whole matrix (only candidate rows and
-    their two vectors move; both joins partition on the pair ids).
-
-    Vectors travel through the join as packed fixed-size binary (Arrow's
-    hash join does not accept list columns as payload)."""
+    co-partitioned sort shuffles against the vector dataset — the
+    scale-safe alternative to broadcasting the whole matrix (only
+    candidate rows and their two vectors move).  The first attaches
+    ``doc_a``'s vector; the second attaches ``doc_b``'s and scores the
+    pair in the same kernel."""
     # candidate tables are tiny relative to the corpus — pin them so the
-    # count() below doesn't re-execute the candidate DAG for the join
+    # count() below doesn't re-execute the candidate DAG
     pairs_ds = pairs_ds.materialize()
     rows = pairs_ds.count()
+    empty = pa.table({"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())})
     if rows == 0:
         import ray.data as _rd
 
-        return _rd.from_arrow(
-            pa.table({"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())})
-        )
+        return _rd.from_arrow(empty)
     if num_partitions is None:
         num_partitions = _join_partitions(vectors_ds, extra_rows=rows)
-    pairs_ds = _normalize_blocks(pairs_ds, rows)
 
-    def pack(batch: pa.Table) -> pa.Table:
-        mat = np.ascontiguousarray(_list_to_matrix(batch.column(vec_col)))
-        width = mat.shape[1] * 8 if batch.num_rows else 8
-        arr = pa.FixedSizeBinaryArray.from_buffers(
-            pa.binary(width), len(mat), [None, pa.py_buffer(mat.tobytes())]
-        )
-        return pa.table({id_col: batch.column(id_col), "vec_bin": arr})
-
-    packed = vectors_ds.map_batches(pack, batch_format="pyarrow")
-    j1 = pairs_ds.join(
-        packed, join_type="inner", num_partitions=num_partitions,
-        on=("doc_a",), right_on=(id_col,),
-    ).map_batches(
-        lambda b: b.rename_columns(
-            ["vec_bin_a" if c == "vec_bin" else c for c in b.column_names]
-        ),
-        batch_format="pyarrow",
-    )
-    j2 = j1.join(
-        packed, join_type="inner", num_partitions=num_partitions,
-        on=("doc_b",), right_on=(id_col,),
-    )
-
-    def score(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())}
-            )
-        va = _bin_to_matrix(batch.column("vec_bin_a"))
-        vb = _bin_to_matrix(batch.column("vec_bin"))
+    def score(L: pa.Table, R: pa.Table) -> pa.Table:
+        b = _attach(L, "doc_b", R, id_col, vec_col, "vec_b")
+        if b.num_rows == 0:
+            return empty
+        va = _list_to_matrix(b.column("vec_a"))
+        vb = _list_to_matrix(b.column("vec_b"))
         na = np.linalg.norm(va, axis=1)
         nb = np.linalg.norm(vb, axis=1)
         na[na == 0] = 1.0
         nb[nb == 0] = 1.0
         sim = np.einsum("ij,ij->i", va / na[:, None], vb / nb[:, None])
         keep = sim >= threshold
-        da = batch.column("doc_a").to_numpy()
-        db = batch.column("doc_b").to_numpy()
+        da = b.column("doc_a").to_numpy()
+        db = b.column("doc_b").to_numpy()
         return pa.table({"vec_a": pa.array(da[keep]), "vec_b": pa.array(db[keep])})
 
-    return j2.map_batches(score, batch_format="pyarrow")
+    with_a = copartition(
+        pairs_ds, vectors_ds, "doc_a", id_col,
+        lambda L, R: _attach(L, "doc_a", R, id_col, vec_col, "vec_a"), num_partitions,
+    )
+    return copartition(with_a, vectors_ds, "doc_b", id_col, score, num_partitions)
 
 
 def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
@@ -1418,40 +1397,28 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
     per-pair Python loop (the round-2 version looped :func:`set` ops per
     candidate).
 
-    Texts are fetched by distributed hash join of the candidate ids
-    against the documents dataset — the corpus is never broadcast.
+    Texts are fetched by two co-partitioned sort shuffles of the
+    candidate ids with the documents dataset (the corpus is never
+    broadcast): the first attaches ``doc_a``'s text, the second attaches
+    ``doc_b``'s and scores the pair in the same kernel.
     """
     pairs_ds = pairs_ds.materialize()
     n_pairs = pairs_ds.count()
+    empty = pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
     if n_pairs == 0:
         import ray.data as _rd
 
-        return _rd.from_arrow(
-            pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
-        )
-    pairs_ds = _normalize_blocks(pairs_ds, n_pairs)
+        return _rd.from_arrow(empty)
     if num_partitions is None:
         num_partitions = _join_partitions(docs_ds, extra_rows=n_pairs)
-    j1 = pairs_ds.join(
-        docs_ds, join_type="inner", num_partitions=num_partitions,
-        on=("doc_a",), right_on=(id_col,),
-    ).map_batches(
-        lambda b: b.rename_columns(["text_a" if c == text_col else c for c in b.column_names]),
-        batch_format="pyarrow",
-    )
-    j2 = j1.join(
-        docs_ds, join_type="inner", num_partitions=num_partitions,
-        on=("doc_b",), right_on=(id_col,),
-    )
 
-    def score(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())}
-            )
-        n = batch.num_rows
-        ha1, ha2, oa = _shingle_hashes2(batch.column("text_a").combine_chunks(), k)
-        hb1, hb2, ob = _shingle_hashes2(batch.column(text_col).combine_chunks(), k)
+    def score(L: pa.Table, R: pa.Table) -> pa.Table:
+        b = _attach(L, "doc_b", R, id_col, text_col, "text_b")
+        n = b.num_rows
+        if n == 0:
+            return empty
+        ha1, ha2, oa = _shingle_hashes2(b.column("text_a").combine_chunks(), k)
+        hb1, hb2, ob = _shingle_hashes2(b.column("text_b").combine_chunks(), k)
         rng = np.arange(n, dtype=np.int64)
         ua1, ua2, seg_a = _segment_unique2(ha1, ha2, np.repeat(rng, np.diff(oa)))
         ub1, ub2, seg_b = _segment_unique2(hb1, hb2, np.repeat(rng, np.diff(ob)))
@@ -1469,11 +1436,43 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
         union = ca + cb - inter
         # union == 0 (both sets empty) -> 0 >= 0 -> match (J := 1)
         keep = inter * threshold_den >= union * threshold_num
-        da = batch.column("doc_a").to_numpy()
-        db = batch.column("doc_b").to_numpy()
+        da = b.column("doc_a").to_numpy()
+        db = b.column("doc_b").to_numpy()
         return pa.table({"doc_a": pa.array(da[keep]), "doc_b": pa.array(db[keep])})
 
-    return j2.map_batches(score, batch_format="pyarrow")
+    with_a = copartition(
+        pairs_ds, docs_ds, "doc_a", id_col,
+        lambda L, R: _attach(L, "doc_a", R, id_col, text_col, "text_a"), num_partitions,
+    )
+    return copartition(with_a, docs_ds, "doc_b", id_col, score, num_partitions)
+
+
+def _deliver_labels(g: pa.Table) -> pa.Table:
+    """One hash partition of label-propagation messages -> (node, label)
+    offers.  Label rows (``dest < 0``) give each key its minimum label;
+    request rows (``key``, ``dest``) send that minimum to ``dest``.  A key
+    with no label row labels itself.  Every key's own minimum is offered
+    back to it, so the caller's per-node Min sees every label source."""
+    key = g.column("key").to_numpy()
+    dest = g.column("dest").to_numpy()
+    label = g.column("label").to_numpy()
+    is_lab = dest < 0
+    lk, ll = key[is_lab], label[is_lab]
+    order = np.lexsort((ll, lk))
+    lk, ll = lk[order], ll[order]
+    first = np.ones(len(lk), bool)
+    first[1:] = lk[1:] != lk[:-1]
+    uk, umin = lk[first], ll[first]
+    rk, rd = key[~is_lab], dest[~is_lab]
+    got = rk.copy()
+    if len(uk):
+        idx = np.minimum(np.searchsorted(uk, rk), len(uk) - 1)
+        hit = uk[idx] == rk
+        got[hit] = umin[idx[hit]]
+    return pa.table({
+        "node": pa.array(np.concatenate([rd, uk]), pa.int64()),
+        "label": pa.array(np.concatenate([got, umin]), pa.int64()),
+    })
 
 
 def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: int = 32):
@@ -1487,11 +1486,15 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
        ``(key=u, dest=v)`` ("send u's label to v"), self rows
        ``(key=node, label=L)`` (the current label table), and shortcut
        rows ``(key=L[n], dest=n)`` ("send my label's label to me" — the
-       pointer-doubling step, so chains converge in O(log diameter)
-       rounds instead of one hop per round).  Messages are
-       hash-partitioned on ``hash(key) % P`` and each partition runs ONE
-       vectorized multi-node kernel (pandas C groupby + gather) — no
-       per-node Python dispatch (the round-2 ``groupby(node).map_groups``
+       pointer-doubling step: a chain whose ids increase along it
+       converges in O(log diameter) rounds instead of one hop per
+       round; on a path with unordered ids the minimum can still move
+       about one hop per round — a 200-node path with random ids needs
+       50–120 rounds).  Messages are
+       hash-partitioned on ``part_of(key, P)`` and each partition runs ONE
+       vectorized multi-node kernel (:func:`_deliver_labels`: lexsort,
+       first-of-run minimum, searchsorted gather) — no per-node Python
+       dispatch (the round-2 ``groupby(node).map_groups``
        paid ~0.5 ms per node per round).
     2. Reduce: ``groupby(node).aggregate(Min)`` — Ray's sort-based
        shuffle with a block-vectorized aggregate, again no per-group
@@ -1504,10 +1507,8 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
     component minimum.  Convergence is detected via the monotone
     non-increasing label sum over the deduped table; if ``max_iter``
     rounds pass without a fixpoint the function RAISES rather than
-    returning non-minimal survivors (with shortcutting, 32 rounds covers
-    component diameters ~2^32 — exhaustion means something is wrong).
+    returning non-minimal survivors.
     """
-    import ray as _ray
     import ray.data as _rd
     from ray.data.aggregate import Min as _Min, Sum as _Sum
 
@@ -1520,13 +1521,6 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
     if num_partitions is None:
         # pairs are materialized: size to measured rows past the cap
         num_partitions = _cluster_partitions(cap=64, ds=pairs_ds)
-    P = np.uint64(num_partitions)
-    MIX = np.uint64(0x9E3779B97F4A7C15)
-
-    def _part_of(key: np.ndarray) -> np.ndarray:
-        h = key.astype(np.uint64) * MIX
-        h ^= h >> np.uint64(29)
-        return (h % P).astype(np.int32)
 
     def both_dirs(b: pa.Table) -> pa.Table:
         da = b.column("doc_a").to_numpy()
@@ -1548,7 +1542,7 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
                 "key": b.column("u"),
                 "dest": b.column("v"),
                 "label": pa.array(np.full(len(u), -1, np.int64), pa.int64()),
-                "part": pa.array(_part_of(u)),
+                "part": pa.array(part_of(u, num_partitions)),
             }
         )
 
@@ -1567,25 +1561,8 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
                 "key": pa.array(key, pa.int64()),
                 "dest": pa.array(dest, pa.int64()),
                 "label": pa.array(lab, pa.int64()),
-                "part": pa.array(_part_of(key)),
+                "part": pa.array(part_of(key, num_partitions)),
             }
-        )
-
-    def deliver(g):
-        # one hash partition: vectorized per-key min label + gather to dests
-        g = g.drop(columns=["part"])
-        is_lab = (g["dest"].to_numpy() < 0)
-        lab = g[is_lab]
-        L = lab.groupby("key")["label"].min()
-        dst = g[~is_lab]
-        lk = L.reindex(dst["key"]).to_numpy()
-        if lk.dtype.kind == "f":  # reindex produced NaNs: a key with no
-            miss = np.isnan(lk)   # label row (defensive) labels itself
-            lk[miss] = dst["key"].to_numpy()[miss]
-        nodes = np.concatenate([dst["dest"].to_numpy(), L.index.to_numpy()])
-        labels_out = np.concatenate([lk.astype(np.int64), L.to_numpy()])
-        return pd.DataFrame(
-            {"node": nodes.astype(np.int64), "label": labels_out.astype(np.int64)}
         )
 
     def _typed(b: pa.Table) -> pa.Table:
@@ -1620,7 +1597,7 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
         )
         labels = (
             msgs.groupby("part")
-            .map_groups(deliver, batch_format="pandas")
+            .map_groups(_deliver_labels, batch_format="pyarrow")
             .groupby("node")
             .aggregate(_Min("label", alias_name="label"))
             .map_batches(_typed, batch_format="pyarrow")
@@ -1634,9 +1611,9 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
         prev = cur
     else:
         raise RuntimeError(
-            f"connected_components did not converge in {max_iter} rounds — "
-            f"with shortcutting this covers diameters ~2^{max_iter}; refusing "
-            "to return non-minimal survivors (raise max_iter to override)"
+            f"connected_components did not converge in {max_iter} rounds; "
+            "refusing to return non-minimal survivors (long paths with "
+            "unordered ids need more rounds: raise max_iter)"
         )
     return labels.map_batches(
         lambda b: pa.table({"doc_id": b.column("node"), "survivor": b.column("label")}),
@@ -1648,36 +1625,27 @@ def apply_dedup(docs_ds, resolution_ds, id_col: str = "doc_id",
                 num_partitions: int | None = None):
     """Corpus -> SURVIVORS only: drop every doc whose resolution row
     (:func:`connected_components` output) names a DIFFERENT survivor —
-    the final step a training-data dedup actually ships.  Distributed
-    LEFT ANTI hash join on the doc id: the corpus streams through the
-    join partitioned by id; only the duplicate-id table (tiny next to
-    the corpus — 8 bytes per dropped doc) shuffles with it.  Docs absent
-    from the resolution table (never in any candidate pair) pass through
-    untouched."""
-    import ray
-    import ray.data as _rd
-
+    the final step a training-data dedup actually ships.  A LEFT ANTI
+    join on the doc id by one co-partitioned sort shuffle: the corpus
+    and the resolution table (tiny next to the corpus — 16 bytes per
+    clustered doc) are partitioned by id, and each partition drops the
+    ids its resolution rows name as duplicates with one ``is_in``
+    filter.  Docs absent from the resolution table (never in any
+    candidate pair) pass through untouched."""
     if num_partitions is None:
         # the LEFT ANTI join shuffles the whole corpus — size to its
         # row count (free plan metadata on a fresh read) past the cap
         num_partitions = _cluster_partitions(cap=64, ds=docs_ds)
+    resolution_ds = resolution_ds.materialize()  # one run feeds count and shuffle
+    if resolution_ds.count() == 0:
+        return docs_ds  # nothing to drop: skip the corpus shuffle
 
-    def dupes_only(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"dup_id": pa.array([], pa.int64())})
-        keep = pc.not_equal(b.column("doc_id"), b.column("survivor"))
-        return pa.table({"dup_id": b.column("doc_id").filter(keep)})
+    def survivors(L: pa.Table, R: pa.Table) -> pa.Table:
+        dup = pc.not_equal(R.column("doc_id"), R.column("survivor"))
+        dup_ids = R.column("doc_id").filter(dup).combine_chunks()
+        return L.filter(pc.invert(pc.is_in(L.column(id_col), value_set=dup_ids)))
 
-    dupes = resolution_ds.map_batches(dupes_only, batch_format="pyarrow").materialize()
-    n_dupes = dupes.count()
-    if n_dupes == 0:
-        # Ray's hash join chokes on an empty build side; nothing to drop
-        return docs_ds
-    dupes = _normalize_blocks(dupes, n_dupes)
-    return docs_ds.join(
-        dupes, join_type="left_anti", num_partitions=num_partitions,
-        on=(id_col,), right_on=("dup_id",),
-    )
+    return copartition(docs_ds, resolution_ds, id_col, "doc_id", survivors, num_partitions)
 
 
 def cosine_pairs(vecs: np.ndarray, ids: np.ndarray, threshold: float) -> pa.Table:

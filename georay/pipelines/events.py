@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from georay.partition import MAX_PARTITIONS
+
 GAP_US = 30 * 60 * 1_000_000  # 30-minute session gap
 
 #: splitmix-style mixer for the partition hash (plain modulo on dense
@@ -166,7 +168,6 @@ def window_top1_partition(g):
 #: worker-heap-safe), instead of the former fixed 256-task cap whose
 #: per-task share grew linearly with the data.
 ROWS_PER_PARTITION = 2_000_000
-MAX_PARTITIONS = 65_536
 
 
 def default_partitions(
@@ -184,7 +185,7 @@ def default_partitions(
     know their row count) — the count additionally scales as
     ceil(rows / rows_per_partition) so one map_groups task's share stays
     bounded as the data grows (rows-aware pattern:
-    ``dedup._normalize_blocks``)."""
+    ``dedup._cluster_partitions``)."""
     if num_partitions is not None:
         return num_partitions
     if rows_per_partition is None:
@@ -263,9 +264,12 @@ def window_topk_partition(g, k: int):
     value = g.column("value").to_numpy(zero_copy_only=False)
     ts = _ts_us(g.column("ts"))
     eid = g.column("event_id").to_numpy(zero_copy_only=False)
-    # value DESC via negation (the events value column is finite — the
-    # pandas ascending=False path had the same no-NaN assumption)
-    order = np.lexsort((eid, ts, -value.astype(np.float64), user))
+    # value DESC: integers via ~value (exact, monotone decreasing, and
+    # defined at INT64_MIN, unlike -value or a float64 cast that ties
+    # values above 2^53); floats via negation (the events value column
+    # is finite — the pandas ascending=False path assumed no NaN too)
+    desc = ~value if value.dtype.kind in "iu" else -value.astype(np.float64)
+    order = np.lexsort((eid, ts, desc, user))
     user = user[order]
     start = np.ones(n, bool)
     start[1:] = user[1:] != user[:-1]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from georay.dedup import (
     cosine_pairs,
@@ -158,6 +159,31 @@ class TestEmbedLshPipeline:
         recall = len(got_set) / len(brute_set)
         assert recall >= 0.9  # default 12 planes x 8 tables at cos>0.9
 
+    def test_cosine_verify_pairs_matches_brute(self, ray_session):
+        """Every pair of 40 vectors as a candidate: the verified set is
+        exactly the brute-force set (list-typed vectors ride both
+        co-partitioned shuffles, no packing)."""
+        import pyarrow as pa
+        import ray.data
+
+        from georay.dedup import cosine_pairs, cosine_verify_pairs
+
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((20, 8))
+        vecs = np.vstack([base, base + 0.2 * rng.standard_normal((20, 8))])
+        ids = np.arange(100, 140, dtype=np.int64)
+        brute = cosine_pairs(vecs, ids, 0.9)
+        want = set(zip(brute.column("vec_a").to_pylist(), brute.column("vec_b").to_pylist()))
+        assert want
+        cand = [(a, b) for a in ids.tolist() for b in ids.tolist() if a < b]
+        pairs = pa.table({"doc_a": pa.array([a for a, _ in cand], pa.int64()),
+                          "doc_b": pa.array([b for _, b in cand], pa.int64())})
+        vt = pa.table({"vec_id": ids, "embedding": pa.array(list(vecs))})
+        out = cosine_verify_pairs(
+            ray.data.from_arrow(pairs), ray.data.from_arrow(vt).repartition(3), 0.9
+        ).to_pandas()
+        assert set(zip(out.vec_a, out.vec_b)) == want
+
 
 class TestBatchCompositionIndependence:
     """Regression: a document's signature must not depend on what follows
@@ -229,6 +255,66 @@ class TestConnectedComponents:
         out = connected_components(ray.data.from_arrow(pairs), max_iter=10).to_pandas()
         assert len(out) == n
         assert (out.survivor == 0).all()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_union_find_on_random_graphs(self, ray_session, seed):
+        """Seeded graphs against a pure-Python union-find whose survivor
+        is the component minimum: a 150-node chain with increasing ids
+        (shortcutting halves it per round), 15 random-id chains of 8, and
+        a sparse random graph on 80 nodes.  About ten rounds."""
+        import pyarrow as pa
+        import ray.data
+
+        from georay.dedup import connected_components
+
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(np.arange(1000, 5000))[:200]
+        edges = list(zip(range(0, 149), range(1, 150)))
+        for chain in np.array_split(ids[:120], 15):
+            edges += list(zip(chain[:-1].tolist(), chain[1:].tolist()))
+        for _ in range(60):
+            a, b = rng.choice(ids[120:], 2, replace=False)
+            edges.append((int(a), int(b)))
+        edges = [(min(a, b), max(a, b)) for a, b in edges]
+
+        parent = {}
+
+        def find(x):
+            parent.setdefault(x, x)
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in edges:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+        want = {x: find(x) for x in parent}
+
+        pairs = pa.table({"doc_a": pa.array([a for a, _ in edges], pa.int64()),
+                          "doc_b": pa.array([b for _, b in edges], pa.int64())})
+        out = connected_components(ray.data.from_arrow(pairs).repartition(4)).to_pandas()
+        assert dict(zip(out.doc_id, out.survivor)) == want
+
+    def test_deliver_labels_kernel(self):
+        """Label rows give each key its minimum; requests fetch it; a
+        requested key with no label row labels itself."""
+        import pyarrow as pa
+
+        from georay.dedup import _deliver_labels
+
+        g = pa.table({
+            "key": pa.array([5, 5, 7, 5, 7, 9], pa.int64()),
+            "dest": pa.array([-1, -1, -1, 11, 12, 13], pa.int64()),
+            "label": pa.array([4, 2, 7, -1, -1, -1], pa.int64()),
+            "part": pa.array([0] * 6, pa.int32()),
+        })
+        out = _deliver_labels(g)
+        got = sorted(zip(out.column("node").to_pylist(), out.column("label").to_pylist()))
+        assert got == [(5, 2), (7, 7), (11, 2), (12, 7), (13, 9)]
+        empty = _deliver_labels(g.slice(0, 0))
+        assert empty.num_rows == 0 and empty.schema.field("node").type == pa.int64()
 
     def test_nonconvergence_raises(self, ray_session):
         """max_iter exhaustion must raise, not silently return non-minimal
@@ -511,9 +597,9 @@ class TestApplyDedup:
 
     def test_resolution_with_schemaless_empty_blocks(self, ray_session):
         """Regression: a resolution table produced by a sort aggregate
-        carries SCHEMALESS empty blocks for empty partitions, which Ray's
-        hash join rejects ('no match for key field dup_id') — apply_dedup
-        must normalize the build side."""
+        carries SCHEMALESS empty blocks for empty partitions (a hash join
+        once rejected them with 'no match for key field dup_id') — the
+        co-partitioned anti join must still see a typed build side."""
         import pyarrow as pa
         import ray.data
         from ray.data.aggregate import Min
@@ -621,3 +707,21 @@ class TestClusterPartitionsRowsAware:
 
         lazy = ray.data.range(1000).map_batches(lambda b: b)  # count unknown
         assert _cluster_partitions(cap=32, ds=lazy) == _cluster_partitions(cap=32)
+
+    def test_past_the_cap_raises_with_row_count(self, ray_session):
+        """Sizing past MAX_PARTITIONS fails loudly instead of clamping
+        (a clamped count silently grows every partition's share)."""
+        from georay.dedup import MAX_PARTITIONS, _cluster_partitions, _join_partitions
+
+        class Huge:
+            def _meta_count(self):
+                return (MAX_PARTITIONS + 1) * 2_000_000
+
+        with pytest.raises(ValueError, match=str((MAX_PARTITIONS + 1) * 2_000_000)):
+            _cluster_partitions(cap=64, ds=Huge())
+        with pytest.raises(ValueError, match="rows at 250000 rows per partition"):
+            _join_partitions(Huge())
+        with pytest.raises(ValueError, match="MAX_PARTITIONS"):
+            _join_partitions(None, extra_rows=(MAX_PARTITIONS + 1) * 250_000)
+        # exactly at the cap still sizes
+        assert _join_partitions(None, extra_rows=MAX_PARTITIONS * 250_000) == MAX_PARTITIONS

@@ -214,6 +214,25 @@ class TestWindowTopK:
         # 11 (rank 1) and 12 (rank 2); event 10 (value 7) excluded
         assert got == {(1, 11, 1), (1, 12, 2), (2, 20, 1)}
 
+    def test_int64_values_above_2_pow_53_rank_exactly(self):
+        """2^53 and 2^53+1 are one float64: a float negation ties them,
+        and the ts tie-break then ranks the smaller value first.  INT64_MIN
+        has no int64 negation."""
+        import pyarrow as pa
+
+        from georay.pipelines.events import window_topk_partition
+
+        big = 2**53
+        g = pa.table({
+            "user_id": pa.array([1, 1, 1, 1, 2], pa.int64()),
+            "event_id": pa.array([10, 11, 12, 13, 20], pa.int64()),
+            "ts": pa.array([1, 2, 3, 4, 5], pa.timestamp("us")),
+            "value": pa.array([big, big + 1, big + 2, -(2**63), -(2**63)], pa.int64()),
+        })
+        out = window_topk_partition(g, k=4).to_pandas()
+        got = sorted(zip(out.user_id, out["rank"], out.event_id))
+        assert got == [(1, 1, 12), (1, 2, 11), (1, 3, 10), (1, 4, 13), (2, 1, 20)]
+
     def test_empty(self):
         from georay.pipelines.events import window_topk_partition
 

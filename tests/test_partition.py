@@ -1,0 +1,180 @@
+"""georay.partition: the hash mix and the co-partitioned join primitive."""
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from georay.partition import copartition, part_of
+
+LEFT = pa.schema([("id", pa.int64()), ("a", pa.int64())])
+RIGHT = pa.schema([("rid", pa.int64()), ("text", pa.large_string())])
+
+
+def _rows(t: pa.Table) -> list:
+    return sorted(zip(*(t.column(c).to_pylist() for c in sorted(t.column_names))))
+
+
+def _collect(ds) -> pa.Table:
+    blocks = [b for b in ds.iter_batches(batch_format="pyarrow", batch_size=None) if b.num_rows]
+    return pa.concat_tables(blocks) if blocks else None
+
+
+P = 4
+
+
+def _shapes_kernel():
+    """Kernel that reports what one partition received (built in a
+    function so Ray ships it by value: workers cannot import tests)."""
+    def shapes(L: pa.Table, R: pa.Table) -> pa.Table:
+        keys = L.column("id").to_pylist() + R.column("rid").to_pylist()
+        return pa.table({
+            "part": pa.array([int(part_of(np.array(keys[:1]), P)[0])], pa.int32()),
+            "nl": [L.num_rows],
+            "nr": [R.num_rows],
+            "typed": [L.schema.equals(LEFT) and R.schema.equals(RIGHT)],
+        })
+
+    return shapes
+
+
+def _keys_in(parts, n, start=0):
+    """``n`` consecutive-from-``start`` integers whose partition is in ``parts``."""
+    out, k = [], start
+    while len(out) < n:
+        if int(part_of(np.array([k]), P)[0]) in parts:
+            out.append(k)
+        k += 1
+    return out
+
+
+def _left(ids):
+    return pa.table({"id": pa.array(ids, pa.int64()), "a": pa.array([i * 10 for i in ids], pa.int64())})
+
+
+def _right(ids):
+    return pa.table({"rid": pa.array(ids, pa.int64()),
+                     "text": pa.array([f"t{i}" for i in ids], pa.large_string())})
+
+
+class TestPartOf:
+    def test_range_and_single_key_mix(self):
+        k = np.arange(-50, 1000, dtype=np.int64)
+        p = part_of(k, 7)
+        assert p.dtype == np.int32 and p.min() >= 0 and p.max() < 7
+        h = k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        h ^= h >> np.uint64(29)
+        assert np.array_equal(p, (h % np.uint64(7)).astype(np.int32))
+
+    def test_composite_key_depends_on_every_column(self):
+        band = np.repeat(np.arange(4, dtype=np.int32), 100)
+        key = np.tile(np.arange(100, dtype=np.int64), 4)
+        p = part_of([band, key], 16)
+        # the same key in different bands lands in different partitions
+        assert (p.reshape(4, 100) != p[:100]).any(axis=1)[1:].all()
+
+
+class TestCopartition:
+    def test_one_sided_partitions_get_typed_empty_tables(self, ray_session):
+        import ray.data
+
+        # partition 0: left only; partition 1: right only; 2, 3: both
+        lk = _keys_in({0}, 5) + _keys_in({2, 3}, 6, 1000)
+        rk = _keys_in({1}, 5) + _keys_in({2, 3}, 6, 1000)
+        out = _collect(copartition(
+            ray.data.from_arrow(_left(lk)), ray.data.from_arrow(_right(rk)),
+            "id", "rid", _shapes_kernel(), P,
+        ))
+        got = {p: (nl, nr) for p, nl, nr in zip(*(out.column(c).to_pylist() for c in ("part", "nl", "nr")))}
+        assert got[0] == (5, 0) and got[1] == (0, 5)
+        assert all(nl and nr for p, (nl, nr) in got.items() if p in (2, 3))
+        assert all(out.column("typed").to_pylist())
+
+    def test_side_empty_everywhere(self, ray_session):
+        import ray.data
+
+        left = ray.data.from_arrow(_left(list(range(20))))
+        right = ray.data.from_arrow(RIGHT.empty_table())
+        out = _collect(copartition(left, right, "id", "rid", _shapes_kernel(), P))
+        assert sum(out.column("nl").to_pylist()) == 20
+        assert sum(out.column("nr").to_pylist()) == 0
+        assert all(out.column("typed").to_pylist())
+        anti = _collect(copartition(
+            left, right, "id", "rid",
+            lambda L, R: L.join(R, keys="id", right_keys="rid", join_type="left anti"), P,
+        ))
+        assert sorted(anti.column("id").to_pylist()) == list(range(20))
+
+    @pytest.mark.parametrize("num_partitions", [1, 3, 64])
+    @pytest.mark.parametrize("kind", ["inner", "left anti", "left semi"])
+    def test_matches_pyarrow_join(self, ray_session, kind, num_partitions):
+        """P=1, a few partitions, and P far above the 30-key row count."""
+        import ray.data
+
+        rng = np.random.default_rng(5)
+        left = _left(rng.integers(0, 30, 40).tolist())  # repeated keys
+        right = _right(rng.choice(45, 25, replace=False).tolist())
+        out = _collect(copartition(
+            ray.data.from_arrow(left).repartition(3), ray.data.from_arrow(right),
+            "id", "rid",
+            lambda L, R: L.join(R, keys="id", right_keys="rid", join_type=kind),
+            num_partitions,
+        ))
+        want = left.join(right, keys="id", right_keys="rid", join_type=kind)
+        assert want.num_rows > 0
+        assert _rows(out) == _rows(want)
+        if kind == "inner":
+            assert out.schema.field("text").type == pa.large_string()
+
+    def test_composite_key_self_join(self, ray_session):
+        import ray.data
+
+        rng = np.random.default_rng(9)
+        t = pa.table({
+            "band": pa.array(rng.integers(0, 3, 200), pa.int32()),
+            "key": pa.array(rng.integers(0, 20, 200), pa.int64()),
+            "doc": pa.array(np.arange(200), pa.int64()),
+        })
+
+        def pairs(L, R):
+            R = R.rename_columns(["band", "key", "doc_b"])
+            return L.join(R, keys=["band", "key"]).select(["doc", "doc_b"])
+
+        ds = ray.data.from_arrow(t)
+        out = _collect(copartition(ds, ds, ["band", "key"], ["band", "key"], pairs, 5))
+        want = pairs(t, t)
+        assert _rows(out) == _rows(want)
+
+    def test_lazy_side_runs_once(self, ray_session, tmp_path):
+        """A side whose schema is unknown without running it (a lazy map)
+        is materialized, not executed twice."""
+        import ray.data
+
+        marks = tmp_path / "calls"
+        marks.mkdir()
+
+        def count_calls(b: pa.Table) -> pa.Table:
+            (marks / f"{len(list(marks.iterdir()))}").touch()
+            return b
+
+        lazy = ray.data.from_arrow(_left(list(range(10)))).map_batches(
+            count_calls, batch_format="pyarrow")
+        out = _collect(copartition(
+            lazy, ray.data.from_arrow(_right([1, 2])), "id", "rid",
+            lambda L, R: L.join(R, keys="id", right_keys="rid", join_type="inner"), 2,
+        ))
+        assert sorted(out.column("id").to_pylist()) == [1, 2]
+        assert len(list(marks.iterdir())) == 1
+
+    def test_output_block_count_is_num_partitions(self, ray_session):
+        """Block (and so output file) count follows num_partitions, not
+        the 7 + 2 input blocks."""
+        import ray.data
+
+        left = ray.data.from_arrow(_left(list(range(200)))).repartition(7)
+        right = ray.data.from_arrow(_right(list(range(0, 200, 3)))).repartition(2)
+        out = copartition(
+            left, right, "id", "rid",
+            lambda L, R: L.join(R, keys="id", right_keys="rid", join_type="left semi"), 3,
+        ).materialize()
+        assert out.num_blocks() == 3
+        assert out.count() == 67
