@@ -1128,18 +1128,10 @@ def _q_segment_revenue(sf_dir: str):
     revenue per market segment in integer cents.  Each partition joins
     its orders to their customers and pre-aggregates per segment in the
     same kernel."""
-    from georay.partition import copartition
+    from georay.partition import copartition, partitions
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-
-    # join partitions sized to the work, capped by the cluster: a few
-    # partitions per input file up to the CPU count (a fixed constant
-    # starves a big cluster; CPU-count partitions over tiny inputs just
-    # pay per-partition task overhead)
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    n_blocks = max(1, len(orders.input_files()))
-    n_part = max(4, min(cpus, n_blocks * 4))
 
     def partial(L: pa.Table, R: pa.Table) -> pa.Table:
         b = L.join(R, keys="o_custkey", right_keys="c_custkey")
@@ -1159,7 +1151,7 @@ def _q_segment_revenue(sf_dir: str):
         )
 
     return (
-        copartition(orders, cust, "o_custkey", "c_custkey", partial, n_part)
+        copartition(orders, cust, "o_custkey", "c_custkey", partial, partitions(orders))
         .repartition(1)
         .map_batches(merge, batch_format="pyarrow", batch_size=None)
     )

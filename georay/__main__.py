@@ -214,8 +214,7 @@ def cmd_curate(args):
         .aggregate(Min("doc_id", alias_name="keep_id"))
         .map_batches(lambda b: b.select(["keep_id"]), batch_format="pyarrow")
     )
-    from georay.dedup import _cluster_partitions
-    from georay.partition import copartition
+    from georay.partition import copartition, partitions
 
     def keep_survivors(L: pa.Table, R: pa.Table) -> pa.Table:
         keep_ids = R.column("keep_id").combine_chunks()
@@ -224,7 +223,7 @@ def cmd_curate(args):
     # the semi join shuffles the full annotated corpus: size partitions
     # to its measured rows (filt is a fresh parquet read of the
     # checkpoint, so the count is free plan metadata), not a fixed 16
-    n_part = args.num_partitions or _cluster_partitions(cap=64, ds=filt)
+    n_part = args.num_partitions or partitions(filt)
     deduped = copartition(filt, survivors, "doc_id", "keep_id", keep_survivors, n_part)
 
     sampled = deduped.map_batches(

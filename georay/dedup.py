@@ -32,73 +32,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from georay.partition import MAX_PARTITIONS, copartition, part_of
+from georay.partition import copartition, hash_partition, partitions
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
-
-
-def _check_cap(p: int, n_rows: int, rows_per_partition: int) -> int:
-    if p > MAX_PARTITIONS:
-        raise ValueError(
-            f"{n_rows} rows at {rows_per_partition} rows per partition need {p} "
-            f"partitions, more than MAX_PARTITIONS={MAX_PARTITIONS}; raise "
-            "rows_per_partition or split the input"
-        )
-    return p
-
-
-def _cluster_partitions(mult: int = 1, cap: int = 32, ds=None,
-                        rows_per_partition: int = 2_000_000) -> int:
-    """Cluster-sized partition count (a fixed constant starves a big
-    cluster).  ``mult`` > 1 over-partitions for group-task kernels
-    (smaller per-task working sets); joins keep mult=1 (each partition
-    is one more reduce task).  ``cap`` bounds that fixed per-partition
-    overhead at small scale — but when ``ds``'s row count is knowable
-    for free (materialized dataset / fresh parquet read; ``_meta_count``
-    never computes), the count additionally grows as
-    ceil(rows / rows_per_partition) past the cap, so per-partition
-    shares stay bounded at 10^12 rows instead of growing linearly
-    (same rows-aware pattern as ``pipelines.events.default_partitions``).
-    A count past ``MAX_PARTITIONS`` raises ``ValueError``."""
-    import ray
-
-    p = max(4, min(int(ray.cluster_resources().get("CPU", 4)) * mult, cap))
-    n_rows = None
-    if ds is not None:
-        try:
-            n_rows = ds._meta_count()
-        except Exception:
-            n_rows = None
-    if n_rows:
-        p = _check_cap(max(p, -(-int(n_rows) // max(1, rows_per_partition))),
-                       n_rows, rows_per_partition)
-    return p
-
-
-def _join_partitions(big_ds, extra_rows: int | None = None, floor: int = 8,
-                     rows_per_partition: int = 250_000) -> int:
-    """Co-partitioned join partition count: the count follows the DATA —
-    the fixed floor (8, matching the measured small-scale optimum) until
-    the bigger join side is known to exceed floor x rows_per_partition,
-    then ceil(rows / rows_per_partition); past ``MAX_PARTITIONS`` it
-    raises ``ValueError``.  Row counts come from free plan metadata only
-    (``_meta_count``); an opaque lazy side keeps the floor rather than
-    guessing."""
-    n = None
-    if big_ds is not None:
-        try:
-            n = big_ds._meta_count()
-        except Exception:
-            n = None
-    if extra_rows is not None:
-        n = max(n or 0, int(extra_rows))
-    if not n:
-        return floor
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    need = _check_cap(-(-n // rows_per_partition), n, rows_per_partition)
-    return max(min(floor, cpus), need)
 
 
 def segment_reduce(ufunc, values: np.ndarray, offsets: np.ndarray, empty_fill, axis0_shape=None):
@@ -684,8 +620,7 @@ def _join_pairs_from_slim(slim, pair_filter=None, max_bucket=None):
 
     # slim is materialized, so its row count is free — the partition
     # count scales with the slim table, not just the cluster
-    n_part = _cluster_partitions(ds=slim)
-    j = copartition(slim, slim, ["band", "key"], ["band", "key"], self_join, n_part)
+    j = copartition(slim, slim, ["band", "key"], ["band", "key"], self_join, partitions(slim))
 
     distinct = (
         j.groupby(["doc_a", "doc_b"])
@@ -1190,7 +1125,7 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
                 "doc_id": pa.array([], pa.int64()),
             }
             if carry_vec:
-                out["vec_bin"] = pa.array([], pa.binary())
+                out["vec"] = batch.column(vec_col)
             return pa.table(out)
         col = batch.column(vec_col)
         if isinstance(col, pa.ChunkedArray):
@@ -1210,10 +1145,7 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
             "doc_id": pa.array(np.tile(ids, n_tables)),
         }
         if carry_vec:
-            width = vecs.shape[1] * 8
-            buf = pa.py_buffer(np.ascontiguousarray(vecs).tobytes())
-            vb = pa.FixedSizeBinaryArray.from_buffers(pa.binary(width), len(vecs), [None, buf])
-            out["vec_bin"] = pa.chunked_array([vb] * n_tables).combine_chunks().cast(pa.binary())
+            out["vec"] = pa.concat_arrays([col] * n_tables)
         return pa.table(out)
 
     banded = ds.map_batches(keys_batch, batch_format="pyarrow")
@@ -1228,27 +1160,18 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
     # of its buckets (a bucket's rows always hash together), replacing
     # per-bucket map_groups dispatch (~0.5 ms x #buckets) with P group
     # tasks whose inner per-bucket matmuls run in a plain loop
-    # banded is lazy (rows = n_vecs x n_tables); the input's row count —
-    # free when ds is a fresh read/materialized — is a lower bound that
-    # still scales the count with the corpus past the 256 cap
-    n_part = _cluster_partitions(mult=2, cap=256, ds=ds)
-
-    def add_part(b: pa.Table) -> pa.Table:
-        keys = [b.column("band").to_numpy(), b.column("key").to_numpy()]
-        return b.append_column("part", pa.array(part_of(keys, n_part)))
-
-    def verify_partition(g):
-        import pandas as pd
-
-        g = g.sort_values(["band", "key"], kind="stable")
-        band = g["band"].to_numpy()
-        key = g["key"].to_numpy()
-        ids = g["doc_id"].to_numpy()
-        vec_bin = g["vec_bin"].to_numpy()
-        seg = np.ones(len(g), bool)
+    def verify_partition(g: pa.Table) -> pa.Table:
+        band = g.column("band").to_numpy()
+        key = g.column("key").to_numpy()
+        order = np.lexsort((key, band))
+        band, key = band[order], key[order]
+        ids = g.column("doc_id").to_numpy()[order]
+        vecs = _list_to_matrix(g.column("vec"))[order]
+        seg = np.ones(len(ids), bool)
         seg[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
-        bounds = np.concatenate([np.nonzero(seg)[0], [len(g)]])
-        out_a, out_b, out_tr = [], [], []
+        bounds = np.concatenate([np.nonzero(seg)[0], [len(ids)]])
+        none = np.empty(0, np.int64)
+        out_a, out_b, out_tr = [none], [none], [none.astype(np.int32)]
         for s, e in zip(bounds[:-1], bounds[1:]):
             uniq, first_idx = np.unique(ids[s:e], return_index=True)
             truncated = len(uniq) > max_bucket
@@ -1265,35 +1188,25 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
                 first_idx = first_idx[:max_bucket]
             if len(uniq) < 2:
                 continue
-            raw = b"".join(vec_bin[s:e][i] for i in first_idx)
-            vecs = np.frombuffer(raw, np.float64).reshape(len(uniq), -1)
-            norms = np.linalg.norm(vecs, axis=1)
+            v = vecs[s:e][first_idx]
+            norms = np.linalg.norm(v, axis=1)
             norms[norms == 0] = 1.0
-            unit = vecs / norms[:, None]
-            sim = unit @ unit.T
-            ia, ib = np.nonzero(np.triu(sim >= threshold, k=1))
+            unit = v / norms[:, None]
+            ia, ib = np.nonzero(np.triu(unit @ unit.T >= threshold, k=1))
             out_a.append(uniq[ia])
             out_b.append(uniq[ib])
             out_tr.append(np.full(len(ia), int(truncated), np.int32))
-        if not out_a:
-            return pd.DataFrame(
-                {"doc_a": np.empty(0, np.int64), "doc_b": np.empty(0, np.int64),
-                 "truncated": np.empty(0, np.int32)}
-            )
-        return pd.DataFrame(
-            {"doc_a": np.concatenate(out_a).astype(np.int64),
-             "doc_b": np.concatenate(out_b).astype(np.int64),
-             "truncated": np.concatenate(out_tr)}
-        )
+        return pa.table({
+            "doc_a": pa.array(np.concatenate(out_a), pa.int64()),
+            "doc_b": pa.array(np.concatenate(out_b), pa.int64()),
+            "truncated": pa.array(np.concatenate(out_tr), pa.int32()),
+        })
 
-    pairs = (
-        banded.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            lambda g: verify_partition(g.drop(columns=["part"])),
-            batch_format="pandas",
-        )
-    )
+    # banded is lazy (rows = n_vecs x n_tables); the input's row count —
+    # free when ds is a fresh read/materialized — is a lower bound that
+    # still scales the count with the corpus
+    pairs = hash_partition(banded, ["band", "key"], verify_partition,
+                           num_partitions or partitions(ds))
 
     def _typed_pairs(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -1354,7 +1267,7 @@ def cosine_verify_pairs(pairs_ds, vectors_ds, threshold: float,
 
         return _rd.from_arrow(empty)
     if num_partitions is None:
-        num_partitions = _join_partitions(vectors_ds, extra_rows=rows)
+        num_partitions = partitions(vectors_ds, n_rows=rows, rows_per_partition=250_000)
 
     def score(L: pa.Table, R: pa.Table) -> pa.Table:
         b = _attach(L, "doc_b", R, id_col, vec_col, "vec_b")
@@ -1410,7 +1323,7 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
 
         return _rd.from_arrow(empty)
     if num_partitions is None:
-        num_partitions = _join_partitions(docs_ds, extra_rows=n_pairs)
+        num_partitions = partitions(docs_ds, n_rows=n_pairs, rows_per_partition=250_000)
 
     def score(L: pa.Table, R: pa.Table) -> pa.Table:
         b = _attach(L, "doc_b", R, id_col, text_col, "text_b")
@@ -1475,6 +1388,13 @@ def _deliver_labels(g: pa.Table) -> pa.Table:
     })
 
 
+def _min_label(t: pa.Table) -> pa.Table:
+    """One hash partition of (node, label) offers -> each node's
+    minimum label."""
+    g = t.group_by("node").aggregate([("label", "min")])
+    return pa.table({"node": g.column("node"), "label": g.column("label_min")})
+
+
 def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: int = 32):
     """Candidate pairs -> (doc_id, survivor) per connected component: the
     dedup-resolution step after candidate generation (the survivor is the
@@ -1490,15 +1410,15 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
        converges in O(log diameter) rounds instead of one hop per
        round; on a path with unordered ids the minimum can still move
        about one hop per round — a 200-node path with random ids needs
-       50–120 rounds).  Messages are
-       hash-partitioned on ``part_of(key, P)`` and each partition runs ONE
-       vectorized multi-node kernel (:func:`_deliver_labels`: lexsort,
+       50–120 rounds).  Messages are hash-partitioned on ``key``
+       (:func:`georay.partition.hash_partition`) and each partition runs
+       ONE vectorized multi-node kernel (:func:`_deliver_labels`: lexsort,
        first-of-run minimum, searchsorted gather) — no per-node Python
        dispatch (the round-2 ``groupby(node).map_groups``
        paid ~0.5 ms per node per round).
-    2. Reduce: ``groupby(node).aggregate(Min)`` — Ray's sort-based
-       shuffle with a block-vectorized aggregate, again no per-group
-       Python.
+    2. Reduce: a second hash partition, on ``node``, whose kernel
+       (:func:`_min_label`) keeps each node's minimum offer with one
+       Arrow group-by — again no per-group Python.
 
     Both shuffles move only (int64, int64) rows; per-round volume is
     constant (2|E| + 2|V| delivery rows).  Labels only originate from
@@ -1510,7 +1430,7 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
     returning non-minimal survivors.
     """
     import ray.data as _rd
-    from ray.data.aggregate import Min as _Min, Sum as _Sum
+    from ray.data.aggregate import Sum as _Sum
 
     empty = pa.table(
         {"doc_id": pa.array([], pa.int64()), "survivor": pa.array([], pa.int64())}
@@ -1519,8 +1439,8 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
     if pairs_ds.count() == 0:
         return _rd.from_arrow(empty)
     if num_partitions is None:
-        # pairs are materialized: size to measured rows past the cap
-        num_partitions = _cluster_partitions(cap=64, ds=pairs_ds)
+        # pairs are materialized, so their row count is free
+        num_partitions = partitions(pairs_ds)
 
     def both_dirs(b: pa.Table) -> pa.Table:
         da = b.column("doc_a").to_numpy()
@@ -1542,7 +1462,6 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
                 "key": b.column("u"),
                 "dest": b.column("v"),
                 "label": pa.array(np.full(len(u), -1, np.int64), pa.int64()),
-                "part": pa.array(part_of(u, num_partitions)),
             }
         )
 
@@ -1561,18 +1480,8 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
                 "key": pa.array(key, pa.int64()),
                 "dest": pa.array(dest, pa.int64()),
                 "label": pa.array(lab, pa.int64()),
-                "part": pa.array(part_of(key, num_partitions)),
             }
         )
-
-    def _typed(b: pa.Table) -> pa.Table:
-        # Ray's sort-based aggregate emits schemaless EMPTY blocks for
-        # empty partitions — coerce every block to the declared schema
-        if b.num_rows == 0:
-            return pa.table(
-                {"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())}
-            )
-        return b.select(["node", "label"])
 
     def init_labels(b: pa.Table) -> pa.Table:
         u = b.column("u").to_numpy()
@@ -1583,26 +1492,16 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
         )
 
     # one row per node, label = min over incident edges (saves a round)
-    labels = (
-        edges.map_batches(init_labels, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(_Min("label", alias_name="label"))
-        .map_batches(_typed, batch_format="pyarrow")
-        .materialize()
-    )
+    labels = hash_partition(
+        edges.map_batches(init_labels, batch_format="pyarrow"), "node", _min_label, num_partitions
+    ).materialize()
     prev = labels.aggregate(_Sum("label"))["sum(label)"]
     for _ in range(max_iter):
         msgs = edges.map_batches(edge_msgs, batch_format="pyarrow").union(
             labels.map_batches(label_msgs, batch_format="pyarrow")
         )
-        labels = (
-            msgs.groupby("part")
-            .map_groups(_deliver_labels, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(_Min("label", alias_name="label"))
-            .map_batches(_typed, batch_format="pyarrow")
-            .materialize()
-        )
+        offers = hash_partition(msgs, "key", _deliver_labels, num_partitions)
+        labels = hash_partition(offers, "node", _min_label, num_partitions).materialize()
         # labels are per-node minima: the sum is monotone non-increasing
         # and equal sums mean every label is at its fixpoint
         cur = labels.aggregate(_Sum("label"))["sum(label)"]
@@ -1634,8 +1533,8 @@ def apply_dedup(docs_ds, resolution_ds, id_col: str = "doc_id",
     candidate pair) pass through untouched."""
     if num_partitions is None:
         # the LEFT ANTI join shuffles the whole corpus — size to its
-        # row count (free plan metadata on a fresh read) past the cap
-        num_partitions = _cluster_partitions(cap=64, ds=docs_ds)
+        # row count (free plan metadata on a fresh read)
+        num_partitions = partitions(docs_ds)
     resolution_ds = resolution_ds.materialize()  # one run feeds count and shuffle
     if resolution_ds.count() == 0:
         return docs_ds  # nothing to drop: skip the corpus shuffle

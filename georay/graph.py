@@ -13,7 +13,7 @@ a full sort-based shuffle whose fixed cost is paid EVERY round (measured
 trivial data), and rank state would be re-shuffled from scratch each
 round even though the edge partitioning never changes.  Instead:
 
-  setup   ONE Ray Data hash partition of the edge list (groupby part)
+  setup   ONE hash partition of the edge list (``hash_partition``)
           and one of the node list; each partition block is handed BY
           REF to a stateful actor (blocks never visit the driver — a
           peek task reads each block's partition id where it lives);
@@ -61,8 +61,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from georay.partition import hash_partition, part_of
+
 SCALE = 10**12
-_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 #: synthetic outlink multipliers (tests/bench only; real pipelines bring
 #: their own edge list).  dst_j = (src * A + j * B) % num_nodes for
@@ -84,54 +85,26 @@ def synthesize_outlinks_batch(batch: pa.Table, num_nodes: int, k: int = 3,
                      "dst": pa.array(dst, pa.int64())})
 
 
-def _part_of(key: np.ndarray, p: int) -> np.ndarray:
-    h = key.astype(np.uint64) * _MIX
-    h ^= h >> np.uint64(29)
-    return (h % np.uint64(p)).astype(np.int32)
-
-
 def _hash_partition_refs(ds, key_col: str, p: int, cols: list[str]):
-    """Hash-partition ``ds`` on ``key_col`` with ONE Ray Data groupby and
-    return {part: [sub-table refs]} without pulling rows to the driver.
-    Groupby-output blocks can span several parts, so a per-block split
-    task (running where the block lives) projects to ``cols`` and
-    ``ray.put``s one sub-table per part — each actor then fetches ONLY
-    its own rows instead of every multi-part block it appears in."""
+    """Hash-partition ``ds`` on ``key_col`` (projected to ``cols``) and
+    return {part: [block refs]} without pulling rows to the caller.
+    Every output block of :func:`georay.partition.hash_partition` lies
+    inside one partition; a peek task reads its partition id from its
+    first row where the block lives.  The refs are the dataset's own
+    blocks, owned by the process that ran it, so no short-lived task
+    owns what the actors fetch."""
     import ray as _ray
 
-    def add_part(b: pa.Table) -> pa.Table:
-        key = b.column(key_col).to_numpy(zero_copy_only=False)
-        return b.append_column("part", pa.array(_part_of(key, p)))
-
-    def ident(g: pa.Table) -> pa.Table:
-        return g
-
-    parted = (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(ident, batch_format="pyarrow")
-        .materialize()
-    )
-    refs = parted.to_arrow_refs()
+    refs = hash_partition(ds, key_col, lambda t: t.select(cols), p).materialize().to_arrow_refs()
 
     @_ray.remote(num_cpus=0)
-    def split(t: pa.Table):
-        if t.num_rows == 0:
-            return []
-        part = t.column("part").to_numpy(zero_copy_only=False)
-        proj = t.select(cols)
-        uniq = np.unique(part)
-        if len(uniq) == 1:  # common case: block wholly inside one part
-            return [(int(uniq[0]), _ray.put(proj.combine_chunks()))]
-        return [
-            (int(q), _ray.put(proj.filter(pa.array(part == q)).combine_chunks()))
-            for q in uniq
-        ]
+    def part_of_block(t: pa.Table) -> int:
+        return int(part_of(t.column(key_col).slice(0, 1), p)[0]) if t.num_rows else -1
 
     by_part: dict[int, list] = {}
-    for pieces in _ray.get([split.remote(r) for r in refs]):
-        for q, sub in pieces:
-            by_part.setdefault(q, []).append(sub)
+    for q, ref in zip(_ray.get([part_of_block.remote(r) for r in refs]), refs):
+        if q >= 0:
+            by_part.setdefault(q, []).append(ref)
     return by_part
 
 
@@ -144,21 +117,17 @@ class _PRPartition:
 
         self.q, self.p = q, p
         self.base = 0
-        nt = [t for t in _ray.get(list(node_refs))]
-        nodes = (np.unique(np.concatenate(
+        nt = _ray.get(list(node_refs))
+        self.owned = (np.unique(np.concatenate(
             [t.column("node").to_numpy(zero_copy_only=False) for t in nt]))
             if nt else np.empty(0, np.int64))
-        sel = _part_of(nodes, p) == q  # blocks may span groups
-        self.owned = nodes[sel]
         self.rank = np.zeros(len(self.owned), np.int64)
-        et = [t for t in _ray.get(list(edge_refs))]
+        et = _ray.get(list(edge_refs))
         if et:
             src = np.concatenate(
                 [t.column("src").to_numpy(zero_copy_only=False) for t in et])
             dst = np.concatenate(
                 [t.column("dst").to_numpy(zero_copy_only=False) for t in et])
-            esel = _part_of(src, p) == q
-            src, dst = src[esel], dst[esel]
         else:
             src = dst = np.empty(0, np.int64)
         # sort edges by src once; per-src outdeg repeated per edge
@@ -178,7 +147,7 @@ class _PRPartition:
             counts = np.diff(np.r_[starts, len(self.src)])
             self.outdeg = np.repeat(counts, counts).astype(np.int64)
             # destination partition + per-(dstpart) grouping, fixed per run
-            self.dst_part = _part_of(self.dst, self.p)
+            self.dst_part = part_of(self.dst, self.p)
         else:
             self.outdeg = np.empty(0, np.int64)
             self.dst_part = np.empty(0, np.int32)

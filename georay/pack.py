@@ -44,9 +44,9 @@ surface, same tier as dedup/ANN (SURVEY §2.8 extras).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
+from georay.partition import hash_partition, partitions
 from georay.text import token_counts
 
 DEFAULT_NUM_BUCKETS = 4096
@@ -79,15 +79,15 @@ def _bucket_sums_partial(t: pa.Table, id_col: str, width: int) -> pa.Table:
     return g.rename_columns(["bucket", "sum_tokens"])
 
 
-def _scan_partition(g: pa.Table, offsets: np.ndarray, width: int,
-                    seq_len: int, id_col: str) -> pa.Table:
+def _scan_partition(g: pa.Table, offsets: np.ndarray, seq_len: int,
+                    id_col: str) -> pa.Table:
     """One vectorized multi-bucket exclusive scan over a partition's
     Arrow block (numpy views, no pandas copy).  Every bucket is wholly
     inside this partition, so the partition-local per-bucket running
     sums are the bucket-global ones."""
     key = g.column(id_col).to_numpy(zero_copy_only=False)
     nt = g.column("n_tokens").to_numpy(zero_copy_only=False).astype(np.int64)
-    bucket = key // width
+    bucket = g.column("bucket").to_numpy()
     order = np.lexsort((key, bucket))
     key, nt, bucket = key[order], nt[order], bucket[order]
     exc = np.cumsum(nt) - nt
@@ -181,34 +181,19 @@ def pack_sequences(ds, seq_len: int = 512, id_col: str = "doc_id",
     offsets = np.cumsum(dense) - dense  # exclusive per-bucket offsets
     offsets_ref = _ray.put(offsets)
 
-    from georay.pipelines.events import _partition_of, default_partitions
+    def with_bucket(b: pa.Table) -> pa.Table:
+        key = b.column(id_col).to_numpy(zero_copy_only=False)
+        return b.append_column("bucket", pa.array(key // width, pa.int64()))
+
+    def kernel(g: pa.Table) -> pa.Table:
+        return _scan_partition(g, _ray.get(offsets_ref), seq_len, id_col)
 
     # slim is materialized (or a parquet read), so its row count is free
     # plan metadata — the partition count scales with the data, not just
     # the cluster (at 10^12 rows a fixed cap would put ~62 GB in one task)
-    p = default_partitions(num_partitions, ds=slim)
-
-    def add_part(b: pa.Table) -> pa.Table:
-        key = b.column(id_col).to_numpy(zero_copy_only=False)
-        part = _partition_of(key // width, p)
-        return b.append_column("part", pa.array(part))
-
-    def kernel(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({
-                id_col: pa.array([], pa.int64()),
-                "n_tokens": pa.array([], pa.int64()),
-                "tok_offset": pa.array([], pa.int64()),
-                "bin": pa.array([], pa.int64()),
-            })
-        return _scan_partition(
-            g.drop_columns(["part"]), _ray.get(offsets_ref), width, seq_len, id_col
-        )
-
-    return (
-        slim.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pyarrow")
+    return hash_partition(
+        slim.map_batches(with_bucket, batch_format="pyarrow"), "bucket", kernel,
+        num_partitions or partitions(slim),
     )
 
 

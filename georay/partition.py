@@ -1,24 +1,36 @@
-"""Hash co-partitioning: the one keyed two-input exchange georay uses.
+"""Hash partitioning: georay's keyed exchanges and their one sizing rule.
 
-:func:`copartition` brings every left and right row with equal keys into
-one task without Ray's ``Dataset.join``.  Each side is tagged with its
-partition ``part_of(key, P)`` and a side flag, padded to one shared
-schema with typed nulls, and the union goes through a single sort whose
-boundaries are the partition numbers: plain tasks, no actor pool.  (Every
-``Dataset.join`` starts a fresh pool of hash-shuffle aggregator actors,
-one worker process each; at dedup scale that start-up was the whole cost
-of the join, and the processes held hundreds of MB.)  ``kernel(L, R)``
-then joins, anti-joins or scores the partition's two typed tables
-locally, so a join and the computation after it are one stage.
+Two primitives, one exchange:
 
-Partition count policy stays with the caller (``num_partitions``); the
-output has that many non-empty blocks at most (so at most that many
-files when written), whatever the input block count.
+- :func:`hash_partition` (one input) runs ``kernel(t)`` once per
+  partition with every row of each key the partition holds: per-user
+  sessions, per-host quotas, n-gram top-k, LSH bucket verification and
+  label delivery are all this shape.
+- :func:`copartition` (two inputs) brings every left and right row with
+  equal keys into one task.  Each side is tagged with a side flag and
+  padded to one shared schema with typed nulls; ``kernel(L, R)`` then
+  joins, anti-joins or scores the partition's two typed tables locally,
+  so a join and the computation after it are one stage.
+
+Both tag each row with ``part_of(key, P)`` and run the union through a
+single sort whose boundaries are the partition numbers: block i holds
+exactly partition i, no sampling pass, plain tasks, no actor pool.
+(``groupby(...).map_groups`` ignores ``num_partitions`` under Ray's
+sort shuffle and samples first; every ``Dataset.join`` starts a fresh
+pool of hash-shuffle aggregator actors, one worker process each.)  The
+output has at most P non-empty blocks (so at most P files when
+written), whatever the input block count.
+
+One sizing rule, :func:`partitions`: ``max(4, 2 x cluster CPUs,
+ceil(rows / rows_per_partition))`` with rows from free plan metadata —
+one rows-per-partition cost model (*To Partition, or Not to Partition*,
+SIGMOD 2021); past ``MAX_PARTITIONS`` it raises instead of clamping.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -26,21 +38,102 @@ import pyarrow.compute as pc
 MAX_PARTITIONS = 65_536
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+#: the one 16-byte SipHash key for string and binary keys: fixed, so a
+#: key lands in the same partition in every process (Python's ``hash``
+#: is salted per process)
+_STR_KEY = "0123456789123456"
 _PART, _SIDE = "_part", "_side"
+#: fewest rows one tagging task takes: small blocks are bundled, so the
+#: sort's map side runs a few tasks instead of one per small block (its
+#: task count was the exchange's fixed cost at small scale); a block this
+#: large keeps a task of its own.  Ray does not fuse such a map into the
+#: map before it, so that map keeps its parallelism.
+_TAG_ROWS = 8192
 _PREFIX = ("l:", "r:")
 
 
+def _as_uint64(k) -> np.ndarray:
+    if isinstance(k, (pa.Array, pa.ChunkedArray)):
+        k = k.to_numpy(zero_copy_only=False)
+    k = np.asarray(k)
+    if k.dtype.kind in "OSU":
+        return pd.util.hash_array(k.astype(object), hash_key=_STR_KEY)
+    return k.astype(np.uint64)
+
+
 def part_of(keys, num_partitions: int) -> np.ndarray:
-    """Partition index in ``[0, num_partitions)`` of integer keys: one
-    array, or a sequence of equal-length arrays for a composite key.
-    A multiply-xorshift mix, so consecutive ids spread evenly."""
-    if isinstance(keys, np.ndarray):
+    """Partition index in ``[0, num_partitions)`` of integer, string or
+    binary keys: one array (numpy or Arrow), or a sequence of
+    equal-length arrays for a composite key.  Strings are hashed to
+    uint64 first; then a multiply-xorshift mix per column, so
+    consecutive ids spread evenly."""
+    if isinstance(keys, (np.ndarray, pa.Array, pa.ChunkedArray)):
         keys = [keys]
     h = np.zeros(len(keys[0]), np.uint64)
     for k in keys:
-        h = (h ^ np.asarray(k).astype(np.uint64)) * _MIX
+        h = (h ^ _as_uint64(k)) * _MIX
         h ^= h >> np.uint64(29)
     return (h % np.uint64(num_partitions)).astype(np.int32)
+
+
+def partitions(ds=None, *, n_rows: int | None = None,
+               rows_per_partition: int = 2_000_000) -> int:
+    """The partition count of every exchange: ``max(4, 2 x cluster CPUs,
+    ceil(rows / rows_per_partition))``.  The floor keeps each CPU busy
+    with two tasks; past it the count grows with the data, so one task's
+    share stays bounded.  ``rows`` is the larger of ``n_rows`` and
+    ``ds``'s row count from free plan metadata (``_meta_count`` never
+    runs a plan, so a lazy dataset keeps the floor).  A count past
+    ``MAX_PARTITIONS`` raises ``ValueError``."""
+    import ray
+
+    rows = int(n_rows or 0)
+    if ds is not None:
+        try:
+            rows = max(rows, int(ds._meta_count() or 0))
+        except Exception:
+            pass
+    cpus = int(ray.cluster_resources().get("CPU", 4))
+    p = max(4, 2 * cpus, -(-rows // rows_per_partition))
+    if p > MAX_PARTITIONS:
+        raise ValueError(
+            f"{rows} rows at {rows_per_partition} rows per partition need {p} "
+            f"partitions, more than MAX_PARTITIONS={MAX_PARTITIONS}; raise "
+            "rows_per_partition or split the input"
+        )
+    return p
+
+
+def _names(on) -> list:
+    return [on] if isinstance(on, str) else list(on)
+
+
+def _exchange(tagged, run, num_partitions: int):
+    """Sort ``_part``-tagged rows into ``num_partitions`` blocks and map
+    ``run`` over each whole block.  An empty boundary list would mean
+    "sample", so P=1 keeps the boundary 1 and an empty second block."""
+    return (
+        tagged.sort(_PART, boundaries=list(range(1, max(num_partitions, 2))))
+        .map_batches(run, batch_size=None, batch_format="pyarrow")
+    )
+
+
+def hash_partition(ds, on, kernel, num_partitions: int):
+    """Hash-partition ``ds`` on ``on`` (a column name or a list of names)
+    and run ``kernel(t) -> pa.Table`` once per non-empty partition.
+    ``t`` has the input's columns and every row of each key it holds,
+    in no particular order."""
+    on = _names(on)
+
+    def tag(b: pa.Table) -> pa.Table:
+        part = part_of([b.column(c) for c in on], num_partitions)
+        return b.append_column(_PART, pa.array(part))
+
+    def run(block: pa.Table) -> pa.Table:
+        return kernel(block.drop_columns([_PART]))
+
+    tagged = ds.map_batches(tag, batch_size=_TAG_ROWS, batch_format="pyarrow")
+    return _exchange(tagged, run, num_partitions)
 
 
 def _with_schema(ds):
@@ -57,14 +150,12 @@ def _with_schema(ds):
 
 
 def copartition(left, right, left_on, right_on, kernel, num_partitions: int):
-    """Co-partition ``left`` and ``right`` on integer keys (a column name
-    or a list of names each) and run ``kernel(L, R) -> pa.Table`` once per
+    """Co-partition ``left`` and ``right`` on their keys (a column name or
+    a list of names each) and run ``kernel(L, R) -> pa.Table`` once per
     non-empty partition.  ``L`` and ``R`` carry each side's columns under
     their own names and types; either may be empty.  Rows with equal keys
     always share a partition, so an inner, anti or semi join of ``L`` and
     ``R`` is the same join restricted to that partition."""
-    left_on = [left_on] if isinstance(left_on, str) else list(left_on)
-    right_on = [right_on] if isinstance(right_on, str) else list(right_on)
     left, ls = _with_schema(left)
     right, rs = _with_schema(right)
     common = pa.schema(
@@ -76,7 +167,7 @@ def copartition(left, right, left_on, right_on, kernel, num_partitions: int):
         def fn(b: pa.Table) -> pa.Table:
             n = b.num_rows
             cols = [
-                pa.array(part_of([b.column(c).to_numpy() for c in on], num_partitions)),
+                pa.array(part_of([b.column(c) for c in on], num_partitions)),
                 pa.array(np.full(n, side, np.int8)),
             ]
             for f in list(common)[2:]:
@@ -94,14 +185,6 @@ def copartition(left, right, left_on, right_on, kernel, num_partitions: int):
     def run(block: pa.Table) -> pa.Table:
         return kernel(split(block, 0, ls.names), split(block, 1, rs.names))
 
-    # a sort with one boundary per partition: block i holds exactly
-    # partition i, with no sampling pass (``groupby(...).map_groups``
-    # ignores ``num_partitions`` under the sort shuffle and emits one
-    # block per input block).  An empty boundary list would mean "sample",
-    # so P=1 keeps the boundary 1 and an empty second block.
-    return (
-        left.map_batches(tag(0, left_on), batch_format="pyarrow")
-        .union(right.map_batches(tag(1, right_on), batch_format="pyarrow"))
-        .sort(_PART, boundaries=list(range(1, max(num_partitions, 2))))
-        .map_batches(run, batch_size=None, batch_format="pyarrow")
-    )
+    left = left.map_batches(tag(0, _names(left_on)), batch_size=_TAG_ROWS, batch_format="pyarrow")
+    right = right.map_batches(tag(1, _names(right_on)), batch_size=_TAG_ROWS, batch_format="pyarrow")
+    return _exchange(left.union(right), run, num_partitions)

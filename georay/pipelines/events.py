@@ -5,36 +5,26 @@ engine-level windowed operators the driver mandate names as custom-op
 examples (windowed aggregate, as-of join).
 
 Partitioning design: rows are hash-partitioned on ``user_id`` into a
-CLUSTER-SIZED number of partitions (``part = hash(user_id) % P``) and
-each partition is processed by ONE vectorized multi-user kernel.  This
-replaces per-user ``map_groups`` dispatch (~0.5 ms per group — millions
-of users would serialize on dispatch) with P group tasks whose inner
-work is numpy over the whole partition; window logic never crosses a
-partition boundary because a user's rows always hash together.
+CLUSTER-SIZED number of partitions
+(:func:`georay.partition.hash_partition`) and each partition is
+processed by ONE vectorized multi-user kernel.  This replaces per-user
+``map_groups`` dispatch (~0.5 ms per group — millions of users would
+serialize on dispatch) with P group tasks whose inner work is numpy
+over the whole partition; window logic never crosses a partition
+boundary because a user's rows always hash together.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
-from georay.partition import MAX_PARTITIONS
+from georay.partition import hash_partition, partitions
 
 GAP_US = 30 * 60 * 1_000_000  # 30-minute session gap
 
-#: splitmix-style mixer for the partition hash (plain modulo on dense
-#: int user ids would correlate with any round-robin data layout)
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _partition_of(user_id: np.ndarray, num_partitions: int) -> np.ndarray:
-    h = user_id.astype(np.uint64) * _MIX
-    h ^= h >> np.uint64(29)
-    return (h % np.uint64(num_partitions)).astype(np.int32)
-
 
 def _as_table(g) -> "pa.Table":
-    """Accept the map_groups pyarrow block or a pandas frame (unit tests,
+    """Accept the partition's pyarrow table or a pandas frame (unit tests,
     callers predating the zero-copy kernels)."""
     import pyarrow as pa
 
@@ -162,67 +152,10 @@ def window_top1_partition(g):
     return window_topk_partition(g, k=1).select(["user_id", "event_id"])
 
 
-#: target rows handled by ONE map_groups task.  At 10^12 input rows this
-#: yields ~500k requested partitions, clamped to MAX_PARTITIONS (~15M
-#: rows/task at the clamp — a few hundred MB of working set, still
-#: worker-heap-safe), instead of the former fixed 256-task cap whose
-#: per-task share grew linearly with the data.
-ROWS_PER_PARTITION = 2_000_000
-
-
-def default_partitions(
-    num_partitions: int | None = None,
-    ds=None,
-    n_rows: int | None = None,
-    rows_per_partition: int | None = None,  # None -> ROWS_PER_PARTITION
-) -> int:
-    """Partition count sized to the CLUSTER **and the DATA**.
-
-    Floor = 2x cluster CPUs (a fixed constant starves a big cluster;
-    pattern: `__ray_entry__._q_segment_revenue`); when a row count is
-    known — passed explicitly or read for free from Ray Data's plan
-    metadata (``_meta_count`` never triggers computation; parquet reads
-    know their row count) — the count additionally scales as
-    ceil(rows / rows_per_partition) so one map_groups task's share stays
-    bounded as the data grows (rows-aware pattern:
-    ``dedup._cluster_partitions``)."""
-    if num_partitions is not None:
-        return num_partitions
-    if rows_per_partition is None:
-        rows_per_partition = ROWS_PER_PARTITION  # resolved at call time
-    import ray
-
-    p = max(4, int(ray.cluster_resources().get("CPU", 4)) * 2)
-    if n_rows is None and ds is not None:
-        try:
-            n_rows = ds._meta_count()
-        except Exception:
-            n_rows = None
-    if n_rows is not None and n_rows > 0:
-        p = max(p, -(-int(n_rows) // max(1, rows_per_partition)))
-    return min(p, MAX_PARTITIONS)
-
-
 def _by_user_partition(ds, kernel, num_partitions: int | None):
     """Hash-partition on user_id, one vectorized multi-user kernel per
     partition."""
-    import pyarrow as pa
-
-    p = default_partitions(num_partitions, ds=ds)
-
-    def add_part(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "part", pa.array(_partition_of(b.column("user_id").to_numpy(), p))
-        )
-
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            lambda g: kernel(g.drop_columns(["part"])),
-            batch_format="pyarrow",
-        )
-    )
+    return hash_partition(ds, "user_id", kernel, num_partitions or partitions(ds))
 
 
 def sessionize(ds, gap_us: int = GAP_US, num_partitions: int | None = None):
@@ -372,7 +305,6 @@ def events_sliding(ds, window_us: int = HOUR_US, num_partitions: int | None = No
 
     if window_us > DAY_US:
         raise ValueError("events_sliding requires window <= 1 day (overlap = 1 period)")
-    p = default_partitions(num_partitions, ds=ds)
 
     def explode(b: pa.Table) -> pa.Table:
         ts = b.column("ts").cast(pa.int64()).to_numpy()
@@ -383,9 +315,6 @@ def events_sliding(ds, window_us: int = HOUR_US, num_partitions: int | None = No
         out_day = np.concatenate([day, day[tail] + 1])
         own = np.concatenate([np.ones(n, np.int8), np.zeros(int(tail.sum()), np.int8)])
         t = b.take(pa.array(idx, pa.int64()))
-        et = t.column("event_type").to_numpy(zero_copy_only=False)
-        h = pd.util.hash_array(et).astype(np.uint64) * _MIX + out_day.astype(np.uint64)
-        h ^= h >> np.uint64(29)
         return pa.table(
             {
                 "event_id": t.column("event_id"),
@@ -393,15 +322,12 @@ def events_sliding(ds, window_us: int = HOUR_US, num_partitions: int | None = No
                 "ts": t.column("ts"),
                 "day": pa.array(out_day, pa.int64()),
                 "own": pa.array(own, pa.int8()),
-                "part": pa.array((h % np.uint64(p)).astype(np.int32), pa.int32()),
             }
         )
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            lambda g: sliding_count_partition(g.drop_columns(["part"]), window_us),
-            batch_format="pyarrow",
-        )
+    return hash_partition(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        ["event_type", "day"],
+        lambda g: sliding_count_partition(g, window_us),
+        num_partitions or partitions(ds),
     )

@@ -16,6 +16,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from georay.partition import hash_partition, partitions
+
 #: token = maximal run of non-whitespace; SQL mirror:
 #:   length(regexp_extract_all(text, '\S+'))
 TOKEN_RE = r"\S+"
@@ -241,51 +243,29 @@ def ngram_count_batch(batch: pa.Table, k: int = 3, text_col: str = "text") -> pa
 def top_ngrams(docs_ds, k: int = 3, top: int = 20, num_partitions: int | None = None):
     """Global top-``top`` word ``k``-grams by occurrence count.
 
-    Scale shape: in-block combiner (``ngram_count_batch``) -> int32
-    hash-partition key per distinct-in-block ngram -> ONE groupby over
-    the part key with the final aggregate AND the top-k prune fused in
-    the partition kernel (an ngram's partials all hash to the same
-    partition, so partition-local sum + top-k is EXACT) -> global sort
-    over <= top x partitions rows.  The exchange sorts small int32 keys
+    Scale shape: in-block combiner (``ngram_count_batch``) -> ONE hash
+    partition on the ngram (:func:`georay.partition.hash_partition`)
+    with the final aggregate AND the top-k prune fused in the partition
+    kernel (an ngram's partials all hash to the same partition, so
+    partition-local sum + top-k is EXACT) -> global sort over <= top x
+    partitions rows.  The exchange sorts small int32 partition ids
     instead of the full distinct-ngram string table, and no second
     shuffle round exists.  Ties break lexicographically so the result
     is deterministic and oracle-comparable.
     """
-    import pandas as pd
+    def partition_topk(g: pa.Table) -> pa.Table:
+        agg = g.group_by("ngram").aggregate([("cnt", "sum")])
+        agg = pa.table({"ngram": agg.column("ngram"), "cnt": agg.column("cnt_sum")})
+        return agg.sort_by([("cnt", "descending"), ("ngram", "ascending")]).slice(0, top)
 
-    from georay.dedup import _cluster_partitions
-
-    # doc count (free plan metadata on a fresh read) scales the count
-    # past the 256 cap; partial rows (distinct ngrams/block) exceed doc
-    # rows, so this is a conservative floor, not an exact size
-    p = num_partitions or _cluster_partitions(mult=2, cap=256, ds=docs_ds)
-
-    def partial_with_part(b: pa.Table) -> pa.Table:
-        t = ngram_count_batch(b, k=k)
-        if t.num_rows == 0:
-            return t.append_column("part", pa.array([], pa.int32()))
-        h = pd.util.hash_array(
-            t.column("ngram").to_numpy(zero_copy_only=False), hash_key="georay-ngramprt1"
-        ).astype(np.uint64)
-        return t.append_column(
-            "part", pa.array((h % np.uint64(p)).astype(np.int32), pa.int32())
-        )
-
-    def partition_topk(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:  # typed empty: schema survives Ray's 0-row pandas path
-            return pd.DataFrame(
-                {"ngram": pd.Series(dtype=object), "cnt": pd.Series(dtype=np.int64)}
-            )
-        agg = g.groupby("ngram", as_index=False, sort=False)["cnt"].sum()
-        agg = agg.sort_values(
-            ["cnt", "ngram"], ascending=[False, True], kind="stable"
-        ).head(top)
-        return agg[["ngram", "cnt"]].reset_index(drop=True)
-
+    # doc count (free plan metadata on a fresh read) scales the count;
+    # partial rows (distinct ngrams/block) exceed doc rows, so this is a
+    # conservative floor, not an exact size
     return (
-        docs_ds.map_batches(partial_with_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(partition_topk, batch_format="pandas")
+        hash_partition(
+            docs_ds.map_batches(lambda b: ngram_count_batch(b, k=k), batch_format="pyarrow"),
+            "ngram", partition_topk, num_partitions or partitions(docs_ds),
+        )
         .sort(["cnt", "ngram"], descending=[True, False])
         .limit(top)
     )

@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from georay.partition import hash_partition, partitions
+
 #: scheme://authority prefix; group 1 = the authority (host[:port]).
 #: RE2 syntax on both sides: pyarrow.compute and DuckDB regexp_extract.
 HOST_PATTERN = r"^[a-z][a-z0-9+.\-]*://(?P<host>[^/?#]+)"
@@ -109,14 +111,6 @@ def host_quota(pages_ds, quota: int, num_partitions: int | None = None):
     same vectorized multi-host rank kernel per partition for the exact
     global cut.  SQL mirror: ROW_NUMBER() OVER (PARTITION BY host
     ORDER BY doc_id) <= quota."""
-    from georay.pipelines.events import _partition_of, default_partitions
-
-    # the shuffled rows are bounded by quota x hosts, but the input row
-    # count (free plan metadata when pages_ds is a fresh read) is a safe
-    # upper bound for sizing — extra partitions are cheap, oversized
-    # per-task shares are not
-    p = default_partitions(num_partitions, ds=pages_ds)
-
     def slim(b: pa.Table) -> pa.Table:
         t = pa.table({
             "doc_id": b.column("doc_id"),
@@ -124,24 +118,11 @@ def host_quota(pages_ds, quota: int, num_partitions: int | None = None):
         })
         return _quota_truncate(t, quota)
 
-    def add_part(b: pa.Table) -> pa.Table:
-        # deterministic vectorized string hash (pandas C kernel with a
-        # FIXED key — Python hash() is per-process salted and would split
-        # a host across partitions)
-        import pandas as pd
-
-        hv = pd.util.hash_array(
-            b.column("host").to_numpy(zero_copy_only=False),
-            hash_key="0123456789abcdef",
-        ).astype(np.uint64)
-        return b.append_column("part", pa.array(_partition_of(hv, p)))
-
-    def exact(g: pa.Table) -> pa.Table:
-        return _quota_truncate(g.drop_columns(["part"]), quota)
-
-    return (
-        pages_ds.map_batches(slim, batch_format="pyarrow")
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(exact, batch_format="pyarrow")
+    # the shuffled rows are bounded by quota x hosts, but the input row
+    # count (free plan metadata when pages_ds is a fresh read) is a safe
+    # upper bound for sizing — extra partitions are cheap, oversized
+    # per-task shares are not
+    return hash_partition(
+        pages_ds.map_batches(slim, batch_format="pyarrow"), "host",
+        lambda g: _quota_truncate(g, quota), num_partitions or partitions(pages_ds),
     )

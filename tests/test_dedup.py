@@ -683,45 +683,49 @@ class TestDupSpans:
 
 
 class TestClusterPartitionsRowsAware:
+    """``georay.partition.partitions``, the sizing rule of every dedup
+    exchange."""
+
     def test_scales_past_cap_with_known_rows(self, ray_session):
         import ray.data
 
-        from georay.dedup import _cluster_partitions
+        from georay.partition import partitions
 
         ds = ray.data.range(100_000).materialize()
-        p = _cluster_partitions(cap=32, ds=ds, rows_per_partition=100)
-        assert p == 1000  # ceil(100k/100) > cap
+        assert partitions(ds, rows_per_partition=100) == 1000  # ceil(100k/100)
 
     def test_small_data_keeps_cap_behavior(self, ray_session):
+        """A few rows keep the cluster floor."""
         import ray.data
 
-        from georay.dedup import _cluster_partitions
+        from georay.partition import partitions
 
         ds = ray.data.range(10).materialize()
-        assert _cluster_partitions(cap=32, ds=ds) == _cluster_partitions(cap=32)
+        assert partitions(ds) == partitions()
+        assert partitions(n_rows=10, rows_per_partition=250_000) == partitions()
 
     def test_unknown_rows_unchanged(self, ray_session):
         import ray.data
 
-        from georay.dedup import _cluster_partitions
+        from georay.partition import partitions
 
         lazy = ray.data.range(1000).map_batches(lambda b: b)  # count unknown
-        assert _cluster_partitions(cap=32, ds=lazy) == _cluster_partitions(cap=32)
+        assert partitions(lazy, rows_per_partition=1) == partitions()
 
     def test_past_the_cap_raises_with_row_count(self, ray_session):
         """Sizing past MAX_PARTITIONS fails loudly instead of clamping
         (a clamped count silently grows every partition's share)."""
-        from georay.dedup import MAX_PARTITIONS, _cluster_partitions, _join_partitions
+        from georay.partition import MAX_PARTITIONS, partitions
 
         class Huge:
             def _meta_count(self):
                 return (MAX_PARTITIONS + 1) * 2_000_000
 
         with pytest.raises(ValueError, match=str((MAX_PARTITIONS + 1) * 2_000_000)):
-            _cluster_partitions(cap=64, ds=Huge())
+            partitions(Huge())
         with pytest.raises(ValueError, match="rows at 250000 rows per partition"):
-            _join_partitions(Huge())
+            partitions(Huge(), rows_per_partition=250_000)
         with pytest.raises(ValueError, match="MAX_PARTITIONS"):
-            _join_partitions(None, extra_rows=(MAX_PARTITIONS + 1) * 250_000)
+            partitions(n_rows=(MAX_PARTITIONS + 1) * 250_000, rows_per_partition=250_000)
         # exactly at the cap still sizes
-        assert _join_partitions(None, extra_rows=MAX_PARTITIONS * 250_000) == MAX_PARTITIONS
+        assert partitions(n_rows=MAX_PARTITIONS * 250_000, rows_per_partition=250_000) == MAX_PARTITIONS

@@ -303,14 +303,15 @@ class TestStratifiedSample:
 
 
 class TestDataAwarePartitionsE2E:
-    def test_sessionize_with_forced_tiny_rows_per_partition(self, ray_session, monkeypatch):
-        """Forcing ROWS_PER_PARTITION far below the row count drives the
+    def test_sessionize_with_forced_tiny_rows_per_partition(self, ray_session):
+        """A rows_per_partition far below the row count drives the
         partition count above the old 256 cap; sessionize output must be
         identical to a small fixed partitioning (window logic never
         crosses users regardless of partition count)."""
         import pyarrow as pa
 
         import georay.pipelines.events as ev
+        from georay.partition import partitions
 
         rng = np.random.default_rng(21)
         n = 3000
@@ -324,9 +325,9 @@ class TestDataAwarePartitionsE2E:
         import ray.data
 
         ds = ray.data.from_arrow(t)
-        monkeypatch.setattr(ev, "ROWS_PER_PARTITION", 10)
-        assert ev.default_partitions(None, n_rows=n) > 256
-        many = (ev.sessionize(ds).to_pandas()
+        p = partitions(ds, rows_per_partition=10)
+        assert p == 300
+        many = (ev.sessionize(ds, num_partitions=p).to_pandas()
                 .sort_values(["user_id", "session_idx"]).reset_index(drop=True))
         few = (ev.sessionize(ds, num_partitions=8).to_pandas()
                .sort_values(["user_id", "session_idx"]).reset_index(drop=True))

@@ -2,6 +2,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 import ray
 
@@ -173,3 +174,32 @@ class TestPagerankConvergence:
         # tol=0 never triggers on a non-degenerate graph at 4 rounds
         pd.testing.assert_frame_equal(
             full.reset_index(drop=True), tiny.reset_index(drop=True))
+
+
+class TestHashPartitionRefs:
+    @pytest.mark.parametrize("p", [1, 3, 7])
+    def test_each_ref_holds_its_own_partition(self, ray_session, p):
+        """Every ref's rows hash to the partition it is filed under, only
+        the asked-for columns travel, and the refs together are the input."""
+        from georay.graph import _hash_partition_refs
+        from georay.partition import part_of
+
+        rng = np.random.default_rng(p)
+        n = 2000
+        edges = pa.table({
+            "src": pa.array(rng.integers(0, 300, n), pa.int64()),
+            "dst": pa.array(rng.integers(0, 300, n), pa.int64()),
+            "w": pa.array(np.ones(n), pa.float64()),
+        })
+        by_part = _hash_partition_refs(
+            ray.data.from_arrow(edges).repartition(5), "src", p, ["src", "dst"])
+        assert set(by_part) <= set(range(p))
+        got = []
+        for q, refs in by_part.items():
+            for t in ray.get(refs):
+                assert t.column_names == ["src", "dst"]
+                assert (part_of(t.column("src"), p) == q).all()
+                got.append(t)
+        union = pa.concat_tables(got)
+        assert sorted(zip(union.column("src").to_pylist(), union.column("dst").to_pylist())) == \
+            sorted(zip(edges.column("src").to_pylist(), edges.column("dst").to_pylist()))

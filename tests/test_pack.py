@@ -128,21 +128,35 @@ class TestPass1TreeMerge:
 
 
 class TestDataAwarePartitions:
-    def test_partition_count_scales_with_rows(self):
-        from georay.pipelines.events import default_partitions
+    """``georay.partition.partitions``, the one sizing rule, as the
+    pack shuffle uses it."""
+
+    def test_partition_count_scales_with_rows(self, ray_session):
+        from georay.partition import partitions
 
         ds = ray.data.range(5000)  # row count is free plan metadata
-        p = default_partitions(None, ds=ds, rows_per_partition=10)
-        assert p > 256  # the former fixed cap
-        assert p >= 500
+        assert partitions(ds, rows_per_partition=10) == 500
 
-    def test_explicit_override_wins(self):
-        from georay.pipelines.events import default_partitions
+    def test_explicit_override_wins(self, ray_session, monkeypatch):
+        """An explicit ``num_partitions`` is used as is: the sizer is
+        never consulted."""
+        import georay.pack as pack_mod
 
-        assert default_partitions(7, n_rows=10**12) == 7
+        def sizer(*args, **kwargs):
+            raise AssertionError("sized despite an explicit num_partitions")
 
-    def test_unknown_rows_falls_back_to_cluster(self):
-        from georay.pipelines.events import default_partitions
+        monkeypatch.setattr(pack_mod, "partitions", sizer)
+        df = _docs(100)
+        out = (
+            pack_mod.pack_sequences(ray.data.from_pandas(df), seq_len=16, num_partitions=7)
+            .to_pandas().sort_values("doc_id").reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(out.astype(np.int64), _expected(df, 16).astype(np.int64))
 
-        p = default_partitions(None)
-        assert 4 <= p <= 65_536
+    def test_unknown_rows_falls_back_to_cluster(self, ray_session):
+        from georay.partition import partitions
+
+        floor = max(4, 2 * int(ray.cluster_resources()["CPU"]))
+        assert partitions() == floor
+        lazy = ray.data.range(10**6).map_batches(lambda b: b)  # count unknown
+        assert partitions(lazy, rows_per_partition=10) == floor

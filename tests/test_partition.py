@@ -1,10 +1,14 @@
-"""georay.partition: the hash mix and the co-partitioned join primitive."""
+"""georay.partition: the key hash, the one- and two-input exchanges,
+and the rule that georay has no other."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-from georay.partition import copartition, part_of
+from georay.partition import copartition, hash_partition, part_of
 
 LEFT = pa.schema([("id", pa.int64()), ("a", pa.int64())])
 RIGHT = pa.schema([("rid", pa.int64()), ("text", pa.large_string())])
@@ -71,6 +75,117 @@ class TestPartOf:
         p = part_of([band, key], 16)
         # the same key in different bands lands in different partitions
         assert (p.reshape(4, 100) != p[:100]).any(axis=1)[1:].all()
+
+
+    def test_string_hash_golden_values(self):
+        """The string hash uses one fixed key, so a key's partition is the
+        same in every process and every run (values pinned here)."""
+        v = ["", "a", "example.org", "www.example.org", "the quick brown", "über", None]
+        want = [1724144759, 1310061750, 1876999047, 42918571, 1116946934, 1477265586, 1384300139]
+        big = 2**31 - 1
+        assert part_of(pa.array(v), big).tolist() == want
+        assert part_of(np.array(v, dtype=object), big).tolist() == want
+        assert part_of(pa.array([None if x is None else x.encode() for x in v], pa.binary()), big).tolist() == want
+        assert part_of([pa.array(v, pa.large_string()), np.arange(7)], big).tolist() == [
+            709319314, 101359128, 2070459880, 1321581144, 831598969, 1416895388, 1092001235]
+
+
+def _calls_kernel(on):
+    """Kernel that reports, per key it received, its row count and the
+    call that saw it (the call's smallest row id)."""
+    def calls(t: pa.Table) -> pa.Table:
+        g = t.group_by(on).aggregate([("rid", "count")])
+        return g.append_column("call", pa.array(np.full(g.num_rows, t.column("rid").to_numpy().min())))
+
+    return calls
+
+
+class TestHashPartition:
+    @pytest.mark.parametrize("num_partitions", [1, 3, 64])
+    def test_each_key_whole_in_one_call(self, ray_session, num_partitions):
+        """Every kernel call sees all rows of each key it gets, no key
+        reaches two calls, and at most P blocks hold rows."""
+        import ray.data
+
+        rng = np.random.default_rng(3)
+        keys = rng.integers(-20, 200, 1500)
+        t = pa.table({"k": pa.array(keys, pa.int64()), "rid": pa.array(np.arange(1500), pa.int64())})
+        out = hash_partition(
+            ray.data.from_arrow(t).repartition(6), "k", _calls_kernel(["k"]), num_partitions,
+        ).materialize()
+        got = _collect(out).to_pandas()
+        assert got.k.is_unique
+        want = t.to_pandas().groupby("k").size()
+        assert got.set_index("k").rid_count.sort_index().tolist() == want.tolist()
+        assert got.call.nunique() <= num_partitions
+        blocks = [b for b in out.iter_batches(batch_format="pyarrow", batch_size=None) if b.num_rows]
+        assert len(blocks) <= num_partitions
+
+    def test_empty_partitions_keep_the_output_schema(self, ray_session, tmp_path):
+        """Three keys over 64 partitions leave most partitions empty;
+        the output schema is still the kernel's."""
+        import ray.data
+
+        t = pa.table({"k": pa.array([1, 2, 3] * 5, pa.int64()), "v": pa.array(range(15), pa.int64())})
+
+        def total(g: pa.Table) -> pa.Table:
+            s = g.group_by("k").aggregate([("v", "sum")])
+            return pa.table({"k": s.column("k").cast(pa.int32()), "total": s.column("v_sum")})
+
+        out = hash_partition(ray.data.from_arrow(t).repartition(4), "k", total, 64).materialize()
+        want = pa.schema([("k", pa.int32()), ("total", pa.int64())])
+        assert out.schema().base_schema.equals(want)
+        assert sorted(out.to_pandas().itertuples(index=False)) == [(1, 30), (2, 35), (3, 40)]
+        out.write_parquet(str(tmp_path))
+        assert ray.data.read_parquet(str(tmp_path)).schema().base_schema.equals(want)
+
+    def test_composite_string_int_key(self, ray_session):
+        import ray.data
+
+        rng = np.random.default_rng(8)
+        n = 800
+        t = pa.table({
+            "host": pa.array([f"h{i}.example.org" for i in rng.integers(0, 25, n)]),
+            "day": pa.array(rng.integers(0, 4, n), pa.int64()),
+            "rid": pa.array(np.arange(n), pa.int64()),
+        })
+        out = _collect(hash_partition(
+            ray.data.from_arrow(t).repartition(5), ["host", "day"],
+            _calls_kernel(["host", "day"]), 7,
+        )).to_pandas()
+        assert not out.duplicated(["host", "day"]).any()
+        want = t.to_pandas().groupby(["host", "day"]).size().rename("rid_count").reset_index()
+        got = out[["host", "day", "rid_count"]].sort_values(["host", "day"]).reset_index(drop=True)
+        assert got.equals(want.astype({"rid_count": got.rid_count.dtype}))
+
+
+class TestOneMechanism:
+    """georay has one keyed-exchange module: no hand-rolled partition
+    column shuffles, partition hashes or partition sizers elsewhere."""
+
+    FORBIDDEN = re.compile(
+        r'groupby\("part"\)|_partition_of|_cluster_partitions|_join_partitions|default_partitions'
+    )
+
+    def _sources(self):
+        root = Path(__file__).resolve().parents[1]
+        return [root / "__ray_entry__.py", *sorted((root / "georay").rglob("*.py"))]
+
+    def test_no_hand_rolled_exchange_or_sizer(self):
+        hits = [
+            f"{path.name}:{i}: {line.strip()}"
+            for path in self._sources()
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if self.FORBIDDEN.search(line)
+        ]
+        assert not hits, hits
+
+    def test_part_of_defined_only_in_partition_module(self):
+        defs = [
+            path.name for path in self._sources()
+            if re.search(r"^\s*def _?part_of\b", path.read_text(), re.M)
+        ]
+        assert defs == ["partition.py"]
 
 
 class TestCopartition:
