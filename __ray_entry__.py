@@ -37,7 +37,7 @@ from georay.pipelines.polygons import (
     rect_bounds,
     star_edges_sql_values,
 )
-from georay.stages.join import KNNJoinActor, SpatialJoinActor
+from georay.stages.join import KNNJoinActor, make_spatial_join_fn
 
 def _cents(v: np.ndarray) -> np.ndarray:
     """Money -> integer cents with HALF-AWAY-FROM-ZERO rounding, matching
@@ -151,10 +151,7 @@ def _q_bbox_join(sf_dir: str):
     geo = _geo(sf_dir)
     ref = ray.put(_rect_payload())
     return geo.map_batches(
-        SpatialJoinActor,
-        fn_constructor_kwargs={"polygons": ref, "predicate": "BBOX", "keep_cols": ("doc_id",)},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
+        make_spatial_join_fn(ref, "BBOX", keep_cols=("doc_id",)), batch_format="pyarrow"
     ).map_batches(lambda b: b.select(["doc_id", "polygon_id"]), batch_format="pyarrow")
 
 
@@ -162,10 +159,7 @@ def _q_pip_join(sf_dir: str):
     geo = _geo(sf_dir)
     ref = ray.put(_star_payload())
     return geo.map_batches(
-        SpatialJoinActor,
-        fn_constructor_kwargs={"polygons": ref, "predicate": "WITHIN", "keep_cols": ("doc_id",)},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
+        make_spatial_join_fn(ref, "WITHIN", keep_cols=("doc_id",)), batch_format="pyarrow"
     ).map_batches(lambda b: b.select(["doc_id", "polygon_id"]), batch_format="pyarrow")
 
 

@@ -10,13 +10,15 @@ already combined down to one row per (block, cell).
 
 from __future__ import annotations
 
+import tempfile
+
 import ray
 
 from georay.pipelines.pages import read_pages
 from georay.pipelines.polygons import polygon_payload
 from georay.stages.aggregate import cell_partial_agg, final_cell_agg
 from georay.stages.geo import Reproject, cellize, extract_geo_batch, filter_has_geo
-from georay.stages.join import SpatialJoinActor
+from georay.stages.join import make_spatial_join_fn
 
 
 def geo_dataset(sf_dir: str, res: int = 7, override_num_blocks: int | None = None):
@@ -41,11 +43,29 @@ def geo_dataset(sf_dir: str, res: int = 7, override_num_blocks: int | None = Non
     return ds
 
 
-def _write_tiles(geo, out_dir: str):
+#: Floor on rows per tile file.  Without it ``write_parquet(partition_cols=...)``
+#: writes one file per (input block, res-2 prefix): 256 files of ~150 rows
+#: for 40k pages, and both consumers pay per file.  Ray meets the floor by
+#: bundling the input of the fused extract->write operator, counted in
+#: *page* rows, so the floor also caps that operator's task count: at 40k
+#: pages on 2 CPUs, 250_000 ran the extract chain as one task, 20_000 as
+#: two.  Traced ``perfbench/run.py --workload flagship_uniform --seed 1``
+#: with 20_000 (and the task join, projected reads): files written
+#: 261 -> 37, join pass 1.43 -> 0.47 s, aggregate pass 1.86 -> 0.63 s.
+TILE_MIN_ROWS_PER_FILE = 20_000
+
+#: columns each consumer reads back from the tiles (the read is projected:
+#: a consumer never decodes a column it does not use)
+_JOIN_COLUMNS = ["doc_id", "url", "lon", "lat"]
+_AGG_COLUMNS = ["cell", "lon", "lat", "warc_ts"]
+
+
+def _write_tiles(geo, out_dir: str) -> str:
     """Write the per-document tile assignment as partitioned parquet (one
-    directory per res-2 parent cell), never one giant file — the
-    resumable layout SURVEY.md §2.7 / §4 requires — and return a fresh
-    streaming reader over it."""
+    directory per res-2 parent cell, one file per directory per write task of
+    at least ``TILE_MIN_ROWS_PER_FILE`` input rows), never one giant file
+    — the resumable layout SURVEY.md §2.7 / §4 requires.  Returns the
+    tiles directory; each consumer reads it back with its own columns."""
 
     def add_prefix(b):
         import pyarrow as _pa
@@ -55,27 +75,28 @@ def _write_tiles(geo, out_dir: str):
         prefix = _cells.cell_parent(b.column("cell").to_numpy(), 2)
         return b.append_column("cell_prefix", _pa.array(prefix, _pa.int64()))
 
+    tiles = f"{out_dir}/tiles"
     geo.map_batches(add_prefix, batch_format="pyarrow").write_parquet(
-        f"{out_dir}/tiles", partition_cols=["cell_prefix"]
+        tiles, partition_cols=["cell_prefix"], min_rows_per_file=TILE_MIN_ROWS_PER_FILE
     )
-    import ray.data as rd
-
-    return rd.read_parquet(f"{out_dir}/tiles")
+    return tiles
 
 
 def flagship(
     sf_dir: str,
     res: int = 7,
     predicate: str = "INTERSECTS",
-    join_concurrency: int | None = None,
     out_dir: str | None = None,
     geo_cache: str = "spill",
 ):
     """Run the full pipeline; returns (join_rows_ds, cell_agg_ds).
 
-    The polygon side is broadcast once (``ray.put``) and indexed per
-    actor; the aggregate is partial-combined inside map_batches before
-    the groupby (skew defence, stages/aggregate.py).
+    The polygon side is broadcast once (``ray.put``) and the join is a
+    plain task ``map_batches`` (``make_spatial_join_fn``): its index builds
+    in milliseconds and is cached per worker, so it fuses with the read
+    and the write into one task chain instead of paying an actor-pool
+    spawn per run.  The aggregate is partial-combined inside map_batches
+    before the groupby (skew defence, stages/aggregate.py).
 
     The geo dataset (the per-document tile assignment — a required output
     of the engine) feeds BOTH the join and the aggregate, so it must not
@@ -85,9 +106,11 @@ def flagship(
     tile assignment is tens of TB at 10^12 rows and won't fit):
 
     - ``"spill"`` (default): write the partitioned ``tiles`` parquet
-      (to ``out_dir`` when given, else a temp dir) and stream both
-      consumers from it — the deployment form; the tiles output is a
-      required engine artifact anyway, so the write is not extra work.
+      (to ``out_dir`` when given, else a temp dir that is deleted once
+      the returned datasets and all datasets derived from them are gone)
+      and stream both consumers from it, each reading only its own
+      columns — the deployment form; the tiles output is a required
+      engine artifact anyway, so the write is not extra work.
     - ``"memory"``: pin the geo dataset in the object store — opt-in for
       small inputs / interactive sessions only.
     - ``"recompute"``: keep geo lazy; each consumer re-executes the
@@ -95,35 +118,35 @@ def flagship(
     """
     if geo_cache not in ("spill", "memory", "recompute"):
         raise ValueError(f"geo_cache must be spill|memory|recompute, got {geo_cache!r}")
-    geo = geo_dataset(sf_dir, res=res)
-    if out_dir:
-        geo = _write_tiles(geo, out_dir)
-    elif geo_cache == "spill":
-        import tempfile
+    import ray.data as rd
 
-        spill_dir = tempfile.mkdtemp(prefix="georay_tiles_")
-        geo = _write_tiles(geo, spill_dir)
-    elif geo_cache == "memory":
-        geo = geo.materialize()
-    # "recompute": leave geo lazy; both consumers re-derive it
+    geo = geo_dataset(sf_dir, res=res)
+    if out_dir or geo_cache == "spill":
+        spill = None if out_dir else tempfile.TemporaryDirectory(prefix="georay_tiles_")
+        tiles = _write_tiles(geo, out_dir or spill.name)
+        join_src = rd.read_parquet(tiles, columns=_JOIN_COLUMNS)
+        agg_src = rd.read_parquet(tiles, columns=_AGG_COLUMNS)
+        if spill is not None:
+            # every dataset derived from a read shares its logical operator:
+            # pinning the temp dir there deletes it once the last dataset
+            # that can read it is garbage (or at interpreter exit)
+            for src in (join_src, agg_src):
+                src._logical_plan.dag._georay_spill_dir = spill
+    else:
+        # "memory" pins geo in the object store; "recompute" leaves it lazy
+        # and both consumers re-derive it
+        join_src = agg_src = geo.materialize() if geo_cache == "memory" else geo
 
     payload_ref = ray.put(polygon_payload())
-    join_kwargs = dict(
-        fn_constructor_kwargs={"polygons": payload_ref, "predicate": predicate},
-        batch_format="pyarrow",
-        batch_size=8192,
-        # autoscaling actor pool; actors build the polygon index once in
-        # __init__ and Ray sizes the pool to the cluster
-        concurrency=join_concurrency or (1, 8),
+    # whole blocks: a ``batch_size`` makes Ray bundle the join's input, and
+    # it then refuses to fuse the join with the read before it
+    joined = join_src.map_batches(
+        make_spatial_join_fn(payload_ref, predicate), batch_format="pyarrow", batch_size=None
     )
-    joined = geo.map_batches(SpatialJoinActor, **join_kwargs)
-
-    agg = final_cell_agg(geo.map_batches(cell_partial_agg, batch_format="pyarrow"))
+    agg = final_cell_agg(agg_src.map_batches(cell_partial_agg, batch_format="pyarrow"))
 
     if out_dir:
         joined.write_parquet(f"{out_dir}/join_rows")
         agg.write_parquet(f"{out_dir}/cell_agg")
-        import ray.data as rd
-
         return rd.read_parquet(f"{out_dir}/join_rows"), rd.read_parquet(f"{out_dir}/cell_agg")
     return joined, agg

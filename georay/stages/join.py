@@ -1,10 +1,12 @@
-"""Broadcast spatial-join / DWithin / kNN actor stages (P-01..P-05).
+"""Broadcast spatial-join / DWithin / kNN stages (P-01..P-05).
 
-The big (page) side streams through an actor pool; the small (polygon /
-reference-point) side is broadcast once via ``ray.put`` and materialized
-into per-actor state in ``__init__`` (STRtree-analog PolygonSet / sorted
-cell arrays), so nothing but the batch crosses the wire per call —
-SURVEY.md §2.1 P-01 and §2.8: the join shuffles NOTHING.
+The small (polygon / reference-point) side is broadcast once via
+``ray.put`` and indexed where the big (page) side streams through it
+(STRtree-analog PolygonSet / sorted cell arrays), so nothing but the batch
+crosses the wire per call — SURVEY.md §2.1 P-01 and §2.8: the join
+shuffles NOTHING.  The point-in-polygon join runs as plain tasks with a
+per-worker index cache (:func:`make_spatial_join_fn`); the DWithin and
+kNN stages are actor classes that index in ``__init__``.
 """
 
 from __future__ import annotations
@@ -51,13 +53,14 @@ def _join_batch(pset, poly_ids, predicate: str, keep_cols, batch: pa.Table) -> p
 
 
 def make_spatial_join_fn(payload_ref, predicate: str = "INTERSECTS", keep_cols=("doc_id", "url")):
-    """Task-path broadcast join: returns a plain ``map_batches`` function.
+    """Broadcast point-in-polygon join as a plain ``map_batches`` function:
+    the one join shape the pipelines use.
 
-    Preferred over :class:`SpatialJoinActor` when the broadcast side is
-    small/cheap to index (the common case): plain tasks reuse warm worker
-    processes and the payload is fetched zero-copy from the local object
-    store once per worker.  Use the actor class when index construction
-    is genuinely expensive.
+    Plain tasks reuse warm worker processes, fuse with the read and the
+    write around them, and fetch the payload zero-copy from the local
+    object store; the polygon index builds in milliseconds and is cached
+    once per worker (``_PSET_CACHE``).  An actor pool would instead spawn
+    processes on every pipeline run, which costs far more than the index.
     """
     predicate = predicate.upper()
     keep_cols = list(keep_cols)
@@ -83,7 +86,12 @@ def make_spatial_join_fn(payload_ref, predicate: str = "INTERSECTS", keep_cols=(
 
 
 class SpatialJoinActor:
-    """``map_batches`` actor: point batch x broadcast polygons -> join rows.
+    """Callable: point batch x broadcast polygons -> join rows.
+
+    No pipeline maps over this class: they use :func:`make_spatial_join_fn`,
+    which runs the same :func:`_join_batch` as plain tasks.  It stays as an
+    in-process callable because the benchmark's Ray-free reference pass
+    (``perfbench/kernels.py``) builds it directly.
 
     predicate ∈ SpatialOperator vocabulary (SpatialOperator.java:16-20):
     INTERSECTS / DISJOINT / WITHIN / CONTAINS / TOUCHES / BBOX / EQUALS /

@@ -1,7 +1,11 @@
-"""Flagship pipeline output-path modes: the scale-safe write-through
+"""Flagship pipeline: output-path modes (the scale-safe write-through
 (spill) is the DEFAULT — in-memory pinning of the full tile assignment
-is opt-in (r3 judge: tens of TB at 10^12 rows, won't fit the store)."""
+is opt-in (r3 judge: tens of TB at 10^12 rows, won't fit the store)),
+the tile layout, the spill directory's lifetime, and the join's shape."""
 
+import logging
+
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -44,3 +48,162 @@ class TestFlagshipGeoCache:
 
         with pytest.raises(ValueError, match="geo_cache"):
             flagship(SF, geo_cache="pin-everything")
+
+
+def _ray_free_geo():
+    """The sf0.001 geo rows through the flagship's own kernels, no Ray."""
+    import pyarrow.parquet as pq
+
+    from georay.pipelines.pages import synthesize_pages_batch
+    from georay.stages.geo import Reproject, cellize, extract_geo_batch, filter_has_geo
+
+    docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text", "lang"])
+    geo = filter_has_geo(extract_geo_batch(synthesize_pages_batch(docs), keep_text=False))
+    return cellize(Reproject(4326)(geo), 7)
+
+
+def _parquet_files(path):
+    import glob
+
+    return sorted(glob.glob(f"{path}/**/*.parquet", recursive=True))
+
+
+class TestTileLayout:
+    @pytest.fixture(scope="class")
+    def run(self, ray_session, tmp_path_factory):
+        from georay.pipelines.flagship import flagship
+
+        out = str(tmp_path_factory.mktemp("flagship") / "run")
+        flagship(SF, out_dir=out)
+        return out
+
+    def test_each_tile_file_holds_only_its_prefix(self, run):
+        import os
+
+        import pyarrow.parquet as pq
+
+        from georay import cells
+
+        files = _parquet_files(f"{run}/tiles")
+        assert files
+        for f in files:
+            part = os.path.basename(os.path.dirname(f))
+            assert part.startswith("cell_prefix=")
+            cell = pq.read_table(f, columns=["cell"]).column("cell").to_numpy()
+            assert (cells.cell_parent(cell, 2) == int(part.split("=", 1)[1])).all(), f
+
+    def test_tile_rows_equal_geo_rows(self, run):
+        import pyarrow.parquet as pq
+
+        rows = sum(pq.read_metadata(f).num_rows for f in _parquet_files(f"{run}/tiles"))
+        assert rows == _ray_free_geo().num_rows
+
+    def test_tile_file_count_is_bounded_by_the_row_floor(self, run):
+        import math
+        import os
+
+        from georay.pipelines.flagship import TILE_MIN_ROWS_PER_FILE
+
+        files = _parquet_files(f"{run}/tiles")
+        prefixes = {os.path.dirname(f) for f in files}
+        geo_rows = _ray_free_geo().num_rows
+        # one file per (input block, prefix) would grow with the block count
+        assert len(files) <= len(prefixes) * math.ceil(geo_rows / TILE_MIN_ROWS_PER_FILE)
+
+    def test_join_rows_equal_ray_free_join(self, run):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from georay.pipelines.polygons import build_polygon_set, polygon_payload
+        from georay.stages.join import _join_batch
+
+        pset = build_polygon_set(polygon_payload())
+        ids = np.asarray([p.polygon_id for p in pset.polygons], dtype=object)
+        want = _join_batch(pset, ids, "INTERSECTS", ["doc_id", "url"], _ray_free_geo())
+        got = pa.concat_tables(pq.read_table(f) for f in _parquet_files(f"{run}/join_rows"))
+        order = [("doc_id", "ascending"), ("polygon_id", "ascending")]
+        cols = ["doc_id", "polygon_id", "url", "predicate"]
+        assert want.num_rows > 0
+        assert got.select(cols).sort_by(order).to_pydict() == want.select(cols).sort_by(order).to_pydict()
+
+
+class TestSpillDirLifetime:
+    def test_spill_dir_removed_once_no_dataset_can_read_it(self, ray_session, tmp_path, monkeypatch):
+        import gc
+        import tempfile
+
+        from georay.pipelines.flagship import flagship
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spills = lambda: list(tmp_path.glob("georay_tiles_*"))  # noqa: E731
+
+        joined, agg = flagship(SF)
+        assert len(spills()) == 1
+        n_join, n_agg = joined.count(), agg.count()
+        derived = agg.map_batches(lambda b: b, batch_format="pyarrow")
+        del joined, agg
+        gc.collect()
+        # a dataset built on the returned ones still reads the tiles
+        assert len(spills()) == 1
+        assert derived.count() == n_agg > 0 and n_join > 0
+        del derived
+        gc.collect()
+        assert spills() == []
+
+
+class _ExecutionPlans(logging.Handler):
+    """Collects the execution plans Ray Data logs, one per executed dataset
+    (operator class and fused operator names, e.g.
+    ``TaskPoolMapOperator[ReadParquet->MapBatches(join_batch)->Write]``)."""
+
+    LOGGER = "ray.data._internal.execution.streaming_executor"
+
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.plans = []
+
+    def emit(self, record):
+        msg = record.getMessage()
+        if "Execution plan of" in msg:
+            self.plans.append(msg)
+
+    def __enter__(self):
+        logging.getLogger(self.LOGGER).addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        logging.getLogger(self.LOGGER).removeHandler(self)
+
+
+class TestJoinRunsOnTasks:
+    """The broadcast join indexes in milliseconds: an actor pool would spawn
+    processes on every run for nothing, and would stop the read, the join
+    and the write from fusing into one task chain."""
+
+    def _join_plans(self, plans):
+        joins = [p for p in plans if "join_batch" in p or "SpatialJoinActor" in p]
+        assert joins, plans
+        return joins
+
+    def test_flagship_join_is_one_fused_task_chain(self, ray_session, tmp_path):
+        from georay.pipelines.flagship import flagship
+
+        with _ExecutionPlans() as log:
+            flagship(SF, out_dir=str(tmp_path / "run"))
+        (plan,) = self._join_plans(log.plans)
+        assert "ActorPoolMapOperator" not in plan and "SpatialJoinActor" not in plan
+        assert "TaskPoolMapOperator[ReadParquet->MapBatches(join_batch)->Write]" in plan
+
+    @pytest.mark.parametrize("query", ["_q_bbox_join", "_q_pip_join"])
+    def test_entry_joins_run_on_tasks(self, ray_session, query):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "__ray_entry__.py"
+        spec = importlib.util.spec_from_file_location("_entry", path)
+        entry = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(entry)
+        with _ExecutionPlans() as log:
+            getattr(entry, query)(SF).materialize()
+        for plan in self._join_plans(log.plans):
+            assert "ActorPoolMapOperator" not in plan and "SpatialJoinActor" not in plan
