@@ -74,15 +74,25 @@ _READ_CACHE: dict[tuple, Any] = {}
 _READ_CACHE_MAX_BYTES = 256 * 2**20
 
 
+def _size_on_disk(path: str) -> int:
+    """Bytes of a table: one file, or every file under a directory-shaped
+    (partitioned) table — the directory entry's own size says nothing."""
+    import os
+
+    if not os.path.isdir(path):
+        return os.path.getsize(path)
+    return sum(
+        os.path.getsize(os.path.join(root, f)) for root, _, files in os.walk(path) for f in files
+    )
+
+
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     key = (sf_dir, table, tuple(columns) if columns else None)
     ds = _READ_CACHE.get(key)
     if ds is None:
-        import os
-
         path = f"{sf_dir}/{table}.parquet"
         ds = ray.data.read_parquet(path, columns=columns)
-        if os.path.getsize(path) > _READ_CACHE_MAX_BYTES:
+        if _size_on_disk(path) > _READ_CACHE_MAX_BYTES:
             return ds  # big input: stay lazy, don't memo
         ds = _READ_CACHE[key] = ds.materialize()
     return ds

@@ -18,7 +18,11 @@ GML EPSG:4326 axis order); the engine canonicalizes to lon/lat columns at
 this edge (R-05 critical semantic, SURVEY.md §7.4).
 
 Everything is vectorized through ``pyarrow.compute.extract_regex`` (RE2,
-C++ kernels) — no per-row Python in the hot path.  The page ``text``
+C++ kernels) — no per-row Python in the hot path.  Each pattern of the
+chain runs directly on the rows still unresolved, and the srsName lookup
+is one regex pass over all rows.  No ``pc.match_substring`` pre-scan
+guards them: every regex contains its marker literal, and the scan
+measured slower than the RE2 pass it guarded.  The page ``text``
 column passes through UNTOUCHED: the byte-identical-extracted-text-per-url
 invariant (BASELINE.json input_hint) is preserved by construction and
 checked in tests/queries via md5.
@@ -42,27 +46,23 @@ MICRODATA_RE = (
 TEXT_GEO_RE = rf"geo:\s*(?P<glat>{_NUM}),\s*(?P<glon>{_NUM})"
 SRS_RE = r'<meta\s+name="geo\.srsName"\s+content="(?P<srs>[^"]+)"'
 
-#: precedence order of the extraction chain, each with a cheap substring
-#: marker evaluated first (pc.match_substring is ~10x cheaper than the
-#: regex kernel) so every expensive pass runs only on still-unresolved
-#: rows that can possibly match.
-_CHAIN = (
-    ('"geo.position"', GEO_POSITION_RE),
-    ('"ICBM"', ICBM_RE),
-    ('itemprop="latitude"', MICRODATA_RE),
-    ("geo:", TEXT_GEO_RE),
-)
+#: precedence order of the extraction chain
+_CHAIN = (GEO_POSITION_RE, ICBM_RE, MICRODATA_RE, TEXT_GEO_RE)
 
 
-def _extract_pair_at(html: pa.Array, pattern: str, idx: np.ndarray, lat: np.ndarray, lon: np.ndarray):
-    """Run one regex pass on the rows at ``idx`` only, scattering hits."""
-    sub = html.take(pa.array(idx, pa.int64()))
-    st = pc.extract_regex(sub, pattern)
-    plat = pc.cast(pc.struct_field(st, "glat"), pa.float64()).to_numpy(zero_copy_only=False)
-    plon = pc.cast(pc.struct_field(st, "glon"), pa.float64()).to_numpy(zero_copy_only=False)
-    hit = ~np.isnan(plat)
-    lat[idx[hit]] = plat[hit]
-    lon[idx[hit]] = plon[hit]
+def _latlon(html, pattern: str):
+    """One regex pass -> (lat, lon) float arrays, NaN where it does not match."""
+    st = pc.extract_regex(html, pattern)
+    lat = pc.cast(pc.struct_field(st, "glat"), pa.float64()).to_numpy(zero_copy_only=False)
+    lon = pc.cast(pc.struct_field(st, "glon"), pa.float64()).to_numpy(zero_copy_only=False)
+    return lat, lon
+
+
+def _srs_epsg(srs: str) -> int:
+    try:
+        return parse_epsg(srs)
+    except ValueError:
+        return 4326
 
 
 def _decode_bisect(arr: pa.Array) -> pa.Array:
@@ -113,49 +113,26 @@ def extract_geo_columns(html: pa.Array):
     4326 rather than poisoning the batch.
     """
     html = _to_utf8_strings(html)
+    if isinstance(html, pa.ChunkedArray):
+        html = html.combine_chunks()
     n = len(html)
     lat = np.full(n, np.nan)
     lon = np.full(n, np.nan)
-    # first pattern: a full extract_regex pass costs the same as the
-    # cheap marker scan would, so run it directly; later patterns only
-    # touch the still-unresolved subset (marker scan + gather there).
-    first = True
-    for marker, pattern in _CHAIN:
-        need = np.isnan(lat)
-        if not need.any():
+    # each pattern runs on the rows no earlier pattern resolved
+    for pattern in _CHAIN:
+        idx = np.nonzero(np.isnan(lat))[0]
+        if not len(idx):
             break
-        if first:
-            st = pc.extract_regex(html, pattern)
-            plat = pc.cast(pc.struct_field(st, "glat"), pa.float64()).to_numpy(zero_copy_only=False)
-            plon = pc.cast(pc.struct_field(st, "glon"), pa.float64()).to_numpy(zero_copy_only=False)
-            hit = ~np.isnan(plat)
-            lat[hit] = plat[hit]
-            lon[hit] = plon[hit]
-            first = False
-            continue
-        idx = np.nonzero(need)[0]
-        sub = html.take(pa.array(idx, pa.int64()))
-        may = pc.match_substring(sub, marker).to_numpy(zero_copy_only=False)
-        idx = idx[may]
-        if len(idx):
-            _extract_pair_at(html, pattern, idx, lat, lon)
+        plat, plon = _latlon(html if len(idx) == n else html.take(pa.array(idx)), pattern)
+        hit = ~np.isnan(plat)
+        lat[idx[hit]] = plat[hit]
+        lon[idx[hit]] = plon[hit]
 
     # CRS resolution: explicit srsName meta ▸ default 4326 (G-06 chain).
-    # srsName cardinality is tiny: parse np.unique values once, gather.
-    epsg = np.full(n, 4326, dtype=np.int32)
-    srs_may = pc.match_substring(html, '"geo.srsName"').to_numpy(zero_copy_only=False)
-    sidx = np.nonzero(srs_may)[0]
-    if len(sidx):
-        sub = html.take(pa.array(sidx, pa.int64()))
-        srs = pc.struct_field(pc.extract_regex(sub, SRS_RE), "srs").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(np.where(srs == None, "", srs).astype(str), return_inverse=True)  # noqa: E711
-        codes = np.empty(len(uniq), dtype=np.int32)
-        for i, u in enumerate(uniq):
-            try:
-                codes[i] = parse_epsg(u) if u else 4326
-            except ValueError:
-                codes[i] = 4326
-        epsg[sidx] = codes[inv]
+    # srsName cardinality is tiny: parse each distinct value once, gather.
+    srs = pc.struct_field(pc.extract_regex(html, SRS_RE), "srs").dictionary_encode()
+    codes = np.array([_srs_epsg(u) for u in srs.dictionary.to_pylist()] + [4326], dtype=np.int32)
+    epsg = codes[srs.indices.fill_null(len(codes) - 1).to_numpy()]
 
     has_geo = ~np.isnan(lat)
     return lon, lat, epsg, has_geo
@@ -174,14 +151,11 @@ def extract_all_geo_batch(batch: pa.Table) -> pa.Table:
 
     html = _to_utf8_strings(batch.column("html").combine_chunks())
     doc_id = batch.column("doc_id").to_numpy()
-    n = len(html)
 
     rows_id, rows_lat, rows_lon = [], [], []
     # single-occurrence meta sources via the Arrow kernels
     for pattern in (GEO_POSITION_RE, ICBM_RE):
-        st = pc.extract_regex(html, pattern)
-        plat = pc.cast(pc.struct_field(st, "glat"), pa.float64()).to_numpy(zero_copy_only=False)
-        plon = pc.cast(pc.struct_field(st, "glon"), pa.float64()).to_numpy(zero_copy_only=False)
+        plat, plon = _latlon(html, pattern)
         hit = ~np.isnan(plat)
         rows_id.append(doc_id[hit])
         rows_lat.append(plat[hit])

@@ -38,6 +38,63 @@ def _close_ring(ring: np.ndarray) -> np.ndarray:
     return ring
 
 
+#: (point, edge) elements one numpy pass may expand to: bounds the
+#: temporaries of the location kernels
+_CHUNK_ELEMS = 4_000_000
+
+
+def _edges(ex1: np.ndarray, ex2: np.ndarray):
+    """Ring edges ex1[i] -> ex2[i] -> (x1, y1, y2, dx, dy, seg_len2), the
+    edge-only terms of :func:`_edge_hits`."""
+    x1, y1 = ex1[:, 0], ex1[:, 1]
+    x2, y2 = ex2[:, 0], ex2[:, 1]
+    dx = x2 - x1
+    dy = y2 - y1
+    seg_len2 = dx * dx + dy * dy
+    seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
+    return x1, y1, y2, dx, dy, seg_len2
+
+
+def _edge_hits(cpx, cpy, x1, y1, y2, dx, dy, seg_len2, eps2):
+    """Elementwise over (point, edge): (the point's +x ray crosses the
+    edge, the point lies within ``sqrt(eps2)`` of the edge).
+
+    The crossing formula keeps the exact (cpy-y1)*dx/dy op order — the
+    SQL oracles mirror it term for term, so factoring dx/dy into one
+    constant would change last-ulp results."""
+    cond = (y1 > cpy) != (y2 > cpy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xin = x1 + (cpy - y1) * dx / dy
+    # boundary: squared distance point->segment <= eps^2
+    t = np.clip(((cpx - x1) * dx + (cpy - y1) * dy) / seg_len2, 0.0, 1.0)
+    ddx = cpx - (x1 + t * dx)
+    ddy = cpy - (y1 + t * dy)
+    return cond & (cpx < xin), ddx * ddx + ddy * ddy <= eps2
+
+
+def _relate(pred: str, interior: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """Point/polygon DE-9IM reduction of a location to one predicate."""
+    if pred == "INTERSECTS":
+        return interior | boundary
+    if pred == "DISJOINT":
+        return ~(interior | boundary)
+    if pred in ("WITHIN", "CONTAINS"):
+        return interior
+    if pred == "TOUCHES":
+        return boundary
+    if pred in ("EQUALS", "CROSSES", "OVERLAPS"):
+        return np.zeros(interior.shape[0], dtype=bool)
+    raise ValueError(f"Unknown spatial predicate: {pred}")
+
+
+def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``
+    without the per-range loop: each element's position in its run, plus
+    its run's start."""
+    run_start = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(run_start - starts, counts)
+
+
 class Polygon:
     """One polygon: exterior ring + holes, coords (N,2) right-handed."""
 
@@ -67,38 +124,17 @@ class Polygon:
         """
         px = np.asarray(px, dtype=np.float64)
         py = np.asarray(py, dtype=np.float64)
-        x1, y1 = self._ex1[:, 0], self._ex1[:, 1]
-        x2, y2 = self._ex2[:, 0], self._ex2[:, 1]
+        edges = _edges(self._ex1, self._ex2)
 
         # broadcast (n_points, n_edges); chunk points if enormous
         n = px.shape[0]
         interior = np.zeros(n, dtype=bool)
         boundary = np.zeros(n, dtype=bool)
-        eps2 = eps * eps
-        # edge-only invariants hoisted out of the point-chunk loop.
-        # NOTE: the crossing formula keeps the exact (cpy-y1)*dx/dy op
-        # order — the SQL oracles mirror it term for term, so factoring
-        # dx/dy into one constant would change last-ulp results.
-        dx = x2 - x1
-        dy = y2 - y1
-        seg_len2 = dx * dx + dy * dy
-        seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
-        chunk = max(1, int(4_000_000 // max(1, len(x1))))
+        chunk = max(1, _CHUNK_ELEMS // max(1, len(self._ex1)))
         for s in range(0, n, chunk):
-            cpx = px[s : s + chunk, None]
-            cpy = py[s : s + chunk, None]
-            cond = (y1 > cpy) != (y2 > cpy)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xin = x1 + (cpy - y1) * dx / dy
-            crossings = np.count_nonzero(cond & (cpx < xin), axis=1)
-            interior[s : s + chunk] = (crossings & 1).astype(bool)
-
-            # boundary: squared distance point->segment <= eps^2
-            t = ((cpx - x1) * dx + (cpy - y1) * dy) / seg_len2
-            t = np.clip(t, 0.0, 1.0)
-            ddx = cpx - (x1 + t * dx)
-            ddy = cpy - (y1 + t * dy)
-            boundary[s : s + chunk] = np.any(ddx * ddx + ddy * ddy <= eps2, axis=1)
+            cross, on_edge = _edge_hits(px[s : s + chunk, None], py[s : s + chunk, None], *edges, eps * eps)
+            interior[s : s + chunk] = (np.count_nonzero(cross, axis=1) & 1).astype(bool)
+            boundary[s : s + chunk] = on_edge.any(axis=1)
 
         # a point flagged on the boundary is not in the open interior
         return interior & ~boundary, boundary
@@ -157,18 +193,7 @@ class Polygon:
             py = np.asarray(py, dtype=np.float64)
             minx, miny, maxx, maxy = self.bbox
             return (px >= minx) & (px <= maxx) & (py >= miny) & (py <= maxy)
-        interior, boundary = self.locate(px, py)
-        if pred == "INTERSECTS":
-            return interior | boundary
-        if pred == "DISJOINT":
-            return ~(interior | boundary)
-        if pred in ("WITHIN", "CONTAINS"):
-            return interior
-        if pred == "TOUCHES":
-            return boundary
-        if pred in ("EQUALS", "CROSSES", "OVERLAPS"):
-            return np.zeros(np.asarray(px).shape[0], dtype=bool)
-        raise ValueError(f"Unknown spatial predicate: {predicate}")
+        return _relate(pred, *self.locate(px, py))
 
 
 class PolygonSet:
@@ -225,6 +250,13 @@ class PolygonSet:
         order = np.argsort(np.asarray(cell_keys, dtype=np.int64), kind="stable") if cell_keys else np.array([], dtype=np.int64)
         self._idx_cells = np.asarray(cell_keys, dtype=np.int64)[order] if cell_keys else np.array([], dtype=np.int64)
         self._idx_pids = np.asarray(cell_vals, dtype=np.int64)[order] if cell_vals else np.array([], dtype=np.int64)
+        # every polygon's edges end to end, for the per-pair location kernel
+        self._edge_count = np.array([len(p._ex1) for p in self.polygons], dtype=np.int64)
+        self._edge_start = np.cumsum(self._edge_count) - self._edge_count
+        self._edges = _edges(
+            np.concatenate([p._ex1 for p in self.polygons]) if k else np.empty((0, 2)),
+            np.concatenate([p._ex2 for p in self.polygons]) if k else np.empty((0, 2)),
+        )
 
     def candidates(self, px, py):
         """Point batch -> (point_idx, polygon_idx) candidate pairs whose
@@ -241,11 +273,7 @@ class PolygonSet:
             hi = np.searchsorted(self._idx_cells, pc, side="right")
             counts = hi - lo
             pt_idx = np.repeat(np.arange(len(px), dtype=np.int64), counts)
-            if counts.sum():
-                offs = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi) if b > a])
-                poly_idx = self._idx_pids[offs]
-            else:
-                poly_idx = np.empty(0, dtype=np.int64)
+            poly_idx = self._idx_pids[_expand_ranges(lo, counts)]
         else:
             pt_idx = np.empty(0, dtype=np.int64)
             poly_idx = np.empty(0, dtype=np.int64)
@@ -266,9 +294,36 @@ class PolygonSet:
         )
         return pt_idx[keep], poly_idx[keep]
 
+    def locate_pairs(self, px, py, pt_idx, poly_idx, eps: float = BOUNDARY_EPS):
+        """:meth:`Polygon.locate` of point ``pt_idx[i]`` in polygon
+        ``poly_idx[i]`` for every pair at once -> (interior, boundary) per
+        pair: each pair expands to its polygon's edges, so there is no
+        Python loop over polygons."""
+        n_edges = self._edge_count[poly_idx]
+        interior = np.zeros(len(pt_idx), dtype=bool)
+        boundary = np.zeros(len(pt_idx), dtype=bool)
+        ends = np.cumsum(n_edges)
+        s = 0
+        while s < len(pt_idx):
+            # the pairs s..e-1 expand to at most _CHUNK_ELEMS (point, edge)
+            # elements, or to one pair's edges
+            e = int(np.searchsorted(ends, ends[s] - n_edges[s] + _CHUNK_ELEMS, side="right"))
+            e = max(e, s + 1)
+            counts = n_edges[s:e]
+            pair = np.repeat(np.arange(e - s), counts)
+            edge = _expand_ranges(self._edge_start[poly_idx[s:e]], counts)
+            pts = pt_idx[s:e][pair]
+            cross, on_edge = _edge_hits(px[pts], py[pts], *(a[edge] for a in self._edges), eps * eps)
+            interior[s:e] = np.bincount(pair[cross], minlength=e - s) & 1
+            boundary[s:e] = np.bincount(pair[on_edge], minlength=e - s) > 0
+            s = e
+        # a point flagged on the boundary is not in the open interior
+        return interior & ~boundary, boundary
+
     def join(self, px, py, predicate: str = "INTERSECTS"):
         """Full broadcast spatial join for a point batch -> matching
-        (point_idx, polygon_idx) pairs under ``predicate``.
+        (point_idx, polygon_idx) pairs under ``predicate``, ordered by
+        polygon, then by point.
 
         DISJOINT joins every (point, polygon) pair that fails INTERSECTS;
         candidate generation therefore inverts (anti-join semantics,
@@ -278,22 +333,14 @@ class PolygonSet:
         px = np.asarray(px, dtype=np.float64)
         py = np.asarray(py, dtype=np.float64)
         pt_idx, poly_idx = self.candidates(px, py)
-        out_pt, out_poly = [], []
         if pred == "DISJOINT":
             hit = np.zeros((len(px), len(self.polygons)), dtype=bool)
-            for pid in np.unique(poly_idx):
-                sel = poly_idx == pid
-                pts = pt_idx[sel]
-                ok = self.polygons[pid].relate_points(px[pts], py[pts], "INTERSECTS")
-                hit[pts[ok], pid] = True
+            ok = _relate("INTERSECTS", *self.locate_pairs(px, py, pt_idx, poly_idx))
+            hit[pt_idx[ok], poly_idx[ok]] = True
             miss_pt, miss_poly = np.nonzero(~hit)
             return miss_pt.astype(np.int64), miss_poly.astype(np.int64)
-        for pid in np.unique(poly_idx):
-            sel = poly_idx == pid
-            pts = pt_idx[sel]
-            ok = self.polygons[pid].relate_points(px[pts], py[pts], pred)
-            out_pt.append(pts[ok])
-            out_poly.append(np.full(int(ok.sum()), pid, dtype=np.int64))
-        if not out_pt:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(out_pt), np.concatenate(out_poly)
+        if pred != "BBOX":  # the candidates are exactly the bbox hits
+            ok = _relate(pred, *self.locate_pairs(px, py, pt_idx, poly_idx))
+            pt_idx, poly_idx = pt_idx[ok], poly_idx[ok]
+        order = np.argsort(poly_idx, kind="stable")
+        return pt_idx[order], poly_idx[order]

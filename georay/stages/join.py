@@ -47,9 +47,15 @@ def _join_batch(pset, poly_ids, predicate: str, keep_cols, batch: pa.Table) -> p
     take = pa.array(pt_idx, pa.int64())
     for col in keep_cols:
         arrs[col] = batch.column(col).take(take)
-    arrs["polygon_id"] = pa.array(poly_ids[poly_idx], pa.string())
-    arrs["predicate"] = pa.array([predicate] * len(pt_idx), pa.string())
+    arrs["polygon_id"] = poly_ids.take(pa.array(poly_idx, pa.int64()))
+    arrs["predicate"] = pa.repeat(pa.scalar(predicate, pa.string()), len(pt_idx))
     return pa.table(arrs)
+
+
+def polygon_id_array(pset) -> pa.Array:
+    """The ``polygon_id`` of every polygon in ``pset``, by polygon index:
+    built once per index, so a batch's ids are one ``take``."""
+    return pa.array([p.polygon_id for p in pset.polygons], pa.string())
 
 
 def make_spatial_join_fn(payload_ref, predicate: str = "INTERSECTS", keep_cols=("doc_id", "url")):
@@ -73,8 +79,7 @@ def make_spatial_join_fn(payload_ref, predicate: str = "INTERSECTS", keep_cols=(
         entry = _PSET_CACHE.get(key) if key is not None else None
         if entry is None:
             pset = build_polygon_set(_resolve(payload_ref))
-            ids = np.asarray([p.polygon_id for p in pset.polygons], dtype=object)
-            entry = (pset, ids)
+            entry = (pset, polygon_id_array(pset))
             if key is not None:
                 while len(_PSET_CACHE) >= _PSET_CACHE_MAX:
                     _PSET_CACHE.pop(next(iter(_PSET_CACHE)))
@@ -103,7 +108,7 @@ class SpatialJoinActor:
         self.pset = build_polygon_set(_resolve(polygons))
         self.predicate = predicate.upper()
         self.keep_cols = list(keep_cols)
-        self.poly_ids = np.asarray([p.polygon_id for p in self.pset.polygons], dtype=object)
+        self.poly_ids = polygon_id_array(self.pset)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return _join_batch(self.pset, self.poly_ids, self.predicate, self.keep_cols, batch)
@@ -135,7 +140,7 @@ class DWithinJoinActor:
         # exact=True: Vincenty orthodromic (reference P-04 semantics);
         # exact=False: great-circle haversine (SQL-oracle-mirrorable)
         self.exact = bool(exact)
-        self.poly_ids = np.asarray([p.polygon_id for p in self.pset.polygons], dtype=object)
+        self.poly_ids = polygon_id_array(self.pset)
         # 1 deg latitude >= ~110.57 km everywhere; pad bboxes conservatively
         self.pad_deg = self.distance_m / 110_570.0 * 1.05
 
@@ -193,7 +198,7 @@ class DWithinJoinActor:
         take = pa.array(pt_idx, pa.int64())
         for col in self.keep_cols:
             arrs[col] = batch.column(col).take(take)
-        arrs["polygon_id"] = pa.array(self.poly_ids[poly_idx], pa.string())
+        arrs["polygon_id"] = self.poly_ids.take(pa.array(poly_idx, pa.int64()))
         arrs["distance_m"] = pa.array(dist, pa.float64())
         return pa.table(arrs)
 

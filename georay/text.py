@@ -421,11 +421,18 @@ def chunk_text_batch(batch: pa.Table, size: int = 200, stride: int = 150,
     the loop re-filter the whole block per chunk.  SQL mirror:
     substr(text, j*stride+1, size) over a range(j) join."""
     n = batch.num_rows
-    empty = pa.table({
-        id_col: pa.array([], pa.int64()),
-        "chunk_id": pa.array([], pa.int64()),
-        "chunk": pa.array([], pa.string()),
-    })
+    # both paths emit the input's id and text types, so their sub-tables
+    # (and empty blocks) share one schema; a column-less empty block gets
+    # int64 ids and string chunks
+    def col_type(name, default):
+        return batch.schema.field(name).type if name in batch.column_names else default
+
+    schema = pa.schema([
+        (id_col, col_type(id_col, pa.int64())),
+        ("chunk_id", pa.int64()),
+        ("chunk", col_type(text_col, pa.string())),
+    ])
+    empty = schema.empty_table()
     if n == 0:
         return empty
     text = batch.column(text_col).combine_chunks()
@@ -440,13 +447,12 @@ def chunk_text_batch(batch: pa.Table, size: int = 200, stride: int = 150,
             s = text[int(i)].as_py() or ""
             c = int(n_chunks[i])
             out.append(pa.table({
-                id_col: pa.array(
-                    np.full(c, ids[int(i)].as_py(), np.int64), pa.int64()),
+                id_col: ids.take(pa.array(np.full(c, i))),
                 "chunk_id": pa.array(np.arange(c, dtype=np.int64), pa.int64()),
                 "chunk": pa.array(
                     [s[j * stride : j * stride + size] for j in range(c)],
-                    pa.string()),
-            }))
+                    text.type),
+            }, schema=schema))
         short = pa.array(n_chunks <= LONG_DOC_CHUNKS)
         text = text.filter(short)
         ids = ids.filter(short)

@@ -5,7 +5,6 @@ the tile layout, the spill directory's lifetime, and the join's shape."""
 
 import logging
 
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -115,11 +114,10 @@ class TestTileLayout:
         import pyarrow.parquet as pq
 
         from georay.pipelines.polygons import build_polygon_set, polygon_payload
-        from georay.stages.join import _join_batch
+        from georay.stages.join import _join_batch, polygon_id_array
 
         pset = build_polygon_set(polygon_payload())
-        ids = np.asarray([p.polygon_id for p in pset.polygons], dtype=object)
-        want = _join_batch(pset, ids, "INTERSECTS", ["doc_id", "url"], _ray_free_geo())
+        want = _join_batch(pset, polygon_id_array(pset), "INTERSECTS", ["doc_id", "url"], _ray_free_geo())
         got = pa.concat_tables(pq.read_table(f) for f in _parquet_files(f"{run}/join_rows"))
         order = [("doc_id", "ascending"), ("polygon_id", "ascending")]
         cols = ["doc_id", "polygon_id", "url", "predicate"]

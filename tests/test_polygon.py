@@ -140,3 +140,114 @@ class TestBigPolygonIndexCap:
         assert (0, 0) in pairs      # tiny polygon t0 via the cell index
         assert (0, 20) in pairs     # world polygon via the big-pid path
         assert (1, 20) in pairs     # far point only matches the world polygon
+
+
+def _mixed_polygon_set():
+    """Rectangles of many sizes, a holed polygon, stars and one polygon too
+    big for the cell index (the ``_big_pids`` path)."""
+    rng = np.random.default_rng(7)
+    polys = []
+    for i in range(40):
+        x, y = rng.uniform(-170, 160), rng.uniform(-80, 70)
+        w, h = rng.uniform(0.01, 1), rng.uniform(0.01, 1)
+        ring = np.array([[x, y], [x + w, y], [x + w, y + h], [x, y + h], [x, y]])
+        polys.append(Polygon(ring, polygon_id=f"r{i}"))
+    polys.append(Polygon(RING, holes=[HOLE], polygon_id="holed"))
+    for i in range(3):
+        ang = np.linspace(0, 2 * np.pi, 11)[:-1]
+        rad = np.where(np.arange(10) % 2 == 0, 3.0, 1.2)
+        star = np.c_[10 * i + rad * np.cos(ang), 5 + rad * np.sin(ang)]
+        polys.append(Polygon(np.vstack([star, star[:1]]), polygon_id=f"star{i}"))
+    polys.append(Polygon(np.array([[-150.0, -60.0], [150.0, -60.0], [150.0, 60.0], [-150.0, 60.0]]), polygon_id="big"))
+    return PolygonSet(polys)
+
+
+def _points(pset, n=3000):
+    rng = np.random.default_rng(11)
+    px, py = rng.uniform(-180, 180, n), rng.uniform(-89, 89, n)
+    # points on vertices and edges exercise the boundary test
+    verts = np.concatenate([p.exterior for p in pset.polygons[40:44]])
+    mids = (verts[:-1] + verts[1:]) / 2
+    return np.r_[px, verts[:, 0], mids[:, 0]], np.r_[py, verts[:, 1], mids[:, 1]]
+
+
+class TestCandidates:
+    def test_equal_brute_force_bbox_scan(self):
+        pset = _mixed_polygon_set()
+        assert len(pset._big_pids) == 1
+        px, py = _points(pset)
+        pt, poly = pset.candidates(px, py)
+        b = pset.bboxes
+        inside = (px[:, None] >= b[:, 0]) & (px[:, None] <= b[:, 2]) & (py[:, None] >= b[:, 1]) & (py[:, None] <= b[:, 3])
+        want_pt, want_poly = np.nonzero(inside)
+        assert sorted(zip(pt.tolist(), poly.tolist())) == sorted(zip(want_pt.tolist(), want_poly.tolist()))
+        # some points have no candidate at all
+        assert not inside.any(axis=1).all()
+
+    def test_points_without_candidates(self):
+        pset = PolygonSet([Polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], float), polygon_id="a")])
+        pt, poly = pset.candidates(np.array([50.0, -50.0]), np.array([50.0, -50.0]))
+        assert len(pt) == 0 and len(poly) == 0
+
+    def test_empty_batch(self):
+        pt, poly = _mixed_polygon_set().candidates(np.empty(0), np.empty(0))
+        assert len(pt) == 0 and len(poly) == 0
+        pt, poly = _mixed_polygon_set().join(np.empty(0), np.empty(0))
+        assert len(pt) == 0 and len(poly) == 0
+
+
+class TestJoinMatchesPerPolygonPredicates:
+    """``PolygonSet.join`` locates all (point, polygon) pairs in one pass;
+    it must return exactly what ``Polygon.relate_points`` gives polygon by
+    polygon, in polygon-then-point order."""
+
+    @staticmethod
+    def _per_polygon(pset, px, py, pred):
+        pt_idx, poly_idx = pset.candidates(px, py)
+        out_pt, out_poly = [], []
+        for pid in np.unique(poly_idx):
+            pts = pt_idx[poly_idx == pid]
+            ok = pset.polygons[pid].relate_points(px[pts], py[pts], pred)
+            out_pt += pts[ok].tolist()
+            out_poly += [int(pid)] * int(ok.sum())
+        return out_pt, out_poly
+
+    def test_every_predicate(self):
+        pset = _mixed_polygon_set()
+        px, py = _points(pset)
+        for pred in ("INTERSECTS", "WITHIN", "CONTAINS", "TOUCHES", "BBOX", "EQUALS"):
+            pt, poly = pset.join(px, py, pred)
+            assert (pt.tolist(), poly.tolist()) == self._per_polygon(pset, px, py, pred), pred
+        pt, _ = pset.join(px, py, "TOUCHES")
+        assert len(pt) > 0  # the vertex/edge points hit the boundary
+
+    def test_chunked_pairs(self, monkeypatch):
+        import georay.geom.polygon as polygon_mod
+
+        pset = _mixed_polygon_set()
+        px, py = _points(pset)
+        want = pset.join(px, py, "INTERSECTS")
+        monkeypatch.setattr(polygon_mod, "_CHUNK_ELEMS", 7)  # many chunks, some one pair wide
+        got = pset.join(px, py, "INTERSECTS")
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+
+class TestJoinBatchSchema:
+    def test_zero_matches_keep_the_schema(self):
+        import pyarrow as pa
+
+        from georay.pipelines.polygons import build_polygon_set, polygon_payload
+        from georay.stages.join import _join_batch, polygon_id_array
+
+        pset = build_polygon_set(polygon_payload())
+        ids = polygon_id_array(pset)
+        pts = pset.polygons[0].exterior.mean(axis=0)
+
+        def batch(lon, lat):
+            return pa.table({"doc_id": [1], "url": ["u"], "lon": [lon], "lat": [lat]})
+
+        hit = _join_batch(pset, ids, "INTERSECTS", ["doc_id", "url"], batch(pts[0], pts[1]))
+        miss = _join_batch(pset, ids, "INTERSECTS", ["doc_id", "url"], batch(0.0, 89.9))
+        assert hit.num_rows > 0 and miss.num_rows == 0
+        assert miss.schema == hit.schema
+        assert hit.column("predicate").to_pylist() == ["INTERSECTS"] * hit.num_rows

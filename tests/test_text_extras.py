@@ -336,3 +336,21 @@ class TestChunkTextLongDocSplit:
         assert len(out) == -(-60_000 // 150)
         assert out.chunk.iloc[0] == s[:200]
         assert out.chunk.iloc[-1] == s[(len(out) - 1) * 150:][:200]
+
+    def test_mixed_block_keeps_input_types(self):
+        """Long and short docs in one block, with a large_string text column
+        and int32 ids: both paths emit the input's id and text types, so
+        their sub-tables concatenate (and so do empty blocks)."""
+        import pyarrow as pa
+        import georay.text as text_mod
+
+        long_text = "ab" * 30_000
+        t = pa.table({
+            "doc_id": pa.array([1, 2], pa.int32()),
+            "text": pa.array([long_text, "short"], pa.large_string()),
+        })
+        out = text_mod.chunk_text_batch(t, size=200, stride=150)
+        assert out.schema.field("doc_id").type == pa.int32()
+        assert out.schema.field("chunk").type == pa.large_string()
+        assert out.num_rows == -(-60_000 // 150) + 1
+        assert text_mod.chunk_text_batch(t.slice(0, 0)).schema == out.schema
