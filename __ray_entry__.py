@@ -28,6 +28,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from georay import cells
+from georay.partition import copartition, hash_partition, partitions
 from georay.pipelines.flagship import flagship, geo_dataset
 from georay.pipelines.pages import PAGES_SQL_CTE, read_pages
 from georay.pipelines.polygons import (
@@ -149,12 +150,7 @@ def _q_tile_assign(sf_dir: str):
 def _q_cell_agg(sf_dir: str):
     from georay.stages.aggregate import cell_partial_agg, final_cell_agg
 
-    ds = _geo(sf_dir)
-    # mode="auto": cardinality-measured tree/groupby choice (the upstream
-    # here is the session-materialized geo cache, so eagerness is free)
-    return final_cell_agg(
-        ds.map_batches(cell_partial_agg, batch_format="pyarrow"), mode="auto"
-    )
+    return final_cell_agg(_geo(sf_dir).map_batches(cell_partial_agg, batch_format="pyarrow"))
 
 
 def _q_bbox_join(sf_dir: str):
@@ -253,8 +249,8 @@ def _q_lineitem_agg(sf_dir: str):
         )
         return t
 
-    # 6 flag/status groups: pre-combined pyarrow group_by tree (partial
-    # sums per block -> tiny merge), no sort shuffle
+    # 6 flag/status groups: per-block pyarrow group_by partials, then
+    # one keyed merge of the partials
     def combine(b: pa.Table) -> pa.Table:
         return (
             b.group_by(["l_returnflag", "l_linestatus"])
@@ -275,12 +271,10 @@ def _q_lineitem_agg(sf_dir: str):
             )
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
+    partials = ds.map_batches(partial, batch_format="pyarrow").map_batches(
+        combine, batch_format="pyarrow", batch_size=None
     )
+    return hash_partition(partials, ["l_returnflag", "l_linestatus"], merge, partitions(partials))
 
 
 def _q_top_customers(sf_dir: str):
@@ -357,9 +351,8 @@ def _q_events_by_type(sf_dir: str):
         c = _cents(b.column("value").to_numpy())
         return pa.table({"event_type": b.column("event_type"), "ts": b.column("ts"), "value_c": pa.array(c)})
 
-    # 5 distinct event types: per-block pyarrow combine + one tiny merge
-    # beats a sort-based shuffle, and every block carries a typed schema
-    # (Ray's sort aggregate emits schemaless empty partitions otherwise)
+    # 5 distinct event types: per-block pyarrow combine, then one keyed
+    # merge of the partials
     def partial(b: pa.Table) -> pa.Table:
         return (
             b.group_by("event_type")
@@ -378,12 +371,10 @@ def _q_events_by_type(sf_dir: str):
             .rename_columns(["event_type", "n_events", "ts_min", "ts_max", "value_cents"])
         )
 
-    return (
-        ds.map_batches(to_cents, batch_format="pyarrow")
-        .map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
+    partials = ds.map_batches(to_cents, batch_format="pyarrow").map_batches(
+        partial, batch_format="pyarrow", batch_size=None
     )
+    return hash_partition(partials, "event_type", merge, partitions(partials))
 
 
 # ---------------------------------------------------------------------------
@@ -625,25 +616,18 @@ def _q_simhash_pairs(sf_dir: str):
 _MINHASH_CACHE: dict[str, Any] = {}
 
 
-def _minhash_verified_pairs(sf_dir: str, mode: str = "auto"):
-    cached = _MINHASH_CACHE.get((sf_dir, mode))
+def _minhash_verified_pairs(sf_dir: str):
+    cached = _MINHASH_CACHE.get(sf_dir)
     if cached is not None:
         return cached
     from georay.dedup import band_bucket_pairs, jaccard_verify_pairs, minhash_band_batch
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    # the 128-permutation signature pass is identical across modes —
-    # share it so the per-mode walls time candidate generation, not a
-    # repeated signature pass (same session-memo pattern as _GEO_CACHE)
-    banded = _MINHASH_CACHE.get((sf_dir, "_banded"))
-    if banded is None:
-        banded = _MINHASH_CACHE[(sf_dir, "_banded")] = ds.map_batches(
-            minhash_band_batch, batch_format="pyarrow"
-        ).materialize()
-    cand = band_bucket_pairs(banded, mode=mode).materialize()
-    # surface bucket truncation/thinning loudly instead of letting the
-    # flag column (and join-mode marker rows, doc_a < 0) silently vanish
-    # in the verification join
+    banded = ds.map_batches(minhash_band_batch, batch_format="pyarrow")
+    cand = band_bucket_pairs(banded).materialize()
+    # surface bucket truncation loudly instead of letting the flag column
+    # (and the marker rows of truncated buckets, doc_a < 0) silently
+    # vanish in the verification join
     n_trunc = cand.map_batches(
         lambda b: pa.table({"t": b.column("truncated").cast(pa.int32())}),
         batch_format="pyarrow",
@@ -672,12 +656,12 @@ def _minhash_verified_pairs(sf_dir: str, mode: str = "auto"):
     out = verified.map_batches(
         lambda b: b.select(["doc_a", "doc_b"]), batch_format="pyarrow"
     ).materialize()
-    _MINHASH_CACHE[(sf_dir, mode)] = out
+    _MINHASH_CACHE[sf_dir] = out
     return out
 
 
 def _q_minhash_pairs(sf_dir: str):
-    """MinHash+LSH candidates (band groupby is the only wide exchange)
+    """MinHash+LSH candidates (keyed exchanges on (band, key), then on the pair)
     verified with EXACT 3-shingle Jaccard >= 1/2 decided in integer
     arithmetic.  Oracle-checkable: the SQL mirror computes all-pairs exact
     Jaccard; LSH recall at the planted-pair similarity (J >= 0.9 in the
@@ -687,16 +671,12 @@ def _q_minhash_pairs(sf_dir: str):
 
 
 def _q_minhash_pairs_join(sf_dir: str):
-    """Same verified MinHash+LSH pair set as `minhash_pairs`, but with the
-    candidate stage FORCED onto the ``mode="join"`` scale route of
-    ``band_bucket_pairs`` — the distributed (band, key) self-join used
-    at unbounded bucket-table cardinality (10^12-doc corpora), where
-    the tree merge's single final task would not fit.  At sf0.1 the auto
-    router always picks the tree path, so this query keeps the join route
-    continuously benchmarked (wall + stage counts in BENCH) and
-    oracle-checked; the pair set — and hence the SQL mirror — is
-    identical to `minhash_pairs` by construction."""
-    return _minhash_verified_pairs(sf_dir, mode="join")
+    """Same verified MinHash+LSH pair set as `minhash_pairs`, by the same
+    route: ``band_bucket_pairs`` has one, two keyed exchanges sized by
+    the data, which serves unbounded bucket-table cardinality (10^12-doc
+    corpora) with no single merge task.  The query keeps its name and its
+    SQL mirror, which is identical to `minhash_pairs`'s."""
+    return _minhash_verified_pairs(sf_dir)
 
 
 def _q_dedup_resolve(sf_dir: str):
@@ -838,7 +818,7 @@ def _q_ann_cosine(sf_dir: str):
 
 def _q_embed_lsh_pairs(sf_dir: str):
     """LSH-bucketed embedding near-dup (scale path): hyperplane keys ->
-    bucket groupby (NO single-task merge) -> exact-cosine verification
+    bucket hash partition (NO single-task merge) -> exact-cosine verification
     inside each bucket (the corpus is never broadcast).  Full value
     oracle: the SQL mirror recomputes the hyperplane keys from the same
     plane matrix (passed as VALUES), joins on (table, key), and applies
@@ -969,21 +949,13 @@ def _q_cell_rollup(sf_dir: str):
             ["parent_cell", "n_docs"]
         )
 
+    def merge(b: pa.Table) -> pa.Table:
+        return b.group_by("parent_cell").aggregate([("n_docs", "sum")]).rename_columns(
+            ["parent_cell", "n_docs"]
+        )
+
     ds = _geo(sf_dir).map_batches(parentize, batch_format="pyarrow")
-    merged = ds.repartition(4).map_batches(
-        lambda b: b.group_by("parent_cell")
-        .aggregate([("n_docs", "sum")])
-        .rename_columns(["parent_cell", "n_docs"]),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-    return merged.repartition(1).map_batches(
-        lambda b: b.group_by("parent_cell")
-        .aggregate([("n_docs", "sum")])
-        .rename_columns(["parent_cell", "n_docs"]),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
+    return hash_partition(ds, "parent_cell", merge, partitions(ds))
 
 
 def _q_top_cells(sf_dir: str):
@@ -1128,12 +1100,10 @@ def _q_poly_join(sf_dir: str):
 
 
 def _q_segment_revenue(sf_dir: str):
-    """Co-partitioned join (``georay.partition.copartition``) + groupby:
-    revenue per market segment in integer cents.  Each partition joins
-    its orders to their customers and pre-aggregates per segment in the
-    same kernel."""
-    from georay.partition import copartition, partitions
-
+    """Co-partitioned join (``georay.partition.copartition``) + keyed
+    merge: revenue per market segment in integer cents.  Each partition
+    joins its orders to their customers and pre-aggregates per segment in
+    the same kernel; one ``hash_partition`` on the segment merges them."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
@@ -1154,11 +1124,9 @@ def _q_segment_revenue(sf_dir: str):
             .rename_columns(["c_mktsegment", "revenue_cents", "n_orders"])
         )
 
-    return (
-        copartition(orders, cust, "o_custkey", "c_custkey", partial, partitions(orders))
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-    )
+    n = partitions(orders)
+    partials = copartition(orders, cust, "o_custkey", "c_custkey", partial, n)
+    return hash_partition(partials, "c_mktsegment", merge, n)
 
 
 def _q_geo_explode(sf_dir: str):
@@ -1174,7 +1142,7 @@ def _q_geo_explode(sf_dir: str):
 
 def _q_distinct_segments(sf_dir: str):
     """Set op: distinct market segments (Dataset.unique analog) via
-    per-block pyarrow count partials + tiny merge."""
+    per-block pyarrow count partials + one keyed merge."""
     ds = _read(sf_dir, "customer", ["c_mktsegment"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1191,11 +1159,8 @@ def _q_distinct_segments(sf_dir: str):
             .rename_columns(["c_mktsegment", "n_customers"])
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-    )
+    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    return hash_partition(partials, "c_mktsegment", merge, partitions(partials))
 
 
 def _q_sessionize(sf_dir: str):
@@ -1268,11 +1233,8 @@ def _q_events_hourly(sf_dir: str):
             .rename_columns(["event_type", "window_start", "n_events", "value_cents"])
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-    )
+    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    return hash_partition(partials, ["event_type", "window_start"], merge, partitions(partials))
 
 
 def _q_events_topk(sf_dir: str):

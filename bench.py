@@ -204,7 +204,7 @@ def run_flagship(pages_dir: str, num_cpus: int, res: int = 7, repeats: int = 2):
         # ONE fused streaming pass, no mid-pipeline materialization:
         # read -> extract -> reproject -> cellize -> broadcast join
         # (join rows keep the cell + geometry columns) -> per-(cell)
-        # combiner -> tree-merge final.  join_rows falls out of the
+        # combiner -> keyed final merge.  join_rows falls out of the
         # aggregate (sum of per-cell doc counts), so a single consumer
         # drives the whole DAG with backpressure end to end.
         # Block count is sized to the DATA (target ~60k rows/block), not

@@ -30,6 +30,16 @@ def _init_ray(num_cpus: int | None):
     return ray
 
 
+def _remove_dir(path: str) -> None:
+    """Delete the directory ``path`` (a local path or a filesystem URI)
+    and everything under it, if it exists."""
+    import pyarrow.fs as pafs
+
+    fs, p = pafs.FileSystem.from_uri(path if "://" in path else os.path.abspath(path))
+    if fs.get_file_info(p).type != pafs.FileType.NotFound:
+        fs.delete_dir(p)
+
+
 def cmd_flagship(args):
     ray = _init_ray(args.num_cpus)
     from georay.pipelines.flagship import flagship
@@ -101,9 +111,10 @@ def cmd_dedup(args):
     docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
     banded = docs.map_batches(minhash_band_batch, batch_format="pyarrow")
     cand = band_bucket_pairs(banded).materialize()
-    # surface partial-recall loudly: hot-bucket truncation/thinning flags
-    # (and join-mode marker rows) would otherwise vanish in the verify
-    # join and the CLI would print a clean success over incomplete dedup
+    # surface partial-recall loudly: hot-bucket truncation flags (and the
+    # marker rows of truncated buckets, doc_a < 0) would otherwise vanish
+    # in the verify join and the CLI would print a clean success over
+    # incomplete dedup
     n_trunc = cand.map_batches(
         lambda b: pa.table({"t": b.column("truncated").cast(pa.int32())}),
         batch_format="pyarrow",
@@ -197,43 +208,45 @@ def cmd_curate(args):
     # The DAG branches below (survivor groupby + join left side) — without
     # a checkpoint each consumer re-executes quality/langid/hash over the
     # full corpus.  Write the annotated rows through parquet ONCE
-    # (streaming, disk-backed — the flagship's geo_cache="spill" shape;
-    # an in-object-store materialize would pin the whole filtered corpus).
-    import shutil
-    import tempfile
+    # (streaming, disk-backed; an in-object-store materialize would pin
+    # the whole filtered corpus), beside --out: every worker can reach
+    # it, where a driver-local temp dir would keep each node's files on
+    # that node and the re-read would drop their rows.
+    ann_dir = args.out.rstrip("/") + ".checkpoint"
+    _remove_dir(ann_dir)  # a crashed run's files would be read twice
+    try:
+        filt.write_parquet(ann_dir)
+        filt = ray.data.read_parquet(ann_dir)
 
-    ann_dir = tempfile.mkdtemp(prefix="georay-curate-annotated-")
-    filt.write_parquet(ann_dir)
-    filt = ray.data.read_parquet(ann_dir)
+        # exact dedup: survivor ids from a 16-byte-key groupby, then a semi
+        # join back (the full rows never shuffle through the key groupby)
+        survivors = (
+            filt.map_batches(lambda b: b.select(["h1", "h2", "doc_id"]), batch_format="pyarrow")
+            .groupby(["h1", "h2"])
+            .aggregate(Min("doc_id", alias_name="keep_id"))
+            .map_batches(lambda b: b.select(["keep_id"]), batch_format="pyarrow")
+        )
+        from georay.partition import copartition, partitions
 
-    # exact dedup: survivor ids from a 16-byte-key groupby, then a semi
-    # join back (the full rows never shuffle through the key groupby)
-    survivors = (
-        filt.map_batches(lambda b: b.select(["h1", "h2", "doc_id"]), batch_format="pyarrow")
-        .groupby(["h1", "h2"])
-        .aggregate(Min("doc_id", alias_name="keep_id"))
-        .map_batches(lambda b: b.select(["keep_id"]), batch_format="pyarrow")
-    )
-    from georay.partition import copartition, partitions
+        def keep_survivors(L: pa.Table, R: pa.Table) -> pa.Table:
+            keep_ids = R.column("keep_id").combine_chunks()
+            return L.filter(pc.is_in(L.column("doc_id"), value_set=keep_ids))
 
-    def keep_survivors(L: pa.Table, R: pa.Table) -> pa.Table:
-        keep_ids = R.column("keep_id").combine_chunks()
-        return L.filter(pc.is_in(L.column("doc_id"), value_set=keep_ids))
+        # the semi join shuffles the full annotated corpus: size partitions
+        # to its measured rows (filt is a fresh parquet read of the
+        # checkpoint, so the count is free plan metadata), not a fixed 16
+        n_part = args.num_partitions or partitions(filt)
+        deduped = copartition(filt, survivors, "doc_id", "keep_id", keep_survivors, n_part)
 
-    # the semi join shuffles the full annotated corpus: size partitions
-    # to its measured rows (filt is a fresh parquet read of the
-    # checkpoint, so the count is free plan metadata), not a fixed 16
-    n_part = args.num_partitions or partitions(filt)
-    deduped = copartition(filt, survivors, "doc_id", "keep_id", keep_survivors, n_part)
-
-    sampled = deduped.map_batches(
-        lambda b: stratified_sample_batch(
-            b, rates_bp={}, default_bp=args.rate_bp, key_col="lang_pred"
-        ),
-        batch_format="pyarrow",
-    )
-    sampled.write_parquet(args.out, partition_cols=["lang_pred"])
-    shutil.rmtree(ann_dir, ignore_errors=True)
+        sampled = deduped.map_batches(
+            lambda b: stratified_sample_batch(
+                b, rates_bp={}, default_bp=args.rate_bp, key_col="lang_pred"
+            ),
+            batch_format="pyarrow",
+        )
+        sampled.write_parquet(args.out, partition_cols=["lang_pred"])
+    finally:
+        _remove_dir(ann_dir)
 
     out_ds = ray.data.read_parquet(args.out)
     n_out = out_ds.count()

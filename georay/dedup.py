@@ -7,8 +7,9 @@ Scale design (SURVEY.md §2.8):
 - MinHash+LSH: per-batch signature computation is fully vectorized
   (token hash -> shingle hash -> P universal-hash permutations with
   ``np.minimum.reduceat`` over the flattened token stream); banding emits
-  (band, band_hash) keys, the ONLY shuffle is the band-bucket groupby,
-  and candidate pairs are verified per group.
+  (band, band_hash) keys, the band buckets meet in one hash partition on
+  (band, key) that expands their pairs, and one more on (doc_a, doc_b)
+  keeps each pair once.
 - SimHash: 64-bit sign-aggregated token hashes; near-dup = hamming
   distance <= d via multi-index (4x16-bit block keys, exact check per
   bucket).
@@ -32,7 +33,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from georay.partition import copartition, hash_partition, partitions
+from georay.geom.polygon import _expand_ranges
+from georay.partition import copartition, hash_partition, part_of, partitions
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
 
@@ -356,8 +358,8 @@ def minhash_band_batch(
     text_col: str = "text", id_col: str = "doc_id",
 ) -> pa.Table:
     """map_batches kernel: docs -> exploded (band, key, doc_id) rows.
-    The downstream ``groupby(["band","key"])`` is the only shuffle, and it
-    moves 16 bytes per (doc, band) instead of the documents themselves."""
+    The downstream (band, key) hash partition moves 16 bytes per
+    (doc, band) instead of the documents themselves."""
     sig = minhash_signatures(batch.column(text_col).combine_chunks(), num_perm, k)
     keys = lsh_band_keys(sig, bands)
     n = len(batch)
@@ -371,395 +373,114 @@ def minhash_band_batch(
     )
 
 
-def _empty_bucket_lists(has_payload: bool) -> pa.Table:
-    cols = {
-        "band": pa.array([], pa.int32()),
-        "key": pa.array([], pa.int64()),
-        "ids": pa.array([], pa.list_(pa.int64())),
-    }
-    if has_payload:
-        cols["payloads"] = pa.array([], pa.list_(pa.int64()))
-    return pa.table(cols)
+_PAIRS_SCHEMA = pa.schema(
+    [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("truncated", pa.bool_())]
+)
 
 
-def _bucket_list_partial(batch: pa.Table, id_col: str = "doc_id",
-                         payload_col: str | None = None) -> pa.Table:
-    """Per-batch combine: (band, key) -> list of doc_ids (pyarrow C++);
-    an optional fixed-width payload column (e.g. the 64-bit simhash) is
-    list-aggregated alongside so inline pair verification never needs a
-    join back against the corpus.  EMPTY batches return a literal typed
-    table — pyarrow group_by on an empty input yields 0-chunk columns
-    Ray's block layer treats as schemaless (r3 review finding)."""
-    if batch.num_rows == 0:
-        return _empty_bucket_lists(payload_col is not None)
-    aggs = [(id_col, "list")]
-    names = ["band", "key", "ids"]
-    if payload_col is not None:
-        aggs.append((payload_col, "list"))
-        names.append("payloads")
-    g = batch.group_by(["band", "key"]).aggregate(aggs)
-    return g.rename_columns(names)
+def _upper_pairs(sizes: np.ndarray):
+    """Every (i, j), i < j, within consecutive runs of ``sizes`` rows, as
+    flat row indices: row i pairs with the rows after it up to its run's
+    end (repeat/cumsum, no per-run loop)."""
+    i = np.arange(int(sizes.sum()), dtype=np.int64)
+    after = np.repeat(np.cumsum(sizes), sizes) - 1 - i
+    return np.repeat(i, after), _expand_ranges(i + 1, after)
 
 
-def _bucket_list_merge(batch: pa.Table, has_payload: bool = False) -> pa.Table:
-    """Merge partial id-lists per (band, key): explode back to rows
-    (pyarrow's hash_list can't aggregate list columns) and re-list.
-    ``has_payload`` is caller-supplied because an EMPTY input block (the
-    norm after repartition(fanout) of a small partials table) may be
-    schemaless — its column list can't be trusted to infer layout."""
-    if batch.num_rows == 0:
-        return _empty_bucket_lists(has_payload)
-    ids = batch.column("ids").combine_chunks()
-    lengths = pc.list_value_length(ids).to_numpy(zero_copy_only=False)
-    idx = pa.array(np.repeat(np.arange(len(batch), dtype=np.int64), lengths), pa.int64())
-    cols = {
-        "band": batch.column("band").combine_chunks().take(idx),
-        "key": batch.column("key").combine_chunks().take(idx),
-        "doc_id": ids.flatten(),
-    }
-    aggs = [("doc_id", "list")]
-    names = ["band", "key", "ids"]
-    if has_payload:
-        cols["payload"] = batch.column("payloads").combine_chunks().flatten()
-        aggs.append(("payload", "list"))
-        names.append("payloads")
-    rows = pa.table(cols)
-    return rows.group_by(["band", "key"]).aggregate(aggs).rename_columns(names)
+def _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, num_partitions):
+    """The per-partition kernel of :func:`band_bucket_pairs`: every row of
+    each (band, key) bucket the partition holds -> (doc_a, doc_b,
+    truncated) pairs, doc_a < doc_b."""
 
-
-def _truncated_int_to_bool(b: pa.Table) -> pa.Table:
-    """(doc_a, doc_b, truncated:int32) -> bool flag, typed even when the
-    upstream sort aggregate emits a schemaless empty partition."""
-    if b.num_rows == 0:
+    def kernel(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return _PAIRS_SCHEMA.empty_table()
+        band = t.column("band").to_numpy()
+        key = t.column("key").to_numpy()
+        ids = t.column(id_col).to_numpy().astype(np.int64)
+        order = np.lexsort((ids, key, band))
+        band, key, ids = band[order], key[order], ids[order]
+        new = np.ones(len(ids), bool)
+        new[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
+        keep = new.copy()  # first row of a bucket, or a new id within it
+        keep[1:] |= ids[1:] != ids[:-1]
+        new, ids, order = new[keep], ids[keep], order[keep]
+        bucket = np.cumsum(new) - 1
+        starts = np.flatnonzero(new)
+        sizes = np.diff(np.append(starts, len(ids)))
+        truncated = np.zeros(len(sizes), bool)
+        if max_bucket is not None:
+            truncated = sizes > max_bucket
+            rank = np.arange(len(ids)) - starts[bucket]
+            keep = rank < max_bucket
+            ids, order, bucket = ids[keep], order[keep], bucket[keep]
+            sizes = np.minimum(sizes, max_bucket)
+        a, b = _upper_pairs(sizes)
+        if pair_filter is not None:
+            payload = t.column(payload_col).to_numpy()[order]
+            m = pair_filter(payload[a], payload[b])
+            a, b = a[m], b[m]
+        flag = truncated[bucket[a]]
+        # a truncated bucket with no pair left still reports its loss: one
+        # (-1, -1 - (k * P + p)) marker row each, k counting this
+        # partition's markers and p its index, so doc_b is distinct
+        # across every partition and the pair-distinct keeps them all
+        emitted = np.zeros(len(sizes), bool)
+        emitted[bucket[a]] = True
+        n_markers = int((truncated & ~emitted).sum())
+        p = int(part_of([band[:1], key[:1]], num_partitions)[0]) if n_markers else 0
+        marker_b = -1 - (np.arange(n_markers, dtype=np.int64) * num_partitions + p)
         return pa.table(
-            {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64()),
-             "truncated": pa.array([], pa.bool_())}
+            [
+                np.concatenate([ids[a], np.full(n_markers, -1, np.int64)]),
+                np.concatenate([ids[b], marker_b]),
+                np.concatenate([flag, np.ones(n_markers, bool)]),
+            ],
+            schema=_PAIRS_SCHEMA,
         )
-    return pa.table(
-        {"doc_a": b.column("doc_a"), "doc_b": b.column("doc_b"),
-         "truncated": pa.compute.cast(pa.compute.greater(b.column("truncated"), 0), pa.bool_())}
-    )
+
+    return kernel
 
 
-def _bucket_lists_to_rows(b: pa.Table, out_col: str = "doc_a") -> pa.Table:
-    """Explode materialized (band, key, ids[, payloads]) partials back to
-    slim (band, key, id[, payload]) rows — lets mode="auto" reuse the
-    already-computed partials for the join path instead of re-running the
-    signature lineage."""
-    has_payload = "payloads" in b.column_names
-    if b.num_rows == 0:
-        out = {"band": pa.array([], pa.int32()), "key": pa.array([], pa.int64()),
-               out_col: pa.array([], pa.int64())}
-        if has_payload:
-            out["payload"] = pa.array([], pa.int64())
-        return pa.table(out)
-    ids = b.column("ids").combine_chunks()
-    lengths = pc.list_value_length(ids).to_numpy(zero_copy_only=False)
-    idx = pa.array(np.repeat(np.arange(len(b), dtype=np.int64), lengths), pa.int64())
-    out = {
-        "band": b.column("band").combine_chunks().take(idx),
-        "key": b.column("key").combine_chunks().take(idx),
-        out_col: ids.flatten(),
-    }
-    if has_payload:
-        out["payload"] = b.column("payloads").combine_chunks().flatten()
-    return pa.table(out)
+def _distinct_pairs(pairs, num_partitions: int):
+    """(doc_a, doc_b, truncated) rows -> one row per distinct pair, flagged
+    if any of its rows was: one hash_partition on (doc_a, doc_b)."""
 
-
-def _join_pairs_from_slim(slim, pair_filter=None, max_bucket=None):
-    """Distributed self-join pair expansion over a MATERIALIZED slim
-    (band, key, doc_a[, payload]) dataset — no single merge task, no
-    per-group dispatch: the slim rows are co-partitioned on (band, key)
-    and each partition self-joins its buckets with one Arrow hash join.
-    ``pair_filter(payload_a, payload_b) -> bool mask`` verifies pairs
-    inline from payloads riding the join (e.g. exact hamming on simhash)
-    — no join back against the corpus.
-
-    ``max_bucket``: a self-join expands a hot bucket QUADRATICALLY, so
-    buckets with more than ``max_bucket`` rows are THINNED to ~max_bucket
-    deterministically-hash-selected members (detected by a vectorized
-    groupby count; pathological all-identical shards only) — pairs among
-    the retained members still link the cluster, the same partial-loss
-    semantics as tree-mode truncation (the SELECTION differs: tree keeps
-    the lowest ids, join keeps a hash-chosen subset; both flag every
-    emitted pair from a thinned bucket and add a marker row per thinned
-    bucket).  The guard costs one extra shuffle of the slim (band, key)
-    pairs — comparable to the join's own build side; pass
-    ``max_bucket=None`` to skip it when the signature design already
-    bounds bucket sizes."""
-    from ray.data.aggregate import Count as _Count, Max as _Max
-
-    has_payload = pair_filter is not None
-    markers = None
-    if max_bucket is not None:
-        def hot_only(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return pa.table(
-                    {"band": pa.array([], pa.int32()), "key": pa.array([], pa.int64()),
-                     "n": pa.array([], pa.int64())}
-                )
-            t = b.filter(pc.greater(b.column("n"), max_bucket))
-            return pa.table(
-                {"band": t.column("band").cast(pa.int32()), "key": t.column("key"),
-                 "n": t.column("n").cast(pa.int64())}
-            )
-
-        # bounded driver-side pull: hot buckets are pathological by
-        # definition (all-identical shards); 100k of them means the
-        # upstream signature design is broken — fail loudly rather than
-        # OOM the driver
-        _HOT_LIMIT = 100_000
-        hot = (
-            slim.groupby(["band", "key"])
-            .aggregate(_Count(alias_name="n"))
-            .map_batches(hot_only, batch_format="pyarrow")
-            .take(_HOT_LIMIT + 1)
-        )
-        if len(hot) > _HOT_LIMIT:
-            raise ValueError(
-                f"more than {_HOT_LIMIT} buckets exceed max_bucket={max_bucket}: "
-                "the banding/signature design is degenerate for this corpus; "
-                "fix the index (more key bits) or pass max_bucket=None"
-            )
-        if hot:
-            import logging
-
-            import ray.data as _rd
-
-            logging.getLogger("georay.dedup").warning(
-                "join-mode pair expansion thinned %d bucket(s) larger than "
-                "max_bucket=%d to ~max_bucket members each (quadratic "
-                "self-join guard); pairs among dropped members are NOT "
-                "emitted — flagged pairs + marker rows record the loss",
-                len(hot), max_bucket,
-            )
-
-            M1 = np.uint64(0x9E3779B97F4A7C15)
-            M2 = np.uint64(0xC2B2AE3D27D4EB4F)
-
-            def bucket_hash(band: np.ndarray, key: np.ndarray) -> np.ndarray:
-                h = key.astype(np.uint64) * M1
-                h ^= band.astype(np.uint64) + np.uint64(0x165667B19E3779F9)
-                h *= M2
-                h ^= h >> np.uint64(29)
-                return h
-
-            hb = np.asarray([int(r["band"]) for r in hot], np.int64)
-            hk = np.asarray([int(r["key"]) for r in hot], np.int64)
-            hn = np.asarray([int(r["n"]) for r in hot], np.int64)
-            hh = bucket_hash(hb, hk)
-            order = np.argsort(hh)
-            hot_hashes, hot_ns = hh[order], hn[order]
-
-            def thin_hot(b: pa.Table) -> pa.Table:
-                # ONE vectorized membership pass per batch (searchsorted
-                # against the broadcast hot-hash table), not a Python
-                # loop over hot buckets; a 2^-64 hash collision merely
-                # thins an innocent bucket slightly
-                if b.num_rows == 0:
-                    return b.append_column("hot", pa.array([], pa.int32()))
-                band = b.column("band").to_numpy()
-                key = b.column("key").to_numpy()
-                h = bucket_hash(band, key)
-                idx = np.clip(np.searchsorted(hot_hashes, h), 0, len(hot_hashes) - 1)
-                is_hot = hot_hashes[idx] == h
-                keep = np.ones(len(h), bool)
-                if is_hot.any():
-                    n = hot_ns[idx].astype(np.uint64)
-                    ids = b.column("doc_a").to_numpy().astype(np.uint64)
-                    r = (ids * M1) >> np.uint64(17)
-                    keep = np.where(is_hot, (r % np.maximum(n, 1)) < np.uint64(max_bucket), True)
-                out = b.filter(pa.array(keep))
-                return out.append_column(
-                    "hot", pa.array(is_hot[keep].astype(np.int32), pa.int32())
-                )
-
-            slim = slim.map_batches(thin_hot, batch_format="pyarrow").materialize()
-            # one marker row per thinned bucket, distinct (doc_b) so the
-            # downstream pair-distinct cannot collapse the count
-            markers = _rd.from_arrow(
-                pa.table(
-                    {
-                        "doc_a": pa.array([-1] * len(hot), pa.int64()),
-                        "doc_b": pa.array([-1 - i for i in range(len(hot))], pa.int64()),
-                        "truncated": pa.array([True] * len(hot), pa.bool_()),
-                    }
-                )
-            )
-
-    def ordered(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table(
-                {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64()),
-                 "truncated": pa.array([], pa.int32())}
-            )
-        da = b.column("doc_a").to_numpy()
-        db = b.column("doc_b").to_numpy()
-        keep = da < db
-        if has_payload:
-            keep = keep & pair_filter(
-                b.column("payload").to_numpy(), b.column("payload_b").to_numpy()
-            )
-        if "hot" in b.column_names:  # pairs from thinned buckets are flagged
-            trunc = b.column("hot").to_numpy().astype(np.int32)[keep]
-        else:
-            trunc = np.zeros(int(keep.sum()), np.int32)
+    def kernel(t: pa.Table) -> pa.Table:
+        g = t.group_by(["doc_a", "doc_b"]).aggregate([("truncated", "max")])
         return pa.table(
-            {
-                "doc_a": pa.array(da[keep], pa.int64()),
-                "doc_b": pa.array(db[keep], pa.int64()),
-                "truncated": pa.array(trunc, pa.int32()),
-            }
+            [g.column("doc_a"), g.column("doc_b"), g.column("truncated_max")],
+            schema=_PAIRS_SCHEMA,
         )
 
-    def self_join(L: pa.Table, R: pa.Table) -> pa.Table:
-        names = {"doc_a": "doc_b", "payload": "payload_b"}
-        right = R.select([c for c in R.column_names if c != "hot"])
-        right = right.rename_columns([names.get(c, c) for c in right.column_names])
-        return ordered(L.join(right, keys=["band", "key"]))
-
-    # slim is materialized, so its row count is free — the partition
-    # count scales with the slim table, not just the cluster
-    j = copartition(slim, slim, ["band", "key"], ["band", "key"], self_join, partitions(slim))
-
-    distinct = (
-        j.groupby(["doc_a", "doc_b"])
-        .aggregate(_Max("truncated", alias_name="truncated"))
-    )
-    result = distinct.map_batches(_truncated_int_to_bool, batch_format="pyarrow")
-    if markers is not None:
-        result = result.union(markers)
-    return result
-
-
-def _tree_pairs_from_partials(partials, fanout: int, max_bucket: int, pair_filter=None,
-                              has_payload: bool = False):
-    """Coalesce-and-merge the (band, key, ids[, payloads]) partials down
-    to one block, then one vectorized pair-expansion pass (with optional
-    inline payload verification).  The final merge coalesces to a single
-    task — callers must bound bucket-table cardinality (that is what
-    mode="auto" measures)."""
-    merged = partials.repartition(fanout).map_batches(
-        lambda b: _bucket_list_merge(b, has_payload), batch_format="pyarrow", batch_size=None
-    )
-    merged = merged.repartition(1).map_batches(
-        lambda b: _bucket_list_merge(b, has_payload), batch_format="pyarrow", batch_size=None
-    )
-
-    def expand(batch: pa.Table) -> pa.Table:
-        ids_col = batch.column("ids").combine_chunks()
-        lengths = pc.list_value_length(ids_col).to_numpy(zero_copy_only=False)
-        out_a, out_b, out_tr = [], [], []
-        offsets = ids_col.offsets.to_numpy(zero_copy_only=False)
-        flat = ids_col.flatten().to_numpy(zero_copy_only=False)
-        if has_payload:
-            pl_flat = batch.column("payloads").combine_chunks().flatten().to_numpy(
-                zero_copy_only=False
-            )
-        n_markers = 0
-        for i in np.nonzero(lengths >= 2)[0]:
-            seg = flat[offsets[i] : offsets[i + 1]]
-            ids, first = np.unique(seg, return_index=True)
-            truncated = max_bucket is not None and len(ids) > max_bucket
-            if truncated:
-                ids = ids[:max_bucket]
-                first = first[:max_bucket]
-            if len(ids) < 2:
-                continue
-            ia, ib = np.triu_indices(len(ids), k=1)
-            if has_payload and pair_filter is not None:
-                pl = pl_flat[offsets[i] : offsets[i + 1]][first]
-                m = pair_filter(pl[ia], pl[ib])
-                ia, ib = ia[m], ib[m]
-                if len(ia) == 0:
-                    if truncated:
-                        # keep truncation observable even when the filter
-                        # rejects every surviving pair: a marker row per
-                        # bucket, doc_b made distinct so the downstream
-                        # pair-distinct cannot collapse the count
-                        # (consumers drop doc_a < 0)
-                        n_markers += 1
-                        out_a.append(np.array([-1], np.int64))
-                        out_b.append(np.array([-n_markers], np.int64))
-                        out_tr.append(np.array([True]))
-                    continue
-            out_a.append(ids[ia])
-            out_b.append(ids[ib])
-            out_tr.append(np.full(len(ia), truncated))
-        if not out_a:
-            return pa.table(
-                {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64()),
-                 "truncated": pa.array([], pa.bool_())}
-            )
-        return pa.table(
-            {
-                "doc_a": pa.array(np.concatenate(out_a), pa.int64()),
-                "doc_b": pa.array(np.concatenate(out_b), pa.int64()),
-                "truncated": pa.array(np.concatenate(out_tr), pa.bool_()),
-            }
-        )
-
-    pairs = merged.map_batches(expand, batch_format="pyarrow", batch_size=None)
-
-    def distinct(b: pa.Table) -> pa.Table:
-        # distinct pairs (a pair can collide in several bands).  pyarrow
-        # group_by on an EMPTY table yields 0-chunk columns that Ray's
-        # block layer treats as schemaless — rebuild the typed empty
-        if b.num_rows == 0:
-            return pa.table(
-                {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64()),
-                 "truncated": pa.array([], pa.bool_())}
-            )
-        return b.group_by(["doc_a", "doc_b"]).aggregate([("truncated", "max")]).rename_columns(
-            ["doc_a", "doc_b", "truncated"]
-        )
-
-    return pairs.map_batches(distinct, batch_format="pyarrow", batch_size=None)
+    return hash_partition(pairs, ["doc_a", "doc_b"], kernel, num_partitions)
 
 
 def band_bucket_pairs(
-    banded_ds, id_col: str = "doc_id", fanout: int = 8, max_bucket: int = 512,
-    mode: str = "auto", tree_row_limit: int = 2_000_000,
+    banded_ds, id_col: str = "doc_id", max_bucket: int | None = 512,
     payload_col: str | None = None, pair_filter=None,
 ):
-    """(band, key, doc_id) rows -> distinct candidate pairs (doc_a < doc_b).
+    """(band, key, id[, payload]) rows -> distinct candidate pairs
+    ``(doc_a, doc_b, truncated)`` with doc_a < doc_b.
 
-    mode="auto" (default): per-block combine into (band, key, id-list)
-    partials, MEASURE the surviving bucket-table cardinality, and pick the
-    tree merge when it fits comfortably in one task (``tree_row_limit``)
-    else the distributed self-join — the mode choice follows the data,
-    not caller knowledge (mirrors ``final_cell_agg(mode="auto")``).  Auto
-    is necessarily EAGER up to the partials; both downstream paths reuse
-    the materialized partials, so the (dominant) signature/banding
-    lineage runs exactly once either way.
+    Two keyed exchanges (:func:`georay.partition.hash_partition`), each
+    sized by :func:`~georay.partition.partitions`, so no task holds every
+    bucket:
 
-    mode="tree": per-block pyarrow group_by into id-lists, coalesce,
-    merge, then one vectorized pair-expansion pass — avoids Ray's
-    per-group ``map_groups`` dispatch (~0.5 ms per bucket, dominant when
-    most LSH buckets are singletons).  The final merge coalesces to one
-    task, so this mode is for MODERATE bucket-table cardinality (≤ a few
-    million buckets of id-lists after per-block combining); keeps the
-    pipeline fully lazy.
+    1. on ``(band, key)``: each partition lexsorts its rows, de-duplicates
+       ids per bucket and expands every bucket's upper-triangle pairs in
+       one vectorized pass, applying ``pair_filter`` inline;
+    2. on ``(doc_a, doc_b)``: a pair that collides in several bands is
+       kept once, flagged if any of its buckets was truncated.
 
-    mode="groupby": Ray's sort-based ``groupby(["band","key"])`` with a
-    per-bucket pair kernel — per-group dispatch bounds it to workloads
-    whose bucket count is itself bounded (e.g. hyperplane LSH:
-    ``2^planes × tables`` buckets).
-
-    mode="join": distributed self-join on (band, key), co-partitioned
-    by one sort shuffle — the unbounded-cardinality scale path (10^12-doc
-    MinHash: no single merge task, no per-group dispatch, every stage a
-    partitioned Arrow join / groupby).
-
-    ``max_bucket`` (pathological all-identical shards): tree/groupby
-    modes TRUNCATE oversized buckets to the cap and flag the emitted
-    pairs; join mode THINS them to ~max_bucket hash-chosen members (a
-    self-join expands hot buckets quadratically) and emits one marker row
-    per thinned bucket — ``doc_a = -1`` with a DISTINCT negative
-    ``doc_b`` (-1, -2, …) so the downstream pair-distinct cannot collapse
+    Hot buckets (pathological all-identical shards) have one rule,
+    TRUNCATE (the rule of the former default route).  A bucket with more than ``max_bucket`` distinct ids keeps
+    its ``max_bucket`` smallest ids, and every pair it emits is flagged
+    ``truncated``.  A truncated bucket whose pairs were all rejected
+    emits one marker row, ``doc_a = -1`` with a DISTINCT negative
+    ``doc_b`` across all partitions, so the pair-distinct cannot collapse
     the count; consumers filter ``doc_a < 0``, never the literal pair
-    (-1, -1).  The loss is programmatically observable on every path the
-    default mode="auto" can pick.  Pass ``max_bucket=None`` to disable.
+    (-1, -1).  Pass ``max_bucket=None`` to disable the cap.
 
     ``payload_col``/``pair_filter``: a fixed-width per-doc payload (e.g.
     the 64-bit simhash) rides the bucket shuffle and
@@ -767,96 +488,9 @@ def band_bucket_pairs(
     pairs INLINE at expansion — candidates never join back against the
     corpus, and only verified pairs leave the stage.
     """
-    if mode == "auto":
-        partials = banded_ds.map_batches(
-            lambda b: _bucket_list_partial(b, id_col, payload_col),
-            batch_format="pyarrow", batch_size=None,
-        ).materialize()
-        if partials.count() <= tree_row_limit:
-            return _tree_pairs_from_partials(partials, fanout, max_bucket, pair_filter,
-                                             has_payload=payload_col is not None)
-        slim = partials.map_batches(_bucket_lists_to_rows, batch_format="pyarrow").materialize()
-        return _join_pairs_from_slim(slim, pair_filter, max_bucket)
-    if mode == "join":
-
-        def _project(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                out = {"band": pa.array([], pa.int32()), "key": pa.array([], pa.int64()),
-                       "doc_a": pa.array([], pa.int64())}
-                if payload_col is not None:
-                    out["payload"] = pa.array([], pa.int64())
-                return pa.table(out)
-            out = {"band": b.column("band"), "key": b.column("key"), "doc_a": b.column(id_col)}
-            if payload_col is not None:
-                out["payload"] = b.column(payload_col)
-            return pa.table(out)
-
-        # materialize the slim (band, key, id) projection ONCE — deriving
-        # both join sides from the lazy upstream would re-execute the
-        # whole signature/banding lineage twice (the dominant cost)
-        slim = banded_ds.map_batches(_project, batch_format="pyarrow").materialize()
-        return _join_pairs_from_slim(slim, pair_filter, max_bucket)
-    if mode == "groupby":
-        if payload_col is not None:
-            raise ValueError("payload verification is not supported in groupby mode")
-        from ray.data.aggregate import Max as _Max
-
-        pairs = banded_ds.groupby(["band", "key"]).map_groups(
-            lambda g: bucket_pairs(g, id_col=id_col, max_bucket=max_bucket),
-            batch_format="pandas",
-        )
-
-        def _as_int(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:  # sort aggregates emit schemaless empty partitions
-                return pa.table(
-                    {
-                        "doc_a": pa.array([], pa.int64()),
-                        "doc_b": pa.array([], pa.int64()),
-                        "truncated": pa.array([], pa.int32()),
-                    }
-                )
-            return pa.table(
-                {
-                    "doc_a": b.column("doc_a"),
-                    "doc_b": b.column("doc_b"),
-                    "truncated": b.column("truncated").cast(pa.int32()),
-                }
-            )
-
-        distinct = (
-            pairs.map_batches(_as_int, batch_format="pyarrow")
-            .groupby(["doc_a", "doc_b"])
-            .aggregate(_Max("truncated", alias_name="truncated"))
-        )
-        return distinct.map_batches(_truncated_int_to_bool, batch_format="pyarrow")
-    if mode != "tree":
-        raise ValueError(f"unknown band_bucket_pairs mode {mode!r}")
-
-    partials = banded_ds.map_batches(
-        lambda b: _bucket_list_partial(b, id_col, payload_col),
-        batch_format="pyarrow", batch_size=None,
-    )
-    return _tree_pairs_from_partials(partials, fanout, max_bucket, pair_filter,
-                                     has_payload=payload_col is not None)
-
-
-def bucket_pairs(group: pd.DataFrame, id_col: str = "doc_id", max_bucket: int = 512) -> pd.DataFrame:
-    """map_groups kernel for a (band,key) bucket -> candidate pairs
-    (doc_a < doc_b).  Buckets larger than ``max_bucket`` are truncated
-    (pathological all-identical shards); the cap is logged via a flag
-    column rather than silently."""
-    ids = np.unique(group[id_col].to_numpy())
-    truncated = max_bucket is not None and len(ids) > max_bucket
-    if truncated:
-        ids = ids[:max_bucket]
-    if len(ids) < 2:
-        return pd.DataFrame({"doc_a": [], "doc_b": [], "truncated": []}).astype(
-            {"doc_a": "int64", "doc_b": "int64", "truncated": "bool"}
-        )
-    ia, ib = np.triu_indices(len(ids), k=1)
-    return pd.DataFrame(
-        {"doc_a": ids[ia], "doc_b": ids[ib], "truncated": np.full(len(ia), truncated)}
-    )
+    n = partitions(banded_ds)
+    kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, n)
+    return _distinct_pairs(hash_partition(banded_ds, ["band", "key"], kernel, n), n)
 
 
 def jaccard_ngrams(a: str, b: str, k: int = 3) -> float:
@@ -977,8 +611,7 @@ def simhash_pairs(ds, max_hamming: int = 3, max_bucket: int = 512,
     simhash rides the bucket shuffle as a ``band_bucket_pairs`` payload,
     so candidates never hash-join back against the corpus (the round-2
     shape paid two distributed joins here).  Candidate-pair expansion
-    goes through ``band_bucket_pairs(mode="auto")`` which picks the tree
-    merge or the distributed self-join by measured bucket cardinality.
+    is ``band_bucket_pairs``: two keyed exchanges sized by the data.
     ``blocks`` tunes the recall/volume trade-off: C(blocks, max_hamming)
     tables, key width ~``64 * (1 - max_hamming/blocks)`` bits (6/3 -> 20
     tables, ~32-bit keys — bucket cardinality grows with the corpus
@@ -1089,7 +722,7 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
     """Distributed LSH-bucketed near-dup pipeline (the scale path).
 
     mode="bucket" (default) — BUCKET-LOCAL verification: the packed
-    vector rides the (band, key) groupby, each bucket verifies its own
+    vector rides the (band, key) hash partition, each bucket verifies its own
     pairs with exact cosine, and only VERIFIED pairs leave the bucket
     (near-dup workloads emit orders of magnitude fewer verified pairs
     than candidates, so nothing quadratic ever shuffles).  The exchange
@@ -1110,8 +743,8 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
 
     ``include_truncated=True`` adds a ``truncated`` bool column in bucket
     mode (did the pair's bucket hit the ``max_bucket`` cap — i.e. other
-    pairs from that bucket were DROPPED), mirroring the tree-mode
-    contract of :func:`band_bucket_pairs` so downstream consumers can
+    pairs from that bucket were DROPPED), mirroring the contract of
+    :func:`band_bucket_pairs` so downstream consumers can
     detect the loss programmatically instead of scraping warning logs.
     """
 
@@ -1151,7 +784,7 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
     banded = ds.map_batches(keys_batch, batch_format="pyarrow")
 
     if mode == "join":
-        cand = band_bucket_pairs(banded, mode="groupby", max_bucket=max_bucket)
+        cand = band_bucket_pairs(banded, max_bucket=max_bucket)
         return cosine_verify_pairs(
             cand, ds, threshold, vec_col=vec_col, id_col=id_col, num_partitions=num_partitions
         )
@@ -1171,7 +804,7 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
         seg[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
         bounds = np.concatenate([np.nonzero(seg)[0], [len(ids)]])
         none = np.empty(0, np.int64)
-        out_a, out_b, out_tr = [none], [none], [none.astype(np.int32)]
+        out_a, out_b, out_tr = [none], [none], [none.astype(bool)]
         for s, e in zip(bounds[:-1], bounds[1:]):
             uniq, first_idx = np.unique(ids[s:e], return_index=True)
             truncated = len(uniq) > max_bucket
@@ -1195,38 +828,25 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
             ia, ib = np.nonzero(np.triu(unit @ unit.T >= threshold, k=1))
             out_a.append(uniq[ia])
             out_b.append(uniq[ib])
-            out_tr.append(np.full(len(ia), int(truncated), np.int32))
-        return pa.table({
-            "doc_a": pa.array(np.concatenate(out_a), pa.int64()),
-            "doc_b": pa.array(np.concatenate(out_b), pa.int64()),
-            "truncated": pa.array(np.concatenate(out_tr), pa.int32()),
-        })
+            out_tr.append(np.full(len(ia), truncated))
+        return pa.table(
+            [np.concatenate(out_a), np.concatenate(out_b), np.concatenate(out_tr)],
+            schema=_PAIRS_SCHEMA,
+        )
 
     # banded is lazy (rows = n_vecs x n_tables); the input's row count —
     # free when ds is a fresh read/materialized — is a lower bound that
     # still scales the count with the corpus
-    pairs = hash_partition(banded, ["band", "key"], verify_partition,
-                           num_partitions or partitions(ds))
+    n = num_partitions or partitions(ds)
+    pairs = _distinct_pairs(hash_partition(banded, ["band", "key"], verify_partition, n), n)
 
     def _typed_pairs(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            out = {"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())}
-            if include_truncated:
-                out["truncated"] = pa.array([], pa.bool_())
-            return pa.table(out)
         out = {"vec_a": b.column("doc_a"), "vec_b": b.column("doc_b")}
         if include_truncated:
-            out["truncated"] = pc.cast(pc.greater(b.column("truncated"), 0), pa.bool_())
+            out["truncated"] = b.column("truncated")
         return pa.table(out)
 
-    from ray.data.aggregate import Max as _MaxAgg
-
-    distinct = (
-        pairs.groupby(["doc_a", "doc_b"])
-        .aggregate(_MaxAgg("truncated", alias_name="truncated"))
-        .map_batches(_typed_pairs, batch_format="pyarrow")
-    )
-    return distinct
+    return pairs.map_batches(_typed_pairs, batch_format="pyarrow")
 
 
 def _list_to_matrix(col) -> np.ndarray:

@@ -96,7 +96,7 @@ def flagship(
     in milliseconds and is cached per worker, so it fuses with the read
     and the write into one task chain instead of paying an actor-pool
     spawn per run.  The aggregate is partial-combined inside map_batches
-    before the groupby (skew defence, stages/aggregate.py).
+    before the keyed merge (skew defence, stages/aggregate.py).
 
     The geo dataset (the per-document tile assignment — a required output
     of the engine) feeds BOTH the join and the aggregate, so it must not

@@ -5,11 +5,12 @@ SURVEY.md §2.8: the per-cell aggregate is THE wide shuffle.  Design:
 1. ``cell_partial_agg`` runs inside ``map_batches`` and combines each
    batch down to one row per distinct cell (pyarrow C++ group_by) —
    min/max/count/sum are re-mergeable partials (SURVEY.md §7.4), so the
-   subsequent ``groupby("cell")`` reduce sees at most
-   ``#blocks × cells_per_block`` rows instead of every document.  This
-   bounds hot-cell (dense urban tile) fan-in to #blocks regardless of
-   row skew — the combiner IS the primary skew defence.
-2. The final ``Dataset.groupby("cell").aggregate(...)`` merges partials.
+   keyed merge sees at most ``#blocks × cells_per_block`` rows instead
+   of every document.  This bounds hot-cell (dense urban tile) fan-in to
+   #blocks regardless of row skew — the combiner IS the primary skew
+   defence.
+2. :func:`final_cell_agg` merges the partials with one
+   ``hash_partition`` on ``cell`` (:mod:`georay.partition`).
 3. For aggregates that are NOT re-mergeable (``map_groups`` UDFs), use
    :func:`salt_column` to split hot cells into ``(cell, salt)`` subgroups
    and merge the S partials per cell afterwards.
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from georay.partition import hash_partition, partitions
 
 
 def cell_partial_agg(batch: pa.Table) -> pa.Table:
@@ -47,7 +50,7 @@ def cell_partial_agg(batch: pa.Table) -> pa.Table:
 
 def merge_cell_partials(batch: pa.Table) -> pa.Table:
     """Associative+commutative merge of partial rows (pyarrow C++ group_by):
-    safe to apply per block at any tree level regardless of row placement."""
+    safe to apply to any subset of the partials, in any order."""
     g = batch.group_by("cell").aggregate(
         [
             ("n_docs", "sum"),
@@ -64,74 +67,24 @@ def merge_cell_partials(batch: pa.Table) -> pa.Table:
     )
 
 
-def final_cell_agg(ds, mode: str = "tree", fanout: int = 8,
-                   tree_row_limit: int = 2_000_000):
-    """Merge partials per cell -> final per-cell rows.
-
-    mode="tree" (default): per-block pyarrow merge, coalesce to ``fanout``
-    blocks, merge again, coalesce to 1, final merge.  All merging is C++
-    group_by; the only data movement is two repartitions of already-merged
-    (small) partials.  Orders of magnitude cheaper than a sort-based
-    shuffle when the number of distinct cells is moderate (<= a few
-    million — tile grids qualify).  Keeps the pipeline fully LAZY.
-
-    mode="groupby": Ray's sort-based ``groupby().aggregate`` — the scale
-    path when distinct-key cardinality is too large for a single final
-    merge task.
-
-    mode="auto": runs the per-block merge level, MEASURES the surviving
-    partial-row count, and picks tree when it fits comfortably in one
-    merge task (``tree_row_limit``) else the sort-based groupby — the
-    mode choice follows the data, not caller knowledge.  NOTE: auto is
-    necessarily EAGER (it executes the upstream pipeline up to the
-    partials to count them), so streaming one-pass callers that know
-    their key cardinality should pass tree/groupby explicitly.
-    """
-    if mode == "auto":
-        merged = ds.map_batches(
-            merge_cell_partials, batch_format="pyarrow", batch_size=None
-        ).materialize()
-        n = merged.count()
-        if n <= tree_row_limit:
-            # partials are already block-merged — only the coalesce levels remain
-            out = merged.repartition(fanout).map_batches(
-                merge_cell_partials, batch_format="pyarrow", batch_size=None
-            )
-            return out.repartition(1).map_batches(
-                merge_cell_partials, batch_format="pyarrow", batch_size=None
-            )
-        return final_cell_agg(merged, mode="groupby", fanout=fanout)
-    if mode == "tree":
-        merged = ds.map_batches(merge_cell_partials, batch_format="pyarrow", batch_size=None)
-        merged = merged.repartition(fanout).map_batches(
-            merge_cell_partials, batch_format="pyarrow", batch_size=None
-        )
-        merged = merged.repartition(1).map_batches(
-            merge_cell_partials, batch_format="pyarrow", batch_size=None
-        )
-        return merged
-
-    from ray.data.aggregate import Max, Min, Sum
-
-    return ds.groupby("cell").aggregate(
-        Sum("n_docs", alias_name="n_docs"),
-        Min("minlon", alias_name="minlon"),
-        Min("minlat", alias_name="minlat"),
-        Max("maxlon", alias_name="maxlon"),
-        Max("maxlat", alias_name="maxlat"),
-        Min("t_min", alias_name="t_min"),
-        Max("t_max", alias_name="t_max"),
-    )
+def final_cell_agg(ds):
+    """Merge partials per cell -> final per-cell rows: one
+    :func:`~georay.partition.hash_partition` on ``cell`` whose kernel is
+    :func:`merge_cell_partials`.  Every partial of a cell lands in one
+    partition, so each partition's merge is final; the partition count
+    follows the data (:func:`~georay.partition.partitions`), so no task
+    holds every cell.  Lazy: nothing runs until the result is consumed."""
+    return hash_partition(ds, "cell", merge_cell_partials, partitions(ds))
 
 
 def tree_merge(ds, merge_fn, fanout: int = 8):
-    """Generic coalesce-merge tree over already-combined partials:
-    repartition(fanout) -> merge -> repartition(1) -> merge.  All merging
-    is the caller's (associative+commutative) per-block kernel; the only
-    data movement is two repartitions of combined partials.  The final
-    level is ONE task — callers must bound partial-table cardinality
-    (see final_cell_agg mode='auto' for a measured guard)."""
-    m = ds.repartition(fanout).map_batches(
+    """Coalesce-merge tree for KEYLESS reductions: coalesce to ``fanout``
+    blocks -> merge -> coalesce to one -> merge, ending in one task that
+    sees every partial.  For global results with no key to partition on
+    (search stats, ANN top-k and centroids, zonal stats, sketches, the
+    hot-cell histogram filter); a keyed merge of partials is
+    ``hash_partition(partials, key, merge, partitions(partials))``."""
+    m = ds.repartition(num_blocks=fanout).map_batches(
         merge_fn, batch_format="pyarrow", batch_size=None
     )
     return m.repartition(1).map_batches(

@@ -1,7 +1,8 @@
-"""Per-cell aggregation: combiner correctness, tree merge, hot-cell salting."""
+"""Per-cell aggregation: combiner correctness, keyed merge, hot-cell salting."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from georay.stages.aggregate import (
     cell_partial_agg,
@@ -58,9 +59,35 @@ class TestCombiner:
         # each block contributes at most #distinct cells rows
         total_partial_rows = partials.count()
         assert total_partial_rows <= 8 * 102
-        final = final_cell_agg(partials, fanout=4).to_pandas().set_index("cell")
+        final = final_cell_agg(partials).to_pandas().set_index("cell")
         assert final.loc[42, "n_docs"] == int((cells_arr == 42).sum())
         assert final["n_docs"].sum() == n
+
+
+class TestFinalCellAgg:
+    @pytest.mark.parametrize("num_partitions", [1, 3, 64])
+    def test_any_partition_count_gives_the_ray_free_merge(
+        self, ray_session, monkeypatch, num_partitions
+    ):
+        import ray.data
+
+        import georay.stages.aggregate as agg
+
+        monkeypatch.setattr(agg, "partitions", lambda *a, **k: num_partitions)
+        rng = np.random.default_rng(4)
+        parts = []
+        for _ in range(6):
+            n = 500
+            parts.append(cell_partial_agg(geo_batch(
+                rng.integers(0, 90, n), lons=rng.uniform(-180, 180, n),
+                lats=rng.uniform(-90, 90, n), ts=rng.integers(0, 10**15, n),
+            )))
+        partials = pa.concat_tables(parts)
+        want = merge_cell_partials(partials).to_pandas().sort_values("cell", ignore_index=True)
+        ds = ray.data.from_arrow(partials).repartition(3)
+        got = agg.final_cell_agg(ds).to_pandas().sort_values("cell", ignore_index=True)
+        assert len(want) == 90
+        assert got.equals(want[got.columns])
 
 
 class TestSalting:

@@ -36,6 +36,8 @@ def test_curate_cli(tmp_path):
     t = pq.read_table(out, columns=["text"])
     texts = t.column("text").to_pylist()
     assert len(texts) == len(set(texts)) == stats["survivors"]
+    # the annotated-corpus checkpoint is gone once the run ends
+    assert os.listdir(tmp_path) == ["curated"]
 
 
 def test_pack_cli(tmp_path):
@@ -71,3 +73,44 @@ def test_pack_cli(tmp_path):
     assert (got.values == want.values).all()
     # partitioned by bin range: more than one partition directory
     assert len([d for d in os.listdir(out) if d.startswith("bin_range=")]) >= 1
+
+
+def test_curate_failure_leaves_no_checkpoint(tmp_path):
+    """A stage after the annotated-corpus checkpoint raises: the run
+    fails, and no checkpoint directory is left behind, neither beside
+    ``--out`` nor in the temp dir."""
+    import tempfile
+
+    import pyarrow as pa
+
+    docs = str(tmp_path / "docs.parquet")
+    words = "the quick brown fox jumps over a lazy dog near river bank".split()
+    texts = [" ".join(words[i % 5:] + words[: i % 5]) for i in range(200)]
+    pq.write_table(pa.table({"doc_id": pa.array(range(200), pa.int64()), "text": texts}), docs)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, TMPDIR=str(scratch), RAY_TMPDIR=tempfile.gettempdir())
+    code = (
+        "import sys\n"
+        "import georay.partition\n"
+        "def fail(*a, **k):\n"
+        "    raise RuntimeError('stage after the checkpoint failed')\n"
+        "georay.partition.copartition = fail\n"
+        "from georay.__main__ import main\n"
+        "main(sys.argv[1:])\n"
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", code, "curate",
+            "--input", docs,
+            "--out", str(tmp_path / "curated"),
+            "--min-quality-bp", "0",
+            "--num-cpus", "2",
+        ],
+        capture_output=True, text=True, timeout=280, env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert proc.returncode != 0
+    assert "stage after the checkpoint failed" in proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["docs.parquet", "tmp"]
+    assert os.listdir(scratch) == []

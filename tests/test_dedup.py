@@ -419,12 +419,10 @@ class TestPairSchemaAndTruncationObservability:
         assert len(out) == 1
         assert out.doc_a.iloc[0] == -1 and bool(out.truncated.iloc[0])
 
-    def test_join_mode_thins_hot_bucket_with_marker(self, ray_session):
-        """Regression (r3 review x2): join mode must honour max_bucket —
-        a hot bucket is THINNED to ~max_bucket hash-chosen members (its
-        cluster stays linked via the retained pairs, which are flagged
-        truncated) rather than expanded quadratically OR dropped outright
-        (dropping silently lost whole duplicate clusters)."""
+    def test_hot_bucket_keeps_its_smallest_ids(self, ray_session):
+        """A hot bucket is truncated to its ``max_bucket`` smallest ids:
+        40 ids at max_bucket=4 give exactly the 6 pairs among ids 0-3,
+        all flagged; the cold bucket's pair stays unflagged."""
         import pyarrow as pa
         import ray.data
 
@@ -436,26 +434,48 @@ class TestPairSchemaAndTruncationObservability:
             "key": pa.array([7] * hot + [9, 9], pa.int64()),
             "doc_id": pa.array(list(range(hot)) + [100, 101], pa.int64()),
         })
-        out = band_bucket_pairs(
-            ray.data.from_arrow(t), mode="join", max_bucket=4
+        out = band_bucket_pairs(ray.data.from_arrow(t), max_bucket=4).to_pandas()
+        got = dict(zip(zip(out.doc_a, out.doc_b), out.truncated))
+        want = {(a, b): True for a in range(4) for b in range(4) if a < b}
+        want[(100, 101)] = False
+        assert got == want
+
+    def test_marker_ids_distinct_across_partitions(self, ray_session, monkeypatch):
+        """Two truncated buckets whose pairs are all rejected, in two
+        different partitions of 64: two marker rows with distinct
+        doc_b.  Marker ids restarting per partition would collapse them
+        into one in the pair-distinct."""
+        import pyarrow as pa
+        import ray.data
+
+        import georay.dedup as dedup
+        from georay.partition import part_of
+
+        P = 64
+        monkeypatch.setattr(dedup, "partitions", lambda *a, **k: P)
+        part = lambda k: int(part_of([np.array([0]), np.array([k])], P)[0])  # noqa: E731
+        other = next(k for k in range(8, 1000) if part(k) != part(7))
+        n = 10
+        t = pa.table({
+            "band": pa.array([0] * 2 * n, pa.int32()),
+            "key": pa.array([7] * n + [other] * n, pa.int64()),
+            "doc_id": pa.array(list(range(2 * n)), pa.int64()),
+            "sim": pa.array(list(range(2 * n)), pa.int64()),
+        })
+        out = dedup.band_bucket_pairs(
+            ray.data.from_arrow(t), max_bucket=4,
+            payload_col="sim", pair_filter=lambda a, b: np.zeros(len(a), bool),
         ).to_pandas()
-        real = out[out.doc_a >= 0]
-        markers = out[out.doc_a < 0]
-        cold = real[~real.truncated]
-        thinned = real[real.truncated]
-        assert set(zip(cold.doc_a, cold.doc_b)) == {(100, 101)}
-        # the hot cluster survives partially: >=1 pair among retained
-        # members, far fewer than the full C(40,2)=780 expansion
-        assert 1 <= len(thinned) < 100
-        assert thinned.doc_a.max() < hot and thinned.doc_b.max() < hot
-        assert len(markers) == 1 and bool(markers.truncated.iloc[0])
+        assert len(out) == 2
+        assert (out.doc_a == -1).all() and out.truncated.all()
+        assert out.doc_b.nunique() == 2 and (out.doc_b < 0).all()
 
 
 class TestMaxBucketNone:
-    def test_all_modes_accept_none(self, ray_session):
+    def test_none_disables_cap(self, ray_session):
         """Regression (r3 review): the docs advertise max_bucket=None to
-        disable the cap, but tree/groupby crashed with TypeError on the
-        None comparison."""
+        disable the cap; it once crashed with TypeError on the None
+        comparison."""
         import pyarrow as pa
         import ray.data
 
@@ -467,12 +487,9 @@ class TestMaxBucketNone:
             "doc_id": pa.array(range(6), pa.int64()),
         })
         want = {(a, b) for a in range(6) for b in range(6) if a < b}
-        for mode in ("tree", "groupby", "join", "auto"):
-            out = band_bucket_pairs(
-                ray.data.from_arrow(t), mode=mode, max_bucket=None
-            ).to_pandas()
-            assert set(zip(out.doc_a, out.doc_b)) == want, mode
-            assert not out.truncated.any(), mode
+        out = band_bucket_pairs(ray.data.from_arrow(t), max_bucket=None).to_pandas()
+        assert set(zip(out.doc_a, out.doc_b)) == want
+        assert not out.truncated.any()
 
 
 class TestJaccardVectorized:
@@ -517,48 +534,61 @@ class TestTextKeyIndependence:
         assert h1 != h2  # independent hash functions
 
 
-class TestBandBucketModes:
-    def test_all_modes_agree(self, ray_session):
+def _brute_bucket_pairs(t, max_bucket, keep=None):
+    """Reference for band_bucket_pairs: a dict of buckets.  Returns
+    ({(a, b): truncated}, number of truncated buckets left with no pair)."""
+    buckets = {}
+    for band, key, i in zip(*(t.column(c).to_pylist() for c in ("band", "key", "doc_id"))):
+        buckets.setdefault((band, key), set()).add(i)
+    pairs, markers = {}, 0
+    for ids in buckets.values():
+        ids = sorted(ids)
+        truncated = len(ids) > max_bucket
+        ids = ids[:max_bucket]
+        found = [(a, b) for x, a in enumerate(ids) for b in ids[x + 1:]
+                 if keep is None or keep(a, b)]
+        for ab in found:
+            pairs[ab] = pairs.get(ab, False) or truncated
+        markers += truncated and not found
+    return pairs, markers
+
+
+class TestBandBucketPairs:
+    @pytest.mark.parametrize("num_partitions", [1, 3, 64])
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_matches_brute_force(self, ray_session, monkeypatch, num_partitions, filtered):
+        """Any partition count gives the brute-force pairs, truncation
+        flags and marker count, with and without an inline payload
+        filter."""
         import pyarrow as pa
         import ray.data
 
-        from georay.dedup import band_bucket_pairs
+        import georay.dedup as dedup
 
+        monkeypatch.setattr(dedup, "partitions", lambda *a, **k: num_partitions)
         rng = np.random.default_rng(2)
-        n = 200
+        n = 300
+        ids = rng.integers(0, 60, n)
         t = pa.table({
             "band": pa.array(rng.integers(0, 4, n), pa.int32()),
             "key": pa.array(rng.integers(0, 20, n), pa.int64()),
-            "doc_id": pa.array(rng.integers(0, 60, n), pa.int64()),
+            "doc_id": pa.array(ids, pa.int64()),
+            "sim": pa.array(ids * 7 % 11, pa.int64()),
         })
-        results = {}
-        for mode in ("tree", "groupby", "join", "auto"):
-            ds = ray.data.from_arrow(t)
-            out = band_bucket_pairs(ds, mode=mode).to_pandas()
-            results[mode] = set(zip(out.doc_a, out.doc_b))
-        assert results["tree"] == results["groupby"] == results["join"] == results["auto"]
-        assert len(results["tree"]) > 0
-
-    def test_auto_routes_to_join_above_limit(self, ray_session):
-        """auto with a tiny tree_row_limit must take the join path and
-        still produce the same pair set as tree."""
-        import pyarrow as pa
-        import ray.data
-
-        from georay.dedup import band_bucket_pairs
-
-        rng = np.random.default_rng(3)
-        n = 300
-        t = pa.table({
-            "band": pa.array(rng.integers(0, 4, n), pa.int32()),
-            "key": pa.array(rng.integers(0, 40, n), pa.int64()),
-            "doc_id": pa.array(rng.integers(0, 80, n), pa.int64()),
-        })
-        tree = band_bucket_pairs(ray.data.from_arrow(t), mode="tree").to_pandas()
-        auto = band_bucket_pairs(
-            ray.data.from_arrow(t), mode="auto", tree_row_limit=1
-        ).to_pandas()
-        assert set(zip(auto.doc_a, auto.doc_b)) == set(zip(tree.doc_a, tree.doc_b))
+        kwargs = {"max_bucket": 5}
+        keep = None
+        if filtered:
+            kwargs.update(payload_col="sim",
+                          pair_filter=lambda a, b: (a + b) % 3 != 0)
+            keep = lambda a, b: (a * 7 % 11 + b * 7 % 11) % 3 != 0  # noqa: E731
+        out = dedup.band_bucket_pairs(ray.data.from_arrow(t).repartition(3), **kwargs).to_pandas()
+        want, n_markers = _brute_bucket_pairs(t, 5, keep)
+        real = out[out.doc_a >= 0]
+        assert dict(zip(zip(real.doc_a, real.doc_b), real.truncated)) == want
+        assert len(real) == len(want) > 0
+        markers = out[out.doc_a < 0]
+        assert len(markers) == n_markers and markers.doc_b.nunique() == n_markers
+        assert any(want.values())  # the cap was hit
 
 
 class TestApplyDedup:

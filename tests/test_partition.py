@@ -165,6 +165,7 @@ class TestOneMechanism:
 
     FORBIDDEN = re.compile(
         r'groupby\("part"\)|_partition_of|_cluster_partitions|_join_partitions|default_partitions'
+        r'|tree_row_limit|_tree_pairs_from_partials|_join_pairs_from_slim|repartition\(fanout\)'
     )
 
     def _sources(self):
@@ -179,6 +180,31 @@ class TestOneMechanism:
             if self.FORBIDDEN.search(line)
         ]
         assert not hits, hits
+
+    def test_keyed_merges_have_one_route(self):
+        """The keyed merges take no route knob, and the only coalesce
+        (``.repartition(``) outside ``stages/aggregate.py``'s keyless
+        ``tree_merge`` is ``_q_top_customers``' global top-10."""
+        import ast
+        import inspect
+
+        from georay.dedup import band_bucket_pairs
+        from georay.stages.aggregate import final_cell_agg
+
+        for fn in (final_cell_agg, band_bucket_pairs):
+            knobs = {"mode", "fanout", "tree_row_limit"} & set(inspect.signature(fn).parameters)
+            assert not knobs, (fn.__name__, knobs)
+        sites = set()
+        for path in self._sources():
+            if path.parts[-2:] == ("stages", "aggregate.py"):
+                continue
+            src = path.read_text()
+            defs = [n for n in ast.parse(src).body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+            for i, line in enumerate(src.splitlines(), 1):
+                if ".repartition(" in line:
+                    owner = [d.name for d in defs if d.lineno <= i <= d.end_lineno]
+                    sites.add((path.name, owner[0] if owner else None))
+        assert sites == {("__ray_entry__.py", "_q_top_customers")}
 
     def test_part_of_defined_only_in_partition_module(self):
         defs = [
