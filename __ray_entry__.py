@@ -28,7 +28,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from georay import cells
-from georay.partition import copartition, hash_partition, partitions
+from georay.partition import broadcast_or_none, copartition, hash_partition, partitions
 from georay.pipelines.flagship import flagship, geo_dataset
 from georay.pipelines.pages import PAGES_SQL_CTE, read_pages
 from georay.pipelines.polygons import (
@@ -1100,10 +1100,13 @@ def _q_poly_join(sf_dir: str):
 
 
 def _q_segment_revenue(sf_dir: str):
-    """Co-partitioned join (``georay.partition.copartition``) + keyed
-    merge: revenue per market segment in integer cents.  Each partition
-    joins its orders to their customers and pre-aggregates per segment in
-    the same kernel; one ``hash_partition`` on the segment merges them."""
+    """Join + keyed merge: revenue per market segment in integer cents.
+    The customer side goes through ``georay.partition.broadcast_or_none``:
+    while it fits the budget it is broadcast with ``ray.put`` and the
+    orders stream through one fused read -> join -> per-segment
+    pre-aggregate map; past it one ``copartition`` joins and
+    pre-aggregates per partition.  One ``hash_partition`` on the segment
+    merges the partials."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
@@ -1125,7 +1128,12 @@ def _q_segment_revenue(sf_dir: str):
         )
 
     n = partitions(orders)
-    partials = copartition(orders, cust, "o_custkey", "c_custkey", partial, n)
+    cust_tbl, cust = broadcast_or_none(cust)
+    if cust_tbl is None:
+        partials = copartition(orders, cust, "o_custkey", "c_custkey", partial, n)
+    else:
+        cust_ref = ray.put(cust_tbl)
+        partials = orders.map_batches(lambda b: partial(b, ray.get(cust_ref)), batch_format="pyarrow")
     return hash_partition(partials, "c_mktsegment", merge, n)
 
 

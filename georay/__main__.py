@@ -30,14 +30,32 @@ def _init_ray(num_cpus: int | None):
     return ray
 
 
+def _filesystem(path: str):
+    """``(filesystem, path inside it)`` for a local path or a filesystem
+    URI."""
+    import pyarrow.fs as pafs
+
+    return pafs.FileSystem.from_uri(path if "://" in path else os.path.abspath(path))
+
+
 def _remove_dir(path: str) -> None:
     """Delete the directory ``path`` (a local path or a filesystem URI)
     and everything under it, if it exists."""
     import pyarrow.fs as pafs
 
-    fs, p = pafs.FileSystem.from_uri(path if "://" in path else os.path.abspath(path))
+    fs, p = _filesystem(path)
     if fs.get_file_info(p).type != pafs.FileType.NotFound:
         fs.delete_dir(p)
+
+
+def _parquet_files(path: str) -> set:
+    """Paths of the parquet files directly under the directory ``path``
+    (a local path or a filesystem URI); empty if it does not exist."""
+    import pyarrow.fs as pafs
+
+    fs, p = _filesystem(path)
+    infos = fs.get_file_info(pafs.FileSelector(p, allow_not_found=True))
+    return {i.path for i in infos if i.path.endswith(".parquet")}
 
 
 def cmd_flagship(args):
@@ -93,8 +111,9 @@ def cmd_resume(args):
 def cmd_dedup(args):
     """End-to-end near-dup dedup over a documents parquet: MinHash+LSH
     candidates -> exact integer-Jaccard verification -> connected-
-    components resolution -> LEFT ANTI survivor filter -> partitioned
-    survivors parquet (+ the resolution table for audit)."""
+    components resolution -> survivor anti-filter -> survivors parquet
+    (+ the resolution table for audit).  The survivors are never
+    materialized: the corpus streams from read to write."""
     ray = _init_ray(args.num_cpus)
     import ray.data
 
@@ -107,6 +126,7 @@ def cmd_dedup(args):
     )
 
     import pyarrow as pa
+    import pyarrow.parquet as pq
 
     docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
     banded = docs.map_batches(minhash_band_batch, batch_format="pyarrow")
@@ -141,10 +161,17 @@ def cmd_dedup(args):
     resolution = connected_components(verified).materialize()
     full_docs = ray.data.read_parquet(args.input)
     n_docs = full_docs.count()  # parquet metadata count — no scan
-    survivors = apply_dedup(full_docs, resolution).materialize()
+    # the survivors stream read -> filter -> write; their count comes
+    # from the footers of the files this write adds
+    survivors = apply_dedup(full_docs, resolution)
     resolution.write_parquet(os.path.join(args.out, "resolution"))
-    survivors.write_parquet(os.path.join(args.out, "survivors"))
-    n_out = survivors.count()
+    surv_dir = os.path.join(args.out, "survivors")
+    before = _parquet_files(surv_dir)
+    survivors.write_parquet(surv_dir)
+    fs = _filesystem(surv_dir)[0]
+    n_out = sum(
+        pq.read_metadata(f, filesystem=fs).num_rows for f in _parquet_files(surv_dir) - before
+    )
     print(json.dumps({
         "input_docs": n_docs,
         "clustered_docs": resolution.count(),

@@ -16,10 +16,15 @@ Scale design (SURVEY.md §2.8):
 - embedding cosine: random-hyperplane LSH bucket -> within-bucket exact
   cosine; brute-force path for small sides.
 - verification, resolution and application (candidate pairs -> texts or
-  vectors, survivors -> corpus) are keyed two-input exchanges: each is
-  one co-partitioned sort shuffle (:func:`georay.partition.copartition`)
-  whose per-partition kernel joins and scores locally; no step uses
-  Ray's actor-based ``Dataset.join``.
+  vectors, pairs -> components, survivors -> corpus) each take
+  :func:`georay.partition.broadcast_or_none` on their small side (the
+  pairs, the candidates' texts or vectors, the resolution table).  While
+  it fits ``BROADCAST_BYTES`` it is broadcast with ``ray.put`` and the
+  corpus streams through a plain map (components run on the driver with
+  :func:`fastsv_labels`); past the budget each step is a keyed exchange
+  (:func:`georay.partition.copartition`, or label propagation over
+  :func:`georay.partition.hash_partition`).  No step uses Ray's
+  actor-based ``Dataset.join``.
 
 All hashes are deterministic (fixed seeds) so runs are reproducible.
 """
@@ -34,7 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from georay.geom.polygon import _expand_ranges
-from georay.partition import copartition, hash_partition, part_of, partitions
+from georay.partition import broadcast_or_none, copartition, hash_partition, part_of, partitions
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
 
@@ -868,48 +873,89 @@ def _attach(L: pa.Table, on: str, R: pa.Table, id_col: str, col: str, name: str)
     return L.take(m.column("li")).append_column(name, R.column(col).take(m.column("ri")))
 
 
+def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Table,
+                  num_partitions: int | None):
+    """The route both pair verifiers share: candidate ``(doc_a, doc_b)``
+    pairs -> ``keep(b)``, where ``b`` is a block of pairs with each id's
+    ``side_ds[col]`` attached as ``side_a`` and ``side_b``.
+
+    :func:`georay.partition.broadcast_or_none` picks the route, against
+    its ``BROADCAST_BYTES`` budget:
+
+    - the pairs fit: their ids go out with one ``ray.put`` and the side
+      streams through one fused read -> ``is_in(candidate ids)`` filter.
+      If the matched ``(id, col)`` rows fit too, they go out with one
+      ``ray.put`` and one map over the pairs attaches both values and runs
+      ``keep``: no exchange;
+    - otherwise two co-partitioned sort shuffles: the first attaches
+      ``doc_a``'s value, the second ``doc_b``'s and runs ``keep`` in the
+      same kernel.  When only the pairs fit, the filtered side rows, not
+      the whole side, feed the shuffles.
+    """
+    import ray
+    import ray.data
+
+    pairs, pairs_ds = broadcast_or_none(pairs_ds)
+    n_pairs = pairs_ds.count() if pairs is None else pairs.num_rows
+    if n_pairs == 0:
+        return ray.data.from_arrow(empty)
+
+    def attach(L: pa.Table, on: str, R: pa.Table) -> pa.Table:
+        return _attach(L, on, R, id_col, col, "side_" + on[-1])
+
+    if pairs is not None:
+        ids = pc.unique(pa.chunked_array(pairs.column("doc_a").chunks + pairs.column("doc_b").chunks))
+        ids_ref = ray.put(ids)
+
+        def candidates(b: pa.Table) -> pa.Table:
+            return b.filter(pc.is_in(b.column(id_col), value_set=ray.get(ids_ref))).select([id_col, col])
+
+        side, side_ds = broadcast_or_none(side_ds.map_batches(candidates, batch_format="pyarrow"))
+        if side is not None:
+            side_ref = ray.put(side)
+
+            def attach_both(b: pa.Table) -> pa.Table:
+                R = ray.get(side_ref)
+                return keep(attach(attach(b, "doc_a", R), "doc_b", R))
+
+            return pairs_ds.map_batches(attach_both, batch_format="pyarrow")
+    if num_partitions is None:
+        num_partitions = partitions(side_ds, n_rows=n_pairs, rows_per_partition=250_000)
+    with_a = copartition(
+        pairs_ds, side_ds, "doc_a", id_col, lambda L, R: attach(L, "doc_a", R), num_partitions
+    )
+    return copartition(
+        with_a, side_ds, "doc_b", id_col, lambda L, R: keep(attach(L, "doc_b", R)), num_partitions
+    )
+
+
 def cosine_verify_pairs(pairs_ds, vectors_ds, threshold: float,
                         vec_col: str = "embedding", id_col: str = "vec_id",
                         num_partitions: int | None = None):
-    """Exact-cosine verification of candidate (doc_a, doc_b) pairs via two
-    co-partitioned sort shuffles against the vector dataset — the
-    scale-safe alternative to broadcasting the whole matrix (only
-    candidate rows and their two vectors move).  The first attaches
-    ``doc_a``'s vector; the second attaches ``doc_b``'s and scores the
-    pair in the same kernel."""
-    # candidate tables are tiny relative to the corpus — pin them so the
-    # count() below doesn't re-execute the candidate DAG
-    pairs_ds = pairs_ds.materialize()
-    rows = pairs_ds.count()
+    """Exact-cosine verification of candidate (doc_a, doc_b) pairs
+    -> verified ``(vec_a, vec_b)``.  Only the candidates' vectors move,
+    never the whole matrix: while the pairs and their vectors fit
+    ``BROADCAST_BYTES`` (:func:`georay.partition.broadcast_or_none`) they
+    are broadcast to one map over the pairs, otherwise two co-partitioned
+    sort shuffles attach them (:func:`_verify_pairs`)."""
     empty = pa.table({"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())})
-    if rows == 0:
-        import ray.data as _rd
 
-        return _rd.from_arrow(empty)
-    if num_partitions is None:
-        num_partitions = partitions(vectors_ds, n_rows=rows, rows_per_partition=250_000)
-
-    def score(L: pa.Table, R: pa.Table) -> pa.Table:
-        b = _attach(L, "doc_b", R, id_col, vec_col, "vec_b")
+    def keep(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             return empty
-        va = _list_to_matrix(b.column("vec_a"))
-        vb = _list_to_matrix(b.column("vec_b"))
+        va = _list_to_matrix(b.column("side_a"))
+        vb = _list_to_matrix(b.column("side_b"))
         na = np.linalg.norm(va, axis=1)
         nb = np.linalg.norm(vb, axis=1)
         na[na == 0] = 1.0
         nb[nb == 0] = 1.0
         sim = np.einsum("ij,ij->i", va / na[:, None], vb / nb[:, None])
-        keep = sim >= threshold
+        ok = sim >= threshold
         da = b.column("doc_a").to_numpy()
         db = b.column("doc_b").to_numpy()
-        return pa.table({"vec_a": pa.array(da[keep]), "vec_b": pa.array(db[keep])})
+        return pa.table({"vec_a": pa.array(da[ok]), "vec_b": pa.array(db[ok])})
 
-    with_a = copartition(
-        pairs_ds, vectors_ds, "doc_a", id_col,
-        lambda L, R: _attach(L, "doc_a", R, id_col, vec_col, "vec_a"), num_partitions,
-    )
-    return copartition(with_a, vectors_ds, "doc_b", id_col, score, num_partitions)
+    return _verify_pairs(pairs_ds, vectors_ds, id_col, vec_col, keep, empty, num_partitions)
 
 
 def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
@@ -930,28 +976,22 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
     per-pair Python loop (the round-2 version looped :func:`set` ops per
     candidate).
 
-    Texts are fetched by two co-partitioned sort shuffles of the
-    candidate ids with the documents dataset (the corpus is never
-    broadcast): the first attaches ``doc_a``'s text, the second attaches
-    ``doc_b``'s and scores the pair in the same kernel.
+    Texts reach the pairs by the route :func:`_verify_pairs` shares with
+    :func:`cosine_verify_pairs`: while the pairs and the candidates'
+    texts fit ``BROADCAST_BYTES`` (:func:`georay.partition.
+    broadcast_or_none`), the corpus streams through one read -> ``is_in``
+    filter and the matched texts are broadcast to one map over the pairs;
+    past the budget two co-partitioned sort shuffles attach them.  The
+    whole corpus is never broadcast.
     """
-    pairs_ds = pairs_ds.materialize()
-    n_pairs = pairs_ds.count()
     empty = pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
-    if n_pairs == 0:
-        import ray.data as _rd
 
-        return _rd.from_arrow(empty)
-    if num_partitions is None:
-        num_partitions = partitions(docs_ds, n_rows=n_pairs, rows_per_partition=250_000)
-
-    def score(L: pa.Table, R: pa.Table) -> pa.Table:
-        b = _attach(L, "doc_b", R, id_col, text_col, "text_b")
+    def keep(b: pa.Table) -> pa.Table:
         n = b.num_rows
         if n == 0:
             return empty
-        ha1, ha2, oa = _shingle_hashes2(b.column("text_a").combine_chunks(), k)
-        hb1, hb2, ob = _shingle_hashes2(b.column("text_b").combine_chunks(), k)
+        ha1, ha2, oa = _shingle_hashes2(b.column("side_a").combine_chunks(), k)
+        hb1, hb2, ob = _shingle_hashes2(b.column("side_b").combine_chunks(), k)
         rng = np.arange(n, dtype=np.int64)
         ua1, ua2, seg_a = _segment_unique2(ha1, ha2, np.repeat(rng, np.diff(oa)))
         ub1, ub2, seg_b = _segment_unique2(hb1, hb2, np.repeat(rng, np.diff(ob)))
@@ -968,16 +1008,12 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
         inter = np.bincount(s[1:][dup], minlength=n)
         union = ca + cb - inter
         # union == 0 (both sets empty) -> 0 >= 0 -> match (J := 1)
-        keep = inter * threshold_den >= union * threshold_num
+        ok = inter * threshold_den >= union * threshold_num
         da = b.column("doc_a").to_numpy()
         db = b.column("doc_b").to_numpy()
-        return pa.table({"doc_a": pa.array(da[keep]), "doc_b": pa.array(db[keep])})
+        return pa.table({"doc_a": pa.array(da[ok]), "doc_b": pa.array(db[ok])})
 
-    with_a = copartition(
-        pairs_ds, docs_ds, "doc_a", id_col,
-        lambda L, R: _attach(L, "doc_a", R, id_col, text_col, "text_a"), num_partitions,
-    )
-    return copartition(with_a, docs_ds, "doc_b", id_col, score, num_partitions)
+    return _verify_pairs(pairs_ds, docs_ds, id_col, text_col, keep, empty, num_partitions)
 
 
 def _deliver_labels(g: pa.Table) -> pa.Table:
@@ -1015,12 +1051,56 @@ def _min_label(t: pa.Table) -> pa.Table:
     return pa.table({"node": g.column("node"), "label": g.column("label_min")})
 
 
+def _not_converged(max_iter: int) -> RuntimeError:
+    return RuntimeError(
+        f"connected_components did not converge in {max_iter} rounds; "
+        "refusing to return non-minimal survivors (raise max_iter)"
+    )
+
+
+def fastsv_labels(u: np.ndarray, v: np.ndarray, n: int, max_iter: int) -> np.ndarray:
+    """Component-minimum label of each of ``n`` dense node indices, from
+    the undirected edges ``(u[i], v[i])``: the FastSV kernel (Zhang, Azad
+    and Hu, SIAM PP 2020) on one process.
+
+    ``f`` is a parent forest and ``gf = f[f]``.  Each round, per edge,
+    stochastic hooking ``f[f[u]] = min(f[f[u]], gf[v])`` hangs ``u``'s
+    parent below the smallest grandparent seen across the edge,
+    aggressive hooking ``f[u] = min(f[u], gf[v])`` hangs ``u`` itself, and
+    shortcutting ``f[u] = min(f[u], gf[u])`` halves every path.  All
+    three take minima, so a component's smallest index is the root its
+    trees end in; rounds stop at the fixpoint where ``gf`` no longer
+    changes, then every node points at that root.  A path of any id
+    order takes O(log n) rounds.  If ``max_iter`` rounds end without the
+    fixpoint it raises rather than return non-minimal labels."""
+    u, v = np.concatenate([u, v]), np.concatenate([v, u])
+    f = np.arange(n)
+    gf = f.copy()
+    for _ in range(max_iter):
+        np.minimum.at(f, f[u], gf[v])
+        np.minimum.at(f, u, gf[v])
+        np.minimum(f, gf, out=f)
+        nxt = f[f]
+        if np.array_equal(nxt, gf):
+            return gf
+        gf = nxt
+    raise _not_converged(max_iter)
+
+
 def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: int = 32):
     """Candidate pairs -> (doc_id, survivor) per connected component: the
     dedup-resolution step after candidate generation (the survivor is the
     component-minimum id; every doc appearing in a pair gets a row).
 
-    Distributed min-label propagation with SHORTCUTTING.  Per round:
+    While the pairs fit ``BROADCAST_BYTES``
+    (:func:`georay.partition.broadcast_or_none`) the whole edge table is
+    already on the driver, so the components are computed there by
+    :func:`fastsv_labels` over dense node indices (``np.unique`` keeps the
+    id order, so the minimum index is the minimum id): no exchange, and
+    O(log n) rounds whatever the id order.
+
+    Past the budget: distributed min-label propagation with SHORTCUTTING.
+    Per round:
 
     1. Delivery: union three message streams keyed by node — edge rows
        ``(key=u, dest=v)`` ("send u's label to v"), self rows
@@ -1045,9 +1125,11 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
     node ids inside the component (min over members seen so far), so the
     shortcut edges never cross components and the fixpoint is the exact
     component minimum.  Convergence is detected via the monotone
-    non-increasing label sum over the deduped table; if ``max_iter``
-    rounds pass without a fixpoint the function RAISES rather than
-    returning non-minimal survivors.
+    non-increasing label sum over the deduped table.
+
+    On either route, if ``max_iter`` rounds pass without a fixpoint the
+    function RAISES a ``RuntimeError`` rather than returning non-minimal
+    survivors.
     """
     import ray.data as _rd
     from ray.data.aggregate import Sum as _Sum
@@ -1055,7 +1137,17 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
     empty = pa.table(
         {"doc_id": pa.array([], pa.int64()), "survivor": pa.array([], pa.int64())}
     )
-    pairs_ds = pairs_ds.materialize()
+    pairs, pairs_ds = broadcast_or_none(pairs_ds)
+    if pairs is not None:
+        if pairs.num_rows == 0:
+            return _rd.from_arrow(empty)
+        a = pairs.column("doc_a").to_numpy()
+        nodes, idx = np.unique(np.concatenate([a, pairs.column("doc_b").to_numpy()]), return_inverse=True)
+        label = fastsv_labels(idx[: len(a)], idx[len(a):], len(nodes), max_iter)
+        return _rd.from_arrow(pa.table({
+            "doc_id": pa.array(nodes, pa.int64()),
+            "survivor": pa.array(nodes[label], pa.int64()),
+        }))
     if pairs_ds.count() == 0:
         return _rd.from_arrow(empty)
     if num_partitions is None:
@@ -1129,40 +1221,54 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
             break
         prev = cur
     else:
-        raise RuntimeError(
-            f"connected_components did not converge in {max_iter} rounds; "
-            "refusing to return non-minimal survivors (long paths with "
-            "unordered ids need more rounds: raise max_iter)"
-        )
+        raise _not_converged(max_iter)
     return labels.map_batches(
         lambda b: pa.table({"doc_id": b.column("node"), "survivor": b.column("label")}),
         batch_format="pyarrow",
     )
 
 
+def _dup_ids(res: pa.Table) -> pa.Array:
+    """Ids whose resolution row names a different survivor."""
+    doc = res.column("doc_id")
+    return doc.filter(pc.not_equal(doc, res.column("survivor"))).combine_chunks()
+
+
 def apply_dedup(docs_ds, resolution_ds, id_col: str = "doc_id",
                 num_partitions: int | None = None):
     """Corpus -> SURVIVORS only: drop every doc whose resolution row
     (:func:`connected_components` output) names a DIFFERENT survivor —
-    the final step a training-data dedup actually ships.  A LEFT ANTI
-    join on the doc id by one co-partitioned sort shuffle: the corpus
-    and the resolution table (tiny next to the corpus — 16 bytes per
-    clustered doc) are partitioned by id, and each partition drops the
-    ids its resolution rows name as duplicates with one ``is_in``
-    filter.  Docs absent from the resolution table (never in any
-    candidate pair) pass through untouched."""
+    the final step a training-data dedup actually ships.  Docs absent
+    from the resolution table (never in any candidate pair) pass through
+    untouched.
+
+    The resolution table is 16 bytes per clustered doc.  While it fits
+    ``BROADCAST_BYTES`` (:func:`georay.partition.broadcast_or_none`), the
+    duplicate ids go out with one ``ray.put`` and the corpus
+    streams read -> ``is_in`` anti-filter with no shuffle, so a write
+    after it fuses into the same tasks.  Past the budget it is a LEFT
+    ANTI join by one co-partitioned sort shuffle: the corpus and the
+    resolution table are partitioned by id, and each partition drops the
+    ids its resolution rows name as duplicates."""
+    import ray
+
+    res, resolution_ds = broadcast_or_none(resolution_ds)
+    if (resolution_ds.count() if res is None else res.num_rows) == 0:
+        return docs_ds  # nothing to drop: skip the corpus pass
+    if res is not None:
+        dup_ref = ray.put(_dup_ids(res))
+
+        def drop_dups(b: pa.Table) -> pa.Table:
+            return b.filter(pc.invert(pc.is_in(b.column(id_col), value_set=ray.get(dup_ref))))
+
+        return docs_ds.map_batches(drop_dups, batch_format="pyarrow")
     if num_partitions is None:
         # the LEFT ANTI join shuffles the whole corpus — size to its
         # row count (free plan metadata on a fresh read)
         num_partitions = partitions(docs_ds)
-    resolution_ds = resolution_ds.materialize()  # one run feeds count and shuffle
-    if resolution_ds.count() == 0:
-        return docs_ds  # nothing to drop: skip the corpus shuffle
 
     def survivors(L: pa.Table, R: pa.Table) -> pa.Table:
-        dup = pc.not_equal(R.column("doc_id"), R.column("survivor"))
-        dup_ids = R.column("doc_id").filter(dup).combine_chunks()
-        return L.filter(pc.invert(pc.is_in(L.column(id_col), value_set=dup_ids)))
+        return L.filter(pc.invert(pc.is_in(L.column(id_col), value_set=_dup_ids(R))))
 
     return copartition(docs_ds, resolution_ds, id_col, "doc_id", survivors, num_partitions)
 

@@ -1,6 +1,7 @@
-"""Hash partitioning: georay's keyed exchanges and their one sizing rule.
+"""Hash partitioning: georay's keyed exchanges, their one sizing rule, and
+the one rule that skips them.
 
-Two primitives, one exchange:
+Two exchange primitives and one broadcast rule:
 
 - :func:`hash_partition` (one input) runs ``kernel(t)`` once per
   partition with every row of each key the partition holds: per-user
@@ -11,10 +12,16 @@ Two primitives, one exchange:
   padded to one shared schema with typed nulls; ``kernel(L, R)`` then
   joins, anti-joins or scores the partition's two typed tables locally,
   so a join and the computation after it are one stage.
+- :func:`broadcast_or_none` decides whether a two-input stage needs the
+  exchange at all: it measures the small side and, when it fits
+  ``BROADCAST_BYTES``, hands it back as one table for the caller to
+  ``ray.put``, so the large side streams through a plain map with no
+  shuffle.  A side over the budget keeps the exchange.
 
-Both tag each row with ``part_of(key, P)`` and run the union through a
-single sort whose boundaries are the partition numbers: block i holds
-exactly partition i, no sampling pass, plain tasks, no actor pool.
+Both exchanges tag each row with ``part_of(key, P)`` and run the union
+through a single sort whose boundaries are the partition numbers: block
+i holds exactly partition i, no sampling pass, plain tasks, no actor
+pool.
 (``groupby(...).map_groups`` ignores ``num_partitions`` under Ray's
 sort shuffle and samples first; every ``Dataset.join`` starts a fresh
 pool of hash-shuffle aggregator actors, one worker process each.)  The
@@ -25,6 +32,8 @@ One sizing rule, :func:`partitions`: ``max(4, 2 x cluster CPUs,
 ceil(rows / rows_per_partition))`` with rows from free plan metadata —
 one rows-per-partition cost model (*To Partition, or Not to Partition*,
 SIGMOD 2021); past ``MAX_PARTITIONS`` it raises instead of clamping.
+The same paper grounds the broadcast rule: a non-partitioned join wins
+while its build side is small.
 """
 
 from __future__ import annotations
@@ -36,6 +45,15 @@ import pyarrow.compute as pc
 
 #: most partitions one exchange may use
 MAX_PARTITIONS = 65_536
+#: largest measured side, in bytes, that :func:`broadcast_or_none` hands
+#: back for a broadcast instead of an exchange.  The crossover is not
+#: measured: every timed side is far below it (dedup_near's 589 pairs
+#: 9 KB, its 401 candidate texts 355 KB, its resolution 6 KB; the
+#: segment_revenue customers 308 KB at sf0.1), and none sits near it.
+#: At 64 MiB the driver would run FastSV on about 4M edges and every
+#: verify task would fetch 64 MiB of texts; whether that still beats the
+#: exchange is open.
+BROADCAST_BYTES = 64 << 20
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 #: the one 16-byte SipHash key for string and binary keys: fixed, so a
@@ -102,6 +120,25 @@ def partitions(ds=None, *, n_rows: int | None = None,
             "rows_per_partition or split the input"
         )
     return p
+
+
+def broadcast_or_none(ds):
+    """``(table, ds)`` when the measured ``size_bytes()`` of ``ds``'s
+    materialized blocks fits ``BROADCAST_BYTES``, else ``(None, ds)``;
+    ``ds`` comes back materialized either way, so the caller's exchange
+    route does not run its plan again.  The table holds every row of
+    ``ds`` (schemaless empty blocks dropped; no columns when ``ds`` has
+    no rows and no known schema)."""
+    ds = ds.materialize()
+    if ds.size_bytes() > BROADCAST_BYTES:
+        return None, ds
+    blocks = [b for b in ds.iter_batches(batch_size=None, batch_format="pyarrow") if b.num_rows]
+    if blocks:
+        return pa.concat_tables(blocks), ds
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is not None and isinstance(schema.base_schema, pa.Schema):
+        return schema.base_schema.empty_table(), ds
+    return pa.table({}), ds
 
 
 def _names(on) -> list:

@@ -161,8 +161,8 @@ class TestEmbedLshPipeline:
 
     def test_cosine_verify_pairs_matches_brute(self, ray_session):
         """Every pair of 40 vectors as a candidate: the verified set is
-        exactly the brute-force set (list-typed vectors ride both
-        co-partitioned shuffles, no packing)."""
+        exactly the brute-force set (list-typed vectors are attached
+        as-is, no packing; ``TestRouteParity`` runs the exchange route)."""
         import pyarrow as pa
         import ray.data
 
@@ -211,6 +211,38 @@ class TestBatchCompositionIndependence:
         assert hs[0] != hs[1]
 
 
+def _seeded_graph(seed):
+    """(pairs, want): a 150-node chain with increasing ids, 15 random-id
+    chains of 8, and a sparse random graph on 80 nodes; ``want`` maps
+    each node to its component minimum by a pure-Python union-find."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(np.arange(1000, 5000))[:200]
+    edges = list(zip(range(0, 149), range(1, 150)))
+    for chain in np.array_split(ids[:120], 15):
+        edges += list(zip(chain[:-1].tolist(), chain[1:].tolist()))
+    for _ in range(60):
+        a, b = rng.choice(ids[120:], 2, replace=False)
+        edges.append((int(a), int(b)))
+    edges = [(min(a, b), max(a, b)) for a, b in edges]
+
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    pairs = pa.table({"doc_a": pa.array([a for a, _ in edges], pa.int64()),
+                      "doc_b": pa.array([b for _, b in edges], pa.int64())})
+    return pairs, {x: find(x) for x in parent}
+
+
 class TestConnectedComponents:
     def test_chain_and_disjoint(self, ray_session):
         import pyarrow as pa
@@ -241,7 +273,9 @@ class TestConnectedComponents:
         """A 200-node chain (diameter 199) must converge well inside
         max_iter=10 — one-hop-per-round propagation could not (the round-2
         cap silently returned non-minimal labels on diameter > max_iter);
-        the label-shortcut (pointer-doubling) edges give O(log d) rounds."""
+        FastSV's shortcutting gives O(log d) rounds.
+        :class:`TestComponentsExchangeRoute` runs the same chain through
+        the exchange route's label-shortcut (pointer-doubling) edges."""
         import pyarrow as pa
         import ray.data
 
@@ -259,43 +293,30 @@ class TestConnectedComponents:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_union_find_on_random_graphs(self, ray_session, seed):
         """Seeded graphs against a pure-Python union-find whose survivor
-        is the component minimum: a 150-node chain with increasing ids
-        (shortcutting halves it per round), 15 random-id chains of 8, and
-        a sparse random graph on 80 nodes.  About ten rounds."""
-        import pyarrow as pa
+        is the component minimum (:func:`_seeded_graph`)."""
         import ray.data
 
         from georay.dedup import connected_components
 
-        rng = np.random.default_rng(seed)
-        ids = rng.permutation(np.arange(1000, 5000))[:200]
-        edges = list(zip(range(0, 149), range(1, 150)))
-        for chain in np.array_split(ids[:120], 15):
-            edges += list(zip(chain[:-1].tolist(), chain[1:].tolist()))
-        for _ in range(60):
-            a, b = rng.choice(ids[120:], 2, replace=False)
-            edges.append((int(a), int(b)))
-        edges = [(min(a, b), max(a, b)) for a, b in edges]
-
-        parent = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        want = {x: find(x) for x in parent}
-
-        pairs = pa.table({"doc_a": pa.array([a for a, _ in edges], pa.int64()),
-                          "doc_b": pa.array([b for _, b in edges], pa.int64())})
+        pairs, want = _seeded_graph(seed)
         out = connected_components(ray.data.from_arrow(pairs).repartition(4)).to_pandas()
         assert dict(zip(out.doc_id, out.survivor)) == want
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_random_id_paths_converge(self, ray_session, n):
+        """A path whose ids are a random permutation converges within the
+        default max_iter and labels every node with the path's minimum
+        id.  One-hop min-label propagation needs rounds in the order of
+        the path length here (48-117 at 200 nodes)."""
+        import ray.data
+
+        from georay.dedup import connected_components
+
+        ids = np.random.default_rng(n).permutation(np.arange(10_000, 10_000 + n))
+        pairs = pa.table({"doc_a": pa.array(ids[:-1]), "doc_b": pa.array(ids[1:])})
+        out = connected_components(ray.data.from_arrow(pairs)).to_pandas()
+        assert len(out) == n
+        assert (out.survivor == 10_000).all()
 
     def test_deliver_labels_kernel(self):
         """Label rows give each key its minimum; requests fetch it; a
@@ -759,3 +780,251 @@ class TestClusterPartitionsRowsAware:
             partitions(n_rows=(MAX_PARTITIONS + 1) * 250_000, rows_per_partition=250_000)
         # exactly at the cap still sizes
         assert partitions(n_rows=MAX_PARTITIONS * 250_000, rows_per_partition=250_000) == MAX_PARTITIONS
+
+
+@pytest.fixture
+def exchanges(monkeypatch):
+    """Names of the keyed exchanges ``georay.dedup`` starts, in order."""
+    import georay.dedup as dd
+
+    calls = []
+    for name in ("copartition", "hash_partition"):
+        def spy(*args, _fn=getattr(dd, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(dd, name, spy)
+    return calls
+
+
+def _both_routes(monkeypatch, exchanges, run, exchange="copartition"):
+    """``run()`` on the default (broadcast) route, then again with
+    ``BROADCAST_BYTES = 0``, which forces every side over the budget onto
+    the exchange route; checks that only the second started ``exchange``."""
+    broadcast = run()
+    assert exchange not in exchanges
+    monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
+    shuffled = run()
+    assert exchange in exchanges
+    return broadcast, shuffled
+
+
+class TestComponentsExchangeRoute:
+    """``connected_components`` past the budget (``BROADCAST_BYTES = 0``):
+    distributed min-label propagation with pointer-doubling shortcuts."""
+
+    @pytest.fixture(autouse=True)
+    def _over_budget(self, monkeypatch):
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
+
+    def test_long_chain_converges_with_shortcutting(self, ray_session, exchanges):
+        """A 200-node chain (diameter 199) inside max_iter=10: the
+        label-shortcut edges give O(log d) rounds."""
+        import ray.data
+
+        from georay.dedup import connected_components
+
+        n = 200
+        pairs = pa.table({"doc_a": pa.array(np.arange(n - 1)), "doc_b": pa.array(np.arange(1, n))})
+        out = connected_components(ray.data.from_arrow(pairs), max_iter=10).to_pandas()
+        assert "hash_partition" in exchanges
+        assert len(out) == n
+        assert (out.survivor == 0).all()
+
+    def test_empty(self, ray_session):
+        import ray.data
+
+        from georay.dedup import connected_components
+
+        empty = pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
+        assert len(connected_components(ray.data.from_arrow(empty)).to_pandas()) == 0
+
+    def test_nonconvergence_raises(self, ray_session, exchanges):
+        import ray.data
+
+        from georay.dedup import connected_components
+
+        pairs = pa.table({"doc_a": pa.array([1, 2], pa.int64()), "doc_b": pa.array([2, 3], pa.int64())})
+        with pytest.raises(RuntimeError, match="did not converge"):
+            connected_components(ray.data.from_arrow(pairs), max_iter=0)
+        assert "hash_partition" in exchanges
+
+
+def _sorted_pairs(df):
+    return sorted(zip(df.doc_a.tolist(), df.doc_b.tolist()))
+
+
+class TestRouteParity:
+    """Broadcast and exchange routes of the post-candidate dedup stages
+    give identical output."""
+
+    def test_jaccard_verify_pairs(self, ray_session, monkeypatch, exchanges):
+        import ray.data
+
+        from georay.dedup import jaccard_ngrams, jaccard_verify_pairs
+
+        texts = [DOC, NEAR, FAR, "", "one two", DOC + " extra tail words here", "one two", FAR]
+        ids = list(range(len(texts)))
+        # ids 20.. never appear in a pair: the broadcast route filters them out
+        docs = tbl(texts + ["unrelated filler text"] * 12)
+        cand = [(a, b) for a in ids for b in ids if a < b]
+        pairs = pa.table({"doc_a": pa.array([a for a, _ in cand], pa.int64()),
+                          "doc_b": pa.array([b for _, b in cand], pa.int64())})
+
+        def run():
+            return _sorted_pairs(jaccard_verify_pairs(
+                ray.data.from_arrow(pairs).repartition(3), ray.data.from_arrow(docs).repartition(2),
+            ).to_pandas())
+
+        broadcast, shuffled = _both_routes(monkeypatch, exchanges, run)
+        assert broadcast == shuffled
+        assert broadcast == sorted((a, b) for a, b in cand if jaccard_ngrams(texts[a], texts[b]) >= 0.5)
+
+    def test_jaccard_texts_over_budget_shuffle_only_candidates(self, ray_session, monkeypatch):
+        """Pairs within the budget, candidate texts over it: the filtered
+        candidate rows, not the corpus, feed the two co-partitions."""
+        import ray.data
+
+        import georay.dedup as dd
+        from georay.dedup import jaccard_verify_pairs
+
+        real, calls, sides = dd.broadcast_or_none, [], []
+
+        def broadcast_or_none(ds):  # the first call sizes the pairs, the second the texts
+            calls.append(ds)
+            if len(calls) == 2:
+                monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
+            return real(ds)
+
+        monkeypatch.setattr(dd, "broadcast_or_none", broadcast_or_none)
+        real_copartition = dd.copartition
+
+        def copartition(left, right, *args):
+            sides.append(right.count())
+            return real_copartition(left, right, *args)
+
+        monkeypatch.setattr(dd, "copartition", copartition)
+        docs = tbl([DOC, NEAR, FAR] + ["unrelated filler text"] * 20)
+        pairs = pa.table({"doc_a": pa.array([0, 0, 1], pa.int64()), "doc_b": pa.array([1, 2, 2], pa.int64())})
+        out = jaccard_verify_pairs(ray.data.from_arrow(pairs), ray.data.from_arrow(docs)).to_pandas()
+        assert _sorted_pairs(out) == [(0, 1)]
+        assert len(calls) == 2 and sides == [3, 3]
+
+    def test_cosine_verify_pairs(self, ray_session, monkeypatch, exchanges):
+        """List-typed vectors, attached on both routes; 40 of them, every
+        pair a candidate."""
+        import ray.data
+
+        from georay.dedup import cosine_pairs, cosine_verify_pairs
+
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((20, 8))
+        vecs = np.vstack([base, base + 0.2 * rng.standard_normal((20, 8))])
+        ids = np.arange(100, 140, dtype=np.int64)
+        brute = cosine_pairs(vecs, ids, 0.9)
+        cand = [(a, b) for a in ids.tolist() for b in ids.tolist() if a < b]
+        pairs = pa.table({"doc_a": pa.array([a for a, _ in cand], pa.int64()),
+                          "doc_b": pa.array([b for _, b in cand], pa.int64())})
+        vt = pa.table({"vec_id": ids, "embedding": pa.array(list(vecs))})
+
+        def run():
+            out = cosine_verify_pairs(
+                ray.data.from_arrow(pairs), ray.data.from_arrow(vt).repartition(3), 0.9
+            ).to_pandas()
+            return sorted(zip(out.vec_a, out.vec_b))
+
+        broadcast, shuffled = _both_routes(monkeypatch, exchanges, run)
+        assert broadcast == shuffled
+        assert broadcast == sorted(zip(brute.column("vec_a").to_pylist(), brute.column("vec_b").to_pylist()))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_components_seeded_graphs(self, ray_session, monkeypatch, exchanges, seed):
+        import ray.data
+
+        from georay.dedup import connected_components
+
+        pairs, want = _seeded_graph(seed)
+
+        def run():
+            out = connected_components(ray.data.from_arrow(pairs).repartition(4)).to_pandas()
+            return dict(zip(out.doc_id, out.survivor))
+
+        broadcast, shuffled = _both_routes(monkeypatch, exchanges, run, "hash_partition")
+        assert broadcast == shuffled == want
+
+    def test_components_chain_and_disjoint(self, ray_session, monkeypatch, exchanges):
+        import ray.data
+
+        from georay.dedup import connected_components
+
+        pairs = pa.table({"doc_a": pa.array([1, 2, 3, 10], pa.int64()),
+                          "doc_b": pa.array([2, 3, 4, 11], pa.int64())})
+
+        def run():
+            out = connected_components(ray.data.from_arrow(pairs)).to_pandas()
+            return dict(zip(out.doc_id, out.survivor))
+
+        broadcast, shuffled = _both_routes(monkeypatch, exchanges, run, "hash_partition")
+        assert broadcast == shuffled == {1: 1, 2: 1, 3: 1, 4: 1, 10: 10, 11: 10}
+
+    def test_apply_dedup(self, ray_session, monkeypatch, exchanges):
+        import ray.data
+
+        from georay.dedup import apply_dedup
+
+        docs = tbl([f"doc {i}" for i in range(12)])
+        res = pa.table({"doc_id": pa.array([1, 2, 4, 7, 9], pa.int64()),
+                        "survivor": pa.array([1, 1, 4, 4, 1], pa.int64())})
+
+        def run():
+            out = apply_dedup(
+                ray.data.from_arrow(docs).repartition(3), ray.data.from_arrow(res)
+            ).to_pandas()
+            return out.sort_values("doc_id").to_dict("list")
+
+        broadcast, shuffled = _both_routes(monkeypatch, exchanges, run)
+        assert broadcast == shuffled
+        assert broadcast["doc_id"] == [0, 1, 3, 4, 5, 6, 8, 10, 11]
+
+    def test_dedup_cli(self, ray_session, monkeypatch, exchanges, tmp_path, capsys):
+        """``python -m georay dedup`` on planted near-duplicate clusters:
+        the same survivors, resolution and summary on both routes, the
+        survivors are exactly the planted ones, and the summary counts
+        them for a local ``--out`` and a ``file://`` URI alike."""
+        import json
+
+        import pyarrow.parquet as pq
+        import ray
+
+        from georay.__main__ import main
+
+        rng = np.random.default_rng(5)
+        vocab = np.array([f"w{i}" for i in range(2000)])
+        base = [rng.choice(vocab, 60) for _ in range(150)]
+        texts, dups = [" ".join(t) for t in base], set()
+        for c in range(20):  # cluster c: base doc c and 1-3 one-word edits
+            for _ in range(1 + c % 3):
+                t = base[c].copy()
+                t[rng.integers(60)] = "edit"
+                dups.add(len(texts))
+                texts.append(" ".join(t))
+        src = str(tmp_path / "docs.parquet")
+        pq.write_table(tbl(texts), src)
+        monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)
+        # the first run writes to a local path, the second to a file:// URI
+        outs = iter([str(tmp_path / "out0"), (tmp_path / "out1").as_uri()])
+
+        def run():
+            out = next(outs)
+            main(["dedup", "--input", src, "--out", out])
+            summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            summary.pop("out")
+            survivors = pq.read_table(f"{out}/survivors").sort_by("doc_id")
+            resolution = pq.read_table(f"{out}/resolution").sort_by("doc_id")
+            return summary, survivors.to_pydict(), resolution.to_pydict()
+
+        broadcast, shuffled = _both_routes(monkeypatch, exchanges, run)
+        assert broadcast == shuffled
+        summary, survivors, _ = broadcast
+        assert survivors["doc_id"] == sorted(set(range(len(texts))) - dups)
+        assert summary["survivors"] == len(texts) - len(dups)

@@ -1,5 +1,5 @@
-"""georay.partition: the key hash, the one- and two-input exchanges,
-and the rule that georay has no other."""
+"""georay.partition: the key hash, the one- and two-input exchanges, the
+broadcast-or-exchange rule, and the rule that georay has no other."""
 
 import re
 from pathlib import Path
@@ -8,7 +8,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from georay.partition import copartition, hash_partition, part_of
+from georay.partition import broadcast_or_none, copartition, hash_partition, part_of
 
 LEFT = pa.schema([("id", pa.int64()), ("a", pa.int64())])
 RIGHT = pa.schema([("rid", pa.int64()), ("text", pa.large_string())])
@@ -206,12 +206,94 @@ class TestOneMechanism:
                     sites.add((path.name, owner[0] if owner else None))
         assert sites == {("__ray_entry__.py", "_q_top_customers")}
 
+    def test_broadcast_decided_only_in_partition_module(self):
+        """Only ``broadcast_or_none`` measures a side (``size_bytes()``)
+        and reads the budget (``BROADCAST_BYTES``): no other module's code
+        chooses broadcast over exchange.  Docstrings may name them."""
+        import ast
+
+        hits = sorted({
+            path.name for path in self._sources()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Name) and node.id == "BROADCAST_BYTES")
+            or (isinstance(node, ast.Attribute) and node.attr in ("BROADCAST_BYTES", "size_bytes"))
+            or (isinstance(node, ast.alias) and node.name == "BROADCAST_BYTES")
+        })
+        assert hits == ["partition.py"]
+
+    def test_dedup_cli_streams_its_survivors(self):
+        """``cmd_dedup`` writes the survivors as they stream from the
+        read: no ``.materialize()`` of ``apply_dedup``'s output, which
+        would pin the whole corpus in the object store."""
+        import ast
+        import inspect
+        import textwrap
+
+        from georay.__main__ import cmd_dedup
+
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cmd_dedup)))
+        pinned = [
+            ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "materialize"
+            and re.search(r"survivors|apply_dedup", ast.unparse(node.func.value))
+        ]
+        assert not pinned, pinned
+
     def test_part_of_defined_only_in_partition_module(self):
         defs = [
             path.name for path in self._sources()
             if re.search(r"^\s*def _?part_of\b", path.read_text(), re.M)
         ]
         assert defs == ["partition.py"]
+
+
+class TestBroadcastOrNone:
+    def test_fits_returns_every_row(self, ray_session):
+        import ray.data
+
+        t = _left(list(range(100)))
+        table, ds = broadcast_or_none(ray.data.from_arrow(t).repartition(4))
+        assert _rows(table) == _rows(t)
+        assert ds.count() == 100
+
+    def test_over_budget_returns_none_and_materialized_side(self, ray_session, tmp_path, monkeypatch):
+        """Over the budget the side comes back materialized: the caller's
+        exchange does not run its plan again."""
+        import ray.data
+
+        marks = tmp_path / "marks"
+        marks.mkdir()
+
+        def mark(b: pa.Table) -> pa.Table:
+            (marks / str(b.column("id")[0].as_py())).touch()
+            return b
+
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
+        t = _left(list(range(100)))
+        table, ds = broadcast_or_none(ray.data.from_arrow(t).map_batches(mark, batch_format="pyarrow"))
+        assert table is None
+        assert _rows(_collect(ds)) == _rows(t)
+        assert len(list(marks.iterdir())) == 1
+
+    def test_module_budget_is_read_per_call(self, ray_session, monkeypatch):
+        import ray.data
+
+        ds = ray.data.from_arrow(_left([1, 2, 3]))
+        assert broadcast_or_none(ds)[0] is not None
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
+        assert broadcast_or_none(ds)[0] is None
+
+    def test_empty_side_keeps_its_schema(self, ray_session):
+        """Empty partitions of an exchange are schemaless blocks; they are
+        dropped, and a side with no rows comes back as a typed empty table."""
+        import ray.data
+
+        three = hash_partition(ray.data.from_arrow(_left([1, 2, 3])), "id", lambda t: t, 16)
+        table, _ = broadcast_or_none(three)
+        assert _rows(table) == _rows(_left([1, 2, 3]))
+        table, _ = broadcast_or_none(ray.data.from_arrow(LEFT.empty_table()))
+        assert table.num_rows == 0 and table.schema.equals(LEFT)
 
 
 class TestCopartition:
