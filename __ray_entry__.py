@@ -61,7 +61,7 @@ _GEO_CACHE: dict[str, Any] = {}
 def _geo(sf_dir: str):
     ds = _GEO_CACHE.get(sf_dir)
     if ds is None:
-        ds = _GEO_CACHE[sf_dir] = geo_dataset(sf_dir, res=CELL_RES).materialize()
+        ds = _GEO_CACHE[sf_dir] = geo_dataset(read_pages(sf_dir), res=CELL_RES).materialize()
     return ds
 
 
@@ -105,7 +105,7 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
 def entry() -> Any:
     """Flagship pipeline on sf0.001: extract -> reproject -> cellize ->
     broadcast spatial join -> per-cell aggregate; returns the aggregate."""
-    joined, agg = flagship(SF001, res=CELL_RES)
+    joined, agg = flagship(read_pages(SF001), res=CELL_RES)
     # consume the join branch so the whole DAG executes; return the agg
     n = joined.count()
     assert n >= 0

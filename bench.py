@@ -6,9 +6,12 @@ Prints ONE JSON line on stdout (all logs -> stderr):
    "queries": {...per-query sec...}, "sf": <sf>, "num_cpus": N,
    "docs": <pages>, "docs_per_sec": <rate>, ...}
 
-Headline pipeline (BASELINE.md protocol): read cached synthetic pages
-parquet -> extract -> reproject -> cellize -> broadcast spatial join ->
-partial+final per-cell aggregate; docs/sec = pages / wall.
+Headline pipeline (BASELINE.md protocol): ``georay.pipelines.flagship``
+over the cached synthetic pages parquet -- extract -> reproject ->
+cellize -> tiles write -> broadcast spatial join -> partial+final
+per-cell aggregate, all three outputs written; docs/sec = pages / wall.
+``cells`` counts the cells of every geo page (the aggregate runs over the
+tiles, not over the join rows).
 
 --scaling runs the SAME job at two parallelism levels (default
 num_cpus=4 and 16 — both under this sandbox's ~23 effective cores; use
@@ -170,7 +173,9 @@ def _ensure_pages_ray(sf_dir: str, n_pages: int, out_dir: str) -> str:
 
 
 def run_flagship(pages_dir: str, num_cpus: int, res: int = 7, repeats: int = 2):
-    """Time the headline pipeline over the cached pages parquet.
+    """Time ``georay.pipelines.flagship.flagship`` over the cached pages
+    parquet, writing its three outputs (tiles, join rows, cell aggregate)
+    to a directory beside the cache.
 
     The pipeline runs ``repeats`` times and the BEST run is reported:
     the first run pays one-time worker spawn + library import (~1.5 s x
@@ -178,13 +183,13 @@ def run_flagship(pages_dir: str, num_cpus: int, res: int = 7, repeats: int = 2):
     and this sandbox's CPU supply fluctuates run to run — best-of is the
     steady-state figure the N vs 4N scaling rule compares.
     """
+    import glob
+
+    import pyarrow.parquet as pq
     import ray
     import ray.data
 
-    from georay.pipelines.polygons import polygon_payload
-    from georay.stages.aggregate import cell_partial_agg, final_cell_agg
-    from georay.stages.geo import Reproject, cellize, extract_geo_batch, filter_has_geo
-    from georay.stages.join import make_spatial_join_fn
+    from georay.pipelines.flagship import flagship
 
     if not ray.is_initialized():
         # cap per-worker Arrow IO threads: otherwise a low num_cpus run
@@ -197,53 +202,23 @@ def run_flagship(pages_dir: str, num_cpus: int, res: int = 7, repeats: int = 2):
             runtime_env={"env_vars": {"ARROW_IO_THREADS": "2", "OMP_NUM_THREADS": "1"}},
         )
 
+    out_dir = os.path.normpath(pages_dir) + "_flagship_out"
     wall = join_rows = n_cells = None
-    payload = ray.put(polygon_payload())
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        # ONE fused streaming pass, no mid-pipeline materialization:
-        # read -> extract -> reproject -> cellize -> broadcast join
-        # (join rows keep the cell + geometry columns) -> per-(cell)
-        # combiner -> keyed final merge.  join_rows falls out of the
-        # aggregate (sum of per-cell doc counts), so a single consumer
-        # drives the whole DAG with backpressure end to end.
-        # Block count is sized to the DATA (target ~60k rows/block), not
-        # the CPU count, so runs at different parallelism process identical
-        # task shapes.
-        # prune at the read: the spatial pipeline never touches `text`
-        # (~30% of input bytes) — only needed columns leave storage
-        ds = ray.data.read_parquet(
+        # Block count is sized to the DATA, not the CPU count, so runs at
+        # different parallelism process identical task shapes; the read is
+        # pruned to the columns the pipeline uses (no `text`)
+        pages = ray.data.read_parquet(
             pages_dir,
             override_num_blocks=128,
             columns=["url", "warc_ts", "html", "lang", "doc_id"],
         )
-        # batch_size=None = whole blocks: the kernels are fully vectorized,
-        # so bigger batches amortize per-call overhead (default 1024-row
-        # batches cost ~2x wall on this chain)
-        joined = (
-            ds.map_batches(lambda b: extract_geo_batch(b, keep_text=False), batch_format="pyarrow", batch_size=None)
-            .map_batches(filter_has_geo, batch_format="pyarrow", batch_size=None)
-            .map_batches(Reproject(4326), batch_format="pyarrow", batch_size=None)
-            .map_batches(lambda b: cellize(b, res), batch_format="pyarrow", batch_size=None)
-            .map_batches(
-                make_spatial_join_fn(
-                    payload, "INTERSECTS", keep_cols=("doc_id", "cell", "lon", "lat", "warc_ts")
-                ),
-                batch_format="pyarrow",
-                batch_size=None,
-            )
-        )
-        agg = final_cell_agg(
-            joined.map_batches(cell_partial_agg, batch_format="pyarrow", batch_size=None)
-        )
-        final = agg.to_pandas()
-        n_cells = len(final)
-        join_rows = int(final["n_docs"].sum())
+        joined, agg = flagship(pages, res=res, out_dir=out_dir)
         run_wall = time.perf_counter() - t0
         wall = run_wall if wall is None else min(wall, run_wall)
-
-    import pyarrow.parquet as pq
-    import glob
+        # the outputs are written: both counts are parquet footer reads
+        join_rows, n_cells = joined.count(), agg.count()
 
     n_docs = sum(pq.read_metadata(f).num_rows for f in glob.glob(f"{pages_dir}/part-*.parquet"))
     return {"wall_sec": wall, "docs": n_docs, "docs_per_sec": n_docs / wall, "join_rows": join_rows, "cells": n_cells}

@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+from georay.sources import filesystem, write_output
+
 
 def _init_ray(num_cpus: int | None):
     import ray
@@ -30,69 +32,58 @@ def _init_ray(num_cpus: int | None):
     return ray
 
 
-def _filesystem(path: str):
-    """``(filesystem, path inside it)`` for a local path or a filesystem
-    URI."""
-    import pyarrow.fs as pafs
-
-    return pafs.FileSystem.from_uri(path if "://" in path else os.path.abspath(path))
-
-
 def _remove_dir(path: str) -> None:
     """Delete the directory ``path`` (a local path or a filesystem URI)
     and everything under it, if it exists."""
     import pyarrow.fs as pafs
 
-    fs, p = _filesystem(path)
+    fs, p = filesystem(path)
     if fs.get_file_info(p).type != pafs.FileType.NotFound:
         fs.delete_dir(p)
 
 
-def _parquet_files(path: str) -> set:
-    """Paths of the parquet files directly under the directory ``path``
-    (a local path or a filesystem URI); empty if it does not exist."""
+def _parquet_rows(path: str) -> int:
+    """Rows in the parquet files directly under the directory ``path`` (a
+    local path or a filesystem URI), from their footers: no data is read."""
     import pyarrow.fs as pafs
+    import pyarrow.parquet as pq
 
-    fs, p = _filesystem(path)
+    fs, p = filesystem(path)
     infos = fs.get_file_info(pafs.FileSelector(p, allow_not_found=True))
-    return {i.path for i in infos if i.path.endswith(".parquet")}
+    return sum(
+        pq.read_metadata(i.path, filesystem=fs).num_rows
+        for i in infos
+        if i.path.endswith(".parquet")
+    )
 
 
 def cmd_flagship(args):
     ray = _init_ray(args.num_cpus)
     from georay.pipelines.flagship import flagship
+    from georay.pipelines.pages import read_pages
 
     joined, agg = flagship(
-        args.sf_dir, res=args.res, predicate=args.predicate, out_dir=args.out
+        read_pages(args.sf_dir), res=args.res, predicate=args.predicate, out_dir=args.out
     )
     print(json.dumps({"join_rows": joined.count(), "cells": agg.count(), "out": args.out}))
     ray.shutdown()
 
 
 def cmd_resume(args):
+    """The flagship's join rows per input file group, each group
+    checkpointed under its own ``--out/part-*`` directory."""
     ray = _init_ray(args.num_cpus)
-    from georay.pipelines.pages import synthesize_pages_batch
-    from georay.pipelines.polygons import polygon_payload
-    from georay.stages.geo import Reproject, cellize, extract_geo_batch, filter_has_geo
-    from georay.stages.join import make_spatial_join_fn
+    import ray.data
 
-    payload_ref = ray.put(polygon_payload())
+    from georay.pipelines.flagship import flagship
+    from georay.pipelines.pages import synthesize_pages_batch
+    from georay.state.checkpoint import resumable_run
 
     def build(files):
-        import ray.data
-
-        ds = ray.data.read_parquet(files)
+        pages = ray.data.read_parquet(files)
         if args.synthesize:
-            ds = ds.map_batches(synthesize_pages_batch, batch_format="pyarrow")
-        ds = (
-            ds.map_batches(lambda b: extract_geo_batch(b, keep_text=False), batch_format="pyarrow")
-            .map_batches(filter_has_geo, batch_format="pyarrow")
-            .map_batches(Reproject(4326), batch_format="pyarrow")
-            .map_batches(lambda b: cellize(b, args.res), batch_format="pyarrow")
-        )
-        return ds.map_batches(make_spatial_join_fn(payload_ref, args.predicate), batch_format="pyarrow")
-
-    from georay.state.checkpoint import resumable_run
+            pages = pages.map_batches(synthesize_pages_batch, batch_format="pyarrow")
+        return flagship(pages, res=args.res, predicate=args.predicate)[0]
 
     if os.path.isfile(args.input):
         files = [args.input]
@@ -126,7 +117,6 @@ def cmd_dedup(args):
     )
 
     import pyarrow as pa
-    import pyarrow.parquet as pq
 
     docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
     banded = docs.map_batches(minhash_band_batch, batch_format="pyarrow")
@@ -162,16 +152,11 @@ def cmd_dedup(args):
     full_docs = ray.data.read_parquet(args.input)
     n_docs = full_docs.count()  # parquet metadata count — no scan
     # the survivors stream read -> filter -> write; their count comes
-    # from the footers of the files this write adds
-    survivors = apply_dedup(full_docs, resolution)
-    resolution.write_parquet(os.path.join(args.out, "resolution"))
+    # from the footers of the files the write leaves
+    write_output(resolution, os.path.join(args.out, "resolution"))
     surv_dir = os.path.join(args.out, "survivors")
-    before = _parquet_files(surv_dir)
-    survivors.write_parquet(surv_dir)
-    fs = _filesystem(surv_dir)[0]
-    n_out = sum(
-        pq.read_metadata(f, filesystem=fs).num_rows for f in _parquet_files(surv_dir) - before
-    )
+    write_output(apply_dedup(full_docs, resolution), surv_dir)
+    n_out = _parquet_rows(surv_dir)
     print(json.dumps({
         "input_docs": n_docs,
         "clustered_docs": resolution.count(),
@@ -271,7 +256,7 @@ def cmd_curate(args):
             ),
             batch_format="pyarrow",
         )
-        sampled.write_parquet(args.out, partition_cols=["lang_pred"])
+        write_output(sampled, args.out, partition_cols=["lang_pred"])
     finally:
         _remove_dir(ann_dir)
 
@@ -316,9 +301,8 @@ def cmd_pack(args):
         r = b.column("bin").to_numpy(zero_copy_only=False) // bpf
         return b.append_column("bin_range", pa.array(r, pa.int64()))
 
-    packed.map_batches(add_range, batch_format="pyarrow").write_parquet(
-        args.out, partition_cols=["bin_range"]
-    )
+    ranged = packed.map_batches(add_range, batch_format="pyarrow")
+    write_output(ranged, args.out, partition_cols=["bin_range"])
     out_ds = ray.data.read_parquet(args.out)
     n = out_ds.count()
     n_bins = out_ds.max("bin")

@@ -1,39 +1,40 @@
-"""Flagship pipeline: read -> extract -> reproject -> cellize -> spatial
+"""Flagship pipeline: pages -> extract -> reproject -> cellize -> spatial
 join -> salted per-cell aggregate -> (optional) partitioned write.
 
 This is the end-to-end path BASELINE.md's throughput metric measures
-(docs/sec over the CC-style pages table) and the one ``__ray_entry__.entry``
-smoke-runs at sf0.001.  Every stage is a streaming ``map_batches`` over
-zero-copy Arrow; only the final per-cell merge shuffles, and its input is
-already combined down to one row per (block, cell).
+(docs/sec over the CC-style pages table): ``python -m georay flagship``,
+``__ray_entry__.entry``, ``resume`` and ``bench.py`` all run
+:func:`flagship`, each over its own pages read, and :func:`geo_dataset`
+is the one extract -> filter -> reproject -> cellize chain.  Every stage
+is a streaming ``map_batches`` over zero-copy Arrow; only the final
+per-cell merge shuffles, and its input is already combined down to one
+row per (block, cell).
 """
 
 from __future__ import annotations
 
-import tempfile
-
 import ray
 
-from georay.pipelines.pages import read_pages
 from georay.pipelines.polygons import polygon_payload
+from georay.sources import write_output
 from georay.stages.aggregate import cell_partial_agg, final_cell_agg
 from georay.stages.geo import Reproject, cellize, extract_geo_batch, filter_has_geo
 from georay.stages.join import make_spatial_join_fn
 
 
-def geo_dataset(sf_dir: str, res: int = 7, override_num_blocks: int | None = None):
-    """pages -> extracted+harmonized+cellized point dataset (lon/lat 4326).
+def geo_dataset(pages, res: int = 7):
+    """pages Dataset -> extracted+harmonized+cellized point dataset (lon/lat
+    4326), one row per page with a coordinate.
 
     ``text`` is dropped at the extraction edge: the spatial path only
     carries (url, warc_ts, lang, doc_id, lon, lat, epsg, cell).
     """
     from georay.registry import with_registry
 
-    ds = read_pages(sf_dir, override_num_blocks=override_num_blocks)
     # with_registry: user-registered geometry kernels (SURVEY §2.10) are
     # snapshotted on the driver and replayed inside each worker — module
     # state does not travel to Ray workers by itself (no-op when empty)
-    ds = ds.map_batches(
+    ds = pages.map_batches(
         with_registry(lambda b: extract_geo_batch(b, keep_text=False)),
         batch_format="pyarrow",
     )
@@ -60,12 +61,13 @@ _JOIN_COLUMNS = ["doc_id", "url", "lon", "lat"]
 _AGG_COLUMNS = ["cell", "lon", "lat", "warc_ts"]
 
 
-def _write_tiles(geo, out_dir: str) -> str:
-    """Write the per-document tile assignment as partitioned parquet (one
-    directory per res-2 parent cell, one file per directory per write task of
-    at least ``TILE_MIN_ROWS_PER_FILE`` input rows), never one giant file
-    — the resumable layout SURVEY.md §2.7 / §4 requires.  Returns the
-    tiles directory; each consumer reads it back with its own columns."""
+def _write_tiles(geo, tiles: str) -> bool:
+    """Write the per-document tile assignment to ``tiles`` as partitioned
+    parquet (one directory per res-2 parent cell, one file per directory
+    per write task of at least ``TILE_MIN_ROWS_PER_FILE`` input rows),
+    never one giant file — the resumable layout SURVEY.md §2.7 / §4
+    requires.  Returns whether any tile was written (``False`` when no
+    page had a coordinate)."""
 
     def add_prefix(b):
         import pyarrow as _pa
@@ -75,21 +77,17 @@ def _write_tiles(geo, out_dir: str) -> str:
         prefix = _cells.cell_parent(b.column("cell").to_numpy(), 2)
         return b.append_column("cell_prefix", _pa.array(prefix, _pa.int64()))
 
-    tiles = f"{out_dir}/tiles"
-    geo.map_batches(add_prefix, batch_format="pyarrow").write_parquet(
-        tiles, partition_cols=["cell_prefix"], min_rows_per_file=TILE_MIN_ROWS_PER_FILE
+    return write_output(
+        geo.map_batches(add_prefix, batch_format="pyarrow"),
+        tiles,
+        partition_cols=["cell_prefix"],
+        min_rows_per_file=TILE_MIN_ROWS_PER_FILE,
     )
-    return tiles
 
 
-def flagship(
-    sf_dir: str,
-    res: int = 7,
-    predicate: str = "INTERSECTS",
-    out_dir: str | None = None,
-    geo_cache: str = "spill",
-):
-    """Run the full pipeline; returns (join_rows_ds, cell_agg_ds).
+def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | None = None):
+    """Run the full pipeline over a pages Dataset (``read_pages(sf_dir)``,
+    or any read with the pages columns); returns (join_rows_ds, cell_agg_ds).
 
     The polygon side is broadcast once (``ray.put``) and the join is a
     plain task ``map_batches`` (``make_spatial_join_fn``): its index builds
@@ -98,44 +96,30 @@ def flagship(
     spawn per run.  The aggregate is partial-combined inside map_batches
     before the keyed merge (skew defence, stages/aggregate.py).
 
-    The geo dataset (the per-document tile assignment — a required output
-    of the engine) feeds BOTH the join and the aggregate, so it must not
-    be re-derived per consumer NOR pinned whole in the object store.
-    ``geo_cache`` picks how the fan-out is fed — the scale-safe
-    write-through is the DEFAULT (r3 judge: in-memory materialize of the
-    tile assignment is tens of TB at 10^12 rows and won't fit):
+    The geo dataset (the per-document tile assignment) feeds both the
+    join and the aggregate.  How it reaches them follows ``out_dir``:
 
-    - ``"spill"`` (default): write the partitioned ``tiles`` parquet
-      (to ``out_dir`` when given, else a temp dir that is deleted once
-      the returned datasets and all datasets derived from them are gone)
-      and stream both consumers from it, each reading only its own
-      columns — the deployment form; the tiles output is a required
-      engine artifact anyway, so the write is not extra work.
-    - ``"memory"``: pin the geo dataset in the object store — opt-in for
-      small inputs / interactive sessions only.
-    - ``"recompute"``: keep geo lazy; each consumer re-executes the
-      extract chain (zero storage, 2x compute).
+    - ``out_dir`` given (the deployment form): the partitioned ``tiles``
+      parquet is written there, a required engine artifact, and each
+      consumer streams it back reading only its own columns; the join
+      rows and the cell aggregate are then written beside it and the
+      returned datasets read them back.  Each output replaces what an
+      earlier run left in ``out_dir``.
+    - ``out_dir=None``: ``geo`` stays lazy and each consumer re-derives
+      it from ``pages`` when it runs.  Nothing is written and nothing is
+      pinned in the object store.
     """
-    if geo_cache not in ("spill", "memory", "recompute"):
-        raise ValueError(f"geo_cache must be spill|memory|recompute, got {geo_cache!r}")
     import ray.data as rd
 
-    geo = geo_dataset(sf_dir, res=res)
-    if out_dir or geo_cache == "spill":
-        spill = None if out_dir else tempfile.TemporaryDirectory(prefix="georay_tiles_")
-        tiles = _write_tiles(geo, out_dir or spill.name)
-        join_src = rd.read_parquet(tiles, columns=_JOIN_COLUMNS)
-        agg_src = rd.read_parquet(tiles, columns=_AGG_COLUMNS)
-        if spill is not None:
-            # every dataset derived from a read shares its logical operator:
-            # pinning the temp dir there deletes it once the last dataset
-            # that can read it is garbage (or at interpreter exit)
-            for src in (join_src, agg_src):
-                src._logical_plan.dag._georay_spill_dir = spill
+    geo = geo_dataset(pages, res=res)
+    if not out_dir:
+        join_src = agg_src = geo
+    elif _write_tiles(geo, f"{out_dir}/tiles"):
+        join_src = rd.read_parquet(f"{out_dir}/tiles", columns=_JOIN_COLUMNS)
+        agg_src = rd.read_parquet(f"{out_dir}/tiles", columns=_AGG_COLUMNS)
     else:
-        # "memory" pins geo in the object store; "recompute" leaves it lazy
-        # and both consumers re-derive it
-        join_src = agg_src = geo.materialize() if geo_cache == "memory" else geo
+        # no page had a coordinate: there are no tile columns to project
+        join_src = agg_src = rd.from_items([])
 
     payload_ref = ray.put(polygon_payload())
     # whole blocks: a ``batch_size`` makes Ray bundle the join's input, and
@@ -146,7 +130,7 @@ def flagship(
     agg = final_cell_agg(agg_src.map_batches(cell_partial_agg, batch_format="pyarrow"))
 
     if out_dir:
-        joined.write_parquet(f"{out_dir}/join_rows")
-        agg.write_parquet(f"{out_dir}/cell_agg")
+        write_output(joined, f"{out_dir}/join_rows")
+        write_output(agg, f"{out_dir}/cell_agg")
         return rd.read_parquet(f"{out_dir}/join_rows"), rd.read_parquet(f"{out_dir}/cell_agg")
     return joined, agg

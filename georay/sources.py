@@ -9,12 +9,38 @@ to the parquet reader; post-read projection for row-oriented formats
 that cannot prune at the read).  :func:`read_gml` maps the reference's
 XML-document source to a Dataset: every file parsed inside
 ``map_batches`` (the XML never leaves the worker — only the slim
-geometry summary rows do).
+geometry summary rows do).  :func:`write_output` is the one way a
+pipeline writes an output directory.
 """
 
 from __future__ import annotations
 
 import os
+
+
+def filesystem(path: str):
+    """``(filesystem, path inside it)`` for a local path or a filesystem
+    URI."""
+    import pyarrow.fs as pafs
+
+    return pafs.FileSystem.from_uri(path if "://" in path else os.path.abspath(path))
+
+
+def write_output(ds, path: str, **kwargs) -> bool:
+    """``ds.write_parquet(path, **kwargs)``, replacing whatever an earlier
+    run left under ``path`` (Ray's default appends, so a re-run would
+    double every output and every read-back of it).  The directory exists
+    afterwards even when ``ds`` has no rows (Ray removes it then), so
+    reading the output back whole gives an empty dataset instead of
+    raising.  Returns whether the write left anything under ``path``:
+    ``False`` when ``ds`` had no rows."""
+    import pyarrow.fs as pafs
+    from ray.data.datasource import SaveMode
+
+    ds.write_parquet(path, mode=SaveMode.OVERWRITE, **kwargs)
+    fs, p = filesystem(path)
+    fs.create_dir(p)
+    return bool(fs.get_file_info(pafs.FileSelector(p)))
 
 
 def read_table(path: str, fmt: str | None = None, columns=None, override_num_blocks=None):

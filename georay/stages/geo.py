@@ -1,9 +1,10 @@
-"""Stateless geometry stages: extract, reproject, cellize, filter.
+"""Stateless geometry stages: extract, filter, reproject, cellize.
 
 All operate on ``batch_format="pyarrow"`` batches (zero-copy from the
 object store) and return new Arrow tables; per SURVEY.md §7.3 these run
 as plain Ray tasks (no actor state needed — the transformer cache is a
-per-worker-process memo).
+per-worker-process memo).  ``georay.pipelines.flagship.geo_dataset`` is
+the one pipeline that chains them, in that order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from georay import cells
 from georay.crs.projections import transformer
 from georay.extract import extract_geo_batch
 
-__all__ = ["extract_geo_batch", "filter_has_geo", "Reproject", "cellize", "GeoExtractActor"]
+__all__ = ["extract_geo_batch", "filter_has_geo", "Reproject", "cellize"]
 
 
 def filter_has_geo(batch: pa.Table) -> pa.Table:
@@ -31,9 +32,9 @@ class Reproject:
     transformed with a cached per-(src,dst) Transformer, grouped by
     source EPSG so each group is one vectorized numpy call.
 
-    Declared as a callable class so ``map_batches(Reproject, concurrency=N)``
-    warms the transformer cache once per actor (SURVEY.md §3 EP-1 state);
-    it is equally usable as a stateless task.
+    A callable instance holding only the target CRS: ``geo_dataset`` maps
+    it as a stateless task, and the transformer cache is per worker
+    process (SURVEY.md §3 EP-1 state).
     """
 
     def __init__(self, dst_epsg: int = 4326, lon_col: str = "lon", lat_col: str = "lat"):
@@ -68,32 +69,6 @@ class Reproject:
             pa.array(np.full(len(x), self.dst, np.int32)),
         )
         return out
-
-
-class GeoExtractActor:
-    """Fused geocoding-extraction actor (the north_star stage shape):
-    one actor-pool stage doing extract -> filter -> reproject -> cellize
-    over zero-copy Arrow batches, with the CRS transformer cache and the
-    cell-grid parameters warmed once in ``__init__``.
-
-    Use via ``map_batches(GeoExtractActor, fn_constructor_kwargs={...},
-    concurrency=N)``; the task-path equivalent is the 4-stage chain in
-    ``georay.pipelines.flagship.geo_dataset`` (same outputs, task workers
-    warm the same per-process caches).
-    """
-
-    def __init__(self, res: int = 7, dst_epsg: int = 4326, keep_text: bool = False):
-        self.res = int(res)
-        self.keep_text = keep_text
-        self.reproject = Reproject(dst_epsg)
-        transformer(32610, dst_epsg)  # warm a representative transform + EPSG registry
-        transformer(3857, dst_epsg)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        b = extract_geo_batch(batch, keep_text=self.keep_text)
-        b = filter_has_geo(b)
-        b = self.reproject(b)
-        return cellize(b, self.res)
 
 
 def cellize(batch: pa.Table, res: int = 7) -> pa.Table:

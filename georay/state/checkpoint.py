@@ -28,6 +28,8 @@ import shutil
 import time
 from typing import Callable, Sequence
 
+import pyarrow.parquet as pq
+
 from georay import __version__
 
 
@@ -59,7 +61,9 @@ def resumable_run(
 ) -> dict:
     """Run ``build_pipeline(files)`` per input group, checkpointing each.
 
-    Returns run metrics: partitions done/skipped, rows written.
+    Returns run metrics: partitions done/skipped, rows read (from the
+    input files' parquet footers) and rows written, over the partitions
+    this run completed.
     ``fail_after`` aborts after N completed partitions (test hook for the
     resume-after-kill scenario).
     """
@@ -96,17 +100,16 @@ def resumable_run(
         # the written file footers, which are metadata-only reads
         data_dir = os.path.join(pdir, "data")
         build_pipeline(files).write_parquet(data_dir)
-        import pyarrow.parquet as pq
-
+        rows_in = sum(pq.read_metadata(f).num_rows for f in files)
         rows_out = sum(
-            pq.ParquetFile(os.path.join(data_dir, f)).metadata.num_rows
+            pq.read_metadata(os.path.join(data_dir, f)).num_rows
             for f in os.listdir(data_dir)
             if f.endswith(".parquet")
         )
         lineage = {
             "partition": name,
             "inputs": files,
-            "rows_in": None,  # filled by pipelines that track it; file-level
+            "rows_in": rows_in,
             "rows_out": rows_out,
             "wall_sec": round(time.perf_counter() - t0, 3),
             "engine_version": __version__,
@@ -117,6 +120,7 @@ def resumable_run(
         # _SUCCESS last: the atomic commit point
         open(os.path.join(pdir, "_SUCCESS"), "w").close()
         stats["partitions"] += 1
+        stats["rows_in"] += rows_in
         stats["rows_out"] += rows_out
         completed_this_run += 1
     return stats

@@ -45,10 +45,10 @@ class TestResume:
     def test_full_run_writes_lineage(self, ray_session, input_files, tmp_path):
         out = str(tmp_path / "out")
         stats = resumable_run(input_files, out, build, group_size=4)
-        assert stats == {"partitions": 2, "skipped": 0, "rows_out": 80, "rows_in": 0}
+        assert stats == {"partitions": 2, "skipped": 0, "rows_out": 80, "rows_in": 80}
         lineage = read_lineage(out)
         assert len(lineage) == 2
-        assert lineage[0]["rows_out"] == 40
+        assert lineage[0]["rows_in"] == lineage[0]["rows_out"] == 40
         assert lineage[0]["engine_version"]
         # output data readable and partitioned per group
         rows = sum(

@@ -42,16 +42,9 @@ class TestMixedCrsPipeline:
     def test_utm_meta_page_lands_at_atkinson(self, ray_session):
         import ray.data
 
-        from georay.stages.geo import Reproject, cellize, extract_geo_batch, filter_has_geo
+        from georay.pipelines.flagship import geo_dataset
 
-        ds = ray.data.from_arrow(make_pages())
-        geo = (
-            ds.map_batches(extract_geo_batch, batch_format="pyarrow")
-            .map_batches(filter_has_geo, batch_format="pyarrow")
-            .map_batches(Reproject(4326), batch_format="pyarrow")
-            .map_batches(lambda b: cellize(b, 7), batch_format="pyarrow")
-        )
-        out = geo.to_pandas().set_index("doc_id")
+        out = geo_dataset(ray.data.from_arrow(make_pages()), 7).to_pandas().set_index("doc_id")
         assert len(out) == 2  # no-geo page filtered
         # UTM page reprojected onto Atkinson within fixture tolerance
         assert out.loc[2, "lon"] == pytest.approx(-123.2646, abs=1e-4)
@@ -97,28 +90,3 @@ class TestAudioStage:
         media = synth_media_batch(pa.table({"doc_id": pa.array([1], pa.int64())}))
         with pytest.raises(ValueError, match="RIFF"):
             AudioFeatureStage(fake=False)(media)
-
-
-class TestGeoExtractActor:
-    def test_fused_actor_matches_task_chain(self, ray_session):
-        import ray.data
-
-        from georay.stages.geo import GeoExtractActor, Reproject, cellize, extract_geo_batch, filter_has_geo
-
-        pages = make_pages()
-        via_actor = (
-            ray.data.from_arrow(pages)
-            .map_batches(GeoExtractActor, fn_constructor_kwargs={"res": 7}, batch_format="pyarrow", concurrency=1)
-            .to_pandas()
-            .sort_values("doc_id", ignore_index=True)
-        )
-        via_tasks = (
-            ray.data.from_arrow(pages)
-            .map_batches(lambda b: extract_geo_batch(b, keep_text=False), batch_format="pyarrow")
-            .map_batches(filter_has_geo, batch_format="pyarrow")
-            .map_batches(Reproject(4326), batch_format="pyarrow")
-            .map_batches(lambda b: cellize(b, 7), batch_format="pyarrow")
-            .to_pandas()
-            .sort_values("doc_id", ignore_index=True)
-        )
-        assert via_actor.equals(via_tasks)

@@ -240,6 +240,35 @@ class TestOneMechanism:
         ]
         assert not pinned, pinned
 
+    def test_one_geo_chain(self):
+        """``geo_dataset`` is the only extract -> reproject -> cellize
+        chain: no other function in georay, the entry module or the bench
+        harness maps ``extract_geo_batch``, and ``flagship`` has no
+        ``geo_cache`` route knob."""
+        import ast
+        import inspect
+
+        from georay.pipelines.flagship import flagship
+
+        root = Path(__file__).resolve().parents[1]
+        owners = []
+        for path in [*self._sources(), root / "bench.py"]:
+            tree = ast.parse(path.read_text())
+            defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "map_batches"):
+                    continue
+                if any(isinstance(n, ast.Name) and n.id == "extract_geo_batch"
+                       or isinstance(n, ast.Attribute) and n.attr == "extract_geo_batch"
+                       for arg in [*node.args, *(k.value for k in node.keywords)]
+                       for n in ast.walk(arg)):
+                    inner = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                    owners.append((path.name, min(inner, key=lambda d: d.end_lineno - d.lineno).name
+                                   if inner else None))
+        assert owners == [("flagship.py", "geo_dataset")]
+        assert "geo_cache" not in inspect.signature(flagship).parameters
+
     def test_part_of_defined_only_in_partition_module(self):
         defs = [
             path.name for path in self._sources()
