@@ -25,10 +25,10 @@ import pyarrow as pa
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Max, Min
 
 from georay import cells
-from georay.partition import broadcast_or_none, copartition, hash_partition, partitions
+from georay.partition import broadcast_or_none, copartition, partitions
 from georay.pipelines.flagship import flagship, geo_dataset
 from georay.pipelines.pages import PAGES_SQL_CTE, read_pages
 from georay.pipelines.polygons import (
@@ -38,6 +38,7 @@ from georay.pipelines.polygons import (
     rect_bounds,
     star_edges_sql_values,
 )
+from georay.stages.aggregate import CELL_AGGS, keyed_agg
 from georay.stages.join import KNNJoinActor, make_spatial_join_fn
 
 def _cents(v: np.ndarray) -> np.ndarray:
@@ -148,9 +149,7 @@ def _q_tile_assign(sf_dir: str):
 
 
 def _q_cell_agg(sf_dir: str):
-    from georay.stages.aggregate import cell_partial_agg, final_cell_agg
-
-    return final_cell_agg(_geo(sf_dir).map_batches(cell_partial_agg, batch_format="pyarrow"))
+    return keyed_agg(_geo(sf_dir), "cell", CELL_AGGS)
 
 
 def _q_bbox_join(sf_dir: str):
@@ -225,9 +224,8 @@ def _q_dedup_exact(sf_dir: str):
     from georay.dedup import text_key_batch
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    agg = ds.map_batches(text_key_batch, batch_format="pyarrow").groupby(["h1", "h2"]).aggregate(
-        Min("doc_id", alias_name="doc_id")
-    )
+    keyed = ds.map_batches(text_key_batch, batch_format="pyarrow")
+    agg = keyed_agg(keyed, ["h1", "h2"], {"doc_id": ("doc_id", "min")})
     return agg.map_batches(lambda b: b.select(["doc_id"]), batch_format="pyarrow")
 
 
@@ -236,10 +234,10 @@ def _q_lineitem_agg(sf_dir: str):
     for exact distributed addition."""
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def to_cents(b: pa.Table) -> pa.Table:
         qty = _cents(b.column("l_quantity").to_numpy())
         price = _cents(b.column("l_extendedprice").to_numpy())
-        t = pa.table(
+        return pa.table(
             {
                 "l_returnflag": b.column("l_returnflag"),
                 "l_linestatus": b.column("l_linestatus"),
@@ -247,34 +245,16 @@ def _q_lineitem_agg(sf_dir: str):
                 "price_c": pa.array(price),
             }
         )
-        return t
 
-    # 6 flag/status groups: per-block pyarrow group_by partials, then
-    # one keyed merge of the partials
-    def combine(b: pa.Table) -> pa.Table:
-        return (
-            b.group_by(["l_returnflag", "l_linestatus"])
-            .aggregate([("qty_c", "sum"), ("price_c", "sum"), ("qty_c", "count")])
-            .rename_columns(
-                ["l_returnflag", "l_linestatus", "sum_qty_cents", "sum_price_cents", "count_order"]
-            )
-        )
-
-    def merge(b: pa.Table) -> pa.Table:
-        return (
-            b.group_by(["l_returnflag", "l_linestatus"])
-            .aggregate(
-                [("sum_qty_cents", "sum"), ("sum_price_cents", "sum"), ("count_order", "sum")]
-            )
-            .rename_columns(
-                ["l_returnflag", "l_linestatus", "sum_qty_cents", "sum_price_cents", "count_order"]
-            )
-        )
-
-    partials = ds.map_batches(partial, batch_format="pyarrow").map_batches(
-        combine, batch_format="pyarrow", batch_size=None
+    return keyed_agg(
+        ds.map_batches(to_cents, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        {
+            "sum_qty_cents": ("qty_c", "sum"),
+            "sum_price_cents": ("price_c", "sum"),
+            "count_order": ("qty_c", "count"),
+        },
     )
-    return hash_partition(partials, ["l_returnflag", "l_linestatus"], merge, partitions(partials))
 
 
 def _q_top_customers(sf_dir: str):
@@ -285,20 +265,10 @@ def _q_top_customers(sf_dir: str):
         c = _cents(b.column("o_totalprice").to_numpy())
         return pa.table({"o_custkey": b.column("o_custkey"), "price_c": pa.array(c)})
 
-    def combine(b: pa.Table) -> pa.Table:
-        # in-block combiner: the groupby shuffle moves one row per
-        # (block, custkey) instead of one per order
-        return (
-            b.group_by("o_custkey")
-            .aggregate([("price_c", "sum"), ("price_c", "count")])
-            .rename_columns(["o_custkey", "total_cents", "n_orders"])
-        )
-
-    per_cust = (
-        orders.map_batches(to_cents, batch_format="pyarrow")
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-        .groupby("o_custkey")
-        .aggregate(Sum("total_cents", alias_name="total_cents"), Sum("n_orders", alias_name="n_orders"))
+    per_cust = keyed_agg(
+        orders.map_batches(to_cents, batch_format="pyarrow"),
+        "o_custkey",
+        {"total_cents": ("price_c", "sum"), "n_orders": ("price_c", "count")},
     )
     # broadcast the small customer table into the batch transform (no shuffle join)
     import pyarrow.parquet as pq
@@ -316,14 +286,6 @@ def _q_top_customers(sf_dir: str):
             return b.append_column("c_name", pa.array(names, pa.string()))
 
     def local_top(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:  # sort aggregates emit schemaless empty partitions
-            return pa.table(
-                {
-                    "o_custkey": pa.array([], pa.int64()),
-                    "total_cents": pa.array([], pa.int64()),
-                    "n_orders": pa.array([], pa.int64()),
-                }
-            )
         return b.sort_by(
             [("total_cents", "descending"), ("o_custkey", "ascending")]
         ).slice(0, 10)
@@ -351,30 +313,16 @@ def _q_events_by_type(sf_dir: str):
         c = _cents(b.column("value").to_numpy())
         return pa.table({"event_type": b.column("event_type"), "ts": b.column("ts"), "value_c": pa.array(c)})
 
-    # 5 distinct event types: per-block pyarrow combine, then one keyed
-    # merge of the partials
-    def partial(b: pa.Table) -> pa.Table:
-        return (
-            b.group_by("event_type")
-            .aggregate(
-                [("value_c", "count"), ("ts", "min"), ("ts", "max"), ("value_c", "sum")]
-            )
-            .rename_columns(["event_type", "n_events", "ts_min", "ts_max", "value_cents"])
-        )
-
-    def merge(b: pa.Table) -> pa.Table:
-        return (
-            b.group_by("event_type")
-            .aggregate(
-                [("n_events", "sum"), ("ts_min", "min"), ("ts_max", "max"), ("value_cents", "sum")]
-            )
-            .rename_columns(["event_type", "n_events", "ts_min", "ts_max", "value_cents"])
-        )
-
-    partials = ds.map_batches(to_cents, batch_format="pyarrow").map_batches(
-        partial, batch_format="pyarrow", batch_size=None
+    return keyed_agg(
+        ds.map_batches(to_cents, batch_format="pyarrow"),
+        "event_type",
+        {
+            "n_events": ("value_c", "count"),
+            "ts_min": ("ts", "min"),
+            "ts_max": ("ts", "max"),
+            "value_cents": ("value_c", "sum"),
+        },
     )
-    return hash_partition(partials, "event_type", merge, partitions(partials))
 
 
 # ---------------------------------------------------------------------------
@@ -944,18 +892,10 @@ def _q_cell_rollup(sf_dir: str):
     """Hierarchical rollup: res-7 cells -> res-4 parents, doc counts."""
     def parentize(b: pa.Table) -> pa.Table:
         parent = cells.cell_parent(b.column("cell").to_numpy(), 4)
-        t = pa.table({"parent_cell": pa.array(parent, pa.int64())})
-        return t.group_by("parent_cell").aggregate([("parent_cell", "count")]).rename_columns(
-            ["parent_cell", "n_docs"]
-        )
-
-    def merge(b: pa.Table) -> pa.Table:
-        return b.group_by("parent_cell").aggregate([("n_docs", "sum")]).rename_columns(
-            ["parent_cell", "n_docs"]
-        )
+        return pa.table({"parent_cell": pa.array(parent, pa.int64())})
 
     ds = _geo(sf_dir).map_batches(parentize, batch_format="pyarrow")
-    return hash_partition(ds, "parent_cell", merge, partitions(ds))
+    return keyed_agg(ds, "parent_cell", {"n_docs": ("parent_cell", "count")})
 
 
 def _q_top_cells(sf_dir: str):
@@ -963,11 +903,7 @@ def _q_top_cells(sf_dir: str):
     20 cells by doc count, rank materialized from the sorted order so the
     oracle verifies the ORDERING itself (the gate's value hash is
     order-insensitive, the rank column is not)."""
-    from georay.stages.aggregate import cell_partial_agg, final_cell_agg
-
-    agg = final_cell_agg(
-        _geo(sf_dir).map_batches(cell_partial_agg, batch_format="pyarrow")
-    )
+    agg = keyed_agg(_geo(sf_dir), "cell", CELL_AGGS)
     top = agg.sort(["n_docs", "cell"], descending=[True, False]).limit(20)
     df = top.to_pandas().reset_index(drop=True)[["cell", "n_docs"]]
     df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
@@ -1104,37 +1040,25 @@ def _q_segment_revenue(sf_dir: str):
     The customer side goes through ``georay.partition.broadcast_or_none``:
     while it fits the budget it is broadcast with ``ray.put`` and the
     orders stream through one fused read -> join -> per-segment
-    pre-aggregate map; past it one ``copartition`` joins and
-    pre-aggregates per partition.  One ``hash_partition`` on the segment
-    merges the partials."""
+    map; past it one ``copartition`` joins per partition.  One
+    ``keyed_agg`` on the segment sums the joined rows."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
-    def partial(L: pa.Table, R: pa.Table) -> pa.Table:
+    def join(L: pa.Table, R: pa.Table) -> pa.Table:
         b = L.join(R, keys="o_custkey", right_keys="c_custkey")
         c = _cents(b.column("o_totalprice").to_numpy())
-        return (
-            pa.table({"c_mktsegment": b.column("c_mktsegment"), "price_c": pa.array(c)})
-            .group_by("c_mktsegment")
-            .aggregate([("price_c", "sum"), ("price_c", "count")])
-            .rename_columns(["c_mktsegment", "revenue_cents", "n_orders"])
-        )
+        return pa.table({"c_mktsegment": b.column("c_mktsegment"), "price_c": pa.array(c)})
 
-    def merge(b: pa.Table) -> pa.Table:
-        return (
-            b.group_by("c_mktsegment")
-            .aggregate([("revenue_cents", "sum"), ("n_orders", "sum")])
-            .rename_columns(["c_mktsegment", "revenue_cents", "n_orders"])
-        )
-
-    n = partitions(orders)
     cust_tbl, cust = broadcast_or_none(cust)
     if cust_tbl is None:
-        partials = copartition(orders, cust, "o_custkey", "c_custkey", partial, n)
+        joined = copartition(orders, cust, "o_custkey", "c_custkey", join, partitions(orders))
     else:
         cust_ref = ray.put(cust_tbl)
-        partials = orders.map_batches(lambda b: partial(b, ray.get(cust_ref)), batch_format="pyarrow")
-    return hash_partition(partials, "c_mktsegment", merge, n)
+        joined = orders.map_batches(lambda b: join(b, ray.get(cust_ref)), batch_format="pyarrow")
+    return keyed_agg(
+        joined, "c_mktsegment", {"revenue_cents": ("price_c", "sum"), "n_orders": ("price_c", "count")}
+    )
 
 
 def _q_geo_explode(sf_dir: str):
@@ -1149,26 +1073,10 @@ def _q_geo_explode(sf_dir: str):
 
 
 def _q_distinct_segments(sf_dir: str):
-    """Set op: distinct market segments (Dataset.unique analog) via
-    per-block pyarrow count partials + one keyed merge."""
+    """Set op: distinct market segments (Dataset.unique analog) via one
+    keyed count."""
     ds = _read(sf_dir, "customer", ["c_mktsegment"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        return (
-            b.group_by("c_mktsegment")
-            .aggregate([("c_mktsegment", "count")])
-            .rename_columns(["c_mktsegment", "n_customers"])
-        )
-
-    def merge(b: pa.Table) -> pa.Table:
-        return (
-            b.group_by("c_mktsegment")
-            .aggregate([("n_customers", "sum")])
-            .rename_columns(["c_mktsegment", "n_customers"])
-        )
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return hash_partition(partials, "c_mktsegment", merge, partitions(partials))
+    return keyed_agg(ds, "c_mktsegment", {"n_customers": ("c_mktsegment", "count")})
 
 
 def _q_sessionize(sf_dir: str):
@@ -1216,33 +1124,23 @@ def _q_events_hourly(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
     HOUR_US = 3_600_000_000
 
-    def partial(b: pa.Table) -> pa.Table:
+    def windowed(b: pa.Table) -> pa.Table:
         ts_us = b.column("ts").cast(pa.int64()).to_numpy()
         win = (ts_us // HOUR_US) * HOUR_US
         cents = _cents(b.column("value").to_numpy())
-        t = pa.table(
+        return pa.table(
             {
                 "event_type": b.column("event_type"),
                 "window_start": pa.array(win.astype("datetime64[us]"), pa.timestamp("us")),
-                "n_events": pa.array(np.ones(len(win), np.int64)),
                 "value_cents": pa.array(cents),
             }
         )
-        return (
-            t.group_by(["event_type", "window_start"])
-            .aggregate([("n_events", "sum"), ("value_cents", "sum")])
-            .rename_columns(["event_type", "window_start", "n_events", "value_cents"])
-        )
 
-    def merge(b: pa.Table) -> pa.Table:
-        return (
-            b.group_by(["event_type", "window_start"])
-            .aggregate([("n_events", "sum"), ("value_cents", "sum")])
-            .rename_columns(["event_type", "window_start", "n_events", "value_cents"])
-        )
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return hash_partition(partials, ["event_type", "window_start"], merge, partitions(partials))
+    return keyed_agg(
+        ds.map_batches(windowed, batch_format="pyarrow"),
+        ["event_type", "window_start"],
+        {"n_events": ("value_cents", "count"), "value_cents": ("value_cents", "sum")},
+    )
 
 
 def _q_events_topk(sf_dir: str):

@@ -175,7 +175,7 @@ def cmd_curate(args):
     deterministic stratified sample -> survivors parquet partitioned by
     detected language.
 
-    Scale shape: the only shuffles are the 16-byte dedup-key groupby and
+    Scale shape: the only shuffles are the 16-byte dedup-key aggregate and
     the co-partitioned survivor-id semi join; everything else is
     stateless map_batches.  The sample decision is a pure hash of doc_id
     (re-run stable), so a resumed/repeated run selects identical
@@ -185,10 +185,11 @@ def cmd_curate(args):
     import pyarrow.compute as pc
 
     import ray.data
-    from ray.data.aggregate import Min
 
     from georay.dedup import text_key_batch
+    from georay.partition import copartition, partitions
     from georay.sample import stratified_sample_batch
+    from georay.stages.aggregate import keyed_agg
     from georay.text import detect_language, quality_batch
 
     docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
@@ -217,7 +218,7 @@ def cmd_curate(args):
 
     filt = docs.map_batches(annotate_filter, batch_format="pyarrow")
 
-    # The DAG branches below (survivor groupby + join left side) — without
+    # The DAG branches below (survivor aggregate + join left side) — without
     # a checkpoint each consumer re-executes quality/langid/hash over the
     # full corpus.  Write the annotated rows through parquet ONCE
     # (streaming, disk-backed; an in-object-store materialize would pin
@@ -227,47 +228,41 @@ def cmd_curate(args):
     ann_dir = args.out.rstrip("/") + ".checkpoint"
     _remove_dir(ann_dir)  # a crashed run's files would be read twice
     try:
-        filt.write_parquet(ann_dir)
-        filt = ray.data.read_parquet(ann_dir)
+        if write_output(filt, ann_dir):
+            filt = ray.data.read_parquet(ann_dir)
+            # exact dedup: survivor ids from a 16-byte-key aggregate, then a
+            # semi join back (the full rows never shuffle through the key
+            # aggregate)
+            survivors = keyed_agg(filt, ["h1", "h2"], {"keep_id": ("doc_id", "min")})
 
-        # exact dedup: survivor ids from a 16-byte-key groupby, then a semi
-        # join back (the full rows never shuffle through the key groupby)
-        survivors = (
-            filt.map_batches(lambda b: b.select(["h1", "h2", "doc_id"]), batch_format="pyarrow")
-            .groupby(["h1", "h2"])
-            .aggregate(Min("doc_id", alias_name="keep_id"))
-            .map_batches(lambda b: b.select(["keep_id"]), batch_format="pyarrow")
-        )
-        from georay.partition import copartition, partitions
+            def keep_survivors(L: pa.Table, R: pa.Table) -> pa.Table:
+                keep_ids = R.column("keep_id").combine_chunks()
+                return L.filter(pc.is_in(L.column("doc_id"), value_set=keep_ids))
 
-        def keep_survivors(L: pa.Table, R: pa.Table) -> pa.Table:
-            keep_ids = R.column("keep_id").combine_chunks()
-            return L.filter(pc.is_in(L.column("doc_id"), value_set=keep_ids))
+            # the semi join shuffles the full annotated corpus: size
+            # partitions to its measured rows (filt is a fresh parquet read
+            # of the checkpoint, so the count is free plan metadata)
+            n_part = args.num_partitions or partitions(filt)
+            deduped = copartition(filt, survivors, "doc_id", "keep_id", keep_survivors, n_part)
 
-        # the semi join shuffles the full annotated corpus: size partitions
-        # to its measured rows (filt is a fresh parquet read of the
-        # checkpoint, so the count is free plan metadata), not a fixed 16
-        n_part = args.num_partitions or partitions(filt)
-        deduped = copartition(filt, survivors, "doc_id", "keep_id", keep_survivors, n_part)
-
-        sampled = deduped.map_batches(
-            lambda b: stratified_sample_batch(
-                b, rates_bp={}, default_bp=args.rate_bp, key_col="lang_pred"
-            ),
-            batch_format="pyarrow",
-        )
-        write_output(sampled, args.out, partition_cols=["lang_pred"])
+            sampled = deduped.map_batches(
+                lambda b: stratified_sample_batch(
+                    b, rates_bp={}, default_bp=args.rate_bp, key_col="lang_pred"
+                ),
+                batch_format="pyarrow",
+            )
+            write_output(sampled, args.out, partition_cols=["lang_pred"])
+        else:
+            # the filter kept no document; still replace an earlier run's
+            # output, which the counts below would otherwise read
+            write_output(ray.data.from_items([]), args.out)
     finally:
         _remove_dir(ann_dir)
 
-    out_ds = ray.data.read_parquet(args.out)
-    n_out = out_ds.count()
-    per_lang = {}
-    for row in out_ds.groupby("lang_pred").count().take_all():
-        per_lang[row["lang_pred"]] = row["count()"]
+    per_lang = _partition_rows(args.out, "lang_pred")
     print(json.dumps({
         "input_docs": n_in,
-        "survivors": n_out,
+        "survivors": sum(per_lang.values()),
         "per_lang": per_lang,
         "min_quality_bp": min_q,
         "min_tokens": min_t,
@@ -275,6 +270,20 @@ def cmd_curate(args):
         "out": args.out,
     }))
     ray.shutdown()
+
+
+def _partition_rows(path: str, col: str) -> dict:
+    """``{value: rows}`` of each ``col=value`` directory directly under
+    the directory ``path`` (a local path or a filesystem URI), counted
+    from the parquet footers."""
+    import pyarrow.fs as pafs
+
+    fs, p = filesystem(path)
+    return {
+        i.base_name.split("=", 1)[1]: _parquet_rows(path.rstrip("/") + "/" + i.base_name)
+        for i in fs.get_file_info(pafs.FileSelector(p))
+        if i.type == pafs.FileType.Directory and i.base_name.startswith(col + "=")
+    }
 
 
 def cmd_pack(args):

@@ -40,6 +40,7 @@ import pyarrow.compute as pc
 
 from georay.geom.polygon import _expand_ranges
 from georay.partition import broadcast_or_none, copartition, hash_partition, part_of, partitions
+from georay.stages.aggregate import keyed_agg
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
 
@@ -1132,7 +1133,6 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
     survivors.
     """
     import ray.data as _rd
-    from ray.data.aggregate import Sum as _Sum
 
     empty = pa.table(
         {"doc_id": pa.array([], pa.int64()), "survivor": pa.array([], pa.int64())}
@@ -1207,7 +1207,7 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
     labels = hash_partition(
         edges.map_batches(init_labels, batch_format="pyarrow"), "node", _min_label, num_partitions
     ).materialize()
-    prev = labels.aggregate(_Sum("label"))["sum(label)"]
+    prev = labels.sum("label")
     for _ in range(max_iter):
         msgs = edges.map_batches(edge_msgs, batch_format="pyarrow").union(
             labels.map_batches(label_msgs, batch_format="pyarrow")
@@ -1216,7 +1216,7 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
         labels = hash_partition(offers, "node", _min_label, num_partitions).materialize()
         # labels are per-node minima: the sum is monotone non-increasing
         # and equal sums mean every label is at its fixpoint
-        cur = labels.aggregate(_Sum("label"))["sum(label)"]
+        cur = labels.sum("label")
         if cur == prev:
             break
         prev = cur
@@ -1359,23 +1359,20 @@ def dup_spans(docs_ds, w: int = 5, min_docs: int = 2, text_col: str = "text",
     least ``min_docs`` DISTINCT documents, with its document count and
     total occurrence count.
 
-    Shape: per-batch combine (each document lives in one block, so
-    partial rows are already per (window, doc)) -> ONE hash shuffle
-    keyed by the window hash -> tiny vectorized filter.  Returns rows
-    (gram, n_docs, n_occ)."""
-    from ray.data.aggregate import Count, Max, Sum
-
+    Shape: per-batch rows per (window, doc) (each document lives in one
+    block) -> one ``keyed_agg`` on the window hash -> tiny vectorized
+    filter.  Returns rows (gram, n_docs, n_occ)."""
     partials = docs_ds.map_batches(
         lambda b: dup_span_partial(b, w=w, text_col=text_col, id_col=id_col),
         batch_format="pyarrow",
     )
-    agg = partials.groupby("h").aggregate(
-        Count(alias_name="n_docs"),
-        Sum("n_occ", alias_name="n_occ"),
-        # all rows in a group share one gram string (64-bit-hash groups);
-        # Max is just the cheapest way to carry it through the aggregate
-        Max("gram", alias_name="gram"),
-    )
+    agg = keyed_agg(partials, "h", {
+        "n_docs": ("h", "count"),
+        "n_occ": ("n_occ", "sum"),
+        # all rows of a hash share one gram string (64-bit-hash groups);
+        # max is just the cheapest way to carry it through the aggregate
+        "gram": ("gram", "max"),
+    })
 
     def finish(b: pa.Table) -> pa.Table:
         sel = pc.greater_equal(b.column("n_docs"), min_docs)

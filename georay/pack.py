@@ -47,6 +47,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay.partition import hash_partition, partitions
+from georay.stages.aggregate import combiner, merger
 from georay.text import token_counts
 
 DEFAULT_NUM_BUCKETS = 4096
@@ -68,15 +69,14 @@ def _bucket_width(key_max: int, num_buckets: int) -> int:
     return max(1, -(-(key_max + 1) // num_buckets))  # ceil div
 
 
+#: tokens per id bucket
+_BUCKET_SUMS = {"sum_tokens": ("n_tokens", "sum")}
+
+
 def _bucket_sums_partial(t: pa.Table, id_col: str, width: int) -> pa.Table:
-    if t.num_rows == 0:
-        return pa.table({"bucket": pa.array([], pa.int64()),
-                         "sum_tokens": pa.array([], pa.int64())})
     key = t.column(id_col).to_numpy(zero_copy_only=False)
-    b = pa.table({"bucket": pa.array(key // width, pa.int64()),
-                  "sum_tokens": t.column("n_tokens")})
-    g = b.group_by("bucket").aggregate([("sum_tokens", "sum")])
-    return g.rename_columns(["bucket", "sum_tokens"])
+    b = pa.table({"bucket": pa.array(key // width, pa.int64()), "n_tokens": t.column("n_tokens")})
+    return combiner("bucket", _BUCKET_SUMS)(b)
 
 
 def _scan_partition(g: pa.Table, offsets: np.ndarray, seq_len: int,
@@ -204,12 +204,7 @@ _DIRECT_MERGE_MAX_BLOCKS = 64
 _MERGE_FANOUT = 64
 
 
-def _bucket_sums_partial_merge(t: pa.Table) -> pa.Table:
-    if t.num_rows == 0:
-        return pa.table({"bucket": pa.array([], pa.int64()),
-                         "sum_tokens": pa.array([], pa.int64())})
-    g = t.group_by("bucket").aggregate([("sum_tokens", "sum")])
-    return g.rename_columns(["bucket", "sum_tokens"])
+_bucket_sums_partial_merge = merger("bucket", _BUCKET_SUMS)
 
 
 _MERGE_TASK = None

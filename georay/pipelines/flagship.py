@@ -17,7 +17,7 @@ import ray
 
 from georay.pipelines.polygons import polygon_payload
 from georay.sources import write_output
-from georay.stages.aggregate import cell_partial_agg, final_cell_agg
+from georay.stages.aggregate import CELL_AGGS, keyed_agg
 from georay.stages.geo import Reproject, cellize, extract_geo_batch, filter_has_geo
 from georay.stages.join import make_spatial_join_fn
 
@@ -127,7 +127,7 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
     joined = join_src.map_batches(
         make_spatial_join_fn(payload_ref, predicate), batch_format="pyarrow", batch_size=None
     )
-    agg = final_cell_agg(agg_src.map_batches(cell_partial_agg, batch_format="pyarrow"))
+    agg = keyed_agg(agg_src, "cell", CELL_AGGS)
 
     if out_dir:
         write_output(joined, f"{out_dir}/join_rows")

@@ -41,6 +41,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay import cells as _cells
+from georay.stages.aggregate import combiner, merger, tree_merge
 
 
 def _grid_n(res: int) -> int:
@@ -536,6 +537,10 @@ def pixel_centers(tile_x, tile_y, idx, res: int = 7, tile: int = 8):
     return lon, lat
 
 
+#: per-zone pixel statistics: occupied pixels, documents, densest pixel
+ZONAL_AGGS = {"n_px": ("v", "count"), "n_docs": ("v", "sum"), "max_n": ("v", "max")}
+
+
 def zonal_partial(batch: pa.Table, pset, res: int = 7, tile: int = 8) -> pa.Table:
     """Per-batch raster->vector combine: occupied pixel centers of this
     batch's tiles joined (WITHIN, shared ray-cast kernel) against the
@@ -571,35 +576,13 @@ def zonal_partial(batch: pa.Table, pset, res: int = 7, tile: int = 8) -> pa.Tabl
     pt_i, poly_i = pset.join(lon, lat, "WITHIN")
     if len(pt_i) == 0:
         return empty
-    vals = flat[occ][pt_i]
-    t = pa.table(
-        {
-            "pid": poly_i,
-            "one": np.ones(len(pt_i), dtype=np.int64),
-            "v": vals,
-        }
-    )
-    g = t.group_by("pid").aggregate([("one", "sum"), ("v", "sum"), ("v", "max")])
-    pid = g.column("pid").to_numpy(zero_copy_only=False)
-    names = [pset.polygons[int(p)].polygon_id for p in pid]
-    return pa.table(
-        {
-            "polygon_id": pa.array(names, pa.string()),
-            "n_px": g.column("one_sum"),
-            "n_docs": g.column("v_sum"),
-            "max_n": g.column("v_max"),
-        }
-    )
+    g = combiner("pid", ZONAL_AGGS)(pa.table({"pid": poly_i, "v": flat[occ][pt_i]}))
+    names = [pset.polygons[int(p)].polygon_id for p in g.column("pid").to_numpy(zero_copy_only=False)]
+    return g.drop_columns(["pid"]).add_column(0, "polygon_id", pa.array(names, pa.string()))
 
 
-def zonal_merge(batch: pa.Table) -> pa.Table:
-    """Associative+commutative merge of zonal partials (tree_merge leaf)."""
-    if batch.num_rows == 0:
-        return batch
-    g = batch.group_by("polygon_id").aggregate(
-        [("n_px", "sum"), ("n_docs", "sum"), ("max_n", "max")]
-    )
-    return g.rename_columns(["polygon_id", "n_px", "n_docs", "max_n"])
+#: associative+commutative merge of zonal partials (tree_merge leaf)
+zonal_merge = merger("polygon_id", ZONAL_AGGS)
 
 
 class ZonalStatsActor:
@@ -633,8 +616,6 @@ def zonal_stats(raster_ds, polygons_ref, res: int = 7, tile: int = 8, concurrenc
     """Raster -> vector: per-zone pixel statistics over a dense tile
     raster.  Zones are broadcast once (ray.put payload), never shuffled;
     the raster streams through the actor pool; partials tree-merge."""
-    from georay.stages.aggregate import tree_merge
-
     partials = raster_ds.map_batches(
         ZonalStatsActor,
         fn_constructor_kwargs={"polygons": polygons_ref, "res": res, "tile": tile},

@@ -23,6 +23,7 @@ import pandas as pd
 import pyarrow as pa
 
 from georay.dedup import md5_u64
+from georay.stages.aggregate import combiner, merger
 
 
 def _id_hash(ids: np.ndarray, hash_impl: str) -> np.ndarray:
@@ -78,22 +79,13 @@ def group_counts(ds, key_col: str = "lang") -> dict[str, int]:
     and on the driver), not the corpus."""
     import ray as _ray
 
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({key_col: pa.array([], pa.string()),
-                             "cnt": pa.array([], pa.int64())})
-        g = (b.select([key_col])
-              .append_column("one", pa.array(np.ones(b.num_rows, np.int64)))
-              .group_by(key_col).aggregate([("one", "sum")]))
-        return g.rename_columns([key_col, "cnt"])
-
-    refs = ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()
-    merged = pa.concat_tables([_ray.get(r) for r in refs])
-    if merged.num_rows == 0:
+    counts = {"cnt": (key_col, "count")}
+    refs = ds.map_batches(combiner(key_col, counts), batch_format="pyarrow").to_arrow_refs()
+    parts = [t for t in _ray.get(refs) if t.num_rows]
+    if not parts:
         return {}
-    g = merged.group_by(key_col).aggregate([("cnt", "sum")])
-    return dict(zip(g.column(0).to_pylist(),
-                    (int(v) for v in g.column(1).to_pylist())))
+    g = merger(key_col, counts)(pa.concat_tables(parts))
+    return dict(zip(g.column(0).to_pylist(), g.column(1).to_pylist()))
 
 
 def mixture_rates_bp(counts: dict[str, int], weights_bp: dict[str, int],

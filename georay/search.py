@@ -30,6 +30,7 @@ import pandas as pd
 import pyarrow as pa
 
 from georay.dedup import _tokens_nonempty, segment_reduce
+from georay.stages.aggregate import merger, tree_merge
 
 K1 = 1.2
 B = 0.75
@@ -69,25 +70,15 @@ def _stats_partial(batch: pa.Table, terms: list[str], text_col: str) -> pa.Table
     )
 
 
-def _stats_merge(t: pa.Table) -> pa.Table:
-    if t.num_rows == 0:
-        return pa.table(
-            {
-                "term": pa.array([], pa.string()),
-                "df": pa.array([], pa.int64()),
-                "n_docs": pa.array([], pa.int64()),
-                "n_tokens": pa.array([], pa.int64()),
-            }
-        )
-    g = t.group_by("term").aggregate([("df", "sum"), ("n_docs", "sum"), ("n_tokens", "sum")])
-    return g.rename_columns(["term", "df", "n_docs", "n_tokens"])
+#: merge of the per-term document frequencies and the ``_STATS_ROW`` totals
+_stats_merge = merger(
+    "term", {"df": ("df", "sum"), "n_docs": ("n_docs", "sum"), "n_tokens": ("n_tokens", "sum")}
+)
 
 
 def corpus_stats(docs_ds, terms: list[str], text_col: str = "text") -> dict:
     """Pass 1: (N docs, total tokens, df per term) — tree-merged partials;
     only len(terms)+1 rows reach the driver."""
-    from georay.stages.aggregate import tree_merge
-
     partials = docs_ds.map_batches(
         lambda b: _stats_partial(b, terms, text_col), batch_format="pyarrow"
     )

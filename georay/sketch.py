@@ -26,6 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from georay.stages.aggregate import combiner, merger
+
 
 def _group_type(batch: pa.Table, group_col: str) -> pa.DataType:
     """Typed-empty guards must carry the INPUT's group-column type — a
@@ -41,34 +43,13 @@ def value_count_partial(batch: pa.Table, group_col: str, value_col: str) -> pa.T
     are excluded (SQL aggregate semantics); a group whose values are all
     NULL therefore emits NO output row (where SQL would emit a NULL
     quantile) — documented divergence."""
-    if batch.num_rows == 0:
-        return pa.table(
-            {group_col: pa.array([], _group_type(batch, group_col)),
-             value_col: pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64())}
-        )
-    t = batch.select([group_col, value_col])
-    t = t.filter(pc.is_valid(t.column(value_col)))
-    if t.num_rows == 0:
-        return pa.table(
-            {group_col: pa.array([], _group_type(batch, group_col)),
-             value_col: pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64())}
-        )
-    g = t.group_by([group_col, value_col]).aggregate([(value_col, "count")])
-    return g.rename_columns([group_col, value_col, "n"])
+    t = batch.filter(pc.is_valid(batch.column(value_col)))
+    return combiner([group_col, value_col], {"n": (value_col, "count")})(t)
 
 
 def merge_value_counts(batch: pa.Table, group_col: str, value_col: str) -> pa.Table:
     """Associative+commutative merge of histogram partials."""
-    if batch.num_rows == 0:
-        return pa.table(
-            {group_col: pa.array([], _group_type(batch, group_col)),
-             value_col: pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64())}
-        )
-    g = batch.group_by([group_col, value_col]).aggregate([("n", "sum")])
-    return g.rename_columns([group_col, value_col, "n"])
+    return merger([group_col, value_col], {"n": (value_col, "count")})(batch)
 
 
 def percentiles_from_counts(batch: pa.Table, ps, group_col: str, value_col: str) -> pa.Table:

@@ -1,19 +1,27 @@
-"""Per-cell aggregation: partial (combiner) + final, with hot-key salting.
+"""Keyed aggregates: one spec, two derived kernels, one exchange.
 
-SURVEY.md §2.8: the per-cell aggregate is THE wide shuffle.  Design:
+SURVEY.md §7.4: design every aggregate as partial + final.  A keyed
+aggregate is ``keyed_agg(ds, on, aggs)``, where ``aggs`` is an ordered
+``{out_name: (column, op)}`` dict with ``op`` in ``sum``/``count``/
+``min``/``max`` (``count`` counts the column's non-null values).  The
+two kernels derive from that spec:
 
-1. ``cell_partial_agg`` runs inside ``map_batches`` and combines each
-   batch down to one row per distinct cell (pyarrow C++ group_by) —
-   min/max/count/sum are re-mergeable partials (SURVEY.md §7.4), so the
-   keyed merge sees at most ``#blocks × cells_per_block`` rows instead
-   of every document.  This bounds hot-cell (dense urban tile) fan-in to
-   #blocks regardless of row skew — the combiner IS the primary skew
-   defence.
-2. :func:`final_cell_agg` merges the partials with one
-   ``hash_partition`` on ``cell`` (:mod:`georay.partition`).
-3. For aggregates that are NOT re-mergeable (``map_groups`` UDFs), use
-   :func:`salt_column` to split hot cells into ``(cell, salt)`` subgroups
-   and merge the S partials per cell afterwards.
+1. :func:`combiner` runs inside ``map_batches`` and combines each batch
+   down to one row per distinct key (pyarrow C++ group_by), so the keyed
+   merge sees at most ``#blocks x keys_per_block`` rows instead of every
+   row.  This bounds hot-key fan-in to #blocks regardless of row skew —
+   the combiner IS the primary skew defence.
+2. :func:`merger` re-aggregates the partials (``count`` becomes ``sum``);
+   it is associative and commutative, so it may run on any subset.
+   :func:`keyed_agg` runs it once per partition of one ``hash_partition``
+   on the key (:mod:`georay.partition`), where every partial of a key
+   meets, so each partition's merge is final.
+
+Reductions that keep another route (the driver merge, the fused scan)
+take their kernels from the same two functions.  :func:`tree_merge` is
+for KEYLESS reductions only.  For aggregates that are NOT re-mergeable
+(``map_groups`` UDFs), :func:`salt_column` splits hot keys into
+``(key, salt)`` subgroups whose partials are merged per key afterwards.
 """
 
 from __future__ import annotations
@@ -21,60 +29,72 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.partition import hash_partition, partitions
+from georay.partition import _names, hash_partition, partitions
+
+_OPS = ("sum", "count", "min", "max")
 
 
-def cell_partial_agg(batch: pa.Table) -> pa.Table:
-    """Batch -> one partial row per distinct cell:
-    (cell, n_docs, minlon, minlat, maxlon, maxlat, t_min, t_max).
+def _group(keys: list, cols: list, spec: list, out: list, name: str):
+    """A kernel grouping ``t``'s ``cols`` by ``keys`` with ``spec`` and
+    naming the result ``out``.  An empty result keeps its typed columns
+    as one empty chunk each (Ray treats zero-chunk columns as no schema)."""
 
-    The envelope partial is A-01's expand-to-include loop as min/max
-    (Extents.java:73-120); the temporal partial feeds T-04.
-    """
-    t = batch.select(["cell", "lon", "lat", "warc_ts"])
-    g = t.group_by("cell").aggregate(
-        [
-            ("cell", "count"),
-            ("lon", "min"),
-            ("lat", "min"),
-            ("lon", "max"),
-            ("lat", "max"),
-            ("warc_ts", "min"),
-            ("warc_ts", "max"),
-        ]
-    )
-    return g.rename_columns(
-        ["cell", "n_docs", "minlon", "minlat", "maxlon", "maxlat", "t_min", "t_max"]
-    )
+    def kernel(t: pa.Table) -> pa.Table:
+        g = t.select(cols).group_by(keys).aggregate(spec).rename_columns(out)
+        return g if g.num_rows else g.schema.empty_table()
+
+    kernel.__name__ = kernel.__qualname__ = name
+    return kernel
 
 
-def merge_cell_partials(batch: pa.Table) -> pa.Table:
-    """Associative+commutative merge of partial rows (pyarrow C++ group_by):
-    safe to apply to any subset of the partials, in any order."""
-    g = batch.group_by("cell").aggregate(
-        [
-            ("n_docs", "sum"),
-            ("minlon", "min"),
-            ("minlat", "min"),
-            ("maxlon", "max"),
-            ("maxlat", "max"),
-            ("t_min", "min"),
-            ("t_max", "max"),
-        ]
-    )
-    return g.rename_columns(
-        ["cell", "n_docs", "minlon", "minlat", "maxlon", "maxlat", "t_min", "t_max"]
-    )
+def combiner(on, aggs: dict):
+    """Batch -> one partial row per distinct key of ``on``: the key
+    columns, then one column per ``aggs`` entry in its order.  Named
+    ``<keys joined by _>_partial_agg``, so the Ray operator says which
+    aggregate it is."""
+    keys = _names(on)
+    bad = {op for _, op in aggs.values()} - set(_OPS)
+    if bad:
+        raise ValueError(f"unsupported aggregate op(s) {sorted(bad)}; use {_OPS}")
+    cols = list(dict.fromkeys(keys + [c for c, _ in aggs.values()]))
+    return _group(keys, cols, list(aggs.values()), keys + list(aggs),
+                  "_".join(keys) + "_partial_agg")
 
 
-def final_cell_agg(ds):
-    """Merge partials per cell -> final per-cell rows: one
-    :func:`~georay.partition.hash_partition` on ``cell`` whose kernel is
-    :func:`merge_cell_partials`.  Every partial of a cell lands in one
-    partition, so each partition's merge is final; the partition count
-    follows the data (:func:`~georay.partition.partitions`), so no task
-    holds every cell.  Lazy: nothing runs until the result is consumed."""
-    return hash_partition(ds, "cell", merge_cell_partials, partitions(ds))
+def merger(on, aggs: dict):
+    """Merge of :func:`combiner` partials (same columns in, same out):
+    each output column re-aggregated, a ``count`` by ``sum``."""
+    keys = _names(on)
+    out = list(aggs)
+    spec = [(name, "sum" if op == "count" else op) for name, (_, op) in aggs.items()]
+    return _group(keys, keys + out, spec, keys + out, "merge_" + "_".join(keys) + "_partials")
+
+
+def keyed_agg(ds, on, aggs: dict):
+    """Per-key aggregate of ``ds`` (see :func:`combiner` for the output
+    columns): each block combined to partials, then one
+    :func:`~georay.partition.hash_partition` on ``on`` merges them with
+    :func:`merger`.  The partition count follows the data
+    (:func:`~georay.partition.partitions`), so no task holds every key.
+    Lazy: nothing runs until the result is consumed."""
+    partials = ds.map_batches(combiner(on, aggs), batch_format="pyarrow")
+    return hash_partition(partials, on, merger(on, aggs), partitions(partials))
+
+
+#: the per-cell aggregate: (cell, n_docs, minlon, minlat, maxlon, maxlat,
+#: t_min, t_max).  The envelope is A-01's expand-to-include loop as
+#: min/max (Extents.java:73-120); the temporal partial feeds T-04.
+CELL_AGGS = {
+    "n_docs": ("cell", "count"),
+    "minlon": ("lon", "min"),
+    "minlat": ("lat", "min"),
+    "maxlon": ("lon", "max"),
+    "maxlat": ("lat", "max"),
+    "t_min": ("warc_ts", "min"),
+    "t_max": ("warc_ts", "max"),
+}
+cell_partial_agg = combiner("cell", CELL_AGGS)
+merge_cell_partials = merger("cell", CELL_AGGS)
 
 
 def tree_merge(ds, merge_fn, fanout: int = 8):
@@ -111,17 +131,6 @@ def salt_column(key: np.ndarray, ids: np.ndarray, hot_keys: dict, default_salt: 
     return salt
 
 
-def _cell_count_partial(t: pa.Table) -> pa.Table:
-    g = t.select(["cell"]).group_by("cell").aggregate([("cell", "count")])
-    return g.rename_columns(["cell", "n"])
-
-
-def _merge_cell_counts(t: pa.Table) -> pa.Table:
-    if t.num_rows == 0:
-        return t
-    return t.group_by("cell").aggregate([("n", "sum")]).rename_columns(["cell", "n"])
-
-
 def sample_hot_cells(ds, threshold_frac: float = 0.02, sample_frac: float = 0.01, target_salt: int = 8):
     """Sample the cell histogram and return {cell: salt_factor} for cells
     holding more than ``threshold_frac`` of sampled rows (SURVEY.md §4).
@@ -133,9 +142,10 @@ def sample_hot_cells(ds, threshold_frac: float = 0.02, sample_frac: float = 0.01
     row-by-row from iter_batches (r3 judge finding: millions of distinct
     cells made that a driver-side loop)."""
     sample = ds.random_sample(sample_frac) if sample_frac < 1.0 else ds
+    counts = {"n": ("cell", "count")}
     merged = tree_merge(
-        sample.map_batches(_cell_count_partial, batch_format="pyarrow", batch_size=None),
-        _merge_cell_counts,
+        sample.map_batches(combiner("cell", counts), batch_format="pyarrow"),
+        merger("cell", counts),
     )
 
     def hot_only(t: pa.Table) -> pa.Table:

@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from georay.partition import hash_partition, partitions
+from georay.stages.aggregate import keyed_agg
 
 #: scheme://authority prefix; group 1 = the authority (host[:port]).
 #: RE2 syntax on both sides: pyarrow.compute and DuckDB regexp_extract.
@@ -29,31 +30,20 @@ def extract_host(url: pa.Array) -> pa.Array:
     return pc.fill_null(host, "")
 
 
-def host_stats_partial(batch: pa.Table) -> pa.Table:
-    """Per-batch combine: one (host, n_docs, sum_chars, max_ts_us) row
-    per distinct host in this block (pyarrow C++ group_by)."""
-    if batch.num_rows == 0:
-        return pa.table(
-            {
-                "host": pa.array([], pa.string()),
-                "n_docs": pa.array([], pa.int64()),
-                "sum_chars": pa.array([], pa.int64()),
-                "max_ts_us": pa.array([], pa.int64()),
-            }
-        )
-    host = extract_host(batch.column("url").combine_chunks())
-    chars = pc.cast(pc.utf8_length(batch.column("text")), pa.int64())
-    ts = pc.cast(batch.column("warc_ts"), pa.int64())  # micros since epoch
-    t = pa.table(
+#: per-host stats: (host, n_docs, sum_chars, max_ts_us)
+HOST_AGGS = {"n_docs": ("host", "count"), "sum_chars": ("chars", "sum"), "max_ts_us": ("ts", "max")}
+
+
+def host_rows(batch: pa.Table) -> pa.Table:
+    """Per-document (host, chars, ts) rows: ``chars`` in codepoints,
+    ``ts`` in micros since epoch."""
+    return pa.table(
         {
-            "host": host,
-            "one": np.ones(batch.num_rows, dtype=np.int64),
-            "chars": chars,
-            "ts": ts,
+            "host": extract_host(batch.column("url").combine_chunks()),
+            "chars": pc.cast(pc.utf8_length(batch.column("text")), pa.int64()),
+            "ts": pc.cast(batch.column("warc_ts"), pa.int64()),
         }
     )
-    g = t.group_by("host").aggregate([("one", "sum"), ("chars", "sum"), ("ts", "max")])
-    return g.rename_columns(["host", "n_docs", "sum_chars", "max_ts_us"])
 
 
 def host_stats(pages_ds):
@@ -62,14 +52,7 @@ def host_stats(pages_ds):
     Shuffle volume = sum over blocks of distinct-hosts-per-block — the
     combined partials, never the documents.
     """
-    from ray.data.aggregate import Max, Sum
-
-    partials = pages_ds.map_batches(host_stats_partial, batch_format="pyarrow")
-    agg = partials.groupby("host").aggregate(
-        Sum("n_docs", alias_name="n_docs"),
-        Sum("sum_chars", alias_name="sum_chars"),
-        Max("max_ts_us", alias_name="max_ts_us"),
-    )
+    agg = keyed_agg(pages_ds.map_batches(host_rows, batch_format="pyarrow"), "host", HOST_AGGS)
 
     def finish(b: pa.Table) -> pa.Table:
         ts = pc.cast(b.column("max_ts_us"), pa.timestamp("us"))

@@ -1,13 +1,17 @@
-"""Per-cell aggregation: combiner correctness, keyed merge, hot-cell salting."""
+"""Keyed aggregates: the derived combiner and merger, ``keyed_agg``
+against one Ray-free group_by, hot-cell salting."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from georay.stages.aggregate import (
+    CELL_AGGS,
     cell_partial_agg,
-    final_cell_agg,
+    combiner,
+    keyed_agg,
     merge_cell_partials,
+    merger,
     salt_column,
     sample_hot_cells,
 )
@@ -59,35 +63,120 @@ class TestCombiner:
         # each block contributes at most #distinct cells rows
         total_partial_rows = partials.count()
         assert total_partial_rows <= 8 * 102
-        final = final_cell_agg(partials).to_pandas().set_index("cell")
+        final = keyed_agg(ds, "cell", CELL_AGGS).to_pandas().set_index("cell")
         assert final.loc[42, "n_docs"] == int((cells_arr == 42).sum())
         assert final["n_docs"].sum() == n
 
 
-class TestFinalCellAgg:
+def _want(t: pa.Table, on, aggs) -> list:
+    """The aggregate as one Ray-free group_by over every row, sorted."""
+    keys = [on] if isinstance(on, str) else list(on)
+    g = t.group_by(keys).aggregate(list(aggs.values())).rename_columns(keys + list(aggs))
+    return sorted(g.to_pylist(), key=lambda r: tuple(r[k] for k in keys))
+
+
+def _got(ds, on, aggs) -> list:
+    keys = [on] if isinstance(on, str) else list(on)
+    return sorted(keyed_agg(ds, on, aggs).to_pandas().to_dict("records"),
+                  key=lambda r: tuple(r[k] for k in keys))
+
+
+#: every op, over an int, a float and a string column
+ALL_OPS = {
+    "n": ("v", "count"),
+    "total": ("v", "sum"),
+    "lo": ("x", "min"),
+    "hi": ("x", "max"),
+    "last_w": ("w", "max"),
+}
+
+
+def _rows(n: int, seed: int) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    return pa.table({
+        "i": pa.array(rng.integers(0, 40, n), pa.int64()),
+        "s": pa.array([f"k{j}" for j in rng.integers(0, 25, n)], pa.string()),
+        "t": pa.array(rng.integers(0, 4, n) * 3_600_000_000, pa.timestamp("us")),
+        "v": pa.array(rng.integers(-1000, 1000, n), pa.int64()),
+        "x": pa.array(rng.uniform(-180, 180, n), pa.float64()),
+        "w": pa.array([f"w{j}" for j in rng.integers(0, 1000, n)], pa.string()),
+    })
+
+
+class TestKeyedAgg:
     @pytest.mark.parametrize("num_partitions", [1, 3, 64])
     def test_any_partition_count_gives_the_ray_free_merge(
         self, ray_session, monkeypatch, num_partitions
     ):
+        """The cell aggregate over six blocks equals one group_by of
+        every row, whatever the partition count."""
         import ray.data
 
         import georay.stages.aggregate as agg
 
         monkeypatch.setattr(agg, "partitions", lambda *a, **k: num_partitions)
         rng = np.random.default_rng(4)
-        parts = []
-        for _ in range(6):
-            n = 500
-            parts.append(cell_partial_agg(geo_batch(
-                rng.integers(0, 90, n), lons=rng.uniform(-180, 180, n),
-                lats=rng.uniform(-90, 90, n), ts=rng.integers(0, 10**15, n),
-            )))
-        partials = pa.concat_tables(parts)
-        want = merge_cell_partials(partials).to_pandas().sort_values("cell", ignore_index=True)
-        ds = ray.data.from_arrow(partials).repartition(3)
-        got = agg.final_cell_agg(ds).to_pandas().sort_values("cell", ignore_index=True)
+        blocks = [
+            geo_batch(rng.integers(0, 90, 500), lons=rng.uniform(-180, 180, 500),
+                      lats=rng.uniform(-90, 90, 500), ts=rng.integers(0, 10**15, 500))
+            for _ in range(6)
+        ]
+        want = _want(pa.concat_tables(blocks), "cell", CELL_AGGS)
+        got = _got(ray.data.from_arrow(blocks), "cell", CELL_AGGS)
         assert len(want) == 90
-        assert got.equals(want[got.columns])
+        assert got == want
+
+    @pytest.mark.parametrize("num_partitions", [1, 3, 64])
+    @pytest.mark.parametrize("on", ["i", "s", ["s", "t"]], ids=["int", "str", "str_ts"])
+    def test_keys_and_ops(self, ray_session, monkeypatch, num_partitions, on):
+        import ray.data
+
+        import georay.stages.aggregate as agg
+
+        monkeypatch.setattr(agg, "partitions", lambda *a, **k: num_partitions)
+        blocks = [_rows(300, seed) for seed in range(5)]
+        want = _want(pa.concat_tables(blocks), on, ALL_OPS)
+        assert len(want) > 1
+        assert _got(ray.data.from_arrow(blocks), on, ALL_OPS) == want
+
+    @pytest.mark.parametrize("num_partitions", [1, 3, 64])
+    def test_one_hot_key(self, ray_session, monkeypatch, num_partitions):
+        """Every row under one key: one output row, every op exact."""
+        import ray.data
+
+        import georay.stages.aggregate as agg
+
+        monkeypatch.setattr(agg, "partitions", lambda *a, **k: num_partitions)
+        blocks = [_rows(300, seed).set_column(0, "i", pa.array([7] * 300, pa.int64()))
+                  for seed in range(5)]
+        want = _want(pa.concat_tables(blocks), "i", ALL_OPS)
+        assert len(want) == 1 and want[0]["n"] == 1500
+        assert _got(ray.data.from_arrow(blocks), "i", ALL_OPS) == want
+
+    def test_kernels_keep_the_typed_schema_when_empty(self):
+        empty = _rows(10, 0).slice(0, 0)
+        part = combiner(["s", "t"], ALL_OPS)(empty)
+        want = pa.schema([
+            ("s", pa.string()), ("t", pa.timestamp("us")), ("n", pa.int64()),
+            ("total", pa.int64()), ("lo", pa.float64()), ("hi", pa.float64()),
+            ("last_w", pa.string()),
+        ])
+        assert part.num_rows == 0 and part.schema == want
+        # one empty chunk per column: Ray reads zero chunks as no schema
+        assert all(c.num_chunks == 1 for c in part.columns)
+        merged = merger(["s", "t"], ALL_OPS)(part)
+        assert merged.num_rows == 0 and merged.schema == want
+
+    def test_kernel_names_say_which_aggregate(self):
+        assert cell_partial_agg.__name__ == "cell_partial_agg"
+        assert merge_cell_partials.__name__ == "merge_cell_partials"
+        assert combiner(["h1", "h2"], {"k": ("id", "min")}).__name__ == "h1_h2_partial_agg"
+
+    def test_unmergeable_op_raises(self):
+        """pyarrow would run ``mean`` per block, and the merge would then
+        average the averages."""
+        with pytest.raises(ValueError, match="mean"):
+            combiner("k", {"m": ("v", "mean")})
 
 
 class TestSalting:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pyarrow.parquet as pq
+import pytest
 
 
 def test_curate_cli(tmp_path):
@@ -38,6 +39,33 @@ def test_curate_cli(tmp_path):
     assert len(texts) == len(set(texts)) == stats["survivors"]
     # the annotated-corpus checkpoint is gone once the run ends
     assert os.listdir(tmp_path) == ["curated"]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--min-quality-bp", "10001"], ["--langs", "xx"]], ids=["quality", "langs"]
+)
+def test_curate_cli_keeps_nothing(tmp_path, flags):
+    """A filter that keeps no document: the run still exits 0, reports no
+    survivors and leaves an empty output and no checkpoint."""
+    import pyarrow as pa
+
+    docs = str(tmp_path / "docs.parquet")
+    words = "the quick brown fox jumps over a lazy dog near river bank".split()
+    texts = [" ".join(words[i % 5:] + words[: i % 5]) for i in range(50)]
+    pq.write_table(pa.table({"doc_id": pa.array(range(50), pa.int64()), "text": texts}), docs)
+    out = str(tmp_path / "curated")
+    proc = subprocess.run(
+        [sys.executable, "-m", "georay", "curate", "--input", docs, "--out", out,
+         "--num-cpus", "2", *flags],
+        capture_output=True, text=True, timeout=280,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    stats = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert stats["input_docs"] == 50
+    assert stats["survivors"] == 0 and stats["per_lang"] == {}
+    assert sorted(os.listdir(tmp_path)) == ["curated", "docs.parquet"]
+    assert os.listdir(out) == []
 
 
 def test_pack_cli(tmp_path):

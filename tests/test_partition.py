@@ -189,9 +189,9 @@ class TestOneMechanism:
         import inspect
 
         from georay.dedup import band_bucket_pairs
-        from georay.stages.aggregate import final_cell_agg
+        from georay.stages.aggregate import keyed_agg
 
-        for fn in (final_cell_agg, band_bucket_pairs):
+        for fn in (keyed_agg, band_bucket_pairs):
             knobs = {"mode", "fanout", "tree_row_limit"} & set(inspect.signature(fn).parameters)
             assert not knobs, (fn.__name__, knobs)
         sites = set()
@@ -205,6 +205,30 @@ class TestOneMechanism:
                     owner = [d.name for d in defs if d.lineno <= i <= d.end_lineno]
                     sites.add((path.name, owner[0] if owner else None))
         assert sites == {("__ray_entry__.py", "_q_top_customers")}
+
+    def test_one_keyed_aggregate(self):
+        """Every keyed aggregate is ``keyed_agg``: no code chains a Dataset
+        ``.groupby(...)`` into Ray's sort aggregate (``.aggregate(``,
+        ``.count(``, ``.sum(``, ``.min(``, ``.max(``).  The raster
+        ``map_groups`` sites are not aggregates and stay allowed, and
+        ``keyed_agg`` takes no option beyond its spec."""
+        import ast
+        import inspect
+
+        from georay.stages.aggregate import keyed_agg
+
+        hits = [
+            f"{path.name}:{node.lineno}: {ast.unparse(node)[:80]}"
+            for path in self._sources()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("aggregate", "count", "sum", "min", "max")
+            and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Attribute)
+            and node.func.value.func.attr == "groupby"
+        ]
+        assert not hits, hits
+        assert list(inspect.signature(keyed_agg).parameters) == ["ds", "on", "aggs"]
 
     def test_broadcast_decided_only_in_partition_module(self):
         """Only ``broadcast_or_none`` measures a side (``size_bytes()``)

@@ -6,7 +6,13 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from georay.web import HOST_PATTERN, extract_host, host_stats_partial
+from georay.stages.aggregate import combiner
+from georay.web import HOST_AGGS, HOST_PATTERN, extract_host, host_rows
+
+
+def host_stats_partial(b: pa.Table) -> pa.Table:
+    """The per-batch combine ``host_stats`` runs before its exchange."""
+    return combiner("host", HOST_AGGS)(host_rows(b))
 
 
 class TestExtractHost:
