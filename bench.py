@@ -190,6 +190,7 @@ def run_flagship(pages_dir: str, num_cpus: int, res: int = 7, repeats: int = 2):
     import ray.data
 
     from georay.pipelines.flagship import flagship
+    from georay.sources import parquet_rows
 
     if not ray.is_initialized():
         # cap per-worker Arrow IO threads: otherwise a low num_cpus run
@@ -214,11 +215,10 @@ def run_flagship(pages_dir: str, num_cpus: int, res: int = 7, repeats: int = 2):
             override_num_blocks=128,
             columns=["url", "warc_ts", "html", "lang", "doc_id"],
         )
-        joined, agg = flagship(pages, res=res, out_dir=out_dir)
+        counts = flagship(pages, res=res, out_dir=out_dir)
         run_wall = time.perf_counter() - t0
         wall = run_wall if wall is None else min(wall, run_wall)
-        # the outputs are written: both counts are parquet footer reads
-        join_rows, n_cells = joined.count(), agg.count()
+        join_rows, n_cells = counts["join_rows"]["rows"], parquet_rows(f"{out_dir}/cell_agg")
 
     n_docs = sum(pq.read_metadata(f).num_rows for f in glob.glob(f"{pages_dir}/part-*.parquet"))
     return {"wall_sec": wall, "docs": n_docs, "docs_per_sec": n_docs / wall, "join_rows": join_rows, "cells": n_cells}

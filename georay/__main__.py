@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from georay.sources import filesystem, write_output
+from georay.sources import filesystem, parquet_rows, remove_dir, write_output
 
 
 def _init_ray(num_cpus: int | None):
@@ -32,40 +32,17 @@ def _init_ray(num_cpus: int | None):
     return ray
 
 
-def _remove_dir(path: str) -> None:
-    """Delete the directory ``path`` (a local path or a filesystem URI)
-    and everything under it, if it exists."""
-    import pyarrow.fs as pafs
-
-    fs, p = filesystem(path)
-    if fs.get_file_info(p).type != pafs.FileType.NotFound:
-        fs.delete_dir(p)
-
-
-def _parquet_rows(path: str) -> int:
-    """Rows in the parquet files directly under the directory ``path`` (a
-    local path or a filesystem URI), from their footers: no data is read."""
-    import pyarrow.fs as pafs
-    import pyarrow.parquet as pq
-
-    fs, p = filesystem(path)
-    infos = fs.get_file_info(pafs.FileSelector(p, allow_not_found=True))
-    return sum(
-        pq.read_metadata(i.path, filesystem=fs).num_rows
-        for i in infos
-        if i.path.endswith(".parquet")
-    )
-
-
 def cmd_flagship(args):
     ray = _init_ray(args.num_cpus)
     from georay.pipelines.flagship import flagship
     from georay.pipelines.pages import read_pages
 
-    joined, agg = flagship(
-        read_pages(args.sf_dir), res=args.res, predicate=args.predicate, out_dir=args.out
-    )
-    print(json.dumps({"join_rows": joined.count(), "cells": agg.count(), "out": args.out}))
+    out = flagship(read_pages(args.sf_dir), res=args.res, predicate=args.predicate, out_dir=args.out)
+    if args.out:
+        join_rows, cells = out["join_rows"]["rows"], parquet_rows(f"{args.out}/cell_agg")
+    else:
+        join_rows, cells = out[0].count(), out[1].count()
+    print(json.dumps({"join_rows": join_rows, "cells": cells, "out": args.out}))
     ray.shutdown()
 
 
@@ -156,7 +133,7 @@ def cmd_dedup(args):
     write_output(resolution, os.path.join(args.out, "resolution"))
     surv_dir = os.path.join(args.out, "survivors")
     write_output(apply_dedup(full_docs, resolution), surv_dir)
-    n_out = _parquet_rows(surv_dir)
+    n_out = parquet_rows(surv_dir)
     print(json.dumps({
         "input_docs": n_docs,
         "clustered_docs": resolution.count(),
@@ -226,7 +203,7 @@ def cmd_curate(args):
     # it, where a driver-local temp dir would keep each node's files on
     # that node and the re-read would drop their rows.
     ann_dir = args.out.rstrip("/") + ".checkpoint"
-    _remove_dir(ann_dir)  # a crashed run's files would be read twice
+    remove_dir(ann_dir)  # a crashed run's files would be read twice
     try:
         if write_output(filt, ann_dir):
             filt = ray.data.read_parquet(ann_dir)
@@ -257,7 +234,7 @@ def cmd_curate(args):
             # output, which the counts below would otherwise read
             write_output(ray.data.from_items([]), args.out)
     finally:
-        _remove_dir(ann_dir)
+        remove_dir(ann_dir)
 
     per_lang = _partition_rows(args.out, "lang_pred")
     print(json.dumps({
@@ -280,7 +257,7 @@ def _partition_rows(path: str, col: str) -> dict:
 
     fs, p = filesystem(path)
     return {
-        i.base_name.split("=", 1)[1]: _parquet_rows(path.rstrip("/") + "/" + i.base_name)
+        i.base_name.split("=", 1)[1]: parquet_rows(path.rstrip("/") + "/" + i.base_name)
         for i in fs.get_file_info(pafs.FileSelector(p))
         if i.type == pafs.FileType.Directory and i.base_name.startswith(col + "=")
     }

@@ -1,23 +1,33 @@
 """Flagship pipeline: pages -> extract -> reproject -> cellize -> spatial
-join -> salted per-cell aggregate -> (optional) partitioned write.
+join -> per-cell aggregate -> (optional) written outputs.
 
 This is the end-to-end path BASELINE.md's throughput metric measures
 (docs/sec over the CC-style pages table): ``python -m georay flagship``,
 ``__ray_entry__.entry``, ``resume`` and ``bench.py`` all run
 :func:`flagship`, each over its own pages read, and :func:`geo_dataset`
 is the one extract -> filter -> reproject -> cellize chain.  Every stage
-is a streaming ``map_batches`` over zero-copy Arrow; only the final
-per-cell merge shuffles, and its input is already combined down to one
-row per (block, cell).
+is a streaming ``map_batches`` over zero-copy Arrow.  With an output
+directory the geo rows stream once into :class:`FlagshipSink`, whose
+write tasks emit the tiles, the join rows and the per-cell partials
+together; only the final per-cell merge shuffles, and its input is
+already combined down to one row per (write task, cell).
 """
 
 from __future__ import annotations
 
-import ray
+import uuid
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+from ray.data import Datasink
+
+from georay import cells
+from georay.partition import hash_partition, partitions
 from georay.pipelines.polygons import polygon_payload
-from georay.sources import write_output
-from georay.stages.aggregate import CELL_AGGS, keyed_agg
+from georay.sources import filesystem, remove_dir, replace_dir, write_output
+from georay.stages.aggregate import CELL_AGGS, cell_partial_agg, keyed_agg, merge_cell_partials
 from georay.stages.geo import Reproject, cellize, extract_geo_batch, filter_has_geo
 from georay.stages.join import make_spatial_join_fn
 
@@ -44,93 +54,138 @@ def geo_dataset(pages, res: int = 7):
     return ds
 
 
-#: Floor on rows per tile file.  Without it ``write_parquet(partition_cols=...)``
-#: writes one file per (input block, res-2 prefix): 256 files of ~150 rows
-#: for 40k pages, and both consumers pay per file.  Ray meets the floor by
-#: bundling the input of the fused extract->write operator, counted in
-#: *page* rows, so the floor also caps that operator's task count: at 40k
-#: pages on 2 CPUs, 250_000 ran the extract chain as one task, 20_000 as
-#: two.  Traced ``perfbench/run.py --workload flagship_uniform --seed 1``
-#: with 20_000 (and the task join, projected reads): files written
-#: 261 -> 37, join pass 1.43 -> 0.47 s, aggregate pass 1.86 -> 0.63 s.
+#: Floor on rows per :class:`FlagshipSink` write task (its
+#: ``min_rows_per_write``).  Without it each input block is its own write
+#: task, and every task writes one tile file per res-2 prefix, a join file
+#: and a partials file: 256 tile files of ~150 rows for 40k pages.  Ray
+#: meets the floor by bundling the input of the fused extract->write
+#: operator, counted in *page* rows, so the floor also caps that
+#: operator's task count: at 40k pages on 2 CPUs, 250_000 ran the extract
+#: chain as one task, 20_000 as two.
 TILE_MIN_ROWS_PER_FILE = 20_000
 
-#: columns each consumer reads back from the tiles (the read is projected:
-#: a consumer never decodes a column it does not use)
-_JOIN_COLUMNS = ["doc_id", "url", "lon", "lat"]
-_AGG_COLUMNS = ["cell", "lon", "lat", "warc_ts"]
+#: what :class:`FlagshipSink` writes under ``out_dir``; ``_partials`` only
+#: lives until :func:`flagship` has merged it into ``cell_agg``
+_SINK_OUTPUTS = ("tiles", "join_rows", "_partials")
 
 
-def _write_tiles(geo, tiles: str) -> bool:
-    """Write the per-document tile assignment to ``tiles`` as partitioned
-    parquet (one directory per res-2 parent cell, one file per directory
-    per write task of at least ``TILE_MIN_ROWS_PER_FILE`` input rows),
-    never one giant file — the resumable layout SURVEY.md §2.7 / §4
-    requires.  Returns whether any tile was written (``False`` when no
-    page had a coordinate)."""
+class FlagshipSink(Datasink):
+    """The flagship's one streaming write: each write task gets its geo
+    rows once and writes
 
-    def add_prefix(b):
-        import pyarrow as _pa
+    - its tile rows under ``tiles/cell_prefix=<res-2 parent cell>/`` (the
+      Hive layout SURVEY.md §2.7 / §4 asks for, never one giant file);
+    - its join rows (``join_fn``) under ``join_rows/``;
+    - its ``cell_partial_agg`` table under ``_partials/``.
 
-        from georay import cells as _cells
+    Every file is named ``<uuid>_<task index>.parquet``, the uuid fixed
+    when the sink is built, so a retried task overwrites its own files
+    instead of adding a second copy.  ``counts`` holds ``{output: {"rows",
+    "bytes"}}`` once the write completes."""
 
-        prefix = _cells.cell_parent(b.column("cell").to_numpy(), 2)
-        return b.append_column("cell_prefix", _pa.array(prefix, _pa.int64()))
+    def __init__(self, out_dir: str, join_fn):
+        self.out_dir = out_dir
+        self.join_fn = join_fn
+        self.uuid = uuid.uuid4().hex
+        self.counts = None
 
-    return write_output(
-        geo.map_batches(add_prefix, batch_format="pyarrow"),
-        tiles,
-        partition_cols=["cell_prefix"],
-        min_rows_per_file=TILE_MIN_ROWS_PER_FILE,
-    )
+    @property
+    def min_rows_per_write(self) -> int:
+        return TILE_MIN_ROWS_PER_FILE
+
+    def on_write_start(self) -> None:
+        # cell_agg too: a run that fails before its merge leaves no stale
+        # aggregate beside fresh tiles
+        for name in (*_SINK_OUTPUTS, "cell_agg"):
+            replace_dir(f"{self.out_dir}/{name}")
+
+    def write(self, blocks, ctx) -> dict:
+        out = dict.fromkeys(_SINK_OUTPUTS, (0, 0))
+        tables = [b for b in blocks if b.num_rows]
+        if not tables:
+            return out
+        geo = pa.concat_tables(tables)
+        fs, root = filesystem(self.out_dir)
+        name = f"{self.uuid}_{ctx.task_idx}.parquet"
+
+        prefix = cells.cell_parent(geo.column("cell").to_numpy(), 2)
+        order = np.argsort(prefix, kind="stable")
+        keys, starts = np.unique(prefix[order], return_index=True)
+        tiles = geo.take(pa.array(order))
+        size = 0
+        for key, start, stop in zip(keys, starts, [*starts[1:], len(order)]):
+            part = f"{root}/tiles/cell_prefix={key}"
+            fs.create_dir(part)
+            size += self._write(fs, f"{part}/{name}", tiles.slice(start, stop - start))[1]
+        out["tiles"] = (geo.num_rows, size)
+
+        joined = self.join_fn(geo)
+        if joined.num_rows:
+            out["join_rows"] = self._write(fs, f"{root}/join_rows/{name}", joined)
+        out["_partials"] = self._write(fs, f"{root}/_partials/{name}", cell_partial_agg(geo))
+        return out
+
+    def _write(self, fs, path: str, table: pa.Table) -> tuple[int, int]:
+        """Write ``table`` as the parquet file ``path``, replacing any file
+        of that name; -> (rows, bytes)."""
+        with fs.open_output_stream(path) as f:
+            pq.write_table(table, f)
+            return table.num_rows, f.tell()
+
+    def on_write_complete(self, write_result) -> None:
+        self.counts = {
+            name: {
+                "rows": sum(r[name][0] for r in write_result.write_returns),
+                "bytes": sum(r[name][1] for r in write_result.write_returns),
+            }
+            for name in _SINK_OUTPUTS
+        }
 
 
 def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | None = None):
     """Run the full pipeline over a pages Dataset (``read_pages(sf_dir)``,
-    or any read with the pages columns); returns (join_rows_ds, cell_agg_ds).
+    or any read with the pages columns).
 
     The polygon side is broadcast once (``ray.put``) and the join is a
-    plain task ``map_batches`` (``make_spatial_join_fn``): its index builds
-    in milliseconds and is cached per worker, so it fuses with the read
-    and the write into one task chain instead of paying an actor-pool
-    spawn per run.  The aggregate is partial-combined inside map_batches
-    before the keyed merge (skew defence, stages/aggregate.py).
+    plain task kernel (``make_spatial_join_fn``): its index builds in
+    milliseconds and is cached per worker, so it runs inside the task
+    chain instead of paying an actor-pool spawn per run.  The aggregate
+    is partial-combined per task before the keyed merge (skew defence,
+    stages/aggregate.py).  What runs follows ``out_dir``:
 
-    The geo dataset (the per-document tile assignment) feeds both the
-    join and the aggregate.  How it reaches them follows ``out_dir``:
-
-    - ``out_dir`` given (the deployment form): the partitioned ``tiles``
-      parquet is written there, a required engine artifact, and each
-      consumer streams it back reading only its own columns; the join
-      rows and the cell aggregate are then written beside it and the
-      returned datasets read them back.  Each output replaces what an
-      earlier run left in ``out_dir``.
-    - ``out_dir=None``: ``geo`` stays lazy and each consumer re-derives
-      it from ``pages`` when it runs.  Nothing is written and nothing is
-      pinned in the object store.
+    - ``out_dir`` given (the deployment form): one plan streams the geo
+      rows into :class:`FlagshipSink`, which writes ``tiles/``,
+      ``join_rows/`` and the per-task cell partials from each task; a
+      second, small plan hash-partitions the partials on ``cell``, merges
+      them and writes ``cell_agg/``, and the partials are deleted even if
+      a plan fails.  Nothing is read back: the return value is the
+      sink's ``{output: {"rows", "bytes"}}`` counts (``tiles``,
+      ``join_rows``, ``_partials``), and ``cell_agg``'s row count is in
+      its footers (``georay.sources.parquet_rows``).  Each output
+      replaces what an earlier run left in ``out_dir``; with no geo page
+      all three are empty directories.
+    - ``out_dir=None``: returns lazy ``(join_rows_ds, cell_agg_ds)``; each
+      re-derives ``geo`` from ``pages`` when it runs.  Nothing is written
+      and nothing is pinned in the object store.
     """
     import ray.data as rd
 
     geo = geo_dataset(pages, res=res)
+    join_fn = make_spatial_join_fn(ray.put(polygon_payload()), predicate)
     if not out_dir:
-        join_src = agg_src = geo
-    elif _write_tiles(geo, f"{out_dir}/tiles"):
-        join_src = rd.read_parquet(f"{out_dir}/tiles", columns=_JOIN_COLUMNS)
-        agg_src = rd.read_parquet(f"{out_dir}/tiles", columns=_AGG_COLUMNS)
-    else:
-        # no page had a coordinate: there are no tile columns to project
-        join_src = agg_src = rd.from_items([])
+        # whole blocks: a ``batch_size`` makes Ray bundle the join's input,
+        # and it then refuses to fuse the join with the read before it
+        joined = geo.map_batches(join_fn, batch_format="pyarrow", batch_size=None)
+        return joined, keyed_agg(geo, "cell", CELL_AGGS)
 
-    payload_ref = ray.put(polygon_payload())
-    # whole blocks: a ``batch_size`` makes Ray bundle the join's input, and
-    # it then refuses to fuse the join with the read before it
-    joined = join_src.map_batches(
-        make_spatial_join_fn(payload_ref, predicate), batch_format="pyarrow", batch_size=None
-    )
-    agg = keyed_agg(agg_src, "cell", CELL_AGGS)
-
-    if out_dir:
-        write_output(joined, f"{out_dir}/join_rows")
-        write_output(agg, f"{out_dir}/cell_agg")
-        return rd.read_parquet(f"{out_dir}/join_rows"), rd.read_parquet(f"{out_dir}/cell_agg")
-    return joined, agg
+    sink = FlagshipSink(out_dir, join_fn)
+    try:
+        geo.write_datasink(sink)
+        n_partials = sink.counts["_partials"]["rows"]
+        if n_partials:
+            partials = rd.read_parquet(f"{out_dir}/_partials")
+            merged = hash_partition(partials, "cell", merge_cell_partials, partitions(n_rows=n_partials))
+            write_output(merged, f"{out_dir}/cell_agg")
+    finally:
+        remove_dir(f"{out_dir}/_partials")
+    return sink.counts

@@ -10,7 +10,8 @@ that cannot prune at the read).  :func:`read_gml` maps the reference's
 XML-document source to a Dataset: every file parsed inside
 ``map_batches`` (the XML never leaves the worker — only the slim
 geometry summary rows do).  :func:`write_output` is the one way a
-pipeline writes an output directory.
+pipeline writes an output directory from a Dataset, and
+:func:`parquet_rows` counts an output's rows from its footers.
 """
 
 from __future__ import annotations
@@ -41,6 +42,39 @@ def write_output(ds, path: str, **kwargs) -> bool:
     fs, p = filesystem(path)
     fs.create_dir(p)
     return bool(fs.get_file_info(pafs.FileSelector(p)))
+
+
+def remove_dir(path: str) -> None:
+    """Delete the directory ``path`` (a local path or a filesystem URI)
+    and everything under it, if it exists."""
+    import pyarrow.fs as pafs
+
+    fs, p = filesystem(path)
+    if fs.get_file_info(p).type != pafs.FileType.NotFound:
+        fs.delete_dir(p)
+
+
+def replace_dir(path: str) -> None:
+    """Make ``path`` an empty directory, deleting whatever an earlier run
+    left under it."""
+    fs, p = filesystem(path)
+    fs.delete_dir_contents(p, missing_dir_ok=True)
+    fs.create_dir(p)
+
+
+def parquet_rows(path: str) -> int:
+    """Rows in the parquet files directly under the directory ``path`` (a
+    local path or a filesystem URI), from their footers: no data is read."""
+    import pyarrow.fs as pafs
+    import pyarrow.parquet as pq
+
+    fs, p = filesystem(path)
+    infos = fs.get_file_info(pafs.FileSelector(p, allow_not_found=True))
+    return sum(
+        pq.read_metadata(i.path, filesystem=fs).num_rows
+        for i in infos
+        if i.path.endswith(".parquet")
+    )
 
 
 def read_table(path: str, fmt: str | None = None, columns=None, override_num_blocks=None):

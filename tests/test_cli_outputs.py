@@ -4,6 +4,7 @@ no geo page gives empty outputs, and ``resume`` checkpoints the
 flagship's join rows per input group."""
 
 import json
+import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -39,7 +40,10 @@ class TestRerunReplacesOutputs:
         first = cli("flagship", "--sf-dir", SF, "--out", out)
         rows = _sorted(f"{out}/join_rows", ["doc_id", "polygon_id"])
         cells = _sorted(f"{out}/cell_agg", ["cell"])
-        assert first["join_rows"] > 0 and first["cells"] > 0
+        # the summary's counts are the written outputs' rows
+        assert first["join_rows"] == len(rows["doc_id"]) > 0
+        assert first["cells"] == len(cells["cell"]) > 0
+        assert sorted(os.listdir(out)) == ["cell_agg", "join_rows", "tiles"]
         assert cli("flagship", "--sf-dir", SF, "--out", out) == first
         assert _sorted(f"{out}/join_rows", ["doc_id", "polygon_id"]) == rows
         assert _sorted(f"{out}/cell_agg", ["cell"]) == cells
@@ -63,8 +67,11 @@ class TestNoGeoInput:
             docs.filter(pa.array(docs.column("doc_id").to_numpy() % 10 == 7)),
             tmp_path / "nogeo" / "documents.parquet",
         )
-        summary = cli("flagship", "--sf-dir", str(tmp_path / "nogeo"), "--out", str(tmp_path / "run"))
+        out = tmp_path / "run"
+        summary = cli("flagship", "--sf-dir", str(tmp_path / "nogeo"), "--out", str(out))
         assert (summary["join_rows"], summary["cells"]) == (0, 0)
+        assert sorted(os.listdir(out)) == ["cell_agg", "join_rows", "tiles"]
+        assert all(os.listdir(out / d) == [] for d in os.listdir(out))
 
 
 class TestResumeCli:

@@ -36,16 +36,22 @@ class TestEmptyBlocks:
         assert extract_all_geo_batch(no_geo_pages()).num_rows == 0
 
     def test_e2e_pipeline_all_no_geo(self, ray_session, tmp_path):
-        """The flagship over pages none of which has a coordinate: both
-        routes give no join rows and no cells (the tiles write leaves no
-        file to read back)."""
+        """The flagship over pages none of which has a coordinate: the lazy
+        route gives no join rows and no cells, and with ``out_dir`` the
+        three outputs are empty directories."""
+        import os
+
         import ray.data
 
         from georay.pipelines.flagship import flagship
 
-        for out_dir in (None, str(tmp_path / "run")):
-            joined, agg = flagship(ray.data.from_arrow(no_geo_pages()), out_dir=out_dir)
-            assert (joined.count(), agg.count()) == (0, 0), out_dir
+        joined, agg = flagship(ray.data.from_arrow(no_geo_pages()))
+        assert (joined.count(), agg.count()) == (0, 0)
+        out = tmp_path / "run"
+        counts = flagship(ray.data.from_arrow(no_geo_pages()), out_dir=str(out))
+        assert counts["join_rows"]["rows"] == counts["tiles"]["rows"] == 0
+        assert sorted(os.listdir(out)) == ["cell_agg", "join_rows", "tiles"]
+        assert all(os.listdir(out / d) == [] for d in os.listdir(out))
 
 
 class TestEmptyAnnAndLsh:

@@ -1,13 +1,14 @@
-"""Flagship pipeline: the two routes ``out_dir`` selects (tiles written
-and read back, or a lazy geo dataset each consumer re-derives), the tile
-layout, re-runs into the same output directory, input with no geo page,
-and the join's shape."""
+"""Flagship pipeline: the two routes ``out_dir`` selects (one streaming
+write of tiles, join rows and cell partials then a small merge, or lazy
+datasets that each re-derive the geo rows), the tile layout, a write task
+killed mid-write, the partials' cleanup, and the plans' shape."""
 
 import logging
 
 import pytest
 
 SF = "/root/testdata/sf0.001"
+OUTPUTS = ["cell_agg", "join_rows", "tiles"]
 
 
 def _pages():
@@ -20,20 +21,31 @@ def _sorted_rows(ds, keys):
     return ds.to_pandas().sort_values(keys, ignore_index=True)
 
 
+def _read_dir(path):
+    """Every parquet file under ``path`` as one table (partition columns,
+    which live in directory names, are not read)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    return pa.concat_tables(pq.read_table(f) for f in _parquet_files(path))
+
+
 class TestFlagshipGeoCache:
-    """How the geo dataset reaches its two consumers: through the tiles
-    written under ``out_dir``, or, without one, recomputed per consumer."""
+    """How the geo rows reach the join and the aggregate: with ``out_dir``
+    one streaming write emits every output and only counts come back;
+    without one, lazy datasets each re-derive them and give the same rows."""
 
     def test_recompute_mode_matches(self, ray_session, tmp_path):
         from georay.pipelines.flagship import flagship
 
         j_lazy, a_lazy = flagship(_pages())
-        j_out, a_out = flagship(_pages(), out_dir=str(tmp_path / "run"))
+        out = str(tmp_path / "run")
+        counts = flagship(_pages(), out_dir=out)
         keys = ["doc_id", "polygon_id"]
-        want = _sorted_rows(j_out, keys)
-        assert len(want) > 0
+        want = _read_dir(f"{out}/join_rows").to_pandas().sort_values(keys, ignore_index=True)
+        assert len(want) == counts["join_rows"]["rows"] > 0
         assert _sorted_rows(j_lazy, keys)[want.columns].equals(want)
-        want = _sorted_rows(a_out, ["cell"])
+        want = _read_dir(f"{out}/cell_agg").to_pandas().sort_values(["cell"], ignore_index=True)
         assert len(want) > 0
         assert _sorted_rows(a_lazy, ["cell"])[want.columns].equals(want)
 
@@ -51,14 +63,70 @@ class TestFlagshipGeoCache:
         import os
 
         from georay.pipelines.flagship import flagship
+        from georay.sources import parquet_rows
 
         out = str(tmp_path / "run")
-        j, a = flagship(_pages(), out_dir=out)
-        assert j.count() > 0 and a.count() > 0
+        counts = flagship(_pages(), out_dir=out)
+        assert counts["join_rows"]["rows"] > 0 and parquet_rows(f"{out}/cell_agg") > 0
+        assert counts["tiles"]["rows"] == _ray_free_geo().num_rows
         # partitioned layout: one directory per res-2 parent cell prefix,
         # never one giant file (resumable output contract)
         tiles = os.listdir(f"{out}/tiles")
-        assert any(t.startswith("cell_prefix=") for t in tiles)
+        assert tiles and all(t.startswith("cell_prefix=") for t in tiles)
+        # the per-task partials are merged into cell_agg and deleted
+        assert sorted(os.listdir(out)) == OUTPUTS
+
+    def test_partials_are_deleted_when_the_merge_raises(self, ray_session, tmp_path, monkeypatch):
+        import os
+
+        import georay.pipelines.flagship as mod
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("merge failed")
+
+        monkeypatch.setattr(mod, "hash_partition", broken)
+        out = str(tmp_path / "run")
+        with pytest.raises(RuntimeError, match="merge failed"):
+            mod.flagship(_pages(), out_dir=out)
+        assert sorted(os.listdir(out)) == OUTPUTS
+
+    def test_killed_write_task_leaves_no_duplicate(self, ray_session, tmp_path, monkeypatch):
+        """A write task whose worker dies after its tile files and before
+        its join file is retried by Ray Data; the retry writes the same
+        file names, so nothing is counted twice."""
+        import os
+
+        import georay.pipelines.flagship as mod
+
+        marker = str(tmp_path / "first-attempt")
+
+        class DiesOnce(mod.FlagshipSink):
+            def _write(self, fs, path, table):
+                if "/join_rows/" in path:
+                    try:
+                        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                    except FileExistsError:
+                        pass
+                    else:
+                        os._exit(1)
+                return super()._write(fs, path, table)
+
+        monkeypatch.setattr(mod, "FlagshipSink", DiesOnce)
+        out = str(tmp_path / "run")
+        counts = mod.flagship(_pages(), out_dir=out)
+        assert os.path.exists(marker)
+
+        geo = _ray_free_geo()
+        tiles = _read_dir(f"{out}/tiles").select(geo.schema.names)
+        assert counts["tiles"]["rows"] == tiles.num_rows
+        assert tiles.sort_by("doc_id").to_pydict() == geo.sort_by("doc_id").to_pydict()
+        cols = ["doc_id", "polygon_id", "url", "predicate"]
+        got = _read_dir(f"{out}/join_rows").select(cols)
+        want = _ray_free_join().select(cols)
+        order = [("doc_id", "ascending"), ("polygon_id", "ascending")]
+        assert got.sort_by(order).to_pydict() == want.sort_by(order).to_pydict()
+        assert len(set(zip(*(got.column(c).to_pylist() for c in cols[:2])))) == got.num_rows
+        assert sorted(os.listdir(out)) == OUTPUTS
 
 
 def _ray_free_geo():
@@ -71,6 +139,15 @@ def _ray_free_geo():
     docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text", "lang"])
     geo = filter_has_geo(extract_geo_batch(synthesize_pages_batch(docs), keep_text=False))
     return cellize(Reproject(4326)(geo), 7)
+
+
+def _ray_free_join():
+    """The broadcast join of :func:`_ray_free_geo`'s rows, no Ray."""
+    from georay.pipelines.polygons import build_polygon_set, polygon_payload
+    from georay.stages.join import _join_batch, polygon_id_array
+
+    pset = build_polygon_set(polygon_payload())
+    return _join_batch(pset, polygon_id_array(pset), "INTERSECTS", ["doc_id", "url"], _ray_free_geo())
 
 
 def _parquet_files(path):
@@ -163,22 +240,38 @@ class _ExecutionPlans(logging.Handler):
 
 class TestJoinRunsOnTasks:
     """The broadcast join indexes in milliseconds: an actor pool would spawn
-    processes on every run for nothing, and would stop the read, the join
-    and the write from fusing into one task chain."""
+    processes on every run for nothing, and would stop the join from
+    running inside the task chain that extracts and writes the rows."""
 
     def _join_plans(self, plans):
         joins = [p for p in plans if "join_batch" in p or "SpatialJoinActor" in p]
         assert joins, plans
         return joins
 
-    def test_flagship_join_is_one_fused_task_chain(self, ray_session, tmp_path):
+    def test_flagship_join_is_one_fused_task_chain(self, ray_session, tmp_path, monkeypatch):
+        """With ``out_dir`` the flagship runs two plans, the streaming
+        write and the partials' merge, on plain tasks; no output is read
+        back."""
+        import ray.data
+
+        pages = _pages()
+        out = str(tmp_path / "run")
+        reads = []
+        read_parquet = ray.data.read_parquet
+
+        def recording(paths, *args, **kwargs):
+            reads.append(str(paths))
+            return read_parquet(paths, *args, **kwargs)
+
+        monkeypatch.setattr(ray.data, "read_parquet", recording)
         from georay.pipelines.flagship import flagship
 
         with _ExecutionPlans() as log:
-            flagship(_pages(), out_dir=str(tmp_path / "run"))
-        (plan,) = self._join_plans(log.plans)
-        assert "ActorPoolMapOperator" not in plan and "SpatialJoinActor" not in plan
-        assert "TaskPoolMapOperator[ReadParquet->MapBatches(join_batch)->Write]" in plan
+            flagship(pages, out_dir=out)
+        assert len(log.plans) == 2, log.plans
+        for plan in log.plans:
+            assert "ActorPoolMapOperator" not in plan and "SpatialJoinActor" not in plan
+        assert reads == [f"{out}/_partials"]
 
     @pytest.mark.parametrize("query", ["_q_bbox_join", "_q_pip_join"])
     def test_entry_joins_run_on_tasks(self, ray_session, query):
