@@ -28,7 +28,7 @@ import ray.data
 from ray.data.aggregate import Max, Min
 
 from georay import cells
-from georay.partition import broadcast_or_none, copartition, partitions
+from georay.partition import broadcast_or_none, cached_map, copartition, partitions
 from georay.pipelines.flagship import flagship, geo_dataset
 from georay.pipelines.pages import PAGES_SQL_CTE, read_pages
 from georay.pipelines.polygons import (
@@ -39,7 +39,7 @@ from georay.pipelines.polygons import (
     star_edges_sql_values,
 )
 from georay.stages.aggregate import CELL_AGGS, keyed_agg
-from georay.stages.join import KNNJoinActor, make_spatial_join_fn
+from georay.stages.join import KNNJoin, SpatialJoin
 
 def _cents(v: np.ndarray) -> np.ndarray:
     """Money -> integer cents with HALF-AWAY-FROM-ZERO rounding, matching
@@ -156,7 +156,7 @@ def _q_bbox_join(sf_dir: str):
     geo = _geo(sf_dir)
     ref = ray.put(_rect_payload())
     return geo.map_batches(
-        make_spatial_join_fn(ref, "BBOX", keep_cols=("doc_id",)), batch_format="pyarrow"
+        cached_map(SpatialJoin, ref, predicate="BBOX", keep_cols=("doc_id",)), batch_format="pyarrow"
     ).map_batches(lambda b: b.select(["doc_id", "polygon_id"]), batch_format="pyarrow")
 
 
@@ -164,7 +164,7 @@ def _q_pip_join(sf_dir: str):
     geo = _geo(sf_dir)
     ref = ray.put(_star_payload())
     return geo.map_batches(
-        make_spatial_join_fn(ref, "WITHIN", keep_cols=("doc_id",)), batch_format="pyarrow"
+        cached_map(SpatialJoin, ref, predicate="WITHIN", keep_cols=("doc_id",)), batch_format="pyarrow"
     ).map_batches(lambda b: b.select(["doc_id", "polygon_id"]), batch_format="pyarrow")
 
 
@@ -172,10 +172,7 @@ def _q_knn(sf_dir: str):
     geo = _geo(sf_dir)
     ref = ray.put(_ref_points())
     return geo.map_batches(
-        KNNJoinActor,
-        fn_constructor_kwargs={"ref_points": ref, "k": 3, "exact": False, "keep_cols": ("doc_id",)},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
+        cached_map(KNNJoin, ref, k=3, exact=False, keep_cols=("doc_id",)), batch_format="pyarrow"
     ).map_batches(lambda b: b.select(["doc_id", "ref_id", "rank"]), batch_format="pyarrow")
 
 
@@ -193,16 +190,8 @@ def _q_knn_grid(sf_dir: str):
     }
     ref = ray.put(refs)
     return _geo(sf_dir).map_batches(
-        KNNJoinActor,
-        fn_constructor_kwargs={
-            "ref_points": ref,
-            "k": 3,
-            "exact": False,
-            "index_res": 6,
-            "keep_cols": ("doc_id",),
-        },
+        cached_map(KNNJoin, ref, k=3, exact=False, index_res=6, keep_cols=("doc_id",)),
         batch_format="pyarrow",
-        concurrency=(1, 4),
     ).map_batches(lambda b: b.select(["doc_id", "ref_id", "rank"]), batch_format="pyarrow")
 
 
@@ -277,8 +266,8 @@ def _q_top_customers(sf_dir: str):
     cust_ref = ray.put({k: v for k, v in zip(cust.column("c_custkey").to_pylist(), cust.column("c_name").to_pylist())})
 
     class AttachName:
-        def __init__(self, ref):
-            self.names = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+        def __init__(self, names):
+            self.names = names
 
         def __call__(self, b: pa.Table) -> pa.Table:
             keys = b.column("o_custkey").to_pylist()
@@ -298,9 +287,7 @@ def _q_top_customers(sf_dir: str):
         .map_batches(local_top, batch_format="pyarrow", batch_size=None)
     )
     # names attached AFTER the top-k: the broadcast map touches 10 rows
-    named = top.map_batches(
-        AttachName, fn_constructor_kwargs={"ref": cust_ref}, batch_format="pyarrow", concurrency=1
-    )
+    named = top.map_batches(cached_map(AttachName, cust_ref), batch_format="pyarrow")
     return named.map_batches(
         lambda b: b.select(["o_custkey", "c_name", "total_cents", "n_orders"]), batch_format="pyarrow"
     )
@@ -707,11 +694,10 @@ def _q_embed_dup_pairs(sf_dir: str):
     norms[norms == 0] = 1.0
     ref = ray.put({"ids": t.column("vec_id").to_numpy(), "unit": vecs / norms[:, None]})
 
-    class BruteDupActor:
-        def __init__(self, payload_ref):
-            p = ray.get(payload_ref) if isinstance(payload_ref, ray.ObjectRef) else payload_ref
-            self.all_ids = np.asarray(p["ids"], dtype=np.int64)
-            self.unit = np.asarray(p["unit"], dtype=np.float64)
+    class BruteDup:
+        def __init__(self, payload):
+            self.all_ids = np.asarray(payload["ids"], dtype=np.int64)
+            self.unit = np.asarray(payload["unit"], dtype=np.float64)
 
         def __call__(self, b: pa.Table) -> pa.Table:
             if b.num_rows == 0:
@@ -732,12 +718,7 @@ def _q_embed_dup_pairs(sf_dir: str):
             )
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return ds.map_batches(
-        BruteDupActor,
-        fn_constructor_kwargs={"payload_ref": ref},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-    )
+    return ds.map_batches(cached_map(BruteDup, ref), batch_format="pyarrow")
 
 
 def _q_ann_cosine(sf_dir: str):
@@ -755,12 +736,7 @@ def _q_ann_cosine(sf_dir: str):
     }
     ref = ray.put(queries_payload)
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    partials = ds.map_batches(
-        BruteForceKNN,
-        fn_constructor_kwargs={"query_ref": ref, "k": 5},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-    )
+    partials = ds.map_batches(cached_map(BruteForceKNN, ref, k=5), batch_format="pyarrow")
     return merge_topk_partials(partials, k=5)
 
 
@@ -787,7 +763,7 @@ def _q_ann_ivf(sf_dir: str):
     streaming vector dataset — no full-table read, no shuffle.  Probing
     ALL lists makes the result exact, so the brute-force SQL oracle
     applies verbatim; partial-probe recall is covered in pytest."""
-    from georay.ann import IVFSearchActor, lloyd_centroids, merge_topk_partials, _to_matrix
+    from georay.ann import IVFSearch, lloyd_centroids, merge_topk_partials, _to_matrix
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     # bounded quantizer sample + the 4 query vectors (first rows by file order)
@@ -802,10 +778,7 @@ def _q_ann_ivf(sf_dir: str):
     }
     ref = ray.put(payload)
     partials = ds.map_batches(
-        IVFSearchActor,
-        fn_constructor_kwargs={"payload_ref": ref, "k": 5, "nprobe": len(centroids)},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
+        cached_map(IVFSearch, ref, k=5, nprobe=len(centroids)), batch_format="pyarrow"
     )
     return merge_topk_partials(partials, k=5)
 
@@ -915,26 +888,19 @@ def _q_dwithin_poly(sf_dir: str):
     boundary (DistanceOp analog) then surface distance vs 300 km; interior
     points are distance 0.  Great-circle variant so the oracle mirrors the
     exact formula; Vincenty (exact=True) is the reference default."""
-    from georay.stages.join import DWithinJoinActor
+    from georay.stages.join import DWithinJoin
 
     geo = _geo(sf_dir)
     ref = ray.put(_star_payload())
     return geo.map_batches(
-        DWithinJoinActor,
-        fn_constructor_kwargs={
-            "polygons": ref,
-            "distance_m": 300_000.0,
-            "exact": False,
-            "keep_cols": ("doc_id",),
-        },
+        cached_map(DWithinJoin, ref, distance_m=300_000.0, exact=False, keep_cols=("doc_id",)),
         batch_format="pyarrow",
-        concurrency=(1, 4),
     ).map_batches(lambda b: b.select(["doc_id", "polygon_id"]), batch_format="pyarrow")
 
 
 def _q_media_decode(sf_dir: str):
     """Multimodal plumbing as a driver-checked pipeline: synthesize an
-    opaque binary media payload per document, run the actor-pool decode
+    opaque binary media payload per document, run the decode
     stage (codec stubbed — no media libs in this container — with the
     DuckDB-mirrorable md5 fake backend) and the resize stage, and emit
     the typed metadata columns.  The SQL oracle reconstructs payload hex,
@@ -947,18 +913,11 @@ def _q_media_decode(sf_dir: str):
         lambda b: synth_media_batch(b, hash_impl="md5"), batch_format="pyarrow"
     )
     decoded = media.map_batches(
-        ImageDecodeStage,
-        fn_constructor_kwargs={"fake": True, "hash_impl": "md5"},
+        cached_map(ImageDecodeStage, fake=True, hash_impl="md5"),
         batch_format="pyarrow",
-        batch_size=64,  # media rows are wide: keep batch x concurrency small
-        concurrency=(1, 4),
+        batch_size=64,  # media rows are wide: keep each batch small
     )
-    resized = decoded.map_batches(
-        ResizeStage,
-        fn_constructor_kwargs={"max_side": 256, "fake": True},
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
+    resized = decoded.map_batches(cached_map(ResizeStage, max_side=256, fake=True), batch_format="pyarrow")
     return resized.map_batches(
         lambda b: b.select(["media_id", "width", "height", "n_channels", "mean_luma"]),
         batch_format="pyarrow",

@@ -15,12 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
-
-def _resolve(x):
-    return ray.get(x) if isinstance(x, ray.ObjectRef) else x
-
 
 def _to_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
@@ -56,14 +50,14 @@ def cosine_topk(queries: np.ndarray, cand: np.ndarray, cand_ids: np.ndarray, k: 
 
 
 class BruteForceKNN:
-    """map_batches actor: each batch of vectors is scored against the
-    broadcast query matrix; emits per-(query, batch) top-k partials.
+    """Broadcast kernel (``cached_map(BruteForceKNN, ray.put(queries),
+    ...)``): each batch of vectors is scored against the query matrix
+    ``{"query_id", "vectors"}``; emits per-(query, batch) top-k partials.
     Merge partials with :func:`merge_topk_partials`."""
 
-    def __init__(self, query_ref, k: int = 10, vec_col: str = "embedding", id_col: str = "vec_id"):
-        q = _resolve(query_ref)
-        self.query_ids = np.asarray(q["query_id"], dtype=np.int64)
-        self.queries = np.asarray(q["vectors"], dtype=np.float64)
+    def __init__(self, queries, k: int = 10, vec_col: str = "embedding", id_col: str = "vec_id"):
+        self.query_ids = np.asarray(queries["query_id"], dtype=np.int64)
+        self.queries = np.asarray(queries["vectors"], dtype=np.float64)
         self.k = int(k)
         self.vec_col = vec_col
         self.id_col = id_col
@@ -151,9 +145,10 @@ def lloyd_centroids(sample: np.ndarray, n_lists: int = 16, seed: int = 13,
     return centroids
 
 
-class IVFSearchActor:
-    """Distributed IVF probe as a broadcast map_batches actor — the scale
-    path: the 'index' shipped to workers is ONLY (queries, centroids);
+class IVFSearch:
+    """Distributed IVF probe as a broadcast kernel (``cached_map(IVFSearch,
+    ray.put(payload), ...)``) — the scale path: the 'index' shipped to
+    workers is ONLY (queries, centroids);
     each batch assigns its vectors to centroid lists locally, keeps those
     in the union of the queries' ``nprobe`` probe lists, and emits
     per-(query, batch) top-k partials (merged by
@@ -161,12 +156,11 @@ class IVFSearchActor:
     filtered broadcast map over the streaming vector dataset; with
     ``nprobe >= n_lists`` the result is exact (the oracle configuration)."""
 
-    def __init__(self, payload_ref, k: int = 10, nprobe: int = 4,
+    def __init__(self, payload, k: int = 10, nprobe: int = 4,
                  vec_col: str = "embedding", id_col: str = "vec_id"):
-        p = _resolve(payload_ref)
-        self.query_ids = np.asarray(p["query_id"], dtype=np.int64)
-        self.queries = np.asarray(p["vectors"], dtype=np.float64)
-        self.centroids = np.asarray(p["centroids"], dtype=np.float64)
+        self.query_ids = np.asarray(payload["query_id"], dtype=np.int64)
+        self.queries = np.asarray(payload["vectors"], dtype=np.float64)
+        self.centroids = np.asarray(payload["centroids"], dtype=np.float64)
         self.k = int(k)
         self.vec_col = vec_col
         self.id_col = id_col

@@ -198,7 +198,7 @@ def optional_image_decoder():
     This container ships neither library, so the numpy codecs above stay
     the only always-available path; in a deployment with Pillow
     installed the multimodal stages pick this up automatically (resolved
-    once per actor in ``__init__``, never per batch)."""
+    once per stage in ``__init__``, never per batch)."""
     try:
         import io
 

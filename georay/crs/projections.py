@@ -179,7 +179,7 @@ class Transformer:
     (TopologicalRelationships.java:261-271), pyproj ``always_xy`` convention.
 
     One instance per (src, dst) EPSG pair; cheap, stateless, and cached via
-    :func:`transformer` — stage actors warm it once in ``__init__`` per
+    :func:`transformer` — stage classes warm it once in ``__init__`` per
     SURVEY.md §3 EP-1 state note.
     """
 

@@ -2,7 +2,9 @@
 
 Media travel as opaque ``binary`` columns with typed metadata columns
 (mime, width/height/duration when known).  Decode / feature-extraction /
-resize / frame-sampling are actor-pool ``map_batches`` stages:
+resize / frame-sampling are stage classes, mapped as plain tasks with
+``georay.partition.cached_map(Stage, **kwargs)`` so each worker builds a
+stage once:
 
 - ``fake=True``  -> deterministic fake decode derived from the payload
   bytes (stable across runs; exercises the full pipeline shape and the
@@ -16,7 +18,7 @@ resize / frame-sampling are actor-pool ``map_batches`` stages:
   those.
 
 Batch-size guidance: media rows are large — size ``batch_size`` so
-batch_bytes x concurrency stays under the worker heap budget
+batch_bytes x the CPUs of a node stays under the worker heap budget
 (SURVEY.md §4 memory row); callers pass ``batch_size`` explicitly.
 """
 
@@ -60,10 +62,10 @@ def _stable_u64_md5(payload: bytes) -> int:
 
 
 class ImageDecodeStage:
-    """Actor-pool stage: binary payload -> (dims, stats, feature vector).
+    """Stage: binary payload -> (dims, stats, feature vector).
 
     Real deployment would load the codec/model once here in ``__init__``
-    (the expensive state); `fake` mode derives deterministic outputs from
+    (the expensive state, kept per worker by ``cached_map``); `fake` mode derives deterministic outputs from
     a payload digest so the pipeline is testable end-to-end.
     """
 
@@ -71,7 +73,7 @@ class ImageDecodeStage:
         self.fake = fake
         self.feature_dim = int(feature_dim)
         self.hash_impl = hash_impl
-        # compressed-format decoder (PIL/imageio) resolved ONCE per actor
+        # compressed-format decoder (PIL/imageio) resolved ONCE per instance
         # — None in this container; real deployments get JPEG/PNG free
         self._ext = None
         if not fake:
@@ -247,7 +249,7 @@ class FrameSampleStage:
 
 
 class AudioFeatureStage:
-    """Actor-pool stage: audio payload -> per-frame spectral features
+    """Stage: audio payload -> per-frame spectral features
     (flat_map layout: media_id, frame_idx, feature).
 
     ``fake=False`` decodes PCM-16 WAV (pure-numpy RIFF parser,

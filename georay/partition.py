@@ -1,7 +1,8 @@
-"""Hash partitioning: georay's keyed exchanges, their one sizing rule, and
-the one rule that skips them.
+"""Hash partitioning: georay's keyed exchanges, their one sizing rule, the
+one rule that skips them, and the one kernel that streams past a
+broadcast side.
 
-Two exchange primitives and one broadcast rule:
+Two exchange primitives, one broadcast rule and one broadcast kernel:
 
 - :func:`hash_partition` (one input) runs ``kernel(t)`` once per
   partition with every row of each key the partition holds: per-user
@@ -17,6 +18,9 @@ Two exchange primitives and one broadcast rule:
   ``BROADCAST_BYTES``, hands it back as one table for the caller to
   ``ray.put``, so the large side streams through a plain map with no
   shuffle.  A side over the budget keeps the exchange.
+- :func:`cached_map` is that plain map: it builds the stage's class from
+  the broadcast refs once per worker process and calls it on each batch,
+  so a broadcast stage runs as plain tasks, never an actor pool.
 
 Both exchanges tag each row with ``part_of(key, P)`` and run the union
 through a single sort whose boundaries are the partition numbers: block
@@ -139,6 +143,57 @@ def broadcast_or_none(ds):
     if schema is not None and isinstance(schema.base_schema, pa.Schema):
         return schema.base_schema.empty_table(), ds
     return pa.table({}), ds
+
+
+#: per-worker-process instances built by :func:`cached_map`, keyed by
+#: (class, ref hexes, sorted kwargs).  Bounded: a long-lived session
+#: cycling many payloads must not grow worker memory (insertion-order
+#: eviction; an evicted instance is rebuilt on its next batch).
+_INSTANCES: dict = {}
+_INSTANCES_MAX = 8
+
+
+def _instance(key, cls, refs, kwargs):
+    inst = _INSTANCES.get(key)
+    if inst is None:
+        import ray
+
+        inst = cls(*ray.get(list(refs)), **kwargs)
+        while len(_INSTANCES) >= _INSTANCES_MAX:
+            _INSTANCES.pop(next(iter(_INSTANCES)))
+        _INSTANCES[key] = inst
+    return inst
+
+
+def cached_map(cls, *refs, **kwargs):
+    """A plain ``map_batches`` function, named after ``cls``, that calls
+    ``cls(*ray.get(refs), **kwargs)`` on each batch; each worker process
+    builds that instance once per (``cls``, refs, kwargs) and keeps it.
+
+    This is the one form of a stage over a broadcast side (``refs`` from
+    ``ray.put``) or with costly setup: plain tasks reuse warm workers and
+    fuse with the maps around them, where an actor pool spawns processes
+    on every run.  Every positional argument must be an ``ObjectRef``
+    (``TypeError`` otherwise): the cache keys on ref hexes, which are
+    unique, while the ``id()`` of a plain payload can be reused by a
+    later one and would serve a stale instance.  ``kwargs`` must be
+    hashable."""
+    import ray
+
+    for r in refs:
+        if not isinstance(r, ray.ObjectRef):
+            raise TypeError(f"cached_map({cls.__name__}, ...) takes ObjectRefs, got {type(r).__name__}")
+    key = (cls, tuple(r.hex() for r in refs), tuple(sorted(kwargs.items())))
+    hash(key)  # unhashable kwargs fail here, on the driver
+
+    def fn(batch):
+        # fn is pickled by value, and so would be a dict it read directly
+        # (a fresh cache per task); _instance is pickled by reference, so
+        # the cache is the worker's own module state, kept across tasks
+        return _instance(key, cls, refs, kwargs)(batch)
+
+    fn.__name__ = fn.__qualname__ = cls.__name__
+    return fn
 
 
 def _names(on) -> list:

@@ -24,12 +24,12 @@ import ray
 from ray.data import Datasink
 
 from georay import cells
-from georay.partition import hash_partition, partitions
+from georay.partition import cached_map, hash_partition, partitions
 from georay.pipelines.polygons import polygon_payload
 from georay.sources import filesystem, remove_dir, replace_dir, write_output
 from georay.stages.aggregate import CELL_AGGS, cell_partial_agg, keyed_agg, merge_cell_partials
 from georay.stages.geo import Reproject, cellize, extract_geo_batch, filter_has_geo
-from georay.stages.join import make_spatial_join_fn
+from georay.stages.join import SpatialJoin
 
 
 def geo_dataset(pages, res: int = 7):
@@ -147,8 +147,8 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
     or any read with the pages columns).
 
     The polygon side is broadcast once (``ray.put``) and the join is a
-    plain task kernel (``make_spatial_join_fn``): its index builds in
-    milliseconds and is cached per worker, so it runs inside the task
+    plain task kernel (``cached_map(SpatialJoin, ...)``): its index builds
+    in milliseconds and is cached per worker, so it runs inside the task
     chain instead of paying an actor-pool spawn per run.  The aggregate
     is partial-combined per task before the keyed merge (skew defence,
     stages/aggregate.py).  What runs follows ``out_dir``:
@@ -171,7 +171,7 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
     import ray.data as rd
 
     geo = geo_dataset(pages, res=res)
-    join_fn = make_spatial_join_fn(ray.put(polygon_payload()), predicate)
+    join_fn = cached_map(SpatialJoin, ray.put(polygon_payload()), predicate=predicate)
     if not out_dir:
         # whole blocks: a ``batch_size`` makes Ray bundle the join's input,
         # and it then refuses to fuse the join with the read before it

@@ -11,7 +11,7 @@ external data) so the DuckDB oracles can reproduce it:
   list inlined as VALUES (georay's synthesis is the single source).
 
 The payload shape is a plain list of dicts (pickles small, ``ray.put``
-once, STRtree-analog built per actor — SURVEY.md §2.1 P-01 mapping).
+once, STRtree-analog built once per worker — SURVEY.md §2.1 P-01 mapping).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def polygon_payload():
 
 
 def build_polygon_set(payload, ids=None) -> PolygonSet:
-    """Payload -> PolygonSet (done once per join actor in ``__init__``)."""
+    """Payload -> PolygonSet (done once per join stage in ``__init__``)."""
     polys = [
         Polygon(p["exterior"], p["holes"], p["epsg"], p["polygon_id"])
         for p in payload

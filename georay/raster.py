@@ -41,6 +41,8 @@ import numpy as np
 import pyarrow as pa
 
 from georay import cells as _cells
+from georay.partition import cached_map
+from georay.pipelines.polygons import build_polygon_set
 from georay.stages.aggregate import combiner, merger, tree_merge
 
 
@@ -585,26 +587,12 @@ def zonal_partial(batch: pa.Table, pset, res: int = 7, tile: int = 8) -> pa.Tabl
 zonal_merge = merger("polygon_id", ZONAL_AGGS)
 
 
-class ZonalStatsActor:
-    """Actor-pool stage: builds the polygon index once per actor
-    (__init__), reduces each raster batch to <=K zonal partial rows."""
+class ZonalStats:
+    """Broadcast kernel: builds the polygon index once per worker
+    (``cached_map``), reduces each raster batch to <=K zonal partial rows."""
 
     def __init__(self, polygons, res: int = 7, tile: int = 8):
-        import ray as _ray
-
-        from georay.geom.polygon import Polygon, PolygonSet
-
-        payload = _ray.get(polygons) if not isinstance(polygons, list) else polygons
-        polys = [
-            Polygon(
-                p["exterior"],
-                holes=p.get("holes", ()),
-                epsg=p.get("epsg", 4326),
-                polygon_id=p["polygon_id"],
-            )
-            for p in payload
-        ]
-        self.pset = PolygonSet(polys)
+        self.pset = build_polygon_set(polygons)
         self.res = res
         self.tile = tile
 
@@ -612,14 +600,11 @@ class ZonalStatsActor:
         return zonal_partial(batch, self.pset, res=self.res, tile=self.tile)
 
 
-def zonal_stats(raster_ds, polygons_ref, res: int = 7, tile: int = 8, concurrency=(1, 4)):
+def zonal_stats(raster_ds, polygons_ref, res: int = 7, tile: int = 8):
     """Raster -> vector: per-zone pixel statistics over a dense tile
     raster.  Zones are broadcast once (ray.put payload), never shuffled;
-    the raster streams through the actor pool; partials tree-merge."""
+    the raster streams through plain tasks; partials tree-merge."""
     partials = raster_ds.map_batches(
-        ZonalStatsActor,
-        fn_constructor_kwargs={"polygons": polygons_ref, "res": res, "tile": tile},
-        batch_format="pyarrow",
-        concurrency=concurrency,
+        cached_map(ZonalStats, polygons_ref, res=res, tile=tile), batch_format="pyarrow"
     )
     return tree_merge(partials, zonal_merge)

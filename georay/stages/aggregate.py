@@ -19,14 +19,11 @@ two kernels derive from that spec:
 
 Reductions that keep another route (the driver merge, the fused scan)
 take their kernels from the same two functions.  :func:`tree_merge` is
-for KEYLESS reductions only.  For aggregates that are NOT re-mergeable
-(``map_groups`` UDFs), :func:`salt_column` splits hot keys into
-``(key, salt)`` subgroups whose partials are merged per key afterwards.
+for KEYLESS reductions only.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from georay.partition import _names, hash_partition, partitions
@@ -101,8 +98,8 @@ def tree_merge(ds, merge_fn, fanout: int = 8):
     """Coalesce-merge tree for KEYLESS reductions: coalesce to ``fanout``
     blocks -> merge -> coalesce to one -> merge, ending in one task that
     sees every partial.  For global results with no key to partition on
-    (search stats, ANN top-k and centroids, zonal stats, sketches, the
-    hot-cell histogram filter); a keyed merge of partials is
+    (search stats, ANN top-k and centroids, zonal stats, sketches); a
+    keyed merge of partials is
     ``hash_partition(partials, key, merge, partitions(partials))``."""
     m = ds.repartition(num_blocks=fanout).map_batches(
         merge_fn, batch_format="pyarrow", batch_size=None
@@ -110,50 +107,3 @@ def tree_merge(ds, merge_fn, fanout: int = 8):
     return m.repartition(1).map_batches(
         merge_fn, batch_format="pyarrow", batch_size=None
     )
-
-
-def salt_column(key: np.ndarray, ids: np.ndarray, hot_keys: dict, default_salt: int = 1) -> np.ndarray:
-    """Compute a salt in [0, S(key)) per row: hot keys fan out to S
-    subgroups (S from a sampled histogram), cold keys get salt 0.
-
-    Used when the per-group computation is a ``map_groups`` UDF rather
-    than a re-mergeable aggregate; the caller groups by (key, salt) and
-    then merges the per-salt partials per key (SURVEY.md §4 skew row).
-    """
-    salt = np.zeros(len(key), dtype=np.int32)
-    if hot_keys:
-        # unsigned splitmix-style mix: int64 multiply would overflow signed
-        h = (ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        h ^= h >> np.uint64(13)
-        for k, s in hot_keys.items():
-            m = key == k
-            salt[m] = (h[m] % np.uint64(max(default_salt, s))).astype(np.int32)
-    return salt
-
-
-def sample_hot_cells(ds, threshold_frac: float = 0.02, sample_frac: float = 0.01, target_salt: int = 8):
-    """Sample the cell histogram and return {cell: salt_factor} for cells
-    holding more than ``threshold_frac`` of sampled rows (SURVEY.md §4).
-
-    The histogram is reduced DISTRIBUTED — per-batch count partials
-    through the coalesce-merge tree, hot-cell filter applied inside the
-    final merge task — so the driver receives only the hot-cell rows (at
-    most 1/threshold_frac of them can exist), never a per-cell dict built
-    row-by-row from iter_batches (r3 judge finding: millions of distinct
-    cells made that a driver-side loop)."""
-    sample = ds.random_sample(sample_frac) if sample_frac < 1.0 else ds
-    counts = {"n": ("cell", "count")}
-    merged = tree_merge(
-        sample.map_batches(combiner("cell", counts), batch_format="pyarrow"),
-        merger("cell", counts),
-    )
-
-    def hot_only(t: pa.Table) -> pa.Table:
-        # runs on the single fully-merged block: totals are global
-        if t.num_rows == 0:
-            return t
-        n = t.column("n").to_numpy()
-        return t.filter(pa.array(n / n.sum() >= threshold_frac))
-
-    hot = merged.map_batches(hot_only, batch_format="pyarrow", batch_size=None)
-    return {r["cell"]: target_salt for r in hot.take_all()}

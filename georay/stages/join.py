@@ -4,9 +4,10 @@ The small (polygon / reference-point) side is broadcast once via
 ``ray.put`` and indexed where the big (page) side streams through it
 (STRtree-analog PolygonSet / sorted cell arrays), so nothing but the batch
 crosses the wire per call — SURVEY.md §2.1 P-01 and §2.8: the join
-shuffles NOTHING.  The point-in-polygon join runs as plain tasks with a
-per-worker index cache (:func:`make_spatial_join_fn`); the DWithin and
-kNN stages are actor classes that index in ``__init__``.
+shuffles NOTHING.  Each stage is a class that takes the resolved payload
+and indexes it in ``__init__``; pipelines map it with
+``georay.partition.cached_map(cls, ray.put(payload), ...)``, which builds
+it once per worker and runs it as plain tasks.
 """
 
 from __future__ import annotations
@@ -14,32 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
 from georay import cells
 from georay.crs.geodesy import haversine_m, orthodromic_distance
 from georay.pipelines.polygons import build_polygon_set
 
 
-def _resolve(payload_or_ref):
-    if isinstance(payload_or_ref, ray.ObjectRef):
-        return ray.get(payload_or_ref)
-    return payload_or_ref
-
-
-#: per-worker-process cache of built broadcast-side indexes, keyed by the
-#: ObjectRef hex of the payload — task workers are long-lived, so the
-#: STRtree-analog is built once per (worker, payload) like actor state,
-#: without paying an actor-pool spawn per pipeline run.  Bounded: a
-#: long-lived session cycling many payloads must not leak per-worker
-#: memory (insertion-order eviction; entries are cheap to rebuild).
-_PSET_CACHE: dict = {}
-_PSET_CACHE_MAX = 8
-
-
 def _join_batch(pset, poly_ids, predicate: str, keep_cols, batch: pa.Table) -> pa.Table:
-    """Shared broadcast-join batch kernel (task path and actor path both
-    call this — one body, no drift)."""
+    """The point-in-polygon join of one batch against an index and its
+    ``polygon_id`` array (:class:`SpatialJoin`'s body)."""
     px = batch.column("lon").to_numpy()
     py = batch.column("lat").to_numpy()
     pt_idx, poly_idx = pset.join(px, py, predicate)
@@ -58,45 +41,8 @@ def polygon_id_array(pset) -> pa.Array:
     return pa.array([p.polygon_id for p in pset.polygons], pa.string())
 
 
-def make_spatial_join_fn(payload_ref, predicate: str = "INTERSECTS", keep_cols=("doc_id", "url")):
-    """Broadcast point-in-polygon join as a plain ``map_batches`` function:
-    the one join shape the pipelines use.
-
-    Plain tasks reuse warm worker processes, fuse with the read and the
-    write around them, and fetch the payload zero-copy from the local
-    object store; the polygon index builds in milliseconds and is cached
-    once per worker (``_PSET_CACHE``).  An actor pool would instead spawn
-    processes on every pipeline run, which costs far more than the index.
-    """
-    predicate = predicate.upper()
-    keep_cols = list(keep_cols)
-    # cache ONLY ObjectRef payloads: their hex is globally unique, while
-    # id(plain_payload) can be reused by a later allocation and would
-    # serve a stale polygon set for a different payload
-    key = payload_ref.hex() if isinstance(payload_ref, ray.ObjectRef) else None
-
-    def join_batch(batch: pa.Table) -> pa.Table:
-        entry = _PSET_CACHE.get(key) if key is not None else None
-        if entry is None:
-            pset = build_polygon_set(_resolve(payload_ref))
-            entry = (pset, polygon_id_array(pset))
-            if key is not None:
-                while len(_PSET_CACHE) >= _PSET_CACHE_MAX:
-                    _PSET_CACHE.pop(next(iter(_PSET_CACHE)))
-                _PSET_CACHE[key] = entry
-        pset, poly_ids = entry
-        return _join_batch(pset, poly_ids, predicate, keep_cols, batch)
-
-    return join_batch
-
-
-class SpatialJoinActor:
+class SpatialJoin:
     """Callable: point batch x broadcast polygons -> join rows.
-
-    No pipeline maps over this class: they use :func:`make_spatial_join_fn`,
-    which runs the same :func:`_join_batch` as plain tasks.  It stays as an
-    in-process callable because the benchmark's Ray-free reference pass
-    (``perfbench/kernels.py``) builds it directly.
 
     predicate ∈ SpatialOperator vocabulary (SpatialOperator.java:16-20):
     INTERSECTS / DISJOINT / WITHIN / CONTAINS / TOUCHES / BBOX / EQUALS /
@@ -105,7 +51,7 @@ class SpatialJoinActor:
     """
 
     def __init__(self, polygons, predicate: str = "INTERSECTS", keep_cols=("doc_id", "url")):
-        self.pset = build_polygon_set(_resolve(polygons))
+        self.pset = build_polygon_set(polygons)
         self.predicate = predicate.upper()
         self.keep_cols = list(keep_cols)
         self.poly_ids = polygon_id_array(self.pset)
@@ -114,7 +60,12 @@ class SpatialJoinActor:
         return _join_batch(self.pset, self.poly_ids, self.predicate, self.keep_cols, batch)
 
 
-class DWithinJoinActor:
+#: the benchmark's Ray-free reference pass (``perfbench/kernels.py``)
+#: imports the join under this old name
+SpatialJoinActor = SpatialJoin
+
+
+class DWithinJoin:
     """P-04/P-05: orthodromic DWithin / Beyond join against broadcast polygons.
 
     Two-step kernel exactly as TopologicalRelationships.java:149-179:
@@ -133,7 +84,7 @@ class DWithinJoinActor:
         keep_cols=("doc_id", "url"),
         exact: bool = True,
     ):
-        self.pset = build_polygon_set(_resolve(polygons))
+        self.pset = build_polygon_set(polygons)
         self.distance_m = float(distance_m)
         self.beyond = bool(beyond)
         self.keep_cols = list(keep_cols)
@@ -203,13 +154,13 @@ class DWithinJoinActor:
         return pa.table(arrs)
 
 
-class KNNJoinActor:
+class KNNJoin:
     """kNN join: each page point -> its k nearest broadcast reference points,
     via cell-neighbourhood expansion (north_star: ``grid_disk`` rings until
     >= k candidates, then exact distances + per-row top-k).
 
     The broadcast side is a small table of reference points
-    ``(ref_id, lon, lat)`` put once via ``ray.put``; per-actor state is the
+    ``(ref_id, lon, lat)`` put once via ``ray.put``; per-worker state is the
     cell-sorted candidate arrays at an index resolution sized so one ring
     step covers a sensible distance.  Distances are great-circle
     (haversine) by default or orthodromic (Vincenty) when ``exact=True``
@@ -222,10 +173,9 @@ class KNNJoinActor:
     BRUTE_FORCE_THRESHOLD = 4096
 
     def __init__(self, ref_points, k: int = 3, index_res: int = 5, exact: bool = True, keep_cols=("doc_id",)):
-        refs = _resolve(ref_points)
-        self.ref_ids = np.asarray(refs["ref_id"])
-        self.ref_lon = np.asarray(refs["lon"], dtype=np.float64)
-        self.ref_lat = np.asarray(refs["lat"], dtype=np.float64)
+        self.ref_ids = np.asarray(ref_points["ref_id"])
+        self.ref_lon = np.asarray(ref_points["lon"], dtype=np.float64)
+        self.ref_lat = np.asarray(ref_points["lat"], dtype=np.float64)
         rid_order = np.argsort(self.ref_ids, kind="stable")
         self.ref_ids = self.ref_ids[rid_order]
         self.ref_lon = self.ref_lon[rid_order]

@@ -1,5 +1,5 @@
 """Keyed aggregates: the derived combiner and merger, ``keyed_agg``
-against one Ray-free group_by, hot-cell salting."""
+against one Ray-free group_by."""
 
 import numpy as np
 import pyarrow as pa
@@ -12,8 +12,6 @@ from georay.stages.aggregate import (
     keyed_agg,
     merge_cell_partials,
     merger,
-    salt_column,
-    sample_hot_cells,
 )
 
 
@@ -177,23 +175,3 @@ class TestKeyedAgg:
         average the averages."""
         with pytest.raises(ValueError, match="mean"):
             combiner("k", {"m": ("v", "mean")})
-
-
-class TestSalting:
-    def test_salt_spreads_hot_key_only(self):
-        key = np.array([7, 7, 7, 7, 8, 8], dtype=np.int64)
-        ids = np.arange(6, dtype=np.int64)
-        salt = salt_column(key, ids, {7: 4})
-        assert (salt[key == 8] == 0).all()
-        assert len(np.unique(salt[key == 7])) > 1  # hot key fans out
-
-    def test_sample_hot_cells_finds_hot(self, ray_session):
-        import ray.data
-
-        n = 5000
-        rng = np.random.default_rng(1)
-        cells_arr = np.where(rng.random(n) < 0.5, 42, rng.integers(0, 40, n))
-        ds = ray.data.from_arrow(geo_batch(cells_arr))
-        hot = sample_hot_cells(ds, threshold_frac=0.2, sample_frac=1.0)
-        assert 42 in hot
-        assert all(v >= 1 for v in hot.values())

@@ -79,10 +79,10 @@ class TestIVFSearchActor:
     def _partials(self, vecs, ids, queries, qids, k, nprobe, batch=64):
         import pyarrow as pa
 
-        from georay.ann import IVFSearchActor, lloyd_centroids
+        from georay.ann import IVFSearch, lloyd_centroids
 
         centroids = lloyd_centroids(vecs[: max(32, len(vecs) // 4)], n_lists=8)
-        actor = IVFSearchActor(
+        actor = IVFSearch(
             {"query_id": qids, "vectors": queries, "centroids": centroids},
             k=k, nprobe=nprobe,
         )

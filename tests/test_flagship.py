@@ -3,6 +3,7 @@ write of tiles, join rows and cell partials then a small merge, or lazy
 datasets that each re-derive the geo rows), the tile layout, a write task
 killed mid-write, the partials' cleanup, and the plans' shape."""
 
+import functools
 import logging
 
 import pytest
@@ -214,10 +215,23 @@ class TestTileLayout:
         assert got.select(cols).sort_by(order).to_pydict() == want.select(cols).sort_by(order).to_pydict()
 
 
+@functools.lru_cache(maxsize=None)
+def _entry():
+    """``__ray_entry__`` loaded once, so its memoized geo rows are shared."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "__ray_entry__.py"
+    spec = importlib.util.spec_from_file_location("_entry", path)
+    entry = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(entry)
+    return entry
+
+
 class _ExecutionPlans(logging.Handler):
     """Collects the execution plans Ray Data logs, one per executed dataset
     (operator class and fused operator names, e.g.
-    ``TaskPoolMapOperator[ReadParquet->MapBatches(join_batch)->Write]``)."""
+    ``TaskPoolMapOperator[ReadParquet->MapBatches(SpatialJoin)->Write]``)."""
 
     LOGGER = "ray.data._internal.execution.streaming_executor"
 
@@ -239,12 +253,14 @@ class _ExecutionPlans(logging.Handler):
 
 
 class TestJoinRunsOnTasks:
-    """The broadcast join indexes in milliseconds: an actor pool would spawn
-    processes on every run for nothing, and would stop the join from
-    running inside the task chain that extracts and writes the rows."""
+    """A broadcast stage builds its state in milliseconds: an actor pool
+    would spawn processes on every run for nothing, and would stop the
+    stage from running inside the task chain that extracts and writes the
+    rows.  Every broadcast stage is ``cached_map(cls, ...)``, a plain
+    task function named after ``cls``."""
 
-    def _join_plans(self, plans):
-        joins = [p for p in plans if "join_batch" in p or "SpatialJoinActor" in p]
+    def _join_plans(self, plans, kernel):
+        joins = [p for p in plans if f"MapBatches({kernel})" in p]
         assert joins, plans
         return joins
 
@@ -270,19 +286,30 @@ class TestJoinRunsOnTasks:
             flagship(pages, out_dir=out)
         assert len(log.plans) == 2, log.plans
         for plan in log.plans:
-            assert "ActorPoolMapOperator" not in plan and "SpatialJoinActor" not in plan
+            assert "ActorPoolMapOperator" not in plan
         assert reads == [f"{out}/_partials"]
 
-    @pytest.mark.parametrize("query", ["_q_bbox_join", "_q_pip_join"])
-    def test_entry_joins_run_on_tasks(self, ray_session, query):
-        import importlib.util
-        from pathlib import Path
+    #: each broadcast query and the class its ``cached_map`` runs
+    KERNELS = {
+        "_q_bbox_join": "SpatialJoin",
+        "_q_pip_join": "SpatialJoin",
+        "_q_knn": "KNNJoin",
+        "_q_knn_grid": "KNNJoin",
+        "_q_dwithin_poly": "DWithinJoin",
+        "_q_ann_cosine": "BruteForceKNN",
+        "_q_ann_ivf": "IVFSearch",
+        "_q_zonal_stats": "ZonalStats",
+        "_q_embed_dup_pairs": "BruteDup",
+        "_q_top_customers": "AttachName",
+        "_q_media_decode": "ImageDecodeStage",
+    }
 
-        path = Path(__file__).resolve().parents[1] / "__ray_entry__.py"
-        spec = importlib.util.spec_from_file_location("_entry", path)
-        entry = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(entry)
+    @pytest.mark.parametrize("query", list(KERNELS))
+    def test_entry_joins_run_on_tasks(self, ray_session, query):
         with _ExecutionPlans() as log:
-            getattr(entry, query)(SF).materialize()
-        for plan in self._join_plans(log.plans):
-            assert "ActorPoolMapOperator" not in plan and "SpatialJoinActor" not in plan
+            out = getattr(_entry(), query)(SF)
+            if hasattr(out, "materialize"):
+                out.materialize()
+        self._join_plans(log.plans, self.KERNELS[query])
+        for plan in log.plans:
+            assert "ActorPoolMapOperator" not in plan

@@ -5,7 +5,7 @@ import pyarrow as pa
 import pytest
 
 from georay.crs.geodesy import haversine_m
-from georay.stages.join import DWithinJoinActor, KNNJoinActor
+from georay.stages.join import DWithinJoin, KNNJoin
 
 
 def brute_knn(qlat, qlon, rlat, rlon, rids, k):
@@ -29,7 +29,7 @@ def make_refs(n, seed=5):
 
 class TestKnnGridPath:
     def run_grid(self, refs, qlon, qlat, k, index_res=5):
-        actor = KNNJoinActor.__new__(KNNJoinActor)
+        actor = KNNJoin.__new__(KNNJoin)
         actor.__init__(refs, k=k, index_res=index_res, exact=False)
         actor.brute = False  # force the cell-expansion path
         batch = pa.table(
@@ -98,7 +98,7 @@ class TestDWithinPolygon:
             [[-123.2065, 49.2706], [-123.1965, 49.2706], [-123.1965, 49.2806],
              [-123.2065, 49.2806], [-123.2065, 49.2706]]
         )
-        actor = DWithinJoinActor.__new__(DWithinJoinActor)
+        actor = DWithinJoin.__new__(DWithinJoin)
         actor.__init__(
             [{"polygon_id": "jericho-box", "exterior": ring, "holes": [], "epsg": 4326}],
             distance_m=8000.0,
@@ -122,8 +122,8 @@ class TestDWithinPolygon:
              [-123.2065, 49.2806], [-123.2065, 49.2706]]
         )
         payload = [{"polygon_id": "jericho-box", "exterior": ring, "holes": [], "epsg": 4326}]
-        within = DWithinJoinActor(payload, distance_m=8000.0)
-        beyond = DWithinJoinActor(payload, distance_m=8000.0, beyond=True)
+        within = DWithinJoin(payload, distance_m=8000.0)
+        beyond = DWithinJoin(payload, distance_m=8000.0, beyond=True)
         batch = pa.table(
             {
                 "doc_id": pa.array([1, 2], pa.int64()),
@@ -138,7 +138,7 @@ class TestDWithinPolygon:
 
     def test_interior_point_distance_zero(self):
         ring = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
-        actor = DWithinJoinActor(
+        actor = DWithinJoin(
             [{"polygon_id": "sq", "exterior": ring, "holes": [], "epsg": 4326}], distance_m=10.0
         )
         batch = pa.table(
@@ -162,7 +162,7 @@ class TestGridTieBreak:
             "lon": np.array([10.0, -10.0]),  # ref 7 east, ref 3 west
             "lat": np.array([0.0, 0.0]),
         }
-        actor = KNNJoinActor.__new__(KNNJoinActor)
+        actor = KNNJoin.__new__(KNNJoin)
         actor.__init__(refs, k=1, index_res=4, exact=False)
         actor.brute = False
         batch = pa.table(

@@ -1,5 +1,6 @@
 """georay.partition: the key hash, the one- and two-input exchanges, the
-broadcast-or-exchange rule, and the rule that georay has no other."""
+broadcast-or-exchange rule, the broadcast kernel ``cached_map``, and the
+rule that georay has no other."""
 
 import re
 from pathlib import Path
@@ -8,7 +9,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from georay.partition import broadcast_or_none, copartition, hash_partition, part_of
+import georay.partition
+from georay.partition import broadcast_or_none, cached_map, copartition, hash_partition, part_of
 
 LEFT = pa.schema([("id", pa.int64()), ("a", pa.int64())])
 RIGHT = pa.schema([("rid", pa.int64()), ("text", pa.large_string())])
@@ -161,7 +163,8 @@ class TestHashPartition:
 
 class TestOneMechanism:
     """georay has one keyed-exchange module: no hand-rolled partition
-    column shuffles, partition hashes or partition sizers elsewhere."""
+    column shuffles, partition hashes or partition sizers elsewhere, and
+    no actor pool over a broadcast side."""
 
     FORBIDDEN = re.compile(
         r'groupby\("part"\)|_partition_of|_cluster_partitions|_join_partitions|default_partitions'
@@ -299,6 +302,120 @@ class TestOneMechanism:
             if re.search(r"^\s*def _?part_of\b", path.read_text(), re.M)
         ]
         assert defs == ["partition.py"]
+
+    def test_no_actor_pools(self):
+        """A broadcast stage is ``cached_map(cls, ...)`` on plain tasks:
+        no ``map_batches`` sizes an actor pool (``concurrency=``) or
+        passes constructor arguments (``fn_constructor_kwargs=``), and the
+        old per-join closure cache is gone."""
+        import ast
+
+        hits = []
+        for path in self._sources():
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    kws = {k.arg for k in node.keywords}
+                    if "fn_constructor_kwargs" in kws or (
+                        node.func.attr == "map_batches" and "concurrency" in kws
+                    ):
+                        hits.append(f"{path.name}:{node.lineno}: {ast.unparse(node)[:80]}")
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                if name in ("_PSET_CACHE", "_PSET_CACHE_MAX", "make_spatial_join_fn"):
+                    hits.append(f"{path.name}:{node.lineno}: {name}")
+                if isinstance(node, ast.FunctionDef) and node.name == "make_spatial_join_fn":
+                    hits.append(f"{path.name}:{node.lineno}: def {node.name}")
+        assert not hits, hits
+
+
+class _Counting:
+    """A stage that records each construction."""
+
+    built: list = []
+
+    def __init__(self, payload, scale: int = 1):
+        self.payload, self.scale = payload, scale
+        _Counting.built.append((payload, scale))
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return batch.append_column("scaled", pa.array([v * self.scale for v in batch.column("id").to_pylist()]))
+
+
+class TestCachedMap:
+    @pytest.fixture(autouse=True)
+    def _fresh(self, monkeypatch):
+        monkeypatch.setattr(georay.partition, "_INSTANCES", {})
+        monkeypatch.setattr(_Counting, "built", [])
+
+    def test_builds_once_per_key(self, ray_session):
+        import ray
+
+        fn = cached_map(_Counting, ray.put(7), scale=2)
+        for i in range(5):
+            out = fn(_left([i]))
+            assert out.column("scaled").to_pylist() == [2 * i]
+        assert _Counting.built == [(7, 2)]
+
+    def test_new_ref_or_kwargs_builds_anew(self, ray_session):
+        import ray
+
+        ref = ray.put(7)
+        batch = _left([1])
+        cached_map(_Counting, ref, scale=2)(batch)
+        cached_map(_Counting, ref, scale=2)(batch)
+        assert len(_Counting.built) == 1
+        cached_map(_Counting, ref, scale=3)(batch)
+        cached_map(_Counting, ray.put(7), scale=2)(batch)
+        assert _Counting.built == [(7, 2), (7, 3), (7, 2)]
+
+    def test_ninth_key_evicts_the_oldest(self, ray_session):
+        import ray
+
+        ref = ray.put(7)
+        batch = _left([1])
+        fns = [cached_map(_Counting, ref, scale=s) for s in range(9)]
+        for fn in fns:
+            fn(batch)
+        assert len(georay.partition._INSTANCES) == 8
+        fns[8](batch)
+        fns[1](batch)
+        assert len(_Counting.built) == 9
+        fns[0](batch)
+        assert [s for _, s in _Counting.built] == [*range(9), 0]
+
+    def test_plain_payload_raises(self):
+        with pytest.raises(TypeError, match="ObjectRef"):
+            cached_map(_Counting, 7)
+
+    def test_named_after_the_class(self, ray_session):
+        import ray
+
+        assert cached_map(_Counting, ray.put(7)).__name__ == "_Counting"
+        assert cached_map(_Counting, ray.put(7)).__qualname__ == "_Counting"
+
+    def test_each_worker_builds_once(self, ray_session, tmp_path):
+        """Over many tasks, no worker process builds an instance twice: the
+        cache is the worker's module state, not a copy shipped per task."""
+        import os
+        import uuid
+
+        import ray
+        import ray.data
+
+        class Marking:
+            def __init__(self, payload, marks: str):
+                open(os.path.join(marks, f"{os.getpid()}_{uuid.uuid4().hex}"), "w").close()
+                self.payload = payload
+
+            def __call__(self, batch: pa.Table) -> pa.Table:
+                return batch.append_column("p", pa.array([self.payload] * batch.num_rows))
+
+        ds = ray.data.from_arrow([_left([i]) for i in range(24)])
+        out = ds.map_batches(cached_map(Marking, ray.put(5), marks=str(tmp_path)), batch_format="pyarrow")
+        assert sorted(_collect(out).column("id").to_pylist()) == list(range(24))
+        pids = [name.split("_")[0] for name in os.listdir(tmp_path)]
+        assert pids and len(pids) == len(set(pids)), pids
 
 
 class TestBroadcastOrNone:

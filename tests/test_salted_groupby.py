@@ -1,13 +1,7 @@
-"""End-to-end salted groupby: the skew path for NON-re-mergeable
-per-group UDFs (SURVEY.md §4 skew row) exercised through a real Ray
-pipeline — hot cell fanned out over (cell, salt) subgroups, per-subgroup
-map_groups partials, then a final merge per cell."""
+"""Dataset union and limit over a skewed table (one hot cell)."""
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-
-from georay.stages.aggregate import salt_column, sample_hot_cells
 
 
 def skewed_table(n=6000, hot_cell=42, hot_frac=0.8, seed=3):
@@ -23,42 +17,6 @@ def skewed_table(n=6000, hot_cell=42, hot_frac=0.8, seed=3):
 
 
 class TestSaltedGroupby:
-    def test_salted_map_groups_equals_unsalted(self, ray_session):
-        import ray.data
-
-        t = skewed_table()
-        ds = ray.data.from_arrow(t).repartition(8)
-
-        # 1. sample histogram -> hot cells -> salt factor
-        hot = sample_hot_cells(ds, threshold_frac=0.2, sample_frac=1.0)
-        assert 42 in hot
-
-        # 2. add the salt column (hot cells fan out, cold get salt 0)
-        def add_salt(b: pa.Table) -> pa.Table:
-            s = salt_column(b.column("cell").to_numpy(), b.column("doc_id").to_numpy(), hot)
-            return b.append_column("salt", pa.array(s, pa.int32()))
-
-        salted = ds.map_batches(add_salt, batch_format="pyarrow")
-
-        # 3. per-(cell, salt) UDF partials (a "median-ish" non-mergeable
-        # stand-in: count + sum, computed per subgroup via map_groups)
-        def partial(g: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"cell": [g["cell"].iloc[0]], "n": [len(g)], "s": [g["value"].sum()]}
-            )
-
-        partials = salted.groupby(["cell", "salt"]).map_groups(partial, batch_format="pandas")
-        # the hot cell produced multiple salted partials
-        pdf = partials.to_pandas()
-        assert (pdf["cell"] == 42).sum() > 1
-
-        # 4. final merge per cell
-        final = pdf.groupby("cell", sort=True).agg(n=("n", "sum"), s=("s", "sum"))
-
-        want = t.to_pandas().groupby("cell", sort=True).agg(n=("value", "size"), s=("value", "sum"))
-        assert (final["n"] == want["n"]).all()
-        np.testing.assert_allclose(final["s"], want["s"], rtol=1e-9)
-
     def test_union_and_limit_ops(self, ray_session):
         import ray.data
 
