@@ -1197,7 +1197,7 @@ def _q_rasterize(sf_dir: str):
     so the dense fill itself is oracle-checked."""
     from georay.raster import rasterize, raster_pixels
 
-    return raster_pixels(rasterize(_geo(sf_dir), res=CELL_RES, tile=8), res=CELL_RES, tile=8)
+    return raster_pixels(rasterize(_geo(sf_dir), res=CELL_RES, tile=8), tile=8, n="band")
 
 
 def _q_raster_pyramid(sf_dir: str):
@@ -1208,7 +1208,7 @@ def _q_raster_pyramid(sf_dir: str):
 
     fine = rasterize(_geo(sf_dir), res=CELL_RES, tile=8)
     coarse = downsample(fine, res=CELL_RES, tile=8, factor=4)
-    return raster_pixels(coarse, res=CELL_RES - 2, tile=8)
+    return raster_pixels(coarse, tile=8, n="band")
 
 
 def _q_raster_vectorize(sf_dir: str):
@@ -1229,11 +1229,12 @@ def _q_raster_vectorize(sf_dir: str):
 def _q_raster_focal(sf_dir: str):
     """3x3 focal sum over the rasterized grid via tile halo exchange
     (no global raster materialization); output over occupied tiles."""
-    from georay.raster import focal_pixels, raster_focal, rasterize
+    from georay.raster import raster_focal, raster_pixels, rasterize
 
-    return focal_pixels(
+    return raster_pixels(
         raster_focal(rasterize(_geo(sf_dir), res=CELL_RES, tile=8), res=CELL_RES, tile=8),
         tile=8,
+        focal="band",
     )
 
 
@@ -1244,7 +1245,7 @@ def _q_raster_diff(sf_dir: str):
     (outer-join semantics), subtract bands; exploded to per-pixel rows."""
     import pyarrow.compute as _pc
 
-    from georay.raster import raster_diff, raster_diff_pixels
+    from georay.raster import raster_diff, raster_pixels
 
     cut = pa.scalar(datetime.datetime(2024, 1, 4), pa.timestamp("us"))
     geo = _geo(sf_dir)
@@ -1257,7 +1258,9 @@ def _q_raster_diff(sf_dir: str):
 
     a = geo.map_batches(before, batch_format="pyarrow")
     bds = geo.map_batches(after, batch_format="pyarrow")
-    return raster_diff_pixels(raster_diff(a, bds, res=CELL_RES, tile=8), tile=8)
+    return raster_pixels(
+        raster_diff(a, bds, res=CELL_RES, tile=8), tile=8, n_a="band_a", n_b="band_b", diff="band_diff"
+    )
 
 
 def _q_zonal_stats(sf_dir: str):

@@ -721,51 +721,33 @@ def hyperplane_keys(vecs: np.ndarray, n_planes: int = 16, seed: int = 11) -> np.
     return out.view(np.int32).ravel()
 
 
-def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int = 8,
-                    n_planes: int = 12, vec_col: str = "embedding", id_col: str = "vec_id",
-                    mode: str = "bucket", num_partitions: int = 8, max_bucket: int = 512,
-                    include_truncated: bool = False):
-    """Distributed LSH-bucketed near-dup pipeline (the scale path).
+def embed_lsh_pairs(ds, threshold: float = 0.9, n_tables: int = 8, n_planes: int = 12,
+                    vec_col: str = "embedding", id_col: str = "vec_id", max_bucket: int = 512):
+    """Distributed LSH-bucketed near-dup pipeline (the scale path)
+    -> verified ``(vec_a, vec_b)`` pairs.
 
-    mode="bucket" (default) — BUCKET-LOCAL verification: the packed
-    vector rides the (band, key) hash partition, each bucket verifies its own
-    pairs with exact cosine, and only VERIFIED pairs leave the bucket
-    (near-dup workloads emit orders of magnitude fewer verified pairs
-    than candidates, so nothing quadratic ever shuffles).  The exchange
-    cost is ``n_tables`` copies of the vector table through one sort
-    shuffle; bucket count is bounded by ``2^planes × tables`` so the
-    per-group dispatch is cheap.  No single-task merge, no broadcast.
-
-    mode="join" — candidate pairs from :func:`band_bucket_pairs` are
-    co-partitioned with the vector dataset and verified
-    (:func:`cosine_verify_pairs`); the right shape when candidates are
-    rare but buckets would not fit a group task.
-
-    ``vectors_ref`` is accepted for backward compatibility and ignored
-    (verification never needs a broadcast matrix).
+    BUCKET-LOCAL verification: the packed vector rides the (band, key)
+    hash partition, each bucket verifies its own pairs with exact cosine,
+    and only VERIFIED pairs leave the bucket (near-dup workloads emit
+    orders of magnitude fewer verified pairs than candidates, so nothing
+    quadratic ever shuffles).  The exchange cost is ``n_tables`` copies
+    of the vector table through one sort shuffle; bucket count is bounded
+    by ``2^planes × tables`` so the per-bucket loop is cheap.  No
+    single-task merge, no broadcast.  A bucket past ``max_bucket`` unique
+    vectors keeps its ``max_bucket`` smallest ids, with a warning.
 
     Recall < 1 by construction (tested against the brute kernel);
     precision = 1 because of the exact verification step.
-
-    ``include_truncated=True`` adds a ``truncated`` bool column in bucket
-    mode (did the pair's bucket hit the ``max_bucket`` cap — i.e. other
-    pairs from that bucket were DROPPED), mirroring the contract of
-    :func:`band_bucket_pairs` so downstream consumers can
-    detect the loss programmatically instead of scraping warning logs.
     """
-
-    carry_vec = mode == "bucket"
 
     def keys_batch(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            out = {
+            return pa.table({
                 "band": pa.array([], pa.int32()),
                 "key": pa.array([], pa.int64()),
                 "doc_id": pa.array([], pa.int64()),
-            }
-            if carry_vec:
-                out["vec"] = batch.column(vec_col)
-            return pa.table(out)
+                "vec": batch.column(vec_col),
+            })
         col = batch.column(vec_col)
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -778,22 +760,14 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
             k = hyperplane_keys(vecs, n_planes=n_planes, seed=11 + t)
             bands.append(np.full(len(ids), t, dtype=np.int32))
             keys.append(k.astype(np.int64))
-        out = {
+        return pa.table({
             "band": pa.array(np.concatenate(bands), pa.int32()),
             "key": pa.array(np.concatenate(keys), pa.int64()),
             "doc_id": pa.array(np.tile(ids, n_tables)),
-        }
-        if carry_vec:
-            out["vec"] = pa.concat_arrays([col] * n_tables)
-        return pa.table(out)
+            "vec": pa.concat_arrays([col] * n_tables),
+        })
 
     banded = ds.map_batches(keys_batch, batch_format="pyarrow")
-
-    if mode == "join":
-        cand = band_bucket_pairs(banded, max_bucket=max_bucket)
-        return cosine_verify_pairs(
-            cand, ds, threshold, vec_col=vec_col, id_col=id_col, num_partitions=num_partitions
-        )
 
     # hash-partition the buckets: ONE kernel per partition verifies ALL
     # of its buckets (a bucket's rows always hash together), replacing
@@ -843,14 +817,11 @@ def embed_lsh_pairs(ds, vectors_ref=None, threshold: float = 0.9, n_tables: int 
     # banded is lazy (rows = n_vecs x n_tables); the input's row count —
     # free when ds is a fresh read/materialized — is a lower bound that
     # still scales the count with the corpus
-    n = num_partitions or partitions(ds)
+    n = partitions(ds)
     pairs = _distinct_pairs(hash_partition(banded, ["band", "key"], verify_partition, n), n)
 
     def _typed_pairs(b: pa.Table) -> pa.Table:
-        out = {"vec_a": b.column("doc_a"), "vec_b": b.column("doc_b")}
-        if include_truncated:
-            out["truncated"] = b.column("truncated")
-        return pa.table(out)
+        return pa.table({"vec_a": b.column("doc_a"), "vec_b": b.column("doc_b")})
 
     return pairs.map_batches(_typed_pairs, batch_format="pyarrow")
 
@@ -876,7 +847,7 @@ def _attach(L: pa.Table, on: str, R: pa.Table, id_col: str, col: str, name: str)
 
 def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Table,
                   num_partitions: int | None):
-    """The route both pair verifiers share: candidate ``(doc_a, doc_b)``
+    """The route of candidate-pair verification: ``(doc_a, doc_b)``
     pairs -> ``keep(b)``, where ``b`` is a block of pairs with each id's
     ``side_ds[col]`` attached as ``side_a`` and ``side_b``.
 
@@ -930,35 +901,6 @@ def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Tabl
     )
 
 
-def cosine_verify_pairs(pairs_ds, vectors_ds, threshold: float,
-                        vec_col: str = "embedding", id_col: str = "vec_id",
-                        num_partitions: int | None = None):
-    """Exact-cosine verification of candidate (doc_a, doc_b) pairs
-    -> verified ``(vec_a, vec_b)``.  Only the candidates' vectors move,
-    never the whole matrix: while the pairs and their vectors fit
-    ``BROADCAST_BYTES`` (:func:`georay.partition.broadcast_or_none`) they
-    are broadcast to one map over the pairs, otherwise two co-partitioned
-    sort shuffles attach them (:func:`_verify_pairs`)."""
-    empty = pa.table({"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())})
-
-    def keep(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return empty
-        va = _list_to_matrix(b.column("side_a"))
-        vb = _list_to_matrix(b.column("side_b"))
-        na = np.linalg.norm(va, axis=1)
-        nb = np.linalg.norm(vb, axis=1)
-        na[na == 0] = 1.0
-        nb[nb == 0] = 1.0
-        sim = np.einsum("ij,ij->i", va / na[:, None], vb / nb[:, None])
-        ok = sim >= threshold
-        da = b.column("doc_a").to_numpy()
-        db = b.column("doc_b").to_numpy()
-        return pa.table({"vec_a": pa.array(da[ok]), "vec_b": pa.array(db[ok])})
-
-    return _verify_pairs(pairs_ds, vectors_ds, id_col, vec_col, keep, empty, num_partitions)
-
-
 def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
                          threshold_den: int = 2, id_col: str = "doc_id",
                          text_col: str = "text", num_partitions: int | None = None):
@@ -977,9 +919,8 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
     per-pair Python loop (the round-2 version looped :func:`set` ops per
     candidate).
 
-    Texts reach the pairs by the route :func:`_verify_pairs` shares with
-    :func:`cosine_verify_pairs`: while the pairs and the candidates'
-    texts fit ``BROADCAST_BYTES`` (:func:`georay.partition.
+    Texts reach the pairs by :func:`_verify_pairs`: while the pairs and
+    the candidates' texts fit ``BROADCAST_BYTES`` (:func:`georay.partition.
     broadcast_or_none`), the corpus streams through one read -> ``is_in``
     filter and the matched texts are broadcast to one map over the pairs;
     past the budget two co-partitioned sort shuffles attach them.  The

@@ -24,30 +24,90 @@ convolution, tile server) needs, NOT a sparse (cell, n) table.
 Scale shape
 -----------
 ``rasterize`` pre-combines per batch (one row per (tile, pixel) per
-block via a pyarrow C++ group_by), then shuffles ONLY those combined
-partials, keyed by tile.  The dense fill runs per tile group and is
-bounded at tile*tile int64s.  ``zonal_stats`` never shuffles the raster:
-each batch of tiles is reduced against the broadcast zone polygons to at
-most K partial rows, and the K-row partials merge in a tree
-(``stages.aggregate.tree_merge``).  Occupied-pixel centers are tested
-with the same vectorized ray-cast kernel as the point joins
-(``geom.polygon.PolygonSet.join``), so raster->vector and point->polygon
-agree on boundary semantics by construction.
+block via a pyarrow C++ group_by), then moves ONLY those combined
+partials through the one tile exchange, :func:`_tile_exchange`: a
+``hash_partition`` on (tile_x, tile_y) that brings every partial row of
+a tile into one partition.  Each partition's kernel finds its tiles with
+one ``np.unique`` and scatters all their bands with one ``np.add.at``,
+bounded at tile*tile int64s per tile.  ``downsample``, ``raster_diff``
+and ``raster_focal`` share that exchange.  ``zonal_stats`` never
+shuffles the raster: each batch of tiles is reduced against the
+broadcast zone polygons to at most K partial rows, and the K-row
+partials merge in a tree (``stages.aggregate.tree_merge``).
+Occupied-pixel centers are tested with the same vectorized ray-cast
+kernel as the point joins (``geom.polygon.PolygonSet.join``), so
+raster->vector and point->polygon agree on boundary semantics by
+construction.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 
 from georay import cells as _cells
-from georay.partition import cached_map
+from georay.partition import cached_map, hash_partition, partitions
 from georay.pipelines.polygons import build_polygon_set
 from georay.stages.aggregate import combiner, merger, tree_merge
+
+_I64 = pa.int64()
+#: combined partial pixel rows: what the tile exchange of ``rasterize``
+#: and ``downsample`` moves
+PIXELS = pa.schema([("tile_x", _I64), ("tile_y", _I64), ("idx", _I64), ("n", _I64)])
+#: ``raster_vectorize`` output: one vector feature per qualifying pixel
+FEATURES = pa.schema(
+    [("gx", _I64), ("gy", _I64), ("n", _I64)]
+    + [(c, pa.float64()) for c in ("minlon", "minlat", "maxlon", "maxlat")]
+)
+#: ``zonal_partial`` output: one row per zone
+ZONAL = pa.schema([("polygon_id", pa.string()), ("n_px", _I64), ("n_docs", _I64), ("max_n", _I64)])
 
 
 def _grid_n(res: int) -> int:
     return 1 << res
+
+
+def _np(t: pa.Table, name: str) -> np.ndarray:
+    return t.column(name).to_numpy(zero_copy_only=False)
+
+
+def _flat(col) -> np.ndarray:
+    """Every value of a list column (one chunk or many), flattened."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return col.flatten().to_numpy(zero_copy_only=False)
+
+
+def _tiles(xy: np.ndarray, tile: int, **cols) -> pa.Table:
+    """One row per tile of ``xy`` (an (m, 2) array of tile_x, tile_y):
+    a 2-D column becomes a dense band, a 1-D one stays a scalar column."""
+    out = {"tile_x": xy[:, 0].astype(np.int64), "tile_y": xy[:, 1].astype(np.int64)}
+    for name, v in cols.items():
+        out[name] = (
+            pa.FixedSizeListArray.from_arrays(pa.array(v.reshape(-1), _I64), tile * tile)
+            if v.ndim == 2 else v
+        )
+    return pa.table(out)
+
+
+def _tile_index(part: pa.Table):
+    """The distinct tiles of a partition's rows, as an (m, 2) array of
+    (tile_x, tile_y), and each row's position in it."""
+    xy = np.stack([_np(part, "tile_x"), _np(part, "tile_y")], axis=1)
+    tiles, inv = np.unique(xy, axis=0, return_inverse=True)
+    return tiles, inv.reshape(-1)
+
+
+def _tile_exchange(partials, kernel, tile: int):
+    """The one tile-keyed exchange of every raster stage: a
+    ``hash_partition`` on (tile_x, tile_y) brings all partial rows of a
+    tile into one partition, and ``kernel(part, tile)`` merges every tile
+    that partition holds."""
+    return hash_partition(
+        partials, ["tile_x", "tile_y"], partial(kernel, tile=tile), partitions(partials)
+    )
 
 
 def rasterize_partial(batch: pa.Table, res: int = 7, tile: int = 8) -> pa.Table:
@@ -56,17 +116,9 @@ def rasterize_partial(batch: pa.Table, res: int = 7, tile: int = 8) -> pa.Table:
     row).  This is the ONLY thing the rasterize shuffle moves."""
     if _grid_n(res) % tile:
         raise ValueError(f"tile={tile} must divide 2^res={_grid_n(res)}")
-    cols = {
-        "tile_x": pa.array([], pa.int64()),
-        "tile_y": pa.array([], pa.int64()),
-        "idx": pa.array([], pa.int64()),
-        "n": pa.array([], pa.int64()),
-    }
     if batch.num_rows == 0:
-        return pa.table(cols)
-    lon = batch.column("lon").to_numpy(zero_copy_only=False)
-    lat = batch.column("lat").to_numpy(zero_copy_only=False)
-    cell = _cells.latlng_to_cell(lat, lon, res)
+        return PIXELS.empty_table()
+    cell = _cells.latlng_to_cell(_np(batch, "lat"), _np(batch, "lon"), res)
     ix = _cells.cell_ix(cell)
     iy = _cells.cell_iy(cell)
     t = pa.table(
@@ -78,33 +130,18 @@ def rasterize_partial(batch: pa.Table, res: int = 7, tile: int = 8) -> pa.Table:
         }
     )
     g = t.group_by(["tile_x", "tile_y", "idx"]).aggregate([("one", "sum")])
-    return g.rename_columns(["tile_x", "tile_y", "idx", "n"])
+    return g.rename_columns(PIXELS.names)
 
 
-def _dense_tiles(group: pa.Table, tile: int) -> pa.Table:
-    """Per-tile-group kernel: scatter combined (idx, n) partials into the
-    dense band.  Partial rows for the same pixel from different blocks
-    sum (np.add.at).  Bounded at tile*tile int64s per tile."""
-    tt = tile * tile
-    tx = group.column("tile_x").to_numpy(zero_copy_only=False)
-    ty = group.column("tile_y").to_numpy(zero_copy_only=False)
-    idx = group.column("idx").to_numpy(zero_copy_only=False)
-    n = group.column("n").to_numpy(zero_copy_only=False)
-    # a map_groups group is one tile by construction; guard anyway so a
-    # mis-keyed upstream fails loudly instead of silently blending tiles
-    if len(np.unique(tx)) != 1 or len(np.unique(ty)) != 1:
-        raise ValueError("_dense_tiles received rows from multiple tiles")
-    band = np.zeros(tt, dtype=np.int64)
-    np.add.at(band, idx, n)
-    return pa.table(
-        {
-            "tile_x": np.asarray([tx[0]], dtype=np.int64),
-            "tile_y": np.asarray([ty[0]], dtype=np.int64),
-            "band": pa.FixedSizeListArray.from_arrays(pa.array(band, pa.int64()), tt),
-            "n_docs": np.asarray([band.sum()], dtype=np.int64),
-            "n_px": np.asarray([int((band > 0).sum())], dtype=np.int64),
-        }
-    )
+def _dense_tiles(part: pa.Table, tile: int) -> pa.Table:
+    """Tile-merge kernel: a partition's combined (idx, n) partial rows ->
+    one dense row per tile it holds.  Partial rows for the same pixel
+    from different blocks sum (np.add.at).  Bounded at tile*tile int64s
+    per tile."""
+    tiles, t = _tile_index(part)
+    bands = np.zeros((len(tiles), tile * tile), dtype=np.int64)
+    np.add.at(bands, (t, _np(part, "idx")), _np(part, "n"))
+    return _tiles(tiles, tile, band=bands, n_docs=bands.sum(axis=1), n_px=(bands > 0).sum(axis=1))
 
 
 def rasterize(ds, res: int = 7, tile: int = 8):
@@ -112,43 +149,35 @@ def rasterize(ds, res: int = 7, tile: int = 8):
     grid, one row per OCCUPIED tile (empty tiles are absent by design —
     at 10^12 docs the ocean tiles must not exist).
 
-    Pre-combined per block, shuffled by tile key, densified per group.
+    Pre-combined per block, exchanged by tile key, densified per
+    partition.
     """
     partials = ds.map_batches(
         lambda b: rasterize_partial(b, res=res, tile=tile), batch_format="pyarrow"
     )
-    return partials.groupby(["tile_x", "tile_y"]).map_groups(
-        lambda g: _dense_tiles(g, tile), batch_format="pyarrow"
-    )
+    return _tile_exchange(partials, _dense_tiles, tile)
 
 
-def raster_pixels(raster_ds, res: int = 7, tile: int = 8):
+def raster_pixels(raster_ds, tile: int = 8, **bands):
     """Raster -> pixel rows: explode dense tiles back to one row per
-    pixel (tile_x, tile_y, idx, n) INCLUDING zero pixels — the exact
-    inverse of the dense fill, and the oracle-comparable form."""
+    pixel INCLUDING zero pixels — the exact inverse of the dense fill,
+    and the oracle-comparable form.  Each ``out="band"`` keyword adds
+    column ``out`` with that band's pixel values: ``n="band"`` for a
+    ``rasterize`` raster, ``n_a="band_a", n_b="band_b",
+    diff="band_diff"`` for a ``raster_diff`` one, ``focal="band"`` for a
+    ``raster_focal`` one.  Rows are (tile_x, tile_y, idx, *bands)."""
     tt = tile * tile
+    empty = pa.schema([(c, _I64) for c in ("tile_x", "tile_y", "idx", *bands)]).empty_table()
 
     def explode(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
-            return pa.table(
-                {
-                    "tile_x": pa.array([], pa.int64()),
-                    "tile_y": pa.array([], pa.int64()),
-                    "idx": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
-        tx = b.column("tile_x").to_numpy(zero_copy_only=False)
-        ty = b.column("tile_y").to_numpy(zero_copy_only=False)
-        band = b.column("band")
-        flat = band.combine_chunks().flatten().to_numpy(zero_copy_only=False) \
-            if isinstance(band, pa.ChunkedArray) else band.flatten().to_numpy(zero_copy_only=False)
+            return empty
         return pa.table(
             {
-                "tile_x": np.repeat(tx, tt),
-                "tile_y": np.repeat(ty, tt),
+                "tile_x": np.repeat(_np(b, "tile_x"), tt),
+                "tile_y": np.repeat(_np(b, "tile_y"), tt),
                 "idx": np.tile(np.arange(tt, dtype=np.int64), b.num_rows),
-                "n": flat,
+                **{out: _flat(b.column(band)) for out, band in bands.items()},
             }
         )
 
@@ -158,33 +187,21 @@ def raster_pixels(raster_ds, res: int = 7, tile: int = 8):
 def downsample_partial(batch: pa.Table, res: int, tile: int, factor: int) -> pa.Table:
     """Per-batch pyramid combine: dense res-r tiles -> combined partial
     pixel rows at res-(log2 factor) via an f x f block-sum (one reshape
-    per batch, no Python per pixel).  Output rows feed the SAME
-    groupby+densify tail as ``rasterize_partial``, so pyramid levels and
-    direct coarse rasterization share one code path and one invariant:
-    downsample(rasterize(res), f) == rasterize(res - log2 f)."""
-    empty = pa.table(
-        {
-            "tile_x": pa.array([], pa.int64()),
-            "tile_y": pa.array([], pa.int64()),
-            "idx": pa.array([], pa.int64()),
-            "n": pa.array([], pa.int64()),
-        }
-    )
+    per batch, no Python per pixel).  Output rows feed the SAME tile
+    exchange and dense fill as ``rasterize_partial``, so pyramid levels
+    and direct coarse rasterization share one code path and one
+    invariant: downsample(rasterize(res), f) == rasterize(res - log2 f)."""
     if factor < 1 or factor & (factor - 1):
         raise ValueError(f"factor must be a power of two: {factor}")
     if tile % factor:
         raise ValueError(f"factor={factor} must divide tile={tile}")
     if batch.num_rows == 0:
-        return empty
+        return PIXELS.empty_table()
     t2 = tile // factor  # coarse pixels contributed per input tile side
-    tx = batch.column("tile_x").to_numpy(zero_copy_only=False)
-    ty = batch.column("tile_y").to_numpy(zero_copy_only=False)
-    band = batch.column("band")
-    if isinstance(band, pa.ChunkedArray):
-        band = band.combine_chunks()
-    flat = band.flatten().to_numpy(zero_copy_only=False)
+    tx = _np(batch, "tile_x")
+    ty = _np(batch, "tile_y")
     coarse = (
-        flat.reshape(len(tx), t2, factor, t2, factor).sum(axis=(2, 4))
+        _flat(batch.column("band")).reshape(len(tx), t2, factor, t2, factor).sum(axis=(2, 4))
     )  # (rows, t2, t2) — band layout is idx = ly*tile + lx, so axis 1 is y
     # global coarse pixel coords per (row, ly', lx')
     gx = tx[:, None, None] * t2 + np.arange(t2, dtype=np.int64)[None, None, :]
@@ -193,68 +210,37 @@ def downsample_partial(batch: pa.Table, res: int, tile: int, factor: int) -> pa.
     gy = np.broadcast_to(gy, coarse.shape).reshape(-1)
     n = coarse.reshape(-1)
     keep = n > 0
-    if not keep.any():
-        return empty
     gx, gy, n = gx[keep], gy[keep], n[keep]
-    t = pa.table(
-        {
-            "tile_x": gx // tile,
-            "tile_y": gy // tile,
-            "idx": (gy % tile) * tile + (gx % tile),
-            "n": n.astype(np.int64),
-        }
-    )
     # partial rows from one batch can still collide on a coarse pixel only
     # across DIFFERENT input tiles mapping into the same output tile — the
     # downstream _dense_tiles np.add.at sums them; no combine needed here
-    return t
+    return pa.table(
+        [gx // tile, gy // tile, (gy % tile) * tile + (gx % tile), n.astype(np.int64)],
+        schema=PIXELS,
+    )
 
 
 def downsample(raster_ds, res: int = 7, tile: int = 8, factor: int = 2):
     """Raster pyramid level: dense res-r raster -> dense res-(r - log2 f)
-    raster by f x f block-sum.  Shuffles only combined coarse-pixel
-    partials, keyed by output tile (same tail as ``rasterize``)."""
+    raster by f x f block-sum.  Exchanges only combined coarse-pixel
+    partials, keyed by output tile (same exchange as ``rasterize``)."""
     partials = raster_ds.map_batches(
         lambda b: downsample_partial(b, res=res, tile=tile, factor=factor),
         batch_format="pyarrow",
     )
-    return partials.groupby(["tile_x", "tile_y"]).map_groups(
-        lambda g: _dense_tiles(g, tile), batch_format="pyarrow"
-    )
+    return _tile_exchange(partials, _dense_tiles, tile)
 
 
-def _dense_band(idx: np.ndarray, n: np.ndarray, tile: int) -> np.ndarray:
-    band = np.zeros(tile * tile, dtype=np.int64)
-    np.add.at(band, idx, n)
-    return band
-
-
-def _diff_tiles(group: pa.Table, tile: int) -> pa.Table:
-    """Per-tile map-algebra kernel: tagged partial pixel rows from the
-    two input rasters -> one aligned tile row with both dense bands and
-    their elementwise difference."""
-    tt = tile * tile
-    tx = group.column("tile_x").to_numpy(zero_copy_only=False)
-    ty = group.column("tile_y").to_numpy(zero_copy_only=False)
-    if len(np.unique(tx)) != 1 or len(np.unique(ty)) != 1:
-        raise ValueError("_diff_tiles received rows from multiple tiles")
-    idx = group.column("idx").to_numpy(zero_copy_only=False)
-    n = group.column("n").to_numpy(zero_copy_only=False)
-    src = group.column("src").to_numpy(zero_copy_only=False)
-    is_a = src == 0
-    band_a = _dense_band(idx[is_a], n[is_a], tile)
-    band_b = _dense_band(idx[~is_a], n[~is_a], tile)
-    return pa.table(
-        {
-            "tile_x": np.asarray([tx[0]], dtype=np.int64),
-            "tile_y": np.asarray([ty[0]], dtype=np.int64),
-            "band_a": pa.FixedSizeListArray.from_arrays(pa.array(band_a, pa.int64()), tt),
-            "band_b": pa.FixedSizeListArray.from_arrays(pa.array(band_b, pa.int64()), tt),
-            "band_diff": pa.FixedSizeListArray.from_arrays(
-                pa.array(band_a - band_b, pa.int64()), tt
-            ),
-        }
-    )
+def _diff_tiles(part: pa.Table, tile: int) -> pa.Table:
+    """Map-algebra kernel: a partition's tagged partial pixel rows from
+    the two input rasters (``src`` 0 or 1) -> one aligned row per tile
+    with both dense bands, zero-filled where one input lacks the tile,
+    and their elementwise difference."""
+    tiles, t = _tile_index(part)
+    bands = np.zeros((len(tiles), 2, tile * tile), dtype=np.int64)
+    np.add.at(bands, (t, _np(part, "src"), _np(part, "idx")), _np(part, "n"))
+    a, b = bands[:, 0], bands[:, 1]
+    return _tiles(tiles, tile, band_a=a, band_b=b, band_diff=a - b)
 
 
 def raster_diff(points_a, points_b, res: int = 7, tile: int = 8):
@@ -279,49 +265,7 @@ def raster_diff(points_a, points_b, res: int = 7, tile: int = 8):
     tagged = points_a.map_batches(tag(0), batch_format="pyarrow").union(
         points_b.map_batches(tag(1), batch_format="pyarrow")
     )
-    return tagged.groupby(["tile_x", "tile_y"]).map_groups(
-        lambda g: _diff_tiles(g, tile), batch_format="pyarrow"
-    )
-
-
-def raster_diff_pixels(diff_ds, tile: int = 8):
-    """Explode an aligned diff raster to per-pixel rows (zeros included):
-    (tile_x, tile_y, idx, n_a, n_b, diff)."""
-    tt = tile * tile
-
-    def explode(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table(
-                {
-                    "tile_x": pa.array([], pa.int64()),
-                    "tile_y": pa.array([], pa.int64()),
-                    "idx": pa.array([], pa.int64()),
-                    "n_a": pa.array([], pa.int64()),
-                    "n_b": pa.array([], pa.int64()),
-                    "diff": pa.array([], pa.int64()),
-                }
-            )
-        tx = b.column("tile_x").to_numpy(zero_copy_only=False)
-        ty = b.column("tile_y").to_numpy(zero_copy_only=False)
-
-        def flat(name):
-            col = b.column(name)
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            return col.flatten().to_numpy(zero_copy_only=False)
-
-        return pa.table(
-            {
-                "tile_x": np.repeat(tx, tt),
-                "tile_y": np.repeat(ty, tt),
-                "idx": np.tile(np.arange(tt, dtype=np.int64), b.num_rows),
-                "n_a": flat("band_a"),
-                "n_b": flat("band_b"),
-                "diff": flat("band_diff"),
-            }
-        )
-
-    return diff_ds.map_batches(explode, batch_format="pyarrow")
+    return _tile_exchange(tagged, _diff_tiles, tile)
 
 
 def focal_partial(batch: pa.Table, res: int, tile: int) -> pa.Table:
@@ -338,22 +282,12 @@ def focal_partial(batch: pa.Table, res: int, tile: int) -> pa.Table:
     dropped here, and unoccupied targets are dropped at the merge."""
     tt = tile * tile
     n_tiles = _grid_n(res) // tile
-    empty = pa.table(
-        {
-            "tile_x": pa.array([], pa.int64()),
-            "tile_y": pa.array([], pa.int64()),
-            "band": pa.array([], pa.list_(pa.int64(), tt)),
-            "own": pa.array([], pa.bool_()),
-        }
-    )
     if batch.num_rows == 0:
-        return empty
-    tx = batch.column("tile_x").to_numpy(zero_copy_only=False)
-    ty = batch.column("tile_y").to_numpy(zero_copy_only=False)
-    band = batch.column("band")
-    if isinstance(band, pa.ChunkedArray):
-        band = band.combine_chunks()
-    bands = band.flatten().to_numpy(zero_copy_only=False).reshape(len(tx), tile, tile)
+        return _tiles(np.zeros((0, 2), np.int64), tile, band=np.zeros((0, tt), np.int64),
+                      own=np.zeros(0, bool))
+    tx = _np(batch, "tile_x")
+    ty = _np(batch, "tile_y")
+    bands = _flat(batch.column("band")).reshape(len(tx), tile, tile)
     # vectorized 3x3 box sum per tile: R is (T+2)x(T+2) (the tile plus a
     # one-pixel halo each side), R[i,j] = sum of B over the 3x3 window
     # centred on padded (i,j); computed as 9 shifted adds, no Python per
@@ -366,7 +300,7 @@ def focal_partial(batch: pa.Table, res: int, tile: int) -> pa.Table:
             R[:, ys:ye, xs:xe] += bands[
                 :, ys - 1 - dy : ye - 1 - dy, xs - 1 - dx : xe - 1 - dx
             ]
-    out_tx, out_ty, out_bands, out_own = [], [], [], []
+    out_xy, out_bands, out_own = [], [], []
     # 9 pieces: (row range in R, col range in R) -> (tile offset, dest slice)
     spans = [((0, 1), -1, (tile - 1, tile)), ((1, tile + 1), 0, (0, tile)),
              ((tile + 1, tile + 2), 1, (0, 1))]
@@ -378,98 +312,36 @@ def focal_partial(batch: pa.Table, res: int, tile: int) -> pa.Table:
             ok = (ttx >= 0) & (ttx < n_tiles) & (tty >= 0) & (tty < n_tiles)
             if ox or oy:
                 ok &= piece.reshape(len(tx), -1).any(axis=1)
-            if not ok.any():
-                continue
             dest = np.zeros((int(ok.sum()), tile, tile), dtype=np.int64)
             dest[:, dy0:dy1, dx0:dx1] = piece[ok]
-            out_tx.append(ttx[ok])
-            out_ty.append(tty[ok])
+            out_xy.append(np.stack([ttx[ok], tty[ok]], axis=1))
             out_bands.append(dest.reshape(-1, tt))
             out_own.append(np.full(int(ok.sum()), not (ox or oy), dtype=bool))
-    ab = np.concatenate(out_bands)
-    return pa.table(
-        {
-            "tile_x": np.concatenate(out_tx),
-            "tile_y": np.concatenate(out_ty),
-            "band": pa.FixedSizeListArray.from_arrays(
-                pa.array(ab.reshape(-1), pa.int64()), tt
-            ),
-            "own": np.concatenate(out_own),
-        }
-    )
+    return _tiles(np.concatenate(out_xy), tile, band=np.concatenate(out_bands),
+                  own=np.concatenate(out_own))
 
 
-def _focal_merge(group: pa.Table, tile: int) -> pa.Table:
-    """Per-tile merge of halo partials: sum bands; emit ONLY if the tile
-    itself is occupied (an ``own`` partial is present)."""
-    tt = tile * tile
-    own = group.column("own").to_numpy(zero_copy_only=False)
-    if not own.any():
-        return pa.table(
-            {
-                "tile_x": pa.array([], pa.int64()),
-                "tile_y": pa.array([], pa.int64()),
-                "band": pa.array([], pa.list_(pa.int64(), tt)),
-            }
-        )
-    tx = group.column("tile_x").to_numpy(zero_copy_only=False)
-    ty = group.column("tile_y").to_numpy(zero_copy_only=False)
-    band = group.column("band")
-    if isinstance(band, pa.ChunkedArray):
-        band = band.combine_chunks()
-    total = band.flatten().to_numpy(zero_copy_only=False).reshape(len(tx), tt).sum(axis=0)
-    return pa.table(
-        {
-            "tile_x": np.asarray([tx[0]], dtype=np.int64),
-            "tile_y": np.asarray([ty[0]], dtype=np.int64),
-            "band": pa.FixedSizeListArray.from_arrays(pa.array(total, pa.int64()), tt),
-        }
-    )
+def _focal_merge(part: pa.Table, tile: int) -> pa.Table:
+    """Halo merge kernel: sum each tile's partial bands; emit a tile ONLY
+    if it is itself occupied (one of its partials is ``own``), so tiles
+    that only a neighbour shines into are dropped."""
+    tiles, t = _tile_index(part)
+    total = np.zeros((len(tiles), tile * tile), dtype=np.int64)
+    np.add.at(total, t, _flat(part.column("band")).reshape(len(t), -1))
+    occupied = np.zeros(len(tiles), dtype=bool)
+    occupied[t[_np(part, "own")]] = True
+    return _tiles(tiles[occupied], tile, band=total[occupied])
 
 
 def raster_focal(raster_ds, res: int = 7, tile: int = 8):
     """3x3 focal (neighbourhood) sum over a dense tile raster via halo
     exchange: tiles never see the global raster; each emits <= 9 partial
-    bands and ONE tile-keyed shuffle merges them.  Output covers exactly
+    bands and ONE tile-keyed exchange merges them.  Output covers exactly
     the occupied tiles of the input."""
     partials = raster_ds.map_batches(
         lambda b: focal_partial(b, res=res, tile=tile), batch_format="pyarrow"
     )
-    return partials.groupby(["tile_x", "tile_y"]).map_groups(
-        lambda g: _focal_merge(g, tile), batch_format="pyarrow"
-    )
-
-
-def focal_pixels(focal_ds, tile: int = 8):
-    """Explode a focal raster to per-pixel rows (tile_x, tile_y, idx,
-    focal), zeros included."""
-    tt = tile * tile
-
-    def explode(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table(
-                {
-                    "tile_x": pa.array([], pa.int64()),
-                    "tile_y": pa.array([], pa.int64()),
-                    "idx": pa.array([], pa.int64()),
-                    "focal": pa.array([], pa.int64()),
-                }
-            )
-        tx = b.column("tile_x").to_numpy(zero_copy_only=False)
-        ty = b.column("tile_y").to_numpy(zero_copy_only=False)
-        band = b.column("band")
-        if isinstance(band, pa.ChunkedArray):
-            band = band.combine_chunks()
-        return pa.table(
-            {
-                "tile_x": np.repeat(tx, tt),
-                "tile_y": np.repeat(ty, tt),
-                "idx": np.tile(np.arange(tt, dtype=np.int64), b.num_rows),
-                "focal": band.flatten().to_numpy(zero_copy_only=False),
-            }
-        )
-
-    return focal_ds.map_batches(explode, batch_format="pyarrow")
+    return _tile_exchange(partials, _focal_merge, tile)
 
 
 def raster_vectorize(raster_ds, threshold: int = 1, res: int = 7, tile: int = 8):
@@ -486,44 +358,18 @@ def raster_vectorize(raster_ds, threshold: int = 1, res: int = 7, tile: int = 8)
     w, h = 360.0 / n, 180.0 / n
 
     def vectorize(b: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "gx": pa.array([], pa.int64()),
-                "gy": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "minlon": pa.array([], pa.float64()),
-                "minlat": pa.array([], pa.float64()),
-                "maxlon": pa.array([], pa.float64()),
-                "maxlat": pa.array([], pa.float64()),
-            }
-        )
         if b.num_rows == 0:
-            return empty
-        tx = b.column("tile_x").to_numpy(zero_copy_only=False)
-        ty = b.column("tile_y").to_numpy(zero_copy_only=False)
-        band = b.column("band")
-        if isinstance(band, pa.ChunkedArray):
-            band = band.combine_chunks()
-        flat = band.flatten().to_numpy(zero_copy_only=False)
+            return FEATURES.empty_table()
+        flat = _flat(b.column("band"))
         hit = np.nonzero(flat >= threshold)[0]
-        if len(hit) == 0:
-            return empty
         row = hit // tt
         idx = (hit % tt).astype(np.int64)
-        gx = tx[row] * tile + idx % tile
-        gy = ty[row] * tile + idx // tile
+        gx = _np(b, "tile_x")[row] * tile + idx % tile
+        gy = _np(b, "tile_y")[row] * tile + idx // tile
         minlon = -180.0 + gx.astype(np.float64) * w
         minlat = -90.0 + gy.astype(np.float64) * h
         return pa.table(
-            {
-                "gx": pa.array(gx, pa.int64()),
-                "gy": pa.array(gy, pa.int64()),
-                "n": pa.array(flat[hit], pa.int64()),
-                "minlon": pa.array(minlon, pa.float64()),
-                "minlat": pa.array(minlat, pa.float64()),
-                "maxlon": pa.array(minlon + w, pa.float64()),
-                "maxlat": pa.array(minlat + h, pa.float64()),
-            }
+            [gx, gy, flat[hit], minlon, minlat, minlon + w, minlat + h], schema=FEATURES
         )
 
     return raster_ds.map_batches(vectorize, batch_format="pyarrow")
@@ -552,34 +398,20 @@ def zonal_partial(batch: pa.Table, pset, res: int = 7, tile: int = 8) -> pa.Tabl
 
     K = #zones, so the downstream merge is trivially small no matter how
     many raster tiles exist."""
-    empty = pa.table(
-        {
-            "polygon_id": pa.array([], pa.string()),
-            "n_px": pa.array([], pa.int64()),
-            "n_docs": pa.array([], pa.int64()),
-            "max_n": pa.array([], pa.int64()),
-        }
-    )
     if batch.num_rows == 0:
-        return empty
+        return ZONAL.empty_table()
     tt = tile * tile
-    tx = batch.column("tile_x").to_numpy(zero_copy_only=False)
-    ty = batch.column("tile_y").to_numpy(zero_copy_only=False)
-    band = batch.column("band")
-    if isinstance(band, pa.ChunkedArray):
-        band = band.combine_chunks()
-    flat = band.flatten().to_numpy(zero_copy_only=False)
+    flat = _flat(batch.column("band"))
     occ = np.nonzero(flat > 0)[0]
-    if len(occ) == 0:
-        return empty
     row = occ // tt
     idx = (occ % tt).astype(np.int64)
-    lon, lat = pixel_centers(tx[row], ty[row], idx, res=res, tile=tile)
+    lon, lat = pixel_centers(_np(batch, "tile_x")[row], _np(batch, "tile_y")[row], idx,
+                             res=res, tile=tile)
     pt_i, poly_i = pset.join(lon, lat, "WITHIN")
     if len(pt_i) == 0:
-        return empty
+        return ZONAL.empty_table()
     g = combiner("pid", ZONAL_AGGS)(pa.table({"pid": poly_i, "v": flat[occ][pt_i]}))
-    names = [pset.polygons[int(p)].polygon_id for p in g.column("pid").to_numpy(zero_copy_only=False)]
+    names = [pset.polygons[int(p)].polygon_id for p in _np(g, "pid")]
     return g.drop_columns(["pid"]).add_column(0, "polygon_id", pa.array(names, pa.string()))
 
 

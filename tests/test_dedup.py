@@ -110,7 +110,6 @@ class TestEmbeddingDedup:
 class TestEmbedLshPipeline:
     def test_recall_vs_brute(self, ray_session):
         import pyarrow.parquet as pq
-        import ray as _ray
         import ray.data
 
         from georay.ann import _to_matrix
@@ -122,9 +121,8 @@ class TestEmbedLshPipeline:
         brute = cosine_pairs(vecs, ids, 0.30)
         brute_set = set(zip(brute.column("vec_a").to_pylist(), brute.column("vec_b").to_pylist()))
 
-        ref = _ray.put({"ids": ids, "vectors": vecs})
         ds = ray.data.read_parquet("/root/testdata/sf0.001/embeddings.parquet", columns=["vec_id", "embedding"])
-        got = embed_lsh_pairs(ds, ref, threshold=0.30, n_planes=4).to_pandas()
+        got = embed_lsh_pairs(ds, threshold=0.30, n_planes=4).to_pandas()
         got_set = set(zip(got["vec_a"], got["vec_b"]))
 
         assert got_set <= brute_set  # precision 1 (exact verification)
@@ -135,7 +133,6 @@ class TestEmbedLshPipeline:
 
     def test_high_recall_on_planted_near_dups(self, ray_session):
         import pyarrow as pa
-        import ray as _ray
         import ray.data
 
         from georay.dedup import cosine_pairs, embed_lsh_pairs
@@ -152,37 +149,11 @@ class TestEmbedLshPipeline:
 
         tbl = pa.table({"vec_id": ids, "embedding": pa.array(list(vecs.astype(np.float32)))})
         ds = ray.data.from_arrow(tbl)
-        ref = _ray.put({"ids": ids, "vectors": vecs})
-        got = embed_lsh_pairs(ds, ref, threshold=0.9).to_pandas()
+        got = embed_lsh_pairs(ds, threshold=0.9).to_pandas()
         got_set = set(zip(got["vec_a"], got["vec_b"]))
         assert got_set <= brute_set
         recall = len(got_set) / len(brute_set)
         assert recall >= 0.9  # default 12 planes x 8 tables at cos>0.9
-
-    def test_cosine_verify_pairs_matches_brute(self, ray_session):
-        """Every pair of 40 vectors as a candidate: the verified set is
-        exactly the brute-force set (list-typed vectors are attached
-        as-is, no packing; ``TestRouteParity`` runs the exchange route)."""
-        import pyarrow as pa
-        import ray.data
-
-        from georay.dedup import cosine_pairs, cosine_verify_pairs
-
-        rng = np.random.default_rng(3)
-        base = rng.standard_normal((20, 8))
-        vecs = np.vstack([base, base + 0.2 * rng.standard_normal((20, 8))])
-        ids = np.arange(100, 140, dtype=np.int64)
-        brute = cosine_pairs(vecs, ids, 0.9)
-        want = set(zip(brute.column("vec_a").to_pylist(), brute.column("vec_b").to_pylist()))
-        assert want
-        cand = [(a, b) for a in ids.tolist() for b in ids.tolist() if a < b]
-        pairs = pa.table({"doc_a": pa.array([a for a, _ in cand], pa.int64()),
-                          "doc_b": pa.array([b for _, b in cand], pa.int64())})
-        vt = pa.table({"vec_id": ids, "embedding": pa.array(list(vecs))})
-        out = cosine_verify_pairs(
-            ray.data.from_arrow(pairs), ray.data.from_arrow(vt).repartition(3), 0.9
-        ).to_pandas()
-        assert set(zip(out.vec_a, out.vec_b)) == want
 
 
 class TestBatchCompositionIndependence:
@@ -909,33 +880,6 @@ class TestRouteParity:
         out = jaccard_verify_pairs(ray.data.from_arrow(pairs), ray.data.from_arrow(docs)).to_pandas()
         assert _sorted_pairs(out) == [(0, 1)]
         assert len(calls) == 2 and sides == [3, 3]
-
-    def test_cosine_verify_pairs(self, ray_session, monkeypatch, exchanges):
-        """List-typed vectors, attached on both routes; 40 of them, every
-        pair a candidate."""
-        import ray.data
-
-        from georay.dedup import cosine_pairs, cosine_verify_pairs
-
-        rng = np.random.default_rng(3)
-        base = rng.standard_normal((20, 8))
-        vecs = np.vstack([base, base + 0.2 * rng.standard_normal((20, 8))])
-        ids = np.arange(100, 140, dtype=np.int64)
-        brute = cosine_pairs(vecs, ids, 0.9)
-        cand = [(a, b) for a in ids.tolist() for b in ids.tolist() if a < b]
-        pairs = pa.table({"doc_a": pa.array([a for a, _ in cand], pa.int64()),
-                          "doc_b": pa.array([b for _, b in cand], pa.int64())})
-        vt = pa.table({"vec_id": ids, "embedding": pa.array(list(vecs))})
-
-        def run():
-            out = cosine_verify_pairs(
-                ray.data.from_arrow(pairs), ray.data.from_arrow(vt).repartition(3), 0.9
-            ).to_pandas()
-            return sorted(zip(out.vec_a, out.vec_b))
-
-        broadcast, shuffled = _both_routes(monkeypatch, exchanges, run)
-        assert broadcast == shuffled
-        assert broadcast == sorted(zip(brute.column("vec_a").to_pylist(), brute.column("vec_b").to_pylist()))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_components_seeded_graphs(self, ray_session, monkeypatch, exchanges, seed):

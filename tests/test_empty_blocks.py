@@ -70,8 +70,6 @@ class TestEmptyAnnAndLsh:
         assert out.num_rows == 0
 
     def test_lsh_keys_empty_batch(self, ray_session):
-        import numpy as np
-        import ray
         import ray.data
 
         from georay.dedup import embed_lsh_pairs
@@ -79,6 +77,5 @@ class TestEmptyAnnAndLsh:
         empty = pa.table(
             {"vec_id": pa.array([], pa.int64()), "embedding": pa.array([], pa.list_(pa.float32()))}
         )
-        ref = ray.put({"ids": np.array([], dtype=np.int64), "vectors": np.empty((0, 4))})
-        out = embed_lsh_pairs(ray.data.from_arrow(empty), ref, threshold=0.5)
+        out = embed_lsh_pairs(ray.data.from_arrow(empty), threshold=0.5)
         assert out.count() == 0

@@ -212,9 +212,8 @@ class TestOneMechanism:
     def test_one_keyed_aggregate(self):
         """Every keyed aggregate is ``keyed_agg``: no code chains a Dataset
         ``.groupby(...)`` into Ray's sort aggregate (``.aggregate(``,
-        ``.count(``, ``.sum(``, ``.min(``, ``.max(``).  The raster
-        ``map_groups`` sites are not aggregates and stay allowed, and
-        ``keyed_agg`` takes no option beyond its spec."""
+        ``.count(``, ``.sum(``, ``.min(``, ``.max(``), and ``keyed_agg``
+        takes no option beyond its spec."""
         import ast
         import inspect
 
@@ -232,6 +231,33 @@ class TestOneMechanism:
         ]
         assert not hits, hits
         assert list(inspect.signature(keyed_agg).parameters) == ["ds", "on", "aggs"]
+
+    def test_no_map_groups(self):
+        """Every keyed exchange is ``hash_partition`` or ``copartition``:
+        no code calls Ray's sort-groupby ``.map_groups(``, which samples
+        boundaries and ignores ``num_partitions``.  Docstrings may name
+        it."""
+        import ast
+
+        hits = [
+            f"{path.name}:{node.lineno}: {ast.unparse(node)[:80]}"
+            for path in self._sources()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "map_groups"
+        ]
+        assert not hits, hits
+
+    def test_embed_lsh_pairs_has_one_route(self):
+        """``embed_lsh_pairs`` verifies inside its buckets only: no route
+        knob, no ignored broadcast ref, no opt-in truncation column, and
+        no partition count of its own (``partitions(ds)`` sizes it)."""
+        import inspect
+
+        from georay.dedup import embed_lsh_pairs
+
+        gone = {"mode", "vectors_ref", "include_truncated", "num_partitions"}
+        assert not gone & set(inspect.signature(embed_lsh_pairs).parameters)
 
     def test_broadcast_decided_only_in_partition_module(self):
         """Only ``broadcast_or_none`` measures a side (``size_bytes()``)

@@ -77,10 +77,22 @@ class TestDenseTiles:
         assert t.column("n_docs")[0].as_py() == 8
         assert t.column("n_px")[0].as_py() == 2
 
-    def test_mixed_tiles_raise(self):
-        g = pa.table({"tile_x": [1, 2], "tile_y": [0, 0], "idx": [0, 0], "n": [1, 1]})
-        with pytest.raises(ValueError):
-            _dense_tiles(g, TILE)
+    def test_partition_of_three_tiles(self):
+        # one hash partition holds whole tiles of three keys, out of order;
+        # pixel 10 of tile (3, 5) is split across two partial rows
+        g = pa.table({
+            "tile_x": [3, 7, 3, 0, 3], "tile_y": [5, 1, 5, 5, 5],
+            "idx": [10, 0, 10, 63, 63], "n": [2, 4, 5, 1, 1],
+        })
+        rows = {(r["tile_x"], r["tile_y"]): r for r in _dense_tiles(g, TILE).to_pylist()}
+        assert set(rows) == {(3, 5), (7, 1), (0, 5)}
+        want = {(3, 5): {10: 7, 63: 1}, (7, 1): {0: 4}, (0, 5): {63: 1}}
+        for key, px in want.items():
+            band = np.zeros(TILE * TILE, np.int64)
+            band[list(px)] = list(px.values())
+            assert rows[key]["band"] == band.tolist()
+            assert rows[key]["n_docs"] == band.sum()
+            assert rows[key]["n_px"] == len(px)
 
 
 class TestRasterRoundTrip:
@@ -90,7 +102,7 @@ class TestRasterRoundTrip:
         lon, lat = _points(4000)
         ds = _ray.data.from_arrow(pa.table({"lon": lon, "lat": lat})).repartition(4)
         raster = rasterize(ds, res=RES, tile=TILE)
-        pix = raster_pixels(raster, res=RES, tile=TILE).to_pandas()
+        pix = raster_pixels(raster, tile=TILE, n="band").to_pandas()
         want = _expected_pixel_counts(lon, lat)
         # every nonzero pixel matches the reference count
         nz = pix[pix.n > 0]
@@ -152,10 +164,10 @@ class TestDownsample:
         ds = _ray.data.from_arrow(t).repartition(4)
         fine = rasterize(ds, res=RES, tile=TILE)
         coarse = downsample(fine, res=RES, tile=TILE, factor=4)
-        via_pyramid = raster_pixels(coarse, res=RES - 2, tile=TILE).to_pandas()
+        via_pyramid = raster_pixels(coarse, tile=TILE, n="band").to_pandas()
         direct = raster_pixels(
             rasterize(_ray.data.from_arrow(t).repartition(4), res=RES - 2, tile=TILE),
-            res=RES - 2, tile=TILE,
+            tile=TILE, n="band",
         ).to_pandas()
         key = ["tile_x", "tile_y", "idx"]
         via_pyramid = via_pyramid.sort_values(key, ignore_index=True)
@@ -182,16 +194,40 @@ class TestRasterDiff:
         assert d[3] == 1 and d[7] == -5
         assert (d == a - b).all()
 
+    def test_partition_of_three_tiles(self):
+        from georay.raster import _diff_tiles
+
+        # tile (4, 2): A and B, A's pixel 3 split across two rows;
+        # tile (9, 9): A only; tile (0, 1): B only
+        g = pa.table({
+            "tile_x": [4, 9, 4, 0, 4], "tile_y": [2, 9, 2, 1, 2],
+            "idx": [3, 5, 3, 8, 3], "n": [2, 6, 3, 4, 1],
+            "src": pa.array([0, 0, 0, 1, 1], pa.int8()),
+        })
+        rows = {(r["tile_x"], r["tile_y"]): r for r in _diff_tiles(g, TILE).to_pylist()}
+        assert set(rows) == {(4, 2), (9, 9), (0, 1)}
+
+        def band(px):
+            out = np.zeros(TILE * TILE, np.int64)
+            out[list(px)] = list(px.values())
+            return out
+
+        for key, a, b in [((4, 2), {3: 5}, {3: 1}), ((9, 9), {5: 6}, {}), ((0, 1), {}, {8: 4})]:
+            assert rows[key]["band_a"] == band(a).tolist()
+            assert rows[key]["band_b"] == band(b).tolist()  # zero-filled when absent
+            assert rows[key]["band_diff"] == (band(a) - band(b)).tolist()
+
     def test_end_to_end(self, ray_session):
         import ray as _ray
 
-        from georay.raster import raster_diff, raster_diff_pixels
+        from georay.raster import raster_diff
 
         lon_a, lat_a = _points(1500, seed=1)
         lon_b, lat_b = _points(2500, seed=2)
         da = _ray.data.from_arrow(pa.table({"lon": lon_a, "lat": lat_a})).repartition(3)
         db = _ray.data.from_arrow(pa.table({"lon": lon_b, "lat": lat_b})).repartition(3)
-        pix = raster_diff_pixels(raster_diff(da, db, res=RES, tile=TILE), tile=TILE).to_pandas()
+        diff = raster_diff(da, db, res=RES, tile=TILE)
+        pix = raster_pixels(diff, tile=TILE, n_a="band_a", n_b="band_b", diff="band_diff").to_pandas()
         assert pix.n_a.sum() == 1500 and pix.n_b.sum() == 2500
         assert (pix["diff"] == pix.n_a - pix.n_b).all()
         want_a = _expected_pixel_counts(lon_a, lat_a)
@@ -253,14 +289,8 @@ class TestRasterVectorize:
 
 class TestRasterFocal:
     def _raster_tables(self, lon, lat):
-        import pandas as pd
-
         part = rasterize_partial(pa.table({"lon": lon, "lat": lat}), res=RES, tile=TILE)
-        df = part.to_pandas()
-        tiles = []
-        for (tx, ty), grp in df.groupby(["tile_x", "tile_y"]):
-            tiles.append(_dense_tiles(pa.Table.from_pandas(grp, preserve_index=False), TILE))
-        return pa.concat_tables(tiles)
+        return _dense_tiles(part, TILE)
 
     def test_halo_matches_global_reference(self):
         from georay.raster import _focal_merge, focal_partial
@@ -279,20 +309,43 @@ class TestRasterFocal:
         P[1:-1, 1:-1] = G
         F = sum(P[1 + dy:N + 1 + dy, 1 + dx:N + 1 + dx]
                 for dy in (-1, 0, 1) for dx in (-1, 0, 1))
-        # engine: partials grouped per target tile, merged
-        import pandas as pd
-        parts = focal_partial(raster, res=RES, tile=TILE).to_pandas()
+        # engine: every partial in one partition, merged
+        merged = _focal_merge(focal_partial(raster, res=RES, tile=TILE), TILE)
         occupied = {(r["tile_x"], r["tile_y"]) for r in raster.to_pylist()}
-        got = {}
-        for (tx, ty), grp in parts.groupby(["tile_x", "tile_y"]):
-            m = _focal_merge(pa.Table.from_pandas(grp, preserve_index=False), TILE)
-            if m.num_rows:
-                r = m.to_pylist()[0]
-                got[(r["tile_x"], r["tile_y"])] = np.array(r["band"]).reshape(TILE, TILE)
+        got = {
+            (r["tile_x"], r["tile_y"]): np.array(r["band"]).reshape(TILE, TILE)
+            for r in merged.to_pylist()
+        }
+        assert len(got) == merged.num_rows
         assert set(got) == occupied  # neighbour-shine tiles are dropped
         for (tx, ty), band in got.items():
             want = F[ty * TILE:(ty + 1) * TILE, tx * TILE:(tx + 1) * TILE]
             assert np.array_equal(band, want)
+
+    def test_merge_partition_of_three_tiles(self):
+        from georay.raster import _focal_merge
+
+        # tile (2, 2) is occupied and gets a neighbour piece; tile (5, 5)
+        # is occupied, its own piece split across two rows; tile (3, 2) is
+        # only shone into by a neighbour
+        def band(px):
+            out = np.zeros(TILE * TILE, np.int64)
+            out[list(px)] = list(px.values())
+            return out
+
+        parts = [((2, 2), {0: 3}, True), ((3, 2), {7: 1}, False), ((5, 5), {9: 2}, True),
+                 ((2, 2), {8: 5}, False), ((5, 5), {9: 4, 1: 1}, True)]
+        g = pa.table({
+            "tile_x": pa.array([k[0] for k, _, _ in parts], pa.int64()),
+            "tile_y": pa.array([k[1] for k, _, _ in parts], pa.int64()),
+            "band": pa.FixedSizeListArray.from_arrays(
+                pa.array(np.concatenate([band(px) for _, px, _ in parts]), pa.int64()), TILE * TILE),
+            "own": [own for _, _, own in parts],
+        })
+        rows = {(r["tile_x"], r["tile_y"]): r["band"] for r in _focal_merge(g, TILE).to_pylist()}
+        assert set(rows) == {(2, 2), (5, 5)}  # the neighbour-only tile is dropped
+        assert rows[(2, 2)] == band({0: 3, 8: 5}).tolist()
+        assert rows[(5, 5)] == band({9: 6, 1: 1}).tolist()
 
     def test_grid_corner_no_wrap(self):
         from georay.raster import focal_partial
@@ -314,16 +367,16 @@ class TestRasterFocal:
     def test_end_to_end(self, ray_session):
         import ray as _ray
 
-        from georay.raster import focal_pixels, raster_focal, rasterize
+        from georay.raster import raster_focal
 
         lon, lat = _points(4000, seed=9)
         ds = _ray.data.from_arrow(pa.table({"lon": lon, "lat": lat})).repartition(4)
         raster = rasterize(ds, res=RES, tile=TILE)
-        pix = focal_pixels(raster_focal(raster, res=RES, tile=TILE), tile=TILE).to_pandas()
+        pix = raster_pixels(raster_focal(raster, res=RES, tile=TILE), tile=TILE, focal="band").to_pandas()
         # focal sums >= the center pixel's own count; totals are 9x-ish
         base = raster_pixels(rasterize(
             _ray.data.from_arrow(pa.table({"lon": lon, "lat": lat})).repartition(4),
-            res=RES, tile=TILE), res=RES, tile=TILE).to_pandas()
+            res=RES, tile=TILE), tile=TILE, n="band").to_pandas()
         key = ["tile_x", "tile_y", "idx"]
         j = pix.merge(base, on=key)
         assert (j.focal >= j.n).all()
@@ -348,12 +401,7 @@ class TestZonalStats:
     def test_partial_matches_direct(self):
         lon, lat = _points(3000, seed=11)
         part = rasterize_partial(pa.table({"lon": lon, "lat": lat}), res=RES, tile=TILE)
-        dense = []
-        import pandas as pd
-        df = part.to_pandas()
-        for (tx, ty), grp in df.groupby(["tile_x", "tile_y"]):
-            dense.append(_dense_tiles(pa.Table.from_pandas(grp, preserve_index=False), TILE))
-        batch = pa.concat_tables(dense)
+        batch = _dense_tiles(part, TILE)
         pset = self._pset()
         got = zonal_merge(zonal_partial(batch, pset, res=RES, tile=TILE)).to_pylist()
         got = {r["polygon_id"]: r for r in got}
