@@ -28,6 +28,7 @@ import pandas as pd
 import pyarrow as pa
 
 from georay.dedup import _shingle_strings, _tokens_nonempty, segment_reduce
+from georay.partition import cached_map
 
 _HASH_KEY = "georay-decontam1"
 
@@ -88,16 +89,26 @@ def contamination_batch(
     )
 
 
+class Contamination:
+    """Broadcast kernel (``cached_map(Contamination, ray.put(eval_hashes),
+    ...)``): :func:`contamination_batch` against the eval shingle set,
+    fetched once per worker."""
+
+    def __init__(self, eval_hashes: np.ndarray, k: int, text_col: str, id_col: str):
+        self.eval_hashes, self.k, self.text_col, self.id_col = eval_hashes, k, text_col, id_col
+
+    def __call__(self, b: pa.Table) -> pa.Table:
+        return contamination_batch(b, self.eval_hashes, self.k, self.text_col, self.id_col)
+
+
 def decontaminate(docs_ds, eval_ds, k: int = 8, text_col: str = "text", id_col: str = "doc_id"):
     """Corpus -> per-document contamination stats vs the eval set.
 
     The eval shingle set is built once (small by contract), shipped via
-    ``ray.put``, and read zero-copy in every scoring task."""
+    ``ray.put``, and fetched once per worker by the scoring map
+    (``cached_map(Contamination, ...)``)."""
     import ray
 
-    ref = ray.put(eval_shingle_set(eval_ds, k, text_col))
-
-    def score(b: pa.Table) -> pa.Table:
-        return contamination_batch(b, ray.get(ref), k, text_col, id_col)
-
+    score = cached_map(Contamination, ray.put(eval_shingle_set(eval_ds, k, text_col)),
+                       k=k, text_col=text_col, id_col=id_col)
     return docs_ds.map_batches(score, batch_format="pyarrow")

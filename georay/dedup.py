@@ -39,7 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from georay.geom.polygon import _expand_ranges
-from georay.partition import broadcast_or_none, copartition, hash_partition, part_of, partitions
+from georay.partition import broadcast_or_none, cached_map, copartition, hash_partition, part_of, partitions
 from georay.stages.aggregate import keyed_agg
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
@@ -835,14 +835,43 @@ def _list_to_matrix(col) -> np.ndarray:
     return flat.reshape(len(col), -1)
 
 
-def _attach(L: pa.Table, on: str, R: pa.Table, id_col: str, col: str, name: str) -> pa.Table:
-    """Inner join of ``L`` and ``R`` on ``L[on] == R[id_col]``: ``L``'s
-    columns plus ``R[col]`` as ``name``.  Rows are matched on indices, so
-    ``col`` may be any type (Arrow's hash join rejects list payloads)."""
+def _attach_side(L: pa.Table, on: str, R: pa.Table, id_col: str, col: str) -> pa.Table:
+    """Inner join of the pairs ``L`` and ``R`` on ``L[on] == R[id_col]``
+    (``on`` is ``doc_a`` or ``doc_b``): ``L``'s columns plus ``R[col]`` as
+    ``side_a`` or ``side_b``.  Rows are matched on indices, so ``col`` may
+    be any type (Arrow's hash join rejects list payloads)."""
     li = pa.table({"k": L.column(on), "li": np.arange(L.num_rows)})
     ri = pa.table({"k": R.column(id_col), "ri": np.arange(R.num_rows)})
     m = li.join(ri, "k")
-    return L.take(m.column("li")).append_column(name, R.column(col).take(m.column("ri")))
+    return L.take(m.column("li")).append_column("side_" + on[-1], R.column(col).take(m.column("ri")))
+
+
+class IdFilter:
+    """Broadcast kernel (``cached_map(IdFilter, ray.put(ids), ...)``):
+    a batch's rows whose ``id_col`` is in ``ids`` (``drop=True``: is
+    not), optionally projected to ``columns``."""
+
+    def __init__(self, ids, id_col: str, drop: bool = False, columns: tuple | None = None):
+        self.ids, self.id_col, self.drop, self.columns = ids, id_col, drop, columns
+
+    def __call__(self, b: pa.Table) -> pa.Table:
+        mask = pc.is_in(b.column(self.id_col), value_set=self.ids)
+        b = b.filter(pc.invert(mask) if self.drop else mask)
+        return b if self.columns is None else b.select(list(self.columns))
+
+
+class AttachSides:
+    """Broadcast kernel (``cached_map(AttachSides, ray.put(side), ...)``):
+    a batch of ``(doc_a, doc_b)`` pairs with each id's ``side[col]``
+    attached as ``side_a`` and ``side_b`` (:func:`_attach_side`)."""
+
+    def __init__(self, side: pa.Table, id_col: str, col: str):
+        self.side, self.id_col, self.col = side, id_col, col
+
+    def __call__(self, b: pa.Table) -> pa.Table:
+        for on in ("doc_a", "doc_b"):
+            b = _attach_side(b, on, self.side, self.id_col, self.col)
+        return b
 
 
 def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Table,
@@ -855,10 +884,11 @@ def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Tabl
     its ``BROADCAST_BYTES`` budget:
 
     - the pairs fit: their ids go out with one ``ray.put`` and the side
-      streams through one fused read -> ``is_in(candidate ids)`` filter.
-      If the matched ``(id, col)`` rows fit too, they go out with one
-      ``ray.put`` and one map over the pairs attaches both values and runs
-      ``keep``: no exchange;
+      streams through one fused read -> :class:`IdFilter` map.  If the
+      matched ``(id, col)`` rows fit too, they go out with one
+      ``ray.put`` and one fused map over the pairs attaches both values
+      (:class:`AttachSides`) and runs ``keep``: no exchange.  Each
+      broadcast is fetched once per worker (``cached_map``);
     - otherwise two co-partitioned sort shuffles: the first attaches
       ``doc_a``'s value, the second ``doc_b``'s and runs ``keep`` in the
       same kernel.  When only the pairs fit, the filtered side rows, not
@@ -872,32 +902,24 @@ def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Tabl
     if n_pairs == 0:
         return ray.data.from_arrow(empty)
 
-    def attach(L: pa.Table, on: str, R: pa.Table) -> pa.Table:
-        return _attach(L, on, R, id_col, col, "side_" + on[-1])
-
     if pairs is not None:
         ids = pc.unique(pa.chunked_array(pairs.column("doc_a").chunks + pairs.column("doc_b").chunks))
-        ids_ref = ray.put(ids)
-
-        def candidates(b: pa.Table) -> pa.Table:
-            return b.filter(pc.is_in(b.column(id_col), value_set=ray.get(ids_ref))).select([id_col, col])
-
+        candidates = cached_map(IdFilter, ray.put(ids), id_col=id_col, columns=(id_col, col))
         side, side_ds = broadcast_or_none(side_ds.map_batches(candidates, batch_format="pyarrow"))
         if side is not None:
-            side_ref = ray.put(side)
-
-            def attach_both(b: pa.Table) -> pa.Table:
-                R = ray.get(side_ref)
-                return keep(attach(attach(b, "doc_a", R), "doc_b", R))
-
-            return pairs_ds.map_batches(attach_both, batch_format="pyarrow")
+            attached = pairs_ds.map_batches(
+                cached_map(AttachSides, ray.put(side), id_col=id_col, col=col), batch_format="pyarrow"
+            )
+            return attached.map_batches(keep, batch_format="pyarrow")
     if num_partitions is None:
         num_partitions = partitions(side_ds, n_rows=n_pairs, rows_per_partition=250_000)
     with_a = copartition(
-        pairs_ds, side_ds, "doc_a", id_col, lambda L, R: attach(L, "doc_a", R), num_partitions
+        pairs_ds, side_ds, "doc_a", id_col, lambda L, R: _attach_side(L, "doc_a", R, id_col, col),
+        num_partitions,
     )
     return copartition(
-        with_a, side_ds, "doc_b", id_col, lambda L, R: keep(attach(L, "doc_b", R)), num_partitions
+        with_a, side_ds, "doc_b", id_col, lambda L, R: keep(_attach_side(L, "doc_b", R, id_col, col)),
+        num_partitions,
     )
 
 
@@ -1197,11 +1219,7 @@ def apply_dedup(docs_ds, resolution_ds, id_col: str = "doc_id",
     if (resolution_ds.count() if res is None else res.num_rows) == 0:
         return docs_ds  # nothing to drop: skip the corpus pass
     if res is not None:
-        dup_ref = ray.put(_dup_ids(res))
-
-        def drop_dups(b: pa.Table) -> pa.Table:
-            return b.filter(pc.invert(pc.is_in(b.column(id_col), value_set=ray.get(dup_ref))))
-
+        drop_dups = cached_map(IdFilter, ray.put(_dup_ids(res)), id_col=id_col, drop=True)
         return docs_ds.map_batches(drop_dups, batch_format="pyarrow")
     if num_partitions is None:
         # the LEFT ANTI join shuffles the whole corpus — size to its

@@ -18,9 +18,11 @@ Two exchange primitives, one broadcast rule and one broadcast kernel:
   ``BROADCAST_BYTES``, hands it back as one table for the caller to
   ``ray.put``, so the large side streams through a plain map with no
   shuffle.  A side over the budget keeps the exchange.
+  :func:`fits_broadcast` is its comparison against the budget.
 - :func:`cached_map` is that plain map: it builds the stage's class from
   the broadcast refs once per worker process and calls it on each batch,
-  so a broadcast stage runs as plain tasks, never an actor pool.
+  so a broadcast stage runs as plain tasks, never an actor pool.  The
+  payloads a worker keeps across stages fit the same budget.
 
 Both exchanges tag each row with ``part_of(key, P)`` and run the union
 through a single sort whose boundaries are the partition numbers: block
@@ -56,7 +58,8 @@ MAX_PARTITIONS = 65_536
 #: segment_revenue customers 308 KB at sf0.1), and none sits near it.
 #: At 64 MiB the driver would run FastSV on about 4M edges and every
 #: verify task would fetch 64 MiB of texts; whether that still beats the
-#: exchange is open.
+#: exchange is open.  It also bounds the payload bytes each worker's
+#: :func:`cached_map` instances keep between batches.
 BROADCAST_BYTES = 64 << 20
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -126,6 +129,13 @@ def partitions(ds=None, *, n_rows: int | None = None,
     return p
 
 
+def fits_broadcast(nbytes: int) -> bool:
+    """Whether ``nbytes`` fit ``BROADCAST_BYTES``: the one comparison
+    against the budget (a broadcast side's measured size, the payloads
+    :func:`cached_map` keeps), read per call so a test can lower it."""
+    return nbytes <= BROADCAST_BYTES
+
+
 def broadcast_or_none(ds):
     """``(table, ds)`` when the measured ``size_bytes()`` of ``ds``'s
     materialized blocks fits ``BROADCAST_BYTES``, else ``(None, ds)``;
@@ -134,7 +144,7 @@ def broadcast_or_none(ds):
     ``ds`` (schemaless empty blocks dropped; no columns when ``ds`` has
     no rows and no known schema)."""
     ds = ds.materialize()
-    if ds.size_bytes() > BROADCAST_BYTES:
+    if not fits_broadcast(ds.size_bytes()):
         return None, ds
     blocks = [b for b in ds.iter_batches(batch_size=None, batch_format="pyarrow") if b.num_rows]
     if blocks:
@@ -146,29 +156,38 @@ def broadcast_or_none(ds):
 
 
 #: per-worker-process instances built by :func:`cached_map`, keyed by
-#: (class, ref hexes, sorted kwargs).  Bounded: a long-lived session
-#: cycling many payloads must not grow worker memory (insertion-order
-#: eviction; an evicted instance is rebuilt on its next batch).
+#: (class, ref hexes, sorted kwargs), each with its payloads' ``nbytes``.
+#: Bounded, oldest out first: at most 8, and their payloads fit
+#: ``BROADCAST_BYTES`` together (the newest alone may exceed it), so a
+#: long-lived session cycling many payloads neither grows worker memory
+#: nor keeps more than one budget of finished stages' broadcasts pinned
+#: in the object store (the payloads are zero-copy views of it).  An
+#: evicted instance is rebuilt on its next batch.
 _INSTANCES: dict = {}
 _INSTANCES_MAX = 8
 
 
 def _instance(key, cls, refs, kwargs):
-    inst = _INSTANCES.get(key)
-    if inst is None:
+    hit = _INSTANCES.get(key)
+    if hit is None:
         import ray
 
-        inst = cls(*ray.get(list(refs)), **kwargs)
-        while len(_INSTANCES) >= _INSTANCES_MAX:
+        payloads = ray.get(list(refs))
+        hit = cls(*payloads, **kwargs), sum(getattr(p, "nbytes", 0) for p in payloads)
+        while _INSTANCES and (
+            len(_INSTANCES) >= _INSTANCES_MAX
+            or not fits_broadcast(hit[1] + sum(n for _, n in _INSTANCES.values()))
+        ):
             _INSTANCES.pop(next(iter(_INSTANCES)))
-        _INSTANCES[key] = inst
-    return inst
+        _INSTANCES[key] = hit
+    return hit[0]
 
 
 def cached_map(cls, *refs, **kwargs):
     """A plain ``map_batches`` function, named after ``cls``, that calls
     ``cls(*ray.get(refs), **kwargs)`` on each batch; each worker process
-    builds that instance once per (``cls``, refs, kwargs) and keeps it.
+    builds that instance once per (``cls``, refs, kwargs) and keeps it
+    (within the bounds of ``_INSTANCES``).
 
     This is the one form of a stage over a broadcast side (``refs`` from
     ``ray.put``) or with costly setup: plain tasks reuse warm workers and

@@ -9,8 +9,9 @@ is the one extract -> filter -> reproject -> cellize chain.  Every stage
 is a streaming ``map_batches`` over zero-copy Arrow.  With an output
 directory the geo rows stream once into :class:`FlagshipSink`, whose
 write tasks emit the tiles, the join rows and the per-cell partials
-together; only the final per-cell merge shuffles, and its input is
-already combined down to one row per (write task, cell).
+together, so the whole run is one Ray Data plan.  The partials are
+already combined down to one row per (write task, cell), and the driver
+merges them file by file into ``cell_agg``: nothing shuffles.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import ray
 from ray.data import Datasink
 
 from georay import cells
-from georay.partition import cached_map, hash_partition, partitions
+from georay.partition import cached_map
 from georay.pipelines.polygons import polygon_payload
-from georay.sources import filesystem, remove_dir, replace_dir, write_output
+from georay.sources import filesystem, remove_dir, replace_dir
 from georay.stages.aggregate import CELL_AGGS, cell_partial_agg, keyed_agg, merge_cell_partials
 from georay.stages.geo import Reproject, cellize, extract_geo_batch, filter_has_geo
 from georay.stages.join import SpatialJoin
@@ -76,7 +77,8 @@ class FlagshipSink(Datasink):
     - its tile rows under ``tiles/cell_prefix=<res-2 parent cell>/`` (the
       Hive layout SURVEY.md §2.7 / §4 asks for, never one giant file);
     - its join rows (``join_fn``) under ``join_rows/``;
-    - its ``cell_partial_agg`` table under ``_partials/``.
+    - its ``cell_partial_agg`` table under ``_partials/``, which
+      :func:`flagship` merges into ``cell_agg/`` after the write.
 
     Every file is named ``<uuid>_<task index>.parquet``, the uuid fixed
     when the sink is built, so a retried task overwrites its own files
@@ -142,6 +144,27 @@ class FlagshipSink(Datasink):
         }
 
 
+def _merge_partials(fs, path: str) -> pa.Table:
+    """The sink's partial files under ``path`` merged into one row per
+    cell (``merge_cell_partials``), read one file at a time.
+
+    The files read since the last merge are merged into the result once
+    they hold at least as many rows as it does, so the driver holds about
+    twice the output plus one file, never the whole input (at 8M pages:
+    902k partial rows, 15.6k cells); and as each merge takes at least as
+    many new rows as old, all merges together take about twice the
+    input, where a merge per file would re-merge the result per file."""
+    import pyarrow.fs as pafs
+
+    paths = sorted(i.path for i in fs.get_file_info(pafs.FileSelector(path)))
+    merged, pending = [], []
+    for i, p in enumerate(paths):
+        pending.append(pq.read_table(p, filesystem=fs))
+        if i == len(paths) - 1 or sum(map(len, pending)) >= sum(map(len, merged)):
+            merged, pending = [merge_cell_partials(pa.concat_tables(merged + pending))], []
+    return merged[0]
+
+
 def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | None = None):
     """Run the full pipeline over a pages Dataset (``read_pages(sf_dir)``,
     or any read with the pages columns).
@@ -155,21 +178,20 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
 
     - ``out_dir`` given (the deployment form): one plan streams the geo
       rows into :class:`FlagshipSink`, which writes ``tiles/``,
-      ``join_rows/`` and the per-task cell partials from each task; a
-      second, small plan hash-partitions the partials on ``cell``, merges
-      them and writes ``cell_agg/``, and the partials are deleted even if
-      a plan fails.  Nothing is read back: the return value is the
-      sink's ``{output: {"rows", "bytes"}}`` counts (``tiles``,
-      ``join_rows``, ``_partials``), and ``cell_agg``'s row count is in
-      its footers (``georay.sources.parquet_rows``).  Each output
+      ``join_rows/`` and the per-task cell partials from each task; the
+      driver then merges the partials (:func:`_merge_partials`) and
+      writes ``cell_agg/`` as one file, so the run is one plan.  The
+      partials are deleted even if the merge fails.  No output is read
+      back through Ray: the return value is the sink's ``{output:
+      {"rows", "bytes"}}`` counts (``tiles``, ``join_rows``,
+      ``_partials``), and ``cell_agg``'s row count is in its footers
+      (``georay.sources.parquet_rows``).  Each output
       replaces what an earlier run left in ``out_dir``; with no geo page
       all three are empty directories.
     - ``out_dir=None``: returns lazy ``(join_rows_ds, cell_agg_ds)``; each
       re-derives ``geo`` from ``pages`` when it runs.  Nothing is written
       and nothing is pinned in the object store.
     """
-    import ray.data as rd
-
     geo = geo_dataset(pages, res=res)
     join_fn = cached_map(SpatialJoin, ray.put(polygon_payload()), predicate=predicate)
     if not out_dir:
@@ -181,11 +203,10 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
     sink = FlagshipSink(out_dir, join_fn)
     try:
         geo.write_datasink(sink)
-        n_partials = sink.counts["_partials"]["rows"]
-        if n_partials:
-            partials = rd.read_parquet(f"{out_dir}/_partials")
-            merged = hash_partition(partials, "cell", merge_cell_partials, partitions(n_rows=n_partials))
-            write_output(merged, f"{out_dir}/cell_agg")
+        fs, root = filesystem(out_dir)
+        if sink.counts["_partials"]["rows"]:
+            pq.write_table(_merge_partials(fs, f"{root}/_partials"),
+                           f"{root}/cell_agg/{sink.uuid}.parquet", filesystem=fs)
     finally:
         remove_dir(f"{out_dir}/_partials")
     return sink.counts

@@ -1,7 +1,8 @@
 """Flagship pipeline: the two routes ``out_dir`` selects (one streaming
-write of tiles, join rows and cell partials then a small merge, or lazy
-datasets that each re-derive the geo rows), the tile layout, a write task
-killed mid-write, the partials' cleanup, and the plans' shape."""
+write of tiles, join rows and cell partials then their merge on the
+driver, or lazy datasets that each re-derive the geo rows), the
+partials' file-by-file merge, the tile layout, a write task killed
+mid-write, the partials' cleanup, and the plans' shape."""
 
 import functools
 import logging
@@ -77,6 +78,25 @@ class TestFlagshipGeoCache:
         # the per-task partials are merged into cell_agg and deleted
         assert sorted(os.listdir(out)) == OUTPUTS
 
+    def test_cell_agg_is_one_file_of_every_cell(self, ray_session, tmp_path):
+        """The driver merges the partials into one ``cell_agg`` file with
+        one row per geo cell, and the sink's counts match its files."""
+        import os
+
+        import pyarrow.parquet as pq
+
+        from georay.pipelines.flagship import flagship
+
+        out = str(tmp_path / "run")
+        counts = flagship(_pages(), out_dir=out)
+        assert sorted(os.listdir(out)) == OUTPUTS
+        for name in ("join_rows", "tiles"):
+            files = _parquet_files(f"{out}/{name}")
+            assert sum(pq.read_metadata(f).num_rows for f in files) == counts[name]["rows"] > 0
+        (agg,) = _parquet_files(f"{out}/cell_agg")
+        cells = pq.read_table(agg).column("cell").to_pylist()
+        assert sorted(cells) == sorted(set(_ray_free_geo().column("cell").to_pylist()))
+
     def test_partials_are_deleted_when_the_merge_raises(self, ray_session, tmp_path, monkeypatch):
         import os
 
@@ -85,7 +105,7 @@ class TestFlagshipGeoCache:
         def broken(*args, **kwargs):
             raise RuntimeError("merge failed")
 
-        monkeypatch.setattr(mod, "hash_partition", broken)
+        monkeypatch.setattr(mod, "merge_cell_partials", broken)
         out = str(tmp_path / "run")
         with pytest.raises(RuntimeError, match="merge failed"):
             mod.flagship(_pages(), out_dir=out)
@@ -155,6 +175,33 @@ def _parquet_files(path):
     import glob
 
     return sorted(glob.glob(f"{path}/**/*.parquet", recursive=True))
+
+
+def test_partials_merge_file_by_file(tmp_path, monkeypatch):
+    """``_merge_partials`` over many partial files, their cells
+    overlapping, equals one merge of them all; no merge gets more than
+    twice the output plus one file (the driver never holds the input)."""
+    import pyarrow.parquet as pq
+
+    import georay.pipelines.flagship as mod
+    from georay.sources import filesystem
+    from georay.stages.aggregate import cell_partial_agg, merge_cell_partials
+
+    geo = _ray_free_geo()
+    for i in range(40):
+        pq.write_table(cell_partial_agg(geo.take(list(range(i, geo.num_rows, 40)))), tmp_path / f"{i:02d}.parquet")
+    sizes = []
+
+    def recording(t):
+        sizes.append(t.num_rows)
+        return merge_cell_partials(t)
+
+    monkeypatch.setattr(mod, "merge_cell_partials", recording)
+    got = mod._merge_partials(*filesystem(str(tmp_path)))
+    want = cell_partial_agg(geo)
+    assert got.sort_by("cell").equals(want.sort_by("cell"))
+    biggest_file = max(pq.read_metadata(f).num_rows for f in _parquet_files(str(tmp_path)))
+    assert 1 < len(sizes) < 40 and max(sizes) <= 2 * want.num_rows + biggest_file
 
 
 class TestTileLayout:
@@ -265,9 +312,9 @@ class TestJoinRunsOnTasks:
         return joins
 
     def test_flagship_join_is_one_fused_task_chain(self, ray_session, tmp_path, monkeypatch):
-        """With ``out_dir`` the flagship runs two plans, the streaming
-        write and the partials' merge, on plain tasks; no output is read
-        back."""
+        """With ``out_dir`` the flagship is one plan, the streaming write,
+        on plain tasks; the partials are merged on the driver, and Ray
+        Data reads nothing back."""
         import ray.data
 
         pages = _pages()
@@ -284,10 +331,9 @@ class TestJoinRunsOnTasks:
 
         with _ExecutionPlans() as log:
             flagship(pages, out_dir=out)
-        assert len(log.plans) == 2, log.plans
-        for plan in log.plans:
-            assert "ActorPoolMapOperator" not in plan
-        assert reads == [f"{out}/_partials"]
+        assert len(log.plans) == 1, log.plans
+        assert "ActorPoolMapOperator" not in log.plans[0]
+        assert reads == []
 
     #: each broadcast query and the class its ``cached_map`` runs
     KERNELS = {

@@ -260,8 +260,8 @@ class TestOneMechanism:
         assert not gone & set(inspect.signature(embed_lsh_pairs).parameters)
 
     def test_broadcast_decided_only_in_partition_module(self):
-        """Only ``broadcast_or_none`` measures a side (``size_bytes()``)
-        and reads the budget (``BROADCAST_BYTES``): no other module's code
+        """Only ``partition.py`` measures a side (``size_bytes()``) and
+        reads the budget (``BROADCAST_BYTES``): no other module's code
         chooses broadcast over exchange.  Docstrings may name them."""
         import ast
 
@@ -273,6 +273,41 @@ class TestOneMechanism:
             or (isinstance(node, ast.alias) and node.name == "BROADCAST_BYTES")
         })
         assert hits == ["partition.py"]
+
+    def test_budget_compared_only_in_fits_broadcast(self):
+        """Inside ``partition.py`` only ``fits_broadcast`` reads
+        ``BROADCAST_BYTES``: ``broadcast_or_none`` and ``cached_map``'s
+        retention bound both call it, so the budget is compared once."""
+        import ast
+
+        tree = ast.parse(Path(georay.partition.__file__).read_text())
+        readers = sorted({
+            fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "BROADCAST_BYTES"
+        })
+        assert readers == ["fits_broadcast"]
+
+    def test_broadcast_payloads_fetched_once_per_worker(self):
+        """No nested function in ``dedup.py`` or ``decontam.py`` calls
+        ``ray.get(``: a map that fetches its broadcast payload does so on
+        every batch, where ``cached_map`` fetches it once per worker."""
+        import ast
+
+        root = Path(georay.partition.__file__).parent
+        hits = []
+        for name in ("dedup.py", "decontam.py"):
+            for outer in ast.walk(ast.parse((root / name).read_text())):
+                if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for inner in ast.walk(outer):
+                    if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.Lambda)):
+                        continue
+                    hits += [
+                        f"{name}:{node.lineno}: {ast.unparse(node)[:80]}"
+                        for node in ast.walk(inner)
+                        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ray.get")
+                    ]
+        assert not hits, hits
 
     def test_dedup_cli_streams_its_survivors(self):
         """``cmd_dedup`` writes the survivors as they stream from the
@@ -410,6 +445,26 @@ class TestCachedMap:
         fns[0](batch)
         assert [s for _, s in _Counting.built] == [*range(9), 0]
 
+    def test_kept_payloads_fit_the_budget(self, ray_session, monkeypatch):
+        """A new instance evicts the oldest ones until the kept payloads'
+        ``nbytes`` fit ``BROADCAST_BYTES``; the newest alone may exceed
+        it, so a large broadcast is fetched once, not per batch."""
+        import ray
+
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 2000)
+        batch = _left([1])
+        small, big = ray.put(np.zeros(100, np.int64)), ray.put(np.zeros(300, np.int64))  # 800 B, 2400 B
+        fns = [cached_map(_Counting, ref, scale=s) for s, ref in enumerate([small, small, big])]
+        fns[0](batch)
+        fns[1](batch)
+        assert len(georay.partition._INSTANCES) == 2  # 1600 B kept
+        fns[2](batch)
+        fns[2](batch)
+        assert len(georay.partition._INSTANCES) == 1  # only the 2400 B one
+        fns[0](batch)
+        assert len(georay.partition._INSTANCES) == 1
+        assert [s for _, s in _Counting.built] == [0, 1, 2, 0]
+
     def test_plain_payload_raises(self):
         with pytest.raises(TypeError, match="ObjectRef"):
             cached_map(_Counting, 7)
@@ -479,6 +534,13 @@ class TestBroadcastOrNone:
         assert broadcast_or_none(ds)[0] is not None
         monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
         assert broadcast_or_none(ds)[0] is None
+
+    def test_fits_broadcast_includes_the_budget(self, monkeypatch):
+        from georay.partition import BROADCAST_BYTES, fits_broadcast
+
+        assert fits_broadcast(BROADCAST_BYTES) and not fits_broadcast(BROADCAST_BYTES + 1)
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
+        assert fits_broadcast(0) and not fits_broadcast(1)
 
     def test_empty_side_keeps_its_schema(self, ray_session):
         """Empty partitions of an exchange are schemaless blocks; they are
