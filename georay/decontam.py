@@ -4,8 +4,9 @@ decontamination pass (no reference analog; training-data extra).
 
 Scale design: the eval set is SMALL BY CONTRACT (benchmarks are a few
 thousand documents); its distinct shingle hashes are collected once via
-per-batch distinct partials and broadcast with ``ray.put``.  The corpus
-pass is a stateless streaming ``map_batches``: shingle each document
+per-batch distinct partials, merged on the driver, and broadcast with
+``ray.put``.  The corpus pass is a stateless streaming ``map_batches``:
+shingle each document
 with the shared vectorized kernels (``georay.dedup``), hash, and count
 membership via ``np.searchsorted`` against the sorted broadcast array —
 no shuffle, no join, corpus never materialized.
@@ -26,9 +27,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from georay.dedup import _shingle_strings, _tokens_nonempty, segment_reduce
 from georay.partition import cached_map
+from georay.stages.aggregate import blocks, driver_merge
 
 _HASH_KEY = "georay-decontam1"
 
@@ -52,12 +55,14 @@ def eval_shingle_set(eval_ds, k: int = 8, text_col: str = "text") -> np.ndarray:
             {"h": pa.array(np.unique(h).astype(np.int64), pa.int64())}
         )
 
-    parts = eval_ds.map_batches(distinct_partial, batch_format="pyarrow").take_all()
-    if not parts:
-        return np.empty(0, np.uint64)
+    def distinct(t: pa.Table) -> pa.Table:
+        return pa.table({"h": pc.unique(t.column("h"))})
+
+    parts = eval_ds.map_batches(distinct_partial, batch_format="pyarrow")
+    empty = pa.table({"h": pa.array([], pa.int64())})
+    h = driver_merge(blocks(parts), distinct, empty).column("h").to_numpy()
     # int64 storage wraps back losslessly to the original uint64 hashes
-    vals = np.fromiter((r["h"] for r in parts), np.int64, len(parts)).astype(np.uint64)
-    return np.unique(vals)
+    return np.sort(h.astype(np.uint64))
 
 
 def contamination_batch(

@@ -14,8 +14,9 @@ A scan looks inherently sequential; the classic two-pass formulation
 
   pass 1  per-batch vectorized token counts -> per-BUCKET partial sums
           (bucket = contiguous key range), combined per block; the
-          per-block refs (O(1) rows each under key locality) concat to
-          ONE small table of <= num_buckets + num_blocks rows;
+          driver merges the blocks as they stream (O(1) rows each under
+          key locality, <= num_buckets without) into ONE table of
+          <= num_buckets rows;
   driver  exclusive cumsum over the <= num_buckets bucket sums (tiny);
           broadcast the per-bucket global offsets via ray.put;
   pass 2  hash-partition buckets across the cluster (every bucket lives
@@ -46,8 +47,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.partition import hash_partition, partitions
-from georay.stages.aggregate import combiner, merger
+from georay.partition import cached_map, hash_partition, partitions
+from georay.stages.aggregate import blocks, combiner, driver_merge, merger
 from georay.text import token_counts
 
 DEFAULT_NUM_BUCKETS = 4096
@@ -79,6 +80,21 @@ def _bucket_sums_partial(t: pa.Table, id_col: str, width: int) -> pa.Table:
     return combiner("bucket", _BUCKET_SUMS)(b)
 
 
+_bucket_sums_merge = merger("bucket", _BUCKET_SUMS)
+
+
+class BucketScan:
+    """Broadcast kernel (``cached_map(BucketScan, ray.put(offsets), ...)``)
+    of pass 2: the exclusive scan of one partition, each bucket rebased
+    on its global offset."""
+
+    def __init__(self, offsets: np.ndarray, seq_len: int, id_col: str):
+        self.offsets, self.seq_len, self.id_col = offsets, seq_len, id_col
+
+    def __call__(self, g: pa.Table) -> pa.Table:
+        return _scan_partition(g, self.offsets, self.seq_len, self.id_col)
+
+
 def _scan_partition(g: pa.Table, offsets: np.ndarray, seq_len: int,
                     id_col: str) -> pa.Table:
     """One vectorized multi-bucket exclusive scan over a partition's
@@ -105,7 +121,6 @@ def _scan_partition(g: pa.Table, offsets: np.ndarray, seq_len: int,
 def pack_sequences(ds, seq_len: int = 512, id_col: str = "doc_id",
                    text_col: str = "text",
                    num_buckets: int = DEFAULT_NUM_BUCKETS,
-                   num_partitions: int | None = None,
                    key_max: int | None = None,
                    out_dir: str | None = None):
     """Concatenate-and-chunk packing index: one row per document with its
@@ -118,7 +133,7 @@ def pack_sequences(ds, seq_len: int = 512, id_col: str = "doc_id",
     ``out_dir``: write the slim token table through parquet instead of
     materializing it in the object store (the 100-TB deployment form,
     mirroring the flagship's write-through mode)."""
-    import ray.data as _rd
+    import ray
 
     slim = ds.map_batches(
         lambda b: count_tokens_batch(b, id_col, text_col),
@@ -126,101 +141,44 @@ def pack_sequences(ds, seq_len: int = 512, id_col: str = "doc_id",
     )
     if out_dir is not None:
         slim.write_parquet(out_dir)
-        slim = _rd.read_parquet(out_dir)
+        slim = ray.data.read_parquet(out_dir)
     else:
         # slim projection only (id + count, ~16 B/row) — NOT the raw text
         slim = slim.materialize()
 
     if key_max is None:
-        key_max = slim.max(id_col)
-    if key_max is None:  # empty corpus
-        return _rd.from_arrow(pa.table({
-            id_col: pa.array([], pa.int64()),
-            "n_tokens": pa.array([], pa.int64()),
-            "tok_offset": pa.array([], pa.int64()),
-            "bin": pa.array([], pa.int64()),
-        }))
+        key_max = slim.max(id_col) or 0  # None: an empty corpus
     width = _bucket_width(int(key_max), num_buckets)
 
-    # pass 1: per-bucket sums combined per block.  Each block touches
-    # ~ceil(its key span / width) buckets — with any key locality in the
-    # layout that's O(1) rows per block — but with randomly-placed ids a
-    # block can touch up to num_buckets, so the driver-side concat is
-    # gated on block count: up to _DIRECT_MERGE_MAX_BLOCKS refs are
-    # concatenated directly (cheaper than a merge shuffle — the Dataset
-    # tree_merge variant paid two repartition barriers, ~3 s at sf0.1,
-    # to merge a few-thousand-row table); above that, remote fan-in
-    # tasks reduce the partials where they live until at most one
-    # fan-in's worth remain, so driver rows stay
-    # O(fanout x num_buckets) regardless of num_blocks.
+    # pass 1: per-bucket sums combined per block, merged on the driver.
+    # Each block touches ~ceil(its key span / width) buckets: O(1) rows
+    # with any key locality in the layout, up to num_buckets with
+    # randomly-placed ids, so the driver holds O(num_buckets) rows
+    # regardless of the block count.
     st = slim.map_batches(
         lambda t: _bucket_sums_partial(t, id_col, width),
         batch_format="pyarrow",
-    ).to_arrow_refs()
-    import ray as _ray
-
-    refs = list(st)
-    while len(refs) > _DIRECT_MERGE_MAX_BLOCKS:
-        task = _merge_partials_remote()
-        refs = [
-            task.remote(*refs[i : i + _MERGE_FANOUT])
-            for i in range(0, len(refs), _MERGE_FANOUT)
-        ]
-    merged = _bucket_sums_partial_merge(
-        pa.concat_tables(_ray.get(refs))
     )
-    n_dense = num_buckets
-    if merged.num_rows:
-        bi = merged.column("bucket").to_numpy(zero_copy_only=False)
-        sv = merged.column("sum_tokens").to_numpy(zero_copy_only=False)
-        if bi.max() >= num_buckets:  # keys above the caller's key_max hint
-            n_dense = int(bi.max()) + 1
-    dense = np.zeros(n_dense, np.int64)
-    if merged.num_rows:
-        dense[bi] = sv
+    merged = driver_merge(blocks(st), _bucket_sums_merge, None)
+    if merged is None:  # empty corpus: the exchange below would lose the schema
+        return ray.data.from_arrow(pa.table({
+            c: pa.array([], pa.int64()) for c in (id_col, "n_tokens", "tok_offset", "bin")
+        }))
+    bi = merged.column("bucket").to_numpy()
+    # keys above the caller's key_max hint land past num_buckets
+    dense = np.zeros(max(num_buckets, int(bi.max()) + 1), np.int64)
+    dense[bi] = merged.column("sum_tokens").to_numpy()
     offsets = np.cumsum(dense) - dense  # exclusive per-bucket offsets
-    offsets_ref = _ray.put(offsets)
 
     def with_bucket(b: pa.Table) -> pa.Table:
         key = b.column(id_col).to_numpy(zero_copy_only=False)
         return b.append_column("bucket", pa.array(key // width, pa.int64()))
 
-    def kernel(g: pa.Table) -> pa.Table:
-        return _scan_partition(g, _ray.get(offsets_ref), seq_len, id_col)
-
     # slim is materialized (or a parquet read), so its row count is free
     # plan metadata — the partition count scales with the data, not just
     # the cluster (at 10^12 rows a fixed cap would put ~62 GB in one task)
     return hash_partition(
-        slim.map_batches(with_bucket, batch_format="pyarrow"), "bucket", kernel,
-        num_partitions or partitions(slim),
+        slim.map_batches(with_bucket, batch_format="pyarrow"), "bucket",
+        cached_map(BucketScan, ray.put(offsets), seq_len=seq_len, id_col=id_col),
+        partitions(slim),
     )
-
-
-#: direct driver concat is allowed up to this many per-block partial
-#: refs — worst case 64 x num_buckets (4096) = 256k 16-B rows on the
-#: driver; beyond that, fan-in tasks reduce remotely first.
-_DIRECT_MERGE_MAX_BLOCKS = 64
-_MERGE_FANOUT = 64
-
-
-_bucket_sums_partial_merge = merger("bucket", _BUCKET_SUMS)
-
-
-_MERGE_TASK = None
-
-
-def _merge_partials_remote():
-    """Lazily-defined fan-in reduce task (ray import stays function-local,
-    matching the rest of this module): concat + re-group a handful of
-    per-block bucket partials where they live; output <= num_buckets rows."""
-    global _MERGE_TASK
-    if _MERGE_TASK is None:
-        import ray as _ray
-
-        @_ray.remote
-        def merge_bucket_partials(*parts: pa.Table) -> pa.Table:
-            return _bucket_sums_partial_merge(pa.concat_tables(list(parts)))
-
-        _MERGE_TASK = merge_bucket_partials
-    return _MERGE_TASK

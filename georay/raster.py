@@ -33,7 +33,7 @@ bounded at tile*tile int64s per tile.  ``downsample``, ``raster_diff``
 and ``raster_focal`` share that exchange.  ``zonal_stats`` never
 shuffles the raster: each batch of tiles is reduced against the
 broadcast zone polygons to at most K partial rows, and the K-row
-partials merge in a tree (``stages.aggregate.tree_merge``).
+partials merge on the driver (``stages.aggregate.driver_merge``).
 Occupied-pixel centers are tested with the same vectorized ray-cast
 kernel as the point joins (``geom.polygon.PolygonSet.join``), so
 raster->vector and point->polygon agree on boundary semantics by
@@ -50,7 +50,7 @@ import pyarrow as pa
 from georay import cells as _cells
 from georay.partition import cached_map, hash_partition, partitions
 from georay.pipelines.polygons import build_polygon_set
-from georay.stages.aggregate import combiner, merger, tree_merge
+from georay.stages.aggregate import blocks, combiner, driver_merge, merger
 
 _I64 = pa.int64()
 #: combined partial pixel rows: what the tile exchange of ``rasterize``
@@ -415,7 +415,7 @@ def zonal_partial(batch: pa.Table, pset, res: int = 7, tile: int = 8) -> pa.Tabl
     return g.drop_columns(["pid"]).add_column(0, "polygon_id", pa.array(names, pa.string()))
 
 
-#: associative+commutative merge of zonal partials (tree_merge leaf)
+#: associative+commutative merge of zonal partials (``driver_merge``)
 zonal_merge = merger("polygon_id", ZONAL_AGGS)
 
 
@@ -434,9 +434,12 @@ class ZonalStats:
 
 def zonal_stats(raster_ds, polygons_ref, res: int = 7, tile: int = 8):
     """Raster -> vector: per-zone pixel statistics over a dense tile
-    raster.  Zones are broadcast once (ray.put payload), never shuffled;
-    the raster streams through plain tasks; partials tree-merge."""
+    raster, as a one-block Dataset.  Zones are broadcast once (ray.put
+    payload), never shuffled; the raster streams through plain tasks,
+    and the driver merges the partials when this is called."""
+    import ray.data
+
     partials = raster_ds.map_batches(
         cached_map(ZonalStats, polygons_ref, res=res, tile=tile), batch_format="pyarrow"
     )
-    return tree_merge(partials, zonal_merge)
+    return ray.data.from_arrow(driver_merge(blocks(partials), zonal_merge, ZONAL.empty_table()))

@@ -23,7 +23,7 @@ import pandas as pd
 import pyarrow as pa
 
 from georay.dedup import md5_u64
-from georay.stages.aggregate import combiner, merger
+from georay.stages.aggregate import blocks, combiner, driver_merge, merger
 
 
 def _id_hash(ids: np.ndarray, hash_impl: str) -> np.ndarray:
@@ -73,18 +73,14 @@ def stratified_sample(ds, rates_bp: dict[str, int], default_bp: int = 0,
 
 
 def group_counts(ds, key_col: str = "lang") -> dict[str, int]:
-    """Exact per-stratum row counts via per-block pyarrow combine +
-    driver merge of the per-block refs — no shuffle.  Bounded by the
-    stratum VOCABULARY (languages/sources: O(10^2-10^3) rows per block
-    and on the driver), not the corpus."""
-    import ray as _ray
-
+    """Exact per-stratum row counts: per-block pyarrow combine, merged on
+    the driver as the blocks stream (``driver_merge``) — no shuffle.
+    Bounded by the stratum VOCABULARY (languages/sources: O(10^2-10^3)
+    rows per block and on the driver), not the corpus."""
     counts = {"cnt": (key_col, "count")}
-    refs = ds.map_batches(combiner(key_col, counts), batch_format="pyarrow").to_arrow_refs()
-    parts = [t for t in _ray.get(refs) if t.num_rows]
-    if not parts:
-        return {}
-    g = merger(key_col, counts)(pa.concat_tables(parts))
+    partials = ds.map_batches(combiner(key_col, counts), batch_format="pyarrow")
+    empty = pa.table({key_col: pa.array([], pa.string()), "cnt": pa.array([], pa.int64())})
+    g = driver_merge(blocks(partials), merger(key_col, counts), empty)
     return dict(zip(g.column(0).to_pylist(), g.column(1).to_pylist()))
 
 

@@ -4,14 +4,13 @@ ranking shape).
 
 Scale design:
 - Pass 1 (corpus statistics): per-batch partials — document count, token
-  count, per-query-term document frequency — combined in-block, then a
-  coalesce-merge tree (``stages.aggregate.tree_merge``).  The partial
-  table is ``len(terms)+1`` rows regardless of corpus size; only that
-  reaches the driver.
+  count, per-query-term document frequency — combined in-block, then
+  merged on the driver (``stages.aggregate.driver_merge``).  Each partial
+  is ``len(terms)+1`` rows regardless of corpus size.
 - Pass 2 (scoring): the tiny stats dict is BROADCAST into a second
   streaming pass that computes per-document BM25 against the query
-  terms, prunes to top-k per block, then runs a global sort over
-  <= top x blocks rows.  The corpus is never shuffled.
+  terms and prunes to top-k per block; the driver merges the <= top
+  rows per block into the global top-k.  The corpus is never shuffled.
 
 Determinism / oracle parity: per-term scores are computed in double with
 a FIXED operation order mirrored token-for-token by the SQL oracle
@@ -30,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 
 from georay.dedup import _tokens_nonempty, segment_reduce
-from georay.stages.aggregate import merger, tree_merge
+from georay.stages.aggregate import blocks, driver_merge, merger
 
 K1 = 1.2
 B = 0.75
@@ -77,20 +76,19 @@ _stats_merge = merger(
 
 
 def corpus_stats(docs_ds, terms: list[str], text_col: str = "text") -> dict:
-    """Pass 1: (N docs, total tokens, df per term) — tree-merged partials;
-    only len(terms)+1 rows reach the driver."""
+    """Pass 1: (N docs, total tokens, df per term) — per-block partials
+    merged on the driver; an empty corpus gives zeros."""
     partials = docs_ds.map_batches(
         lambda b: _stats_partial(b, terms, text_col), batch_format="pyarrow"
     )
-    rows = tree_merge(partials, _stats_merge).take_all()
-    stats = {r["term"]: r for r in rows}
-    if _STATS_ROW not in stats:  # empty corpus: Ray skips UDFs on empty blocks
-        return {"n_docs": 0, "n_tokens": 0, "df": {t: 0 for t in terms}}
+    empty = _stats_partial(pa.table({text_col: pa.array([], pa.string())}), terms, text_col)
+    merged = driver_merge(blocks(partials), _stats_merge, empty)
+    stats = {r["term"]: r for r in merged.to_pylist()}
     head = stats[_STATS_ROW]
     return {
         "n_docs": int(head["n_docs"]),
         "n_tokens": int(head["n_tokens"]),
-        "df": {t: int(stats[t]["df"]) if t in stats else 0 for t in terms},
+        "df": {t: int(stats[t]["df"]) for t in terms},
     }
 
 
@@ -131,7 +129,9 @@ def bm25_topk(
     id_col: str = "doc_id",
     stats: dict | None = None,
 ):
-    """Two-pass BM25 top-k.  ``stats`` may be precomputed (e.g. cached
+    """Two-pass BM25 top-k as a one-block Dataset, (``id_col``,
+    ``score_q``) in rank order.  Both passes and the top-k merge run
+    when this is called.  ``stats`` may be precomputed (e.g. cached
     across queries over the same corpus); otherwise pass 1 runs here.
 
     SQL mirror (k1=1.2, b=0.75; identical op order, scores quantized to
@@ -144,17 +144,14 @@ def bm25_topk(
         score_q = SUM(q_t) per doc; ORDER BY score_q DESC, doc_id LIMIT top
     """
     import pyarrow.compute as pc
+    import ray.data
 
+    empty = pa.table({id_col: pa.array([], pa.int64()), "score_q": pa.array([], pa.int64())})
     if stats is None:
         stats = corpus_stats(docs_ds, terms, text_col)
     n_docs, n_tokens = stats["n_docs"], stats["n_tokens"]
     if n_docs == 0:
-        return docs_ds.map_batches(
-            lambda b: pa.table(
-                {id_col: pa.array([], pa.int64()), "score_q": pa.array([], pa.int64())}
-            ),
-            batch_format="pyarrow",
-        )
+        return ray.data.from_arrow(empty)
     avgdl = float(n_tokens) / n_docs
     idf = np.array(
         [
@@ -169,18 +166,11 @@ def bm25_topk(
         batch_format="pyarrow",
     )
 
-    def block_topk(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table(
-                {id_col: pa.array([], pa.int64()), "score_q": pa.array([], pa.int64())}
-            )
+    def topk(b: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
             b, sort_keys=[("score_q", "descending"), (id_col, "ascending")]
         )
         return b.take(idx[:top])
 
-    return (
-        scored.map_batches(block_topk, batch_format="pyarrow")
-        .sort(["score_q", id_col], descending=[True, False])
-        .limit(top)
-    )
+    parts = scored.map_batches(topk, batch_format="pyarrow")
+    return ray.data.from_arrow(driver_merge(blocks(parts), topk, empty))

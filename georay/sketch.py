@@ -5,8 +5,9 @@ engine-level family: this is the simplest production-grade instance —
 per-block value histograms are ASSOCIATIVE, COMMUTATIVE partials
 (exactly like the per-cell envelope partials in stages/aggregate.py),
 so a percentile query over 10^12 rows moves only
-``#blocks × distinct-values-per-block`` histogram rows through a tree
-merge instead of sorting the corpus.  For INTEGER-valued columns
+``#blocks × distinct-values-per-block`` histogram rows to the driver,
+which merges them as they stream (``stages.aggregate.driver_merge``),
+instead of sorting the corpus.  For INTEGER-valued columns
 (lengths, counts, ages-in-days) the result is EXACT — decided in
 integer arithmetic, so the DuckDB ``quantile_disc`` oracle matches
 bit-for-bit.  For unbounded/continuous domains, quantize first (the
@@ -26,15 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from georay.stages.aggregate import combiner, merger
-
-
-def _group_type(batch: pa.Table, group_col: str) -> pa.DataType:
-    """Typed-empty guards must carry the INPUT's group-column type — a
-    hard-coded pa.string() yields schema-mismatched empty blocks for
-    integer-keyed groups (r3 advisor finding)."""
-    idx = batch.schema.get_field_index(group_col)
-    return batch.schema.field(idx).type if idx >= 0 else pa.string()
+from georay.stages.aggregate import blocks, combiner, driver_merge, merger
 
 
 def value_count_partial(batch: pa.Table, group_col: str, value_col: str) -> pa.Table:
@@ -57,13 +50,7 @@ def percentiles_from_counts(batch: pa.Table, ps, group_col: str, value_col: str)
     per group, sort by value, cumulative-sum, and for each p pick the
     smallest value whose cumulative count >= ceil(p * n) — exact
     quantile_disc semantics."""
-    if batch.num_rows == 0:
-        return pa.table(
-            {group_col: pa.array([], _group_type(batch, group_col)),
-             "p": pa.array([], pa.float64()),
-             "value": pa.array([], pa.int64())}
-        )
-    gtype = _group_type(batch, group_col)
+    gtype = batch.schema.field(group_col).type
     df = batch.to_pandas().sort_values([group_col, value_col], kind="stable")
     out_g, out_p, out_v = [], [], []
     for g, sub in df.groupby(group_col, sort=False):
@@ -87,42 +74,23 @@ def percentiles_from_counts(batch: pa.Table, ps, group_col: str, value_col: str)
     )
 
 
-def grouped_percentiles(ds, group_col: str, value_col: str,
-                        ps=(0.5, 0.9, 0.99), fanout: int = 8):
-    """Dataset -> (group, p, value) exact percentiles via the histogram
-    tree: per-block partial, coalesce-merge, one tiny final kernel.  The
-    only data movement is two repartitions of already-combined
-    histograms (rows bounded by groups × distinct values, NOT corpus
-    rows) — which is also the LIMIT of this operator: the merged
-    histogram must fit one task, so groups × distinct values should stay
-    ≤ a few million (quantize wide domains first).  The merged histogram
-    is materialized (it is the small result by design), which also pins
-    the output schema on an all-empty corpus (Ray skips UDFs on empty
-    blocks, so lazy typed-empty guards can never run there)."""
-    from georay.stages.aggregate import tree_merge
+def grouped_percentiles(ds, group_col: str, value_col: str, ps=(0.5, 0.9, 0.99)):
+    """Dataset -> (group, p, value) exact percentiles as a one-block
+    Dataset: per-block histogram partials, merged on the driver as they
+    stream, then one tiny final kernel; all of it runs when this is
+    called.  The only data movement is the already-combined histograms
+    (rows bounded by groups × distinct values, NOT corpus rows), which
+    is also the LIMIT of this operator: the merged histogram must fit
+    the driver, so groups × distinct values should stay ≤ a few million
+    (quantize wide domains first).  An empty corpus gives the typed
+    empty result, with a string group column."""
+    import ray.data
 
     h = ds.map_batches(
         lambda b: value_count_partial(b, group_col, value_col),
         batch_format="pyarrow", batch_size=None,
     )
-    merged = tree_merge(
-        h, lambda b: merge_value_counts(b, group_col, value_col), fanout=fanout
-    ).materialize()
-    if merged.count() == 0:
-        import ray.data as _rd
-
-        # derive the group-column type from the INPUT schema (the merged
-        # empty dataset may be schemaless — Ray skipped every UDF)
-        gtype = pa.string()
-        sch = ds.schema(fetch_if_missing=True)
-        if sch is not None and group_col in sch.names:
-            gtype = dict(zip(sch.names, sch.types))[group_col]
-        return _rd.from_arrow(
-            pa.table({group_col: pa.array([], gtype),
-                      "p": pa.array([], pa.float64()),
-                      "value": pa.array([], pa.int64())})
-        )
-    return merged.map_batches(
-        lambda b: percentiles_from_counts(b, ps, group_col, value_col),
-        batch_format="pyarrow", batch_size=None,
-    )
+    empty = pa.table({group_col: pa.array([], pa.string()), value_col: pa.array([], pa.int64()),
+                      "n": pa.array([], pa.int64())})
+    merged = driver_merge(blocks(h), lambda b: merge_value_counts(b, group_col, value_col), empty)
+    return ray.data.from_arrow(percentiles_from_counts(merged, ps, group_col, value_col))

@@ -17,9 +17,9 @@ two kernels derive from that spec:
    on the key (:mod:`georay.partition`), where every partial of a key
    meets, so each partition's merge is final.
 
-Reductions that keep another route (the driver merge, the fused scan)
-take their kernels from the same two functions.  :func:`tree_merge` is
-for KEYLESS reductions only.
+Reductions that keep another route (the fused scan) take their kernels
+from the same two functions.  A KEYLESS reduction (many partials, one
+small result) is :func:`driver_merge`, on the driver: no exchange.
 """
 
 from __future__ import annotations
@@ -94,16 +94,35 @@ cell_partial_agg = combiner("cell", CELL_AGGS)
 merge_cell_partials = merger("cell", CELL_AGGS)
 
 
-def tree_merge(ds, merge_fn, fanout: int = 8):
-    """Coalesce-merge tree for KEYLESS reductions: coalesce to ``fanout``
-    blocks -> merge -> coalesce to one -> merge, ending in one task that
-    sees every partial.  For global results with no key to partition on
-    (search stats, ANN top-k and centroids, zonal stats, sketches); a
-    keyed merge of partials is
-    ``hash_partition(partials, key, merge, partitions(partials))``."""
-    m = ds.repartition(num_blocks=fanout).map_batches(
-        merge_fn, batch_format="pyarrow", batch_size=None
-    )
-    return m.repartition(1).map_batches(
-        merge_fn, batch_format="pyarrow", batch_size=None
-    )
+def blocks(ds):
+    """``ds``'s blocks streamed to the driver as Arrow tables: the
+    ``parts`` of :func:`driver_merge` for a Dataset."""
+    return ds.iter_batches(batch_size=None, batch_format="pyarrow")
+
+
+def driver_merge(parts, merge, empty):
+    """The one KEYLESS reduce: many small partials -> one small result,
+    merged on the driver.  ``parts`` is any iterable of Arrow tables (a
+    Dataset's :func:`blocks`, or per-file ``pq.read_table`` calls); empty
+    ones are skipped.  ``merge`` must be associative and commutative (it
+    sees the running result concatenated with the tables read since the
+    last merge), and ``empty`` is returned when no row arrives, so the
+    typed-empty result is decided here once.
+
+    The pending tables are merged into the running result once they hold
+    at least as many rows as it does, so the driver holds about twice the
+    output plus one part, never the whole input, and all merges together
+    take about twice the input.  A keyless result is small by nature:
+    an exchange would move the same partials through a sort barrier to
+    end in one task anyway (at 902k flagship partial rows the exchange
+    took 2.9-3.5 s, this merge 0.6-0.8 s; BASELINE.md)."""
+    merged, pending, n_pending = [], [], 0  # merged: [] or [the running result]
+    for t in parts:
+        if t.num_rows:
+            pending.append(t)
+            n_pending += t.num_rows
+            if n_pending >= sum(map(len, merged)):
+                merged, pending, n_pending = [merge(pa.concat_tables(merged + pending))], [], 0
+    if pending:
+        merged = [merge(pa.concat_tables(merged + pending))]
+    return merged[0] if merged else empty

@@ -17,6 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from georay.partition import hash_partition, partitions
+from georay.stages.aggregate import blocks, driver_merge
 
 #: token = maximal run of non-whitespace; SQL mirror:
 #:   length(regexp_extract_all(text, '\S+'))
@@ -240,35 +241,39 @@ def ngram_count_batch(batch: pa.Table, k: int = 3, text_col: str = "text") -> pa
     )
 
 
-def top_ngrams(docs_ds, k: int = 3, top: int = 20, num_partitions: int | None = None):
-    """Global top-``top`` word ``k``-grams by occurrence count.
+def top_ngrams(docs_ds, k: int = 3, top: int = 20):
+    """Global top-``top`` word ``k``-grams by occurrence count, as a
+    one-block Dataset in rank order; it is computed when this is called.
 
     Scale shape: in-block combiner (``ngram_count_batch``) -> ONE hash
     partition on the ngram (:func:`georay.partition.hash_partition`)
     with the final aggregate AND the top-k prune fused in the partition
     kernel (an ngram's partials all hash to the same partition, so
-    partition-local sum + top-k is EXACT) -> global sort over <= top x
-    partitions rows.  The exchange sorts small int32 partition ids
-    instead of the full distinct-ngram string table, and no second
-    shuffle round exists.  Ties break lexicographically so the result
-    is deterministic and oracle-comparable.
+    partition-local sum + top-k is EXACT) -> the driver merges the
+    <= top rows per partition into the global top
+    (``stages.aggregate.driver_merge``).  The exchange sorts small int32
+    partition ids instead of the full distinct-ngram string table, and
+    no second shuffle round exists.  Ties break lexicographically so the
+    result is deterministic and oracle-comparable.
     """
+    import ray.data
+
+    def topk(t: pa.Table) -> pa.Table:
+        return t.sort_by([("cnt", "descending"), ("ngram", "ascending")]).slice(0, top)
+
     def partition_topk(g: pa.Table) -> pa.Table:
         agg = g.group_by("ngram").aggregate([("cnt", "sum")])
-        agg = pa.table({"ngram": agg.column("ngram"), "cnt": agg.column("cnt_sum")})
-        return agg.sort_by([("cnt", "descending"), ("ngram", "ascending")]).slice(0, top)
+        return topk(pa.table({"ngram": agg.column("ngram"), "cnt": agg.column("cnt_sum")}))
 
     # doc count (free plan metadata on a fresh read) scales the count;
     # partial rows (distinct ngrams/block) exceed doc rows, so this is a
     # conservative floor, not an exact size
-    return (
-        hash_partition(
-            docs_ds.map_batches(lambda b: ngram_count_batch(b, k=k), batch_format="pyarrow"),
-            "ngram", partition_topk, num_partitions or partitions(docs_ds),
-        )
-        .sort(["cnt", "ngram"], descending=[True, False])
-        .limit(top)
+    counts = hash_partition(
+        docs_ds.map_batches(lambda b: ngram_count_batch(b, k=k), batch_format="pyarrow"),
+        "ngram", partition_topk, partitions(docs_ds),
     )
+    empty = pa.table({"ngram": pa.array([], pa.string()), "cnt": pa.array([], pa.int64())})
+    return ray.data.from_arrow(driver_merge(blocks(counts), topk, empty))
 
 
 # ---------------------------------------------------------------------------

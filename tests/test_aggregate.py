@@ -175,3 +175,150 @@ class TestKeyedAgg:
         average the averages."""
         with pytest.raises(ValueError, match="mean"):
             combiner("k", {"m": ("v", "mean")})
+
+
+def _empty_docs():
+    import ray.data
+
+    return ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string()),
+        "lang": pa.array([], pa.string()), "n_chars": pa.array([], pa.int64()),
+    }))
+
+
+def _empty_embeddings():
+    import ray.data
+
+    return ray.data.from_arrow(pa.table({
+        "vec_id": pa.array([], pa.int64()), "label": pa.array([], pa.int64()),
+        "embedding": pa.array([], pa.list_(pa.float32())),
+    }))
+
+
+def _schema(ds):
+    assert ds.count() == 0
+    return ds.schema().base_schema
+
+
+def _i64(*names):
+    return [(n, pa.int64()) for n in names]
+
+
+def _bm25(tmp_path):
+    from georay.search import bm25_topk
+
+    stats = {"n_docs": 1, "n_tokens": 1, "df": {"a": 0}}  # forces pass 2 over no row
+    return _schema(bm25_topk(_empty_docs(), ["a"], stats=stats)), pa.schema(_i64("doc_id", "score_q"))
+
+
+def _corpus_stats(tmp_path):
+    from georay.search import corpus_stats
+
+    return corpus_stats(_empty_docs(), ["a", "b"]), {"n_docs": 0, "n_tokens": 0, "df": {"a": 0, "b": 0}}
+
+
+def _top_ngrams(tmp_path):
+    from georay.text import top_ngrams
+
+    return _schema(top_ngrams(_empty_docs())), pa.schema([("ngram", pa.string()), ("cnt", pa.int64())])
+
+
+def _percentiles(tmp_path):
+    from georay.sketch import grouped_percentiles
+
+    got = _schema(grouped_percentiles(_empty_docs(), "lang", "n_chars"))
+    return got, pa.schema([("lang", pa.string()), ("p", pa.float64()), ("value", pa.int64())])
+
+
+def _group_counts(tmp_path):
+    from georay.sample import group_counts
+
+    return group_counts(_empty_docs()), {}
+
+
+def _eval_shingles(tmp_path):
+    from georay.decontam import eval_shingle_set
+
+    h = eval_shingle_set(_empty_docs())
+    return (h.dtype, len(h)), (np.dtype(np.uint64), 0)
+
+
+def _merge_topk(tmp_path):
+    import ray.data
+
+    from georay.ann import merge_topk_partials
+
+    partials = ray.data.from_arrow(pa.table({
+        "query_id": pa.array([], pa.int64()), "vec_id": pa.array([], pa.int64()),
+        "cosine": pa.array([], pa.float64()),
+    }))
+    t = merge_topk_partials(partials, k=3)
+    return (list(t.columns), len(t)), (["query_id", "vec_id", "rank"], 0)
+
+
+def _label_centroids(tmp_path):
+    from georay.ann import label_centroids
+
+    got = _schema(label_centroids(_empty_embeddings()))
+    return got, pa.schema(_i64("label", "pos", "n") + [("centroid", pa.float64())])
+
+
+def _zonal_stats(tmp_path):
+    import ray
+    import ray.data
+
+    from georay.pipelines.polygons import polygon_payload
+    from georay.raster import ZONAL, zonal_stats
+
+    raster = ray.data.from_arrow(pa.table({
+        "tile_x": pa.array([], pa.int64()), "tile_y": pa.array([], pa.int64()),
+        "band": pa.array([], pa.list_(pa.int64())), "n_docs": pa.array([], pa.int64()),
+        "n_px": pa.array([], pa.int64()),
+    }))
+    return _schema(zonal_stats(raster, ray.put(polygon_payload()))), ZONAL
+
+
+def _pack(tmp_path):
+    from georay.pack import pack_sequences
+
+    got = _schema(pack_sequences(_empty_docs(), seq_len=4, key_max=10))  # pass 1 runs
+    return got, pa.schema(_i64("doc_id", "n_tokens", "tok_offset", "bin"))
+
+
+def _top_customers(tmp_path):
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+
+    pq.write_table(pa.table({"o_custkey": pa.array([], pa.int64()),
+                             "o_totalprice": pa.array([], pa.float64())}), tmp_path / "orders.parquet")
+    pq.write_table(pa.table({"c_custkey": pa.array([], pa.int64()),
+                             "c_name": pa.array([], pa.string())}), tmp_path / "customer.parquet")
+    got = _schema(entry._q_top_customers(str(tmp_path)))
+    return got, pa.schema(_i64("o_custkey") + [("c_name", pa.string())] + _i64("total_cents", "n_orders"))
+
+
+class TestDriverMerge:
+    def test_skips_empty_parts_and_returns_empty_when_no_row_arrives(self):
+        from georay.stages.aggregate import driver_merge
+
+        seen = []
+
+        def merge(t):
+            seen.append(t.num_rows)
+            return t
+
+        none = pa.table({"x": pa.array([], pa.int64())})
+        assert driver_merge([none, none], merge, "empty") == "empty" and seen == []
+        got = driver_merge([none, pa.table({"x": [1, 2]}), none, pa.table({"x": [3]})], merge, None)
+        assert got.column("x").to_pylist() == [1, 2, 3] and 0 not in seen
+
+    @pytest.mark.parametrize("reducer", [
+        _bm25, _corpus_stats, _top_ngrams, _percentiles, _group_counts, _eval_shingles,
+        _merge_topk, _label_centroids, _zonal_stats, _pack, _top_customers,
+    ], ids=lambda f: f.__name__.lstrip("_"))
+    def test_every_keyless_reducer_types_its_empty_result(self, ray_session, tmp_path, reducer):
+        """Each reducer that merges through ``driver_merge``, given an
+        input with no row, returns its typed empty result."""
+        got, want = reducer(tmp_path)
+        assert got == want

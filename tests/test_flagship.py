@@ -177,15 +177,14 @@ def _parquet_files(path):
     return sorted(glob.glob(f"{path}/**/*.parquet", recursive=True))
 
 
-def test_partials_merge_file_by_file(tmp_path, monkeypatch):
-    """``_merge_partials`` over many partial files, their cells
-    overlapping, equals one merge of them all; no merge gets more than
-    twice the output plus one file (the driver never holds the input)."""
+def test_partials_merge_file_by_file(tmp_path):
+    """``driver_merge`` over many partial files read one at a time, their
+    cells overlapping (the flagship's driver merge), equals one merge of
+    them all; no merge gets more than twice the output plus one file
+    (the driver never holds the input)."""
     import pyarrow.parquet as pq
 
-    import georay.pipelines.flagship as mod
-    from georay.sources import filesystem
-    from georay.stages.aggregate import cell_partial_agg, merge_cell_partials
+    from georay.stages.aggregate import cell_partial_agg, driver_merge, merge_cell_partials
 
     geo = _ray_free_geo()
     for i in range(40):
@@ -196,11 +195,11 @@ def test_partials_merge_file_by_file(tmp_path, monkeypatch):
         sizes.append(t.num_rows)
         return merge_cell_partials(t)
 
-    monkeypatch.setattr(mod, "merge_cell_partials", recording)
-    got = mod._merge_partials(*filesystem(str(tmp_path)))
+    files = _parquet_files(str(tmp_path))
+    got = driver_merge((pq.read_table(f) for f in files), recording, None)
     want = cell_partial_agg(geo)
     assert got.sort_by("cell").equals(want.sort_by("cell"))
-    biggest_file = max(pq.read_metadata(f).num_rows for f in _parquet_files(str(tmp_path)))
+    biggest_file = max(pq.read_metadata(f).num_rows for f in files)
     assert 1 < len(sizes) < 40 and max(sizes) <= 2 * want.num_rows + biggest_file
 
 
@@ -346,7 +345,9 @@ class TestJoinRunsOnTasks:
         "_q_ann_ivf": "IVFSearch",
         "_q_zonal_stats": "ZonalStats",
         "_q_embed_dup_pairs": "BruteDup",
-        "_q_top_customers": "AttachName",
+        "_q_kmeans": "KMeansAssign",
+        "_q_poly_join": "RelateBoxes",
+        "_q_segment_revenue": "SegmentJoin",
         "_q_media_decode": "ImageDecodeStage",
     }
 

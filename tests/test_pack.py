@@ -28,14 +28,17 @@ def _expected(df, seq_len):
 
 class TestPackSequences:
     @pytest.mark.parametrize("num_buckets,parts", [(4, 3), (4096, None)])
-    def test_matches_serial_scan(self, num_buckets, parts):
-        from georay.pack import pack_sequences
+    def test_matches_serial_scan(self, num_buckets, parts, monkeypatch):
+        """``parts`` fixes the exchange's partition count (None: sized by
+        ``partitions()``)."""
+        import georay.pack as pack_mod
 
+        if parts:
+            monkeypatch.setattr(pack_mod, "partitions", lambda *a, **k: parts)
         df = _docs(200)
         ds = ray.data.from_pandas(df).repartition(5)
         out = (
-            pack_sequences(ds, seq_len=16, num_buckets=num_buckets,
-                           num_partitions=parts)
+            pack_mod.pack_sequences(ds, seq_len=16, num_buckets=num_buckets)
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
@@ -83,48 +86,22 @@ class TestPackSequences:
         assert set(out.schema().names) == {"doc_id", "n_tokens", "tok_offset", "bin"}
 
 
-class TestPass1TreeMerge:
-    def test_nonlocal_ids_tree_path_matches_direct(self, monkeypatch):
-        """With ids deliberately shuffled across many blocks (no key
-        locality) and the direct-concat gate forced to 2 blocks, pass 1
-        must route through the remote fan-in reduce and still produce the
-        exact scan; driver-side concat sees at most
-        ceil(blocks/fanout) x num_buckets rows."""
-        import georay.pack as pack_mod
+class TestPass1DriverMerge:
+    def test_nonlocal_ids_over_many_blocks_match_serial_scan(self):
+        """Pass 1 merges its bucket partials on the driver as the blocks
+        stream.  With ids shuffled across many blocks (no key locality,
+        so every block touches most buckets), merges interleave with
+        arriving blocks and the scan must still be exact."""
+        from georay.pack import pack_sequences
 
-        monkeypatch.setattr(pack_mod, "_DIRECT_MERGE_MAX_BLOCKS", 2)
-        monkeypatch.setattr(pack_mod, "_MERGE_FANOUT", 3)
         df = _docs(300, seed=11)  # ids are a random permutation: non-local
-        ds = ray.data.from_pandas(df).repartition(12)
+        ds = ray.data.from_pandas(df).repartition(24)
         out = (
-            pack_mod.pack_sequences(ds, seq_len=16, num_buckets=8)
+            pack_sequences(ds, seq_len=16, num_buckets=8)
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
         want = _expected(df, 16)
         pd.testing.assert_frame_equal(out.astype(np.int64), want.astype(np.int64))
-
-    def test_driver_concat_bounded(self, monkeypatch):
-        """The ref list handed to the final driver concat never exceeds
-        the gate, regardless of input block count."""
-        import georay.pack as pack_mod
-
-        monkeypatch.setattr(pack_mod, "_DIRECT_MERGE_MAX_BLOCKS", 2)
-        monkeypatch.setattr(pack_mod, "_MERGE_FANOUT", 2)
-        seen = []
-        real = pack_mod._bucket_sums_partial_merge
-
-        def spy(t):
-            seen.append(t.num_rows)
-            return real(t)
-
-        monkeypatch.setattr(pack_mod, "_bucket_sums_partial_merge", spy)
-        df = _docs(200, seed=3)
-        ds = ray.data.from_pandas(df).repartition(10)
-        pack_mod.pack_sequences(ds, seq_len=16, num_buckets=4).to_pandas()
-        # driver-side merge input: <= gate x num_buckets rows (remote
-        # fan-in tasks run the unpatched module-level function, so `seen`
-        # records only the driver call)
-        assert seen and seen[0] <= 2 * 4
 
 
 class TestDataAwarePartitions:
@@ -136,22 +113,6 @@ class TestDataAwarePartitions:
 
         ds = ray.data.range(5000)  # row count is free plan metadata
         assert partitions(ds, rows_per_partition=10) == 500
-
-    def test_explicit_override_wins(self, ray_session, monkeypatch):
-        """An explicit ``num_partitions`` is used as is: the sizer is
-        never consulted."""
-        import georay.pack as pack_mod
-
-        def sizer(*args, **kwargs):
-            raise AssertionError("sized despite an explicit num_partitions")
-
-        monkeypatch.setattr(pack_mod, "partitions", sizer)
-        df = _docs(100)
-        out = (
-            pack_mod.pack_sequences(ray.data.from_pandas(df), seq_len=16, num_partitions=7)
-            .to_pandas().sort_values("doc_id").reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(out.astype(np.int64), _expected(df, 16).astype(np.int64))
 
     def test_unknown_rows_falls_back_to_cluster(self, ray_session):
         from georay.partition import partitions

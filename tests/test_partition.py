@@ -162,13 +162,15 @@ class TestHashPartition:
 
 
 class TestOneMechanism:
-    """georay has one keyed-exchange module: no hand-rolled partition
-    column shuffles, partition hashes or partition sizers elsewhere, and
-    no actor pool over a broadcast side."""
+    """georay has one keyed-exchange module and one keyless reduce: no
+    hand-rolled partition column shuffles, partition hashes, partition
+    sizers or merge trees elsewhere, and no actor pool over a broadcast
+    side."""
 
     FORBIDDEN = re.compile(
         r'groupby\("part"\)|_partition_of|_cluster_partitions|_join_partitions|default_partitions'
-        r'|tree_row_limit|_tree_pairs_from_partials|_join_pairs_from_slim|repartition\(fanout\)'
+        r'|tree_row_limit|_tree_pairs_from_partials|_join_pairs_from_slim|\bfanout\b'
+        r'|tree_merge|_merge_partials|_MERGE_TASK|_DIRECT_MERGE_MAX_BLOCKS|_MERGE_FANOUT|AttachName'
     )
 
     def _sources(self):
@@ -184,10 +186,25 @@ class TestOneMechanism:
         ]
         assert not hits, hits
 
+    def _call_sites(self, hit):
+        """{(file, top-level def)} of every call ``hit(node)`` accepts."""
+        import ast
+
+        sites = set()
+        for path in self._sources():
+            tree = ast.parse(path.read_text())
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and hit(node):
+                        sites.add((path.name, getattr(top, "name", None)))
+        return sites
+
     def test_keyed_merges_have_one_route(self):
-        """The keyed merges take no route knob, and the only coalesce
-        (``.repartition(``) outside ``stages/aggregate.py``'s keyless
-        ``tree_merge`` is ``_q_top_customers``' global top-10."""
+        """The keyed merges take no route knob; no code coalesces blocks
+        (``.repartition(``), since a keyless merge is ``driver_merge``;
+        and the only Dataset ``.sort(`` calls are the exchange's own and
+        ``_q_top_cells``, which tests the engine's total-order operator.
+        A ``.sort(`` with no argument is a list's; ``np.sort`` is numpy's."""
         import ast
         import inspect
 
@@ -197,17 +214,27 @@ class TestOneMechanism:
         for fn in (keyed_agg, band_bucket_pairs):
             knobs = {"mode", "fanout", "tree_row_limit"} & set(inspect.signature(fn).parameters)
             assert not knobs, (fn.__name__, knobs)
-        sites = set()
-        for path in self._sources():
-            if path.parts[-2:] == ("stages", "aggregate.py"):
-                continue
-            src = path.read_text()
-            defs = [n for n in ast.parse(src).body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
-            for i, line in enumerate(src.splitlines(), 1):
-                if ".repartition(" in line:
-                    owner = [d.name for d in defs if d.lineno <= i <= d.end_lineno]
-                    sites.add((path.name, owner[0] if owner else None))
-        assert sites == {("__ray_entry__.py", "_q_top_customers")}
+
+        def method(name):
+            return lambda n: isinstance(n.func, ast.Attribute) and n.func.attr == name
+
+        assert self._call_sites(method("repartition")) == set()
+        sorts = self._call_sites(lambda n: method("sort")(n) and (n.args or n.keywords)
+                                 and ast.unparse(n.func.value) not in ("np", "numpy"))
+        assert sorts == {("partition.py", "_exchange"), ("__ray_entry__.py", "_q_top_cells")}
+
+    def test_keyless_reduces_take_no_knob(self):
+        """The converted reducers lost their tree fan-in and partition
+        knobs: the reduce is ``driver_merge`` and ``partitions()`` sizes
+        the exchanges."""
+        import inspect
+
+        from georay.pack import pack_sequences
+        from georay.sketch import grouped_percentiles
+        from georay.text import top_ngrams
+
+        for fn in (grouped_percentiles, top_ngrams, pack_sequences):
+            assert not {"fanout", "num_partitions"} & set(inspect.signature(fn).parameters)
 
     def test_one_keyed_aggregate(self):
         """Every keyed aggregate is ``keyed_agg``: no code chains a Dataset
@@ -288,22 +315,25 @@ class TestOneMechanism:
         assert readers == ["fits_broadcast"]
 
     def test_broadcast_payloads_fetched_once_per_worker(self):
-        """No nested function in ``dedup.py`` or ``decontam.py`` calls
-        ``ray.get(``: a map that fetches its broadcast payload does so on
-        every batch, where ``cached_map`` fetches it once per worker."""
+        """No nested function in ``dedup.py``, ``decontam.py``, ``ann.py``,
+        ``pack.py`` or ``__ray_entry__.py`` calls ``ray.get(``: a map that
+        fetches its broadcast payload does so on every batch, where
+        ``cached_map`` fetches it once per worker."""
         import ast
 
         root = Path(georay.partition.__file__).parent
         hits = []
-        for name in ("dedup.py", "decontam.py"):
-            for outer in ast.walk(ast.parse((root / name).read_text())):
+        for path in [root / n for n in ("dedup.py", "decontam.py", "ann.py", "pack.py")] + [
+            root.parent / "__ray_entry__.py"
+        ]:
+            for outer in ast.walk(ast.parse(path.read_text())):
                 if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 for inner in ast.walk(outer):
                     if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.Lambda)):
                         continue
                     hits += [
-                        f"{name}:{node.lineno}: {ast.unparse(node)[:80]}"
+                        f"{path.name}:{node.lineno}: {ast.unparse(node)[:80]}"
                         for node in ast.walk(inner)
                         if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ray.get")
                     ]
