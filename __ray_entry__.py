@@ -545,18 +545,14 @@ def _minhash_verified_pairs(sf_dir: str):
     cached = _MINHASH_CACHE.get(sf_dir)
     if cached is not None:
         return cached
-    from georay.dedup import band_bucket_pairs, jaccard_verify_pairs, minhash_band_batch
+    from georay.dedup import band_bucket_pairs, jaccard_verify_pairs, minhash_band_batch, real_pairs
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     banded = ds.map_batches(minhash_band_batch, batch_format="pyarrow")
-    cand = band_bucket_pairs(banded).materialize()
     # surface bucket truncation loudly instead of letting the flag column
     # (and the marker rows of truncated buckets, doc_a < 0) silently
     # vanish in the verification join
-    n_trunc = cand.map_batches(
-        lambda b: pa.table({"t": b.column("truncated").cast(pa.int32())}),
-        batch_format="pyarrow",
-    ).sum("t")
+    pairs, n_trunc = real_pairs(band_bucket_pairs(banded))
     if n_trunc:
         import logging
 
@@ -565,19 +561,7 @@ def _minhash_verified_pairs(sf_dir: str):
             "rows): pairs beyond the cap were not generated — near-dup "
             "recall is partial for the affected clusters", n_trunc,
         )
-
-    def real_pairs(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table(
-                {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())}
-            )
-        b = b.filter(pa.compute.greater_equal(b.column("doc_a"), 0))
-        return b.select(["doc_a", "doc_b"])
-
-    verified = jaccard_verify_pairs(
-        cand.map_batches(real_pairs, batch_format="pyarrow"),
-        ds, k=3, threshold_num=1, threshold_den=2,
-    )
+    verified = jaccard_verify_pairs(pairs, ds, k=3, threshold_num=1, threshold_den=2)
     out = verified.map_batches(
         lambda b: b.select(["doc_a", "doc_b"]), batch_format="pyarrow"
     ).materialize()
@@ -586,10 +570,11 @@ def _minhash_verified_pairs(sf_dir: str):
 
 
 def _q_minhash_pairs(sf_dir: str):
-    """MinHash+LSH candidates (keyed exchanges on (band, key), then on the pair)
-    verified with EXACT 3-shingle Jaccard >= 1/2 decided in integer
-    arithmetic.  Oracle-checkable: the SQL mirror computes all-pairs exact
-    Jaccard; LSH recall at the planted-pair similarity (J >= 0.9 in the
+    """MinHash+LSH candidates (``band_bucket_pairs``: on the driver while
+    the banded rows fit ``BROADCAST_BYTES``, else keyed exchanges on
+    (band, key), then on the pair) verified with EXACT 3-shingle Jaccard
+    >= 1/2 decided in integer arithmetic.  Oracle-checkable: the SQL
+    mirror computes all-pairs exact Jaccard; LSH recall at the planted-pair similarity (J >= 0.9 in the
     testdata, 32 bands x 4 rows) has miss probability ~(1-0.9^4)^32 ≈
     1e-15, so both sides emit the identical pair set."""
     return _minhash_verified_pairs(sf_dir)
@@ -597,10 +582,12 @@ def _q_minhash_pairs(sf_dir: str):
 
 def _q_minhash_pairs_join(sf_dir: str):
     """Same verified MinHash+LSH pair set as `minhash_pairs`, by the same
-    route: ``band_bucket_pairs`` has one, two keyed exchanges sized by
-    the data, which serves unbounded bucket-table cardinality (10^12-doc
-    corpora) with no single merge task.  The query keeps its name and its
-    SQL mirror, which is identical to `minhash_pairs`'s."""
+    route: ``band_bucket_pairs`` pairs the buckets on the driver while the
+    banded rows fit ``BROADCAST_BYTES``, and past it runs two keyed
+    exchanges sized by the data, which serve unbounded bucket-table
+    cardinality (10^12-doc corpora) with no single merge task.  The query
+    keeps its name and its SQL mirror, which is identical to
+    `minhash_pairs`'s."""
     return _minhash_verified_pairs(sf_dir)
 
 

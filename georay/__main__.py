@@ -91,46 +91,31 @@ def cmd_dedup(args):
         connected_components,
         jaccard_verify_pairs,
         minhash_band_batch,
+        real_pairs,
     )
-
-    import pyarrow as pa
+    from georay.partition import broadcast_or_none
 
     docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
     banded = docs.map_batches(minhash_band_batch, batch_format="pyarrow")
-    cand = band_bucket_pairs(banded).materialize()
-    # surface partial-recall loudly: hot-bucket truncation flags (and the
-    # marker rows of truncated buckets, doc_a < 0) would otherwise vanish
-    # in the verify join and the CLI would print a clean success over
-    # incomplete dedup
-    n_trunc = cand.map_batches(
-        lambda b: pa.table({"t": b.column("truncated").cast(pa.int32())}),
-        batch_format="pyarrow",
-    ).sum("t") or 0
+    # hot-bucket truncation fails loudly: its flags and marker rows would
+    # otherwise vanish in the verify join behind a clean-looking summary
+    pairs, n_trunc = real_pairs(band_bucket_pairs(banded))
     if n_trunc:
         print(
             f"warning: {n_trunc} candidate rows flagged truncated — near-dup "
             "recall is partial for oversized clusters (raise max_bucket)",
             file=sys.stderr,
         )
-
-    def real_pairs(b):
-        if b.num_rows == 0:
-            return pa.table(
-                {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())}
-            )
-        b = b.filter(pa.compute.greater_equal(b.column("doc_a"), 0))
-        return b.select(["doc_a", "doc_b"])
-
     verified = jaccard_verify_pairs(
-        cand.map_batches(real_pairs, batch_format="pyarrow"), docs, k=3,
-        threshold_num=args.threshold_num, threshold_den=args.threshold_den,
+        pairs, docs, k=3, threshold_num=args.threshold_num, threshold_den=args.threshold_den,
     )
-    resolution = connected_components(verified).materialize()
+    # a resolution within BROADCAST_BYTES is a driver table: write it there
+    res, resolution = broadcast_or_none(connected_components(verified))
     full_docs = ray.data.read_parquet(args.input)
     n_docs = full_docs.count()  # parquet metadata count — no scan
     # the survivors stream read -> filter -> write; their count comes
     # from the footers of the files the write leaves
-    write_output(resolution, os.path.join(args.out, "resolution"))
+    write_output(resolution if res is None else res, os.path.join(args.out, "resolution"))
     surv_dir = os.path.join(args.out, "survivors")
     write_output(apply_dedup(full_docs, resolution), surv_dir)
     n_out = parquet_rows(surv_dir)

@@ -7,9 +7,10 @@ Scale design (SURVEY.md §2.8):
 - MinHash+LSH: per-batch signature computation is fully vectorized
   (token hash -> shingle hash -> P universal-hash permutations with
   ``np.minimum.reduceat`` over the flattened token stream); banding emits
-  (band, band_hash) keys, the band buckets meet in one hash partition on
-  (band, key) that expands their pairs, and one more on (doc_a, doc_b)
-  keeps each pair once.
+  (band, band_hash) keys, each band bucket expands its pairs, and each
+  pair is kept once: on the driver while the banded rows fit
+  ``BROADCAST_BYTES``, else one hash partition on (band, key) and one
+  on (doc_a, doc_b).
 - SimHash: 64-bit sign-aggregated token hashes; near-dup = hamming
   distance <= d via multi-index (4x16-bit block keys, exact check per
   bucket).
@@ -364,8 +365,8 @@ def minhash_band_batch(
     text_col: str = "text", id_col: str = "doc_id",
 ) -> pa.Table:
     """map_batches kernel: docs -> exploded (band, key, doc_id) rows.
-    The downstream (band, key) hash partition moves 16 bytes per
-    (doc, band) instead of the documents themselves."""
+    The bucket step downstream (:func:`band_bucket_pairs`) moves 20 bytes
+    per (doc, band) instead of the documents themselves."""
     sig = minhash_signatures(batch.column(text_col).combine_chunks(), num_perm, k)
     keys = lsh_band_keys(sig, bands)
     n = len(batch)
@@ -448,18 +449,14 @@ def _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, num_parti
     return kernel
 
 
-def _distinct_pairs(pairs, num_partitions: int):
+def _distinct_pairs(t: pa.Table) -> pa.Table:
     """(doc_a, doc_b, truncated) rows -> one row per distinct pair, flagged
-    if any of its rows was: one hash_partition on (doc_a, doc_b)."""
-
-    def kernel(t: pa.Table) -> pa.Table:
-        g = t.group_by(["doc_a", "doc_b"]).aggregate([("truncated", "max")])
-        return pa.table(
-            [g.column("doc_a"), g.column("doc_b"), g.column("truncated_max")],
-            schema=_PAIRS_SCHEMA,
-        )
-
-    return hash_partition(pairs, ["doc_a", "doc_b"], kernel, num_partitions)
+    if any of its rows was."""
+    g = t.group_by(["doc_a", "doc_b"]).aggregate([("truncated", "max")])
+    return pa.table(
+        [g.column("doc_a"), g.column("doc_b"), g.column("truncated_max")],
+        schema=_PAIRS_SCHEMA,
+    )
 
 
 def band_bucket_pairs(
@@ -467,36 +464,74 @@ def band_bucket_pairs(
     payload_col: str | None = None, pair_filter=None,
 ):
     """(band, key, id[, payload]) rows -> distinct candidate pairs
-    ``(doc_a, doc_b, truncated)`` with doc_a < doc_b.
+    ``(doc_a, doc_b, truncated)`` with doc_a < doc_b, in two steps:
 
-    Two keyed exchanges (:func:`georay.partition.hash_partition`), each
-    sized by :func:`~georay.partition.partitions`, so no task holds every
-    bucket:
-
-    1. on ``(band, key)``: each partition lexsorts its rows, de-duplicates
-       ids per bucket and expands every bucket's upper-triangle pairs in
-       one vectorized pass, applying ``pair_filter`` inline;
-    2. on ``(doc_a, doc_b)``: a pair that collides in several bands is
+    1. per ``(band, key)`` bucket: lexsort the rows, de-duplicate ids per
+       bucket and expand every bucket's upper-triangle pairs in one
+       vectorized pass, applying ``pair_filter`` inline;
+    2. per ``(doc_a, doc_b)``: a pair that collides in several bands is
        kept once, flagged if any of its buckets was truncated.
 
+    While the banded rows fit ``BROADCAST_BYTES``
+    (:func:`georay.partition.broadcast_or_none`) both steps run on the
+    driver's table as one partition: no exchange.  Past it each step is a
+    :func:`georay.partition.hash_partition` sized by ``partitions()`` from
+    the materialized row count, so no task holds every bucket.
+
     Hot buckets (pathological all-identical shards) have one rule,
-    TRUNCATE (the rule of the former default route).  A bucket with more than ``max_bucket`` distinct ids keeps
+    TRUNCATE.  A bucket with more than ``max_bucket`` distinct ids keeps
     its ``max_bucket`` smallest ids, and every pair it emits is flagged
     ``truncated``.  A truncated bucket whose pairs were all rejected
     emits one marker row, ``doc_a = -1`` with a DISTINCT negative
     ``doc_b`` across all partitions, so the pair-distinct cannot collapse
-    the count; consumers filter ``doc_a < 0``, never the literal pair
-    (-1, -1).  Pass ``max_bucket=None`` to disable the cap.
+    the count; consumers filter ``doc_a < 0`` (:func:`real_pairs`), never
+    the literal pair (-1, -1).  Pass ``max_bucket=None`` to disable the
+    cap.
 
     ``payload_col``/``pair_filter``: a fixed-width per-doc payload (e.g.
-    the 64-bit simhash) rides the bucket shuffle and
+    the 64-bit simhash) rides with the bucket rows and
     ``pair_filter(payload_a, payload_b) -> bool mask`` verifies candidate
     pairs INLINE at expansion — candidates never join back against the
     corpus, and only verified pairs leave the stage.
     """
+    import ray.data
+
+    table, banded_ds = broadcast_or_none(banded_ds)
+    if table is not None:
+        kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, 1)
+        return ray.data.from_arrow(_distinct_pairs(kernel(table)))
     n = partitions(banded_ds)
     kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, n)
-    return _distinct_pairs(hash_partition(banded_ds, ["band", "key"], kernel, n), n)
+    pairs = hash_partition(banded_ds, ["band", "key"], kernel, n)
+    return hash_partition(pairs, ["doc_a", "doc_b"], _distinct_pairs, n)
+
+
+def _drop_markers(b: pa.Table) -> pa.Table:
+    return b.filter(pc.greater_equal(b.column("doc_a"), 0)).select(["doc_a", "doc_b"])
+
+
+def real_pairs(cand_ds):
+    """:func:`band_bucket_pairs` rows -> ``(pairs_ds, n_truncated)``: the
+    ``(doc_a, doc_b)`` pairs without marker rows, and the rows flagged
+    truncated (nonzero whenever a bucket hit ``max_bucket``).  Arrow
+    compute on the driver while the rows fit ``BROADCAST_BYTES``
+    (:func:`georay.partition.broadcast_or_none`); past it, one plan
+    counts the flags and one map drops the markers."""
+    import ray.data
+
+    empty = _PAIRS_SCHEMA.empty_table().select(["doc_a", "doc_b"])
+    cand, cand_ds = broadcast_or_none(cand_ds)
+    if cand is not None:
+        if cand.num_rows == 0:
+            return ray.data.from_arrow(empty), 0
+        n_truncated = pc.sum(cand.column("truncated").cast(pa.int64())).as_py()
+        return ray.data.from_arrow(_drop_markers(cand)), n_truncated
+    n_truncated = cand_ds.map_batches(
+        lambda b: pa.table({"t": b.column("truncated").cast(pa.int64())}), batch_format="pyarrow",
+    ).sum("t") or 0
+    pairs = cand_ds.map_batches(_drop_markers, batch_format="pyarrow").materialize()
+    # Ray skips a map on empty blocks, so no pair at all leaves no schema
+    return (pairs if pairs.count() else ray.data.from_arrow(empty)), n_truncated
 
 
 def jaccard_ngrams(a: str, b: str, k: int = 3) -> float:
@@ -614,14 +649,16 @@ def simhash_pairs(ds, max_hamming: int = 3, max_bucket: int = 512,
     (:func:`simhash_index_keys`): docs sharing any table's block-subset
     key are candidates (recall 1 for hamming <= ``max_hamming`` by
     pigeonhole), verified INLINE by exact hamming distance — the 8-byte
-    simhash rides the bucket shuffle as a ``band_bucket_pairs`` payload,
+    simhash rides the bucket rows as a ``band_bucket_pairs`` payload,
     so candidates never hash-join back against the corpus (the round-2
     shape paid two distributed joins here).  Candidate-pair expansion
-    is ``band_bucket_pairs``: two keyed exchanges sized by the data.
-    ``blocks`` tunes the recall/volume trade-off: C(blocks, max_hamming)
-    tables, key width ~``64 * (1 - max_hamming/blocks)`` bits (6/3 -> 20
-    tables, ~32-bit keys — bucket cardinality grows with the corpus
-    instead of capping at 2^16)."""
+    is ``band_bucket_pairs`` (on the driver while the banded rows fit
+    ``BROADCAST_BYTES``, else two keyed exchanges sized by the data), and
+    :func:`real_pairs` counts its truncated rows.  ``blocks`` tunes the
+    recall/volume trade-off: C(blocks, max_hamming) tables, key width
+    ~``64 * (1 - max_hamming/blocks)`` bits (6/3 -> 20 tables, ~32-bit
+    keys — bucket cardinality grows with the corpus instead of capping at
+    2^16)."""
     # one simhash pass over the corpus; table keys are re-derived from
     # the 64-bit hash by shifting (the banded branch must not re-run the
     # dominant token-hashing upstream)
@@ -650,39 +687,19 @@ def simhash_pairs(ds, max_hamming: int = 3, max_bucket: int = 512,
             }
         )
 
-    verified = band_bucket_pairs(
+    pairs, trunc = real_pairs(band_bucket_pairs(
         sims_slim.map_batches(banded, batch_format="pyarrow"),
         max_bucket=max_bucket,
         payload_col="sim",
         pair_filter=lambda sa, sb: hamming64(sa, sb) <= max_hamming,
-    ).materialize()
-
-    import ray.data as _rd
-
-    empty = pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
-    if verified.count() == 0:
-        # Ray skips the UDF on empty blocks, so an all-empty dataset
-        # cannot be re-typed by map_batches guards — pin the schema with
-        # a literal empty dataset (r3 review finding).  Zero rows also
-        # means zero markers, i.e. genuinely no truncation: the stats
-        # contract must still be honoured with an explicit 0
-        if stats_out is not None:
-            stats_out["truncated_candidate_pairs"] = 0
-        return _rd.from_arrow(empty)
-
-    trunc = verified.map_batches(
-        lambda b: pa.table({"t": b.column("truncated").cast(pa.int32())}),
-        batch_format="pyarrow",
-    ).sum("t")
+    ))
     if stats_out is not None:
         # programmatic truncation contract (the warning below is for
         # humans): rows from buckets that hit the max_bucket cap —
-        # verified pairs from truncated buckets, plus one (-1, -k)
-        # marker per truncated bucket whose pairs were all
-        # hamming-rejected (distinct doc_b so the pair-distinct cannot
-        # collapse the count), so the count is nonzero WHENEVER the
-        # recall-1 guarantee was voided
-        stats_out["truncated_candidate_pairs"] = int(trunc or 0)
+        # verified pairs from truncated buckets, plus one marker per
+        # truncated bucket whose pairs were all hamming-rejected — so the
+        # count is nonzero WHENEVER the recall-1 guarantee was voided
+        stats_out["truncated_candidate_pairs"] = trunc
     if trunc:
         import logging
 
@@ -692,18 +709,7 @@ def simhash_pairs(ds, max_hamming: int = 3, max_bucket: int = 512,
             "hold for this run; raise max_bucket for exact results",
             max_bucket,
         )
-    def final(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return empty
-        # drop (-1,-1) truncation marker rows — they carry the flag for
-        # the stats/warning above, not real pairs
-        b = b.filter(pc.greater_equal(b.column("doc_a"), 0))
-        return b.select(["doc_a", "doc_b"])
-
-    out = verified.map_batches(final, batch_format="pyarrow").materialize()
-    if out.count() == 0:  # all rows were markers: re-pin the schema
-        return _rd.from_arrow(empty)
-    return out
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +824,8 @@ def embed_lsh_pairs(ds, threshold: float = 0.9, n_tables: int = 8, n_planes: int
     # free when ds is a fresh read/materialized — is a lower bound that
     # still scales the count with the corpus
     n = partitions(ds)
-    pairs = _distinct_pairs(hash_partition(banded, ["band", "key"], verify_partition, n), n)
+    pairs = hash_partition(hash_partition(banded, ["band", "key"], verify_partition, n),
+                           ["doc_a", "doc_b"], _distinct_pairs, n)
 
     def _typed_pairs(b: pa.Table) -> pa.Table:
         return pa.table({"vec_a": b.column("doc_a"), "vec_b": b.column("doc_b")})

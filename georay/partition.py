@@ -17,8 +17,10 @@ Two exchange primitives, one broadcast rule and one broadcast kernel:
   exchange at all: it measures the small side and, when it fits
   ``BROADCAST_BYTES``, hands it back as one table for the caller to
   ``ray.put``, so the large side streams through a plain map with no
-  shuffle.  A side over the budget keeps the exchange.
-  :func:`fits_broadcast` is its comparison against the budget.
+  shuffle; a one-input step whose whole input fits (the LSH bucket
+  pairing) runs on that table on the driver.  A side over the budget
+  keeps the exchange.  :func:`fits_broadcast` is its comparison against
+  the budget.
 - :func:`cached_map` is that plain map: it builds the stage's class from
   the broadcast refs once per worker process and calls it on each batch,
   so a broadcast stage runs as plain tasks, never an actor pool.  The
@@ -53,9 +55,10 @@ import pyarrow.compute as pc
 MAX_PARTITIONS = 65_536
 #: largest measured side, in bytes, that :func:`broadcast_or_none` hands
 #: back for a broadcast instead of an exchange.  The crossover is not
-#: measured: every timed side is far below it (dedup_near's 589 pairs
-#: 9 KB, its 401 candidate texts 355 KB, its resolution 6 KB; the
-#: segment_revenue customers 308 KB at sf0.1), and none sits near it.
+#: measured: every timed side is far below it (dedup_near's banded
+#: (band, key, id) rows about 1.3 MB, its 589 pairs 9 KB, its 401
+#: candidate texts 355 KB, its resolution 6 KB; the segment_revenue
+#: customers 308 KB at sf0.1), and none sits near it.
 #: At 64 MiB the driver would run FastSV on about 4M edges and every
 #: verify task would fetch 64 MiB of texts; whether that still beats the
 #: exchange is open.  It also bounds the payload bytes each worker's
@@ -71,8 +74,10 @@ _PART, _SIDE = "_part", "_side"
 #: fewest rows one tagging task takes: small blocks are bundled, so the
 #: sort's map side runs a few tasks instead of one per small block (its
 #: task count was the exchange's fixed cost at small scale); a block this
-#: large keeps a task of its own.  Ray does not fuse such a map into the
-#: map before it, so that map keeps its parallelism.
+#: large keeps a task of its own.  Ray (2.49) fuses the tag map into a map
+#: before it, and the bundling then applies to that fused operator's
+#: input: an exchange over ``dedup_near``'s 2,000 docs ran
+#: ``MapBatches(minhash_band_batch)->MapBatches(tag)`` as one task.
 _TAG_ROWS = 8192
 _PREFIX = ("l:", "r:")
 

@@ -29,7 +29,7 @@ from ray.data import Datasink
 from georay import cells
 from georay.partition import cached_map
 from georay.pipelines.polygons import polygon_payload
-from georay.sources import filesystem, remove_dir, replace_dir
+from georay.sources import filesystem, remove_dir, replace_dir, write_output
 from georay.stages.aggregate import (
     CELL_AGGS, cell_partial_agg, driver_merge, keyed_agg, merge_cell_partials,
 )
@@ -165,9 +165,9 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
       driver then merges the partials one file at a time
       (:func:`~georay.stages.aggregate.driver_merge`: at 8M pages 902k
       partial rows into 15.6k cells) and writes ``cell_agg/`` as one
-      file, so the run is one plan.  The partials are deleted even if
-      the merge fails.  No output is read
-      back through Ray: the return value is the sink's ``{output:
+      file (:func:`~georay.sources.write_output`), so the run is one
+      plan.  The partials are deleted even if the merge fails.  No output
+      is read back through Ray: the return value is the sink's ``{output:
       {"rows", "bytes"}}`` counts (``tiles``, ``join_rows``,
       ``_partials``), and ``cell_agg``'s row count is in its footers
       (``georay.sources.parquet_rows``).  Each output
@@ -192,8 +192,7 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
         if sink.counts["_partials"]["rows"]:
             files = fs.get_file_info(pafs.FileSelector(f"{root}/_partials"))
             parts = (pq.read_table(p, filesystem=fs) for p in sorted(i.path for i in files))
-            pq.write_table(driver_merge(parts, merge_cell_partials, None),
-                           f"{root}/cell_agg/{sink.uuid}.parquet", filesystem=fs)
+            write_output(driver_merge(parts, merge_cell_partials, None), f"{out_dir}/cell_agg")
     finally:
         remove_dir(f"{out_dir}/_partials")
     return sink.counts

@@ -10,13 +10,15 @@ that cannot prune at the read).  :func:`read_gml` maps the reference's
 XML-document source to a Dataset: every file parsed inside
 ``map_batches`` (the XML never leaves the worker — only the slim
 geometry summary rows do).  :func:`write_output` is the one way a
-pipeline writes an output directory from a Dataset, and
-:func:`parquet_rows` counts an output's rows from its footers.
+pipeline writes an output directory, from a Dataset or from a table on
+the driver, and :func:`parquet_rows` counts an output's rows from its
+footers.
 """
 
 from __future__ import annotations
 
 import os
+import uuid
 
 
 def filesystem(path: str):
@@ -27,19 +29,28 @@ def filesystem(path: str):
     return pafs.FileSystem.from_uri(path if "://" in path else os.path.abspath(path))
 
 
-def write_output(ds, path: str, **kwargs) -> bool:
-    """``ds.write_parquet(path, **kwargs)``, replacing whatever an earlier
-    run left under ``path`` (Ray's default appends, so a re-run would
-    double every output and every read-back of it).  The directory exists
-    afterwards even when ``ds`` has no rows (Ray removes it then), so
-    reading the output back whole gives an empty dataset instead of
-    raising.  Returns whether the write left anything under ``path``:
-    ``False`` when ``ds`` had no rows."""
+def write_output(data, path: str, **kwargs) -> bool:
+    """Write ``data`` (a Dataset, by ``data.write_parquet(path,
+    **kwargs)``; or a ``pa.Table`` on the driver, as one ``<uuid>.parquet``
+    with no plan) as the parquet directory ``path``, replacing whatever an
+    earlier run left there (Ray's default appends, so a re-run would
+    double every output).  The directory exists afterwards even when
+    ``data`` has no rows (Ray removes it then), so reading the output back
+    whole gives an empty dataset instead of raising.  Returns whether the
+    write left anything under ``path``: ``False`` when ``data`` had no
+    rows."""
+    import pyarrow as pa
     import pyarrow.fs as pafs
+    import pyarrow.parquet as pq
     from ray.data.datasource import SaveMode
 
-    ds.write_parquet(path, mode=SaveMode.OVERWRITE, **kwargs)
     fs, p = filesystem(path)
+    if isinstance(data, pa.Table):
+        replace_dir(path)
+        if data.num_rows:
+            pq.write_table(data, f"{p}/{uuid.uuid4().hex}.parquet", filesystem=fs)
+        return data.num_rows > 0
+    data.write_parquet(path, mode=SaveMode.OVERWRITE, **kwargs)
     fs.create_dir(p)
     return bool(fs.get_file_info(pafs.FileSelector(p)))
 

@@ -53,9 +53,12 @@ class TestRerunReplacesOutputs:
         out = str(tmp_path / "dedup")
         first = cli("dedup", "--input", src, "--out", out)
         survivors = _sorted(f"{out}/survivors", ["doc_id"])
+        resolution = _sorted(f"{out}/resolution", ["doc_id"])
         assert first["survivors"] == len(survivors["doc_id"]) == first["input_docs"] - first["dropped"]
+        assert first["clustered_docs"] == len(resolution["doc_id"]) > 0
         assert cli("dedup", "--input", src, "--out", out) == first
         assert _sorted(f"{out}/survivors", ["doc_id"]) == survivors
+        assert _sorted(f"{out}/resolution", ["doc_id"]) == resolution
 
 
 class TestNoGeoInput:

@@ -444,6 +444,8 @@ class TestPairSchemaAndTruncationObservability:
         from georay.partition import part_of
 
         P = 64
+        # P sizes only the exchange route: on the driver there is one partition
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
         monkeypatch.setattr(dedup, "partitions", lambda *a, **k: P)
         part = lambda k: int(part_of([np.array([0]), np.array([k])], P)[0])  # noqa: E731
         other = next(k for k in range(8, 1000) if part(k) != part(7))
@@ -482,6 +484,19 @@ class TestMaxBucketNone:
         out = band_bucket_pairs(ray.data.from_arrow(t), max_bucket=None).to_pandas()
         assert set(zip(out.doc_a, out.doc_b)) == want
         assert not out.truncated.any()
+
+
+class TestBucketPairsExchangeRoute(TestPairSchemaAndTruncationObservability, TestMaxBucketNone):
+    """The truncation, hot-bucket and ``max_bucket=None`` tests again past
+    the budget (``BROADCAST_BYTES = 0``): ``band_bucket_pairs`` runs its
+    two keyed exchanges and :func:`georay.dedup.real_pairs` its Dataset
+    route."""
+
+    @pytest.fixture(autouse=True)
+    def _over_budget(self, monkeypatch, exchanges):
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
+        yield
+        assert "hash_partition" in exchanges
 
 
 class TestJaccardVectorized:
@@ -549,15 +564,29 @@ class TestBandBucketPairs:
     @pytest.mark.parametrize("num_partitions", [1, 3, 64])
     @pytest.mark.parametrize("filtered", [False, True])
     def test_matches_brute_force(self, ray_session, monkeypatch, num_partitions, filtered):
-        """Any partition count gives the brute-force pairs, truncation
-        flags and marker count, with and without an inline payload
-        filter."""
+        """On the exchange route any partition count gives the brute-force
+        pairs, truncation flags and marker count, with and without an
+        inline payload filter."""
+        import georay.dedup as dedup
+
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
+        monkeypatch.setattr(dedup, "partitions", lambda *a, **k: num_partitions)
+        self._check(filtered)
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_driver_route_matches_brute_force(self, ray_session, exchanges, filtered):
+        """Within the budget the same brute-force check holds with no
+        keyed exchange."""
+        self._check(filtered)
+        assert not exchanges
+
+    @staticmethod
+    def _check(filtered):
         import pyarrow as pa
         import ray.data
 
         import georay.dedup as dedup
 
-        monkeypatch.setattr(dedup, "partitions", lambda *a, **k: num_partitions)
         rng = np.random.default_rng(2)
         n = 300
         ids = rng.integers(0, 60, n)
@@ -771,9 +800,10 @@ def exchanges(monkeypatch):
 def _both_routes(monkeypatch, exchanges, run, exchange="copartition"):
     """``run()`` on the default (broadcast) route, then again with
     ``BROADCAST_BYTES = 0``, which forces every side over the budget onto
-    the exchange route; checks that only the second started ``exchange``."""
+    the exchange route; checks that the first started no keyed exchange
+    and the second started ``exchange``."""
     broadcast = run()
-    assert exchange not in exchanges
+    assert not exchanges
     monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
     shuffled = run()
     assert exchange in exchanges
@@ -881,6 +911,37 @@ class TestRouteParity:
         assert _sorted_pairs(out) == [(0, 1)]
         assert len(calls) == 2 and sides == [3, 3]
 
+    def test_band_bucket_pairs(self, ray_session, monkeypatch, exchanges):
+        """Truncated buckets, with an inline filter: the same real pairs
+        and flags on both routes, and as many marker rows (their
+        ``doc_b`` depends on the partition count)."""
+        import ray.data
+
+        from georay.dedup import band_bucket_pairs
+
+        rng = np.random.default_rng(7)
+        n = 400
+        ids = rng.integers(0, 80, n)
+        t = pa.table({
+            "band": pa.array(rng.integers(0, 4, n), pa.int32()),
+            "key": pa.array(rng.integers(0, 12, n), pa.int64()),
+            "doc_id": pa.array(ids, pa.int64()),
+            "sim": pa.array(ids % 13, pa.int64()),
+        })
+
+        def run():
+            out = band_bucket_pairs(
+                ray.data.from_arrow(t).repartition(3), max_bucket=6,
+                payload_col="sim", pair_filter=lambda a, b: a == b,
+            ).to_pandas()
+            real = out[out.doc_a >= 0]
+            return dict(zip(zip(real.doc_a, real.doc_b), real.truncated)), int((out.doc_a < 0).sum())
+
+        broadcast, shuffled = _both_routes(monkeypatch, exchanges, run, "hash_partition")
+        assert broadcast == shuffled
+        flags, n_markers = broadcast
+        assert any(flags.values()) and not all(flags.values()) and n_markers > 0
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_components_seeded_graphs(self, ray_session, monkeypatch, exchanges, seed):
         import ray.data
@@ -972,3 +1033,37 @@ class TestRouteParity:
         summary, survivors, _ = broadcast
         assert survivors["doc_id"] == sorted(set(range(len(texts))) - dups)
         assert summary["survivors"] == len(texts) - len(dups)
+
+    def test_dedup_cli_hot_bucket_fails_loudly(self, ray_session, monkeypatch, exchanges, tmp_path,
+                                               capsys):
+        """A corpus whose copies overflow ``max_bucket`` (lowered to 4 so
+        the corpus stays small): on both routes the CLI warns on stderr
+        and its summary's ``truncated_candidates`` is nonzero, and the
+        two summaries agree."""
+        import functools
+        import json
+
+        import pyarrow.parquet as pq
+        import ray
+
+        import georay.dedup as dd
+        from georay.__main__ import main
+
+        capped = functools.partial(dd.band_bucket_pairs, max_bucket=4)
+        monkeypatch.setattr(dd, "band_bucket_pairs", capped)
+        src = str(tmp_path / "docs.parquet")
+        pq.write_table(tbl([DOC] * 12 + [FAR, "one two three four five six"]), src)
+        monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)
+        outs = iter([str(tmp_path / "out0"), str(tmp_path / "out1")])
+
+        def run():
+            main(["dedup", "--input", src, "--out", next(outs)])
+            captured = capsys.readouterr()
+            assert "flagged truncated" in captured.err
+            summary = json.loads(captured.out.strip().splitlines()[-1])
+            summary.pop("out")
+            return summary
+
+        broadcast, shuffled = _both_routes(monkeypatch, exchanges, run)
+        assert broadcast == shuffled
+        assert broadcast["truncated_candidates"] > 0
