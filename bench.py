@@ -187,10 +187,9 @@ def run_flagship(pages_dir: str, num_cpus: int, res: int = 7, repeats: int = 2):
 
     import pyarrow.parquet as pq
     import ray
-    import ray.data
 
-    from georay.pipelines.flagship import flagship
-    from georay.sources import parquet_rows
+    from georay.pipelines.flagship import TILE_MIN_ROWS_PER_FILE, flagship
+    from georay.sources import parquet_rows, read_parquet_grouped
 
     if not ray.is_initialized():
         # cap per-worker Arrow IO threads: otherwise a low num_cpus run
@@ -207,13 +206,12 @@ def run_flagship(pages_dir: str, num_cpus: int, res: int = 7, repeats: int = 2):
     wall = join_rows = n_cells = None
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        # Block count is sized to the DATA, not the CPU count, so runs at
-        # different parallelism process identical task shapes; the read is
-        # pruned to the columns the pipeline uses (no `text`)
-        pages = ray.data.read_parquet(
-            pages_dir,
-            override_num_blocks=128,
-            columns=["url", "warc_ts", "html", "lang", "doc_id"],
+        # Task count is sized to the DATA, not the CPU count, so runs at
+        # different parallelism process identical task shapes: whole files,
+        # about the sink's row floor per task, each writing one file set.
+        # The read is pruned to the columns the pipeline uses (no `text`)
+        pages = read_parquet_grouped(
+            pages_dir, ["url", "warc_ts", "html", "lang", "doc_id"], TILE_MIN_ROWS_PER_FILE
         )
         counts = flagship(pages, res=res, out_dir=out_dir)
         run_wall = time.perf_counter() - t0

@@ -34,10 +34,11 @@ def _init_ray(num_cpus: int | None):
 
 def cmd_flagship(args):
     ray = _init_ray(args.num_cpus)
-    from georay.pipelines.flagship import flagship
+    from georay.pipelines.flagship import TILE_MIN_ROWS_PER_FILE, flagship
     from georay.pipelines.pages import read_pages
 
-    out = flagship(read_pages(args.sf_dir), res=args.res, predicate=args.predicate, out_dir=args.out)
+    pages = read_pages(args.sf_dir, TILE_MIN_ROWS_PER_FILE)
+    out = flagship(pages, res=args.res, predicate=args.predicate, out_dir=args.out)
     if args.out:
         join_rows, cells = out["join_rows"]["rows"], parquet_rows(f"{args.out}/cell_agg")
     else:

@@ -7,12 +7,16 @@ This is the end-to-end path BASELINE.md's throughput metric measures
 :func:`flagship`, each over its own pages read, and :func:`geo_dataset`
 is the one extract -> filter -> reproject -> cellize chain.  Every stage
 is a streaming ``map_batches`` over zero-copy Arrow.  With an output
-directory the geo rows stream once into :class:`FlagshipSink`, whose
-write tasks emit the tiles, the join rows and the per-cell partials
-together, so the whole run is one Ray Data plan.  The partials are
-already combined down to one row per (write task, cell), and the driver
-merges them file by file into ``cell_agg`` (``driver_merge``): nothing
-shuffles.
+directory the whole run is one Ray Data plan of one operator,
+``ReadParquet->...->Write`` when the pages are read with
+``read_pages(sf_dir, TILE_MIN_ROWS_PER_FILE)``: each read task gets whole
+files, at least ``TILE_MIN_ROWS_PER_FILE`` pages, extracts their geo rows
+and streams them into :class:`FlagshipSink`, which writes the tiles, the
+join rows and the per-cell partials from that same task.  The plan's block target is
+``SINK_BLOCK_BYTES``, so Ray Data starts its tasks together.  The
+partials are already combined down to one row per (task, cell), and the
+driver merges them file by file into ``cell_agg`` (``driver_merge``):
+nothing shuffles.
 """
 
 from __future__ import annotations
@@ -59,15 +63,27 @@ def geo_dataset(pages, res: int = 7):
     return ds
 
 
-#: Floor on rows per :class:`FlagshipSink` write task (its
-#: ``min_rows_per_write``).  Without it each input block is its own write
-#: task, and every task writes one tile file per res-2 prefix, a join file
-#: and a partials file: 256 tile files of ~150 rows for 40k pages.  Ray
-#: meets the floor by bundling the input of the fused extract->write
-#: operator, counted in *page* rows, so the floor also caps that
-#: operator's task count: at 40k pages on 2 CPUs, 250_000 ran the extract
-#: chain as one task, 20_000 as two.
+#: Floor on the pages each read task of the flagship gets
+#: (:func:`georay.sources.read_parquet_grouped`, which the CLI's
+#: ``read_pages(sf_dir, TILE_MIN_ROWS_PER_FILE)`` and ``bench.py`` use).
+#: The sink fuses into the read, so each read task is one
+#: :class:`FlagshipSink` write task, and every write task
+#: writes one tile file per res-2 prefix, a join file and a partials
+#: file (one write task per input block gave 256 tile files of ~150 rows
+#: for 40k pages).  The floor also caps the task count: 40k pages in 8
+#: files run as 2 tasks of 4 files each.  A floor on the write instead
+#: (``min_rows_per_write``) makes Ray bundle the sink's input, and it
+#: then refuses to fuse the read into the sink's tasks.
 TILE_MIN_ROWS_PER_FILE = 20_000
+
+#: ``target_max_block_size`` of the sink plan only.  Until a plan's first
+#: task finishes, Ray Data budgets each running task at 2 x this target
+#: and admits tasks while they fit half the object store: at Ray's
+#: default 128 MiB that is 256 MiB per task, over the 200 MB of a 400 MB
+#: store, so each sink task would run alone.  At 16 MiB a task is
+#: budgeted at 32 MiB and several fit even that store.  The estimate is
+#: honest: a sink task's only object-store output is its counts dict.
+SINK_BLOCK_BYTES = 16 << 20
 
 #: what :class:`FlagshipSink` writes under ``out_dir``; ``_partials`` only
 #: lives until :func:`flagship` has merged it into ``cell_agg``
@@ -94,10 +110,6 @@ class FlagshipSink(Datasink):
         self.join_fn = join_fn
         self.uuid = uuid.uuid4().hex
         self.counts = None
-
-    @property
-    def min_rows_per_write(self) -> int:
-        return TILE_MIN_ROWS_PER_FILE
 
     def on_write_start(self) -> None:
         # cell_agg too: a run that fails before its merge leaves no stale
@@ -161,12 +173,16 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
 
     - ``out_dir`` given (the deployment form): one plan streams the geo
       rows into :class:`FlagshipSink`, which writes ``tiles/``,
-      ``join_rows/`` and the per-task cell partials from each task; the
-      driver then merges the partials one file at a time
-      (:func:`~georay.stages.aggregate.driver_merge`: at 8M pages 902k
-      partial rows into 15.6k cells) and writes ``cell_agg/`` as one
-      file (:func:`~georay.sources.write_output`), so the run is one
-      plan.  The partials are deleted even if the merge fails.  No output
+      ``join_rows/`` and the per-task cell partials from each task.  The
+      sink fuses into the read, so each read task writes one file set:
+      read with :func:`georay.sources.read_parquet_grouped` (as
+      ``read_pages(sf_dir, TILE_MIN_ROWS_PER_FILE)`` does), or a read of
+      many small blocks writes many small files.  The driver then merges the partials, one row per
+      (task, cell), one file at a time
+      (:func:`~georay.stages.aggregate.driver_merge`) and writes
+      ``cell_agg/`` as one file (:func:`~georay.sources.write_output`),
+      so the run is one plan.  The partials are deleted even if the
+      merge fails.  No output
       is read back through Ray: the return value is the sink's ``{output:
       {"rows", "bytes"}}`` counts (``tiles``, ``join_rows``,
       ``_partials``), and ``cell_agg``'s row count is in its footers
@@ -186,6 +202,9 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
         return joined, keyed_agg(geo, "cell", CELL_AGGS)
 
     sink = FlagshipSink(out_dir, join_fn)
+    # the context the pages read made for this chain, not Ray's global
+    # one: the exchanges and every other plan keep the default target
+    geo.context.target_max_block_size = SINK_BLOCK_BYTES
     try:
         geo.write_datasink(sink)
         fs, root = filesystem(out_dir)

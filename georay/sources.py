@@ -12,7 +12,8 @@ XML-document source to a Dataset: every file parsed inside
 geometry summary rows do).  :func:`write_output` is the one way a
 pipeline writes an output directory, from a Dataset or from a table on
 the driver, and :func:`parquet_rows` counts an output's rows from its
-footers.
+footers.  :func:`read_parquet_grouped` reads whole files per task, at
+least a given number of rows each.
 """
 
 from __future__ import annotations
@@ -73,19 +74,60 @@ def replace_dir(path: str) -> None:
     fs.create_dir(p)
 
 
-def parquet_rows(path: str) -> int:
-    """Rows in the parquet files directly under the directory ``path`` (a
-    local path or a filesystem URI), from their footers: no data is read."""
+def parquet_file_rows(path: str) -> dict:
+    """``{file: rows}`` of the parquet file ``path`` or of every
+    ``.parquet`` file under the directory ``path`` at any depth (a local
+    path or a filesystem URI), from their footers: no data is read.  A
+    missing ``path`` gives ``{}``."""
     import pyarrow.fs as pafs
     import pyarrow.parquet as pq
 
     fs, p = filesystem(path)
-    infos = fs.get_file_info(pafs.FileSelector(p, allow_not_found=True))
-    return sum(
-        pq.read_metadata(i.path, filesystem=fs).num_rows
-        for i in infos
-        if i.path.endswith(".parquet")
-    )
+    info = fs.get_file_info(p)
+    if info.type == pafs.FileType.Directory:
+        files = [i.path for i in fs.get_file_info(pafs.FileSelector(p, recursive=True))
+                 if i.is_file and i.path.endswith(".parquet")]
+    else:
+        files = [p] if info.is_file else []
+    return {f: pq.read_metadata(f, filesystem=fs).num_rows for f in sorted(files)}
+
+
+def parquet_rows(path: str) -> int:
+    """Rows in the parquet file or directory ``path``
+    (:func:`parquet_file_rows`), from the footers."""
+    return sum(parquet_file_rows(path).values())
+
+
+def read_parquet_grouped(path: str, columns, min_rows: int):
+    """``ray.data.read_parquet(path, columns=columns)`` in blocks of at
+    least ``min_rows`` rows when the files are of one size (one block when
+    all the rows are fewer), the rows counted from the footers.
+
+    While a file holds fewer than ``min_rows`` rows on average, each read
+    task gets ``ceil(min_rows / rows per file)`` whole files or more, and
+    a file holding ``min_rows`` to ``2 * min_rows - 1`` rows is a task of
+    its own: no file is split, so Ray adds no ``SplitBlocks`` and the maps
+    and the write after the read fuse into its tasks.  A file holding
+    ``k * min_rows`` rows or more (``k`` > 1) is read by one task and split
+    into ``k`` blocks, so a big file still feeds ``k`` tasks after its
+    read.  Raises ``FileNotFoundError`` when ``path`` holds no parquet
+    file."""
+    import math
+
+    import ray.data
+
+    files = parquet_file_rows(path)
+    if not files:
+        raise FileNotFoundError(f"no parquet file under {path!r}")
+    n, rows = len(files), sum(files.values())
+    split = rows // (min_rows * n)
+    if split:
+        # Ray splits each of the n read tasks' output into blocks / n
+        blocks = n * split
+    else:
+        # Ray hands each task a contiguous run of files, n // blocks or more
+        blocks = max(1, n // math.ceil(min_rows * n / max(rows, 1)))
+    return ray.data.read_parquet(path, columns=columns, override_num_blocks=blocks)
 
 
 def read_table(path: str, fmt: str | None = None, columns=None, override_num_blocks=None):

@@ -73,9 +73,21 @@ def keyed_agg(ds, on, aggs: dict):
     :func:`~georay.partition.hash_partition` on ``on`` merges them with
     :func:`merger`.  The partition count follows the data
     (:func:`~georay.partition.partitions`), so no task holds every key.
-    Lazy: nothing runs until the result is consumed."""
-    partials = ds.map_batches(combiner(on, aggs), batch_format="pyarrow")
-    return hash_partition(partials, on, merger(on, aggs), partitions(partials))
+    Lazy: nothing runs until the result is consumed.
+
+    A materialized ``ds`` with no row gives the typed empty result
+    without an exchange: the exchange runs no kernel over an empty
+    partition, so its output would have no schema."""
+    from ray.data.dataset import MaterializedDataset
+
+    combine, merge = combiner(on, aggs), merger(on, aggs)
+    schema = ds.schema() if isinstance(ds, MaterializedDataset) and ds.count() == 0 else None
+    if schema is not None and isinstance(schema.base_schema, pa.Schema):
+        import ray.data
+
+        return ray.data.from_arrow(merge(combine(schema.base_schema.empty_table())))
+    partials = ds.map_batches(combine, batch_format="pyarrow")
+    return hash_partition(partials, on, merge, partitions(partials))
 
 
 #: the per-cell aggregate: (cell, n_docs, minlon, minlat, maxlon, maxlat,

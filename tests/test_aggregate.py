@@ -165,6 +165,18 @@ class TestKeyedAgg:
         merged = merger(["s", "t"], ALL_OPS)(part)
         assert merged.num_rows == 0 and merged.schema == want
 
+    def test_empty_table_keeps_the_output_columns(self, ray_session):
+        """A typed input with no row gives no row, under the typed output
+        columns: Ray runs no kernel over an empty partition, so only the
+        typed empty result ``keyed_agg`` hands the exchange carries them."""
+        import ray.data
+
+        empty = _rows(10, 0).slice(0, 0)
+        want = merger(["s", "t"], ALL_OPS)(combiner(["s", "t"], ALL_OPS)(empty)).schema
+        out = keyed_agg(ray.data.from_arrow(empty), ["s", "t"], ALL_OPS)
+        assert out.count() == 0
+        assert out.schema().base_schema == want
+
     def test_kernel_names_say_which_aggregate(self):
         assert cell_partial_agg.__name__ == "cell_partial_agg"
         assert merge_cell_partials.__name__ == "merge_cell_partials"

@@ -13,10 +13,28 @@ SF = "/root/testdata/sf0.001"
 OUTPUTS = ["cell_agg", "join_rows", "tiles"]
 
 
-def _pages():
+def _pages(sf=SF):
+    """The pages of ``sf`` read as the CLI's flagship reads them: whole
+    files per task, at least ``TILE_MIN_ROWS_PER_FILE`` pages each (looked
+    up when called, so a test may lower it)."""
+    import georay.pipelines.flagship as mod
     from georay.pipelines.pages import read_pages
 
-    return read_pages(SF)
+    return read_pages(sf, mod.TILE_MIN_ROWS_PER_FILE)
+
+
+def _multi_file_sf(root, files: int = 4) -> str:
+    """A scale-factor directory under ``root`` whose pages input is
+    sf0.001's documents split into ``files`` parquet files
+    (``documents.parquet/part-*.parquet``, as perfbench writes it)."""
+    import pyarrow.parquet as pq
+
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    (root / "documents.parquet").mkdir(parents=True)
+    step = -(-docs.num_rows // files)
+    for i in range(files):
+        pq.write_table(docs.slice(i * step, step), root / "documents.parquet" / f"part-{i:05d}.parquet")
+    return str(root)
 
 
 def _sorted_rows(ds, keys):
@@ -150,6 +168,43 @@ class TestFlagshipGeoCache:
         assert sorted(os.listdir(out)) == OUTPUTS
 
 
+def test_sink_tasks_run_at_once(ray_session, tmp_path, monkeypatch):
+    """Two sink tasks run at the same time on an object store capped at
+    200 MB, the share of perfbench's 400 MB store Ray Data plans with.
+    Each task waits at a file barrier until the other has started; a
+    plan that admits one task at a time lets the first one time out."""
+    import os
+    import time
+
+    from ray.data import ExecutionResources
+
+    import georay.pipelines.flagship as mod
+
+    barrier = str(tmp_path / "barrier")
+    os.mkdir(barrier)
+
+    class Meets(mod.FlagshipSink):
+        def write(self, blocks, ctx):
+            open(f"{barrier}/started-{ctx.task_idx}", "w").close()
+            deadline = time.monotonic() + 30
+            while sum(f.startswith("started-") for f in os.listdir(barrier)) < 2:
+                if time.monotonic() > deadline:
+                    open(f"{barrier}/alone-{ctx.task_idx}", "w").close()
+                    break
+                time.sleep(0.05)
+            return super().write(blocks, ctx)
+
+    monkeypatch.setattr(mod, "FlagshipSink", Meets)
+    # 500 pages in 4 files: 2 read tasks of 2 files each
+    monkeypatch.setattr(mod, "TILE_MIN_ROWS_PER_FILE", 250)
+    pages = _pages(_multi_file_sf(tmp_path / "in"))
+    pages.context.execution_options.resource_limits = ExecutionResources(object_store_memory=200 * 10**6)
+    counts = mod.flagship(pages, out_dir=str(tmp_path / "run"))
+    assert counts["tiles"]["rows"] == _ray_free_geo().num_rows
+    marks = sorted(os.listdir(barrier))
+    assert len(marks) == 2 and all(m.startswith("started-") for m in marks), marks
+
+
 def _ray_free_geo():
     """The sf0.001 geo rows through the flagship's own kernels, no Ray."""
     import pyarrow.parquet as pq
@@ -233,17 +288,31 @@ class TestTileLayout:
         rows = sum(pq.read_metadata(f).num_rows for f in _parquet_files(f"{run}/tiles"))
         assert rows == _ray_free_geo().num_rows
 
-    def test_tile_file_count_is_bounded_by_the_row_floor(self, run):
-        import math
+    def test_tile_file_count_is_bounded_by_the_row_floor(self, run, ray_session, tmp_path, monkeypatch):
+        """Each read task writes one file set, and every task holds at
+        least the floor's pages: at most ``pages // floor`` tasks (one when
+        the pages are fewer), each writing one tile file per prefix it
+        holds (files are named after their task).  Checked on the one-file
+        sf0.001 (one task) and on a four-file input with the floor lowered
+        to two files' worth (two tasks)."""
         import os
 
-        from georay.pipelines.flagship import TILE_MIN_ROWS_PER_FILE
+        import pyarrow.parquet as pq
 
-        files = _parquet_files(f"{run}/tiles")
-        prefixes = {os.path.dirname(f) for f in files}
-        geo_rows = _ray_free_geo().num_rows
-        # one file per (input block, prefix) would grow with the block count
-        assert len(files) <= len(prefixes) * math.ceil(geo_rows / TILE_MIN_ROWS_PER_FILE)
+        import georay.pipelines.flagship as mod
+
+        pages = pq.read_metadata(f"{SF}/documents.parquet").num_rows
+        multi = str(tmp_path / "multi")
+        default = mod.TILE_MIN_ROWS_PER_FILE
+        monkeypatch.setattr(mod, "TILE_MIN_ROWS_PER_FILE", pages // 2)
+        mod.flagship(_pages(_multi_file_sf(tmp_path / "in")), out_dir=multi)
+        for out, floor in ((run, default), (multi, pages // 2)):
+            files = _parquet_files(f"{out}/tiles")
+            prefixes = {os.path.dirname(f) for f in files}
+            tasks = {os.path.basename(f) for f in files}
+            assert len(tasks) == max(1, pages // floor), out
+            # one file per (input block, prefix) would grow with the block count
+            assert len(files) <= len(prefixes) * len(tasks)
 
     def test_join_rows_equal_ray_free_join(self, run):
         import pyarrow as pa
@@ -333,6 +402,11 @@ class TestJoinRunsOnTasks:
         assert len(log.plans) == 1, log.plans
         assert "ActorPoolMapOperator" not in log.plans[0]
         assert reads == []
+        # one operator: the read, the maps and the write share each task
+        _, ops = log.plans[0].split(": ", 1)
+        source, op = ops.split(" -> ")
+        assert source == "InputDataBuffer[Input]", ops
+        assert op.startswith("TaskPoolMapOperator[ReadParquet->") and op.endswith("->Write]"), ops
 
     #: each broadcast query and the class its ``cached_map`` runs
     KERNELS = {

@@ -6,7 +6,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from georay.extract import extract_geo_batch, extract_geo_columns
-from georay.sources import read_table
+from georay.sources import read_parquet_grouped, read_table
 
 
 class TestInvalidUtf8:
@@ -72,6 +72,78 @@ class TestSourceFormats:
     def test_unknown_format_raises(self):
         with pytest.raises(ValueError):
             read_table("/tmp/x.xyz", fmt="xyz")
+
+
+class TestReadParquetGrouped:
+    """The flagship's read: whole files per task, each task at least the
+    row floor when the files are of one size; a file of twice the floor
+    or more is split after its read."""
+
+    @staticmethod
+    def _read_op(ds):
+        """(the read operator's name, its tasks executed) of a run of ``ds``."""
+        import re
+
+        stats = ds.materialize().stats()
+        m = re.search(r"Operator \d+ (ReadParquet\S*): (\d+) tasks executed", stats)
+        assert m, stats
+        return m.group(1), int(m.group(2))
+
+    @staticmethod
+    def _rows_per_write_task(ds, root):
+        """Rows each task of ``ds.write_datasink`` got, in no order."""
+        import os
+
+        from ray.data import Datasink
+        from ray.data.block import BlockAccessor
+
+        class RowsPerTask(Datasink):
+            def write(self, blocks, ctx):
+                n = sum(BlockAccessor.for_block(b).num_rows() for b in blocks)
+                with open(f"{root}/{ctx.task_idx}", "w") as f:
+                    f.write(str(n))
+
+        os.mkdir(root)
+        ds.write_datasink(RowsPerTask())
+        return [int(open(f"{root}/{name}").read()) for name in os.listdir(root)]
+
+    @staticmethod
+    def _files(root, sizes):
+        root.mkdir()
+        start = 0
+        for i, n in enumerate(sizes):
+            pq.write_table(pa.table({"x": pa.array(range(start, start + n), pa.int64())}), root / f"part-{i}.parquet")
+            start += n
+        return str(root), start
+
+    @pytest.mark.parametrize(
+        "sizes, floor, read_op, write_tasks",
+        [
+            ([20] * 5, 20, ("ReadParquet", 5), 5),
+            ([20] * 5, 30, ("ReadParquet", 2), 2),
+            ([20] * 5, 45, ("ReadParquet", 1), 1),
+            ([20] * 5, 10_000, ("ReadParquet", 1), 1),
+            ([5_000], 10_000, ("ReadParquet", 1), 1),
+            ([5_000], 3_000, ("ReadParquet", 1), 1),
+            ([5_000], 1_000, ("ReadParquet->SplitBlocks(5)", 1), 5),
+        ],
+    )
+    def test_each_task_holds_the_floor(self, ray_session, tmp_path, sizes, floor, read_op, write_tasks):
+        path, rows = self._files(tmp_path / "in", sizes)
+        if len(sizes) == 1:
+            path = f"{path}/part-0.parquet"
+        ds = read_parquet_grouped(path, ["x"], floor)
+        assert self._read_op(ds) == read_op
+        got = self._rows_per_write_task(ds, str(tmp_path / "tasks"))
+        assert len(got) == write_tasks and sum(got) == rows
+        assert min(got) >= min(floor, rows), got
+        assert sorted(ds.to_pandas()["x"]) == list(range(rows))
+
+    def test_no_file_raises(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        for path in (tmp_path / "empty", tmp_path / "missing"):
+            with pytest.raises(FileNotFoundError, match="no parquet file"):
+                read_parquet_grouped(str(path), ["x"], 100)
 
 
 class TestReadGml:
