@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from georay.sources import filesystem, parquet_rows, remove_dir, write_output
+from georay.sources import PLAN_BLOCK_BYTES, filesystem, parquet_rows, remove_dir, write_output
 
 
 def _init_ray(num_cpus: int | None):
@@ -97,6 +97,9 @@ def cmd_dedup(args):
     from georay.partition import broadcast_or_none
 
     docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
+    # each read's own context (the Datasets derived from it share it),
+    # so their tasks start together; Ray's global context keeps its default
+    docs.context.target_max_block_size = PLAN_BLOCK_BYTES
     banded = docs.map_batches(minhash_band_batch, batch_format="pyarrow")
     # hot-bucket truncation fails loudly: its flags and marker rows would
     # otherwise vanish in the verify join behind a clean-looking summary
@@ -113,6 +116,7 @@ def cmd_dedup(args):
     # a resolution within BROADCAST_BYTES is a driver table: write it there
     res, resolution = broadcast_or_none(connected_components(verified))
     full_docs = ray.data.read_parquet(args.input)
+    full_docs.context.target_max_block_size = PLAN_BLOCK_BYTES
     n_docs = full_docs.count()  # parquet metadata count — no scan
     # the survivors stream read -> filter -> write; their count comes
     # from the footers of the files the write leaves

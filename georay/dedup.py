@@ -5,8 +5,9 @@ Scale design (SURVEY.md §2.8):
 - exact: hash text -> hash-partition groupby -> keep min id (no full-text
   shuffle; only 16-byte digests move).
 - MinHash+LSH: per-batch signature computation is fully vectorized
-  (token hash -> shingle hash -> P universal-hash permutations with
-  ``np.minimum.reduceat`` over the flattened token stream); banding emits
+  (token hash, each distinct token once -> shingle hash -> P
+  universal-hash permutations with ``np.minimum.reduceat`` over the
+  flattened token stream); banding emits
   (band, band_hash) keys, each band bucket expands its pairs, and each
   pair is kept once: on the driver while the banded rows fit
   ``BROADCAST_BYTES``, else one hash partition on (band, key) and one
@@ -134,24 +135,48 @@ def _perm_params(num_perm: int, seed: int = 7):
     return a, b
 
 
-def _tokens_nonempty(text: pa.Array):
-    """Whitespace split -> (token object array, per-doc offsets) with empty
-    tokens dropped (splitting '' — or padded text — yields empty tokens).
-    Null docs contribute zero tokens."""
+def _split_nonempty(text: pa.Array):
+    """Whitespace split -> (flat Arrow token array, per-doc offsets) with
+    empty tokens dropped (splitting '' — or padded text — yields empty
+    tokens).  Null docs contribute zero tokens."""
     toks = pc.split_pattern_regex(text, r"\s+")
     flat = toks.flatten()
     offsets = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    n = len(text)
+    if len(flat):
+        keep = pc.utf8_length(flat).to_numpy(zero_copy_only=False) > 0
+        if not keep.all():
+            kept_cum = np.concatenate([[0], np.cumsum(keep.astype(np.int64))])
+            offsets = kept_cum[offsets]
+            flat = flat.filter(pa.array(keep))
+    return flat, offsets
+
+
+def _tokens_nonempty(text: pa.Array):
+    """:func:`_split_nonempty` with the tokens as a numpy object array."""
+    flat, offsets = _split_nonempty(text)
+    return flat.to_numpy(zero_copy_only=False), offsets
+
+
+#: ``pd.util.hash_array``'s default key
+_PANDAS_KEY = "0123456789123456"
+
+
+def _token_hashes(text: pa.Array, *hash_keys: str):
+    """Whitespace tokens (split as :func:`_tokens_nonempty` splits them)
+    -> ([uint64 token hash per key in ``hash_keys``], per-doc offsets).
+
+    Each distinct token is hashed once: the tokens are dictionary-encoded
+    and only the vocabulary becomes Python strings (a few thousand
+    distinct tokens against tens of thousands of tokens per file).
+    ``pd.util.hash_array`` hashes each value on its own, so the result is
+    bit-identical to hashing every token."""
+    flat, offsets = _split_nonempty(text)
     if len(flat) == 0:
-        return np.empty(0, dtype=object), np.zeros(n + 1, np.int64)
-    tok_np = flat.to_numpy(zero_copy_only=False)
-    lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-    keep = lens > 0
-    if not keep.all():
-        kept_cum = np.concatenate([[0], np.cumsum(keep.astype(np.int64))])
-        offsets = kept_cum[offsets]
-        tok_np = tok_np[keep]
-    return tok_np, offsets
+        return [np.empty(0, np.uint64) for _ in hash_keys], offsets
+    enc = pc.dictionary_encode(flat)
+    vocab = enc.dictionary.to_numpy(zero_copy_only=False)
+    idx = enc.indices.to_numpy()
+    return [pd.util.hash_array(vocab, hash_key=key, categorize=False)[idx] for key in hash_keys], offsets
 
 
 def _gather_segments(n_per_seg: np.ndarray, src_starts: np.ndarray):
@@ -208,11 +233,7 @@ def _roll_shingles(th: np.ndarray, offsets: np.ndarray, k: int):
 def _shingle_hashes(text: pa.Array, k: int = 3):
     """Whitespace tokens -> rolling k-token shingle hashes (uint64),
     flattened across the batch with per-doc offsets; fully vectorized."""
-    tok_np, offsets = _tokens_nonempty(text)
-    n = len(offsets) - 1
-    if len(tok_np) == 0:
-        return np.empty(0, np.uint64), np.zeros(n + 1, np.int64)
-    th = pd.util.hash_array(tok_np).astype(np.uint64)
+    (th,), offsets = _token_hashes(text, _PANDAS_KEY)
     return _roll_shingles(th, offsets, k)
 
 
@@ -222,13 +243,7 @@ def _shingle_hashes2(text: pa.Array, k: int = 3):
     (h1, h2) pairs match exact string-shingle sets up to a ~2^-128
     collision probability — safe to stand in for string sets in
     oracle-checked integer-Jaccard comparisons."""
-    tok_np, offsets = _tokens_nonempty(text)
-    n = len(offsets) - 1
-    if len(tok_np) == 0:
-        z = np.empty(0, np.uint64)
-        return z, z, np.zeros(n + 1, np.int64)
-    th1 = pd.util.hash_array(tok_np, hash_key=_KEY_A).astype(np.uint64)
-    th2 = pd.util.hash_array(tok_np, hash_key=_KEY_B).astype(np.uint64)
+    (th1, th2), offsets = _token_hashes(text, _KEY_A, _KEY_B)
     h1, off = _roll_shingles(th1, offsets, k)
     h2, _ = _roll_shingles(th2, offsets, k)
     return h1, h2, off
@@ -314,7 +329,10 @@ def winnow_minima(values: np.ndarray, offsets: np.ndarray, window: int = 4):
 
 
 def minhash_signatures(text: pa.Array, num_perm: int = 128, k: int = 3) -> np.ndarray:
-    """(n_docs, num_perm) uint64 MinHash signatures; empty docs get all-max."""
+    """(n_docs, num_perm) uint64 MinHash signatures; empty docs get all-max.
+
+    Each distinct token of the batch is hashed once (:func:`_token_hashes`)
+    and each permutation is one branch-free pass over the shingle hashes."""
     sh, offsets = _shingle_hashes(text, k)
     n = len(offsets) - 1
     sig = np.full((n, num_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
@@ -322,25 +340,34 @@ def minhash_signatures(text: pa.Array, num_perm: int = 128, k: int = 3) -> np.nd
         return sig
     a, b = _perm_params(num_perm)
     # The permutation loop is the minhash hot path: num_perm full passes
-    # over every shingle hash.  Two optimizations, both BIT-EXACT vs the
-    # naive `(a*sh + b) % MERSENNE_P` (the SQL oracle mirrors the wrapped
+    # over every shingle hash.  All of it is BIT-EXACT vs the naive
+    # `(a*sh + b) % MERSENNE_P` (the SQL oracle mirrors the wrapped
     # uint64 intermediate, so results must not change):
     #   * Mersenne fold instead of integer division — for x < 2^64 and
     #     P = 2^61-1, x = q*(P+1) + r gives x mod P = (q + r) mod P with
-    #     q = x>>61 <= 7, so one conditional subtract finishes the mod.
-    #   * preallocated out= buffers — zero allocations per permutation
-    #     (the naive form allocates ~4 shingle-sized temporaries each).
+    #     q = x>>61 <= 7, so fold = r + q <= P + 7 and one subtract of P
+    #     finishes the mod.  It is taken as min(fold, fold - P): when
+    #     fold < P the subtraction wraps above fold, so the min keeps it;
+    #   * preallocated out= buffers — zero allocations per permutation;
+    #   * the non-empty docs' ``reduceat`` starts are computed once (see
+    #     :func:`segment_reduce`), and each permutation's minima fill one
+    #     row of a (num_perm, docs) array, transposed once at the end.
+    nonempty = offsets[:-1] < offsets[1:]
+    starts = offsets[:-1][nonempty]
+    rows = np.empty((num_perm, len(starts)), np.uint64)
     tmp = np.empty_like(sh)
     fold = np.empty_like(sh)
     shift = np.uint64(61)
     for p in range(num_perm):
-        np.multiply(sh, a[p], out=tmp)   # wraps mod 2^64, same as before
+        np.multiply(sh, a[p], out=tmp)   # wraps mod 2^64
         np.add(tmp, b[p], out=tmp)
         np.bitwise_and(tmp, MERSENNE_P, out=fold)
         np.right_shift(tmp, shift, out=tmp)
         np.add(fold, tmp, out=fold)
-        fold[fold >= MERSENNE_P] -= MERSENNE_P
-        sig[:, p] = segment_reduce(np.minimum, fold, offsets, np.iinfo(np.uint64).max)
+        np.subtract(fold, MERSENNE_P, out=tmp)
+        np.minimum(fold, tmp, out=fold)
+        np.minimum.reduceat(fold, starts, out=rows[p])
+    sig[nonempty] = rows.T
     return sig
 
 
@@ -564,19 +591,20 @@ def simhash_batch(
     """64-bit SimHash per document + 4x16-bit block keys for hamming-<=3
     candidate bucketing (Charikar 2002 / Manku et al. 2007, public).
 
-    ``hash_impl="fast"`` (default): pandas' vectorized C hash kernel.
+    ``hash_impl="fast"`` (default): pandas' vectorized C hash kernel over
+    each distinct token (:func:`_token_hashes`).
     ``hash_impl="md5"``: DuckDB-mirrorable ``md5_number_lower`` token hash
     (vocabulary-bounded hashing of unique tokens) — the oracle-parity
     backend; the algorithm is hash-agnostic."""
     text = batch.column(text_col).combine_chunks()
-    tok_np, offsets = _tokens_nonempty(text)
+    if hash_impl == "md5":
+        tok_np, offsets = _tokens_nonempty(text)
+        th = md5_u64(tok_np)
+    else:
+        (th,), offsets = _token_hashes(text, _PANDAS_KEY)
     n = len(text)
     sims = np.zeros(n, dtype=np.uint64)
-    if len(tok_np):
-        if hash_impl == "md5":
-            th = md5_u64(tok_np)
-        else:
-            th = pd.util.hash_array(tok_np).astype(np.uint64)
+    if len(th):
         bits = np.unpackbits(th.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
         signed = bits.astype(np.int32) * 2 - 1  # (n_tokens, 64) in {-1, +1}
         acc = segment_reduce(np.add, signed, offsets, 0, axis0_shape=(64,))
@@ -940,13 +968,17 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
     use their raw token set; two empty shingle sets count as a match
     (J := 1, reference semantics of :func:`jaccard_ngrams`).
 
-    Scoring is fully vectorized: both sides' shingle sets are computed by
-    the batched rolling-hash kernels (:func:`_shingle_hashes2`, 128-bit
-    shingle identity so hash collisions are ~2^-128 — decision-identical
-    to string sets), per-doc set dedup and pairwise intersection counts
-    are lexsort + adjacent-compare + bincount over the whole batch.  No
-    per-pair Python loop (the round-2 version looped :func:`set` ops per
-    candidate).
+    Scoring is fully vectorized and works on each distinct document of a
+    block of pairs once: each distinct text of ``side_a ‖ side_b`` is
+    shingle-hashed once by the batched rolling-hash kernel
+    (:func:`_shingle_hashes2`, 128-bit shingle identity so hash
+    collisions are ~2^-128 — decision-identical to string sets), each
+    text's shingle set is one :func:`_segment_unique2`, and each distinct
+    shingle of the block gets a dense id.  Texts are keyed by value, not
+    by id, so a ``doc_id`` that two corpus rows share gives one verdict
+    per attached row, each on that row's own texts.  A pair's intersection
+    is the count of equal ``pair * V + shingle id`` keys over both sides'
+    sets, found by one sort.  No per-pair Python loop.
 
     Texts reach the pairs by :func:`_verify_pairs`: while the pairs and
     the candidates' texts fit ``BROADCAST_BYTES`` (:func:`georay.partition.
@@ -961,27 +993,38 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
         n = b.num_rows
         if n == 0:
             return empty
-        ha1, ha2, oa = _shingle_hashes2(b.column("side_a").combine_chunks(), k)
-        hb1, hb2, ob = _shingle_hashes2(b.column("side_b").combine_chunks(), k)
-        rng = np.arange(n, dtype=np.int64)
-        ua1, ua2, seg_a = _segment_unique2(ha1, ha2, np.repeat(rng, np.diff(oa)))
-        ub1, ub2, seg_b = _segment_unique2(hb1, hb2, np.repeat(rng, np.diff(ob)))
-        ca = np.bincount(seg_a, minlength=n)
-        cb = np.bincount(seg_b, minlength=n)
-        # |Sa ∩ Sb| per pair: values unique within each side, so a value
-        # seen twice in the pair's combined stream is in both sets
-        v1 = np.concatenate([ua1, ub1])
-        v2 = np.concatenate([ua2, ub2])
-        s = np.concatenate([seg_a, seg_b])
-        order = np.lexsort((v2, v1, s))
-        v1, v2, s = v1[order], v2[order], s[order]
-        dup = (s[1:] == s[:-1]) & (v1[1:] == v1[:-1]) & (v2[1:] == v2[:-1])
-        inter = np.bincount(s[1:][dup], minlength=n)
-        union = ca + cb - inter
-        # union == 0 (both sets empty) -> 0 >= 0 -> match (J := 1)
-        ok = inter * threshold_den >= union * threshold_num
         da = b.column("doc_a").to_numpy()
         db = b.column("doc_b").to_numpy()
+        # each distinct text once (a null is one more value): every row is
+        # scored on its own two texts, whatever its ids
+        sides = pa.chunked_array(b.column("side_a").chunks + b.column("side_b").chunks)
+        enc = pc.dictionary_encode(sides.combine_chunks(), null_encoding="encode")
+        doc, nd = enc.indices.to_numpy().astype(np.int64), len(enc.dictionary)
+        h1, h2, off = _shingle_hashes2(enc.dictionary, k)
+        u1, u2, useg = _segment_unique2(h1, h2, np.repeat(np.arange(nd), np.diff(off)))
+        cnt = np.bincount(useg, minlength=nd)
+        # a dense id per distinct (h1, h2) of the block
+        order = np.lexsort((u2, u1))
+        new = np.ones(len(order), bool)
+        new[1:] = (u1[order][1:] != u1[order][:-1]) | (u2[order][1:] != u2[order][:-1])
+        sid = np.empty(len(order), np.int64)
+        sid[order] = np.cumsum(new) - 1
+        v = max(int(new.sum()), 1)
+        # each pair's two sets as keys pair * V + id: ids are unique within
+        # a set, so a key seen twice is in both sets of its pair
+        starts = np.zeros(nd, np.int64)
+        np.cumsum(cnt[:-1], out=starts[1:])
+        ia, ib = doc[:n], doc[n:]
+        pair = np.arange(n, dtype=np.int64)
+        keys = np.concatenate([
+            np.repeat(pair * v, cnt[ia]) + sid[_gather_segments(cnt[ia], starts[ia])],
+            np.repeat(pair * v, cnt[ib]) + sid[_gather_segments(cnt[ib], starts[ib])],
+        ])
+        keys.sort()
+        inter = np.bincount(keys[1:][keys[1:] == keys[:-1]] // v, minlength=n)
+        union = cnt[ia] + cnt[ib] - inter
+        # union == 0 (both sets empty) -> 0 >= 0 -> match (J := 1)
+        ok = inter * threshold_den >= union * threshold_num
         return pa.table({"doc_a": pa.array(da[ok]), "doc_b": pa.array(db[ok])})
 
     return _verify_pairs(pairs_ds, docs_ds, id_col, text_col, keep, empty, num_partitions)

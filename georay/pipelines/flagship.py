@@ -13,7 +13,7 @@ directory the whole run is one Ray Data plan of one operator,
 files, at least ``TILE_MIN_ROWS_PER_FILE`` pages, extracts their geo rows
 and streams them into :class:`FlagshipSink`, which writes the tiles, the
 join rows and the per-cell partials from that same task.  The plan's block target is
-``SINK_BLOCK_BYTES``, so Ray Data starts its tasks together.  The
+``georay.sources.PLAN_BLOCK_BYTES``, so Ray Data starts its tasks together.  The
 partials are already combined down to one row per (task, cell), and the
 driver merges them file by file into ``cell_agg`` (``driver_merge``):
 nothing shuffles.
@@ -33,7 +33,7 @@ from ray.data import Datasink
 from georay import cells
 from georay.partition import cached_map
 from georay.pipelines.polygons import polygon_payload
-from georay.sources import filesystem, remove_dir, replace_dir, write_output
+from georay.sources import PLAN_BLOCK_BYTES, filesystem, remove_dir, replace_dir, write_output
 from georay.stages.aggregate import (
     CELL_AGGS, cell_partial_agg, driver_merge, keyed_agg, merge_cell_partials,
 )
@@ -75,15 +75,6 @@ def geo_dataset(pages, res: int = 7):
 #: (``min_rows_per_write``) makes Ray bundle the sink's input, and it
 #: then refuses to fuse the read into the sink's tasks.
 TILE_MIN_ROWS_PER_FILE = 20_000
-
-#: ``target_max_block_size`` of the sink plan only.  Until a plan's first
-#: task finishes, Ray Data budgets each running task at 2 x this target
-#: and admits tasks while they fit half the object store: at Ray's
-#: default 128 MiB that is 256 MiB per task, over the 200 MB of a 400 MB
-#: store, so each sink task would run alone.  At 16 MiB a task is
-#: budgeted at 32 MiB and several fit even that store.  The estimate is
-#: honest: a sink task's only object-store output is its counts dict.
-SINK_BLOCK_BYTES = 16 << 20
 
 #: what :class:`FlagshipSink` writes under ``out_dir``; ``_partials`` only
 #: lives until :func:`flagship` has merged it into ``cell_agg``
@@ -204,7 +195,8 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
     sink = FlagshipSink(out_dir, join_fn)
     # the context the pages read made for this chain, not Ray's global
     # one: the exchanges and every other plan keep the default target
-    geo.context.target_max_block_size = SINK_BLOCK_BYTES
+    # (``PLAN_BLOCK_BYTES`` says why the sink plan needs a smaller one)
+    geo.context.target_max_block_size = PLAN_BLOCK_BYTES
     try:
         geo.write_datasink(sink)
         fs, root = filesystem(out_dir)

@@ -13,13 +13,26 @@ geometry summary rows do).  :func:`write_output` is the one way a
 pipeline writes an output directory, from a Dataset or from a table on
 the driver, and :func:`parquet_rows` counts an output's rows from its
 footers.  :func:`read_parquet_grouped` reads whole files per task, at
-least a given number of rows each.
+least a given number of rows each.  :data:`PLAN_BLOCK_BYTES` is the
+block target a plan sets on its own context so its tasks start together.
 """
 
 from __future__ import annotations
 
 import os
 import uuid
+
+#: ``target_max_block_size`` a plan sets on its own context (never on
+#: Ray's global one): the flagship's sink plan and ``python -m georay
+#: dedup``'s read plans.  Until a plan's first task finishes, Ray Data
+#: budgets each running task at 2 x this target and admits tasks while
+#: they fit half the object store: at Ray's default 128 MiB that is
+#: 256 MiB per task, over the 200 MB of a 400 MB store, so each task
+#: would run alone.  At 16 MiB a task is budgeted at 32 MiB and several
+#: fit even that store.  The estimate is honest for these plans: a sink
+#: task's only object-store output is its counts dict, and a dedup read
+#: task's output is its banded rows or its filtered texts.
+PLAN_BLOCK_BYTES = 16 << 20
 
 
 def filesystem(path: str):

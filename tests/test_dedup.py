@@ -860,26 +860,64 @@ class TestRouteParity:
     give identical output."""
 
     def test_jaccard_verify_pairs(self, ray_session, monkeypatch, exchanges):
+        """On both routes each pair's verdict is pure-Python string-shingle
+        set Jaccard against thresholds 0/1, 1/2, 9/10 and 1/1, with every
+        id in many pairs, empty, whitespace-only and null texts, ids that
+        are not positions, and pairs and docs in several sliced blocks.
+        Two ids have a second corpus row with another text: each attached
+        row is scored on its own texts."""
+        from fractions import Fraction
+
         import ray.data
 
-        from georay.dedup import jaccard_ngrams, jaccard_verify_pairs
+        from georay.dedup import jaccard_verify_pairs
 
-        texts = [DOC, NEAR, FAR, "", "one two", DOC + " extra tail words here", "one two", FAR]
-        ids = list(range(len(texts)))
-        # ids 20.. never appear in a pair: the broadcast route filters them out
-        docs = tbl(texts + ["unrelated filler text"] * 12)
-        cand = [(a, b) for a in ids for b in ids if a < b]
-        pairs = pa.table({"doc_a": pa.array([a for a, _ in cand], pa.int64()),
-                          "doc_b": pa.array([b for _, b in cand], pa.int64())})
+        rng = np.random.default_rng(3)
+        words = np.array(["a", "b", "c", "d", "é", "f"])
+        base = " ".join(rng.choice(words, 30))
+        texts = [base, base, base + " tail", base.rsplit(" ", 1)[0] + " z", "", None, "   ",
+                 "a b", "b a", "a", DOC, NEAR, FAR] + [" ".join(rng.choice(words, rng.integers(1, 14)))
+                                                       for _ in range(8)]
+        ids = [100 + 7 * i for i in range(len(texts))][::-1]
+        # a second text for two ids; the join attaches every row of an id
+        again = {0: "x y z w v", 7: base + " tail"}
+        texts_of = {i: [t] + ([again[i]] if i in again else []) for i, t in enumerate(texts)}
+        # padding rows never appear in a pair: the broadcast route filters them out
+        docs = pa.table({"doc_id": pa.array([1, 2] + ids + [ids[i] for i in again] + [3, 4], pa.int64()),
+                         "text": pa.array(["unrelated filler text"] * 2 + texts + list(again.values())
+                                          + [DOC] * 2, pa.string())})
+        cand = [(a, b) for a in range(len(texts)) for b in range(len(texts)) if a < b]
+        pairs = pa.table({"doc_a": pa.array([ids[a] for a, _ in cand], pa.int64()),
+                          "doc_b": pa.array([ids[b] for _, b in cand], pa.int64())})
+        lo, hi = 3, len(cand) - 2
+        thresholds = [(0, 1), (1, 2), (9, 10), (1, 1)]
+
+        def shingles(t):
+            toks = (t or "").split()
+            return set(toks) if len(toks) < 3 else {tuple(toks[i : i + 3]) for i in range(len(toks) - 2)}
+
+        def verdict(ta, tb, num, den):
+            sa, sb = shingles(ta), shingles(tb)
+            return not (sa | sb) or Fraction(len(sa & sb), len(sa | sb)) >= Fraction(num, den)
 
         def run():
-            return _sorted_pairs(jaccard_verify_pairs(
-                ray.data.from_arrow(pairs).repartition(3), ray.data.from_arrow(docs).repartition(2),
-            ).to_pandas())
+            pairs_ds = ray.data.from_arrow([pairs.slice(lo, 90), pairs.slice(lo + 90, 60),
+                                            pairs.slice(lo + 150, hi - lo - 150)])
+            docs_ds = ray.data.from_arrow([docs.slice(0, 9), docs.slice(9)])
+            return {(num, den): _sorted_pairs(jaccard_verify_pairs(
+                pairs_ds, docs_ds, threshold_num=num, threshold_den=den,
+            ).to_pandas()) for num, den in thresholds}
 
         broadcast, shuffled = _both_routes(monkeypatch, exchanges, run)
         assert broadcast == shuffled
-        assert broadcast == sorted((a, b) for a, b in cand if jaccard_ngrams(texts[a], texts[b]) >= 0.5)
+        for num, den in thresholds:
+            want = sorted((ids[a], ids[b]) for a, b in cand[lo:hi]
+                          for ta in texts_of[a] for tb in texts_of[b] if verdict(ta, tb, num, den))
+            assert broadcast[(num, den)] == want, (num, den)
+        # every threshold separates some pairs from others
+        n_rows = sum(len(texts_of[a]) * len(texts_of[b]) for a, b in cand[lo:hi])
+        assert len(broadcast[(0, 1)]) == n_rows > len(broadcast[(1, 2)]) > len(broadcast[(9, 10)])
+        assert len(broadcast[(9, 10)]) > len(broadcast[(1, 1)]) > 0
 
     def test_jaccard_texts_over_budget_shuffle_only_candidates(self, ray_session, monkeypatch):
         """Pairs within the budget, candidate texts over it: the filtered
@@ -1067,3 +1105,53 @@ class TestRouteParity:
         broadcast, shuffled = _both_routes(monkeypatch, exchanges, run)
         assert broadcast == shuffled
         assert broadcast["truncated_candidates"] > 0
+
+
+def test_dedup_read_tasks_run_at_once(ray_session, monkeypatch, tmp_path, capsys):
+    """``python -m georay dedup`` over 4 files, on an object store capped
+    at 200 MB (the share of perfbench's 400 MB store Ray Data plans
+    with), runs two ``minhash_band_batch`` tasks at the same time.  Each
+    call waits at a file barrier until another has started; a plan that
+    admits one task at a time lets the first one time out.  Ray's global
+    block target is left as it was."""
+    import os
+    import time
+    import uuid
+
+    import pyarrow.parquet as pq
+    import ray
+    from ray.data import DataContext, ExecutionResources
+
+    import georay.dedup as dd
+    from georay.__main__ import main
+
+    barrier = str(tmp_path / "barrier")
+    os.mkdir(barrier)
+    real = dd.minhash_band_batch
+
+    def minhash_band_batch(batch):
+        open(f"{barrier}/started-{uuid.uuid4().hex}", "w").close()
+        deadline = time.monotonic() + 30
+        while sum(f.startswith("started-") for f in os.listdir(barrier)) < 2:
+            if time.monotonic() > deadline:
+                open(f"{barrier}/alone-{uuid.uuid4().hex}", "w").close()
+                break
+            time.sleep(0.05)
+        return real(batch)
+
+    monkeypatch.setattr(dd, "minhash_band_batch", minhash_band_batch)
+    src = tmp_path / "docs"
+    src.mkdir()
+    for f in range(4):
+        pq.write_table(tbl([f"file {f} doc {i} " + DOC for i in range(30)]), str(src / f"part-{f}.parquet"))
+    ctx = DataContext.get_current()
+    block_target = ctx.target_max_block_size
+    monkeypatch.setattr(ctx.execution_options, "resource_limits",
+                        ExecutionResources(object_store_memory=200 * 10**6))
+    monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)
+    main(["dedup", "--input", str(src), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    marks = os.listdir(barrier)
+    assert not [m for m in marks if m.startswith("alone-")], marks
+    assert sum(m.startswith("started-") for m in marks) >= 2
+    assert DataContext.get_current().target_max_block_size == block_target

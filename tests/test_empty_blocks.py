@@ -53,6 +53,34 @@ class TestEmptyBlocks:
         assert sorted(os.listdir(out)) == ["cell_agg", "join_rows", "tiles"]
         assert all(os.listdir(out / d) == [] for d in os.listdir(out))
 
+    def test_oracle_check_keeps_typed_empty_columns(self, ray_session):
+        """``tools/check_correctness.py`` compares a typed empty result's
+        columns with its oracle's: ``Dataset.to_pandas()`` drops them."""
+        import importlib.util
+        import pathlib
+
+        import pandas as pd
+        import ray.data
+
+        path = pathlib.Path(__file__).parents[1] / "tools" / "check_correctness.py"
+        spec = importlib.util.spec_from_file_location("check_correctness", path)
+        check = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check)
+        typed = pa.table({"cell": pa.array([], pa.int64()), "name": pa.array([], pa.string())})
+        got = check.to_pandas(ray.data.from_arrow(typed))
+        assert len(got) == 0
+        assert {c: str(t) for c, t in got.dtypes.items()} == {"cell": "int64", "name": "object"}
+        assert check.to_pandas(ray.data.from_arrow(pa.table({"cell": [7]}))).cell.tolist() == [7]
+        # a lazy empty result: its one run gives the schema
+        lazy = ray.data.from_arrow(pa.table({"cell": [7]})).map_batches(
+            lambda b: b.slice(0, 0).append_column("name", pa.array([], pa.string())),
+            batch_format="pyarrow")
+        assert list(check.to_pandas(lazy).columns) == ["cell", "name"]
+        # a pandas-format empty result has no Arrow schema: Ray's frame as is
+        frame = pd.DataFrame({"cell": [7]})
+        empty = ray.data.from_pandas(frame).map_batches(lambda b: b.iloc[:0], batch_format="pandas")
+        assert len(check.to_pandas(empty)) == 0
+
 
 class TestEmptyAnnAndLsh:
     def test_brute_force_knn_empty_batch(self):

@@ -181,36 +181,71 @@ class TestVectorizedKernelsMatchNaive:
 
     @given(
         st.lists(
-            st.text(alphabet=" abcd", min_size=0, max_size=24),
+            st.one_of(st.none(), st.text(alphabet=" \tabcdé", min_size=0, max_size=24)),
             min_size=1,
             max_size=12,
         )
     )
     @settings(max_examples=60, deadline=None)
     def test_shingle_hashes_match_naive(self, texts):
+        """Both shingle kernels, on a sliced input with null docs, equal
+        each document's tokens hashed one by one (pandas' default key for
+        :func:`_shingle_hashes`, ``_KEY_A`` and ``_KEY_B`` for
+        :func:`_shingle_hashes2`) and rolled."""
+        import re
+
         import pandas as pd
         import pyarrow as pa
 
-        from georay.dedup import _shingle_hashes, _tokens_nonempty
+        from georay.dedup import _KEY_A, _KEY_B, _shingle_hashes, _shingle_hashes2
 
-        arr = pa.array(texts, pa.string())
+        arr = pa.array([None] + texts + ["x"], pa.string()).slice(1, len(texts))
         sh, offsets = _shingle_hashes(arr, k=3)
+        h1, h2, offsets2 = _shingle_hashes2(arr, k=3)
+        np.testing.assert_array_equal(offsets2, offsets)
         # naive: per doc, tokenized, hashed, rolled
         C1, C2 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0x85EBCA77C2B2AE63)
+        for got_all, key in ((sh, {}), (h1, {"hash_key": _KEY_A}), (h2, {"hash_key": _KEY_B})):
+            for i, t in enumerate(texts):
+                toks = [x for x in re.split(r"\s+", t or "") if x]
+                if toks:
+                    th = pd.util.hash_array(np.asarray(toks, dtype=object), **key).astype(np.uint64)
+                else:
+                    th = np.empty(0, np.uint64)
+                if len(th) >= 3:
+                    want = th[:-2] * C1
+                    want = want + th[1:-1] * C2
+                    want = want + th[2:] * (C1 ^ C2)
+                else:
+                    want = th
+                np.testing.assert_array_equal(got_all[offsets[i] : offsets[i + 1]], want)
+
+    @given(
+        st.lists(
+            st.one_of(st.none(), st.sampled_from(["", "  "]), st.text(alphabet=" \tabc", max_size=30)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_minhash_signatures_match_naive(self, texts):
+        """Every signature equals the per-document minimum of
+        ``(a * sh + b) mod 2^64 mod P`` over that document's own shingle
+        hashes; empty and null docs, anywhere in the batch, get all-max."""
+        import pyarrow as pa
+
+        from georay.dedup import MERSENNE_P, _perm_params, _shingle_hashes, minhash_signatures
+
+        sig = minhash_signatures(pa.array(texts, pa.string()))
+        a, b = _perm_params(128)
+        assert sig.shape == (len(texts), 128) and sig.dtype == np.uint64
         for i, t in enumerate(texts):
-            toks = [x for x in __import__("re").split(r"\s+", t) if x]
-            if toks:
-                th = pd.util.hash_array(np.asarray(toks, dtype=object)).astype(np.uint64)
-            else:
-                th = np.empty(0, np.uint64)
-            if len(th) >= 3:
-                want = th[:-2] * C1
-                want = want + th[1:-1] * C2
-                want = want + th[2:] * (C1 ^ C2)
-            else:
-                want = th
-            got = sh[offsets[i] : offsets[i + 1]]
-            np.testing.assert_array_equal(got, want)
+            sh, _ = _shingle_hashes(pa.array([t], pa.string()))
+            if len(sh) == 0:
+                want = np.full(128, np.iinfo(np.uint64).max, np.uint64)
+            else:  # uint64 arrays wrap mod 2^64
+                want = ((sh[:, None] * a[None, :] + b[None, :]) % MERSENNE_P).min(axis=0)
+            np.testing.assert_array_equal(sig[i], want)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=40),

@@ -13,8 +13,10 @@ import sys
 
 import duckdb
 import pandas as pd
+import pyarrow as pa
 
 import ray
+import ray.data
 
 
 def normalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -34,8 +36,20 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def to_pandas(res) -> pd.DataFrame:
+    """A query's result as a DataFrame.  A Dataset with no rows keeps the
+    columns of its schema: Ray's ``to_pandas`` gives a column-less frame
+    for it, which would hide a wrong or missing column."""
     if isinstance(res, pd.DataFrame):
         return res
+    if isinstance(res, ray.data.Dataset):
+        # one run, whose blocks carry the schema; a pandas-format schema
+        # has no empty_table, so its frame is Ray's
+        res = res.materialize()
+        df = res.to_pandas()
+        schema = res.schema(fetch_if_missing=False)
+        if len(df) == 0 and schema is not None and isinstance(schema.base_schema, pa.Schema):
+            return schema.base_schema.empty_table().to_pandas()
+        return df
     if hasattr(res, "to_pandas"):
         return res.to_pandas()
     raise TypeError(type(res))
