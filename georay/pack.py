@@ -28,10 +28,8 @@ Scale shape: the only driver-side state is the num_buckets-row sum table
 (default 4096 rows regardless of corpus size); the only shuffle is the
 bucket hash partition of the SLIM (id, n_tokens, bucket) projection —
 16 B/row, ~300x narrower than the raw pages.  Both passes read the slim
-token table, so it is computed once and either materialized (default;
-fine for the slim projection) or written through to parquet
-(``out_dir``) exactly like the flagship's write-through mode — the full
-text NEVER flows twice and is never pinned.
+token table, so it is computed once and materialized (fine for the slim
+projection) — the full text NEVER flows twice and is never pinned.
 
 SQL mirror (oracle):
   SUM(n_tokens) OVER (ORDER BY doc_id ROWS UNBOUNDED PRECEDING AND
@@ -121,30 +119,21 @@ def _scan_partition(g: pa.Table, offsets: np.ndarray, seq_len: int,
 def pack_sequences(ds, seq_len: int = 512, id_col: str = "doc_id",
                    text_col: str = "text",
                    num_buckets: int = DEFAULT_NUM_BUCKETS,
-                   key_max: int | None = None,
-                   out_dir: str | None = None):
+                   key_max: int | None = None):
     """Concatenate-and-chunk packing index: one row per document with its
     global token offset (exclusive prefix sum in ascending ``id_col``
     order) and training-sequence ``bin = tok_offset // seq_len``.
 
     ``key_max``: upper bound on ``id_col`` (defines the bucket width).
     If None it is computed with ``ds.max`` — one extra slim pass; pass it
-    when known (e.g. row count of an id-dense corpus) to skip that pass.
-    ``out_dir``: write the slim token table through parquet instead of
-    materializing it in the object store (the 100-TB deployment form,
-    mirroring the flagship's write-through mode)."""
+    when known (e.g. row count of an id-dense corpus) to skip that pass."""
     import ray
 
+    # slim projection only (id + count, ~16 B/row) — NOT the raw text
     slim = ds.map_batches(
         lambda b: count_tokens_batch(b, id_col, text_col),
         batch_format="pyarrow",
-    )
-    if out_dir is not None:
-        slim.write_parquet(out_dir)
-        slim = ray.data.read_parquet(out_dir)
-    else:
-        # slim projection only (id + count, ~16 B/row) — NOT the raw text
-        slim = slim.materialize()
+    ).materialize()
 
     if key_max is None:
         key_max = slim.max(id_col) or 0  # None: an empty corpus

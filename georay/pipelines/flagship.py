@@ -33,7 +33,9 @@ from ray.data import Datasink
 from georay import cells
 from georay.partition import cached_map
 from georay.pipelines.polygons import polygon_payload
-from georay.sources import PLAN_BLOCK_BYTES, filesystem, remove_dir, replace_dir, write_output
+from georay.sources import (
+    PLAN_BLOCK_BYTES, filesystem, remove_dir, replace_dir, write_output, write_parquet_file,
+)
 from georay.stages.aggregate import (
     CELL_AGGS, cell_partial_agg, driver_merge, keyed_agg, merge_cell_partials,
 )
@@ -86,14 +88,16 @@ class FlagshipSink(Datasink):
     rows once and writes
 
     - its tile rows under ``tiles/cell_prefix=<res-2 parent cell>/`` (the
-      Hive layout SURVEY.md §2.7 / §4 asks for, never one giant file);
+      Hive layout SURVEY.md §2.7 / §4 asks for, never one giant file),
+      each file's rows in ``(cell, doc_id)`` order;
     - its join rows (``join_fn``) under ``join_rows/``;
     - its ``cell_partial_agg`` table under ``_partials/``, which
       :func:`flagship` merges into ``cell_agg/`` after the write.
 
-    Every file is named ``<uuid>_<task index>.parquet``, the uuid fixed
-    when the sink is built, so a retried task overwrites its own files
-    instead of adding a second copy.  ``counts`` holds ``{output: {"rows",
+    Every file is written with :data:`georay.sources.PARQUET_WRITE` (zstd,
+    no dictionary pages) and named ``<uuid>_<task index>.parquet``, the
+    uuid fixed when the sink is built, so a retried task overwrites its own
+    files instead of adding a second copy.  ``counts`` holds ``{output: {"rows",
     "bytes"}}`` once the write completes."""
 
     def __init__(self, out_dir: str, join_fn):
@@ -117,29 +121,26 @@ class FlagshipSink(Datasink):
         fs, root = filesystem(self.out_dir)
         name = f"{self.uuid}_{ctx.task_idx}.parquet"
 
-        prefix = cells.cell_parent(geo.column("cell").to_numpy(), 2)
-        order = np.argsort(prefix, kind="stable")
+        # tile rows by (prefix, cell, doc_id): each tile's cells become
+        # runs and its coordinates locally close, so zstd packs them tighter
+        cell = geo.column("cell").to_numpy()
+        prefix = cells.cell_parent(cell, 2)
+        order = np.lexsort((geo.column("doc_id").to_numpy(), cell, prefix))
         keys, starts = np.unique(prefix[order], return_index=True)
         tiles = geo.take(pa.array(order))
         size = 0
         for key, start, stop in zip(keys, starts, [*starts[1:], len(order)]):
             part = f"{root}/tiles/cell_prefix={key}"
             fs.create_dir(part)
-            size += self._write(fs, f"{part}/{name}", tiles.slice(start, stop - start))[1]
+            size += write_parquet_file(tiles.slice(start, stop - start), f"{part}/{name}", fs)
         out["tiles"] = (geo.num_rows, size)
 
         joined = self.join_fn(geo)
         if joined.num_rows:
-            out["join_rows"] = self._write(fs, f"{root}/join_rows/{name}", joined)
-        out["_partials"] = self._write(fs, f"{root}/_partials/{name}", cell_partial_agg(geo))
+            out["join_rows"] = (joined.num_rows, write_parquet_file(joined, f"{root}/join_rows/{name}", fs))
+        partials = cell_partial_agg(geo)
+        out["_partials"] = (partials.num_rows, write_parquet_file(partials, f"{root}/_partials/{name}", fs))
         return out
-
-    def _write(self, fs, path: str, table: pa.Table) -> tuple[int, int]:
-        """Write ``table`` as the parquet file ``path``, replacing any file
-        of that name; -> (rows, bytes)."""
-        with fs.open_output_stream(path) as f:
-            pq.write_table(table, f)
-            return table.num_rows, f.tell()
 
     def on_write_complete(self, write_result) -> None:
         self.counts = {

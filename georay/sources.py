@@ -12,8 +12,10 @@ XML-document source to a Dataset: every file parsed inside
 geometry summary rows do).  :func:`write_output` is the one way a
 pipeline writes an output directory, from a Dataset or from a table on
 the driver, and :func:`parquet_rows` counts an output's rows from its
-footers.  :func:`read_parquet_grouped` reads whole files per task, at
-least a given number of rows each.  :data:`PLAN_BLOCK_BYTES` is the
+footers.  :data:`PARQUET_WRITE` is the one parquet writer policy, and
+:func:`write_parquet_file` the one way a single file is written with it.
+:func:`read_parquet_grouped` reads whole files per task, at least a
+given number of rows each.  :data:`PLAN_BLOCK_BYTES` is the
 block target a plan sets on its own context so its tasks start together.
 """
 
@@ -34,6 +36,18 @@ import uuid
 #: task's output is its banded rows or its filtered texts.
 PLAN_BLOCK_BYTES = 16 << 20
 
+#: The writer options of every parquet file georay writes: zstd, and no
+#: dictionary pages.  Most columns georay writes are all but unique
+#: (``url``, ``doc_id``, ``warc_ts``, ``lon``, ``lat``), and a file of a
+#: few thousand rows never reaches the 1 MB dictionary size at which
+#: parquet falls back to plain, so a dictionary stores each value twice,
+#: once in the dictionary page and once as an index.  On perfbench's
+#: ``flagship_uniform`` the written bytes fell from 0.37 to 0.22 of the
+#: input against pyarrow's defaults (snappy, a dictionary per column);
+#: keeping dictionaries only for the repeating columns would save 1%
+#: more, not worth a per-column rule (BASELINE.md).
+PARQUET_WRITE = {"compression": "zstd", "use_dictionary": False}
+
 
 def filesystem(path: str):
     """``(filesystem, path inside it)`` for a local path or a filesystem
@@ -43,28 +57,40 @@ def filesystem(path: str):
     return pafs.FileSystem.from_uri(path if "://" in path else os.path.abspath(path))
 
 
+def write_parquet_file(table, path: str, fs) -> int:
+    """Write ``table`` as the parquet file ``path`` of the filesystem
+    ``fs`` with :data:`PARQUET_WRITE`, replacing any file of that name;
+    -> the bytes written."""
+    import pyarrow.parquet as pq
+
+    with fs.open_output_stream(path) as f:
+        pq.write_table(table, f, **PARQUET_WRITE)
+        return f.tell()
+
+
 def write_output(data, path: str, **kwargs) -> bool:
     """Write ``data`` (a Dataset, by ``data.write_parquet(path,
     **kwargs)``; or a ``pa.Table`` on the driver, as one ``<uuid>.parquet``
     with no plan) as the parquet directory ``path``, replacing whatever an
     earlier run left there (Ray's default appends, so a re-run would
-    double every output).  The directory exists afterwards even when
-    ``data`` has no rows (Ray removes it then), so reading the output back
-    whole gives an empty dataset instead of raising.  Returns whether the
+    double every output).  Every file is written with
+    :data:`PARQUET_WRITE`; ``kwargs`` (``partition_cols``) pass through to
+    ``write_parquet``.  The directory exists afterwards even when ``data``
+    has no rows (Ray removes it then), so reading the output back whole
+    gives an empty dataset instead of raising.  Returns whether the
     write left anything under ``path``: ``False`` when ``data`` had no
     rows."""
     import pyarrow as pa
     import pyarrow.fs as pafs
-    import pyarrow.parquet as pq
     from ray.data.datasource import SaveMode
 
     fs, p = filesystem(path)
     if isinstance(data, pa.Table):
         replace_dir(path)
         if data.num_rows:
-            pq.write_table(data, f"{p}/{uuid.uuid4().hex}.parquet", filesystem=fs)
+            write_parquet_file(data, f"{p}/{uuid.uuid4().hex}.parquet", fs)
         return data.num_rows > 0
-    data.write_parquet(path, mode=SaveMode.OVERWRITE, **kwargs)
+    data.write_parquet(path, mode=SaveMode.OVERWRITE, **{**PARQUET_WRITE, **kwargs})
     fs.create_dir(p)
     return bool(fs.get_file_info(pafs.FileSelector(p)))
 

@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 import pyarrow.parquet as pq
 
 from georay import __version__
+from georay.sources import write_output
 
 
 def partition_groups(input_files: Sequence[str], group_size: int) -> list[tuple[str, list[str]]]:
@@ -99,7 +100,7 @@ def resumable_run(
         # materialize-then-write double pass); the row count comes from
         # the written file footers, which are metadata-only reads
         data_dir = os.path.join(pdir, "data")
-        build_pipeline(files).write_parquet(data_dir)
+        write_output(build_pipeline(files), data_dir)
         rows_in = sum(pq.read_metadata(f).num_rows for f in files)
         rows_out = sum(
             pq.read_metadata(os.path.join(data_dir, f)).num_rows

@@ -1,7 +1,8 @@
-"""What ``python -m georay flagship | dedup | resume`` leave in ``--out``:
-a re-run replaces its outputs instead of appending to them, an input with
-no geo page gives empty outputs, and ``resume`` checkpoints the
-flagship's join rows per input group."""
+"""What ``python -m georay flagship | dedup | curate | pack | resume``
+leave in ``--out``: a re-run replaces its outputs instead of appending to
+them, an input with no geo page gives empty outputs, ``resume``
+checkpoints the flagship's join rows per input group, and every file is
+written with the one writer policy (zstd, no dictionary pages)."""
 
 import json
 import os
@@ -34,6 +35,33 @@ def _sorted(path, keys):
     return pq.read_table(path).sort_by([(k, "ascending") for k in keys]).to_pydict()
 
 
+def _assert_writer_policy(out, want_files):
+    """Every parquet file under ``out`` (``want_files`` or more) is zstd in
+    every column chunk, with no dictionary page
+    (``georay.sources.PARQUET_WRITE``)."""
+    files = [os.path.join(d, f) for d, _, fs in os.walk(out) for f in fs if f.endswith(".parquet")]
+    assert len(files) >= want_files, files
+    for f in files:
+        md = pq.read_metadata(f)
+        for i in range(md.num_row_groups):
+            for j in range(md.num_columns):
+                col = md.row_group(i).column(j)
+                assert col.compression == "ZSTD", (f, col.path_in_schema)
+                assert not col.has_dictionary_page, (f, col.path_in_schema)
+
+
+class TestWriterPolicy:
+    """No file ``curate`` or ``pack`` writes uses snappy or a dictionary
+    page (``flagship``, ``dedup`` and ``resume`` are checked where their
+    outputs are read below)."""
+
+    @pytest.mark.parametrize("cmd", ["curate", "pack"])
+    def test_every_output_is_zstd_without_dictionaries(self, cli, tmp_path, cmd):
+        out = str(tmp_path / "out")
+        cli(cmd, "--input", f"{SF}/documents.parquet", "--out", out)
+        _assert_writer_policy(out, 1)
+
+
 class TestRerunReplacesOutputs:
     def test_flagship_twice_into_one_out(self, cli, tmp_path):
         out = str(tmp_path / "run")
@@ -44,6 +72,8 @@ class TestRerunReplacesOutputs:
         assert first["join_rows"] == len(rows["doc_id"]) > 0
         assert first["cells"] == len(cells["cell"]) > 0
         assert sorted(os.listdir(out)) == ["cell_agg", "join_rows", "tiles"]
+        for name in ("cell_agg", "join_rows", "tiles"):
+            _assert_writer_policy(f"{out}/{name}", 1)
         assert cli("flagship", "--sf-dir", SF, "--out", out) == first
         assert _sorted(f"{out}/join_rows", ["doc_id", "polygon_id"]) == rows
         assert _sorted(f"{out}/cell_agg", ["cell"]) == cells
@@ -56,6 +86,8 @@ class TestRerunReplacesOutputs:
         resolution = _sorted(f"{out}/resolution", ["doc_id"])
         assert first["survivors"] == len(survivors["doc_id"]) == first["input_docs"] - first["dropped"]
         assert first["clustered_docs"] == len(resolution["doc_id"]) > 0
+        for name in ("resolution", "survivors"):
+            _assert_writer_policy(f"{out}/{name}", 1)
         assert cli("dedup", "--input", src, "--out", out) == first
         assert _sorted(f"{out}/survivors", ["doc_id"]) == survivors
         assert _sorted(f"{out}/resolution", ["doc_id"]) == resolution
@@ -93,6 +125,7 @@ class TestResumeCli:
 
         stats = cli(*argv)
         assert (stats["partitions"], stats["skipped"]) == (2, 0)
+        _assert_writer_policy(out, 2)
         assert stats["rows_in"] == docs.num_rows == 500
         lineage = [json.load(open(f"{out}/part-{i:05d}/lineage.json")) for i in range(2)]
         assert [r["rows_in"] for r in lineage] == [half, docs.num_rows - half]

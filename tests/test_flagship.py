@@ -98,7 +98,8 @@ class TestFlagshipGeoCache:
 
     def test_cell_agg_is_one_file_of_every_cell(self, ray_session, tmp_path):
         """The driver merges the partials into one ``cell_agg`` file with
-        one row per geo cell, and the sink's counts match its files."""
+        one row per geo cell, and the sink's row and byte counts match its
+        files."""
         import os
 
         import pyarrow.parquet as pq
@@ -111,6 +112,7 @@ class TestFlagshipGeoCache:
         for name in ("join_rows", "tiles"):
             files = _parquet_files(f"{out}/{name}")
             assert sum(pq.read_metadata(f).num_rows for f in files) == counts[name]["rows"] > 0
+            assert sum(os.path.getsize(f) for f in files) == counts[name]["bytes"]
         (agg,) = _parquet_files(f"{out}/cell_agg")
         cells = pq.read_table(agg).column("cell").to_pylist()
         assert sorted(cells) == sorted(set(_ray_free_geo().column("cell").to_pylist()))
@@ -140,15 +142,19 @@ class TestFlagshipGeoCache:
         marker = str(tmp_path / "first-attempt")
 
         class DiesOnce(mod.FlagshipSink):
-            def _write(self, fs, path, table):
-                if "/join_rows/" in path:
+            # the sink joins after it writes the tiles and before it
+            # writes the join rows
+            def __init__(self, out_dir, join_fn):
+                def join_or_die(geo):
                     try:
                         os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
                     except FileExistsError:
                         pass
                     else:
                         os._exit(1)
-                return super()._write(fs, path, table)
+                    return join_fn(geo)
+
+                super().__init__(out_dir, join_or_die)
 
         monkeypatch.setattr(mod, "FlagshipSink", DiesOnce)
         out = str(tmp_path / "run")
@@ -281,6 +287,16 @@ class TestTileLayout:
             assert part.startswith("cell_prefix=")
             cell = pq.read_table(f, columns=["cell"]).column("cell").to_numpy()
             assert (cells.cell_parent(cell, 2) == int(part.split("=", 1)[1])).all(), f
+
+    def test_tile_rows_are_in_cell_then_doc_order(self, run):
+        """Each tile file's rows are sorted by ``(cell, doc_id)``."""
+        import numpy as np
+        import pyarrow.parquet as pq
+
+        for f in _parquet_files(f"{run}/tiles"):
+            t = pq.read_table(f, columns=["cell", "doc_id"])
+            cell, doc = t.column("cell").to_numpy(), t.column("doc_id").to_numpy()
+            assert (np.lexsort((doc, cell)) == np.arange(t.num_rows)).all(), f
 
     def test_tile_rows_equal_geo_rows(self, run):
         import pyarrow.parquet as pq

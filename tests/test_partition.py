@@ -199,6 +199,22 @@ class TestOneMechanism:
                         sites.add((path.name, getattr(top, "name", None)))
         return sites
 
+    def test_one_parquet_writer(self):
+        """Every parquet file georay writes goes through
+        ``georay.sources`` (``write_output``, ``write_parquet_file``), so
+        it gets the one writer policy, ``PARQUET_WRITE``: no other module
+        calls ``pq.write_table(``, ``.write_parquet(`` or
+        ``ParquetWriter(``."""
+        writer = re.compile(r"write_table\(|\.write_parquet\(|ParquetWriter\(")
+        hits = [
+            f"{path.name}:{i}: {line.strip()}"
+            for path in self._sources()
+            if path.parts[-2:] != ("georay", "sources.py")
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if writer.search(line)
+        ]
+        assert not hits, hits
+
     def test_keyed_merges_have_one_route(self):
         """The keyed merges take no route knob; no code coalesces blocks
         (``.repartition(``), since a keyless merge is ``driver_merge``;
