@@ -30,7 +30,7 @@ import ray.data
 from ray.data.aggregate import Max, Min
 
 from georay import cells
-from georay.partition import broadcast_or_none, cached_map, copartition, partitions
+from georay.partition import cached_map, keyed_join
 from georay.pipelines.flagship import flagship, geo_dataset
 from georay.pipelines.pages import PAGES_SQL_CTE, read_pages
 from georay.pipelines.polygons import (
@@ -977,18 +977,13 @@ class RelateBoxes:
 
 def _q_segment_revenue(sf_dir: str):
     """Join + keyed merge: revenue per market segment in integer cents.
-    The customer side goes through ``georay.partition.broadcast_or_none``:
-    while it fits the budget it is broadcast with ``ray.put`` and the
-    orders stream through one fused read -> join -> per-segment
-    map; past it one ``copartition`` joins per partition.  One
-    ``keyed_agg`` on the segment sums the joined rows."""
+    One ``georay.partition.keyed_join`` of the orders with the customers:
+    while the customer side fits the budget the orders stream through one
+    fused read -> join map, past it one ``copartition`` joins per
+    partition.  One ``keyed_agg`` on the segment sums the joined rows."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    cust_tbl, cust = broadcast_or_none(cust)
-    if cust_tbl is None:
-        joined = copartition(orders, cust, "o_custkey", "c_custkey", _segment_join, partitions(orders))
-    else:
-        joined = orders.map_batches(cached_map(SegmentJoin, ray.put(cust_tbl)), batch_format="pyarrow")
+    joined = keyed_join(orders, cust, "o_custkey", "c_custkey", _segment_join)
     return keyed_agg(
         joined, "c_mktsegment", {"revenue_cents": ("price_c", "sum"), "n_orders": ("price_c", "count")}
     )
@@ -999,17 +994,6 @@ def _segment_join(L: pa.Table, R: pa.Table) -> pa.Table:
     b = L.join(R, keys="o_custkey", right_keys="c_custkey")
     c = _cents(b.column("o_totalprice").to_numpy())
     return pa.table({"c_mktsegment": b.column("c_mktsegment"), "price_c": pa.array(c)})
-
-
-class SegmentJoin:
-    """``_q_segment_revenue``'s broadcast kernel: each orders batch joined
-    to the broadcast customer table."""
-
-    def __init__(self, cust: pa.Table):
-        self.cust = cust
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        return _segment_join(b, self.cust)
 
 
 def _q_geo_explode(sf_dir: str):

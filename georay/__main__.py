@@ -142,11 +142,12 @@ def cmd_curate(args):
     deterministic stratified sample -> survivors parquet partitioned by
     detected language.
 
-    Scale shape: the only shuffles are the 16-byte dedup-key aggregate and
-    the co-partitioned survivor-id semi join; everything else is
-    stateless map_batches.  The sample decision is a pure hash of doc_id
-    (re-run stable), so a resumed/repeated run selects identical
-    documents."""
+    Scale shape: the only shuffle is the 16-byte dedup-key aggregate; the
+    survivor-id semi join (``keyed_join``) streams the corpus past the
+    broadcast survivor ids, or co-partitions with them past the budget;
+    everything else is stateless map_batches.  The sample decision is a
+    pure hash of doc_id (re-run stable), so a resumed/repeated run
+    selects identical documents."""
     ray = _init_ray(args.num_cpus)
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -154,7 +155,7 @@ def cmd_curate(args):
     import ray.data
 
     from georay.dedup import text_key_batch
-    from georay.partition import copartition, partitions
+    from georay.partition import keyed_join
     from georay.sample import stratified_sample_batch
     from georay.stages.aggregate import keyed_agg
     from georay.text import detect_language, quality_batch
@@ -206,11 +207,7 @@ def cmd_curate(args):
                 keep_ids = R.column("keep_id").combine_chunks()
                 return L.filter(pc.is_in(L.column("doc_id"), value_set=keep_ids))
 
-            # the semi join shuffles the full annotated corpus: size
-            # partitions to its measured rows (filt is a fresh parquet read
-            # of the checkpoint, so the count is free plan metadata)
-            n_part = args.num_partitions or partitions(filt)
-            deduped = copartition(filt, survivors, "doc_id", "keep_id", keep_survivors, n_part)
+            deduped = keyed_join(filt, survivors, "doc_id", "keep_id", keep_survivors)
 
             sampled = deduped.map_batches(
                 lambda b: stratified_sample_batch(
@@ -346,8 +343,6 @@ def main(argv=None):
                    help="comma list of detected languages to keep (default: all)")
     c.add_argument("--rate-bp", type=int, default=10000,
                    help="per-language keep rate in basis points (10000 = keep all)")
-    c.add_argument("--num-partitions", type=int, default=None,
-                   help="semi-join partitions; default sizes to corpus rows + cluster")
     c.add_argument("--num-cpus", type=int, default=None)
     c.set_defaults(fn=cmd_curate)
 

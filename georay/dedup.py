@@ -24,9 +24,12 @@ Scale design (SURVEY.md §2.8):
   it fits ``BROADCAST_BYTES`` it is broadcast with ``ray.put`` and the
   corpus streams through a plain map (components run on the driver with
   :func:`fastsv_labels`); past the budget each step is a keyed exchange
-  (:func:`georay.partition.copartition`, or label propagation over
-  :func:`georay.partition.hash_partition`).  No step uses Ray's
-  actor-based ``Dataset.join``.
+  (label propagation over :func:`georay.partition.hash_partition`, or
+  :func:`georay.partition.copartition`).  Application is one
+  :func:`georay.partition.keyed_join`, which makes that choice itself;
+  verification keeps its own routes (:func:`_verify_pairs`), since its
+  small side is decided on the pairs and past the budget it must stream
+  the whole corpus.  No step uses Ray's actor-based ``Dataset.join``.
 
 All hashes are deterministic (fixed seeds) so runs are reproducible.
 """
@@ -40,8 +43,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from georay.ann import _to_matrix
 from georay.geom.polygon import _expand_ranges
-from georay.partition import broadcast_or_none, cached_map, copartition, hash_partition, part_of, partitions
+from georay.partition import (
+    broadcast_or_none, cached_map, copartition, hash_partition, keyed_join, part_of, partitions,
+)
 from georay.stages.aggregate import keyed_agg
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
@@ -421,7 +427,7 @@ def _upper_pairs(sizes: np.ndarray):
     return np.repeat(i, after), _expand_ranges(i + 1, after)
 
 
-def _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, num_partitions):
+def _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, n_parts):
     """The per-partition kernel of :func:`band_bucket_pairs`: every row of
     each (band, key) bucket the partition holds -> (doc_a, doc_b,
     truncated) pairs, doc_a < doc_b."""
@@ -456,14 +462,14 @@ def _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, num_parti
             a, b = a[m], b[m]
         flag = truncated[bucket[a]]
         # a truncated bucket with no pair left still reports its loss: one
-        # (-1, -1 - (k * P + p)) marker row each, k counting this
+        # (-1, -1 - (k * n_parts + p)) marker row each, k counting this
         # partition's markers and p its index, so doc_b is distinct
         # across every partition and the pair-distinct keeps them all
         emitted = np.zeros(len(sizes), bool)
         emitted[bucket[a]] = True
         n_markers = int((truncated & ~emitted).sum())
-        p = int(part_of([band[:1], key[:1]], num_partitions)[0]) if n_markers else 0
-        marker_b = -1 - (np.arange(n_markers, dtype=np.int64) * num_partitions + p)
+        p = int(part_of([band[:1], key[:1]], n_parts)[0]) if n_markers else 0
+        marker_b = -1 - (np.arange(n_markers, dtype=np.int64) * n_parts + p)
         return pa.table(
             [
                 np.concatenate([ids[a], np.full(n_markers, -1, np.int64)]),
@@ -783,10 +789,7 @@ def embed_lsh_pairs(ds, threshold: float = 0.9, n_tables: int = 8, n_planes: int
                 "vec": batch.column(vec_col),
             })
         col = batch.column(vec_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-        vecs = flat.reshape(len(col), -1)
+        vecs = _to_matrix(col)
         ids = batch.column(id_col).to_numpy()
         bands = []
         keys = []
@@ -798,7 +801,7 @@ def embed_lsh_pairs(ds, threshold: float = 0.9, n_tables: int = 8, n_planes: int
             "band": pa.array(np.concatenate(bands), pa.int32()),
             "key": pa.array(np.concatenate(keys), pa.int64()),
             "doc_id": pa.array(np.tile(ids, n_tables)),
-            "vec": pa.concat_arrays([col] * n_tables),
+            "vec": pa.chunked_array(col.chunks * n_tables, col.type),
         })
 
     banded = ds.map_batches(keys_batch, batch_format="pyarrow")
@@ -813,7 +816,7 @@ def embed_lsh_pairs(ds, threshold: float = 0.9, n_tables: int = 8, n_planes: int
         order = np.lexsort((key, band))
         band, key = band[order], key[order]
         ids = g.column("doc_id").to_numpy()[order]
-        vecs = _list_to_matrix(g.column("vec"))[order]
+        vecs = _to_matrix(g.column("vec"))[order]
         seg = np.ones(len(ids), bool)
         seg[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
         bounds = np.concatenate([np.nonzero(seg)[0], [len(ids)]])
@@ -861,15 +864,6 @@ def embed_lsh_pairs(ds, threshold: float = 0.9, n_tables: int = 8, n_planes: int
     return pairs.map_batches(_typed_pairs, batch_format="pyarrow")
 
 
-def _list_to_matrix(col) -> np.ndarray:
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if len(col) == 0:  # reshape(0, -1) is a numpy error; empty blocks pass through
-        return np.empty((0, 0))
-    flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-    return flat.reshape(len(col), -1)
-
-
 def _attach_side(L: pa.Table, on: str, R: pa.Table, id_col: str, col: str) -> pa.Table:
     """Inner join of the pairs ``L`` and ``R`` on ``L[on] == R[id_col]``
     (``on`` is ``doc_a`` or ``doc_b``): ``L``'s columns plus ``R[col]`` as
@@ -883,16 +877,13 @@ def _attach_side(L: pa.Table, on: str, R: pa.Table, id_col: str, col: str) -> pa
 
 class IdFilter:
     """Broadcast kernel (``cached_map(IdFilter, ray.put(ids), ...)``):
-    a batch's rows whose ``id_col`` is in ``ids`` (``drop=True``: is
-    not), optionally projected to ``columns``."""
+    ``columns`` of a batch's rows whose ``id_col`` is in ``ids``."""
 
-    def __init__(self, ids, id_col: str, drop: bool = False, columns: tuple | None = None):
-        self.ids, self.id_col, self.drop, self.columns = ids, id_col, drop, columns
+    def __init__(self, ids, id_col: str, columns: tuple):
+        self.ids, self.id_col, self.columns = ids, id_col, columns
 
     def __call__(self, b: pa.Table) -> pa.Table:
-        mask = pc.is_in(b.column(self.id_col), value_set=self.ids)
-        b = b.filter(pc.invert(mask) if self.drop else mask)
-        return b if self.columns is None else b.select(list(self.columns))
+        return b.filter(pc.is_in(b.column(self.id_col), value_set=self.ids)).select(list(self.columns))
 
 
 class AttachSides:
@@ -909,8 +900,7 @@ class AttachSides:
         return b
 
 
-def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Table,
-                  num_partitions: int | None):
+def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Table):
     """The route of candidate-pair verification: ``(doc_a, doc_b)``
     pairs -> ``keep(b)``, where ``b`` is a block of pairs with each id's
     ``side_ds[col]`` attached as ``side_a`` and ``side_b``.
@@ -946,21 +936,18 @@ def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Tabl
                 cached_map(AttachSides, ray.put(side), id_col=id_col, col=col), batch_format="pyarrow"
             )
             return attached.map_batches(keep, batch_format="pyarrow")
-    if num_partitions is None:
-        num_partitions = partitions(side_ds, n_rows=n_pairs, rows_per_partition=250_000)
+    n = partitions(side_ds, n_rows=n_pairs, rows_per_partition=250_000)
     with_a = copartition(
-        pairs_ds, side_ds, "doc_a", id_col, lambda L, R: _attach_side(L, "doc_a", R, id_col, col),
-        num_partitions,
+        pairs_ds, side_ds, "doc_a", id_col, lambda L, R: _attach_side(L, "doc_a", R, id_col, col), n,
     )
     return copartition(
-        with_a, side_ds, "doc_b", id_col, lambda L, R: keep(_attach_side(L, "doc_b", R, id_col, col)),
-        num_partitions,
+        with_a, side_ds, "doc_b", id_col, lambda L, R: keep(_attach_side(L, "doc_b", R, id_col, col)), n,
     )
 
 
 def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
                          threshold_den: int = 2, id_col: str = "doc_id",
-                         text_col: str = "text", num_partitions: int | None = None):
+                         text_col: str = "text"):
     """Exact k-shingle Jaccard verification of candidate pairs: keep
     (doc_a, doc_b) iff ``|Sa ∩ Sb| * den >= |Sa ∪ Sb| * num`` — i.e.
     J >= num/den decided in INTEGER arithmetic (float-free, so a DuckDB
@@ -1027,7 +1014,7 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
         ok = inter * threshold_den >= union * threshold_num
         return pa.table({"doc_a": pa.array(da[ok]), "doc_b": pa.array(db[ok])})
 
-    return _verify_pairs(pairs_ds, docs_ds, id_col, text_col, keep, empty, num_partitions)
+    return _verify_pairs(pairs_ds, docs_ds, id_col, text_col, keep, empty)
 
 
 def _deliver_labels(g: pa.Table) -> pa.Table:
@@ -1101,7 +1088,7 @@ def fastsv_labels(u: np.ndarray, v: np.ndarray, n: int, max_iter: int) -> np.nda
     raise _not_converged(max_iter)
 
 
-def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: int = 32):
+def connected_components(pairs_ds, max_iter: int = 32):
     """Candidate pairs -> (doc_id, survivor) per connected component: the
     dedup-resolution step after candidate generation (the survivor is the
     component-minimum id; every doc appearing in a pair gets a row).
@@ -1163,9 +1150,8 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
         }))
     if pairs_ds.count() == 0:
         return _rd.from_arrow(empty)
-    if num_partitions is None:
-        # pairs are materialized, so their row count is free
-        num_partitions = partitions(pairs_ds)
+    # pairs are materialized, so their row count is free
+    n = partitions(pairs_ds)
 
     def both_dirs(b: pa.Table) -> pa.Table:
         da = b.column("doc_a").to_numpy()
@@ -1218,15 +1204,15 @@ def connected_components(pairs_ds, num_partitions: int | None = None, max_iter: 
 
     # one row per node, label = min over incident edges (saves a round)
     labels = hash_partition(
-        edges.map_batches(init_labels, batch_format="pyarrow"), "node", _min_label, num_partitions
+        edges.map_batches(init_labels, batch_format="pyarrow"), "node", _min_label, n
     ).materialize()
     prev = labels.sum("label")
     for _ in range(max_iter):
         msgs = edges.map_batches(edge_msgs, batch_format="pyarrow").union(
             labels.map_batches(label_msgs, batch_format="pyarrow")
         )
-        offers = hash_partition(msgs, "key", _deliver_labels, num_partitions)
-        labels = hash_partition(offers, "node", _min_label, num_partitions).materialize()
+        offers = hash_partition(msgs, "key", _deliver_labels, n)
+        labels = hash_partition(offers, "node", _min_label, n).materialize()
         # labels are per-node minima: the sum is monotone non-increasing
         # and equal sums mean every label is at its fixpoint
         cur = labels.sum("label")
@@ -1247,39 +1233,27 @@ def _dup_ids(res: pa.Table) -> pa.Array:
     return doc.filter(pc.not_equal(doc, res.column("survivor"))).combine_chunks()
 
 
-def apply_dedup(docs_ds, resolution_ds, id_col: str = "doc_id",
-                num_partitions: int | None = None):
+def apply_dedup(docs_ds, resolution_ds, id_col: str = "doc_id"):
     """Corpus -> SURVIVORS only: drop every doc whose resolution row
     (:func:`connected_components` output) names a DIFFERENT survivor —
     the final step a training-data dedup actually ships.  Docs absent
     from the resolution table (never in any candidate pair) pass through
     untouched.
 
-    The resolution table is 16 bytes per clustered doc.  While it fits
-    ``BROADCAST_BYTES`` (:func:`georay.partition.broadcast_or_none`), the
-    duplicate ids go out with one ``ray.put`` and the corpus
-    streams read -> ``is_in`` anti-filter with no shuffle, so a write
-    after it fuses into the same tasks.  Past the budget it is a LEFT
-    ANTI join by one co-partitioned sort shuffle: the corpus and the
-    resolution table are partitioned by id, and each partition drops the
-    ids its resolution rows name as duplicates."""
-    import ray
-
-    res, resolution_ds = broadcast_or_none(resolution_ds)
-    if (resolution_ds.count() if res is None else res.num_rows) == 0:
-        return docs_ds  # nothing to drop: skip the corpus pass
-    if res is not None:
-        drop_dups = cached_map(IdFilter, ray.put(_dup_ids(res)), id_col=id_col, drop=True)
-        return docs_ds.map_batches(drop_dups, batch_format="pyarrow")
-    if num_partitions is None:
-        # the LEFT ANTI join shuffles the whole corpus — size to its
-        # row count (free plan metadata on a fresh read)
-        num_partitions = partitions(docs_ds)
+    A LEFT ANTI join by :func:`georay.partition.keyed_join`: the
+    resolution table is 16 bytes per clustered doc, so while it fits
+    ``BROADCAST_BYTES`` the corpus streams read -> anti-filter with no
+    shuffle and a write after it fuses into the same tasks; past the
+    budget the corpus and the resolution are co-partitioned by id.  An
+    empty resolution skips the corpus pass."""
+    resolution_ds = resolution_ds.materialize()
+    if resolution_ds.count() == 0:
+        return docs_ds
 
     def survivors(L: pa.Table, R: pa.Table) -> pa.Table:
         return L.filter(pc.invert(pc.is_in(L.column(id_col), value_set=_dup_ids(R))))
 
-    return copartition(docs_ds, resolution_ds, id_col, "doc_id", survivors, num_partitions)
+    return keyed_join(docs_ds, resolution_ds, id_col, "doc_id", survivors)
 
 
 def cosine_pairs(vecs: np.ndarray, ids: np.ndarray, threshold: float) -> pa.Table:

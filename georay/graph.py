@@ -29,7 +29,8 @@ round even though the edge partitioning never changes.  Instead:
 Per-round traffic is the pre-aggregated contribution partials only
 (<= min(|V|, distinct dsts) rows per source partition); rank state and
 the edge partition never move after setup.  Actor count scales with the
-cluster (``num_partitions``), state per actor is O(|V| + |E| / P).
+cluster (``P``: ~200k edges per actor, at most one per CPU, at
+least 4), state per actor is O(|V| + |E| / P).
 
 Arithmetic is integer fixed-point (rank scaled by ``SCALE``) so every
 sum is order-independent and the result is EXACTLY reproducible — and
@@ -214,8 +215,7 @@ class _PRPartition:
                          "pr": pa.array(self.rank, pa.int64())})
 
 
-def pagerank(edges_ds, iters: int = 3, num_partitions: int | None = None,
-             dangling: str = "keep", tol: int | None = None):
+def pagerank(edges_ds, iters: int = 3, dangling: str = "keep", tol: int | None = None):
     """Edge-list dataset (src, dst int64) -> (node, pr) integer
     fixed-point PageRank after at most ``iters`` synchronous BSP rounds
     (module docstring has the full architecture).
@@ -236,13 +236,11 @@ def pagerank(edges_ds, iters: int = 3, num_partitions: int | None = None,
     n_edges = edges_ds.count()
     if n_edges == 0:
         return _rd.from_arrow(empty)
-    if num_partitions is None:
-        # size the actor set to the measured edge count (~200k edges per
-        # partition), capped by the cluster — a tiny graph doesn't pay
-        # 32 actor startups + P^2 exchange refs per round
-        cpus = int(_ray.cluster_resources().get("CPU", 4))
-        num_partitions = max(4, min(cpus, -(-n_edges // 200_000)))
-    p = num_partitions
+    # size the actor set to the measured edge count (~200k edges per
+    # partition), capped by the cluster — a tiny graph doesn't pay
+    # 32 actor startups + P^2 exchange refs per round
+    cpus = int(_ray.cluster_resources().get("CPU", 4))
+    p = max(4, min(cpus, -(-n_edges // 200_000)))
 
     def endpoints(b: pa.Table) -> pa.Table:
         # per-block pre-dedup only; the GLOBAL distinct happens inside

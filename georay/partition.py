@@ -1,8 +1,9 @@
 """Hash partitioning: georay's keyed exchanges, their one sizing rule, the
-one rule that skips them, and the one kernel that streams past a
-broadcast side.
+one rule that skips them, the one kernel that streams past a broadcast
+side, and the one join against a small keyed side.
 
-Two exchange primitives, one broadcast rule and one broadcast kernel:
+Two exchange primitives, one broadcast rule, one broadcast kernel and
+the join that picks between them:
 
 - :func:`hash_partition` (one input) runs ``kernel(t)`` once per
   partition with every row of each key the partition holds: per-user
@@ -25,6 +26,11 @@ Two exchange primitives, one broadcast rule and one broadcast kernel:
   the broadcast refs once per worker process and calls it on each batch,
   so a broadcast stage runs as plain tasks, never an actor pool.  The
   payloads a worker keeps across stages fit the same budget.
+- :func:`keyed_join` is the one join of a streamed left side with a
+  smaller keyed right side (dedup apply, curate's survivor semi-join,
+  ``segment_revenue``): ``broadcast_or_none`` on the right side, then
+  either one ``cached_map`` over the left side or one ``copartition``,
+  with the same ``kernel(L, R)`` on both routes.
 
 Both exchanges tag each row with ``part_of(key, P)`` and run the union
 through a single sort whose boundaries are the partition numbers: block
@@ -304,3 +310,40 @@ def copartition(left, right, left_on, right_on, kernel, num_partitions: int):
     left = left.map_batches(tag(0, _names(left_on)), batch_size=_TAG_ROWS, batch_format="pyarrow")
     right = right.map_batches(tag(1, _names(right_on)), batch_size=_TAG_ROWS, batch_format="pyarrow")
     return _exchange(left.union(right), run, num_partitions)
+
+
+class KeyedJoin:
+    """:func:`keyed_join`'s broadcast kernel (``cached_map(KeyedJoin,
+    ray.put(right), ray.put(kernel))``): ``kernel(batch, right)``."""
+
+    def __init__(self, right: pa.Table, kernel):
+        self.right, self.kernel = right, kernel
+
+    def __call__(self, b: pa.Table) -> pa.Table:
+        return self.kernel(b, self.right)
+
+
+def keyed_join(left, right, left_on, right_on, kernel):
+    """Join the streamed ``left`` with the smaller keyed ``right`` by
+    ``kernel(L, R) -> pa.Table``, where ``kernel`` keeps rows of ``L`` and
+    attaches rows of ``R`` whose keys match (an inner, semi or anti join),
+    so it gives the same rows whatever slice of ``L`` holds a key.
+
+    While ``right`` fits ``BROADCAST_BYTES`` (:func:`broadcast_or_none`)
+    it goes out with one ``ray.put`` and ``left`` streams through one
+    plain map (:class:`KeyedJoin` under :func:`cached_map`) that calls
+    ``kernel(batch, whole right)``: no shuffle, so a read before it and a
+    write after it fuse into the same tasks.  Past the budget both sides
+    are co-partitioned on their keys (:func:`copartition`), sized by
+    :func:`partitions` from ``left``'s metadata and ``right``'s rows.
+    ``right`` needs an Arrow schema on both routes."""
+    import ray
+
+    table, right = broadcast_or_none(right)
+    if table is None:
+        n = partitions(left, n_rows=right.count())
+        return copartition(left, right, left_on, right_on, kernel, n)
+    # the kernel is a second ref, so the instance key is the same in
+    # every task (a kernel closure unpickled per task would not be)
+    join = cached_map(KeyedJoin, ray.put(table), ray.put(kernel))
+    return left.map_batches(join, batch_format="pyarrow")

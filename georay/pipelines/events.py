@@ -152,28 +152,26 @@ def window_top1_partition(g):
     return window_topk_partition(g, k=1).select(["user_id", "event_id"])
 
 
-def _by_user_partition(ds, kernel, num_partitions: int | None):
+def _by_user_partition(ds, kernel):
     """Hash-partition on user_id, one vectorized multi-user kernel per
     partition."""
-    return hash_partition(ds, "user_id", kernel, num_partitions or partitions(ds))
+    return hash_partition(ds, "user_id", kernel, partitions(ds))
 
 
-def sessionize(ds, gap_us: int = GAP_US, num_partitions: int | None = None):
+def sessionize(ds, gap_us: int = GAP_US):
     """Dataset of events -> per-user-session aggregate rows."""
-    return _by_user_partition(
-        ds, lambda g: sessionize_partition(g, gap_us), num_partitions
-    )
+    return _by_user_partition(ds, lambda g: sessionize_partition(g, gap_us))
 
 
-def asof_purchase(ds, num_partitions: int | None = None):
+def asof_purchase(ds):
     """Dataset of events -> (event_id, last_purchase) as-of join rows."""
-    return _by_user_partition(ds, asof_partition, num_partitions)
+    return _by_user_partition(ds, asof_partition)
 
 
-def window_top1(ds, num_partitions: int | None = None):
+def window_top1(ds):
     """Dataset of events -> (user_id, event_id) of each user's
     highest-value event (windowed top-1 custom op)."""
-    return _by_user_partition(ds, window_top1_partition, num_partitions)
+    return _by_user_partition(ds, window_top1_partition)
 
 
 def window_topk_partition(g, k: int):
@@ -220,12 +218,10 @@ def window_topk_partition(g, k: int):
     )
 
 
-def window_topk(ds, k: int = 2, num_partitions: int | None = None):
+def window_topk(ds, k: int = 2):
     """Dataset of events -> (user_id, event_id, rank) of each user's k
     highest-value events (windowed top-k custom op)."""
-    return _by_user_partition(
-        ds, lambda g: window_topk_partition(g, k), num_partitions
-    )
+    return _by_user_partition(ds, lambda g: window_topk_partition(g, k))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +283,7 @@ def sliding_count_partition(g, window_us: int = HOUR_US):
     )
 
 
-def events_sliding(ds, window_us: int = HOUR_US, num_partitions: int | None = None):
+def events_sliding(ds, window_us: int = HOUR_US):
     """Per-event TRAILING-window count (same event_type, ts within the
     last ``window_us``) — the sliding-window custom op.
 
@@ -329,5 +325,5 @@ def events_sliding(ds, window_us: int = HOUR_US, num_partitions: int | None = No
         ds.map_batches(explode, batch_format="pyarrow"),
         ["event_type", "day"],
         lambda g: sliding_count_partition(g, window_us),
-        num_partitions or partitions(ds),
+        partitions(ds),
     )

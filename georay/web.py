@@ -83,7 +83,7 @@ def _quota_truncate(t: pa.Table, quota: int, host_col: str = "host",
     return t.select([id_col, host_col]).take(pa.array(keep))
 
 
-def host_quota(pages_ds, quota: int, num_partitions: int | None = None):
+def host_quota(pages_ds, quota: int):
     """Per-host document cap: keep the ``quota`` lowest doc_ids of every
     host (deterministic curation quota — the standard guard against a
     single host dominating a training mix).
@@ -107,5 +107,5 @@ def host_quota(pages_ds, quota: int, num_partitions: int | None = None):
     # per-task shares are not
     return hash_partition(
         pages_ds.map_batches(slim, batch_format="pyarrow"), "host",
-        lambda g: _quota_truncate(g, quota), num_partitions or partitions(pages_ds),
+        lambda g: _quota_truncate(g, quota), partitions(pages_ds),
     )

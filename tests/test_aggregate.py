@@ -151,6 +151,26 @@ class TestKeyedAgg:
         assert len(want) == 1 and want[0]["n"] == 1500
         assert _got(ray.data.from_arrow(blocks), "i", ALL_OPS) == want
 
+    def test_exchange_is_sized_by_the_input_rows(self, ray_session, monkeypatch):
+        """The sizer gets the input, whose row count a materialized or
+        freshly read Dataset knows for free, not the lazy partials, whose
+        count is unknown and would always give the floor."""
+        import ray.data
+
+        import georay.stages.aggregate as agg
+
+        seen, real = [], agg.partitions
+
+        def sizer(ds=None, **kwargs):
+            seen.append(ds._meta_count())
+            return real(ds, **kwargs)
+
+        monkeypatch.setattr(agg, "partitions", sizer)
+        blocks = [_rows(300, seed) for seed in range(5)]
+        ds = ray.data.from_arrow(blocks).materialize()
+        assert _got(ds, "i", ALL_OPS) == _want(pa.concat_tables(blocks), "i", ALL_OPS)
+        assert seen == [1500]
+
     def test_kernels_keep_the_typed_schema_when_empty(self):
         empty = _rows(10, 0).slice(0, 0)
         part = combiner(["s", "t"], ALL_OPS)(empty)

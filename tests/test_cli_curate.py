@@ -68,6 +68,35 @@ def test_curate_cli_keeps_nothing(tmp_path, flags):
     assert os.listdir(out) == []
 
 
+def test_curate_cli_same_rows_on_both_routes(ray_session, monkeypatch, copartitions, tmp_path, capsys):
+    """The survivor semi-join is one ``keyed_join``: the same summary and
+    rows whether the survivor ids are broadcast (no ``copartition``) or,
+    with ``BROADCAST_BYTES = 0``, co-partitioned with the corpus."""
+    import ray
+
+    from georay.__main__ import main
+
+    monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)
+    outs = iter([str(tmp_path / "out0"), str(tmp_path / "out1")])
+
+    def run():
+        out = next(outs)
+        main(["curate", "--input", "/root/testdata/sf0.001/documents.parquet", "--out", out,
+              "--min-quality-bp", "3000", "--rate-bp", "8000"])
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        summary.pop("out")
+        rows = pq.read_table(out).to_pandas()
+        return summary, sorted(map(tuple, rows.astype(str).values.tolist()))
+
+    broadcast = run()
+    assert not copartitions
+    monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
+    shuffled = run()
+    assert copartitions
+    assert broadcast == shuffled
+    assert 0 < broadcast[0]["survivors"] == len(broadcast[1])
+
+
 def test_pack_cli(tmp_path):
     import duckdb
 
@@ -123,7 +152,7 @@ def test_curate_failure_leaves_no_checkpoint(tmp_path):
         "import georay.partition\n"
         "def fail(*a, **k):\n"
         "    raise RuntimeError('stage after the checkpoint failed')\n"
-        "georay.partition.copartition = fail\n"
+        "georay.partition.keyed_join = fail\n"
         "from georay.__main__ import main\n"
         "main(sys.argv[1:])\n"
     )

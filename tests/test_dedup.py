@@ -784,16 +784,19 @@ class TestClusterPartitionsRowsAware:
 
 @pytest.fixture
 def exchanges(monkeypatch):
-    """Names of the keyed exchanges ``georay.dedup`` starts, in order."""
+    """Names of the keyed exchanges ``georay.dedup`` starts, in order,
+    with the ``copartition`` that ``georay.partition.keyed_join`` starts
+    for it."""
     import georay.dedup as dd
+    import georay.partition
 
     calls = []
-    for name in ("copartition", "hash_partition"):
-        def spy(*args, _fn=getattr(dd, name), _name=name, **kwargs):
+    for module, name in ((dd, "copartition"), (dd, "hash_partition"), (georay.partition, "copartition")):
+        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(dd, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 

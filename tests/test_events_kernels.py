@@ -303,7 +303,7 @@ class TestStratifiedSample:
 
 
 class TestDataAwarePartitionsE2E:
-    def test_sessionize_with_forced_tiny_rows_per_partition(self, ray_session):
+    def test_sessionize_with_forced_tiny_rows_per_partition(self, ray_session, monkeypatch):
         """A rows_per_partition far below the row count drives the
         partition count above the old 256 cap; sessionize output must be
         identical to a small fixed partitioning (window logic never
@@ -327,8 +327,11 @@ class TestDataAwarePartitionsE2E:
         ds = ray.data.from_arrow(t)
         p = partitions(ds, rows_per_partition=10)
         assert p == 300
-        many = (ev.sessionize(ds, num_partitions=p).to_pandas()
-                .sort_values(["user_id", "session_idx"]).reset_index(drop=True))
-        few = (ev.sessionize(ds, num_partitions=8).to_pandas()
-               .sort_values(["user_id", "session_idx"]).reset_index(drop=True))
+
+        def sessions(n):
+            monkeypatch.setattr(ev, "partitions", lambda *a, **k: n)
+            return (ev.sessionize(ds).to_pandas()
+                    .sort_values(["user_id", "session_idx"]).reset_index(drop=True))
+
+        many, few = sessions(p), sessions(8)
         pd.testing.assert_frame_equal(many, few)

@@ -437,9 +437,25 @@ class TestJoinRunsOnTasks:
         "_q_embed_dup_pairs": "BruteDup",
         "_q_kmeans": "KMeansAssign",
         "_q_poly_join": "RelateBoxes",
-        "_q_segment_revenue": "SegmentJoin",
+        "_q_segment_revenue": "KeyedJoin",
         "_q_media_decode": "ImageDecodeStage",
     }
+
+    def test_segment_revenue_same_on_both_routes(self, ray_session, monkeypatch, copartitions):
+        """``_q_segment_revenue`` joins through ``keyed_join``: the same
+        rows when the customers are broadcast (no ``copartition``) and,
+        with ``BROADCAST_BYTES = 0``, when they are co-partitioned."""
+
+        def run():
+            out = _entry()._q_segment_revenue(SF).to_pandas()
+            return sorted(map(tuple, out[["c_mktsegment", "revenue_cents", "n_orders"]].values.tolist()))
+
+        broadcast = run()
+        assert not copartitions
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
+        shuffled = run()
+        assert copartitions
+        assert broadcast == shuffled and len(broadcast) > 1
 
     @pytest.mark.parametrize("query", list(KERNELS))
     def test_entry_joins_run_on_tasks(self, ray_session, query):

@@ -1,6 +1,6 @@
 """georay.partition: the key hash, the one- and two-input exchanges, the
-broadcast-or-exchange rule, the broadcast kernel ``cached_map``, and the
-rule that georay has no other."""
+broadcast-or-exchange rule, the broadcast kernel ``cached_map``, the
+small-side join ``keyed_join``, and the rule that georay has no other."""
 
 import re
 from pathlib import Path
@@ -10,7 +10,7 @@ import pyarrow as pa
 import pytest
 
 import georay.partition
-from georay.partition import broadcast_or_none, cached_map, copartition, hash_partition, part_of
+from georay.partition import broadcast_or_none, cached_map, copartition, hash_partition, keyed_join, part_of
 
 LEFT = pa.schema([("id", pa.int64()), ("a", pa.int64())])
 RIGHT = pa.schema([("rid", pa.int64()), ("text", pa.large_string())])
@@ -410,6 +410,40 @@ class TestOneMechanism:
         ]
         assert defs == ["partition.py"]
 
+    def test_copartition_only_in_verify(self):
+        """A join against a small keyed side is ``keyed_join``, which picks
+        broadcast or ``copartition`` itself: outside ``partition.py`` only
+        ``dedup._verify_pairs``, whose small side is decided on the pairs,
+        calls ``copartition(``."""
+        import ast
+
+        def calls_copartition(n):
+            return ast.unparse(n.func).split(".")[-1] == "copartition"
+
+        sites = {site for site in self._call_sites(calls_copartition) if site[0] != "partition.py"}
+        assert sites == {("dedup.py", "_verify_pairs")}
+
+    def test_no_partition_count_knob(self, capsys):
+        """``partitions()`` sizes every exchange: no function outside
+        ``partition.py`` takes a ``num_partitions`` parameter, and the
+        ``curate`` CLI has no ``--num-partitions`` flag."""
+        import ast
+
+        from georay.__main__ import main
+
+        hits = [
+            f"{path.name}:{node.lineno}: {getattr(node, 'name', 'lambda')}"
+            for path in self._sources() if path.name != "partition.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            and "num_partitions" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        ]
+        assert not hits, hits
+        with pytest.raises(SystemExit):
+            main(["curate", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--min-quality-bp" in help_text and "--num-partitions" not in help_text
+
     def test_no_actor_pools(self):
         """A broadcast stage is ``cached_map(cls, ...)`` on plain tasks:
         no ``map_batches`` sizes an actor pool (``concurrency=``) or
@@ -705,3 +739,71 @@ class TestCopartition:
         ).materialize()
         assert out.num_blocks() == 3
         assert out.count() == 67
+
+
+class TestKeyedJoin:
+    """``keyed_join`` gives the rows of ``kernel(left, right)`` on both
+    routes: the broadcast map while the right side fits the budget, one
+    ``copartition`` past it (``BROADCAST_BYTES = -1``, so that an empty
+    right side, 0 bytes, is over it too)."""
+
+    @pytest.fixture(params=["broadcast", "exchange"])
+    def route(self, request, monkeypatch, copartitions):
+        if request.param == "exchange":
+            monkeypatch.setattr("georay.partition.BROADCAST_BYTES", -1)
+        yield request.param
+        assert bool(copartitions) == (request.param == "exchange")
+
+    @pytest.mark.parametrize("kind", ["inner", "left semi", "left anti"])
+    @pytest.mark.parametrize("sides", ["both", "left empty", "right empty"])
+    def test_matches_pyarrow_join(self, ray_session, route, kind, sides):
+        import ray.data
+
+        rng = np.random.default_rng(11)
+        left = _left(rng.integers(0, 30, 40).tolist())  # repeated keys
+        right = _right(rng.choice(45, 25, replace=False).tolist())  # large_string text
+        if sides == "left empty":
+            left = LEFT.empty_table()
+        elif sides == "right empty":
+            right = RIGHT.empty_table()
+        out = _collect(keyed_join(
+            ray.data.from_arrow([left.slice(0, 15), left.slice(15)]), ray.data.from_arrow(right),
+            "id", "rid", lambda L, R: L.join(R, keys="id", right_keys="rid", join_type=kind),
+        ))
+        want = left.join(right, keys="id", right_keys="rid", join_type=kind)
+        assert (want.num_rows > 0) == (sides == "both" or (sides == "right empty" and kind == "left anti"))
+        if want.num_rows == 0:
+            assert out is None
+            return
+        assert _rows(out) == _rows(want)
+        if kind == "inner":
+            assert out.schema.field("text").type == pa.large_string()
+
+    def test_broadcast_builds_once_per_worker(self, ray_session, tmp_path, copartitions):
+        """Over many tasks, each worker fetches the kernel, so builds its
+        instance, once: the cache key holds no per-task object."""
+        import os
+        import uuid
+
+        import ray.data
+
+        class Marked:
+            """A semi-join kernel that marks each unpickling with its pid."""
+
+            def __init__(self, marks: str):
+                self.marks = marks
+
+            def __setstate__(self, state):
+                self.__dict__.update(state)
+                open(os.path.join(self.marks, f"{os.getpid()}_{uuid.uuid4().hex}"), "w").close()
+
+            def __call__(self, L: pa.Table, R: pa.Table) -> pa.Table:
+                return L.join(R, keys="id", right_keys="rid", join_type="left semi")
+
+        left = ray.data.from_arrow([_left([i]) for i in range(24)])
+        out = keyed_join(left, ray.data.from_arrow(_right(list(range(0, 24, 2)))), "id", "rid",
+                         Marked(str(tmp_path)))
+        assert sorted(_collect(out).column("id").to_pylist()) == list(range(0, 24, 2))
+        assert not copartitions
+        pids = [name.split("_")[0] for name in os.listdir(tmp_path)]
+        assert pids and len(pids) == len(set(pids)), pids
