@@ -54,26 +54,31 @@ def _cents(v: np.ndarray) -> np.ndarray:
 SF001 = "/root/testdata/sf0.001"
 CELL_RES = 7
 
-#: session-scoped memo of the extracted+cellized geo dataset per sf_dir —
-#: ~10 geo queries share this upstream, so materialize it once per driver
-#: session instead of re-running synthesis+extraction per query (results
-#: identical; the pipelines themselves are exercised by entry()/bench).
-_GEO_CACHE: dict[str, Any] = {}
+#: session memo of the materialized upstreams several queries share,
+#: keyed by (what, sf_dir): the extracted+cellized geo dataset (~10 geo
+#: queries), the MinHash-verified pairs (`minhash_pairs`,
+#: `minhash_pairs_join`, `dedup_resolve`) and their resolution
+#: (`dedup_resolve`, `dedup_apply`).  Each is built once per driver
+#: session; the first call still runs the pipeline.
+_MEMO: dict[tuple, Any] = {}
+
+
+def _memo(key: tuple, build: Callable[[], Any]):
+    if key not in _MEMO:
+        _MEMO[key] = build()
+    return _MEMO[key]
 
 
 def _geo(sf_dir: str):
-    ds = _GEO_CACHE.get(sf_dir)
-    if ds is None:
-        ds = _GEO_CACHE[sf_dir] = geo_dataset(read_pages(sf_dir), res=CELL_RES).materialize()
-    return ds
+    return _memo(("geo", sf_dir), lambda: geo_dataset(read_pages(sf_dir), res=CELL_RES).materialize())
 
 
-#: session-scoped memo of table reads — the driver's correctness gate
-#: runs all 70 queries in one session, ~40 of which re-read the same
-#: (documents, [doc_id, text]) projection; decoding it once cuts the
-#: suite's fixed cost.  Only SMALL files are materialized (gate scales
-#: are MBs) — above the cap the lazy read is returned uncached, so the
-#: memo never pins big data in the object store.
+#: session-scoped memo of table reads, beside `_MEMO` for its size cap —
+#: the driver's correctness gate runs all 70 queries in one session, ~40
+#: of which re-read the same (documents, [doc_id, text]) projection;
+#: decoding it once cuts the suite's fixed cost.  Only SMALL files are
+#: materialized (gate scales are MBs) — above the cap the lazy read is
+#: returned uncached, so the memo never pins big data in the object store.
 _READ_CACHE: dict[tuple, Any] = {}
 _READ_CACHE_MAX_BYTES = 256 * 2**20
 
@@ -534,39 +539,11 @@ def _q_simhash_pairs(sf_dir: str):
     return simhash_pairs(ds, max_hamming=3, hash_impl="md5")
 
 
-#: session-scoped memo of the minhash-verified pair set per sf_dir —
-#: `minhash_pairs` and `dedup_resolve` share the whole candidate+verify
-#: upstream, so materialize it once per driver session (same pattern as
-#: _GEO_CACHE; the pipeline itself is still exercised by the first call)
-_MINHASH_CACHE: dict[str, Any] = {}
-
-
 def _minhash_verified_pairs(sf_dir: str):
-    cached = _MINHASH_CACHE.get(sf_dir)
-    if cached is not None:
-        return cached
-    from georay.dedup import band_bucket_pairs, jaccard_verify_pairs, minhash_band_batch, real_pairs
+    from georay.dedup import near_dup_pairs
 
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    banded = ds.map_batches(minhash_band_batch, batch_format="pyarrow")
-    # surface bucket truncation loudly instead of letting the flag column
-    # (and the marker rows of truncated buckets, doc_a < 0) silently
-    # vanish in the verification join
-    pairs, n_trunc = real_pairs(band_bucket_pairs(banded))
-    if n_trunc:
-        import logging
-
-        logging.getLogger("georay").warning(
-            "minhash candidate buckets hit the max_bucket cap (%s flagged "
-            "rows): pairs beyond the cap were not generated — near-dup "
-            "recall is partial for the affected clusters", n_trunc,
-        )
-    verified = jaccard_verify_pairs(pairs, ds, k=3, threshold_num=1, threshold_den=2)
-    out = verified.map_batches(
-        lambda b: b.select(["doc_a", "doc_b"]), batch_format="pyarrow"
-    ).materialize()
-    _MINHASH_CACHE[sf_dir] = out
-    return out
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
+    return _memo(("minhash_pairs", sf_dir), lambda: near_dup_pairs(docs)[0].materialize())
 
 
 def _q_minhash_pairs(sf_dir: str):
@@ -595,33 +572,29 @@ def _q_dedup_resolve(sf_dir: str):
     """Dedup RESOLUTION: near-dup candidate pairs -> connected components
     -> canonical survivor (component-minimum doc_id) per clustered doc —
     the step a training-data dedup applies after candidate generation.
-    Distributed min-label propagation (joins + groupby, no single-task
-    funnel); oracle = recursive transitive closure in SQL over the same
-    verified pair set."""
+    ``connected_components`` labels on the driver (FastSV) while the
+    pairs fit ``BROADCAST_BYTES``, else by min-label propagation over
+    keyed exchanges; oracle = recursive transitive closure in SQL over
+    the same verified pair set."""
     return _minhash_resolution(sf_dir)
 
 
-#: session memo of the CC resolution (shared by dedup_resolve/dedup_apply)
-_RESOLVE_CACHE: dict[str, Any] = {}
-
-
 def _minhash_resolution(sf_dir: str):
-    cached = _RESOLVE_CACHE.get(sf_dir)
-    if cached is None:
-        from georay.dedup import connected_components
+    from georay.dedup import connected_components
 
-        cached = _RESOLVE_CACHE[sf_dir] = connected_components(
-            _minhash_verified_pairs(sf_dir)
-        ).materialize()
-    return cached
+    return _memo(
+        ("resolution", sf_dir), lambda: connected_components(_minhash_verified_pairs(sf_dir)).materialize()
+    )
 
 
 def _q_dedup_apply(sf_dir: str):
     """End-to-end dedup APPLICATION: corpus -> survivors only (every doc
-    whose resolution row names a different survivor is dropped) via a
-    co-partitioned LEFT ANTI join — the step a training-data pipeline
-    ships after candidate generation + resolution.  Oracle: NOT IN over
-    the same recursive-closure resolution."""
+    whose resolution row names a different survivor is dropped) via
+    ``apply_dedup``'s ``keyed_join`` anti kernel (the resolution
+    broadcast while it fits ``BROADCAST_BYTES``, else co-partitioned) —
+    the step a training-data pipeline ships after candidate generation +
+    resolution.  Oracle: NOT IN over the same recursive-closure
+    resolution."""
     from georay.dedup import apply_dedup
 
     res = _minhash_resolution(sf_dir)
@@ -715,8 +688,9 @@ def _q_ann_cosine(sf_dir: str):
 
 def _q_embed_lsh_pairs(sf_dir: str):
     """LSH-bucketed embedding near-dup (scale path): hyperplane keys ->
-    bucket hash partition (NO single-task merge) -> exact-cosine verification
-    inside each bucket (the corpus is never broadcast).  Full value
+    ``band_bucket_pairs`` (on the driver while the banded rows fit
+    ``BROADCAST_BYTES``, else keyed exchanges on (band, key), then on
+    the pair) -> exact-cosine verification inside each bucket.  Full value
     oracle: the SQL mirror recomputes the hyperplane keys from the same
     plane matrix (passed as VALUES), joins on (table, key), and applies
     the same cosine >= 0.30 filter."""

@@ -86,33 +86,22 @@ def cmd_dedup(args):
     ray = _init_ray(args.num_cpus)
     import ray.data
 
-    from georay.dedup import (
-        apply_dedup,
-        band_bucket_pairs,
-        connected_components,
-        jaccard_verify_pairs,
-        minhash_band_batch,
-        real_pairs,
-    )
+    from georay.dedup import apply_dedup, connected_components, near_dup_pairs
     from georay.partition import broadcast_or_none
 
     docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
     # each read's own context (the Datasets derived from it share it),
     # so their tasks start together; Ray's global context keeps its default
     docs.context.target_max_block_size = PLAN_BLOCK_BYTES
-    banded = docs.map_batches(minhash_band_batch, batch_format="pyarrow")
+    verified, n_trunc = near_dup_pairs(docs, args.threshold_num, args.threshold_den)
     # hot-bucket truncation fails loudly: its flags and marker rows would
     # otherwise vanish in the verify join behind a clean-looking summary
-    pairs, n_trunc = real_pairs(band_bucket_pairs(banded))
     if n_trunc:
         print(
             f"warning: {n_trunc} candidate rows flagged truncated — near-dup "
             "recall is partial for oversized clusters (raise max_bucket)",
             file=sys.stderr,
         )
-    verified = jaccard_verify_pairs(
-        pairs, docs, k=3, threshold_num=args.threshold_num, threshold_den=args.threshold_den,
-    )
     # a resolution within BROADCAST_BYTES is a driver table: write it there
     res, resolution = broadcast_or_none(connected_components(verified))
     full_docs = ray.data.read_parquet(args.input)

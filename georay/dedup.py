@@ -15,8 +15,9 @@ Scale design (SURVEY.md §2.8):
 - SimHash: 64-bit sign-aggregated token hashes; near-dup = hamming
   distance <= d via multi-index (4x16-bit block keys, exact check per
   bucket).
-- embedding cosine: random-hyperplane LSH bucket -> within-bucket exact
-  cosine; brute-force path for small sides.
+- embedding cosine: random-hyperplane LSH keys -> the same
+  ``band_bucket_pairs`` with an exact-cosine verify per bucket;
+  brute-force path for small sides.
 - verification, resolution and application (candidate pairs -> texts or
   vectors, pairs -> components, survivors -> corpus) each take
   :func:`georay.partition.broadcast_or_none` on their small side (the
@@ -427,7 +428,20 @@ def _upper_pairs(sizes: np.ndarray):
     return np.repeat(i, after), _expand_ranges(i + 1, after)
 
 
-def _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, n_parts):
+def pairwise(keep):
+    """A :func:`band_bucket_pairs` ``verify`` from a per-pair test: every
+    upper pair of each bucket, kept where ``keep(payload_a, payload_b)``
+    gives True."""
+
+    def verify(payload: np.ndarray, sizes: np.ndarray):
+        a, b = _upper_pairs(sizes)
+        m = keep(payload[a], payload[b])
+        return a[m], b[m]
+
+    return verify
+
+
+def _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify, n_parts):
     """The per-partition kernel of :func:`band_bucket_pairs`: every row of
     each (band, key) bucket the partition holds -> (doc_a, doc_b,
     truncated) pairs, doc_a < doc_b."""
@@ -455,11 +469,13 @@ def _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, n_parts):
             keep = rank < max_bucket
             ids, order, bucket = ids[keep], order[keep], bucket[keep]
             sizes = np.minimum(sizes, max_bucket)
-        a, b = _upper_pairs(sizes)
-        if pair_filter is not None:
-            payload = t.column(payload_col).to_numpy()[order]
-            m = pair_filter(payload[a], payload[b])
-            a, b = a[m], b[m]
+        if verify is None:
+            a, b = _upper_pairs(sizes)
+        else:
+            # a numpy gather: Arrow's take on a list column costs more
+            col = t.column(payload_col)
+            payload = _to_matrix(col) if pa.types.is_list(col.type) else col.to_numpy()
+            a, b = verify(payload[order], sizes)
         flag = truncated[bucket[a]]
         # a truncated bucket with no pair left still reports its loss: one
         # (-1, -1 - (k * n_parts + p)) marker row each, k counting this
@@ -494,14 +510,14 @@ def _distinct_pairs(t: pa.Table) -> pa.Table:
 
 def band_bucket_pairs(
     banded_ds, id_col: str = "doc_id", max_bucket: int | None = 512,
-    payload_col: str | None = None, pair_filter=None,
+    payload_col: str | None = None, verify=None,
 ):
     """(band, key, id[, payload]) rows -> distinct candidate pairs
     ``(doc_a, doc_b, truncated)`` with doc_a < doc_b, in two steps:
 
     1. per ``(band, key)`` bucket: lexsort the rows, de-duplicate ids per
-       bucket and expand every bucket's upper-triangle pairs in one
-       vectorized pass, applying ``pair_filter`` inline;
+       bucket, truncate, and expand every bucket's upper-triangle pairs
+       (or the ones ``verify`` keeps);
     2. per ``(doc_a, doc_b)``: a pair that collides in several bands is
        kept once, flagged if any of its buckets was truncated.
 
@@ -521,20 +537,23 @@ def band_bucket_pairs(
     the literal pair (-1, -1).  Pass ``max_bucket=None`` to disable the
     cap.
 
-    ``payload_col``/``pair_filter``: a fixed-width per-doc payload (e.g.
-    the 64-bit simhash) rides with the bucket rows and
-    ``pair_filter(payload_a, payload_b) -> bool mask`` verifies candidate
-    pairs INLINE at expansion — candidates never join back against the
-    corpus, and only verified pairs leave the stage.
+    ``payload_col``/``verify``: a per-doc payload (the 64-bit simhash, an
+    embedding) rides with the bucket rows, and ``verify(payload, sizes)
+    -> (a, b)`` verifies candidate pairs INLINE at expansion: ``payload``
+    holds the bucket-sorted, id-deduplicated, truncated rows (a list
+    column as a float64 matrix), ``sizes`` the bucket lengths, and ``a <
+    b`` are flat row indices of the pairs kept within each bucket
+    (:func:`pairwise` turns a per-pair test into one).  Candidates never
+    join back against the corpus, and only verified pairs leave the stage.
     """
     import ray.data
 
     table, banded_ds = broadcast_or_none(banded_ds)
     if table is not None:
-        kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, 1)
+        kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify, 1)
         return ray.data.from_arrow(_distinct_pairs(kernel(table)))
     n = partitions(banded_ds)
-    kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, pair_filter, n)
+    kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify, n)
     pairs = hash_partition(banded_ds, ["band", "key"], kernel, n)
     return hash_partition(pairs, ["doc_a", "doc_b"], _distinct_pairs, n)
 
@@ -546,10 +565,10 @@ def _drop_markers(b: pa.Table) -> pa.Table:
 def real_pairs(cand_ds):
     """:func:`band_bucket_pairs` rows -> ``(pairs_ds, n_truncated)``: the
     ``(doc_a, doc_b)`` pairs without marker rows, and the rows flagged
-    truncated (nonzero whenever a bucket hit ``max_bucket``).  Arrow
-    compute on the driver while the rows fit ``BROADCAST_BYTES``
-    (:func:`georay.partition.broadcast_or_none`); past it, one plan
-    counts the flags and one map drops the markers."""
+    truncated (nonzero whenever a bucket hit ``max_bucket``; then it logs
+    one warning).  Arrow compute on the driver while the rows fit
+    ``BROADCAST_BYTES`` (:func:`georay.partition.broadcast_or_none`);
+    past it, one plan counts the flags and one map drops the markers."""
     import ray.data
 
     empty = _PAIRS_SCHEMA.empty_table().select(["doc_a", "doc_b"])
@@ -558,13 +577,24 @@ def real_pairs(cand_ds):
         if cand.num_rows == 0:
             return ray.data.from_arrow(empty), 0
         n_truncated = pc.sum(cand.column("truncated").cast(pa.int64())).as_py()
-        return ray.data.from_arrow(_drop_markers(cand)), n_truncated
-    n_truncated = cand_ds.map_batches(
-        lambda b: pa.table({"t": b.column("truncated").cast(pa.int64())}), batch_format="pyarrow",
-    ).sum("t") or 0
-    pairs = cand_ds.map_batches(_drop_markers, batch_format="pyarrow").materialize()
-    # Ray skips a map on empty blocks, so no pair at all leaves no schema
-    return (pairs if pairs.count() else ray.data.from_arrow(empty)), n_truncated
+        pairs = ray.data.from_arrow(_drop_markers(cand))
+    else:
+        n_truncated = cand_ds.map_batches(
+            lambda b: pa.table({"t": b.column("truncated").cast(pa.int64())}), batch_format="pyarrow",
+        ).sum("t") or 0
+        pairs = cand_ds.map_batches(_drop_markers, batch_format="pyarrow").materialize()
+        # Ray skips a map on empty blocks, so no pair at all leaves no schema
+        pairs = pairs if pairs.count() else ray.data.from_arrow(empty)
+    if n_truncated:
+        import logging
+
+        logging.getLogger("georay.dedup").warning(
+            "%d candidate rows come from buckets truncated at max_bucket: pairs "
+            "beyond the cap were not generated, so near-dup recall is partial "
+            "for the oversized clusters; raise max_bucket for exact results",
+            n_truncated,
+        )
+    return pairs, n_truncated
 
 
 def jaccard_ngrams(a: str, b: str, k: int = 3) -> float:
@@ -677,8 +707,7 @@ def simhash_index_keys(u: np.ndarray, blocks: int = 6, max_hamming: int = 3):
 
 def simhash_pairs(ds, max_hamming: int = 3, max_bucket: int = 512,
                   text_col: str = "text", id_col: str = "doc_id",
-                  hash_impl: str = "fast",
-                  blocks: int = 6, stats_out: dict | None = None):
+                  hash_impl: str = "fast", blocks: int = 6):
     """SimHash near-dup PAIRS via the permuted multi-index
     (:func:`simhash_index_keys`): docs sharing any table's block-subset
     key are candidates (recall 1 for hamming <= ``max_hamming`` by
@@ -688,7 +717,8 @@ def simhash_pairs(ds, max_hamming: int = 3, max_bucket: int = 512,
     shape paid two distributed joins here).  Candidate-pair expansion
     is ``band_bucket_pairs`` (on the driver while the banded rows fit
     ``BROADCAST_BYTES``, else two keyed exchanges sized by the data), and
-    :func:`real_pairs` counts its truncated rows.  ``blocks`` tunes the
+    :func:`real_pairs` warns when a bucket was truncated, which voids the
+    recall-1 guarantee.  ``blocks`` tunes the
     recall/volume trade-off: C(blocks, max_hamming) tables, key width
     ~``64 * (1 - max_hamming/blocks)`` bits (6/3 -> 20 tables, ~32-bit
     keys — bucket cardinality grows with the corpus instead of capping at
@@ -721,28 +751,12 @@ def simhash_pairs(ds, max_hamming: int = 3, max_bucket: int = 512,
             }
         )
 
-    pairs, trunc = real_pairs(band_bucket_pairs(
+    pairs, _ = real_pairs(band_bucket_pairs(
         sims_slim.map_batches(banded, batch_format="pyarrow"),
         max_bucket=max_bucket,
         payload_col="sim",
-        pair_filter=lambda sa, sb: hamming64(sa, sb) <= max_hamming,
+        verify=pairwise(lambda sa, sb: hamming64(sa, sb) <= max_hamming),
     ))
-    if stats_out is not None:
-        # programmatic truncation contract (the warning below is for
-        # humans): rows from buckets that hit the max_bucket cap —
-        # verified pairs from truncated buckets, plus one marker per
-        # truncated bucket whose pairs were all hamming-rejected — so the
-        # count is nonzero WHENEVER the recall-1 guarantee was voided
-        stats_out["truncated_candidate_pairs"] = trunc
-    if trunc:
-        import logging
-
-        logging.getLogger("georay.dedup").warning(
-            "simhash block bucket(s) truncated at max_bucket=%d — pairs beyond "
-            "the cap are dropped, so the pigeonhole recall-1 guarantee does NOT "
-            "hold for this run; raise max_bucket for exact results",
-            max_bucket,
-        )
     return pairs
 
 
@@ -761,107 +775,67 @@ def hyperplane_keys(vecs: np.ndarray, n_planes: int = 16, seed: int = 11) -> np.
     return out.view(np.int32).ravel()
 
 
+def _cosine_verify(threshold: float):
+    """A :func:`band_bucket_pairs` ``verify`` for embeddings: the pairs of
+    each bucket whose exact cosine is at least ``threshold``, from one Gram
+    matrix per bucket of two or more rows (rows normalized once)."""
+
+    def verify(vecs: np.ndarray, sizes: np.ndarray):
+        norms = np.linalg.norm(vecs, axis=1)
+        norms[norms == 0] = 1.0
+        unit = vecs / norms[:, None]
+        starts = np.cumsum(sizes) - sizes
+        out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for s, n in zip(starts[sizes >= 2], sizes[sizes >= 2]):
+            u = unit[s : s + n]
+            ia, ib = np.nonzero(u @ u.T >= threshold)
+            upper = ia < ib
+            out_a.append(ia[upper] + s)
+            out_b.append(ib[upper] + s)
+        return np.concatenate(out_a), np.concatenate(out_b)
+
+    return verify
+
+
 def embed_lsh_pairs(ds, threshold: float = 0.9, n_tables: int = 8, n_planes: int = 12,
                     vec_col: str = "embedding", id_col: str = "vec_id", max_bucket: int = 512):
     """Distributed LSH-bucketed near-dup pipeline (the scale path)
     -> verified ``(vec_a, vec_b)`` pairs.
 
-    BUCKET-LOCAL verification: the packed vector rides the (band, key)
-    hash partition, each bucket verifies its own pairs with exact cosine,
-    and only VERIFIED pairs leave the bucket (near-dup workloads emit
-    orders of magnitude fewer verified pairs than candidates, so nothing
-    quadratic ever shuffles).  The exchange cost is ``n_tables`` copies
-    of the vector table through one sort shuffle; bucket count is bounded
-    by ``2^planes × tables`` so the per-bucket loop is cheap.  No
-    single-task merge, no broadcast.  A bucket past ``max_bucket`` unique
-    vectors keeps its ``max_bucket`` smallest ids, with a warning.
+    BUCKET-LOCAL verification: the vector rides each of its ``n_tables``
+    (band, key) rows through :func:`band_bucket_pairs` as its payload,
+    each bucket verifies its own pairs with exact cosine
+    (:func:`_cosine_verify`), and only VERIFIED pairs leave the bucket
+    (near-dup workloads emit orders of magnitude fewer verified pairs
+    than candidates, so nothing quadratic ever moves).  The buckets are
+    paired on the driver while the banded rows fit ``BROADCAST_BYTES``,
+    else by two keyed exchanges; a bucket past ``max_bucket`` unique
+    vectors keeps its ``max_bucket`` smallest ids, and :func:`real_pairs`
+    warns.
 
     Recall < 1 by construction (tested against the brute kernel);
     precision = 1 because of the exact verification step.
     """
 
     def keys_batch(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({
-                "band": pa.array([], pa.int32()),
-                "key": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "vec": batch.column(vec_col),
-            })
         col = batch.column(vec_col)
         vecs = _to_matrix(col)
         ids = batch.column(id_col).to_numpy()
-        bands = []
-        keys = []
-        for t in range(n_tables):
-            k = hyperplane_keys(vecs, n_planes=n_planes, seed=11 + t)
-            bands.append(np.full(len(ids), t, dtype=np.int32))
-            keys.append(k.astype(np.int64))
+        keys = [hyperplane_keys(vecs, n_planes=n_planes, seed=11 + t) for t in range(n_tables)]
         return pa.table({
-            "band": pa.array(np.concatenate(bands), pa.int32()),
-            "key": pa.array(np.concatenate(keys), pa.int64()),
+            "band": pa.array(np.repeat(np.arange(n_tables, dtype=np.int32), len(ids))),
+            "key": pa.array(np.concatenate(keys).astype(np.int64)),
             "doc_id": pa.array(np.tile(ids, n_tables)),
             "vec": pa.chunked_array(col.chunks * n_tables, col.type),
         })
 
-    banded = ds.map_batches(keys_batch, batch_format="pyarrow")
-
-    # hash-partition the buckets: ONE kernel per partition verifies ALL
-    # of its buckets (a bucket's rows always hash together), replacing
-    # per-bucket map_groups dispatch (~0.5 ms x #buckets) with P group
-    # tasks whose inner per-bucket matmuls run in a plain loop
-    def verify_partition(g: pa.Table) -> pa.Table:
-        band = g.column("band").to_numpy()
-        key = g.column("key").to_numpy()
-        order = np.lexsort((key, band))
-        band, key = band[order], key[order]
-        ids = g.column("doc_id").to_numpy()[order]
-        vecs = _to_matrix(g.column("vec"))[order]
-        seg = np.ones(len(ids), bool)
-        seg[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
-        bounds = np.concatenate([np.nonzero(seg)[0], [len(ids)]])
-        none = np.empty(0, np.int64)
-        out_a, out_b, out_tr = [none], [none], [none.astype(bool)]
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            uniq, first_idx = np.unique(ids[s:e], return_index=True)
-            truncated = len(uniq) > max_bucket
-            if truncated:  # pathological all-identical shard guard
-                import logging
-
-                logging.getLogger("georay.dedup").warning(
-                    "embed LSH bucket truncated: %d unique vectors > max_bucket=%d "
-                    "(band=%s key=%s) — verified pairs beyond the cap are dropped; "
-                    "raise max_bucket or n_planes if this fires on real data",
-                    len(uniq), max_bucket, band[s], key[s],
-                )
-                uniq = uniq[:max_bucket]
-                first_idx = first_idx[:max_bucket]
-            if len(uniq) < 2:
-                continue
-            v = vecs[s:e][first_idx]
-            norms = np.linalg.norm(v, axis=1)
-            norms[norms == 0] = 1.0
-            unit = v / norms[:, None]
-            ia, ib = np.nonzero(np.triu(unit @ unit.T >= threshold, k=1))
-            out_a.append(uniq[ia])
-            out_b.append(uniq[ib])
-            out_tr.append(np.full(len(ia), truncated))
-        return pa.table(
-            [np.concatenate(out_a), np.concatenate(out_b), np.concatenate(out_tr)],
-            schema=_PAIRS_SCHEMA,
-        )
-
-    # banded is lazy (rows = n_vecs x n_tables); the input's row count —
-    # free when ds is a fresh read/materialized — is a lower bound that
-    # still scales the count with the corpus
-    n = partitions(ds)
-    pairs = hash_partition(hash_partition(banded, ["band", "key"], verify_partition, n),
-                           ["doc_a", "doc_b"], _distinct_pairs, n)
-
-    def _typed_pairs(b: pa.Table) -> pa.Table:
-        return pa.table({"vec_a": b.column("doc_a"), "vec_b": b.column("doc_b")})
-
-    return pairs.map_batches(_typed_pairs, batch_format="pyarrow")
+    pairs, _ = real_pairs(band_bucket_pairs(
+        ds.map_batches(keys_batch, batch_format="pyarrow"),
+        max_bucket=max_bucket,
+        payload_col="vec",
+        verify=_cosine_verify(threshold),
+    ))
+    return pairs.rename_columns({"doc_a": "vec_a", "doc_b": "vec_b"})
 
 
 def _attach_side(L: pa.Table, on: str, R: pa.Table, id_col: str, col: str) -> pa.Table:
@@ -1015,6 +989,21 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
         return pa.table({"doc_a": pa.array(da[ok]), "doc_b": pa.array(db[ok])})
 
     return _verify_pairs(pairs_ds, docs_ds, id_col, text_col, keep, empty)
+
+
+def near_dup_pairs(docs_ds, threshold_num: int = 1, threshold_den: int = 2):
+    """The MinHash near-dup chain: ``(doc_id, text)`` rows ->
+    ``(verified, n_truncated)``.  :func:`minhash_band_batch` bands, one
+    :func:`band_bucket_pairs` pairs the buckets, :func:`real_pairs`
+    counts the rows of truncated buckets, and :func:`jaccard_verify_pairs`
+    keeps the ``(doc_a, doc_b)`` pairs with 3-shingle Jaccard >=
+    ``threshold_num / threshold_den``."""
+    banded = docs_ds.map_batches(minhash_band_batch, batch_format="pyarrow")
+    pairs, n_truncated = real_pairs(band_bucket_pairs(banded))
+    verified = jaccard_verify_pairs(
+        pairs, docs_ds, k=3, threshold_num=threshold_num, threshold_den=threshold_den,
+    )
+    return verified, n_truncated
 
 
 def _deliver_labels(g: pa.Table) -> pa.Table:

@@ -13,6 +13,7 @@ from georay.dedup import (
     lsh_band_keys,
     minhash_band_batch,
     minhash_signatures,
+    pairwise,
     simhash_batch,
 )
 
@@ -131,7 +132,9 @@ class TestEmbedLshPipeline:
         # ~0.6^4 per table -> expect roughly 2/3 recall over 8 tables
         assert recall >= 0.4
 
-    def test_high_recall_on_planted_near_dups(self, ray_session):
+    def test_high_recall_on_planted_near_dups(self, ray_session, monkeypatch, exchanges):
+        """The same pairs on the driver route and past the budget, where
+        ``band_bucket_pairs`` runs its keyed exchanges."""
         import pyarrow as pa
         import ray.data
 
@@ -148,12 +151,45 @@ class TestEmbedLshPipeline:
         assert len(brute_set) >= 90  # the planted pairs exist
 
         tbl = pa.table({"vec_id": ids, "embedding": pa.array(list(vecs.astype(np.float32)))})
-        ds = ray.data.from_arrow(tbl)
-        got = embed_lsh_pairs(ds, threshold=0.9).to_pandas()
-        got_set = set(zip(got["vec_a"], got["vec_b"]))
+
+        def run():
+            got = embed_lsh_pairs(ray.data.from_arrow(tbl), threshold=0.9).to_pandas()
+            return set(zip(got["vec_a"], got["vec_b"]))
+
+        got_set, shuffled = _both_routes(monkeypatch, exchanges, run, "hash_partition")
+        assert got_set == shuffled
         assert got_set <= brute_set
         recall = len(got_set) / len(brute_set)
         assert recall >= 0.9  # default 12 planes x 8 tables at cos>0.9
+
+    def test_hot_bucket_keeps_its_smallest_ids(self, ray_session, monkeypatch, exchanges, caplog):
+        """Ten identical vectors share one bucket in every table.  At
+        ``max_bucket=4`` only the pairs of the 4 smallest of their ids
+        come out, and ``real_pairs`` warns once with the truncated rows
+        (the 6 distinct flagged pairs), on both routes."""
+        import logging
+
+        import pyarrow as pa
+        import ray.data
+
+        from georay.dedup import embed_lsh_pairs
+
+        rng = np.random.default_rng(9)
+        hot = [50, 3, 41, 7, 22, 9, 30, 15, 60, 11]
+        vecs = np.vstack([np.tile(rng.standard_normal(32), (len(hot), 1)), rng.standard_normal((20, 32))])
+        ids = np.array(hot + list(range(100, 120)), np.int64)
+        tbl = pa.table({"vec_id": ids, "embedding": pa.array(list(vecs.astype(np.float32)))})
+
+        def run():
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="georay.dedup"):
+                got = embed_lsh_pairs(ray.data.from_arrow(tbl), max_bucket=4).to_pandas()
+            warned = [r.args for r in caplog.records if "truncated at max_bucket" in r.getMessage()]
+            return set(zip(got["vec_a"], got["vec_b"])), warned
+
+        broadcast, shuffled = _both_routes(monkeypatch, exchanges, run, "hash_partition")
+        smallest = [3, 7, 9, 11]
+        assert broadcast == shuffled == ({(a, b) for a in smallest for b in smallest if a < b}, [(6,)])
 
 
 class TestBatchCompositionIndependence:
@@ -405,7 +441,7 @@ class TestPairSchemaAndTruncationObservability:
         })
         out = band_bucket_pairs(
             ray.data.from_arrow(t), max_bucket=4,
-            payload_col="sim", pair_filter=lambda a, b: np.zeros(len(a), bool),
+            payload_col="sim", verify=pairwise(lambda a, b: np.zeros(len(a), bool)),
         ).to_pandas()
         # all pairs rejected, bucket truncated -> exactly the marker row
         assert len(out) == 1
@@ -458,7 +494,7 @@ class TestPairSchemaAndTruncationObservability:
         })
         out = dedup.band_bucket_pairs(
             ray.data.from_arrow(t), max_bucket=4,
-            payload_col="sim", pair_filter=lambda a, b: np.zeros(len(a), bool),
+            payload_col="sim", verify=pairwise(lambda a, b: np.zeros(len(a), bool)),
         ).to_pandas()
         assert len(out) == 2
         assert (out.doc_a == -1).all() and out.truncated.all()
@@ -600,7 +636,7 @@ class TestBandBucketPairs:
         keep = None
         if filtered:
             kwargs.update(payload_col="sim",
-                          pair_filter=lambda a, b: (a + b) % 3 != 0)
+                          verify=pairwise(lambda a, b: (a + b) % 3 != 0))
             keep = lambda a, b: (a * 7 % 11 + b * 7 % 11) % 3 != 0  # noqa: E731
         out = dedup.band_bucket_pairs(ray.data.from_arrow(t).repartition(3), **kwargs).to_pandas()
         want, n_markers = _brute_bucket_pairs(t, 5, keep)
@@ -973,7 +1009,7 @@ class TestRouteParity:
         def run():
             out = band_bucket_pairs(
                 ray.data.from_arrow(t).repartition(3), max_bucket=6,
-                payload_col="sim", pair_filter=lambda a, b: a == b,
+                payload_col="sim", verify=pairwise(lambda a, b: a == b),
             ).to_pandas()
             real = out[out.doc_a >= 0]
             return dict(zip(zip(real.doc_a, real.doc_b), real.truncated)), int((out.doc_a < 0).sum())

@@ -171,6 +171,7 @@ class TestOneMechanism:
         r'groupby\("part"\)|_partition_of|_cluster_partitions|_join_partitions|default_partitions'
         r'|tree_row_limit|_tree_pairs_from_partials|_join_pairs_from_slim|\bfanout\b'
         r'|tree_merge|_merge_partials|_MERGE_TASK|_DIRECT_MERGE_MAX_BLOCKS|_MERGE_FANOUT|AttachName'
+        r'|verify_partition|pair_filter'
     )
 
     def _sources(self):
@@ -294,13 +295,33 @@ class TestOneMechanism:
     def test_embed_lsh_pairs_has_one_route(self):
         """``embed_lsh_pairs`` verifies inside its buckets only: no route
         knob, no ignored broadcast ref, no opt-in truncation column, and
-        no partition count of its own (``partitions(ds)`` sizes it)."""
+        no partition count of its own (``band_bucket_pairs`` sizes it)."""
         import inspect
 
         from georay.dedup import embed_lsh_pairs
 
         gone = {"mode", "vectors_ref", "include_truncated", "num_partitions"}
         assert not gone & set(inspect.signature(embed_lsh_pairs).parameters)
+
+    def test_one_bucket_kernel(self):
+        """MinHash, SimHash and embeddings pair their buckets through one
+        ``band_bucket_pairs`` and count its truncated rows with one
+        ``real_pairs``, and the MinHash chain is mapped only in
+        ``near_dup_pairs``, which the CLI and the gate both call.  The
+        truncation warning is written once."""
+        import ast
+
+        def calls(name):
+            return lambda n: isinstance(n.func, ast.Name) and n.func.id == name
+
+        generators = {("dedup.py", f) for f in ("simhash_pairs", "embed_lsh_pairs", "near_dup_pairs")}
+        assert self._call_sites(calls("band_bucket_pairs")) == generators
+        assert self._call_sites(calls("real_pairs")) == generators
+        assert self._call_sites(lambda n: isinstance(n.func, ast.Attribute) and n.func.attr == "map_batches"
+                                and any(isinstance(a, ast.Name) and a.id == "minhash_band_batch"
+                                        for a in n.args)) == {("dedup.py", "near_dup_pairs")}
+        texts = {path.name: path.read_text().count("truncated at max_bucket") for path in self._sources()}
+        assert {name: n for name, n in texts.items() if n} == {"dedup.py": 1}
 
     def test_broadcast_decided_only_in_partition_module(self):
         """Only ``partition.py`` measures a side (``size_bytes()``) and

@@ -1,5 +1,7 @@
 """Source-format plurality and invalid-UTF-8 robustness."""
 
+import os
+
 import pyarrow as pa
 import pyarrow.csv
 import pyarrow.parquet as pq
@@ -146,6 +148,9 @@ class TestReadParquetGrouped:
                 read_parquet_grouped(str(path), ["x"], 100)
 
 
+@pytest.mark.skipif(
+    not os.path.isdir("/root/reference/src/test/resources"), reason="reference fixture corpus not present"
+)
 class TestReadGml:
     def test_reference_corpus_inventory(self, ray_session):
         """Distributed GML source over the reference's own fixture corpus

@@ -4,11 +4,16 @@ Runs every ``queries()`` entry and its ``oracle_sql()`` twin on the same
 sf dir, compares row count, column names, and an order-insensitive value
 hash (rows sorted by all columns, columns sorted by name).
 
-Usage: python tools/check_correctness.py [sf_dir] [query ...]
+Usage: python tools/check_correctness.py [sf_dir] [query ...] [--budget BYTES]
+
+``--budget`` sets ``georay.partition.BROADCAST_BYTES`` before the queries
+run; ``--budget 0`` puts every budget-dependent step on its exchange route.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 
 import duckdb
@@ -55,13 +60,24 @@ def to_pandas(res) -> pd.DataFrame:
     raise TypeError(type(res))
 
 
-def main():
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
-    only = set(sys.argv[2:])
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="queries() against their oracle_sql() twins")
+    ap.add_argument("sf_dir", nargs="?", help="default: __ray_entry__.SF001")
+    ap.add_argument("query", nargs="*", help="run only these queries")
+    ap.add_argument("--budget", type=int, help="georay.partition.BROADCAST_BYTES for the run")
+    args = ap.parse_args(argv)
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False)
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entry
+    import georay.partition
+
+    sf_dir, only = args.sf_dir or entry.SF001, set(args.query)
+    if args.budget is not None:
+        georay.partition.BROADCAST_BYTES = args.budget
+    unknown = only - set(entry.queries())
+    if unknown:  # a misspelt name would otherwise run nothing and pass
+        ap.error(f"no such queries: {', '.join(sorted(unknown))}")
 
     con = duckdb.connect()
     for t in "region nation customer supplier part orders lineitem events documents embeddings".split():
