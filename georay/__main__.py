@@ -102,7 +102,9 @@ def cmd_dedup(args):
             "recall is partial for oversized clusters (raise max_bucket)",
             file=sys.stderr,
         )
-    # a resolution within BROADCAST_BYTES is a driver table: write it there
+    # a resolution within BROADCAST_BYTES is a driver table: write it there;
+    # ``resolution`` is then the Dataset that holds it, which apply_dedup
+    # takes without a plan
     res, resolution = broadcast_or_none(connected_components(verified))
     full_docs = ray.data.read_parquet(args.input)
     full_docs.context.target_max_block_size = PLAN_BLOCK_BYTES
@@ -115,7 +117,7 @@ def cmd_dedup(args):
     n_out = parquet_rows(surv_dir)
     print(json.dumps({
         "input_docs": n_docs,
-        "clustered_docs": resolution.count(),
+        "clustered_docs": resolution.count() if res is None else res.num_rows,
         "survivors": n_out,
         "dropped": n_docs - n_out,
         "truncated_candidates": int(n_trunc),

@@ -24,7 +24,11 @@ Scale design (SURVEY.md §2.8):
   pairs, the candidates' texts or vectors, the resolution table).  While
   it fits ``BROADCAST_BYTES`` it is broadcast with ``ray.put`` and the
   corpus streams through a plain map (components run on the driver with
-  :func:`fastsv_labels`); past the budget each step is a keyed exchange
+  :func:`fastsv_labels`, and so does the Jaccard verify once the
+  candidates' texts fit too).  A driver step returns its result through
+  :func:`georay.partition.from_table`, so the next step's
+  ``broadcast_or_none`` gets the table with no plan.  Past the budget
+  each step is a keyed exchange
   (label propagation over :func:`georay.partition.hash_partition`, or
   :func:`georay.partition.copartition`).  Application is one
   :func:`georay.partition.keyed_join`, which makes that choice itself;
@@ -47,7 +51,8 @@ import pyarrow.compute as pc
 from georay.ann import _to_matrix
 from georay.geom.polygon import _expand_ranges
 from georay.partition import (
-    broadcast_or_none, cached_map, copartition, hash_partition, keyed_join, part_of, partitions,
+    broadcast_or_none, cached_map, copartition, from_table, hash_partition, keyed_join, part_of,
+    partitions,
 )
 from georay.stages.aggregate import keyed_agg
 
@@ -142,11 +147,23 @@ def _perm_params(num_perm: int, seed: int = 7):
     return a, b
 
 
+#: the whitespace of RE2's ``\s`` besides the space itself (``\v`` is
+#: not in it)
+_WHITESPACE = ("\t", "\n", "\f", "\r")
+
+
 def _split_nonempty(text: pa.Array):
-    """Whitespace split -> (flat Arrow token array, per-doc offsets) with
+    r"""Whitespace split -> (flat Arrow token array, per-doc offsets) with
     empty tokens dropped (splitting '' — or padded text — yields empty
-    tokens).  Null docs contribute zero tokens."""
-    toks = pc.split_pattern_regex(text, r"\s+")
+    tokens).  Null docs contribute zero tokens.
+
+    The tokens are those of a split on the regex ``\s+``: every other
+    whitespace character becomes a space, then a literal split on single
+    spaces leaves an empty token for each extra separator, which the drop
+    removes.  Literal passes cost a fraction of the RE2 split."""
+    for c in _WHITESPACE:
+        text = pc.replace_substring(text, c, " ")
+    toks = pc.split_pattern(text, " ")
     flat = toks.flatten()
     offsets = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     if len(flat):
@@ -546,12 +563,10 @@ def band_bucket_pairs(
     (:func:`pairwise` turns a per-pair test into one).  Candidates never
     join back against the corpus, and only verified pairs leave the stage.
     """
-    import ray.data
-
     table, banded_ds = broadcast_or_none(banded_ds)
     if table is not None:
         kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify, 1)
-        return ray.data.from_arrow(_distinct_pairs(kernel(table)))
+        return from_table(_distinct_pairs(kernel(table)))
     n = partitions(banded_ds)
     kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify, n)
     pairs = hash_partition(banded_ds, ["band", "key"], kernel, n)
@@ -569,22 +584,20 @@ def real_pairs(cand_ds):
     one warning).  Arrow compute on the driver while the rows fit
     ``BROADCAST_BYTES`` (:func:`georay.partition.broadcast_or_none`);
     past it, one plan counts the flags and one map drops the markers."""
-    import ray.data
-
     empty = _PAIRS_SCHEMA.empty_table().select(["doc_a", "doc_b"])
     cand, cand_ds = broadcast_or_none(cand_ds)
     if cand is not None:
         if cand.num_rows == 0:
-            return ray.data.from_arrow(empty), 0
+            return from_table(empty), 0
         n_truncated = pc.sum(cand.column("truncated").cast(pa.int64())).as_py()
-        pairs = ray.data.from_arrow(_drop_markers(cand))
+        pairs = from_table(_drop_markers(cand))
     else:
         n_truncated = cand_ds.map_batches(
             lambda b: pa.table({"t": b.column("truncated").cast(pa.int64())}), batch_format="pyarrow",
         ).sum("t") or 0
         pairs = cand_ds.map_batches(_drop_markers, batch_format="pyarrow").materialize()
         # Ray skips a map on empty blocks, so no pair at all leaves no schema
-        pairs = pairs if pairs.count() else ray.data.from_arrow(empty)
+        pairs = pairs if pairs.count() else from_table(empty)
     if n_truncated:
         import logging
 
@@ -860,20 +873,6 @@ class IdFilter:
         return b.filter(pc.is_in(b.column(self.id_col), value_set=self.ids)).select(list(self.columns))
 
 
-class AttachSides:
-    """Broadcast kernel (``cached_map(AttachSides, ray.put(side), ...)``):
-    a batch of ``(doc_a, doc_b)`` pairs with each id's ``side[col]``
-    attached as ``side_a`` and ``side_b`` (:func:`_attach_side`)."""
-
-    def __init__(self, side: pa.Table, id_col: str, col: str):
-        self.side, self.id_col, self.col = side, id_col, col
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        for on in ("doc_a", "doc_b"):
-            b = _attach_side(b, on, self.side, self.id_col, self.col)
-        return b
-
-
 def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Table):
     """The route of candidate-pair verification: ``(doc_a, doc_b)``
     pairs -> ``keep(b)``, where ``b`` is a block of pairs with each id's
@@ -883,33 +882,34 @@ def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Tabl
     its ``BROADCAST_BYTES`` budget:
 
     - the pairs fit: their ids go out with one ``ray.put`` and the side
-      streams through one fused read -> :class:`IdFilter` map.  If the
-      matched ``(id, col)`` rows fit too, they go out with one
-      ``ray.put`` and one fused map over the pairs attaches both values
-      (:class:`AttachSides`) and runs ``keep``: no exchange.  Each
-      broadcast is fetched once per worker (``cached_map``);
+      streams through one fused read -> :class:`IdFilter` map, fetched
+      once per worker (``cached_map``).  If the matched ``(id, col)``
+      rows fit too, both the pairs and those rows are tables on the
+      driver, which attaches both values and runs ``keep`` on all the
+      pairs at once: no exchange and no plan.  The verify is then as
+      serial as a one-task map over the pairs would be;
     - otherwise two co-partitioned sort shuffles: the first attaches
       ``doc_a``'s value, the second ``doc_b``'s and runs ``keep`` in the
       same kernel.  When only the pairs fit, the filtered side rows, not
       the whole side, feed the shuffles.
+
+    A result made on the driver is a :func:`georay.partition.from_table`
+    Dataset, so the next stage gets the table back without a plan.
     """
     import ray
-    import ray.data
 
     pairs, pairs_ds = broadcast_or_none(pairs_ds)
     n_pairs = pairs_ds.count() if pairs is None else pairs.num_rows
     if n_pairs == 0:
-        return ray.data.from_arrow(empty)
+        return from_table(empty)
 
     if pairs is not None:
         ids = pc.unique(pa.chunked_array(pairs.column("doc_a").chunks + pairs.column("doc_b").chunks))
         candidates = cached_map(IdFilter, ray.put(ids), id_col=id_col, columns=(id_col, col))
         side, side_ds = broadcast_or_none(side_ds.map_batches(candidates, batch_format="pyarrow"))
         if side is not None:
-            attached = pairs_ds.map_batches(
-                cached_map(AttachSides, ray.put(side), id_col=id_col, col=col), batch_format="pyarrow"
-            )
-            return attached.map_batches(keep, batch_format="pyarrow")
+            with_a = _attach_side(pairs, "doc_a", side, id_col, col)
+            return from_table(keep(_attach_side(with_a, "doc_b", side, id_col, col)))
     n = partitions(side_ds, n_rows=n_pairs, rows_per_partition=250_000)
     with_a = copartition(
         pairs_ds, side_ds, "doc_a", id_col, lambda L, R: _attach_side(L, "doc_a", R, id_col, col), n,
@@ -944,9 +944,10 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
     Texts reach the pairs by :func:`_verify_pairs`: while the pairs and
     the candidates' texts fit ``BROADCAST_BYTES`` (:func:`georay.partition.
     broadcast_or_none`), the corpus streams through one read -> ``is_in``
-    filter and the matched texts are broadcast to one map over the pairs;
-    past the budget two co-partitioned sort shuffles attach them.  The
-    whole corpus is never broadcast.
+    filter, and the driver, which then holds the pairs and the matched
+    texts, attaches them and scores every pair as one block; past the
+    budget two co-partitioned sort shuffles attach them.  The whole
+    corpus is never broadcast.
     """
     empty = pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
 
@@ -1121,24 +1122,22 @@ def connected_components(pairs_ds, max_iter: int = 32):
     function RAISES a ``RuntimeError`` rather than returning non-minimal
     survivors.
     """
-    import ray.data as _rd
-
     empty = pa.table(
         {"doc_id": pa.array([], pa.int64()), "survivor": pa.array([], pa.int64())}
     )
     pairs, pairs_ds = broadcast_or_none(pairs_ds)
     if pairs is not None:
         if pairs.num_rows == 0:
-            return _rd.from_arrow(empty)
+            return from_table(empty)
         a = pairs.column("doc_a").to_numpy()
         nodes, idx = np.unique(np.concatenate([a, pairs.column("doc_b").to_numpy()]), return_inverse=True)
         label = fastsv_labels(idx[: len(a)], idx[len(a):], len(nodes), max_iter)
-        return _rd.from_arrow(pa.table({
+        return from_table(pa.table({
             "doc_id": pa.array(nodes, pa.int64()),
             "survivor": pa.array(nodes[label], pa.int64()),
         }))
     if pairs_ds.count() == 0:
-        return _rd.from_arrow(empty)
+        return from_table(empty)
     # pairs are materialized, so their row count is free
     n = partitions(pairs_ds)
 
@@ -1234,9 +1233,11 @@ def apply_dedup(docs_ds, resolution_ds, id_col: str = "doc_id"):
     ``BROADCAST_BYTES`` the corpus streams read -> anti-filter with no
     shuffle and a write after it fuses into the same tasks; past the
     budget the corpus and the resolution are co-partitioned by id.  An
-    empty resolution skips the corpus pass."""
-    resolution_ds = resolution_ds.materialize()
-    if resolution_ds.count() == 0:
+    empty resolution skips the corpus pass.  A resolution that
+    :func:`connected_components` made on the driver reaches the join as
+    its table, with no plan."""
+    res, resolution_ds = broadcast_or_none(resolution_ds)
+    if (resolution_ds.count() if res is None else res.num_rows) == 0:
         return docs_ds
 
     def survivors(L: pa.Table, R: pa.Table) -> pa.Table:

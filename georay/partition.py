@@ -21,7 +21,9 @@ the join that picks between them:
   shuffle; a one-input step whose whole input fits (the LSH bucket
   pairing) runs on that table on the driver.  A side over the budget
   keeps the exchange.  :func:`fits_broadcast` is its comparison against
-  the budget.
+  the budget.  A Dataset made by :func:`from_table` (a driver step's
+  result) already has its table: ``broadcast_or_none`` sizes that table
+  and runs no plan, so a chain of driver steps passes tables.
 - :func:`cached_map` is that plain map: it builds the stage's class from
   the broadcast refs once per worker process and calls it on each batch,
   so a broadcast stage runs as plain tasks, never an actor pool.  The
@@ -52,6 +54,8 @@ while its build side is small.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -65,8 +69,8 @@ MAX_PARTITIONS = 65_536
 #: (band, key, id) rows about 1.3 MB, its 589 pairs 9 KB, its 401
 #: candidate texts 355 KB, its resolution 6 KB; the segment_revenue
 #: customers 308 KB at sf0.1), and none sits near it.
-#: At 64 MiB the driver would run FastSV on about 4M edges and every
-#: verify task would fetch 64 MiB of texts; whether that still beats the
+#: At 64 MiB the driver would run FastSV on about 4M edges and the
+#: Jaccard verify over 64 MiB of texts; whether that still beats the
 #: exchange is open.  It also bounds the payload bytes each worker's
 #: :func:`cached_map` instances keep between batches.
 BROADCAST_BYTES = 64 << 20
@@ -147,23 +151,48 @@ def fits_broadcast(nbytes: int) -> bool:
     return nbytes <= BROADCAST_BYTES
 
 
+#: the driver table behind each Dataset :func:`from_table` made; weak, so
+#: an entry goes with its Dataset
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def from_table(t: pa.Table):
+    """``ray.data.from_arrow(t)``, with ``t`` kept for the returned
+    Dataset: :func:`broadcast_or_none` on it gives ``t`` back without
+    running a plan.  Every driver step that hands a small result to the
+    next stage returns it this way."""
+    import ray.data
+
+    ds = ray.data.from_arrow(t)
+    _TABLES[ds] = t
+    return ds
+
+
 def broadcast_or_none(ds):
     """``(table, ds)`` when the measured ``size_bytes()`` of ``ds``'s
     materialized blocks fits ``BROADCAST_BYTES``, else ``(None, ds)``;
     ``ds`` comes back materialized either way, so the caller's exchange
     route does not run its plan again.  The table holds every row of
     ``ds`` (schemaless empty blocks dropped; no columns when ``ds`` has
-    no rows and no known schema)."""
+    no rows and no known schema).  A Dataset from :func:`from_table` is
+    sized by its table's ``nbytes`` and comes back as it is: no plan
+    runs.  A fetched table is kept for the returned Dataset the same
+    way, so asking again about it runs no plan either."""
+    table = _TABLES.get(ds)
+    if table is not None:
+        return (table if fits_broadcast(table.nbytes) else None), ds
     ds = ds.materialize()
     if not fits_broadcast(ds.size_bytes()):
         return None, ds
     blocks = [b for b in ds.iter_batches(batch_size=None, batch_format="pyarrow") if b.num_rows]
     if blocks:
-        return pa.concat_tables(blocks), ds
-    schema = ds.schema(fetch_if_missing=False)
-    if schema is not None and isinstance(schema.base_schema, pa.Schema):
-        return schema.base_schema.empty_table(), ds
-    return pa.table({}), ds
+        table = pa.concat_tables(blocks)
+    else:
+        schema = ds.schema(fetch_if_missing=False)
+        typed = schema is not None and isinstance(schema.base_schema, pa.Schema)
+        table = schema.base_schema.empty_table() if typed else pa.table({})
+    _TABLES[ds] = table
+    return table, ds
 
 
 #: per-worker-process instances built by :func:`cached_map`, keyed by

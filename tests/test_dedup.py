@@ -218,6 +218,42 @@ class TestBatchCompositionIndependence:
         assert hs[0] != hs[1]
 
 
+def _regex_split(text: pa.Array):
+    """The RE2 ``\\s+`` split with empty tokens dropped: the reference
+    ``_split_nonempty`` must match."""
+    import pyarrow.compute as pc
+
+    toks = pc.split_pattern_regex(text, r"\s+")
+    flat = toks.flatten()
+    offsets = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    keep = pc.utf8_length(flat).to_numpy(zero_copy_only=False) > 0
+    kept_cum = np.concatenate([[0], np.cumsum(keep.astype(np.int64))])
+    return flat.filter(pa.array(keep)), kept_cum[offsets]
+
+
+class TestSplit:
+    """``_split_nonempty``'s literal split gives the tokens and offsets of
+    a split on the regex ``\\s+``: ``\\v``, NBSP and other Unicode
+    spaces stay inside tokens on both."""
+
+    TEXTS = [
+        "a\tb\nc\fd\re f", "a\vb c", "a\u00a0b c", "a\u2003b\u0085c", "  lead", "trail  ",
+        " \t\n both \r\f ", "many   \t\t\n\n  gaps", "", None, "   ", "\v", "\r\n", "one",
+        DOC, "é ü\tß",
+    ]
+
+    @pytest.mark.parametrize("typ", [pa.string(), pa.large_string()])
+    @pytest.mark.parametrize("lo", [0, 3])
+    def test_matches_the_regex_split(self, lo, typ):
+        from georay.dedup import _split_nonempty
+
+        text = pa.array(self.TEXTS, typ).slice(lo)
+        flat, offsets = _split_nonempty(text)
+        want_flat, want_offsets = _regex_split(text)
+        assert flat.to_pylist() == want_flat.to_pylist()
+        np.testing.assert_array_equal(offsets, want_offsets)
+
+
 def _seeded_graph(seed):
     """(pairs, want): a 150-node chain with increasing ids, 15 random-id
     chains of 8, and a sparse random graph on 80 nodes; ``want`` maps
@@ -1194,3 +1230,45 @@ def test_dedup_read_tasks_run_at_once(ray_session, monkeypatch, tmp_path, capsys
     assert not [m for m in marks if m.startswith("alone-")], marks
     assert sum(m.startswith("started-") for m in marks) >= 2
     assert DataContext.get_current().target_max_block_size == block_target
+
+
+def test_dedup_cli_runs_three_plans(ray_session, monkeypatch, tmp_path, capsys):
+    """A default ``python -m georay dedup`` starts tasks in three plans:
+    the MinHash read, the candidate-text read and the survivors write.
+    Every driver table reaches the next stage as it is, so no plan of a
+    ``FromArrow`` operator alone runs (a plan of its ``InputData`` alone
+    is the no-op ``materialize`` executes, which starts no task)."""
+    import pyarrow.parquet as pq
+    import ray
+    from ray.data._internal.plan import ExecutionPlan
+
+    from georay.__main__ import main
+
+    def operators(plan) -> set:
+        todo, names = [plan._logical_plan.dag], set()
+        while todo:
+            op = todo.pop()
+            names.add(op.name)
+            todo.extend(op.input_dependencies)
+        return names
+
+    plans, real = [], ExecutionPlan.execute
+
+    def execute(plan, *args, **kwargs):
+        if not plan.has_computed_output():
+            plans.append(operators(plan))
+        return real(plan, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "execute", execute)
+    monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(tbl([DOC, NEAR, FAR] + [f"doc {i} " + FAR for i in range(20)]), src)
+    main(["dedup", "--input", src, "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    ran = [ops - {"InputData"} for ops in plans]
+    assert not [ops for ops in ran if ops == {"FromArrow"}], plans
+    tasks = [ops for ops in ran if ops - {"FromArrow"}]
+    assert len(tasks) == 3, plans
+    assert any("MapBatches(minhash_band_batch)" in ops for ops in tasks), plans
+    assert any("MapBatches(IdFilter)" in ops for ops in tasks), plans
+    assert any("Write" in ops for ops in tasks), plans

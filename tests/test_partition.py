@@ -10,7 +10,9 @@ import pyarrow as pa
 import pytest
 
 import georay.partition
-from georay.partition import broadcast_or_none, cached_map, copartition, hash_partition, keyed_join, part_of
+from georay.partition import (
+    broadcast_or_none, cached_map, copartition, from_table, hash_partition, keyed_join, part_of,
+)
 
 LEFT = pa.schema([("id", pa.int64()), ("a", pa.int64())])
 RIGHT = pa.schema([("rid", pa.int64()), ("text", pa.large_string())])
@@ -653,6 +655,66 @@ class TestBroadcastOrNone:
         assert _rows(table) == _rows(_left([1, 2, 3]))
         table, _ = broadcast_or_none(ray.data.from_arrow(LEFT.empty_table()))
         assert table.num_rows == 0 and table.schema.equals(LEFT)
+
+
+
+@pytest.fixture
+def executed(monkeypatch):
+    """Every Ray Data plan executed while the test runs."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    plans, real = [], ExecutionPlan.execute
+
+    def execute(plan, *args, **kwargs):
+        plans.append(plan)
+        return real(plan, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "execute", execute)
+    return plans
+
+
+class TestFromTable:
+    """A Dataset made by ``from_table`` hands its table to
+    ``broadcast_or_none`` with no plan; any other Dataset is fetched."""
+
+    def test_gives_its_table_back_without_a_plan(self, ray_session, executed):
+        t = _left(list(range(50)))
+        ds = from_table(t)
+        executed.clear()
+        table, same = broadcast_or_none(ds)
+        assert table is t and same is ds
+        assert not executed
+
+    def test_over_budget_returns_none_and_keyed_join_copartitions(self, ray_session, monkeypatch,
+                                                                  copartitions, executed):
+        import ray.data
+
+        right = _right([1, 3, 5])
+        ds = from_table(right)
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", right.nbytes - 1)
+        executed.clear()
+        table, same = broadcast_or_none(ds)
+        assert table is None and same is ds
+        assert not executed
+        out = keyed_join(
+            ray.data.from_arrow(_left(list(range(8)))), ds, "id", "rid",
+            lambda L, R: L.join(R, keys="id", right_keys="rid", join_type="left semi"),
+        )
+        assert sorted(_collect(out).column("id").to_pylist()) == [1, 3, 5]
+        assert len(copartitions) == 1
+
+    def test_a_materialized_copy_is_fetched(self, ray_session, executed):
+        """``.materialize()`` makes a new Dataset, which is fetched; the
+        fetched table is then kept for the Dataset that comes back."""
+        t = _left(list(range(50)))
+        copy = from_table(t).materialize()
+        executed.clear()
+        table, ds = broadcast_or_none(copy)
+        assert table is not t and _rows(table) == _rows(t)
+        assert executed
+        executed.clear()
+        assert broadcast_or_none(ds)[0] is table
+        assert not executed
 
 
 class TestCopartition:
