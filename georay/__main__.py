@@ -18,7 +18,9 @@ import json
 import os
 import sys
 
-from georay.sources import PLAN_BLOCK_BYTES, filesystem, parquet_rows, remove_dir, write_output
+from georay.sources import (
+    PLAN_BLOCK_BYTES, append_output, filesystem, parquet_rows, remove_dir, write_output,
+)
 
 
 def _init_ray(num_cpus: int | None):
@@ -78,22 +80,28 @@ def cmd_resume(args):
 
 
 def cmd_dedup(args):
-    """End-to-end near-dup dedup over a documents parquet: MinHash+LSH
-    candidates -> exact integer-Jaccard verification -> connected-
-    components resolution -> survivor anti-filter -> survivors parquet
-    (+ the resolution table for audit).  The survivors are never
-    materialized: the corpus streams from read to write."""
+    """End-to-end near-dup dedup over a documents parquet, in two corpus
+    passes: MinHash+LSH candidate pairs (the first), then one split pass
+    (``split_candidates``) that writes every doc no pair names to
+    ``survivors/`` and keeps the pairs' docs, the candidates.  Exact
+    integer-Jaccard verification, connected-components resolution (written
+    to ``resolution/`` for audit) and the survivor anti-filter then run
+    over the candidates alone, and their survivors are added to
+    ``survivors/``: one file from the driver while they are a driver
+    table, else an appending write.  The survivors are never
+    materialized, and ``_candidates/`` is deleted even when a step
+    raises."""
     ray = _init_ray(args.num_cpus)
     import ray.data
 
-    from georay.dedup import apply_dedup, connected_components, near_dup_pairs
-    from georay.partition import broadcast_or_none
+    from georay import dedup
+    from georay.partition import broadcast_or_none, driver_table
 
     docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
     # each read's own context (the Datasets derived from it share it),
     # so their tasks start together; Ray's global context keeps its default
     docs.context.target_max_block_size = PLAN_BLOCK_BYTES
-    verified, n_trunc = near_dup_pairs(docs, args.threshold_num, args.threshold_den)
+    pairs, n_trunc = dedup.candidate_pairs(docs)
     # hot-bucket truncation fails loudly: its flags and marker rows would
     # otherwise vanish in the verify join behind a clean-looking summary
     if n_trunc:
@@ -102,18 +110,26 @@ def cmd_dedup(args):
             "recall is partial for oversized clusters (raise max_bucket)",
             file=sys.stderr,
         )
-    # a resolution within BROADCAST_BYTES is a driver table: write it there;
-    # ``resolution`` is then the Dataset that holds it, which apply_dedup
-    # takes without a plan
-    res, resolution = broadcast_or_none(connected_components(verified))
     full_docs = ray.data.read_parquet(args.input)
     full_docs.context.target_max_block_size = PLAN_BLOCK_BYTES
     n_docs = full_docs.count()  # parquet metadata count — no scan
-    # the survivors stream read -> filter -> write; their count comes
-    # from the footers of the files the write leaves
-    write_output(resolution if res is None else res, os.path.join(args.out, "resolution"))
     surv_dir = os.path.join(args.out, "survivors")
-    write_output(apply_dedup(full_docs, resolution), surv_dir)
+    try:
+        cands = dedup.split_candidates(full_docs, pairs, args.out)
+        verified = dedup.jaccard_verify_pairs(
+            pairs, cands, threshold_num=args.threshold_num, threshold_den=args.threshold_den,
+        )
+        # a resolution within BROADCAST_BYTES is a driver table: write it
+        # there; ``resolution`` is then the Dataset that holds it, which
+        # apply_dedup takes without a plan
+        res, resolution = broadcast_or_none(dedup.connected_components(verified))
+        write_output(resolution if res is None else res, os.path.join(args.out, "resolution"))
+        kept = dedup.apply_dedup(cands, resolution)
+        table = driver_table(kept)
+        append_output(kept if table is None else table, surv_dir)
+    finally:
+        remove_dir(os.path.join(args.out, "_candidates"))
+    # the survivors' count comes from the footers of the files written
     n_out = parquet_rows(surv_dir)
     print(json.dumps({
         "input_docs": n_docs,

@@ -23,9 +23,10 @@ Scale design (SURVEY.md §2.8):
   :func:`georay.partition.broadcast_or_none` on their small side (the
   pairs, the candidates' texts or vectors, the resolution table).  While
   it fits ``BROADCAST_BYTES`` it is broadcast with ``ray.put`` and the
-  corpus streams through a plain map (components run on the driver with
-  :func:`fastsv_labels`, and so does the Jaccard verify once the
-  candidates' texts fit too).  A driver step returns its result through
+  corpus streams through a plain map, or, when both sides are already
+  driver tables, the step runs on the driver (components with
+  :func:`fastsv_labels`, the Jaccard verify once the candidates' texts
+  fit too).  A driver step returns its result through
   :func:`georay.partition.from_table`, so the next step's
   ``broadcast_or_none`` gets the table with no plan.  Past the budget
   each step is a keyed exchange
@@ -33,8 +34,15 @@ Scale design (SURVEY.md §2.8):
   :func:`georay.partition.copartition`).  Application is one
   :func:`georay.partition.keyed_join`, which makes that choice itself;
   verification keeps its own routes (:func:`_verify_pairs`), since its
-  small side is decided on the pairs and past the budget it must stream
-  the whole corpus.  No step uses Ray's actor-based ``Dataset.join``.
+  small side is decided on the pairs.  No step uses Ray's actor-based
+  ``Dataset.join``.
+- the corpus pass of a near-dup run (``python -m georay dedup``):
+  :func:`candidate_pairs` gives the MinHash candidate pairs, and
+  :func:`split_candidates` reads the corpus once more, writing every doc
+  that no pair names straight to ``survivors/`` (it can never be
+  dropped) and handing back only the pairs' docs.  Verify, components
+  and apply then run over those candidates alone, and their survivors
+  are added to ``survivors/``.
 
 All hashes are deterministic (fixed seeds) so runs are reproducible.
 """
@@ -42,18 +50,23 @@ All hashes are deterministic (fixed seeds) so runs are reproducible.
 from __future__ import annotations
 
 import hashlib
+import uuid
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.fs as pafs
+import pyarrow.parquet as pq
+from ray.data import Datasink
 
 from georay.ann import _to_matrix
 from georay.geom.polygon import _expand_ranges
 from georay.partition import (
-    broadcast_or_none, cached_map, copartition, from_table, hash_partition, keyed_join, part_of,
-    partitions,
+    broadcast_or_none, cached_map, copartition, driver_table, fits_broadcast, from_table,
+    hash_partition, keyed_join, part_of, partitions,
 )
+from georay.sources import filesystem, replace_dir, write_parquet_file
 from georay.stages.aggregate import keyed_agg
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
@@ -417,7 +430,10 @@ def minhash_band_batch(
 ) -> pa.Table:
     """map_batches kernel: docs -> exploded (band, key, doc_id) rows.
     The bucket step downstream (:func:`band_bucket_pairs`) moves 20 bytes
-    per (doc, band) instead of the documents themselves."""
+    per (doc, band) instead of the documents themselves.  A doc with a
+    null id gets no rows: no pair can name it, so no dedup step drops it."""
+    if batch.column(id_col).null_count:
+        batch = batch.filter(pc.is_valid(batch.column(id_col)))
     sig = minhash_signatures(batch.column(text_col).combine_chunks(), num_perm, k)
     keys = lsh_band_keys(sig, bands)
     n = len(batch)
@@ -873,6 +889,12 @@ class IdFilter:
         return b.filter(pc.is_in(b.column(self.id_col), value_set=self.ids)).select(list(self.columns))
 
 
+def _pair_ids(pairs: pa.Table) -> pa.Array:
+    """Each id of ``pairs``' ``doc_a`` and ``doc_b`` once."""
+    a, b = pairs.column("doc_a"), pairs.column("doc_b")
+    return pc.unique(pa.chunked_array(a.chunks + b.chunks, a.type))
+
+
 def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Table):
     """The route of candidate-pair verification: ``(doc_a, doc_b)``
     pairs -> ``keep(b)``, where ``b`` is a block of pairs with each id's
@@ -881,13 +903,14 @@ def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Tabl
     :func:`georay.partition.broadcast_or_none` picks the route, against
     its ``BROADCAST_BYTES`` budget:
 
-    - the pairs fit: their ids go out with one ``ray.put`` and the side
-      streams through one fused read -> :class:`IdFilter` map, fetched
-      once per worker (``cached_map``).  If the matched ``(id, col)``
-      rows fit too, both the pairs and those rows are tables on the
-      driver, which attaches both values and runs ``keep`` on all the
-      pairs at once: no exchange and no plan.  The verify is then as
-      serial as a one-task map over the pairs would be;
+    - the pairs fit: the side's ``(id, col)`` rows of the pairs' ids are
+      taken with :class:`IdFilter`, on the driver when the side is a
+      driver table (:func:`georay.partition.driver_table`, such as
+      :func:`split_candidates`' candidates), else by one fused read ->
+      ``IdFilter`` map with the ids sent out by ``ray.put`` once per
+      worker (``cached_map``).  If those rows fit too, both the pairs and
+      those rows are tables on the driver, which attaches both values and
+      runs ``keep`` on all the pairs at once: no exchange and no plan;
     - otherwise two co-partitioned sort shuffles: the first attaches
       ``doc_a``'s value, the second ``doc_b``'s and runs ``keep`` in the
       same kernel.  When only the pairs fit, the filtered side rows, not
@@ -904,9 +927,14 @@ def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Tabl
         return from_table(empty)
 
     if pairs is not None:
-        ids = pc.unique(pa.chunked_array(pairs.column("doc_a").chunks + pairs.column("doc_b").chunks))
-        candidates = cached_map(IdFilter, ray.put(ids), id_col=id_col, columns=(id_col, col))
-        side, side_ds = broadcast_or_none(side_ds.map_batches(candidates, batch_format="pyarrow"))
+        ids, columns = _pair_ids(pairs), (id_col, col)
+        table = driver_table(side_ds)
+        if table is None:
+            candidates = cached_map(IdFilter, ray.put(ids), id_col=id_col, columns=columns)
+            side_ds = side_ds.map_batches(candidates, batch_format="pyarrow")
+        else:
+            side_ds = from_table(IdFilter(ids, id_col, columns)(table))
+        side, side_ds = broadcast_or_none(side_ds)
         if side is not None:
             with_a = _attach_side(pairs, "doc_a", side, id_col, col)
             return from_table(keep(_attach_side(with_a, "doc_b", side, id_col, col)))
@@ -943,11 +971,11 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
 
     Texts reach the pairs by :func:`_verify_pairs`: while the pairs and
     the candidates' texts fit ``BROADCAST_BYTES`` (:func:`georay.partition.
-    broadcast_or_none`), the corpus streams through one read -> ``is_in``
-    filter, and the driver, which then holds the pairs and the matched
-    texts, attaches them and scores every pair as one block; past the
-    budget two co-partitioned sort shuffles attach them.  The whole
-    corpus is never broadcast.
+    broadcast_or_none`), the driver takes the matched texts (from
+    ``docs_ds`` itself when it is a driver table, else by one read ->
+    ``is_in`` filter), attaches them and scores every pair as one block;
+    past the budget two co-partitioned sort shuffles attach them.  The
+    whole corpus is never broadcast.
     """
     empty = pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
 
@@ -992,19 +1020,120 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
     return _verify_pairs(pairs_ds, docs_ds, id_col, text_col, keep, empty)
 
 
+def candidate_pairs(docs_ds):
+    """The MinHash candidates: ``(doc_id, text)`` rows -> ``(pairs,
+    n_truncated)``.  :func:`minhash_band_batch` bands, one
+    :func:`band_bucket_pairs` pairs the buckets, and :func:`real_pairs`
+    drops the marker rows and counts the rows of truncated buckets."""
+    banded = docs_ds.map_batches(minhash_band_batch, batch_format="pyarrow")
+    return real_pairs(band_bucket_pairs(banded))
+
+
 def near_dup_pairs(docs_ds, threshold_num: int = 1, threshold_den: int = 2):
     """The MinHash near-dup chain: ``(doc_id, text)`` rows ->
-    ``(verified, n_truncated)``.  :func:`minhash_band_batch` bands, one
-    :func:`band_bucket_pairs` pairs the buckets, :func:`real_pairs`
-    counts the rows of truncated buckets, and :func:`jaccard_verify_pairs`
-    keeps the ``(doc_a, doc_b)`` pairs with 3-shingle Jaccard >=
-    ``threshold_num / threshold_den``."""
-    banded = docs_ds.map_batches(minhash_band_batch, batch_format="pyarrow")
-    pairs, n_truncated = real_pairs(band_bucket_pairs(banded))
+    ``(verified, n_truncated)``: :func:`candidate_pairs`, then
+    :func:`jaccard_verify_pairs` keeps the ``(doc_a, doc_b)`` pairs with
+    3-shingle Jaccard >= ``threshold_num / threshold_den``."""
+    pairs, n_truncated = candidate_pairs(docs_ds)
     verified = jaccard_verify_pairs(
         pairs, docs_ds, k=3, threshold_num=threshold_num, threshold_den=threshold_den,
     )
     return verified, n_truncated
+
+
+#: the column :func:`split_candidates` tags each doc with, and what
+#: :class:`CandidateSplit` writes under ``out_dir``; ``_candidates`` only
+#: lives until the run has added the candidates' survivors
+_CANDIDATE = "_candidate"
+_SPLIT_OUTPUTS = ("survivors", "_candidates")
+
+
+class CandidateSplit(Datasink):
+    """:func:`split_candidates`' one streaming write: each write task
+    takes its docs, tagged with ``_candidate``, and writes those that no
+    candidate pair names to ``survivors/`` and the others to
+    ``_candidates/``, both as ``<uuid>_<task index>.parquet`` (the uuid
+    fixed when the sink is built, so a retried task overwrites its own
+    files) with :data:`georay.sources.PARQUET_WRITE`.  After the write,
+    ``rows`` and ``nbytes`` sum the candidates' rows and Arrow bytes, and
+    ``schema`` is the docs' schema (``None`` when no doc came)."""
+
+    def __init__(self, out_dir: str):
+        self.out_dir = out_dir
+        self.uuid = uuid.uuid4().hex
+        self.rows = self.nbytes = 0
+        self.schema = None
+
+    def on_write_start(self) -> None:
+        # resolution too: a run that fails later leaves no stale
+        # resolution beside partial survivors
+        for name in (*_SPLIT_OUTPUTS, "resolution"):
+            replace_dir(f"{self.out_dir}/{name}")
+
+    def write(self, blocks, ctx):
+        tables = [b for b in blocks if b.num_rows]
+        if not tables:
+            return 0, 0, None
+        docs = pa.concat_tables(tables)
+        flag = docs.column(_CANDIDATE)
+        docs = docs.drop_columns([_CANDIDATE])
+        fs, root = filesystem(self.out_dir)
+        name = f"{self.uuid}_{ctx.task_idx}.parquet"
+        cands = docs.filter(flag)
+        for out, rows in zip(_SPLIT_OUTPUTS, (docs.filter(pc.invert(flag)), cands)):
+            if rows.num_rows:
+                write_parquet_file(rows, f"{root}/{out}/{name}", fs)
+        return cands.num_rows, cands.nbytes, docs.schema
+
+    def on_write_complete(self, write_result) -> None:
+        returns = write_result.write_returns
+        self.rows = sum(r[0] for r in returns)
+        self.nbytes = sum(r[1] for r in returns)
+        self.schema = next((r[2] for r in returns if r[2] is not None), None)
+
+
+def split_candidates(docs_ds, pairs_ds, out_dir: str, id_col: str = "doc_id"):
+    """One pass over the corpus ``docs_ds`` that writes every doc no
+    candidate pair names to ``out_dir/survivors/`` and returns the others,
+    the candidates, as a Dataset.  A doc in no pair can never be dropped,
+    so verify, components and apply only need the candidates: the
+    small-build-side semi-join of *To Partition, or Not to Partition*
+    (SIGMOD 2021).
+
+    The pairs' ids tag each doc through :func:`georay.partition.keyed_join`
+    (broadcast while the ids fit ``BROADCAST_BYTES``, else one
+    co-partition of the corpus with them), and :class:`CandidateSplit`
+    writes the tagged rows, the survivors to ``survivors/`` and the
+    candidates to ``_candidates/``.  It replaces ``survivors/``,
+    ``_candidates/`` and ``resolution/`` first.  The candidates come back
+    as a :func:`georay.partition.from_table` Dataset of the
+    ``_candidates/`` files, read with pyarrow on the driver, while their
+    Arrow bytes fit the budget (a typed empty table when there are
+    none), else as a ``read_parquet`` of ``_candidates/``, which the
+    caller deletes once it is done with them."""
+    import ray.data
+
+    pairs, pairs_ds = broadcast_or_none(pairs_ds)
+    if pairs is not None:
+        ids = from_table(pa.table({id_col: _pair_ids(pairs)}))
+    else:
+        ids = pairs_ds.map_batches(lambda b: pa.table({id_col: _pair_ids(b)}), batch_format="pyarrow")
+
+    def tag(L: pa.Table, R: pa.Table) -> pa.Table:
+        hit = pc.is_in(L.column(id_col), value_set=R.column(id_col).combine_chunks())
+        return L.append_column(_CANDIDATE, hit)
+
+    sink = CandidateSplit(out_dir)
+    keyed_join(docs_ds, ids, id_col, id_col, tag).write_datasink(sink)
+    if not fits_broadcast(sink.nbytes):
+        cands = ray.data.read_parquet(f"{out_dir}/_candidates")
+        cands.context.target_max_block_size = docs_ds.context.target_max_block_size
+        return cands
+    if not sink.rows:
+        return from_table(sink.schema.empty_table() if sink.schema is not None else pa.table({}))
+    fs, root = filesystem(out_dir)
+    files = sorted(i.path for i in fs.get_file_info(pafs.FileSelector(f"{root}/_candidates")))
+    return from_table(pa.concat_tables(pq.read_table(f, filesystem=fs) for f in files))
 
 
 def _deliver_labels(g: pa.Table) -> pa.Table:
@@ -1230,12 +1359,13 @@ def apply_dedup(docs_ds, resolution_ds, id_col: str = "doc_id"):
 
     A LEFT ANTI join by :func:`georay.partition.keyed_join`: the
     resolution table is 16 bytes per clustered doc, so while it fits
-    ``BROADCAST_BYTES`` the corpus streams read -> anti-filter with no
-    shuffle and a write after it fuses into the same tasks; past the
-    budget the corpus and the resolution are co-partitioned by id.  An
-    empty resolution skips the corpus pass.  A resolution that
-    :func:`connected_components` made on the driver reaches the join as
-    its table, with no plan."""
+    ``BROADCAST_BYTES`` the docs stream read -> anti-filter with no
+    shuffle and a write after it fuses into the same tasks, or, when the
+    docs are a driver table too (:func:`split_candidates`' candidates),
+    the filter runs on the driver; past the budget the docs and the
+    resolution are co-partitioned by id.  An empty resolution gives
+    ``docs_ds`` back.  A resolution that :func:`connected_components`
+    made on the driver reaches the join as its table, with no plan."""
     res, resolution_ds = broadcast_or_none(resolution_ds)
     if (resolution_ds.count() if res is None else res.num_rows) == 0:
         return docs_ds

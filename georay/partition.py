@@ -30,9 +30,10 @@ the join that picks between them:
   payloads a worker keeps across stages fit the same budget.
 - :func:`keyed_join` is the one join of a streamed left side with a
   smaller keyed right side (dedup apply, curate's survivor semi-join,
-  ``segment_revenue``): ``broadcast_or_none`` on the right side, then
-  either one ``cached_map`` over the left side or one ``copartition``,
-  with the same ``kernel(L, R)`` on both routes.
+  ``segment_revenue``, and dedup's candidate split): ``broadcast_or_none``
+  on the right side, then one ``cached_map`` over the left side or one
+  ``copartition``, with the same ``kernel(L, R)`` on both routes; when
+  both sides are driver tables the kernel runs on the driver.
 
 Both exchanges tag each row with ``part_of(key, P)`` and run the union
 through a single sort whose boundaries are the partition numbers: block
@@ -157,15 +158,25 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def from_table(t: pa.Table):
-    """``ray.data.from_arrow(t)``, with ``t`` kept for the returned
-    Dataset: :func:`broadcast_or_none` on it gives ``t`` back without
-    running a plan.  Every driver step that hands a small result to the
-    next stage returns it this way."""
+    """A Dataset of the one block ``t``, with ``t`` kept for it:
+    :func:`broadcast_or_none` on it gives ``t`` back without running a
+    plan, and :func:`driver_table` gives it to a step that runs on the
+    driver.  Every driver step that hands a small result to the next
+    stage returns it this way."""
     import ray.data
 
-    ds = ray.data.from_arrow(t)
+    # ``from_blocks`` is a ``DeveloperAPI``: it computes the block's
+    # metadata here, where ``from_arrow`` starts a task for it and waits
+    ds = ray.data.from_blocks([t])
     _TABLES[ds] = t
     return ds
+
+
+def driver_table(ds) -> pa.Table | None:
+    """The table a :func:`from_table` Dataset holds (or one that
+    :func:`broadcast_or_none` fetched for it), else ``None``; never runs a
+    plan."""
+    return _TABLES.get(ds)
 
 
 def broadcast_or_none(ds):
@@ -178,7 +189,7 @@ def broadcast_or_none(ds):
     sized by its table's ``nbytes`` and comes back as it is: no plan
     runs.  A fetched table is kept for the returned Dataset the same
     way, so asking again about it runs no plan either."""
-    table = _TABLES.get(ds)
+    table = driver_table(ds)
     if table is not None:
         return (table if fits_broadcast(table.nbytes) else None), ds
     ds = ds.materialize()
@@ -359,19 +370,25 @@ def keyed_join(left, right, left_on, right_on, kernel):
     so it gives the same rows whatever slice of ``L`` holds a key.
 
     While ``right`` fits ``BROADCAST_BYTES`` (:func:`broadcast_or_none`)
-    it goes out with one ``ray.put`` and ``left`` streams through one
-    plain map (:class:`KeyedJoin` under :func:`cached_map`) that calls
-    ``kernel(batch, whole right)``: no shuffle, so a read before it and a
-    write after it fuse into the same tasks.  Past the budget both sides
-    are co-partitioned on their keys (:func:`copartition`), sized by
-    :func:`partitions` from ``left``'s metadata and ``right``'s rows.
-    ``right`` needs an Arrow schema on both routes."""
+    and ``left`` is a driver table (:func:`driver_table`) too, ``kernel``
+    runs once on the driver and the result is a :func:`from_table`
+    Dataset.  While only ``right`` fits it goes out with one ``ray.put``
+    and ``left`` streams through one plain map (:class:`KeyedJoin` under
+    :func:`cached_map`) that calls ``kernel(batch, whole right)``: no
+    shuffle, so a read before it and a write after it fuse into the same
+    tasks.  Past the budget both sides are co-partitioned on their keys
+    (:func:`copartition`), sized by :func:`partitions` from ``left``'s
+    metadata and ``right``'s rows.  ``right`` needs an Arrow schema on
+    every route."""
     import ray
 
     table, right = broadcast_or_none(right)
     if table is None:
         n = partitions(left, n_rows=right.count())
         return copartition(left, right, left_on, right_on, kernel, n)
+    left_table = driver_table(left)
+    if left_table is not None:
+        return from_table(kernel(left_table, table))
     # the kernel is a second ref, so the instance key is the same in
     # every task (a kernel closure unpickled per task would not be)
     join = cached_map(KeyedJoin, ray.put(table), ray.put(kernel))

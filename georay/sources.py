@@ -11,8 +11,9 @@ XML-document source to a Dataset: every file parsed inside
 ``map_batches`` (the XML never leaves the worker — only the slim
 geometry summary rows do).  :func:`write_output` is the one way a
 pipeline writes an output directory, from a Dataset or from a table on
-the driver, and :func:`parquet_rows` counts an output's rows from its
-footers.  :data:`PARQUET_WRITE` is the one parquet writer policy, and
+the driver, :func:`append_output` adds rows to one, and
+:func:`parquet_rows` counts an output's rows from its footers.
+:data:`PARQUET_WRITE` is the one parquet writer policy, and
 :func:`write_parquet_file` the one way a single file is written with it.
 :func:`read_parquet_grouped` reads whole files per task, at least a
 given number of rows each.  :data:`PLAN_BLOCK_BYTES` is the
@@ -93,6 +94,22 @@ def write_output(data, path: str, **kwargs) -> bool:
     data.write_parquet(path, mode=SaveMode.OVERWRITE, **{**PARQUET_WRITE, **kwargs})
     fs.create_dir(p)
     return bool(fs.get_file_info(pafs.FileSelector(p)))
+
+
+def append_output(data, path: str) -> None:
+    """Add ``data`` to the existing parquet directory ``path`` with
+    :data:`PARQUET_WRITE`, keeping the files already there: a ``pa.Table``
+    on the driver as one ``<uuid>.parquet`` with no plan (none when it has
+    no rows), a Dataset by an appending ``write_parquet``."""
+    import pyarrow as pa
+    from ray.data.datasource import SaveMode
+
+    if isinstance(data, pa.Table):
+        if data.num_rows:
+            fs, p = filesystem(path)
+            write_parquet_file(data, f"{p}/{uuid.uuid4().hex}.parquet", fs)
+        return
+    data.write_parquet(path, mode=SaveMode.APPEND, **PARQUET_WRITE)
 
 
 def remove_dir(path: str) -> None:

@@ -1232,12 +1232,14 @@ def test_dedup_read_tasks_run_at_once(ray_session, monkeypatch, tmp_path, capsys
     assert DataContext.get_current().target_max_block_size == block_target
 
 
-def test_dedup_cli_runs_three_plans(ray_session, monkeypatch, tmp_path, capsys):
-    """A default ``python -m georay dedup`` starts tasks in three plans:
-    the MinHash read, the candidate-text read and the survivors write.
-    Every driver table reaches the next stage as it is, so no plan of a
-    ``FromArrow`` operator alone runs (a plan of its ``InputData`` alone
-    is the no-op ``materialize`` executes, which starts no task)."""
+def test_dedup_cli_runs_two_plans(ray_session, monkeypatch, tmp_path, capsys):
+    """A default ``python -m georay dedup`` starts tasks in two plans: the
+    MinHash read and the split pass, which reads the corpus again and
+    writes it.  No ``IdFilter`` map runs: the candidates' texts come from
+    the split's driver table.  Every driver table reaches the next stage
+    as it is, so no plan of a ``FromArrow`` or ``FromBlocks`` operator
+    alone runs (a plan of its ``InputData`` alone is the no-op
+    ``materialize`` executes, which starts no task)."""
     import pyarrow.parquet as pq
     import ray
     from ray.data._internal.plan import ExecutionPlan
@@ -1265,10 +1267,184 @@ def test_dedup_cli_runs_three_plans(ray_session, monkeypatch, tmp_path, capsys):
     pq.write_table(tbl([DOC, NEAR, FAR] + [f"doc {i} " + FAR for i in range(20)]), src)
     main(["dedup", "--input", src, "--out", str(tmp_path / "out")])
     capsys.readouterr()
+    driver = {"FromArrow", "FromBlocks"}
     ran = [ops - {"InputData"} for ops in plans]
-    assert not [ops for ops in ran if ops == {"FromArrow"}], plans
-    tasks = [ops for ops in ran if ops - {"FromArrow"}]
-    assert len(tasks) == 3, plans
-    assert any("MapBatches(minhash_band_batch)" in ops for ops in tasks), plans
-    assert any("MapBatches(IdFilter)" in ops for ops in tasks), plans
-    assert any("Write" in ops for ops in tasks), plans
+    assert not [ops for ops in ran if ops and ops <= driver], plans
+    tasks = [ops for ops in ran if ops - driver]
+    assert len(tasks) == 2, plans
+    minhash, split = tasks
+    assert "MapBatches(minhash_band_batch)" in minhash and "Write" not in minhash, plans
+    assert "ReadParquet" in split and "Write" in split, plans
+    assert not [ops for ops in tasks if "MapBatches(IdFilter)" in ops], plans
+
+
+def _planted_corpus(src, files: int = 3) -> set:
+    """150 base docs and 20 clusters of one-word edits of them, with a
+    ``url`` column the MinHash read does not take, shuffled into ``files``
+    parquet files under the directory ``src``; -> the ids of the edits."""
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(5)
+    vocab = np.array([f"w{i}" for i in range(2000)])
+    base = [rng.choice(vocab, 60) for _ in range(150)]
+    texts, dups = [" ".join(t) for t in base], set()
+    for c in range(20):
+        for _ in range(1 + c % 3):
+            t = base[c].copy()
+            t[rng.integers(60)] = "edit"
+            dups.add(len(texts))
+            texts.append(" ".join(t))
+    docs = tbl(texts).append_column("url", pa.array([f"https://x/{i}" for i in range(len(texts))]))
+    for k, rows in enumerate(np.array_split(rng.permutation(len(texts)), files)):
+        pq.write_table(docs.take(rows), f"{src}/part-{k}.parquet")
+    return dups
+
+
+def _dedup_cli(src, out, capsys):
+    """``python -m georay dedup`` -> (summary without ``out``, sorted
+    survivor rows, sorted resolution rows or ``{}``)."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from georay.__main__ import main
+
+    main(["dedup", "--input", str(src), "--out", str(out)])
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    summary.pop("out")
+    keys = [("doc_id", "ascending"), ("text", "ascending")]
+    resolution = pq.read_table(f"{out}/resolution")  # no column when it has no file
+    return (summary, pq.read_table(f"{out}/survivors").sort_by(keys).to_pydict(),
+            resolution.sort_by("doc_id").to_pydict() if resolution.num_columns else {})
+
+
+class TestCandidateSplit:
+    """``python -m georay dedup``'s split pass: the docs no candidate pair
+    names go straight to ``survivors/``, and verify, components and apply
+    see the candidates alone, on every route."""
+
+    @pytest.fixture(autouse=True)
+    def _keep_session(self, monkeypatch):
+        import ray
+
+        monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)
+
+    def test_routes_give_the_default_outputs(self, ray_session, monkeypatch, tmp_path, capsys):
+        """At a budget between the pairs' and the candidates' bytes (the
+        candidates come back as a read, their survivors are appended by a
+        plan) and at ``BROADCAST_BYTES = 0``, the CLI writes the default
+        run's survivor and resolution rows.  At 0 exactly one exchange
+        takes the whole corpus, the split's; every other exchange of
+        texts takes the candidates alone."""
+        import pyarrow.parquet as pq
+
+        import georay.dedup as dd
+        import georay.partition as gp
+        from georay.partition import driver_table
+
+        src = tmp_path / "docs"
+        src.mkdir()
+        dups = _planted_corpus(src)
+        n_docs = 150 + len(dups)
+        seen, split = [], dd.split_candidates
+
+        def split_candidates(docs, pairs, out):
+            cands = split(docs, pairs, out)
+            seen.append((driver_table(pairs), driver_table(cands)))
+            return cands
+
+        monkeypatch.setattr(dd, "split_candidates", split_candidates)
+        default = _dedup_cli(src, tmp_path / "out0", capsys)
+        assert default[1]["doc_id"] == sorted(set(range(n_docs)) - dups)
+        assert default[0]["clustered_docs"] > 0
+        pairs, cands = seen[0]
+        assert pairs is not None and cands is not None and pairs.nbytes < cands.nbytes
+
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", (pairs.nbytes + cands.nbytes) // 2)
+        assert _dedup_cli(src, tmp_path / "out1", capsys) == default
+        assert seen[1][0] is not None and seen[1][1] is None
+        for f in (tmp_path / "out1" / "survivors").iterdir():
+            md = pq.read_metadata(f)
+            assert {md.row_group(0).column(j).compression for j in range(md.num_columns)} == {"ZSTD"}
+
+        texts = []
+
+        def record(ds):
+            if "text" in ds.schema().names:
+                texts.append(ds.count())
+
+        for module in (gp, dd):
+            def copartition(left, right, *args, _real=module.copartition):
+                record(left)
+                record(right)
+                return _real(left, right, *args)
+
+            monkeypatch.setattr(module, "copartition", copartition)
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
+        assert _dedup_cli(src, tmp_path / "out2", capsys) == default
+        assert texts.count(n_docs) == 1, texts
+        assert len(texts) > 1 and max(n for n in texts if n != n_docs) == cands.num_rows, texts
+
+    def test_repeated_and_null_ids(self, ray_session, tmp_path, capsys):
+        """A ``doc_id`` on two rows and a null ``doc_id``: the survivors are
+        the rows ``apply_dedup`` keeps from the whole corpus."""
+        import pyarrow.parquet as pq
+        import ray.data
+
+        from georay.dedup import apply_dedup
+
+        texts = [DOC, NEAR, DOC, NEAR, FAR, "one two three four five six", DOC + " coda"]
+        ids = [1, 2, 2, None, 5, None, 7]
+        src = str(tmp_path / "docs.parquet")
+        pq.write_table(pa.table({"doc_id": pa.array(ids, pa.int64()), "text": texts}), src)
+        summary, survivors, _ = _dedup_cli(src, tmp_path / "out", capsys)
+        whole = apply_dedup(ray.data.read_parquet(src), ray.data.read_parquet(str(tmp_path / "out/resolution")))
+        want = pa.Table.from_pandas(whole.to_pandas(), preserve_index=False)
+        assert survivors == want.sort_by([("doc_id", "ascending"), ("text", "ascending")]).to_pydict()
+        assert summary["dropped"] > 0
+        assert survivors["doc_id"].count(None) == 2 and 2 not in survivors["doc_id"]
+
+    def test_no_pair_keeps_every_row(self, ray_session, monkeypatch, tmp_path, capsys):
+        """Every doc survives, ``resolution/`` is empty and the candidates
+        are a typed empty driver table."""
+        import os
+
+        import pyarrow.parquet as pq
+
+        import georay.dedup as dd
+        from georay.partition import driver_table
+
+        seen, split = [], dd.split_candidates
+        monkeypatch.setattr(dd, "split_candidates", lambda *a: seen.append(split(*a)) or seen[-1])
+        rng = np.random.default_rng(9)
+        vocab = np.array([f"w{i}" for i in range(5000)])
+        docs = tbl([" ".join(rng.choice(vocab, 40)) for _ in range(30)])
+        src = str(tmp_path / "docs.parquet")
+        pq.write_table(docs, src)
+        summary, survivors, resolution = _dedup_cli(src, tmp_path / "out", capsys)
+        assert survivors == docs.sort_by("doc_id").to_pydict()
+        assert resolution == {} and os.listdir(tmp_path / "out/resolution") == []
+        assert (summary["clustered_docs"], summary["dropped"]) == (0, 0)
+        assert sorted(os.listdir(tmp_path / "out")) == ["resolution", "survivors"]
+        assert driver_table(seen[0]).schema == docs.schema and driver_table(seen[0]).num_rows == 0
+
+    def test_candidates_are_deleted_when_verify_raises(self, ray_session, monkeypatch, tmp_path):
+        import os
+
+        import pyarrow.parquet as pq
+
+        import georay.dedup as dd
+        from georay.__main__ import main
+
+        out = tmp_path / "out"
+
+        def broken(*args, **kwargs):
+            assert os.listdir(out / "_candidates")  # the split wrote them
+            raise RuntimeError("verify failed")
+
+        monkeypatch.setattr(dd, "jaccard_verify_pairs", broken)
+        src = str(tmp_path / "docs.parquet")
+        pq.write_table(tbl([DOC, NEAR, FAR]), src)
+        with pytest.raises(RuntimeError, match="verify failed"):
+            main(["dedup", "--input", src, "--out", str(out)])
+        assert sorted(os.listdir(out)) == ["resolution", "survivors"]

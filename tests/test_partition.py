@@ -309,19 +309,20 @@ class TestOneMechanism:
         """MinHash, SimHash and embeddings pair their buckets through one
         ``band_bucket_pairs`` and count its truncated rows with one
         ``real_pairs``, and the MinHash chain is mapped only in
-        ``near_dup_pairs``, which the CLI and the gate both call.  The
-        truncation warning is written once."""
+        ``candidate_pairs``, which the CLI calls and the gate's
+        ``near_dup_pairs`` wraps.  The truncation warning is written
+        once."""
         import ast
 
         def calls(name):
             return lambda n: isinstance(n.func, ast.Name) and n.func.id == name
 
-        generators = {("dedup.py", f) for f in ("simhash_pairs", "embed_lsh_pairs", "near_dup_pairs")}
+        generators = {("dedup.py", f) for f in ("simhash_pairs", "embed_lsh_pairs", "candidate_pairs")}
         assert self._call_sites(calls("band_bucket_pairs")) == generators
         assert self._call_sites(calls("real_pairs")) == generators
         assert self._call_sites(lambda n: isinstance(n.func, ast.Attribute) and n.func.attr == "map_batches"
                                 and any(isinstance(a, ast.Name) and a.id == "minhash_band_batch"
-                                        for a in n.args)) == {("dedup.py", "near_dup_pairs")}
+                                        for a in n.args)) == {("dedup.py", "candidate_pairs")}
         texts = {path.name: path.read_text().count("truncated at max_bucket") for path in self._sources()}
         assert {name: n for name, n in texts.items() if n} == {"dedup.py": 1}
 
