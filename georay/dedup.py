@@ -31,18 +31,19 @@ Scale design (SURVEY.md §2.8):
   ``broadcast_or_none`` gets the table with no plan.  Past the budget
   each step is a keyed exchange
   (label propagation over :func:`georay.partition.hash_partition`, or
-  :func:`georay.partition.copartition`).  Application is one
-  :func:`georay.partition.keyed_join`, which makes that choice itself;
-  verification keeps its own routes (:func:`_verify_pairs`), since its
-  small side is decided on the pairs.  No step uses Ray's actor-based
-  ``Dataset.join``.
+  :func:`georay.partition.copartition`).  Verification (two joins of
+  the pairs with the texts) and application are
+  :func:`georay.partition.keyed_join`, which makes that choice itself.
+  No step uses Ray's actor-based ``Dataset.join``.
 - the corpus pass of a near-dup run (``python -m georay dedup``):
   :func:`candidate_pairs` gives the MinHash candidate pairs, and
   :func:`split_candidates` reads the corpus once more, writing every doc
   that no pair names straight to ``survivors/`` (it can never be
   dropped) and handing back only the pairs' docs.  Verify, components
   and apply then run over those candidates alone, and their survivors
-  are added to ``survivors/``.
+  are added to ``survivors/``.  :func:`near_dup_pairs` (the chain the
+  query oracles check) narrows the corpus to the candidates with the
+  split's join of the pairs' ids, so it verifies the same way.
 
 All hashes are deterministic (fixed seeds) so runs are reproducible.
 """
@@ -63,8 +64,7 @@ from ray.data import Datasink
 from georay.ann import _to_matrix
 from georay.geom.polygon import _expand_ranges
 from georay.partition import (
-    broadcast_or_none, cached_map, copartition, driver_table, fits_broadcast, from_table,
-    hash_partition, keyed_join, part_of, partitions,
+    broadcast_or_none, fits_broadcast, from_table, hash_partition, keyed_join, part_of, partitions,
 )
 from georay.sources import filesystem, replace_dir, write_parquet_file
 from georay.stages.aggregate import keyed_agg
@@ -878,73 +878,10 @@ def _attach_side(L: pa.Table, on: str, R: pa.Table, id_col: str, col: str) -> pa
     return L.take(m.column("li")).append_column("side_" + on[-1], R.column(col).take(m.column("ri")))
 
 
-class IdFilter:
-    """Broadcast kernel (``cached_map(IdFilter, ray.put(ids), ...)``):
-    ``columns`` of a batch's rows whose ``id_col`` is in ``ids``."""
-
-    def __init__(self, ids, id_col: str, columns: tuple):
-        self.ids, self.id_col, self.columns = ids, id_col, columns
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        return b.filter(pc.is_in(b.column(self.id_col), value_set=self.ids)).select(list(self.columns))
-
-
 def _pair_ids(pairs: pa.Table) -> pa.Array:
     """Each id of ``pairs``' ``doc_a`` and ``doc_b`` once."""
     a, b = pairs.column("doc_a"), pairs.column("doc_b")
     return pc.unique(pa.chunked_array(a.chunks + b.chunks, a.type))
-
-
-def _verify_pairs(pairs_ds, side_ds, id_col: str, col: str, keep, empty: pa.Table):
-    """The route of candidate-pair verification: ``(doc_a, doc_b)``
-    pairs -> ``keep(b)``, where ``b`` is a block of pairs with each id's
-    ``side_ds[col]`` attached as ``side_a`` and ``side_b``.
-
-    :func:`georay.partition.broadcast_or_none` picks the route, against
-    its ``BROADCAST_BYTES`` budget:
-
-    - the pairs fit: the side's ``(id, col)`` rows of the pairs' ids are
-      taken with :class:`IdFilter`, on the driver when the side is a
-      driver table (:func:`georay.partition.driver_table`, such as
-      :func:`split_candidates`' candidates), else by one fused read ->
-      ``IdFilter`` map with the ids sent out by ``ray.put`` once per
-      worker (``cached_map``).  If those rows fit too, both the pairs and
-      those rows are tables on the driver, which attaches both values and
-      runs ``keep`` on all the pairs at once: no exchange and no plan;
-    - otherwise two co-partitioned sort shuffles: the first attaches
-      ``doc_a``'s value, the second ``doc_b``'s and runs ``keep`` in the
-      same kernel.  When only the pairs fit, the filtered side rows, not
-      the whole side, feed the shuffles.
-
-    A result made on the driver is a :func:`georay.partition.from_table`
-    Dataset, so the next stage gets the table back without a plan.
-    """
-    import ray
-
-    pairs, pairs_ds = broadcast_or_none(pairs_ds)
-    n_pairs = pairs_ds.count() if pairs is None else pairs.num_rows
-    if n_pairs == 0:
-        return from_table(empty)
-
-    if pairs is not None:
-        ids, columns = _pair_ids(pairs), (id_col, col)
-        table = driver_table(side_ds)
-        if table is None:
-            candidates = cached_map(IdFilter, ray.put(ids), id_col=id_col, columns=columns)
-            side_ds = side_ds.map_batches(candidates, batch_format="pyarrow")
-        else:
-            side_ds = from_table(IdFilter(ids, id_col, columns)(table))
-        side, side_ds = broadcast_or_none(side_ds)
-        if side is not None:
-            with_a = _attach_side(pairs, "doc_a", side, id_col, col)
-            return from_table(keep(_attach_side(with_a, "doc_b", side, id_col, col)))
-    n = partitions(side_ds, n_rows=n_pairs, rows_per_partition=250_000)
-    with_a = copartition(
-        pairs_ds, side_ds, "doc_a", id_col, lambda L, R: _attach_side(L, "doc_a", R, id_col, col), n,
-    )
-    return copartition(
-        with_a, side_ds, "doc_b", id_col, lambda L, R: keep(_attach_side(L, "doc_b", R, id_col, col)), n,
-    )
 
 
 def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
@@ -969,13 +906,18 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
     is the count of equal ``pair * V + shingle id`` keys over both sides'
     sets, found by one sort.  No per-pair Python loop.
 
-    Texts reach the pairs by :func:`_verify_pairs`: while the pairs and
-    the candidates' texts fit ``BROADCAST_BYTES`` (:func:`georay.partition.
-    broadcast_or_none`), the driver takes the matched texts (from
-    ``docs_ds`` itself when it is a driver table, else by one read ->
-    ``is_in`` filter), attaches them and scores every pair as one block;
-    past the budget two co-partitioned sort shuffles attach them.  The
-    whole corpus is never broadcast.
+    ``docs_ds`` holds the pairs' docs, the candidates
+    (:func:`split_candidates`' result, or :func:`near_dup_pairs`'
+    narrowed corpus): every row is carried to the joins, and a row no
+    pair names is dropped there, so a whole corpus would be sized and
+    broadcast or co-partitioned as the texts.  Texts reach the pairs by
+    two :func:`georay.partition.keyed_join` of the pairs with
+    ``docs_ds``: the first attaches ``doc_a``'s text, the second
+    ``doc_b``'s and runs ``keep``.  Each join picks its own route against
+    ``BROADCAST_BYTES``: on the driver when the pairs and the texts are
+    both driver tables, the pairs streaming past the broadcast texts
+    when only the texts fit, else a co-partition.  ``docs_ds`` is sized
+    once, here, and both joins take the sized Dataset.
     """
     empty = pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
 
@@ -1017,7 +959,20 @@ def jaccard_verify_pairs(pairs_ds, docs_ds, k: int = 3, threshold_num: int = 1,
         ok = inter * threshold_den >= union * threshold_num
         return pa.table({"doc_a": pa.array(da[ok]), "doc_b": pa.array(db[ok])})
 
-    return _verify_pairs(pairs_ds, docs_ds, id_col, text_col, keep, empty)
+    pairs, pairs_ds = broadcast_or_none(pairs_ds)
+    if (pairs_ds.count() if pairs is None else pairs.num_rows) == 0:
+        return from_table(empty)
+    # sized once: keyed_join does not hand back the side it materialized
+    _, docs_ds = broadcast_or_none(docs_ds)
+
+    def attach_a(L: pa.Table, R: pa.Table) -> pa.Table:
+        return _attach_side(L, "doc_a", R, id_col, text_col)
+
+    def attach_b_keep(L: pa.Table, R: pa.Table) -> pa.Table:
+        return keep(_attach_side(L, "doc_b", R, id_col, text_col))
+
+    with_a = keyed_join(pairs_ds, docs_ds, "doc_a", id_col, attach_a)
+    return keyed_join(with_a, docs_ds, "doc_b", id_col, attach_b_keep)
 
 
 def candidate_pairs(docs_ds):
@@ -1031,14 +986,37 @@ def candidate_pairs(docs_ds):
 
 def near_dup_pairs(docs_ds, threshold_num: int = 1, threshold_den: int = 2):
     """The MinHash near-dup chain: ``(doc_id, text)`` rows ->
-    ``(verified, n_truncated)``: :func:`candidate_pairs`, then
-    :func:`jaccard_verify_pairs` keeps the ``(doc_a, doc_b)`` pairs with
-    3-shingle Jaccard >= ``threshold_num / threshold_den``."""
+    ``(verified, n_truncated)``: :func:`candidate_pairs`, then the
+    corpus narrowed to the docs a pair names by the same
+    :func:`_join_pair_ids` as :func:`split_candidates`' (a filter where
+    the split tags), and :func:`jaccard_verify_pairs` of the pairs with
+    those candidates keeps the ``(doc_a, doc_b)`` pairs with 3-shingle
+    Jaccard >= ``threshold_num / threshold_den``.  So verify takes the
+    candidates alone here as it does in ``python -m georay dedup``."""
     pairs, n_truncated = candidate_pairs(docs_ds)
+    cands = _join_pair_ids(docs_ds, pairs, "doc_id", lambda docs, hit: docs.filter(hit))
     verified = jaccard_verify_pairs(
-        pairs, docs_ds, k=3, threshold_num=threshold_num, threshold_den=threshold_den,
+        pairs, cands, k=3, threshold_num=threshold_num, threshold_den=threshold_den,
     )
     return verified, n_truncated
+
+
+def _join_pair_ids(docs_ds, pairs_ds, id_col: str, use):
+    """:func:`georay.partition.keyed_join` of the corpus ``docs_ds`` with
+    each id of the pairs ``pairs_ds`` once (the candidates' ids; one
+    driver table while the pairs fit ``BROADCAST_BYTES``, else a map over
+    the pairs): ``use(L, hit)`` runs on each slice ``L`` of the docs,
+    where ``hit`` marks the docs a pair names."""
+    pairs, pairs_ds = broadcast_or_none(pairs_ds)
+    if pairs is not None:
+        ids = from_table(pa.table({id_col: _pair_ids(pairs)}))
+    else:
+        ids = pairs_ds.map_batches(lambda b: pa.table({id_col: _pair_ids(b)}), batch_format="pyarrow")
+
+    def kernel(L: pa.Table, R: pa.Table) -> pa.Table:
+        return use(L, pc.is_in(L.column(id_col), value_set=R.column(id_col).combine_chunks()))
+
+    return keyed_join(docs_ds, ids, id_col, id_col, kernel)
 
 
 #: the column :func:`split_candidates` tags each doc with, and what
@@ -1100,9 +1078,10 @@ def split_candidates(docs_ds, pairs_ds, out_dir: str, id_col: str = "doc_id"):
     small-build-side semi-join of *To Partition, or Not to Partition*
     (SIGMOD 2021).
 
-    The pairs' ids tag each doc through :func:`georay.partition.keyed_join`
-    (broadcast while the ids fit ``BROADCAST_BYTES``, else one
-    co-partition of the corpus with them), and :class:`CandidateSplit`
+    The pairs' ids tag each doc through :func:`_join_pair_ids`, the
+    :func:`georay.partition.keyed_join` that :func:`near_dup_pairs`
+    filters with (broadcast while the ids fit ``BROADCAST_BYTES``, else
+    one co-partition of the corpus with them), and :class:`CandidateSplit`
     writes the tagged rows, the survivors to ``survivors/`` and the
     candidates to ``_candidates/``.  It replaces ``survivors/``,
     ``_candidates/`` and ``resolution/`` first.  The candidates come back
@@ -1113,18 +1092,10 @@ def split_candidates(docs_ds, pairs_ds, out_dir: str, id_col: str = "doc_id"):
     caller deletes once it is done with them."""
     import ray.data
 
-    pairs, pairs_ds = broadcast_or_none(pairs_ds)
-    if pairs is not None:
-        ids = from_table(pa.table({id_col: _pair_ids(pairs)}))
-    else:
-        ids = pairs_ds.map_batches(lambda b: pa.table({id_col: _pair_ids(b)}), batch_format="pyarrow")
-
-    def tag(L: pa.Table, R: pa.Table) -> pa.Table:
-        hit = pc.is_in(L.column(id_col), value_set=R.column(id_col).combine_chunks())
-        return L.append_column(_CANDIDATE, hit)
-
     sink = CandidateSplit(out_dir)
-    keyed_join(docs_ds, ids, id_col, id_col, tag).write_datasink(sink)
+    _join_pair_ids(
+        docs_ds, pairs_ds, id_col, lambda docs, hit: docs.append_column(_CANDIDATE, hit),
+    ).write_datasink(sink)
     if not fits_broadcast(sink.nbytes):
         cands = ray.data.read_parquet(f"{out_dir}/_candidates")
         cands.context.target_max_block_size = docs_ds.context.target_max_block_size

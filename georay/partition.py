@@ -29,11 +29,12 @@ the join that picks between them:
   so a broadcast stage runs as plain tasks, never an actor pool.  The
   payloads a worker keeps across stages fit the same budget.
 - :func:`keyed_join` is the one join of a streamed left side with a
-  smaller keyed right side (dedup apply, curate's survivor semi-join,
-  ``segment_revenue``, and dedup's candidate split): ``broadcast_or_none``
-  on the right side, then one ``cached_map`` over the left side or one
-  ``copartition``, with the same ``kernel(L, R)`` on both routes; when
-  both sides are driver tables the kernel runs on the driver.
+  smaller keyed right side (dedup's candidate split, its Jaccard verify
+  and its apply, curate's survivor semi-join, ``segment_revenue``):
+  ``broadcast_or_none`` on the right side, then one ``cached_map`` over
+  the left side or one ``copartition``, with the same ``kernel(L, R)`` on
+  both routes; when both sides are driver tables the kernel runs on the
+  driver.  It is the only caller of ``copartition``.
 
 Both exchanges tag each row with ``part_of(key, P)`` and run the union
 through a single sort whose boundaries are the partition numbers: block

@@ -856,14 +856,14 @@ class TestClusterPartitionsRowsAware:
 
 @pytest.fixture
 def exchanges(monkeypatch):
-    """Names of the keyed exchanges ``georay.dedup`` starts, in order,
-    with the ``copartition`` that ``georay.partition.keyed_join`` starts
-    for it."""
+    """Names of the keyed exchanges ``georay.dedup`` starts, in order:
+    its own ``hash_partition`` and the ``copartition`` that
+    ``georay.partition.keyed_join`` starts for it."""
     import georay.dedup as dd
     import georay.partition
 
     calls = []
-    for module, name in ((dd, "copartition"), (dd, "hash_partition"), (georay.partition, "copartition")):
+    for module, name in ((dd, "hash_partition"), (georay.partition, "copartition")):
         def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -957,7 +957,7 @@ class TestRouteParity:
         # a second text for two ids; the join attaches every row of an id
         again = {0: "x y z w v", 7: base + " tail"}
         texts_of = {i: [t] + ([again[i]] if i in again else []) for i, t in enumerate(texts)}
-        # padding rows never appear in a pair: the broadcast route filters them out
+        # padding rows never appear in a pair: the joins carry them and drop them
         docs = pa.table({"doc_id": pa.array([1, 2] + ids + [ids[i] for i in again] + [3, 4], pa.int64()),
                          "text": pa.array(["unrelated filler text"] * 2 + texts + list(again.values())
                                           + [DOC] * 2, pa.string())})
@@ -994,35 +994,71 @@ class TestRouteParity:
         assert len(broadcast[(0, 1)]) == n_rows > len(broadcast[(1, 2)]) > len(broadcast[(9, 10)])
         assert len(broadcast[(9, 10)]) > len(broadcast[(1, 1)]) > 0
 
-    def test_jaccard_texts_over_budget_shuffle_only_candidates(self, ray_session, monkeypatch):
-        """Pairs within the budget, candidate texts over it: the filtered
-        candidate rows, not the corpus, feed the two co-partitions."""
+    def test_near_dup_texts_over_budget_shuffle_only_candidates(self, ray_session, monkeypatch, exchanges):
+        """``near_dup_pairs`` with the pairs' ids within the budget and the
+        candidates' texts over it: the corpus streams past the broadcast
+        ids and crosses no exchange, and each of verify's two
+        co-partitions takes exactly the candidate rows."""
         import ray.data
 
         import georay.dedup as dd
-        from georay.dedup import jaccard_verify_pairs
+        import georay.partition as gp
 
-        real, calls, sides = dd.broadcast_or_none, [], []
+        rng = np.random.default_rng(4)
+        vocab = np.array([f"w{i}" for i in range(5000)])
+        docs = tbl([DOC, NEAR, DOC + " coda"] + [" ".join(rng.choice(vocab, 40)) for _ in range(20)])
+        want = _sorted_pairs(dd.near_dup_pairs(ray.data.from_arrow(docs))[0].to_pandas())
+        assert want and not exchanges
+        n_cands = len({i for pair in want for i in pair})
+        budget = 8 * 2 * len(want) + 1  # the (doc_a, doc_b) pairs fit, hence their ids
+        assert budget < docs.slice(0, n_cands).nbytes
 
-        def broadcast_or_none(ds):  # the first call sizes the pairs, the second the texts
-            calls.append(ds)
-            if len(calls) == 2:
-                monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
-            return real(ds)
+        real_candidates, real_copartition, sides = dd.candidate_pairs, gp.copartition, []
 
-        monkeypatch.setattr(dd, "broadcast_or_none", broadcast_or_none)
-        real_copartition = dd.copartition
+        def candidate_pairs(ds):  # the budget falls once the pairs are made
+            out = real_candidates(ds)
+            monkeypatch.setattr("georay.partition.BROADCAST_BYTES", budget)
+            return out
 
         def copartition(left, right, *args):
             sides.append(right.count())
             return real_copartition(left, right, *args)
 
-        monkeypatch.setattr(dd, "copartition", copartition)
-        docs = tbl([DOC, NEAR, FAR] + ["unrelated filler text"] * 20)
-        pairs = pa.table({"doc_a": pa.array([0, 0, 1], pa.int64()), "doc_b": pa.array([1, 2, 2], pa.int64())})
-        out = jaccard_verify_pairs(ray.data.from_arrow(pairs), ray.data.from_arrow(docs)).to_pandas()
-        assert _sorted_pairs(out) == [(0, 1)]
-        assert len(calls) == 2 and sides == [3, 3]
+        monkeypatch.setattr(dd, "candidate_pairs", candidate_pairs)
+        monkeypatch.setattr(gp, "copartition", copartition)
+        out = dd.near_dup_pairs(ray.data.from_arrow(docs))[0].to_pandas()
+        assert _sorted_pairs(out) == want
+        assert exchanges == ["copartition"] * 2 and sides == [n_cands] * 2
+
+    def test_jaccard_pairs_over_budget_stream_past_the_texts(self, ray_session, monkeypatch):
+        """Many pairs over a few short texts, at a budget between the
+        texts' bytes and the pairs': the pairs stream past the broadcast
+        texts, so verify starts no keyed exchange (``copartition`` and
+        ``hash_partition`` both sort through ``_exchange``), and it keeps
+        the default route's pairs."""
+        import ray.data
+
+        import georay.partition as gp
+        from georay.dedup import jaccard_verify_pairs
+
+        rng = np.random.default_rng(8)
+        docs = tbl([" ".join(rng.choice(["a", "b", "c", "d"], 5)) for _ in range(40)])
+        a, b = np.triu_indices(docs.num_rows, 1)
+        pairs = pa.table({"doc_a": pa.array(a, pa.int64()), "doc_b": pa.array(b, pa.int64())})
+
+        def run():
+            pairs_ds = ray.data.from_arrow([pairs.slice(0, 300), pairs.slice(300)])
+            return _sorted_pairs(jaccard_verify_pairs(pairs_ds, ray.data.from_arrow(docs)).to_pandas())
+
+        want = run()
+        assert 0 < len(want) < pairs.num_rows
+        budget = 4 * docs.nbytes
+        assert budget < pairs.nbytes // 2
+        exchanges = []
+        monkeypatch.setattr(gp, "_exchange", lambda *a, _real=gp._exchange: exchanges.append(a) or _real(*a))
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", budget)
+        assert run() == want
+        assert not exchanges
 
     def test_band_bucket_pairs(self, ray_session, monkeypatch, exchanges):
         """Truncated buckets, with an inline filter: the same real pairs
@@ -1337,6 +1373,7 @@ class TestCandidateSplit:
         takes the whole corpus, the split's; every other exchange of
         texts takes the candidates alone."""
         import pyarrow.parquet as pq
+        from ray.data._internal.plan import ExecutionPlan
 
         import georay.dedup as dd
         import georay.partition as gp
@@ -1360,9 +1397,26 @@ class TestCandidateSplit:
         pairs, cands = seen[0]
         assert pairs is not None and cands is not None and pairs.nbytes < cands.nbytes
 
+        plans, real_execute = [], ExecutionPlan.execute
+
+        def execute(plan, *args, **kwargs):
+            if not plan.has_computed_output():
+                todo, names = [plan._logical_plan.dag], set()
+                while todo:
+                    op = todo.pop()
+                    names.add(op.name)
+                    todo.extend(op.input_dependencies)
+                plans.append(names - {"InputData"})
+            return real_execute(plan, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionPlan, "execute", execute)
         monkeypatch.setattr("georay.partition.BROADCAST_BYTES", (pairs.nbytes + cands.nbytes) // 2)
         assert _dedup_cli(src, tmp_path / "out1", capsys) == default
         assert seen[1][0] is not None and seen[1][1] is None
+        # MinHash, split, verify's read of _candidates/ (no map: the texts
+        # join the pairs as read), apply's read of it (kept on disk)
+        reads = [ops for ops in plans if "ReadParquet" in ops]
+        assert len(reads) == 4 and reads[2] == {"ReadParquet"}, plans
         for f in (tmp_path / "out1" / "survivors").iterdir():
             md = pq.read_metadata(f)
             assert {md.row_group(0).column(j).compression for j in range(md.num_columns)} == {"ZSTD"}
@@ -1373,13 +1427,12 @@ class TestCandidateSplit:
             if "text" in ds.schema().names:
                 texts.append(ds.count())
 
-        for module in (gp, dd):
-            def copartition(left, right, *args, _real=module.copartition):
-                record(left)
-                record(right)
-                return _real(left, right, *args)
+        def copartition(left, right, *args, _real=gp.copartition):
+            record(left)
+            record(right)
+            return _real(left, right, *args)
 
-            monkeypatch.setattr(module, "copartition", copartition)
+        monkeypatch.setattr(gp, "copartition", copartition)
         monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
         assert _dedup_cli(src, tmp_path / "out2", capsys) == default
         assert texts.count(n_docs) == 1, texts

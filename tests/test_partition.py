@@ -173,7 +173,7 @@ class TestOneMechanism:
         r'groupby\("part"\)|_partition_of|_cluster_partitions|_join_partitions|default_partitions'
         r'|tree_row_limit|_tree_pairs_from_partials|_join_pairs_from_slim|\bfanout\b'
         r'|tree_merge|_merge_partials|_MERGE_TASK|_DIRECT_MERGE_MAX_BLOCKS|_MERGE_FANOUT|AttachName'
-        r'|verify_partition|pair_filter'
+        r'|verify_partition|pair_filter|IdFilter|\b_verify_pairs'
     )
 
     def _sources(self):
@@ -434,18 +434,17 @@ class TestOneMechanism:
         ]
         assert defs == ["partition.py"]
 
-    def test_copartition_only_in_verify(self):
+    def test_copartition_only_in_keyed_join(self):
         """A join against a small keyed side is ``keyed_join``, which picks
-        broadcast or ``copartition`` itself: outside ``partition.py`` only
-        ``dedup._verify_pairs``, whose small side is decided on the pairs,
-        calls ``copartition(``."""
+        broadcast or ``copartition`` itself: nothing but
+        ``partition.keyed_join`` calls ``copartition(``, dedup's verify
+        included."""
         import ast
 
         def calls_copartition(n):
             return ast.unparse(n.func).split(".")[-1] == "copartition"
 
-        sites = {site for site in self._call_sites(calls_copartition) if site[0] != "partition.py"}
-        assert sites == {("dedup.py", "_verify_pairs")}
+        assert self._call_sites(calls_copartition) == {("partition.py", "keyed_join")}
 
     def test_no_partition_count_knob(self, capsys):
         """``partitions()`` sizes every exchange: no function outside
