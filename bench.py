@@ -188,7 +188,7 @@ def run_flagship(pages_dir: str, num_cpus: int, res: int = 7, repeats: int = 2):
     import pyarrow.parquet as pq
     import ray
 
-    from georay.pipelines.flagship import TILE_MIN_ROWS_PER_FILE, flagship
+    from georay.pipelines.flagship import flagship
     from georay.sources import parquet_rows, read_parquet_grouped
 
     if not ray.is_initialized():
@@ -206,13 +206,17 @@ def run_flagship(pages_dir: str, num_cpus: int, res: int = 7, repeats: int = 2):
     wall = join_rows = n_cells = None
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        # Task count is sized to the DATA, not the CPU count, so runs at
-        # different parallelism process identical task shapes: whole files,
-        # about the sink's row floor per task, each writing one file set.
-        # The read is pruned to the columns the pipeline uses (no `text`)
-        pages = read_parquet_grouped(
-            pages_dir, ["url", "warc_ts", "html", "lang", "doc_id"], TILE_MIN_ROWS_PER_FILE
-        )
+        # The one read rule, for a read the sink fuses into (sink=True):
+        # min(files, max(CPU slots, pages // TASK_ROWS)) tasks of whole
+        # files, each writing one file set; a task of k * TASK_ROWS pages
+        # or more is split into k blocks, one file set each.  Once the pages fill every
+        # slot (pages >= CPUs x TASK_ROWS) the shapes follow the DATA alone,
+        # so runs at different parallelism process identical task shapes.
+        # A cache over 2M pages holds one file per Ray write task: built on
+        # one CPU, the 8M cache is 8 files of 1M pages, read as 8 tasks of
+        # 50 blocks at any CPU count.  The read is pruned to the columns
+        # the pipeline uses (no `text`)
+        pages = read_parquet_grouped(pages_dir, ["url", "warc_ts", "html", "lang", "doc_id"], sink=True)
         counts = flagship(pages, res=res, out_dir=out_dir)
         run_wall = time.perf_counter() - t0
         wall = run_wall if wall is None else min(wall, run_wall)

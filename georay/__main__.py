@@ -19,7 +19,8 @@ import os
 import sys
 
 from georay.sources import (
-    PLAN_BLOCK_BYTES, append_output, filesystem, parquet_rows, remove_dir, write_output,
+    PLAN_BLOCK_BYTES, append_output, filesystem, parquet_rows, read_parquet_grouped, remove_dir,
+    write_output,
 )
 
 
@@ -36,10 +37,10 @@ def _init_ray(num_cpus: int | None):
 
 def cmd_flagship(args):
     ray = _init_ray(args.num_cpus)
-    from georay.pipelines.flagship import TILE_MIN_ROWS_PER_FILE, flagship
+    from georay.pipelines.flagship import flagship
     from georay.pipelines.pages import read_pages
 
-    pages = read_pages(args.sf_dir, TILE_MIN_ROWS_PER_FILE)
+    pages = read_pages(args.sf_dir, sink=args.out is not None)
     out = flagship(pages, res=args.res, predicate=args.predicate, out_dir=args.out)
     if args.out:
         join_rows, cells = out["join_rows"]["rows"], parquet_rows(f"{args.out}/cell_agg")
@@ -92,12 +93,10 @@ def cmd_dedup(args):
     materialized, and ``_candidates/`` is deleted even when a step
     raises."""
     ray = _init_ray(args.num_cpus)
-    import ray.data
-
     from georay import dedup
     from georay.partition import broadcast_or_none, driver_table
 
-    docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
+    docs = read_parquet_grouped(args.input, ["doc_id", "text"])
     # each read's own context (the Datasets derived from it share it),
     # so their tasks start together; Ray's global context keeps its default
     docs.context.target_max_block_size = PLAN_BLOCK_BYTES
@@ -110,7 +109,7 @@ def cmd_dedup(args):
             "recall is partial for oversized clusters (raise max_bucket)",
             file=sys.stderr,
         )
-    full_docs = ray.data.read_parquet(args.input)
+    full_docs = read_parquet_grouped(args.input)
     full_docs.context.target_max_block_size = PLAN_BLOCK_BYTES
     n_docs = full_docs.count()  # parquet metadata count — no scan
     surv_dir = os.path.join(args.out, "survivors")
@@ -167,7 +166,7 @@ def cmd_curate(args):
     from georay.stages.aggregate import keyed_agg
     from georay.text import detect_language, quality_batch
 
-    docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
+    docs = read_parquet_grouped(args.input, ["doc_id", "text"])
     n_in = docs.count()  # parquet metadata, no scan
 
     langs = set(args.langs.split(",")) if args.langs else None
@@ -204,7 +203,7 @@ def cmd_curate(args):
     remove_dir(ann_dir)  # a crashed run's files would be read twice
     try:
         if write_output(filt, ann_dir):
-            filt = ray.data.read_parquet(ann_dir)
+            filt = read_parquet_grouped(ann_dir)
             # exact dedup: survivor ids from a 16-byte-key aggregate, then a
             # semi join back (the full rows never shuffle through the key
             # aggregate)
@@ -270,7 +269,7 @@ def cmd_pack(args):
 
     from georay.pack import pack_sequences
 
-    docs = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
+    docs = read_parquet_grouped(args.input, ["doc_id", "text"])
     packed = pack_sequences(docs, seq_len=args.seq_len)
 
     bpf = args.bins_per_file

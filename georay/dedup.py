@@ -66,7 +66,7 @@ from georay.geom.polygon import _expand_ranges
 from georay.partition import (
     broadcast_or_none, fits_broadcast, from_table, hash_partition, keyed_join, part_of, partitions,
 )
-from georay.sources import filesystem, replace_dir, write_parquet_file
+from georay.sources import filesystem, read_parquet_grouped, replace_dir, write_parquet_file
 from georay.stages.aggregate import keyed_agg
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
@@ -1088,16 +1088,15 @@ def split_candidates(docs_ds, pairs_ds, out_dir: str, id_col: str = "doc_id"):
     as a :func:`georay.partition.from_table` Dataset of the
     ``_candidates/`` files, read with pyarrow on the driver, while their
     Arrow bytes fit the budget (a typed empty table when there are
-    none), else as a ``read_parquet`` of ``_candidates/``, which the
-    caller deletes once it is done with them."""
-    import ray.data
-
+    none), else as a read of ``_candidates/`` by the one read rule
+    (:func:`georay.sources.read_parquet_grouped`), which the caller
+    deletes once it is done with them."""
     sink = CandidateSplit(out_dir)
     _join_pair_ids(
         docs_ds, pairs_ds, id_col, lambda docs, hit: docs.append_column(_CANDIDATE, hit),
     ).write_datasink(sink)
     if not fits_broadcast(sink.nbytes):
-        cands = ray.data.read_parquet(f"{out_dir}/_candidates")
+        cands = read_parquet_grouped(f"{out_dir}/_candidates")
         cands.context.target_max_block_size = docs_ds.context.target_max_block_size
         return cands
     if not sink.rows:

@@ -83,13 +83,13 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 #: is salted per process)
 _STR_KEY = "0123456789123456"
 _PART, _SIDE = "_part", "_side"
-#: fewest rows one tagging task takes: small blocks are bundled, so the
-#: sort's map side runs a few tasks instead of one per small block (its
-#: task count was the exchange's fixed cost at small scale); a block this
-#: large keeps a task of its own.  Ray (2.49) fuses the tag map into a map
-#: before it, and the bundling then applies to that fused operator's
-#: input: an exchange over ``dedup_near``'s 2,000 docs ran
-#: ``MapBatches(minhash_band_batch)->MapBatches(tag)`` as one task.
+#: fewest rows one tagging task takes over blocks already made (a
+#: materialized or driver-side input, :func:`_tag`): small blocks are
+#: bundled, so the sort's map side runs a few tasks instead of one per
+#: small block (its task count was the exchange's fixed cost at small
+#: scale: tagging each of a materialized read's 16 default blocks in a
+#: task of its own added 0.1-0.3 s to each small exchange query of
+#: ``tools/check_correctness.py`` at sf0.01)
 _TAG_ROWS = 8192
 _PREFIX = ("l:", "r:")
 
@@ -271,6 +271,23 @@ def _names(on) -> list:
     return [on] if isinstance(on, str) else list(on)
 
 
+def _tag(ds, fn):
+    """``ds.map_batches(fn)``, the tag map before an exchange.  Over a plan
+    whose every source is a file read, whole blocks: the read rule
+    (:func:`georay.sources.read_parquet_grouped`) has sized its tasks, and
+    the tag fuses into them (a ``batch_size`` would keep it out of the
+    read's tasks and bundle them: 8 files read as 8 tasks, then tagged in
+    1).  Over blocks already made, ``_TAG_ROWS`` rows a task or more."""
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    todo, read = [ds._logical_plan.dag], True
+    while todo:
+        op = todo.pop()
+        todo.extend(op.input_dependencies)
+        read = read and (bool(op.input_dependencies) or isinstance(op, Read))
+    return ds.map_batches(fn, batch_size=None if read else _TAG_ROWS, batch_format="pyarrow")
+
+
 def _exchange(tagged, run, num_partitions: int):
     """Sort ``_part``-tagged rows into ``num_partitions`` blocks and map
     ``run`` over each whole block.  An empty boundary list would mean
@@ -295,8 +312,7 @@ def hash_partition(ds, on, kernel, num_partitions: int):
     def run(block: pa.Table) -> pa.Table:
         return kernel(block.drop_columns([_PART]))
 
-    tagged = ds.map_batches(tag, batch_size=_TAG_ROWS, batch_format="pyarrow")
-    return _exchange(tagged, run, num_partitions)
+    return _exchange(_tag(ds, tag), run, num_partitions)
 
 
 def _with_schema(ds):
@@ -348,8 +364,7 @@ def copartition(left, right, left_on, right_on, kernel, num_partitions: int):
     def run(block: pa.Table) -> pa.Table:
         return kernel(split(block, 0, ls.names), split(block, 1, rs.names))
 
-    left = left.map_batches(tag(0, _names(left_on)), batch_size=_TAG_ROWS, batch_format="pyarrow")
-    right = right.map_batches(tag(1, _names(right_on)), batch_size=_TAG_ROWS, batch_format="pyarrow")
+    left, right = _tag(left, tag(0, _names(left_on))), _tag(right, tag(1, _names(right_on)))
     return _exchange(left.union(right), run, num_partitions)
 
 

@@ -8,11 +8,13 @@ This is the end-to-end path BASELINE.md's throughput metric measures
 is the one extract -> filter -> reproject -> cellize chain.  Every stage
 is a streaming ``map_batches`` over zero-copy Arrow.  With an output
 directory the whole run is one Ray Data plan of one operator,
-``ReadParquet->...->Write`` when the pages are read with
-``read_pages(sf_dir, TILE_MIN_ROWS_PER_FILE)``: each read task gets whole
-files, at least ``TILE_MIN_ROWS_PER_FILE`` pages, extracts their geo rows
-and streams them into :class:`FlagshipSink`, which writes the tiles, the
-join rows and the per-cell partials from that same task.  The plan's block target is
+``ReadParquet->...->Write`` when the pages are read by the one read rule
+for a sink (``read_pages(sf_dir, sink=True)``,
+:func:`georay.sources.read_parquet_grouped`): each read task gets whole
+files, ``min(files, max(CPU slots, pages // TASK_ROWS))`` tasks in all,
+unsplit below ``2 * TASK_ROWS`` pages a task, extracts their geo rows and streams them
+into :class:`FlagshipSink`, which writes the tiles, the join rows and
+the per-cell partials from that same task.  The plan's block target is
 ``georay.sources.PLAN_BLOCK_BYTES``, so Ray Data starts its tasks together.  The
 partials are already combined down to one row per (task, cell), and the
 driver merges them file by file into ``cell_agg`` (``driver_merge``):
@@ -64,19 +66,6 @@ def geo_dataset(pages, res: int = 7):
     ds = ds.map_batches(lambda b: cellize(b, res), batch_format="pyarrow")
     return ds
 
-
-#: Floor on the pages each read task of the flagship gets
-#: (:func:`georay.sources.read_parquet_grouped`, which the CLI's
-#: ``read_pages(sf_dir, TILE_MIN_ROWS_PER_FILE)`` and ``bench.py`` use).
-#: The sink fuses into the read, so each read task is one
-#: :class:`FlagshipSink` write task, and every write task
-#: writes one tile file per res-2 prefix, a join file and a partials
-#: file (one write task per input block gave 256 tile files of ~150 rows
-#: for 40k pages).  The floor also caps the task count: 40k pages in 8
-#: files run as 2 tasks of 4 files each.  A floor on the write instead
-#: (``min_rows_per_write``) makes Ray bundle the sink's input, and it
-#: then refuses to fuse the read into the sink's tasks.
-TILE_MIN_ROWS_PER_FILE = 20_000
 
 #: what :class:`FlagshipSink` writes under ``out_dir``; ``_partials`` only
 #: lives until :func:`flagship` has merged it into ``cell_agg``
@@ -167,9 +156,11 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
       rows into :class:`FlagshipSink`, which writes ``tiles/``,
       ``join_rows/`` and the per-task cell partials from each task.  The
       sink fuses into the read, so each read task writes one file set:
-      read with :func:`georay.sources.read_parquet_grouped` (as
-      ``read_pages(sf_dir, TILE_MIN_ROWS_PER_FILE)`` does), or a read of
-      many small blocks writes many small files.  The driver then merges the partials, one row per
+      read with :func:`georay.sources.read_parquet_grouped` and
+      ``sink=True`` (as ``read_pages(sf_dir, sink=True)`` does), or a
+      read of many small blocks writes many small files.  Keep a ``batch_size`` off the maps and
+      ``min_rows_per_write`` off the write: Ray then bundles the sink's
+      input and refuses to fuse the read into its tasks.  The driver then merges the partials, one row per
       (task, cell), one file at a time
       (:func:`~georay.stages.aggregate.driver_merge`) and writes
       ``cell_agg/`` as one file (:func:`~georay.sources.write_output`),

@@ -148,25 +148,19 @@ def synthesize_pages_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def read_pages(sf_dir: str, min_rows: int | None = None):
-    """Dataset of synthetic pages for a testdata scale-factor directory.
-
-    ``min_rows`` reads whole files per task, at least that many documents
-    each (:func:`georay.sources.read_parquet_grouped`); the flagship's
-    ``--out`` run passes ``TILE_MIN_ROWS_PER_FILE``, because its sink
-    fuses into the read and writes one file set per task.  Without it Ray
-    picks the block count."""
-    import ray.data
-
+def read_pages(sf_dir: str, sink: bool = False):
+    """Dataset of synthetic pages for a testdata scale-factor directory,
+    read by the one read rule (:func:`georay.sources.read_parquet_grouped`:
+    whole files per task, at least one block per CPU slot, about
+    ``TASK_ROWS`` documents per task past that).  ``sink=True`` for the
+    flagship's ``out_dir`` run: its sink fuses into the read, so each read
+    task writes one file set, and the read is not split to fill the
+    slots."""
     from georay.sources import read_parquet_grouped
 
     # prune at the read: synthesis needs only these three columns —
-    # `source`/`n_chars` would be decoded and dropped (r3 judge finding)
-    path, columns = f"{sf_dir}/documents.parquet", ["doc_id", "text", "lang"]
-    if min_rows is None:
-        ds = ray.data.read_parquet(path, columns=columns)
-    else:
-        ds = read_parquet_grouped(path, columns, min_rows)
+    # `source`/`n_chars` would be decoded and dropped
+    ds = read_parquet_grouped(f"{sf_dir}/documents.parquet", ["doc_id", "text", "lang"], sink)
     return ds.map_batches(synthesize_pages_batch, batch_format="pyarrow")
 
 

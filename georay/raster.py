@@ -100,14 +100,16 @@ def _tile_index(part: pa.Table):
     return tiles, inv.reshape(-1)
 
 
-def _tile_exchange(partials, kernel, tile: int):
+def _tile_exchange(partials, kernel, tile: int, *inputs):
     """The one tile-keyed exchange of every raster stage: a
     ``hash_partition`` on (tile_x, tile_y) brings all partial rows of a
     tile into one partition, and ``kernel(part, tile)`` merges every tile
-    that partition holds."""
-    return hash_partition(
-        partials, ["tile_x", "tile_y"], partial(kernel, tile=tile), partitions(partials)
-    )
+    that partition holds.  The partition count comes from the stage's
+    ``inputs`` (the points or rasters the partials are made from), whose
+    rows a read or materialized Dataset knows for free; the lazy partials'
+    count is unknown and would always give the floor."""
+    n = max(partitions(ds) for ds in inputs)
+    return hash_partition(partials, ["tile_x", "tile_y"], partial(kernel, tile=tile), n)
 
 
 def rasterize_partial(batch: pa.Table, res: int = 7, tile: int = 8) -> pa.Table:
@@ -155,7 +157,7 @@ def rasterize(ds, res: int = 7, tile: int = 8):
     partials = ds.map_batches(
         lambda b: rasterize_partial(b, res=res, tile=tile), batch_format="pyarrow"
     )
-    return _tile_exchange(partials, _dense_tiles, tile)
+    return _tile_exchange(partials, _dense_tiles, tile, ds)
 
 
 def raster_pixels(raster_ds, tile: int = 8, **bands):
@@ -228,7 +230,7 @@ def downsample(raster_ds, res: int = 7, tile: int = 8, factor: int = 2):
         lambda b: downsample_partial(b, res=res, tile=tile, factor=factor),
         batch_format="pyarrow",
     )
-    return _tile_exchange(partials, _dense_tiles, tile)
+    return _tile_exchange(partials, _dense_tiles, tile, raster_ds)
 
 
 def _diff_tiles(part: pa.Table, tile: int) -> pa.Table:
@@ -265,7 +267,7 @@ def raster_diff(points_a, points_b, res: int = 7, tile: int = 8):
     tagged = points_a.map_batches(tag(0), batch_format="pyarrow").union(
         points_b.map_batches(tag(1), batch_format="pyarrow")
     )
-    return _tile_exchange(tagged, _diff_tiles, tile)
+    return _tile_exchange(tagged, _diff_tiles, tile, points_a, points_b)
 
 
 def focal_partial(batch: pa.Table, res: int, tile: int) -> pa.Table:
@@ -341,7 +343,7 @@ def raster_focal(raster_ds, res: int = 7, tile: int = 8):
     partials = raster_ds.map_batches(
         lambda b: focal_partial(b, res=res, tile=tile), batch_format="pyarrow"
     )
-    return _tile_exchange(partials, _focal_merge, tile)
+    return _tile_exchange(partials, _focal_merge, tile, raster_ds)
 
 
 def raster_vectorize(raster_ds, threshold: int = 1, res: int = 7, tile: int = 8):

@@ -15,8 +15,13 @@ the driver, :func:`append_output` adds rows to one, and
 :func:`parquet_rows` counts an output's rows from its footers.
 :data:`PARQUET_WRITE` is the one parquet writer policy, and
 :func:`write_parquet_file` the one way a single file is written with it.
-:func:`read_parquet_grouped` reads whole files per task, at least a
-given number of rows each.  :data:`PLAN_BLOCK_BYTES` is the
+:func:`read_parquet_grouped` is the one read rule of every corpus read:
+``max(CPU slots, rows // TASK_ROWS)`` blocks from
+``min(files, that)`` tasks of whole files (:func:`read_tasks`), so a
+small input still fills every slot in one wave and a large one gets
+about :data:`TASK_ROWS` rows per task whatever the cluster's size; a
+read whose write fuses into its tasks (``sink=True``) is not split to
+fill the slots.  :data:`PLAN_BLOCK_BYTES` is the
 block target a plan sets on its own context so its tasks start together.
 """
 
@@ -154,36 +159,58 @@ def parquet_rows(path: str) -> int:
     return sum(parquet_file_rows(path).values())
 
 
-def read_parquet_grouped(path: str, columns, min_rows: int):
-    """``ray.data.read_parquet(path, columns=columns)`` in blocks of at
-    least ``min_rows`` rows when the files are of one size (one block when
-    all the rows are fewer), the rows counted from the footers.
+#: rows per read task once the data, not the CPU slots, sets the task
+#: count (:func:`read_tasks`).  A flagship read task (``sink=True``) is
+#: also a :class:`~georay.pipelines.flagship.FlagshipSink` write task, which
+#: writes one tile file per res-2 prefix, a join file and a partials
+#: file: one write task per input block gave 256 tile files of ~150 rows
+#: for 40k pages.  8M pages in 400 files run as 400 tasks at 4 CPUs and
+#: at 16.
+TASK_ROWS = 20_000
 
-    While a file holds fewer than ``min_rows`` rows on average, each read
-    task gets ``ceil(min_rows / rows per file)`` whole files or more, and
-    a file holding ``min_rows`` to ``2 * min_rows - 1`` rows is a task of
-    its own: no file is split, so Ray adds no ``SplitBlocks`` and the maps
-    and the write after the read fuse into its tasks.  A file holding
-    ``k * min_rows`` rows or more (``k`` > 1) is read by one task and split
-    into ``k`` blocks, so a big file still feeds ``k`` tasks after its
-    read.  Raises ``FileNotFoundError`` when ``path`` holds no parquet
-    file."""
-    import math
 
+def read_tasks(file_rows, cpus: int, sink: bool = False) -> tuple[int, int]:
+    """``(read tasks, blocks per task)`` of the read rule over files of
+    ``file_rows`` rows on ``cpus`` CPU slots.
+
+    The read aims at ``max(cpus, rows // TASK_ROWS)`` blocks: at least one
+    per slot, so a small input runs in one wave, and about
+    :data:`TASK_ROWS` rows each past that, so the task shapes do not change
+    with the cluster's size.  It reads them in ``min(files, blocks)``
+    tasks, each a contiguous run of whole files, and splits each task's
+    output into ``blocks // tasks`` blocks when the files are fewer (one
+    file on 4 slots: 1 task, 4 blocks).  Unsplit, Ray adds no
+    ``SplitBlocks`` and the maps and the write after the read fuse into its
+    tasks; split, they run in tasks of their own, one per block.
+
+    With ``sink`` the read feeds a write that fuses into its tasks and
+    writes one file set per task (the flagship's
+    :class:`~georay.pipelines.flagship.FlagshipSink`), so the slots do not
+    split it, only its rows: ``rows // TASK_ROWS`` blocks (``k`` > 1 per
+    task at ``k * TASK_ROWS`` rows a task or more), so a big file still
+    feeds ``k`` tasks after its read."""
+    n, rows = len(file_rows), sum(file_rows)
+    blocks = max(cpus, rows // TASK_ROWS)
+    tasks = min(n, blocks)
+    return tasks, max(1, (rows // TASK_ROWS if sink else blocks) // tasks)
+
+
+def read_parquet_grouped(path: str, columns=None, sink: bool = False):
+    """``ray.data.read_parquet(path, columns=columns)`` in the tasks and
+    blocks :func:`read_tasks` gives (``sink`` passed on), the rows counted
+    from the footers and the CPU slots from ``ray.cluster_resources()``.
+    Raises ``FileNotFoundError`` when ``path`` holds no parquet file."""
+    import ray
     import ray.data
 
     files = parquet_file_rows(path)
     if not files:
         raise FileNotFoundError(f"no parquet file under {path!r}")
-    n, rows = len(files), sum(files.values())
-    split = rows // (min_rows * n)
-    if split:
-        # Ray splits each of the n read tasks' output into blocks / n
-        blocks = n * split
-    else:
-        # Ray hands each task a contiguous run of files, n // blocks or more
-        blocks = max(1, n // math.ceil(min_rows * n / max(rows, 1)))
-    return ray.data.read_parquet(path, columns=columns, override_num_blocks=blocks)
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    tasks, split = read_tasks(list(files.values()), cpus, sink)
+    # Ray hands each task a contiguous run of files and splits each task's
+    # output into blocks / tasks
+    return ray.data.read_parquet(path, columns=columns, override_num_blocks=tasks * split)
 
 
 def read_table(path: str, fmt: str | None = None, columns=None, override_num_blocks=None):

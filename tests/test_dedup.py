@@ -1268,6 +1268,58 @@ def test_dedup_read_tasks_run_at_once(ray_session, monkeypatch, tmp_path, capsys
     assert DataContext.get_current().target_max_block_size == block_target
 
 
+@pytest.mark.parametrize("budget", [None, 0])
+def test_dedup_corpus_plans_run_a_task_per_cpu(ray_session, monkeypatch, tmp_path, capsys, budget):
+    """``python -m georay dedup`` over 8 small files on the session's 4
+    CPU slots reads the corpus in 4 tasks in each of its two corpus plans
+    (the one read rule, ``georay.sources.read_parquet_grouped``), not in
+    Ray's one task per file.  At ``BROADCAST_BYTES = 0`` the split's
+    ``copartition`` tags the corpus in a map that takes whole blocks, so
+    the tag map fuses into the read and keeps its tasks (a ``batch_size``
+    on it kept it out of the read and bundled its 88 rows into one task)."""
+    import re
+
+    import pyarrow.parquet as pq
+    import ray
+    from ray.data._internal.plan import ExecutionPlan
+
+    from georay.__main__ import main
+
+    reads, real = {}, ExecutionPlan.execute
+
+    def execute(plan, *args, **kwargs):
+        out = real(plan, *args, **kwargs)
+        # a union's inputs are its stats' parents; a later plan's stats
+        # repeat the operators its inputs ran
+        todo = [plan.stats().to_summary()]
+        while todo:
+            st = todo.pop()
+            todo.extend(st.parents)
+            for op in st.operators_stats:
+                if op.operator_name.startswith("ReadParquet"):
+                    m = re.search(r"(\d+) tasks executed", op.block_execution_summary_str or "")
+                    reads[op.operator_name, op.earliest_start_time] = int(m.group(1))
+        return out
+
+    monkeypatch.setattr(ExecutionPlan, "execute", execute)
+    monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)
+    if budget is not None:
+        monkeypatch.setattr("georay.partition.BROADCAST_BYTES", budget)
+    src = tmp_path / "docs"
+    src.mkdir()
+    for f in range(8):
+        texts = [f"file {f} doc {i} " + FAR for i in range(10)] + [DOC if f % 2 else NEAR]
+        pq.write_table(tbl(texts).set_column(0, "doc_id", pa.array(range(f * 11, f * 11 + 11))),
+                       str(src / f"part-{f}.parquet"))
+    assert int(ray.cluster_resources()["CPU"]) == 4
+    main(["dedup", "--input", str(src), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    names = [name for name, _ in reads]
+    split = "ReadParquet->MapBatches(KeyedJoin)->Write" if budget is None else "ReadParquet->MapBatches(fn)"
+    assert names.count("ReadParquet->MapBatches(minhash_band_batch)") == 1, reads
+    assert split in names and set(reads.values()) == {4}, reads
+
+
 def test_dedup_cli_runs_two_plans(ray_session, monkeypatch, tmp_path, capsys):
     """A default ``python -m georay dedup`` starts tasks in two plans: the
     MinHash read and the split pass, which reads the corpus again and

@@ -9,18 +9,10 @@ import logging
 
 import pytest
 
+from georay.pipelines.pages import read_pages
+
 SF = "/root/testdata/sf0.001"
 OUTPUTS = ["cell_agg", "join_rows", "tiles"]
-
-
-def _pages(sf=SF):
-    """The pages of ``sf`` read as the CLI's flagship reads them: whole
-    files per task, at least ``TILE_MIN_ROWS_PER_FILE`` pages each (looked
-    up when called, so a test may lower it)."""
-    import georay.pipelines.flagship as mod
-    from georay.pipelines.pages import read_pages
-
-    return read_pages(sf, mod.TILE_MIN_ROWS_PER_FILE)
 
 
 def _multi_file_sf(root, files: int = 4) -> str:
@@ -58,9 +50,9 @@ class TestFlagshipGeoCache:
     def test_recompute_mode_matches(self, ray_session, tmp_path):
         from georay.pipelines.flagship import flagship
 
-        j_lazy, a_lazy = flagship(_pages())
+        j_lazy, a_lazy = flagship(read_pages(SF))
         out = str(tmp_path / "run")
-        counts = flagship(_pages(), out_dir=out)
+        counts = flagship(read_pages(SF, sink=True), out_dir=out)
         keys = ["doc_id", "polygon_id"]
         want = _read_dir(f"{out}/join_rows").to_pandas().sort_values(keys, ignore_index=True)
         assert len(want) == counts["join_rows"]["rows"] > 0
@@ -75,7 +67,7 @@ class TestFlagshipGeoCache:
         from georay.pipelines.flagship import flagship
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        joined, agg = flagship(_pages())
+        joined, agg = flagship(read_pages(SF))
         assert joined.count() > 0 and agg.count() > 0
         assert list(tmp_path.iterdir()) == []
 
@@ -86,7 +78,7 @@ class TestFlagshipGeoCache:
         from georay.sources import parquet_rows
 
         out = str(tmp_path / "run")
-        counts = flagship(_pages(), out_dir=out)
+        counts = flagship(read_pages(SF, sink=True), out_dir=out)
         assert counts["join_rows"]["rows"] > 0 and parquet_rows(f"{out}/cell_agg") > 0
         assert counts["tiles"]["rows"] == _ray_free_geo().num_rows
         # partitioned layout: one directory per res-2 parent cell prefix,
@@ -107,7 +99,7 @@ class TestFlagshipGeoCache:
         from georay.pipelines.flagship import flagship
 
         out = str(tmp_path / "run")
-        counts = flagship(_pages(), out_dir=out)
+        counts = flagship(read_pages(SF, sink=True), out_dir=out)
         assert sorted(os.listdir(out)) == OUTPUTS
         for name in ("join_rows", "tiles"):
             files = _parquet_files(f"{out}/{name}")
@@ -128,7 +120,7 @@ class TestFlagshipGeoCache:
         monkeypatch.setattr(mod, "merge_cell_partials", broken)
         out = str(tmp_path / "run")
         with pytest.raises(RuntimeError, match="merge failed"):
-            mod.flagship(_pages(), out_dir=out)
+            mod.flagship(read_pages(SF, sink=True), out_dir=out)
         assert sorted(os.listdir(out)) == OUTPUTS
 
     def test_killed_write_task_leaves_no_duplicate(self, ray_session, tmp_path, monkeypatch):
@@ -158,7 +150,7 @@ class TestFlagshipGeoCache:
 
         monkeypatch.setattr(mod, "FlagshipSink", DiesOnce)
         out = str(tmp_path / "run")
-        counts = mod.flagship(_pages(), out_dir=out)
+        counts = mod.flagship(read_pages(SF, sink=True), out_dir=out)
         assert os.path.exists(marker)
 
         geo = _ray_free_geo()
@@ -201,9 +193,8 @@ def test_sink_tasks_run_at_once(ray_session, tmp_path, monkeypatch):
             return super().write(blocks, ctx)
 
     monkeypatch.setattr(mod, "FlagshipSink", Meets)
-    # 500 pages in 4 files: 2 read tasks of 2 files each
-    monkeypatch.setattr(mod, "TILE_MIN_ROWS_PER_FILE", 250)
-    pages = _pages(_multi_file_sf(tmp_path / "in"))
+    # 500 pages in 2 files: 2 read tasks on the session's 4 CPU slots
+    pages = read_pages(_multi_file_sf(tmp_path / "in", files=2), sink=True)
     pages.context.execution_options.resource_limits = ExecutionResources(object_store_memory=200 * 10**6)
     counts = mod.flagship(pages, out_dir=str(tmp_path / "run"))
     assert counts["tiles"]["rows"] == _ray_free_geo().num_rows
@@ -270,7 +261,7 @@ class TestTileLayout:
         from georay.pipelines.flagship import flagship
 
         out = str(tmp_path_factory.mktemp("flagship") / "run")
-        flagship(_pages(), out_dir=out)
+        flagship(read_pages(SF, sink=True), out_dir=out)
         return out
 
     def test_each_tile_file_holds_only_its_prefix(self, run):
@@ -305,28 +296,31 @@ class TestTileLayout:
         assert rows == _ray_free_geo().num_rows
 
     def test_tile_file_count_is_bounded_by_the_row_floor(self, run, ray_session, tmp_path, monkeypatch):
-        """Each read task writes one file set, and every task holds at
-        least the floor's pages: at most ``pages // floor`` tasks (one when
-        the pages are fewer), each writing one tile file per prefix it
-        holds (files are named after their task).  Checked on the one-file
-        sf0.001 (one task) and on a four-file input with the floor lowered
-        to two files' worth (two tasks)."""
+        """Each read task writes one file set, one tile file per prefix it
+        holds (files are named after their task), and the read runs
+        ``min(files, max(CPU slots, pages // TASK_ROWS))`` tasks.  Checked
+        on the one-file sf0.001 (one task) and on an eight-file input with
+        the row floor ``TASK_ROWS`` lowered to a sixth of its pages: six
+        tasks, more than the session's 4 slots and fewer than the files."""
         import os
 
         import pyarrow.parquet as pq
+        import ray
 
         import georay.pipelines.flagship as mod
+        import georay.sources
 
         pages = pq.read_metadata(f"{SF}/documents.parquet").num_rows
+        cpus = int(ray.cluster_resources()["CPU"])
         multi = str(tmp_path / "multi")
-        default = mod.TILE_MIN_ROWS_PER_FILE
-        monkeypatch.setattr(mod, "TILE_MIN_ROWS_PER_FILE", pages // 2)
-        mod.flagship(_pages(_multi_file_sf(tmp_path / "in")), out_dir=multi)
-        for out, floor in ((run, default), (multi, pages // 2)):
+        monkeypatch.setattr(georay.sources, "TASK_ROWS", pages // 6)
+        mod.flagship(read_pages(_multi_file_sf(tmp_path / "in", files=8), sink=True), out_dir=multi)
+        assert cpus < 6
+        for out, want in ((run, 1), (multi, 6)):
             files = _parquet_files(f"{out}/tiles")
             prefixes = {os.path.dirname(f) for f in files}
             tasks = {os.path.basename(f) for f in files}
-            assert len(tasks) == max(1, pages // floor), out
+            assert len(tasks) == want, out
             # one file per (input block, prefix) would grow with the block count
             assert len(files) <= len(prefixes) * len(tasks)
 
@@ -401,7 +395,7 @@ class TestJoinRunsOnTasks:
         Data reads nothing back."""
         import ray.data
 
-        pages = _pages()
+        pages = read_pages(SF, sink=True)
         out = str(tmp_path / "run")
         reads = []
         read_parquet = ray.data.read_parquet

@@ -162,6 +162,24 @@ class TestHashPartition:
         got = out[["host", "day", "rid_count"]].sort_values(["host", "day"]).reset_index(drop=True)
         assert got.equals(want.astype({"rid_count": got.rid_count.dtype}))
 
+    def test_tag_fuses_into_a_read_and_bundles_made_blocks(self, ray_session, tmp_path):
+        """The tag map takes whole blocks after a file read, so it fuses
+        into the read's 4 tasks; over 8 small blocks already made it
+        takes ``_TAG_ROWS`` rows a task, so it runs as 1 task, not 8."""
+        import pyarrow.parquet as pq
+        import ray.data
+
+        t = pa.table({"k": pa.array(range(80), pa.int64())})
+        for i in range(4):
+            pq.write_table(t.slice(i * 20, 20), tmp_path / f"part-{i}.parquet")
+        read = ray.data.read_parquet(str(tmp_path), override_num_blocks=4)
+        made = ray.data.from_arrow([t.slice(i * 10, 10) for i in range(8)]).materialize()
+        for ds, op, tasks in ((read, "ReadParquet->MapBatches(tag)", 4), (made, "MapBatches(tag)", 1)):
+            out = hash_partition(ds, "k", lambda g: g, 4).materialize()
+            assert sorted(out.to_pandas()["k"]) == list(range(80))
+            m = re.search(rf"Operator \d+ {re.escape(op)}: (\d+) tasks executed", out.stats())
+            assert m and int(m.group(1)) == tasks, out.stats()
+
 
 class TestOneMechanism:
     """georay has one keyed-exchange module and one keyless reduce: no

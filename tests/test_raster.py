@@ -14,6 +14,7 @@ from georay.geom.polygon import Polygon, PolygonSet
 from georay.raster import (
     _dense_tiles,
     pixel_centers,
+    raster_diff,
     raster_pixels,
     rasterize,
     rasterize_partial,
@@ -112,6 +113,41 @@ class TestRasterRoundTrip:
         per_tile = pix.groupby(["tile_x", "tile_y"]).size()
         assert (per_tile == TILE * TILE).all()
         assert pix.n.sum() == len(lon)
+
+
+class TestTileExchange:
+    def test_exchange_is_sized_by_the_input_rows(self, ray_session, monkeypatch):
+        """The sizer gets the stage's input, whose row count a materialized
+        or freshly read Dataset knows for free, not the lazy partials,
+        whose count is unknown and would always give the floor: the
+        points for ``rasterize``, both point sets for ``raster_diff``."""
+        import ray as _ray
+
+        import georay.raster as raster
+
+        seen, real = [], raster.partitions
+
+        def sizer(ds=None, **kwargs):
+            seen.append(ds._meta_count())
+            return real(ds, **kwargs)
+
+        monkeypatch.setattr(raster, "partitions", sizer)
+
+        def points(n, seed):
+            lon, lat = _points(n, seed)
+            blocks = [pa.table({"lon": lon[i::3], "lat": lat[i::3]}) for i in range(3)]
+            return _ray.data.from_arrow(blocks).materialize(), lon, lat
+
+        ds, lon, lat = points(1500, 1)
+        pix = raster_pixels(rasterize(ds, res=RES, tile=TILE), tile=TILE, n="band").to_pandas()
+        nz = pix[pix.n > 0]
+        assert {(r.tile_x, r.tile_y, r.idx): r.n for r in nz.itertuples()} == _expected_pixel_counts(lon, lat)
+        assert seen == [1500]
+        (da, _, _), (db, _, _) = points(1500, 2), points(900, 3)
+        diff = raster_pixels(raster_diff(da, db, res=RES, tile=TILE), tile=TILE, n_a="band_a", n_b="band_b")
+        got = diff.to_pandas()
+        assert (got.n_a.sum(), got.n_b.sum()) == (1500, 900)
+        assert seen == [1500, 1500, 900]
 
 
 class TestDownsample:

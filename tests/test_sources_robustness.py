@@ -77,9 +77,43 @@ class TestSourceFormats:
 
 
 class TestReadParquetGrouped:
-    """The flagship's read: whole files per task, each task at least the
-    row floor when the files are of one size; a file of twice the floor
-    or more is split after its read."""
+    """The one read rule: ``max(cpus, rows // TASK_ROWS)`` blocks from
+    ``min(files, that)`` tasks of whole files, each task's output split
+    when the files are fewer; a read for a sink is split only by its rows
+    (a task of twice ``TASK_ROWS`` or more)."""
+
+    @pytest.mark.parametrize(
+        "file_rows, cpus, want, want_sink",
+        [
+            # perfbench flagship_uniform: 8 files, 40k rows, 2 CPUs
+            ([5_000] * 8, 2, (2, 1), (2, 1)),
+            # perfbench dedup_near: 4 files, 2k rows, 2 CPUs
+            ([500] * 4, 2, (2, 1), (2, 1)),
+            # a small input fills every slot, never one task for all
+            ([20] * 5, 2, (2, 1), (2, 1)),
+            ([20] * 5, 16, (5, 3), (5, 1)),
+            # one file is one task, its output split across the slots
+            # unless a sink fuses into the read
+            ([5_000], 4, (1, 4), (1, 1)),
+            # 8M pages in 400 files: the data sets the count at 4 and 16
+            ([20_000] * 400, 4, (400, 1), (400, 1)),
+            ([20_000] * 400, 16, (400, 1), (400, 1)),
+            # ... and in 8 files (bench.py's cache built on one CPU)
+            ([1_000_000] * 8, 4, (8, 50), (8, 50)),
+            ([1_000_000] * 8, 16, (8, 50), (8, 50)),
+            # between the slots and the files: about TASK_ROWS per task
+            ([5_000] * 67, 2, (16, 1), (16, 1)),
+            ([39_999], 2, (1, 2), (1, 1)),
+            ([40_000], 2, (1, 2), (1, 2)),
+            ([100_000] * 3, 2, (3, 5), (3, 5)),
+        ],
+    )
+    def test_tasks_of_the_rule(self, file_rows, cpus, want, want_sink):
+        from georay.sources import TASK_ROWS, read_tasks
+
+        assert TASK_ROWS == 20_000
+        assert read_tasks(file_rows, cpus) == want
+        assert read_tasks(file_rows, cpus, sink=True) == want_sink
 
     @staticmethod
     def _read_op(ds):
@@ -92,24 +126,6 @@ class TestReadParquetGrouped:
         return m.group(1), int(m.group(2))
 
     @staticmethod
-    def _rows_per_write_task(ds, root):
-        """Rows each task of ``ds.write_datasink`` got, in no order."""
-        import os
-
-        from ray.data import Datasink
-        from ray.data.block import BlockAccessor
-
-        class RowsPerTask(Datasink):
-            def write(self, blocks, ctx):
-                n = sum(BlockAccessor.for_block(b).num_rows() for b in blocks)
-                with open(f"{root}/{ctx.task_idx}", "w") as f:
-                    f.write(str(n))
-
-        os.mkdir(root)
-        ds.write_datasink(RowsPerTask())
-        return [int(open(f"{root}/{name}").read()) for name in os.listdir(root)]
-
-    @staticmethod
     def _files(root, sizes):
         root.mkdir()
         start = 0
@@ -119,33 +135,33 @@ class TestReadParquetGrouped:
         return str(root), start
 
     @pytest.mark.parametrize(
-        "sizes, floor, read_op, write_tasks",
+        "sizes, task_rows, sink, read_op",
         [
-            ([20] * 5, 20, ("ReadParquet", 5), 5),
-            ([20] * 5, 30, ("ReadParquet", 2), 2),
-            ([20] * 5, 45, ("ReadParquet", 1), 1),
-            ([20] * 5, 10_000, ("ReadParquet", 1), 1),
-            ([5_000], 10_000, ("ReadParquet", 1), 1),
-            ([5_000], 3_000, ("ReadParquet", 1), 1),
-            ([5_000], 1_000, ("ReadParquet->SplitBlocks(5)", 1), 5),
+            ([20] * 5, 20, False, ("ReadParquet", 5)),
+            ([20] * 5, 10_000, False, ("ReadParquet", 4)),
+            ([5_000], 10_000, False, ("ReadParquet->SplitBlocks(4)", 1)),
+            ([5_000], 10_000, True, ("ReadParquet", 1)),
+            ([5_000], 1_000, True, ("ReadParquet->SplitBlocks(5)", 1)),
         ],
     )
-    def test_each_task_holds_the_floor(self, ray_session, tmp_path, sizes, floor, read_op, write_tasks):
+    def test_ray_runs_the_rule(self, ray_session, monkeypatch, tmp_path, sizes, task_rows, sink, read_op):
+        """On the session's 4 CPU slots Ray runs the tasks the rule gives
+        and every row is read once."""
+        import georay.sources
+
+        monkeypatch.setattr(georay.sources, "TASK_ROWS", task_rows)
         path, rows = self._files(tmp_path / "in", sizes)
         if len(sizes) == 1:
             path = f"{path}/part-0.parquet"
-        ds = read_parquet_grouped(path, ["x"], floor)
+        ds = read_parquet_grouped(path, ["x"], sink)
         assert self._read_op(ds) == read_op
-        got = self._rows_per_write_task(ds, str(tmp_path / "tasks"))
-        assert len(got) == write_tasks and sum(got) == rows
-        assert min(got) >= min(floor, rows), got
         assert sorted(ds.to_pandas()["x"]) == list(range(rows))
 
     def test_no_file_raises(self, tmp_path):
         (tmp_path / "empty").mkdir()
         for path in (tmp_path / "empty", tmp_path / "missing"):
             with pytest.raises(FileNotFoundError, match="no parquet file"):
-                read_parquet_grouped(str(path), ["x"], 100)
+                read_parquet_grouped(str(path), ["x"])
 
 
 @pytest.mark.skipif(
