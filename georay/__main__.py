@@ -94,7 +94,7 @@ def cmd_dedup(args):
     raises."""
     ray = _init_ray(args.num_cpus)
     from georay import dedup
-    from georay.partition import broadcast_or_none, driver_table
+    from georay.partition import broadcast_or_none
 
     docs = read_parquet_grouped(args.input, ["doc_id", "text"])
     # each read's own context (the Datasets derived from it share it),
@@ -118,21 +118,18 @@ def cmd_dedup(args):
         verified = dedup.jaccard_verify_pairs(
             pairs, cands, threshold_num=args.threshold_num, threshold_den=args.threshold_den,
         )
-        # a resolution within BROADCAST_BYTES is a driver table: write it
-        # there; ``resolution`` is then the Dataset that holds it, which
-        # apply_dedup takes without a plan
-        res, resolution = broadcast_or_none(dedup.connected_components(verified))
-        write_output(resolution if res is None else res, os.path.join(args.out, "resolution"))
-        kept = dedup.apply_dedup(cands, resolution)
-        table = driver_table(kept)
-        append_output(kept if table is None else table, surv_dir)
+        # a resolution within BROADCAST_BYTES is a driver table: it is
+        # written there, and apply_dedup takes it, without a plan
+        _, resolution = broadcast_or_none(dedup.connected_components(verified))
+        write_output(resolution, os.path.join(args.out, "resolution"))
+        append_output(dedup.apply_dedup(cands, resolution), surv_dir)
     finally:
         remove_dir(os.path.join(args.out, "_candidates"))
     # the survivors' count comes from the footers of the files written
     n_out = parquet_rows(surv_dir)
     print(json.dumps({
         "input_docs": n_docs,
-        "clustered_docs": resolution.count() if res is None else res.num_rows,
+        "clustered_docs": resolution.count(),
         "survivors": n_out,
         "dropped": n_docs - n_out,
         "truncated_candidates": int(n_trunc),

@@ -39,7 +39,8 @@ Scale design (SURVEY.md §2.8):
   :func:`candidate_pairs` gives the MinHash candidate pairs, and
   :func:`split_candidates` reads the corpus once more, writing every doc
   that no pair names straight to ``survivors/`` (it can never be
-  dropped) and handing back only the pairs' docs.  Verify, components
+  dropped) through :class:`georay.sources.SplitSink` and handing back
+  only the pairs' docs.  Verify, components
   and apply then run over those candidates alone, and their survivors
   are added to ``survivors/``.  :func:`near_dup_pairs` (the chain the
   query oracles check) narrows the corpus to the candidates with the
@@ -51,22 +52,19 @@ All hashes are deterministic (fixed seeds) so runs are reproducible.
 from __future__ import annotations
 
 import hashlib
-import uuid
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.fs as pafs
 import pyarrow.parquet as pq
-from ray.data import Datasink
 
 from georay.ann import _to_matrix
 from georay.geom.polygon import _expand_ranges
 from georay.partition import (
     broadcast_or_none, fits_broadcast, from_table, hash_partition, keyed_join, part_of, partitions,
 )
-from georay.sources import filesystem, read_parquet_grouped, replace_dir, write_parquet_file
+from georay.sources import SplitSink, filesystem, parquet_files, read_parquet_grouped, replace_dir
 from georay.stages.aggregate import keyed_agg
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
@@ -1019,55 +1017,18 @@ def _join_pair_ids(docs_ds, pairs_ds, id_col: str, use):
     return keyed_join(docs_ds, ids, id_col, id_col, kernel)
 
 
-#: the column :func:`split_candidates` tags each doc with, and what
-#: :class:`CandidateSplit` writes under ``out_dir``; ``_candidates`` only
-#: lives until the run has added the candidates' survivors
+#: the column :func:`split_candidates` tags each doc with
 _CANDIDATE = "_candidate"
-_SPLIT_OUTPUTS = ("survivors", "_candidates")
 
 
-class CandidateSplit(Datasink):
-    """:func:`split_candidates`' one streaming write: each write task
-    takes its docs, tagged with ``_candidate``, and writes those that no
-    candidate pair names to ``survivors/`` and the others to
-    ``_candidates/``, both as ``<uuid>_<task index>.parquet`` (the uuid
-    fixed when the sink is built, so a retried task overwrites its own
-    files) with :data:`georay.sources.PARQUET_WRITE`.  After the write,
-    ``rows`` and ``nbytes`` sum the candidates' rows and Arrow bytes, and
-    ``schema`` is the docs' schema (``None`` when no doc came)."""
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.uuid = uuid.uuid4().hex
-        self.rows = self.nbytes = 0
-        self.schema = None
-
-    def on_write_start(self) -> None:
-        # resolution too: a run that fails later leaves no stale
-        # resolution beside partial survivors
-        for name in (*_SPLIT_OUTPUTS, "resolution"):
-            replace_dir(f"{self.out_dir}/{name}")
-
-    def write(self, blocks, ctx):
-        tables = [b for b in blocks if b.num_rows]
-        if not tables:
-            return 0, 0, None
-        docs = pa.concat_tables(tables)
-        flag = docs.column(_CANDIDATE)
-        docs = docs.drop_columns([_CANDIDATE])
-        fs, root = filesystem(self.out_dir)
-        name = f"{self.uuid}_{ctx.task_idx}.parquet"
-        cands = docs.filter(flag)
-        for out, rows in zip(_SPLIT_OUTPUTS, (docs.filter(pc.invert(flag)), cands)):
-            if rows.num_rows:
-                write_parquet_file(rows, f"{root}/{out}/{name}", fs)
-        return cands.num_rows, cands.nbytes, docs.schema
-
-    def on_write_complete(self, write_result) -> None:
-        returns = write_result.write_returns
-        self.rows = sum(r[0] for r in returns)
-        self.nbytes = sum(r[1] for r in returns)
-        self.schema = next((r[2] for r in returns if r[2] is not None), None)
+def _split_route(docs: pa.Table):
+    """:func:`split_candidates`' :class:`~georay.sources.SplitSink` route:
+    the docs tagged ``_candidate`` go to ``_candidates``, the others to
+    ``survivors``, untagged."""
+    flag = docs.column(_CANDIDATE)
+    docs = docs.drop_columns([_CANDIDATE])
+    yield "survivors", docs.filter(pc.invert(flag))
+    yield "_candidates", docs.filter(flag)
 
 
 def split_candidates(docs_ds, pairs_ds, out_dir: str, id_col: str = "doc_id"):
@@ -1081,8 +1042,9 @@ def split_candidates(docs_ds, pairs_ds, out_dir: str, id_col: str = "doc_id"):
     The pairs' ids tag each doc through :func:`_join_pair_ids`, the
     :func:`georay.partition.keyed_join` that :func:`near_dup_pairs`
     filters with (broadcast while the ids fit ``BROADCAST_BYTES``, else
-    one co-partition of the corpus with them), and :class:`CandidateSplit`
-    writes the tagged rows, the survivors to ``survivors/`` and the
+    one co-partition of the corpus with them), and a
+    :class:`georay.sources.SplitSink` writes the tagged rows
+    (:func:`_split_route`), the survivors to ``survivors/`` and the
     candidates to ``_candidates/``.  It replaces ``survivors/``,
     ``_candidates/`` and ``resolution/`` first.  The candidates come back
     as a :func:`georay.partition.from_table` Dataset of the
@@ -1091,18 +1053,23 @@ def split_candidates(docs_ds, pairs_ds, out_dir: str, id_col: str = "doc_id"):
     none), else as a read of ``_candidates/`` by the one read rule
     (:func:`georay.sources.read_parquet_grouped`), which the caller
     deletes once it is done with them."""
-    sink = CandidateSplit(out_dir)
+    # a run that fails later leaves no stale resolution beside partial
+    # survivors
+    replace_dir(f"{out_dir}/resolution")
+    sink = SplitSink(out_dir, _split_route, ("survivors", "_candidates"))
     _join_pair_ids(
         docs_ds, pairs_ds, id_col, lambda docs, hit: docs.append_column(_CANDIDATE, hit),
     ).write_datasink(sink)
-    if not fits_broadcast(sink.nbytes):
-        cands = read_parquet_grouped(f"{out_dir}/_candidates")
-        cands.context.target_max_block_size = docs_ds.context.target_max_block_size
-        return cands
-    if not sink.rows:
-        return from_table(sink.schema.empty_table() if sink.schema is not None else pa.table({}))
-    fs, root = filesystem(out_dir)
-    files = sorted(i.path for i in fs.get_file_info(pafs.FileSelector(f"{root}/_candidates")))
+    cands = sink.counts["_candidates"]
+    if not fits_broadcast(cands["nbytes"]):
+        ds = read_parquet_grouped(f"{out_dir}/_candidates")
+        ds.context.target_max_block_size = docs_ds.context.target_max_block_size
+        return ds
+    if not cands["rows"]:
+        schema = sink.schemas.get("_candidates")
+        return from_table(schema.empty_table() if schema is not None else pa.table({}))
+    fs, _ = filesystem(out_dir)
+    files = parquet_files(f"{out_dir}/_candidates")
     return from_table(pa.concat_tables(pq.read_table(f, filesystem=fs) for f in files))
 
 

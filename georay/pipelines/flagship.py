@@ -12,9 +12,10 @@ directory the whole run is one Ray Data plan of one operator,
 for a sink (``read_pages(sf_dir, sink=True)``,
 :func:`georay.sources.read_parquet_grouped`): each read task gets whole
 files, ``min(files, max(CPU slots, pages // TASK_ROWS))`` tasks in all,
-unsplit below ``2 * TASK_ROWS`` pages a task, extracts their geo rows and streams them
-into :class:`FlagshipSink`, which writes the tiles, the join rows and
-the per-cell partials from that same task.  The plan's block target is
+unsplit below ``2 * TASK_ROWS`` pages a task, extracts their geo rows and
+streams them into :class:`georay.sources.SplitSink` (the one partitioned
+sink), whose route here gives the tiles, the join rows and the per-cell
+partials of that same task.  The plan's block target is
 ``georay.sources.PLAN_BLOCK_BYTES``, so Ray Data starts its tasks together.  The
 partials are already combined down to one row per (task, cell), and the
 driver merges them file by file into ``cell_agg`` (``driver_merge``):
@@ -23,20 +24,16 @@ nothing shuffles.
 
 from __future__ import annotations
 
-import uuid
-
 import numpy as np
 import pyarrow as pa
-import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 import ray
-from ray.data import Datasink
 
 from georay import cells
 from georay.partition import cached_map
 from georay.pipelines.polygons import polygon_payload
 from georay.sources import (
-    PLAN_BLOCK_BYTES, filesystem, remove_dir, replace_dir, write_output, write_parquet_file,
+    PLAN_BLOCK_BYTES, SplitSink, filesystem, parquet_files, remove_dir, replace_dir, write_output,
 )
 from georay.stages.aggregate import (
     CELL_AGGS, cell_partial_agg, driver_merge, keyed_agg, merge_cell_partials,
@@ -67,49 +64,15 @@ def geo_dataset(pages, res: int = 7):
     return ds
 
 
-#: what :class:`FlagshipSink` writes under ``out_dir``; ``_partials`` only
-#: lives until :func:`flagship` has merged it into ``cell_agg``
-_SINK_OUTPUTS = ("tiles", "join_rows", "_partials")
+def _sink_route(join_fn):
+    """The flagship's :class:`~georay.sources.SplitSink` route: a write
+    task's geo rows -> its tile rows under ``tiles/cell_prefix=<res-2
+    parent cell>``, each file's rows in ``(cell, doc_id)`` order, then its
+    join rows (``join_fn``) under ``join_rows``, then its
+    ``cell_partial_agg`` table under ``_partials``, which :func:`flagship`
+    merges into ``cell_agg/`` after the write."""
 
-
-class FlagshipSink(Datasink):
-    """The flagship's one streaming write: each write task gets its geo
-    rows once and writes
-
-    - its tile rows under ``tiles/cell_prefix=<res-2 parent cell>/`` (the
-      Hive layout SURVEY.md §2.7 / §4 asks for, never one giant file),
-      each file's rows in ``(cell, doc_id)`` order;
-    - its join rows (``join_fn``) under ``join_rows/``;
-    - its ``cell_partial_agg`` table under ``_partials/``, which
-      :func:`flagship` merges into ``cell_agg/`` after the write.
-
-    Every file is written with :data:`georay.sources.PARQUET_WRITE` (zstd,
-    no dictionary pages) and named ``<uuid>_<task index>.parquet``, the
-    uuid fixed when the sink is built, so a retried task overwrites its own
-    files instead of adding a second copy.  ``counts`` holds ``{output: {"rows",
-    "bytes"}}`` once the write completes."""
-
-    def __init__(self, out_dir: str, join_fn):
-        self.out_dir = out_dir
-        self.join_fn = join_fn
-        self.uuid = uuid.uuid4().hex
-        self.counts = None
-
-    def on_write_start(self) -> None:
-        # cell_agg too: a run that fails before its merge leaves no stale
-        # aggregate beside fresh tiles
-        for name in (*_SINK_OUTPUTS, "cell_agg"):
-            replace_dir(f"{self.out_dir}/{name}")
-
-    def write(self, blocks, ctx) -> dict:
-        out = dict.fromkeys(_SINK_OUTPUTS, (0, 0))
-        tables = [b for b in blocks if b.num_rows]
-        if not tables:
-            return out
-        geo = pa.concat_tables(tables)
-        fs, root = filesystem(self.out_dir)
-        name = f"{self.uuid}_{ctx.task_idx}.parquet"
-
+    def route(geo):
         # tile rows by (prefix, cell, doc_id): each tile's cells become
         # runs and its coordinates locally close, so zstd packs them tighter
         cell = geo.column("cell").to_numpy()
@@ -117,28 +80,12 @@ class FlagshipSink(Datasink):
         order = np.lexsort((geo.column("doc_id").to_numpy(), cell, prefix))
         keys, starts = np.unique(prefix[order], return_index=True)
         tiles = geo.take(pa.array(order))
-        size = 0
         for key, start, stop in zip(keys, starts, [*starts[1:], len(order)]):
-            part = f"{root}/tiles/cell_prefix={key}"
-            fs.create_dir(part)
-            size += write_parquet_file(tiles.slice(start, stop - start), f"{part}/{name}", fs)
-        out["tiles"] = (geo.num_rows, size)
+            yield f"tiles/cell_prefix={key}", tiles.slice(start, stop - start)
+        yield "join_rows", join_fn(geo)
+        yield "_partials", cell_partial_agg(geo)
 
-        joined = self.join_fn(geo)
-        if joined.num_rows:
-            out["join_rows"] = (joined.num_rows, write_parquet_file(joined, f"{root}/join_rows/{name}", fs))
-        partials = cell_partial_agg(geo)
-        out["_partials"] = (partials.num_rows, write_parquet_file(partials, f"{root}/_partials/{name}", fs))
-        return out
-
-    def on_write_complete(self, write_result) -> None:
-        self.counts = {
-            name: {
-                "rows": sum(r[name][0] for r in write_result.write_returns),
-                "bytes": sum(r[name][1] for r in write_result.write_returns),
-            }
-            for name in _SINK_OUTPUTS
-        }
+    return route
 
 
 def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | None = None):
@@ -153,8 +100,9 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
     stages/aggregate.py).  What runs follows ``out_dir``:
 
     - ``out_dir`` given (the deployment form): one plan streams the geo
-      rows into :class:`FlagshipSink`, which writes ``tiles/``,
-      ``join_rows/`` and the per-task cell partials from each task.  The
+      rows into :class:`georay.sources.SplitSink`, which writes
+      ``tiles/``, ``join_rows/`` and the per-task cell partials from each
+      task (:func:`_sink_route`).  The
       sink fuses into the read, so each read task writes one file set:
       read with :func:`georay.sources.read_parquet_grouped` and
       ``sink=True`` (as ``read_pages(sf_dir, sink=True)`` does), or a
@@ -167,7 +115,7 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
       so the run is one plan.  The partials are deleted even if the
       merge fails.  No output
       is read back through Ray: the return value is the sink's ``{output:
-      {"rows", "bytes"}}`` counts (``tiles``, ``join_rows``,
+      {"rows", "bytes", "nbytes"}}`` counts (``tiles``, ``join_rows``,
       ``_partials``), and ``cell_agg``'s row count is in its footers
       (``georay.sources.parquet_rows``).  Each output
       replaces what an earlier run left in ``out_dir``; with no geo page
@@ -184,17 +132,19 @@ def flagship(pages, res: int = 7, predicate: str = "INTERSECTS", out_dir: str | 
         joined = geo.map_batches(join_fn, batch_format="pyarrow", batch_size=None)
         return joined, keyed_agg(geo, "cell", CELL_AGGS)
 
-    sink = FlagshipSink(out_dir, join_fn)
+    sink = SplitSink(out_dir, _sink_route(join_fn), ("tiles", "join_rows", "_partials"))
     # the context the pages read made for this chain, not Ray's global
     # one: the exchanges and every other plan keep the default target
     # (``PLAN_BLOCK_BYTES`` says why the sink plan needs a smaller one)
     geo.context.target_max_block_size = PLAN_BLOCK_BYTES
+    # a run that fails before its merge leaves no stale aggregate beside
+    # fresh tiles
+    replace_dir(f"{out_dir}/cell_agg")
     try:
         geo.write_datasink(sink)
-        fs, root = filesystem(out_dir)
         if sink.counts["_partials"]["rows"]:
-            files = fs.get_file_info(pafs.FileSelector(f"{root}/_partials"))
-            parts = (pq.read_table(p, filesystem=fs) for p in sorted(i.path for i in files))
+            fs, _ = filesystem(out_dir)
+            parts = (pq.read_table(f, filesystem=fs) for f in parquet_files(f"{out_dir}/_partials"))
             write_output(driver_merge(parts, merge_cell_partials, None), f"{out_dir}/cell_agg")
     finally:
         remove_dir(f"{out_dir}/_partials")

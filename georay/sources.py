@@ -11,10 +11,11 @@ XML-document source to a Dataset: every file parsed inside
 ``map_batches`` (the XML never leaves the worker — only the slim
 geometry summary rows do).  :func:`write_output` is the one way a
 pipeline writes an output directory, from a Dataset or from a table on
-the driver, :func:`append_output` adds rows to one, and
-:func:`parquet_rows` counts an output's rows from its footers.
-:data:`PARQUET_WRITE` is the one parquet writer policy, and
-:func:`write_parquet_file` the one way a single file is written with it.
+the driver, :func:`append_output` adds rows to one,
+:func:`parquet_files` lists an output's files and :func:`parquet_rows`
+counts its rows from their footers.  :data:`PARQUET_WRITE` is the one
+parquet writer policy, and :func:`write_parquet_file` the one way a
+single file is written with it.
 :func:`read_parquet_grouped` is the one read rule of every corpus read:
 ``max(CPU slots, rows // TASK_ROWS)`` blocks from
 ``min(files, that)`` tasks of whole files (:func:`read_tasks`), so a
@@ -23,12 +24,31 @@ about :data:`TASK_ROWS` rows per task whatever the cluster's size; a
 read whose write fuses into its tasks (``sink=True``) is not split to
 fill the slots.  :data:`PLAN_BLOCK_BYTES` is the
 block target a plan sets on its own context so its tasks start together.
+
+:class:`SplitSink` ``(out_dir, route, outputs)`` is the one streaming
+write of partitioned outputs (the flagship's tiles under the Hive
+``tiles/cell_prefix=<res-2 parent cell>/`` layout of SURVEY.md §2.7 /
+§4, its join rows and cell partials; dedup's survivors and candidates).
+It replaces each directory of ``outputs`` when the write starts.  Each
+write task concatenates its non-empty blocks and writes every non-empty
+table of ``route(table)``'s ``(relative dir, table)`` pairs, in that
+order, as ``<dir>/<uuid>_<task index>.parquet``; the uuid is fixed when
+the sink is built, so a task that Ray Data retries overwrites its own
+files instead of adding a second copy.  Once the write completes,
+``counts`` holds ``{output: {"rows", "bytes", "nbytes"}}`` per name in
+``outputs`` (file bytes and Arrow bytes, zeros when nothing was
+written; an output is the first part of a ``dir``) and ``schemas`` the
+first schema routed to each output, written or not.  It sets no
+``min_rows_per_write``, so the read and the maps before it fuse into its
+tasks.
 """
 
 from __future__ import annotations
 
 import os
 import uuid
+
+from ray.data import Datasink
 
 #: ``target_max_block_size`` a plan sets on its own context (never on
 #: Ray's global one): the flagship's sink plan and ``python -m georay
@@ -74,10 +94,21 @@ def write_parquet_file(table, path: str, fs) -> int:
         return f.tell()
 
 
+def _driver_table(data):
+    """``data`` itself when it is a ``pa.Table``, the table a
+    :func:`georay.partition.from_table` Dataset holds, else ``None``."""
+    import pyarrow as pa
+
+    from georay.partition import driver_table
+
+    return data if isinstance(data, pa.Table) else driver_table(data)
+
+
 def write_output(data, path: str, **kwargs) -> bool:
-    """Write ``data`` (a Dataset, by ``data.write_parquet(path,
-    **kwargs)``; or a ``pa.Table`` on the driver, as one ``<uuid>.parquet``
-    with no plan) as the parquet directory ``path``, replacing whatever an
+    """Write ``data`` (a table on the driver: a ``pa.Table`` or a
+    :func:`georay.partition.from_table` Dataset, as one ``<uuid>.parquet``
+    with no plan; any other Dataset by ``data.write_parquet(path,
+    **kwargs)``) as the parquet directory ``path``, replacing whatever an
     earlier run left there (Ray's default appends, so a re-run would
     double every output).  Every file is written with
     :data:`PARQUET_WRITE`; ``kwargs`` (``partition_cols``) pass through to
@@ -86,35 +117,33 @@ def write_output(data, path: str, **kwargs) -> bool:
     gives an empty dataset instead of raising.  Returns whether the
     write left anything under ``path``: ``False`` when ``data`` had no
     rows."""
-    import pyarrow as pa
-    import pyarrow.fs as pafs
     from ray.data.datasource import SaveMode
 
-    fs, p = filesystem(path)
-    if isinstance(data, pa.Table):
+    table = _driver_table(data)
+    if table is not None:
         replace_dir(path)
-        if data.num_rows:
-            write_parquet_file(data, f"{p}/{uuid.uuid4().hex}.parquet", fs)
-        return data.num_rows > 0
+        append_output(table, path)
+        return table.num_rows > 0
     data.write_parquet(path, mode=SaveMode.OVERWRITE, **{**PARQUET_WRITE, **kwargs})
+    fs, p = filesystem(path)
     fs.create_dir(p)
-    return bool(fs.get_file_info(pafs.FileSelector(p)))
+    return bool(parquet_files(path))
 
 
 def append_output(data, path: str) -> None:
     """Add ``data`` to the existing parquet directory ``path`` with
-    :data:`PARQUET_WRITE`, keeping the files already there: a ``pa.Table``
-    on the driver as one ``<uuid>.parquet`` with no plan (none when it has
-    no rows), a Dataset by an appending ``write_parquet``."""
-    import pyarrow as pa
+    :data:`PARQUET_WRITE`, keeping the files already there: a table on
+    the driver (as :func:`write_output` takes it) as one
+    ``<uuid>.parquet`` with no plan (none when it has no rows), any other
+    Dataset by an appending ``write_parquet``."""
     from ray.data.datasource import SaveMode
 
-    if isinstance(data, pa.Table):
-        if data.num_rows:
-            fs, p = filesystem(path)
-            write_parquet_file(data, f"{p}/{uuid.uuid4().hex}.parquet", fs)
-        return
-    data.write_parquet(path, mode=SaveMode.APPEND, **PARQUET_WRITE)
+    table = _driver_table(data)
+    if table is None:
+        data.write_parquet(path, mode=SaveMode.APPEND, **PARQUET_WRITE)
+    elif table.num_rows:
+        fs, p = filesystem(path)
+        write_parquet_file(table, f"{p}/{uuid.uuid4().hex}.parquet", fs)
 
 
 def remove_dir(path: str) -> None:
@@ -135,22 +164,74 @@ def replace_dir(path: str) -> None:
     fs.create_dir(p)
 
 
-def parquet_file_rows(path: str) -> dict:
-    """``{file: rows}`` of the parquet file ``path`` or of every
-    ``.parquet`` file under the directory ``path`` at any depth (a local
-    path or a filesystem URI), from their footers: no data is read.  A
-    missing ``path`` gives ``{}``."""
+#: what :class:`SplitSink` counts per output
+_COUNTS = ("rows", "bytes", "nbytes")
+
+
+class SplitSink(Datasink):
+    """The one partitioned sink (the module docstring describes it)."""
+
+    def __init__(self, out_dir: str, route, outputs):
+        self.out_dir = out_dir
+        self.route = route
+        self.outputs = tuple(outputs)
+        self.uuid = uuid.uuid4().hex
+        self.counts = self.schemas = None
+
+    def on_write_start(self) -> None:
+        for name in self.outputs:
+            replace_dir(f"{self.out_dir}/{name}")
+
+    def write(self, blocks, ctx) -> dict:
+        import pyarrow as pa
+
+        out = {}
+        tables = [b for b in blocks if b.num_rows]
+        if not tables:
+            return out
+        fs, root = filesystem(self.out_dir)
+        name = f"{self.uuid}_{ctx.task_idx}.parquet"
+        for rel, table in self.route(pa.concat_tables(tables)):
+            counts, _ = out.setdefault(rel.split("/")[0], (dict.fromkeys(_COUNTS, 0), table.schema))
+            if table.num_rows:
+                fs.create_dir(f"{root}/{rel}")
+                counts["bytes"] += write_parquet_file(table, f"{root}/{rel}/{name}", fs)
+                counts["rows"] += table.num_rows
+                counts["nbytes"] += table.nbytes
+        return out
+
+    def on_write_complete(self, write_result) -> None:
+        self.counts = {name: dict.fromkeys(_COUNTS, 0) for name in self.outputs}
+        self.schemas = {}
+        for task in write_result.write_returns:
+            for name, (counts, schema) in task.items():
+                for key in _COUNTS:
+                    self.counts[name][key] += counts[key]
+                self.schemas.setdefault(name, schema)
+
+
+def parquet_files(path: str) -> list:
+    """The parquet file ``path``, or every ``.parquet`` file under the
+    directory ``path`` at any depth, sorted, as paths inside
+    ``filesystem(path)``'s filesystem (a local path or a filesystem URI).
+    A missing ``path`` gives ``[]``."""
     import pyarrow.fs as pafs
-    import pyarrow.parquet as pq
 
     fs, p = filesystem(path)
     info = fs.get_file_info(p)
-    if info.type == pafs.FileType.Directory:
-        files = [i.path for i in fs.get_file_info(pafs.FileSelector(p, recursive=True))
-                 if i.is_file and i.path.endswith(".parquet")]
-    else:
-        files = [p] if info.is_file else []
-    return {f: pq.read_metadata(f, filesystem=fs).num_rows for f in sorted(files)}
+    if info.type != pafs.FileType.Directory:
+        return [p] if info.is_file else []
+    return sorted(i.path for i in fs.get_file_info(pafs.FileSelector(p, recursive=True))
+                  if i.is_file and i.path.endswith(".parquet"))
+
+
+def parquet_file_rows(path: str) -> dict:
+    """``{file: rows}`` of :func:`parquet_files` ``(path)``, from their
+    footers: no data is read."""
+    import pyarrow.parquet as pq
+
+    fs, _ = filesystem(path)
+    return {f: pq.read_metadata(f, filesystem=fs).num_rows for f in parquet_files(path)}
 
 
 def parquet_rows(path: str) -> int:
@@ -161,8 +242,8 @@ def parquet_rows(path: str) -> int:
 
 #: rows per read task once the data, not the CPU slots, sets the task
 #: count (:func:`read_tasks`).  A flagship read task (``sink=True``) is
-#: also a :class:`~georay.pipelines.flagship.FlagshipSink` write task, which
-#: writes one tile file per res-2 prefix, a join file and a partials
+#: also a :class:`SplitSink` write task, which writes one tile file per
+#: res-2 prefix, a join file and a partials
 #: file: one write task per input block gave 256 tile files of ~150 rows
 #: for 40k pages.  8M pages in 400 files run as 400 tasks at 4 CPUs and
 #: at 16.
@@ -184,11 +265,10 @@ def read_tasks(file_rows, cpus: int, sink: bool = False) -> tuple[int, int]:
     tasks; split, they run in tasks of their own, one per block.
 
     With ``sink`` the read feeds a write that fuses into its tasks and
-    writes one file set per task (the flagship's
-    :class:`~georay.pipelines.flagship.FlagshipSink`), so the slots do not
-    split it, only its rows: ``rows // TASK_ROWS`` blocks (``k`` > 1 per
-    task at ``k * TASK_ROWS`` rows a task or more), so a big file still
-    feeds ``k`` tasks after its read."""
+    writes one file set per task (the flagship's :class:`SplitSink`), so
+    the slots do not split it, only its rows: ``rows // TASK_ROWS`` blocks
+    (``k`` > 1 per task at ``k * TASK_ROWS`` rows a task or more), so a
+    big file still feeds ``k`` tasks after its read."""
     n, rows = len(file_rows), sum(file_rows)
     blocks = max(cpus, rows // TASK_ROWS)
     tasks = min(n, blocks)

@@ -1553,3 +1553,36 @@ class TestCandidateSplit:
         with pytest.raises(RuntimeError, match="verify failed"):
             main(["dedup", "--input", src, "--out", str(out)])
         assert sorted(os.listdir(out)) == ["resolution", "survivors"]
+
+    def test_killed_split_task_leaves_no_duplicate(self, ray_session, monkeypatch, tmp_path, capsys):
+        """A split write task whose worker dies after it has written
+        ``survivors/`` and before ``_candidates/`` is retried by Ray Data;
+        the retry writes the same file names, so the survivors and the
+        resolution are a clean run's and no doc is written twice."""
+        import os
+
+        import georay.dedup as dd
+
+        src = tmp_path / "docs"
+        src.mkdir()
+        _planted_corpus(src)
+        clean = _dedup_cli(src, tmp_path / "clean", capsys)
+        marker = str(tmp_path / "first-attempt")
+        route = dd._split_route
+
+        def route_or_die(docs):
+            for rel, table in route(docs):
+                if rel == "_candidates":
+                    try:
+                        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                    except FileExistsError:
+                        pass
+                    else:
+                        os._exit(1)
+                yield rel, table
+
+        monkeypatch.setattr(dd, "_split_route", route_or_die)
+        got = _dedup_cli(src, tmp_path / "out", capsys)
+        assert os.path.exists(marker)
+        assert got == clean
+        assert len(set(got[1]["doc_id"])) == len(got[1]["doc_id"])

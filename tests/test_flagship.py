@@ -133,22 +133,24 @@ class TestFlagshipGeoCache:
 
         marker = str(tmp_path / "first-attempt")
 
-        class DiesOnce(mod.FlagshipSink):
-            # the sink joins after it writes the tiles and before it
-            # writes the join rows
-            def __init__(self, out_dir, join_fn):
-                def join_or_die(geo):
-                    try:
-                        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
-                    except FileExistsError:
-                        pass
-                    else:
-                        os._exit(1)
-                    return join_fn(geo)
+        class DiesOnce(mod.SplitSink):
+            # the route yields the join rows after the tiles, which the
+            # sink has written by then
+            def __init__(self, out_dir, route, outputs):
+                def route_or_die(geo):
+                    for rel, table in route(geo):
+                        if rel == "join_rows":
+                            try:
+                                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                            except FileExistsError:
+                                pass
+                            else:
+                                os._exit(1)
+                        yield rel, table
 
-                super().__init__(out_dir, join_or_die)
+                super().__init__(out_dir, route_or_die, outputs)
 
-        monkeypatch.setattr(mod, "FlagshipSink", DiesOnce)
+        monkeypatch.setattr(mod, "SplitSink", DiesOnce)
         out = str(tmp_path / "run")
         counts = mod.flagship(read_pages(SF, sink=True), out_dir=out)
         assert os.path.exists(marker)
@@ -181,7 +183,7 @@ def test_sink_tasks_run_at_once(ray_session, tmp_path, monkeypatch):
     barrier = str(tmp_path / "barrier")
     os.mkdir(barrier)
 
-    class Meets(mod.FlagshipSink):
+    class Meets(mod.SplitSink):
         def write(self, blocks, ctx):
             open(f"{barrier}/started-{ctx.task_idx}", "w").close()
             deadline = time.monotonic() + 30
@@ -192,7 +194,7 @@ def test_sink_tasks_run_at_once(ray_session, tmp_path, monkeypatch):
                 time.sleep(0.05)
             return super().write(blocks, ctx)
 
-    monkeypatch.setattr(mod, "FlagshipSink", Meets)
+    monkeypatch.setattr(mod, "SplitSink", Meets)
     # 500 pages in 2 files: 2 read tasks on the session's 4 CPU slots
     pages = read_pages(_multi_file_sf(tmp_path / "in", files=2), sink=True)
     pages.context.execution_options.resource_limits = ExecutionResources(object_store_memory=200 * 10**6)
