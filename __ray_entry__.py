@@ -319,8 +319,9 @@ def _q_token_stats(sf_dir: str):
 
 def _q_pagerank(sf_dir: str):
     """Integer fixed-point PageRank (3 rounds) over a deterministic
-    3-outlink synthetic doc graph — hash-partitioned message delivery
-    (georay.graph); oracle = 3 unrolled SQL join+aggregate rounds."""
+    3-outlink synthetic doc graph — one superstep a round on the BSP
+    engine's resident actor partitions (georay.graph); oracle = 3
+    unrolled SQL join+aggregate rounds."""
     from georay.graph import pagerank, synthesize_outlinks_batch
 
     ids = _read(sf_dir, "documents", ["doc_id"])
@@ -573,9 +574,9 @@ def _q_dedup_resolve(sf_dir: str):
     -> canonical survivor (component-minimum doc_id) per clustered doc —
     the step a training-data dedup applies after candidate generation.
     ``connected_components`` labels on the driver (FastSV) while the
-    pairs fit ``BROADCAST_BYTES``, else by min-label propagation over
-    keyed exchanges; oracle = recursive transitive closure in SQL over
-    the same verified pair set."""
+    pairs fit ``BROADCAST_BYTES``, else by the same FastSV rounds on the
+    BSP engine of georay.graph; oracle = recursive transitive closure in
+    SQL over the same verified pair set."""
     return _minhash_resolution(sf_dir)
 
 

@@ -25,16 +25,17 @@ Scale design (SURVEY.md §2.8):
   it fits ``BROADCAST_BYTES`` it is broadcast with ``ray.put`` and the
   corpus streams through a plain map, or, when both sides are already
   driver tables, the step runs on the driver (components with
-  :func:`fastsv_labels`, the Jaccard verify once the candidates' texts
-  fit too).  A driver step returns its result through
+  :func:`georay.graph.fastsv_labels`, the Jaccard verify once the
+  candidates' texts fit too).  A driver step returns its result through
   :func:`georay.partition.from_table`, so the next step's
   ``broadcast_or_none`` gets the table with no plan.  Past the budget
-  each step is a keyed exchange
-  (label propagation over :func:`georay.partition.hash_partition`, or
-  :func:`georay.partition.copartition`).  Verification (two joins of
-  the pairs with the texts) and application are
-  :func:`georay.partition.keyed_join`, which makes that choice itself.
-  No step uses Ray's actor-based ``Dataset.join``.
+  the components run the same FastSV rounds on the BSP engine of
+  :mod:`georay.graph` (resident actor partitions set up by one
+  :func:`georay.partition.hash_partition`, exchanging per-node messages
+  only), and the joins are a :func:`georay.partition.copartition`.
+  Verification (two joins of the pairs with the texts) and application
+  are :func:`georay.partition.keyed_join`, which makes that choice
+  itself.  No step uses Ray's actor-based ``Dataset.join``.
 - the corpus pass of a near-dup run (``python -m georay dedup``):
   :func:`candidate_pairs` gives the MinHash candidate pairs, and
   :func:`split_candidates` reads the corpus once more, writing every doc
@@ -61,6 +62,7 @@ import pyarrow.parquet as pq
 
 from georay.ann import _to_matrix
 from georay.geom.polygon import _expand_ranges
+from georay.graph import components, fastsv_labels
 from georay.partition import (
     broadcast_or_none, fits_broadcast, from_table, hash_partition, keyed_join, part_of, partitions,
 )
@@ -1073,77 +1075,6 @@ def split_candidates(docs_ds, pairs_ds, out_dir: str, id_col: str = "doc_id"):
     return from_table(pa.concat_tables(pq.read_table(f, filesystem=fs) for f in files))
 
 
-def _deliver_labels(g: pa.Table) -> pa.Table:
-    """One hash partition of label-propagation messages -> (node, label)
-    offers.  Label rows (``dest < 0``) give each key its minimum label;
-    request rows (``key``, ``dest``) send that minimum to ``dest``.  A key
-    with no label row labels itself.  Every key's own minimum is offered
-    back to it, so the caller's per-node Min sees every label source."""
-    key = g.column("key").to_numpy()
-    dest = g.column("dest").to_numpy()
-    label = g.column("label").to_numpy()
-    is_lab = dest < 0
-    lk, ll = key[is_lab], label[is_lab]
-    order = np.lexsort((ll, lk))
-    lk, ll = lk[order], ll[order]
-    first = np.ones(len(lk), bool)
-    first[1:] = lk[1:] != lk[:-1]
-    uk, umin = lk[first], ll[first]
-    rk, rd = key[~is_lab], dest[~is_lab]
-    got = rk.copy()
-    if len(uk):
-        idx = np.minimum(np.searchsorted(uk, rk), len(uk) - 1)
-        hit = uk[idx] == rk
-        got[hit] = umin[idx[hit]]
-    return pa.table({
-        "node": pa.array(np.concatenate([rd, uk]), pa.int64()),
-        "label": pa.array(np.concatenate([got, umin]), pa.int64()),
-    })
-
-
-def _min_label(t: pa.Table) -> pa.Table:
-    """One hash partition of (node, label) offers -> each node's
-    minimum label."""
-    g = t.group_by("node").aggregate([("label", "min")])
-    return pa.table({"node": g.column("node"), "label": g.column("label_min")})
-
-
-def _not_converged(max_iter: int) -> RuntimeError:
-    return RuntimeError(
-        f"connected_components did not converge in {max_iter} rounds; "
-        "refusing to return non-minimal survivors (raise max_iter)"
-    )
-
-
-def fastsv_labels(u: np.ndarray, v: np.ndarray, n: int, max_iter: int) -> np.ndarray:
-    """Component-minimum label of each of ``n`` dense node indices, from
-    the undirected edges ``(u[i], v[i])``: the FastSV kernel (Zhang, Azad
-    and Hu, SIAM PP 2020) on one process.
-
-    ``f`` is a parent forest and ``gf = f[f]``.  Each round, per edge,
-    stochastic hooking ``f[f[u]] = min(f[f[u]], gf[v])`` hangs ``u``'s
-    parent below the smallest grandparent seen across the edge,
-    aggressive hooking ``f[u] = min(f[u], gf[v])`` hangs ``u`` itself, and
-    shortcutting ``f[u] = min(f[u], gf[u])`` halves every path.  All
-    three take minima, so a component's smallest index is the root its
-    trees end in; rounds stop at the fixpoint where ``gf`` no longer
-    changes, then every node points at that root.  A path of any id
-    order takes O(log n) rounds.  If ``max_iter`` rounds end without the
-    fixpoint it raises rather than return non-minimal labels."""
-    u, v = np.concatenate([u, v]), np.concatenate([v, u])
-    f = np.arange(n)
-    gf = f.copy()
-    for _ in range(max_iter):
-        np.minimum.at(f, f[u], gf[v])
-        np.minimum.at(f, u, gf[v])
-        np.minimum(f, gf, out=f)
-        nxt = f[f]
-        if np.array_equal(nxt, gf):
-            return gf
-        gf = nxt
-    raise _not_converged(max_iter)
-
-
 def connected_components(pairs_ds, max_iter: int = 32):
     """Candidate pairs -> (doc_id, survivor) per connected component: the
     dedup-resolution step after candidate generation (the survivor is the
@@ -1152,133 +1083,36 @@ def connected_components(pairs_ds, max_iter: int = 32):
     While the pairs fit ``BROADCAST_BYTES``
     (:func:`georay.partition.broadcast_or_none`) the whole edge table is
     already on the driver, so the components are computed there by
-    :func:`fastsv_labels` over dense node indices (``np.unique`` keeps the
-    id order, so the minimum index is the minimum id): no exchange, and
-    O(log n) rounds whatever the id order.
-
-    Past the budget: distributed min-label propagation with SHORTCUTTING.
-    Per round:
-
-    1. Delivery: union three message streams keyed by node — edge rows
-       ``(key=u, dest=v)`` ("send u's label to v"), self rows
-       ``(key=node, label=L)`` (the current label table), and shortcut
-       rows ``(key=L[n], dest=n)`` ("send my label's label to me" — the
-       pointer-doubling step: a chain whose ids increase along it
-       converges in O(log diameter) rounds instead of one hop per
-       round; on a path with unordered ids the minimum can still move
-       about one hop per round — a 200-node path with random ids needs
-       50–120 rounds).  Messages are hash-partitioned on ``key``
-       (:func:`georay.partition.hash_partition`) and each partition runs
-       ONE vectorized multi-node kernel (:func:`_deliver_labels`: lexsort,
-       first-of-run minimum, searchsorted gather) — no per-node Python
-       dispatch (the round-2 ``groupby(node).map_groups``
-       paid ~0.5 ms per node per round).
-    2. Reduce: a second hash partition, on ``node``, whose kernel
-       (:func:`_min_label`) keeps each node's minimum offer with one
-       Arrow group-by — again no per-group Python.
-
-    Both shuffles move only (int64, int64) rows; per-round volume is
-    constant (2|E| + 2|V| delivery rows).  Labels only originate from
-    node ids inside the component (min over members seen so far), so the
-    shortcut edges never cross components and the fixpoint is the exact
-    component minimum.  Convergence is detected via the monotone
-    non-increasing label sum over the deduped table.
-
-    On either route, if ``max_iter`` rounds pass without a fixpoint the
-    function RAISES a ``RuntimeError`` rather than returning non-minimal
-    survivors.
+    :func:`georay.graph.fastsv_labels` over dense node indices
+    (``np.unique`` keeps the id order, so the minimum index is the
+    minimum id): no exchange.  Past the budget the same FastSV rounds
+    run on the BSP engine over both-direction edges
+    (:func:`georay.graph.components`): one ``hash_partition`` sets up
+    resident actor partitions, and each round exchanges per-node
+    messages only.  Both routes take O(log n) rounds whatever the id
+    order, return the same labels in the same number of rounds, and
+    RAISE a ``RuntimeError`` if ``max_iter`` rounds pass without the
+    fixpoint rather than return non-minimal survivors.
     """
-    empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()), "survivor": pa.array([], pa.int64())}
-    )
     pairs, pairs_ds = broadcast_or_none(pairs_ds)
-    if pairs is not None:
-        if pairs.num_rows == 0:
-            return from_table(empty)
-        a = pairs.column("doc_a").to_numpy()
-        nodes, idx = np.unique(np.concatenate([a, pairs.column("doc_b").to_numpy()]), return_inverse=True)
-        label = fastsv_labels(idx[: len(a)], idx[len(a):], len(nodes), max_iter)
-        return from_table(pa.table({
-            "doc_id": pa.array(nodes, pa.int64()),
-            "survivor": pa.array(nodes[label], pa.int64()),
-        }))
-    if pairs_ds.count() == 0:
-        return from_table(empty)
-    # pairs are materialized, so their row count is free
-    n = partitions(pairs_ds)
+    if pairs is None:
+        def both_dirs(b: pa.Table) -> pa.Table:
+            da, db = b.column("doc_a").to_numpy(), b.column("doc_b").to_numpy()
+            return pa.table({"src": np.concatenate([da, db]), "dst": np.concatenate([db, da])})
 
-    def both_dirs(b: pa.Table) -> pa.Table:
-        da = b.column("doc_a").to_numpy()
-        db = b.column("doc_b").to_numpy()
-        return pa.table(
-            {
-                "u": pa.array(np.concatenate([da, db]), pa.int64()),
-                "v": pa.array(np.concatenate([db, da]), pa.int64()),
-            }
-        )
-
-    edges = pairs_ds.map_batches(both_dirs, batch_format="pyarrow").materialize()
-
-    def edge_msgs(b: pa.Table) -> pa.Table:
-        # "node v asks for u's label": key=u, dest=v, no label payload
-        u = b.column("u").to_numpy()
-        return pa.table(
-            {
-                "key": b.column("u"),
-                "dest": b.column("v"),
-                "label": pa.array(np.full(len(u), -1, np.int64), pa.int64()),
-            }
-        )
-
-    def label_msgs(b: pa.Table) -> pa.Table:
-        # current label table, keyed by node; plus the shortcut request
-        # (key=label, dest=node) for every row whose label differs from
-        # the node (pointer-doubling: node learns L[L[node]] next round)
-        node = b.column("node").to_numpy()
-        label = b.column("label").to_numpy()
-        sc = label != node
-        key = np.concatenate([node, label[sc]])
-        dest = np.concatenate([np.full(len(node), -1, np.int64), node[sc]])
-        lab = np.concatenate([label, np.full(int(sc.sum()), -1, np.int64)])
-        return pa.table(
-            {
-                "key": pa.array(key, pa.int64()),
-                "dest": pa.array(dest, pa.int64()),
-                "label": pa.array(lab, pa.int64()),
-            }
-        )
-
-    def init_labels(b: pa.Table) -> pa.Table:
-        u = b.column("u").to_numpy()
-        v = b.column("v").to_numpy()
-        return pa.table(
-            {"node": pa.array(u, pa.int64()),
-             "label": pa.array(np.minimum(u, v), pa.int64())}
-        )
-
-    # one row per node, label = min over incident edges (saves a round)
-    labels = hash_partition(
-        edges.map_batches(init_labels, batch_format="pyarrow"), "node", _min_label, n
-    ).materialize()
-    prev = labels.sum("label")
-    for _ in range(max_iter):
-        msgs = edges.map_batches(edge_msgs, batch_format="pyarrow").union(
-            labels.map_batches(label_msgs, batch_format="pyarrow")
-        )
-        offers = hash_partition(msgs, "key", _deliver_labels, n)
-        labels = hash_partition(offers, "node", _min_label, n).materialize()
-        # labels are per-node minima: the sum is monotone non-increasing
-        # and equal sums mean every label is at its fixpoint
-        cur = labels.sum("label")
-        if cur == prev:
-            break
-        prev = cur
-    else:
-        raise _not_converged(max_iter)
-    return labels.map_batches(
-        lambda b: pa.table({"doc_id": b.column("node"), "survivor": b.column("label")}),
-        batch_format="pyarrow",
-    )
+        edges = pairs_ds.map_batches(both_dirs, batch_format="pyarrow")
+        return components(edges, max_iter).rename_columns({"node": "doc_id", "label": "survivor"})
+    if pairs.num_rows == 0:
+        return from_table(pa.table(
+            {"doc_id": pa.array([], pa.int64()), "survivor": pa.array([], pa.int64())}
+        ))
+    a = pairs.column("doc_a").to_numpy()
+    nodes, idx = np.unique(np.concatenate([a, pairs.column("doc_b").to_numpy()]), return_inverse=True)
+    label = fastsv_labels(idx[: len(a)], idx[len(a):], len(nodes), max_iter)
+    return from_table(pa.table({
+        "doc_id": pa.array(nodes, pa.int64()),
+        "survivor": pa.array(nodes[label], pa.int64()),
+    }))
 
 
 def _dup_ids(res: pa.Table) -> pa.Array:

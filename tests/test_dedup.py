@@ -254,20 +254,9 @@ class TestSplit:
         np.testing.assert_array_equal(offsets, want_offsets)
 
 
-def _seeded_graph(seed):
-    """(pairs, want): a 150-node chain with increasing ids, 15 random-id
-    chains of 8, and a sparse random graph on 80 nodes; ``want`` maps
-    each node to its component minimum by a pure-Python union-find."""
-    rng = np.random.default_rng(seed)
-    ids = rng.permutation(np.arange(1000, 5000))[:200]
-    edges = list(zip(range(0, 149), range(1, 150)))
-    for chain in np.array_split(ids[:120], 15):
-        edges += list(zip(chain[:-1].tolist(), chain[1:].tolist()))
-    for _ in range(60):
-        a, b = rng.choice(ids[120:], 2, replace=False)
-        edges.append((int(a), int(b)))
-    edges = [(min(a, b), max(a, b)) for a, b in edges]
-
+def _union_find(edges):
+    """Each node of ``edges`` -> its component minimum, by a pure-Python
+    union-find."""
     parent = {}
 
     def find(x):
@@ -281,9 +270,36 @@ def _seeded_graph(seed):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    pairs = pa.table({"doc_a": pa.array([a for a, _ in edges], pa.int64()),
-                      "doc_b": pa.array([b for _, b in edges], pa.int64())})
-    return pairs, {x: find(x) for x in parent}
+    return {x: find(x) for x in parent}
+
+
+def _pairs(edges):
+    return pa.table({"doc_a": pa.array([a for a, _ in edges], pa.int64()),
+                     "doc_b": pa.array([b for _, b in edges], pa.int64())})
+
+
+def _seeded_graph(seed):
+    """(pairs, want): a 150-node chain with increasing ids, 15 random-id
+    chains of 8, and a sparse random graph on 80 nodes; ``want`` maps
+    each node to its component minimum (:func:`_union_find`)."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(np.arange(1000, 5000))[:200]
+    edges = list(zip(range(0, 149), range(1, 150)))
+    for chain in np.array_split(ids[:120], 15):
+        edges += list(zip(chain[:-1].tolist(), chain[1:].tolist()))
+    for _ in range(60):
+        a, b = rng.choice(ids[120:], 2, replace=False)
+        edges.append((int(a), int(b)))
+    edges = [(min(a, b), max(a, b)) for a, b in edges]
+    return _pairs(edges), _union_find(edges)
+
+
+def _random_id_path(n):
+    """(pairs, want): a path of ``n`` nodes whose ids 10,000.. are in a
+    random order, and its union-find labels."""
+    ids = np.random.default_rng(n).permutation(np.arange(10_000, 10_000 + n)).tolist()
+    edges = list(zip(ids[:-1], ids[1:]))
+    return _pairs(edges), _union_find(edges)
 
 
 class TestConnectedComponents:
@@ -318,7 +334,7 @@ class TestConnectedComponents:
         cap silently returned non-minimal labels on diameter > max_iter);
         FastSV's shortcutting gives O(log d) rounds.
         :class:`TestComponentsExchangeRoute` runs the same chain through
-        the exchange route's label-shortcut (pointer-doubling) edges."""
+        the exchange route's FastSV on the BSP engine."""
         import pyarrow as pa
         import ray.data
 
@@ -355,30 +371,10 @@ class TestConnectedComponents:
 
         from georay.dedup import connected_components
 
-        ids = np.random.default_rng(n).permutation(np.arange(10_000, 10_000 + n))
-        pairs = pa.table({"doc_a": pa.array(ids[:-1]), "doc_b": pa.array(ids[1:])})
+        pairs, _ = _random_id_path(n)
         out = connected_components(ray.data.from_arrow(pairs)).to_pandas()
         assert len(out) == n
         assert (out.survivor == 10_000).all()
-
-    def test_deliver_labels_kernel(self):
-        """Label rows give each key its minimum; requests fetch it; a
-        requested key with no label row labels itself."""
-        import pyarrow as pa
-
-        from georay.dedup import _deliver_labels
-
-        g = pa.table({
-            "key": pa.array([5, 5, 7, 5, 7, 9], pa.int64()),
-            "dest": pa.array([-1, -1, -1, 11, 12, 13], pa.int64()),
-            "label": pa.array([4, 2, 7, -1, -1, -1], pa.int64()),
-            "part": pa.array([0] * 6, pa.int32()),
-        })
-        out = _deliver_labels(g)
-        got = sorted(zip(out.column("node").to_pylist(), out.column("label").to_pylist()))
-        assert got == [(5, 2), (7, 7), (11, 2), (12, 7), (13, 9)]
-        empty = _deliver_labels(g.slice(0, 0))
-        assert empty.num_rows == 0 and empty.schema.field("node").type == pa.int64()
 
     def test_nonconvergence_raises(self, ray_session):
         """max_iter exhaustion must raise, not silently return non-minimal
@@ -857,13 +853,16 @@ class TestClusterPartitionsRowsAware:
 @pytest.fixture
 def exchanges(monkeypatch):
     """Names of the keyed exchanges ``georay.dedup`` starts, in order:
-    its own ``hash_partition`` and the ``copartition`` that
-    ``georay.partition.keyed_join`` starts for it."""
+    its own ``hash_partition``, the ``hash_partition`` that sets up the
+    ``georay.graph`` engine for its components, and the ``copartition``
+    that ``georay.partition.keyed_join`` starts for it."""
     import georay.dedup as dd
+    import georay.graph
     import georay.partition
 
     calls = []
-    for module, name in ((dd, "hash_partition"), (georay.partition, "copartition")):
+    for module, name in ((dd, "hash_partition"), (georay.graph, "hash_partition"),
+                         (georay.partition, "copartition")):
         def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -887,15 +886,15 @@ def _both_routes(monkeypatch, exchanges, run, exchange="copartition"):
 
 class TestComponentsExchangeRoute:
     """``connected_components`` past the budget (``BROADCAST_BYTES = 0``):
-    distributed min-label propagation with pointer-doubling shortcuts."""
+    FastSV on the ``georay.graph`` BSP engine."""
 
     @pytest.fixture(autouse=True)
     def _over_budget(self, monkeypatch):
         monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
 
     def test_long_chain_converges_with_shortcutting(self, ray_session, exchanges):
-        """A 200-node chain (diameter 199) inside max_iter=10: the
-        label-shortcut edges give O(log d) rounds."""
+        """A 200-node chain (diameter 199) inside max_iter=10: FastSV's
+        shortcutting gives O(log d) rounds."""
         import ray.data
 
         from georay.dedup import connected_components
@@ -923,6 +922,50 @@ class TestComponentsExchangeRoute:
         pairs = pa.table({"doc_a": pa.array([1, 2], pa.int64()), "doc_b": pa.array([2, 3], pa.int64())})
         with pytest.raises(RuntimeError, match="did not converge"):
             connected_components(ray.data.from_arrow(pairs), max_iter=0)
+        assert "hash_partition" in exchanges
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_random_id_paths_converge(self, ray_session, exchanges, n):
+        """A path whose ids are in a random order converges within the
+        default max_iter to the union-find labels: O(log n) rounds on any
+        id order, where min-label propagation needs about one round per
+        hop."""
+        import ray.data
+
+        from georay.dedup import connected_components
+
+        pairs, want = _random_id_path(n)
+        out = connected_components(ray.data.from_arrow(pairs)).to_pandas()
+        assert "hash_partition" in exchanges
+        assert dict(zip(out.doc_id, out.survivor)) == want
+
+    @pytest.mark.parametrize("graph", ["seeded-0", "seeded-1", "path-200", "path-1000"])
+    def test_rounds_match_the_driver_kernel(self, ray_session, exchanges, graph):
+        """The exchange route runs ``fastsv_labels``' rounds: it succeeds
+        at the smallest ``max_iter`` at which the kernel does, and raises
+        one round short of it."""
+        import ray.data
+
+        from georay.dedup import connected_components, fastsv_labels
+
+        kind, arg = graph.split("-")
+        pairs, want = _seeded_graph(int(arg)) if kind == "seeded" else _random_id_path(int(arg))
+        a, b = pairs.column("doc_a").to_numpy(), pairs.column("doc_b").to_numpy()
+        nodes, idx = np.unique(np.concatenate([a, b]), return_inverse=True)
+
+        def kernel_converges(max_iter):
+            try:
+                fastsv_labels(idx[: len(a)], idx[len(a):], len(nodes), max_iter)
+            except RuntimeError:
+                return False
+            return True
+
+        r = next(m for m in range(1, 33) if kernel_converges(m))
+        assert r == {"path-200": 8, "path-1000": 11}.get(graph, r)
+        out = connected_components(ray.data.from_arrow(pairs).repartition(4), max_iter=r).to_pandas()
+        assert dict(zip(out.doc_id, out.survivor)) == want
+        with pytest.raises(RuntimeError, match=f"did not converge in {r - 1} rounds"):
+            connected_components(ray.data.from_arrow(pairs).repartition(4), max_iter=r - 1)
         assert "hash_partition" in exchanges
 
 

@@ -191,7 +191,7 @@ class TestOneMechanism:
         r'groupby\("part"\)|_partition_of|_cluster_partitions|_join_partitions|default_partitions'
         r'|tree_row_limit|_tree_pairs_from_partials|_join_pairs_from_slim|\bfanout\b'
         r'|tree_merge|_merge_partials|_MERGE_TASK|_DIRECT_MERGE_MAX_BLOCKS|_MERGE_FANOUT|AttachName'
-        r'|verify_partition|pair_filter|IdFilter|\b_verify_pairs'
+        r'|verify_partition|pair_filter|IdFilter|\b_verify_pairs|_deliver_labels|_min_label'
     )
 
     def _sources(self):
