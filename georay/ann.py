@@ -5,10 +5,11 @@
   across batches on the driver (:func:`merge_topk_partials`).  At 100 TB
   this is the inner kernel of the scale path below, never run against
   the full corpus alone.
-- :class:`IVFKNN` — the scale path: k-means-style coarse quantizer
-  (deterministic seeding) assigns every vector to a centroid bucket; a
-  query probes only the ``nprobe`` nearest buckets.  Bucket assignment is
-  the only shuffle; probing is a broadcast map.
+- :class:`IVFSearch` — the scale path: a coarse quantizer
+  (:func:`lloyd_centroids`, deterministic seeding from a sample) assigns
+  every vector to its nearest centroid's list; a query probes only its
+  ``nprobe`` nearest lists.  Probing is a broadcast map over the
+  streamed vectors, with no shuffle.
 """
 
 from __future__ import annotations
@@ -121,6 +122,12 @@ def merge_topk_partials(ds, k: int, id_col: str = "vec_id"):
     return t[["query_id", id_col, "rank"]]
 
 
+def _nearest(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Index of each row of ``v``'s nearest row of ``c`` (squared L2)."""
+    d = ((v[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d, axis=1)
+
+
 def lloyd_centroids(sample: np.ndarray, n_lists: int = 16, seed: int = 13,
                     steps: int = 3) -> np.ndarray:
     """Deterministic coarse quantizer from a (bounded) SAMPLE of the
@@ -132,7 +139,7 @@ def lloyd_centroids(sample: np.ndarray, n_lists: int = 16, seed: int = 13,
     n_lists = min(n_lists, max(1, n // 4))
     centroids = sample[rng.choice(n, size=n_lists, replace=False)]
     for _ in range(steps):
-        assign = IVFKNN._nearest(sample, centroids)
+        assign = _nearest(sample, centroids)
         for c in range(n_lists):
             m = assign == c
             if m.any():
@@ -185,7 +192,7 @@ class IVFSearch:
             return self._empty()
         vecs = _to_matrix(batch.column(self.vec_col))
         ids = batch.column(self.id_col).to_numpy()
-        assign = IVFKNN._nearest(vecs, self.centroids)
+        assign = _nearest(vecs, self.centroids)
         out_q, out_i, out_s = [], [], []
         for gi in range(len(self._masks)):
             m = self._masks[gi][assign]
@@ -206,53 +213,6 @@ class IVFSearch:
                 "cosine": pa.array(np.concatenate(out_s), pa.float64()),
             }
         )
-
-
-class IVFKNN:
-    """IVF-style ANN: nearest-centroid bucketing with deterministic
-    centroids, probing ``nprobe`` buckets per query.
-
-    Centroids are chosen by a fixed-seed sample + one Lloyd step —
-    deterministic, no RNG at query time.  Recall is traded via nprobe.
-    """
-
-    def __init__(self, vectors: np.ndarray, ids: np.ndarray, n_lists: int = 16, seed: int = 13):
-        vectors = np.asarray(vectors, dtype=np.float64)
-        rng = np.random.default_rng(seed)
-        n = len(vectors)
-        n_lists = min(n_lists, max(1, n // 4))
-        centroids = vectors[rng.choice(n, size=n_lists, replace=False)]
-        for _ in range(3):  # few Lloyd steps
-            assign = self._nearest(vectors, centroids)
-            for c in range(n_lists):
-                m = assign == c
-                if m.any():
-                    centroids[c] = vectors[m].mean(axis=0)
-        self.centroids = centroids
-        self.assign = self._nearest(vectors, centroids)
-        self.vectors = vectors
-        self.ids = np.asarray(ids)
-        self.buckets = [np.nonzero(self.assign == c)[0] for c in range(n_lists)]
-
-    @staticmethod
-    def _nearest(v, c):
-        d = ((v[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d, axis=1)
-
-    def search(self, queries: np.ndarray, k: int, nprobe: int = 4):
-        queries = np.asarray(queries, dtype=np.float64)
-        d = ((queries[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        probe = np.argsort(d, axis=1)[:, :nprobe]
-        out_ids = []
-        out_sims = []
-        for qi in range(len(queries)):
-            cand_idx = np.concatenate([self.buckets[c] for c in probe[qi]])
-            if len(cand_idx) == 0:
-                cand_idx = np.arange(len(self.vectors))
-            ids, sims = cosine_topk(queries[qi : qi + 1], self.vectors[cand_idx], self.ids[cand_idx], k)
-            out_ids.append(ids[0])
-            out_sims.append(sims[0])
-        return out_ids, out_sims
 
 
 # ---------------------------------------------------------------------------

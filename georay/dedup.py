@@ -64,7 +64,7 @@ from georay.ann import _to_matrix
 from georay.geom.polygon import _expand_ranges
 from georay.graph import components, fastsv_labels
 from georay.partition import (
-    broadcast_or_none, fits_broadcast, from_table, hash_partition, keyed_join, part_of, partitions,
+    broadcast_or_none, fits_broadcast, from_table, hash_partition, keyed_join,
 )
 from georay.sources import SplitSink, filesystem, parquet_files, read_parquet_grouped, replace_dir
 from georay.stages.aggregate import keyed_agg
@@ -474,7 +474,7 @@ def pairwise(keep):
     return verify
 
 
-def _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify, n_parts):
+def _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify):
     """The per-partition kernel of :func:`band_bucket_pairs`: every row of
     each (band, key) bucket the partition holds -> (doc_a, doc_b,
     truncated) pairs, doc_a < doc_b."""
@@ -489,6 +489,7 @@ def _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify, n_parts):
         band, key, ids = band[order], key[order], ids[order]
         new = np.ones(len(ids), bool)
         new[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
+        heads = np.flatnonzero(new)  # each bucket's first row in band, key order
         keep = new.copy()  # first row of a bucket, or a new id within it
         keep[1:] |= ids[1:] != ids[:-1]
         new, ids, order = new[keep], ids[keep], order[keep]
@@ -511,19 +512,16 @@ def _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify, n_parts):
             a, b = verify(payload[order], sizes)
         flag = truncated[bucket[a]]
         # a truncated bucket with no pair left still reports its loss: one
-        # (-1, -1 - (k * n_parts + p)) marker row each, k counting this
-        # partition's markers and p its index, so doc_b is distinct
-        # across every partition and the pair-distinct keeps them all
+        # (-1 - band, key) marker row each, distinct per bucket on every
+        # route, so the pair-distinct keeps them all
         emitted = np.zeros(len(sizes), bool)
         emitted[bucket[a]] = True
-        n_markers = int((truncated & ~emitted).sum())
-        p = int(part_of([band[:1], key[:1]], n_parts)[0]) if n_markers else 0
-        marker_b = -1 - (np.arange(n_markers, dtype=np.int64) * n_parts + p)
+        lost = heads[truncated & ~emitted]
         return pa.table(
             [
-                np.concatenate([ids[a], np.full(n_markers, -1, np.int64)]),
-                np.concatenate([ids[b], marker_b]),
-                np.concatenate([flag, np.ones(n_markers, bool)]),
+                np.concatenate([ids[a], -1 - band[lost].astype(np.int64)]),
+                np.concatenate([ids[b], key[lost].astype(np.int64)]),
+                np.concatenate([flag, np.ones(len(lost), bool)]),
             ],
             schema=_PAIRS_SCHEMA,
         )
@@ -557,17 +555,17 @@ def band_bucket_pairs(
     While the banded rows fit ``BROADCAST_BYTES``
     (:func:`georay.partition.broadcast_or_none`) both steps run on the
     driver's table as one partition: no exchange.  Past it each step is a
-    :func:`georay.partition.hash_partition` sized by ``partitions()`` from
-    the materialized row count, so no task holds every bucket.
+    :func:`georay.partition.hash_partition`, which sizes itself from the
+    banded rows, so no task holds every bucket.
 
     Hot buckets (pathological all-identical shards) have one rule,
     TRUNCATE.  A bucket with more than ``max_bucket`` distinct ids keeps
     its ``max_bucket`` smallest ids, and every pair it emits is flagged
     ``truncated``.  A truncated bucket whose pairs were all rejected
-    emits one marker row, ``doc_a = -1`` with a DISTINCT negative
-    ``doc_b`` across all partitions, so the pair-distinct cannot collapse
-    the count; consumers filter ``doc_a < 0`` (:func:`real_pairs`), never
-    the literal pair (-1, -1).  Pass ``max_bucket=None`` to disable the
+    emits one marker row, ``(doc_a, doc_b) = (-1 - band, key)``: distinct
+    per bucket, so the pair-distinct cannot collapse the count, and the
+    same on both routes; consumers filter ``doc_a < 0``
+    (:func:`real_pairs`).  Pass ``max_bucket=None`` to disable the
     cap.
 
     ``payload_col``/``verify``: a per-doc payload (the 64-bit simhash, an
@@ -579,14 +577,12 @@ def band_bucket_pairs(
     (:func:`pairwise` turns a per-pair test into one).  Candidates never
     join back against the corpus, and only verified pairs leave the stage.
     """
+    kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify)
     table, banded_ds = broadcast_or_none(banded_ds)
     if table is not None:
-        kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify, 1)
         return from_table(_distinct_pairs(kernel(table)))
-    n = partitions(banded_ds)
-    kernel = _bucket_pairs_kernel(id_col, max_bucket, payload_col, verify, n)
-    pairs = hash_partition(banded_ds, ["band", "key"], kernel, n)
-    return hash_partition(pairs, ["doc_a", "doc_b"], _distinct_pairs, n)
+    pairs = hash_partition(banded_ds, ["band", "key"], kernel)
+    return hash_partition(pairs, ["doc_a", "doc_b"], _distinct_pairs)
 
 
 def _drop_markers(b: pa.Table) -> pa.Table:

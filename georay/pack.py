@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.partition import cached_map, hash_partition, partitions
+from georay.partition import cached_map, hash_partition
 from georay.stages.aggregate import blocks, combiner, driver_merge, merger
 from georay.text import token_counts
 
@@ -163,11 +163,7 @@ def pack_sequences(ds, seq_len: int = 512, id_col: str = "doc_id",
         key = b.column(id_col).to_numpy(zero_copy_only=False)
         return b.append_column("bucket", pa.array(key // width, pa.int64()))
 
-    # slim is materialized (or a parquet read), so its row count is free
-    # plan metadata — the partition count scales with the data, not just
-    # the cluster (at 10^12 rows a fixed cap would put ~62 GB in one task)
     return hash_partition(
         slim.map_batches(with_bucket, batch_format="pyarrow"), "bucket",
         cached_map(BucketScan, ray.put(offsets), seq_len=seq_len, id_col=id_col),
-        partitions(slim),
     )

@@ -47,9 +47,13 @@ output has at most P non-empty blocks (so at most P files when
 written), whatever the input block count.
 
 One sizing rule, :func:`partitions`: ``max(4, 2 x cluster CPUs,
-ceil(rows / rows_per_partition))`` with rows from free plan metadata —
+ceil(rows / ROWS_PER_PARTITION))``, ``rows`` the sum of the row counts
+that the sources of the exchange's inputs report (a map between a source
+and the exchange keeps its source's count, so nothing runs to size it) —
 one rows-per-partition cost model (*To Partition, or Not to Partition*,
 SIGMOD 2021); past ``MAX_PARTITIONS`` it raises instead of clamping.
+Both exchanges size themselves with it; only the ``georay.graph``
+engine passes a count of its own (its actor count).
 The same paper grounds the broadcast rule: a non-partitioned join wins
 while its build side is small.
 """
@@ -65,6 +69,8 @@ import pyarrow.compute as pc
 
 #: most partitions one exchange may use
 MAX_PARTITIONS = 65_536
+#: rows one exchange partition is sized to hold (:func:`partitions`)
+ROWS_PER_PARTITION = 2_000_000
 #: largest measured side, in bytes, that :func:`broadcast_or_none` hands
 #: back for a broadcast instead of an exchange.  The crossover is not
 #: measured: every timed side is far below it (dedup_near's banded
@@ -118,30 +124,37 @@ def part_of(keys, num_partitions: int) -> np.ndarray:
     return (h % np.uint64(num_partitions)).astype(np.int32)
 
 
-def partitions(ds=None, *, n_rows: int | None = None,
-               rows_per_partition: int = 2_000_000) -> int:
+def _sources(ds) -> list:
+    """The leaf operators of ``ds``'s logical plan: its reads, its
+    materialized input, its driver blocks."""
+    todo, leaves = [ds._logical_plan.dag], []
+    while todo:
+        op = todo.pop()
+        todo.extend(op.input_dependencies)
+        if not op.input_dependencies:
+            leaves.append(op)
+    return leaves
+
+
+def partitions(*datasets) -> int:
     """The partition count of every exchange: ``max(4, 2 x cluster CPUs,
-    ceil(rows / rows_per_partition))``.  The floor keeps each CPU busy
+    ceil(rows / ROWS_PER_PARTITION))``.  The floor keeps each CPU busy
     with two tasks; past it the count grows with the data, so one task's
-    share stays bounded.  ``rows`` is the larger of ``n_rows`` and
-    ``ds``'s row count from free plan metadata (``_meta_count`` never
-    runs a plan, so a lazy dataset keeps the floor).  A count past
-    ``MAX_PARTITIONS`` raises ``ValueError``."""
+    share stays bounded.  ``rows`` sums the row counts the sources of
+    ``datasets``' plans report (a parquet read's footers, a materialized
+    or driver-side input), whatever maps lie between them and the
+    exchange, so no plan runs; a source that reports none counts 0.  A
+    count past ``MAX_PARTITIONS`` raises ``ValueError``."""
     import ray
 
-    rows = int(n_rows or 0)
-    if ds is not None:
-        try:
-            rows = max(rows, int(ds._meta_count() or 0))
-        except Exception:
-            pass
+    rows = sum(op.infer_metadata().num_rows or 0 for ds in datasets for op in _sources(ds))
     cpus = int(ray.cluster_resources().get("CPU", 4))
-    p = max(4, 2 * cpus, -(-rows // rows_per_partition))
+    p = max(4, 2 * cpus, -(-rows // ROWS_PER_PARTITION))
     if p > MAX_PARTITIONS:
         raise ValueError(
-            f"{rows} rows at {rows_per_partition} rows per partition need {p} "
+            f"{rows} rows at {ROWS_PER_PARTITION} rows per partition need {p} "
             f"partitions, more than MAX_PARTITIONS={MAX_PARTITIONS}; raise "
-            "rows_per_partition or split the input"
+            "ROWS_PER_PARTITION or split the input"
         )
     return p
 
@@ -156,6 +169,9 @@ def fits_broadcast(nbytes: int) -> bool:
 #: the driver table behind each Dataset :func:`from_table` made; weak, so
 #: an entry goes with its Dataset
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: the one ``ray.put`` of each broadcast side :func:`keyed_join` streamed
+#: past, so joins against the same sized Dataset share its ref
+_REFS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def from_table(t: pa.Table):
@@ -280,11 +296,7 @@ def _tag(ds, fn):
     1).  Over blocks already made, ``_TAG_ROWS`` rows a task or more."""
     from ray.data._internal.logical.operators.read_operator import Read
 
-    todo, read = [ds._logical_plan.dag], True
-    while todo:
-        op = todo.pop()
-        todo.extend(op.input_dependencies)
-        read = read and (bool(op.input_dependencies) or isinstance(op, Read))
+    read = all(isinstance(op, Read) for op in _sources(ds))
     return ds.map_batches(fn, batch_size=None if read else _TAG_ROWS, batch_format="pyarrow")
 
 
@@ -298,12 +310,14 @@ def _exchange(tagged, run, num_partitions: int):
     )
 
 
-def hash_partition(ds, on, kernel, num_partitions: int):
+def hash_partition(ds, on, kernel, num_partitions: int | None = None):
     """Hash-partition ``ds`` on ``on`` (a column name or a list of names)
     and run ``kernel(t) -> pa.Table`` once per non-empty partition.
     ``t`` has the input's columns and every row of each key it holds,
-    in no particular order."""
+    in no particular order.  ``num_partitions`` defaults to
+    :func:`partitions` of ``ds``."""
     on = _names(on)
+    num_partitions = num_partitions or partitions(ds)
 
     def tag(b: pa.Table) -> pa.Table:
         part = part_of([b.column(c) for c in on], num_partitions)
@@ -328,15 +342,17 @@ def _with_schema(ds):
     return ds, schema.base_schema
 
 
-def copartition(left, right, left_on, right_on, kernel, num_partitions: int):
+def copartition(left, right, left_on, right_on, kernel, num_partitions: int | None = None):
     """Co-partition ``left`` and ``right`` on their keys (a column name or
     a list of names each) and run ``kernel(L, R) -> pa.Table`` once per
     non-empty partition.  ``L`` and ``R`` carry each side's columns under
     their own names and types; either may be empty.  Rows with equal keys
     always share a partition, so an inner, anti or semi join of ``L`` and
-    ``R`` is the same join restricted to that partition."""
+    ``R`` is the same join restricted to that partition.
+    ``num_partitions`` defaults to :func:`partitions` of both sides."""
     left, ls = _with_schema(left)
     right, rs = _with_schema(right)
+    num_partitions = num_partitions or partitions(left, right)
     common = pa.schema(
         [pa.field(_PART, pa.int32()), pa.field(_SIDE, pa.int8())]
         + [pa.field(p + f.name, f.type) for p, s in zip(_PREFIX, (ls, rs)) for f in s]
@@ -390,22 +406,23 @@ def keyed_join(left, right, left_on, right_on, kernel):
     runs once on the driver and the result is a :func:`from_table`
     Dataset.  While only ``right`` fits it goes out with one ``ray.put``
     and ``left`` streams through one plain map (:class:`KeyedJoin` under
-    :func:`cached_map`) that calls ``kernel(batch, whole right)``: no
+    :func:`cached_map`) that calls ``kernel(batch, whole right)`` (a
+    second join against the same sized ``right`` reuses its ref): no
     shuffle, so a read before it and a write after it fuse into the same
     tasks.  Past the budget both sides are co-partitioned on their keys
-    (:func:`copartition`), sized by :func:`partitions` from ``left``'s
-    metadata and ``right``'s rows.  ``right`` needs an Arrow schema on
+    (:func:`copartition`).  ``right`` needs an Arrow schema on
     every route."""
     import ray
 
     table, right = broadcast_or_none(right)
     if table is None:
-        n = partitions(left, n_rows=right.count())
-        return copartition(left, right, left_on, right_on, kernel, n)
+        return copartition(left, right, left_on, right_on, kernel)
     left_table = driver_table(left)
     if left_table is not None:
         return from_table(kernel(left_table, table))
+    if right not in _REFS:
+        _REFS[right] = ray.put(table)
     # the kernel is a second ref, so the instance key is the same in
     # every task (a kernel closure unpickled per task would not be)
-    join = cached_map(KeyedJoin, ray.put(table), ray.put(kernel))
+    join = cached_map(KeyedJoin, _REFS[right], ray.put(kernel))
     return left.map_batches(join, batch_format="pyarrow")

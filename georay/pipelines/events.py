@@ -4,9 +4,9 @@ The reference has no streaming operators (SURVEY.md §2.9); these are the
 engine-level windowed operators the driver mandate names as custom-op
 examples (windowed aggregate, as-of join).
 
-Partitioning design: rows are hash-partitioned on ``user_id`` into a
-CLUSTER-SIZED number of partitions
-(:func:`georay.partition.hash_partition`) and each partition is
+Partitioning design: rows are hash-partitioned on ``user_id``
+(:func:`georay.partition.hash_partition`, which sizes the exchange from
+its input's source rows and the cluster's CPUs) and each partition is
 processed by ONE vectorized multi-user kernel.  This replaces per-user
 ``map_groups`` dispatch (~0.5 ms per group — millions of users would
 serialize on dispatch) with P group tasks whose inner work is numpy
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from georay.partition import hash_partition, partitions
+from georay.partition import hash_partition
 
 GAP_US = 30 * 60 * 1_000_000  # 30-minute session gap
 
@@ -155,7 +155,7 @@ def window_top1_partition(g):
 def _by_user_partition(ds, kernel):
     """Hash-partition on user_id, one vectorized multi-user kernel per
     partition."""
-    return hash_partition(ds, "user_id", kernel, partitions(ds))
+    return hash_partition(ds, "user_id", kernel)
 
 
 def sessionize(ds, gap_us: int = GAP_US):
@@ -325,5 +325,4 @@ def events_sliding(ds, window_us: int = HOUR_US):
         ds.map_batches(explode, batch_format="pyarrow"),
         ["event_type", "day"],
         lambda g: sliding_count_partition(g, window_us),
-        partitions(ds),
     )

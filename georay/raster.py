@@ -48,7 +48,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay import cells as _cells
-from georay.partition import cached_map, hash_partition, partitions
+from georay.partition import cached_map, hash_partition
 from georay.pipelines.polygons import build_polygon_set
 from georay.stages.aggregate import blocks, combiner, driver_merge, merger
 
@@ -100,16 +100,14 @@ def _tile_index(part: pa.Table):
     return tiles, inv.reshape(-1)
 
 
-def _tile_exchange(partials, kernel, tile: int, *inputs):
+def _tile_exchange(partials, kernel, tile: int):
     """The one tile-keyed exchange of every raster stage: a
     ``hash_partition`` on (tile_x, tile_y) brings all partial rows of a
     tile into one partition, and ``kernel(part, tile)`` merges every tile
-    that partition holds.  The partition count comes from the stage's
-    ``inputs`` (the points or rasters the partials are made from), whose
-    rows a read or materialized Dataset knows for free; the lazy partials'
-    count is unknown and would always give the floor."""
-    n = max(partitions(ds) for ds in inputs)
-    return hash_partition(partials, ["tile_x", "tile_y"], partial(kernel, tile=tile), n)
+    that partition holds.  The exchange sizes itself from the rows of the
+    sources the partials are made from (the points, or the points under a
+    raster)."""
+    return hash_partition(partials, ["tile_x", "tile_y"], partial(kernel, tile=tile))
 
 
 def rasterize_partial(batch: pa.Table, res: int = 7, tile: int = 8) -> pa.Table:
@@ -157,7 +155,7 @@ def rasterize(ds, res: int = 7, tile: int = 8):
     partials = ds.map_batches(
         lambda b: rasterize_partial(b, res=res, tile=tile), batch_format="pyarrow"
     )
-    return _tile_exchange(partials, _dense_tiles, tile, ds)
+    return _tile_exchange(partials, _dense_tiles, tile)
 
 
 def raster_pixels(raster_ds, tile: int = 8, **bands):
@@ -230,7 +228,7 @@ def downsample(raster_ds, res: int = 7, tile: int = 8, factor: int = 2):
         lambda b: downsample_partial(b, res=res, tile=tile, factor=factor),
         batch_format="pyarrow",
     )
-    return _tile_exchange(partials, _dense_tiles, tile, raster_ds)
+    return _tile_exchange(partials, _dense_tiles, tile)
 
 
 def _diff_tiles(part: pa.Table, tile: int) -> pa.Table:
@@ -267,7 +265,7 @@ def raster_diff(points_a, points_b, res: int = 7, tile: int = 8):
     tagged = points_a.map_batches(tag(0), batch_format="pyarrow").union(
         points_b.map_batches(tag(1), batch_format="pyarrow")
     )
-    return _tile_exchange(tagged, _diff_tiles, tile, points_a, points_b)
+    return _tile_exchange(tagged, _diff_tiles, tile)
 
 
 def focal_partial(batch: pa.Table, res: int, tile: int) -> pa.Table:
@@ -343,7 +341,7 @@ def raster_focal(raster_ds, res: int = 7, tile: int = 8):
     partials = raster_ds.map_batches(
         lambda b: focal_partial(b, res=res, tile=tile), batch_format="pyarrow"
     )
-    return _tile_exchange(partials, _focal_merge, tile, raster_ds)
+    return _tile_exchange(partials, _focal_merge, tile)
 
 
 def raster_vectorize(raster_ds, threshold: int = 1, res: int = 7, tile: int = 8):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from georay.partition import _names, hash_partition, partitions
+from georay.partition import _names, hash_partition
 
 _OPS = ("sum", "count", "min", "max")
 
@@ -71,8 +71,8 @@ def keyed_agg(ds, on, aggs: dict):
     """Per-key aggregate of ``ds`` (see :func:`combiner` for the output
     columns): each block combined to partials, then one
     :func:`~georay.partition.hash_partition` on ``on`` merges them with
-    :func:`merger`.  The partition count follows ``ds``'s rows
-    (:func:`~georay.partition.partitions`), so no task holds every key.
+    :func:`merger`.  The exchange sizes itself from ``ds``'s rows, so no
+    task holds every key.
     Lazy: nothing runs until the result is consumed.
 
     A materialized ``ds`` with no row gives the typed empty result
@@ -86,10 +86,7 @@ def keyed_agg(ds, on, aggs: dict):
         import ray.data
 
         return ray.data.from_arrow(merge(combine(schema.base_schema.empty_table())))
-    # sized by ds, whose row count may be free plan metadata; the lazy
-    # partials' never is, so they would always get the floor
-    partials = ds.map_batches(combine, batch_format="pyarrow")
-    return hash_partition(partials, on, merge, partitions(ds))
+    return hash_partition(ds.map_batches(combine, batch_format="pyarrow"), on, merge)
 
 
 #: the per-cell aggregate: (cell, n_docs, minlon, minlat, maxlon, maxlat,

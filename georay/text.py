@@ -16,7 +16,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from georay.partition import hash_partition, partitions
+from georay.partition import hash_partition
 from georay.stages.aggregate import blocks, driver_merge
 
 #: token = maximal run of non-whitespace; SQL mirror:
@@ -265,12 +265,9 @@ def top_ngrams(docs_ds, k: int = 3, top: int = 20):
         agg = g.group_by("ngram").aggregate([("cnt", "sum")])
         return topk(pa.table({"ngram": agg.column("ngram"), "cnt": agg.column("cnt_sum")}))
 
-    # doc count (free plan metadata on a fresh read) scales the count;
-    # partial rows (distinct ngrams/block) exceed doc rows, so this is a
-    # conservative floor, not an exact size
     counts = hash_partition(
         docs_ds.map_batches(lambda b: ngram_count_batch(b, k=k), batch_format="pyarrow"),
-        "ngram", partition_topk, partitions(docs_ds),
+        "ngram", partition_topk,
     )
     empty = pa.table({"ngram": pa.array([], pa.string()), "cnt": pa.array([], pa.int64())})
     return ray.data.from_arrow(driver_merge(blocks(counts), topk, empty))

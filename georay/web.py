@@ -14,7 +14,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from georay.partition import hash_partition, partitions
+from georay.partition import hash_partition
 from georay.stages.aggregate import keyed_agg
 
 #: scheme://authority prefix; group 1 = the authority (host[:port]).
@@ -101,11 +101,7 @@ def host_quota(pages_ds, quota: int):
         })
         return _quota_truncate(t, quota)
 
-    # the shuffled rows are bounded by quota x hosts, but the input row
-    # count (free plan metadata when pages_ds is a fresh read) is a safe
-    # upper bound for sizing — extra partitions are cheap, oversized
-    # per-task shares are not
     return hash_partition(
         pages_ds.map_batches(slim, batch_format="pyarrow"), "host",
-        lambda g: _quota_truncate(g, quota), partitions(pages_ds),
+        lambda g: _quota_truncate(g, quota),
     )

@@ -27,3 +27,22 @@ def copartitions(monkeypatch):
 
     monkeypatch.setattr(georay.partition, "copartition", spy)
     return calls
+
+
+@pytest.fixture
+def force_partitions(monkeypatch):
+    """``force_partitions(n)`` gives every exchange ``n`` partitions and
+    returns the list of the sizings it answered, so a test can check
+    that its exchange ran."""
+
+    def force(n):
+        sized = []
+
+        def sizer(*datasets):
+            sized.append(n)
+            return n
+
+        monkeypatch.setattr("georay.partition.partitions", sizer)
+        return sized
+
+    return force

@@ -104,15 +104,13 @@ def _rows(n: int, seed: int) -> pa.Table:
 class TestKeyedAgg:
     @pytest.mark.parametrize("num_partitions", [1, 3, 64])
     def test_any_partition_count_gives_the_ray_free_merge(
-        self, ray_session, monkeypatch, num_partitions
+        self, ray_session, force_partitions, num_partitions
     ):
         """The cell aggregate over six blocks equals one group_by of
         every row, whatever the partition count."""
         import ray.data
 
-        import georay.stages.aggregate as agg
-
-        monkeypatch.setattr(agg, "partitions", lambda *a, **k: num_partitions)
+        sized = force_partitions(num_partitions)
         rng = np.random.default_rng(4)
         blocks = [
             geo_batch(rng.integers(0, 90, 500), lons=rng.uniform(-180, 180, 500),
@@ -122,54 +120,51 @@ class TestKeyedAgg:
         want = _want(pa.concat_tables(blocks), "cell", CELL_AGGS)
         got = _got(ray.data.from_arrow(blocks), "cell", CELL_AGGS)
         assert len(want) == 90
-        assert got == want
+        assert got == want and sized
 
     @pytest.mark.parametrize("num_partitions", [1, 3, 64])
     @pytest.mark.parametrize("on", ["i", "s", ["s", "t"]], ids=["int", "str", "str_ts"])
-    def test_keys_and_ops(self, ray_session, monkeypatch, num_partitions, on):
+    def test_keys_and_ops(self, ray_session, force_partitions, num_partitions, on):
         import ray.data
 
-        import georay.stages.aggregate as agg
-
-        monkeypatch.setattr(agg, "partitions", lambda *a, **k: num_partitions)
+        sized = force_partitions(num_partitions)
         blocks = [_rows(300, seed) for seed in range(5)]
         want = _want(pa.concat_tables(blocks), on, ALL_OPS)
         assert len(want) > 1
-        assert _got(ray.data.from_arrow(blocks), on, ALL_OPS) == want
+        assert _got(ray.data.from_arrow(blocks), on, ALL_OPS) == want and sized
 
     @pytest.mark.parametrize("num_partitions", [1, 3, 64])
-    def test_one_hot_key(self, ray_session, monkeypatch, num_partitions):
+    def test_one_hot_key(self, ray_session, force_partitions, num_partitions):
         """Every row under one key: one output row, every op exact."""
         import ray.data
 
-        import georay.stages.aggregate as agg
-
-        monkeypatch.setattr(agg, "partitions", lambda *a, **k: num_partitions)
+        sized = force_partitions(num_partitions)
         blocks = [_rows(300, seed).set_column(0, "i", pa.array([7] * 300, pa.int64()))
                   for seed in range(5)]
         want = _want(pa.concat_tables(blocks), "i", ALL_OPS)
         assert len(want) == 1 and want[0]["n"] == 1500
-        assert _got(ray.data.from_arrow(blocks), "i", ALL_OPS) == want
+        assert _got(ray.data.from_arrow(blocks), "i", ALL_OPS) == want and sized
 
     def test_exchange_is_sized_by_the_input_rows(self, ray_session, monkeypatch):
-        """The sizer gets the input, whose row count a materialized or
-        freshly read Dataset knows for free, not the lazy partials, whose
-        count is unknown and would always give the floor."""
+        """The exchange is sized by the rows of the input's source, which
+        a materialized or freshly read Dataset knows for free, through
+        the lazy partials, whose own count is unknown."""
         import ray.data
 
-        import georay.stages.aggregate as agg
+        import georay.partition as gp
 
-        seen, real = [], agg.partitions
+        seen, real = [], gp.partitions
 
-        def sizer(ds=None, **kwargs):
-            seen.append(ds._meta_count())
-            return real(ds, **kwargs)
+        def sizer(*datasets):
+            seen.append(real(*datasets))
+            return seen[-1]
 
-        monkeypatch.setattr(agg, "partitions", sizer)
+        monkeypatch.setattr(gp, "ROWS_PER_PARTITION", 100)
+        monkeypatch.setattr(gp, "partitions", sizer)
         blocks = [_rows(300, seed) for seed in range(5)]
         ds = ray.data.from_arrow(blocks).materialize()
         assert _got(ds, "i", ALL_OPS) == _want(pa.concat_tables(blocks), "i", ALL_OPS)
-        assert seen == [1500]
+        assert seen == [max(15, 2 * int(ray_session.cluster_resources()["CPU"]))]
 
     def test_kernels_keep_the_typed_schema_when_empty(self):
         empty = _rows(10, 0).slice(0, 0)

@@ -500,11 +500,10 @@ class TestPairSchemaAndTruncationObservability:
         want[(100, 101)] = False
         assert got == want
 
-    def test_marker_ids_distinct_across_partitions(self, ray_session, monkeypatch):
+    def test_marker_ids_distinct_across_partitions(self, ray_session, monkeypatch, force_partitions):
         """Two truncated buckets whose pairs are all rejected, in two
-        different partitions of 64: two marker rows with distinct
-        doc_b.  Marker ids restarting per partition would collapse them
-        into one in the pair-distinct."""
+        different partitions of 64: two marker rows, distinct as
+        ``(doc_a, doc_b)`` pairs, so the pair-distinct keeps both."""
         import pyarrow as pa
         import ray.data
 
@@ -514,7 +513,7 @@ class TestPairSchemaAndTruncationObservability:
         P = 64
         # P sizes only the exchange route: on the driver there is one partition
         monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
-        monkeypatch.setattr(dedup, "partitions", lambda *a, **k: P)
+        sized = force_partitions(P)
         part = lambda k: int(part_of([np.array([0]), np.array([k])], P)[0])  # noqa: E731
         other = next(k for k in range(8, 1000) if part(k) != part(7))
         n = 10
@@ -528,9 +527,9 @@ class TestPairSchemaAndTruncationObservability:
             ray.data.from_arrow(t), max_bucket=4,
             payload_col="sim", verify=pairwise(lambda a, b: np.zeros(len(a), bool)),
         ).to_pandas()
-        assert len(out) == 2
-        assert (out.doc_a == -1).all() and out.truncated.all()
-        assert out.doc_b.nunique() == 2 and (out.doc_b < 0).all()
+        assert len(out) == 2 and sized
+        assert (out.doc_a < 0).all() and out.truncated.all()
+        assert len(set(zip(out.doc_a, out.doc_b))) == 2
 
 
 class TestMaxBucketNone:
@@ -631,15 +630,14 @@ def _brute_bucket_pairs(t, max_bucket, keep=None):
 class TestBandBucketPairs:
     @pytest.mark.parametrize("num_partitions", [1, 3, 64])
     @pytest.mark.parametrize("filtered", [False, True])
-    def test_matches_brute_force(self, ray_session, monkeypatch, num_partitions, filtered):
+    def test_matches_brute_force(self, ray_session, monkeypatch, force_partitions, num_partitions, filtered):
         """On the exchange route any partition count gives the brute-force
         pairs, truncation flags and marker count, with and without an
         inline payload filter."""
-        import georay.dedup as dedup
-
         monkeypatch.setattr("georay.partition.BROADCAST_BYTES", 0)
-        monkeypatch.setattr(dedup, "partitions", lambda *a, **k: num_partitions)
+        sized = force_partitions(num_partitions)
         self._check(filtered)
+        assert sized
 
     @pytest.mark.parametrize("filtered", [False, True])
     def test_driver_route_matches_brute_force(self, ray_session, exchanges, filtered):
@@ -676,7 +674,7 @@ class TestBandBucketPairs:
         assert dict(zip(zip(real.doc_a, real.doc_b), real.truncated)) == want
         assert len(real) == len(want) > 0
         markers = out[out.doc_a < 0]
-        assert len(markers) == n_markers and markers.doc_b.nunique() == n_markers
+        assert len(set(zip(markers.doc_a, markers.doc_b))) == len(markers) == n_markers
         assert any(want.values())  # the cap was hit
 
 
@@ -805,13 +803,14 @@ class TestClusterPartitionsRowsAware:
     """``georay.partition.partitions``, the sizing rule of every dedup
     exchange."""
 
-    def test_scales_past_cap_with_known_rows(self, ray_session):
+    def test_scales_past_cap_with_known_rows(self, ray_session, monkeypatch):
         import ray.data
 
-        from georay.partition import partitions
+        import georay.partition as gp
 
+        monkeypatch.setattr(gp, "ROWS_PER_PARTITION", 100)
         ds = ray.data.range(100_000).materialize()
-        assert partitions(ds, rows_per_partition=100) == 1000  # ceil(100k/100)
+        assert gp.partitions(ds) == 1000  # ceil(100k/100)
 
     def test_small_data_keeps_cap_behavior(self, ray_session):
         """A few rows keep the cluster floor."""
@@ -821,33 +820,42 @@ class TestClusterPartitionsRowsAware:
 
         ds = ray.data.range(10).materialize()
         assert partitions(ds) == partitions()
-        assert partitions(n_rows=10, rows_per_partition=250_000) == partitions()
 
-    def test_unknown_rows_unchanged(self, ray_session):
+    def test_unknown_rows_unchanged(self, ray_session, monkeypatch, tmp_path):
+        """A lazy map is sized by its source's rows, a union by the sum of
+        its sources', and a source that reports no row count keeps the
+        cluster floor."""
         import ray.data
 
-        from georay.partition import partitions
+        import georay.partition as gp
 
-        lazy = ray.data.range(1000).map_batches(lambda b: b)  # count unknown
-        assert partitions(lazy, rows_per_partition=1) == partitions()
+        monkeypatch.setattr(gp, "ROWS_PER_PARTITION", 1)
+        lazy = ray.data.range(1000).map_batches(lambda b: b)
+        assert lazy._meta_count() is None
+        assert gp.partitions(lazy) == 1000
+        assert gp.partitions(lazy.union(ray.data.range(5).map_batches(lambda b: b))) == 1005
+        (tmp_path / "lines.txt").write_text("x\n" * 1000)
+        unknown = ray.data.read_text(str(tmp_path / "lines.txt")).map_batches(lambda b: b)
+        assert gp.partitions(unknown) == gp.partitions()
 
-    def test_past_the_cap_raises_with_row_count(self, ray_session):
+    def test_past_the_cap_raises_with_row_count(self, ray_session, monkeypatch):
         """Sizing past MAX_PARTITIONS fails loudly instead of clamping
         (a clamped count silently grows every partition's share)."""
-        from georay.partition import MAX_PARTITIONS, partitions
+        import ray.data
 
-        class Huge:
-            def _meta_count(self):
-                return (MAX_PARTITIONS + 1) * 2_000_000
+        import georay.partition as gp
 
-        with pytest.raises(ValueError, match=str((MAX_PARTITIONS + 1) * 2_000_000)):
-            partitions(Huge())
+        huge = (gp.MAX_PARTITIONS + 1) * 2_000_000
+        with pytest.raises(ValueError, match=str(huge)):
+            gp.partitions(ray.data.range(huge))
+        monkeypatch.setattr(gp, "ROWS_PER_PARTITION", 250_000)
+        over = ray.data.range((gp.MAX_PARTITIONS + 1) * 250_000)
         with pytest.raises(ValueError, match="rows at 250000 rows per partition"):
-            partitions(Huge(), rows_per_partition=250_000)
+            gp.partitions(over)
         with pytest.raises(ValueError, match="MAX_PARTITIONS"):
-            partitions(n_rows=(MAX_PARTITIONS + 1) * 250_000, rows_per_partition=250_000)
+            gp.partitions(over.map_batches(lambda b: b))
         # exactly at the cap still sizes
-        assert partitions(n_rows=MAX_PARTITIONS * 250_000, rows_per_partition=250_000) == MAX_PARTITIONS
+        assert gp.partitions(ray.data.range(gp.MAX_PARTITIONS * 250_000)) == gp.MAX_PARTITIONS
 
 
 @pytest.fixture
@@ -1037,6 +1045,36 @@ class TestRouteParity:
         assert len(broadcast[(0, 1)]) == n_rows > len(broadcast[(1, 2)]) > len(broadcast[(9, 10)])
         assert len(broadcast[(9, 10)]) > len(broadcast[(1, 1)]) > 0
 
+    def test_verify_puts_the_texts_once(self, ray_session, monkeypatch, exchanges):
+        """With the pairs over the budget and the texts within it, both of
+        verify's joins stream the pairs past one broadcast of the texts:
+        one ``ray.put`` of the texts' table, shared by the two joins."""
+        import ray
+        import ray.data
+
+        import georay.partition as gp
+        from georay.dedup import jaccard_verify_pairs
+
+        docs = tbl([DOC, NEAR, FAR, DOC + " coda"] + [f"filler {i}" for i in range(8)])
+        n = docs.num_rows
+        pairs = pa.table({"doc_a": pa.array([a for a in range(n) for b in range(a + 1, n)] * 4, pa.int64()),
+                          "doc_b": pa.array([b for a in range(n) for b in range(a + 1, n)] * 4, pa.int64())})
+        want = _sorted_pairs(jaccard_verify_pairs(ray.data.from_arrow(pairs), gp.from_table(docs)).to_pandas())
+        assert want
+        puts, real_put = [], ray.put
+
+        def put(value, *args, **kwargs):
+            puts.append(value)
+            return real_put(value, *args, **kwargs)
+
+        pairs_ds, docs_ds = ray.data.from_arrow(pairs), gp.from_table(docs)
+        monkeypatch.setattr(ray, "put", put)
+        monkeypatch.setattr(gp, "BROADCAST_BYTES", docs.nbytes)
+        assert pairs.nbytes > docs.nbytes
+        got = jaccard_verify_pairs(pairs_ds, docs_ds).to_pandas()
+        assert _sorted_pairs(got) == want and not exchanges
+        assert [p.num_rows for p in puts if isinstance(p, pa.Table)] == [n]
+
     def test_near_dup_texts_over_budget_shuffle_only_candidates(self, ray_session, monkeypatch, exchanges):
         """``near_dup_pairs`` with the pairs' ids within the budget and the
         candidates' texts over it: the corpus streams past the broadcast
@@ -1104,9 +1142,8 @@ class TestRouteParity:
         assert not exchanges
 
     def test_band_bucket_pairs(self, ray_session, monkeypatch, exchanges):
-        """Truncated buckets, with an inline filter: the same real pairs
-        and flags on both routes, and as many marker rows (their
-        ``doc_b`` depends on the partition count)."""
+        """Truncated buckets, with an inline filter: the same real pairs,
+        flags and marker rows on both routes."""
         import ray.data
 
         from georay.dedup import band_bucket_pairs
@@ -1126,13 +1163,14 @@ class TestRouteParity:
                 ray.data.from_arrow(t).repartition(3), max_bucket=6,
                 payload_col="sim", verify=pairwise(lambda a, b: a == b),
             ).to_pandas()
-            real = out[out.doc_a >= 0]
-            return dict(zip(zip(real.doc_a, real.doc_b), real.truncated)), int((out.doc_a < 0).sum())
+            real, markers = out[out.doc_a >= 0], out[out.doc_a < 0]
+            return (dict(zip(zip(real.doc_a, real.doc_b), real.truncated)),
+                    sorted(zip(markers.doc_a, markers.doc_b, markers.truncated)))
 
         broadcast, shuffled = _both_routes(monkeypatch, exchanges, run, "hash_partition")
         assert broadcast == shuffled
-        flags, n_markers = broadcast
-        assert any(flags.values()) and not all(flags.values()) and n_markers > 0
+        flags, markers = broadcast
+        assert any(flags.values()) and not all(flags.values()) and markers
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_components_seeded_graphs(self, ray_session, monkeypatch, exchanges, seed):

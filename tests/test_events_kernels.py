@@ -303,15 +303,15 @@ class TestStratifiedSample:
 
 
 class TestDataAwarePartitionsE2E:
-    def test_sessionize_with_forced_tiny_rows_per_partition(self, ray_session, monkeypatch):
-        """A rows_per_partition far below the row count drives the
+    def test_sessionize_with_forced_tiny_rows_per_partition(self, ray_session, monkeypatch, force_partitions):
+        """A ``ROWS_PER_PARTITION`` far below the row count drives the
         partition count above the old 256 cap; sessionize output must be
         identical to a small fixed partitioning (window logic never
         crosses users regardless of partition count)."""
         import pyarrow as pa
 
+        import georay.partition as gp
         import georay.pipelines.events as ev
-        from georay.partition import partitions
 
         rng = np.random.default_rng(21)
         n = 3000
@@ -325,13 +325,16 @@ class TestDataAwarePartitionsE2E:
         import ray.data
 
         ds = ray.data.from_arrow(t)
-        p = partitions(ds, rows_per_partition=10)
+        monkeypatch.setattr(gp, "ROWS_PER_PARTITION", 10)
+        p = gp.partitions(ds)
         assert p == 300
 
         def sessions(n):
-            monkeypatch.setattr(ev, "partitions", lambda *a, **k: n)
-            return (ev.sessionize(ds).to_pandas()
-                    .sort_values(["user_id", "session_idx"]).reset_index(drop=True))
+            sized = force_partitions(n)
+            out = (ev.sessionize(ds).to_pandas()
+                   .sort_values(["user_id", "session_idx"]).reset_index(drop=True))
+            assert sized
+            return out
 
         many, few = sessions(p), sessions(8)
         pd.testing.assert_frame_equal(many, few)

@@ -28,13 +28,12 @@ def _expected(df, seq_len):
 
 class TestPackSequences:
     @pytest.mark.parametrize("num_buckets,parts", [(4, 3), (4096, None)])
-    def test_matches_serial_scan(self, num_buckets, parts, monkeypatch):
+    def test_matches_serial_scan(self, num_buckets, parts, force_partitions):
         """``parts`` fixes the exchange's partition count (None: sized by
         ``partitions()``)."""
         import georay.pack as pack_mod
 
-        if parts:
-            monkeypatch.setattr(pack_mod, "partitions", lambda *a, **k: parts)
+        sized = force_partitions(parts) if parts else None
         df = _docs(200)
         ds = ray.data.from_pandas(df).repartition(5)
         out = (
@@ -47,6 +46,7 @@ class TestPackSequences:
         pd.testing.assert_frame_equal(
             out.astype(np.int64), want.astype(np.int64)
         )
+        assert sized is None or sized  # a forced count reached the exchange
 
     def test_zero_token_docs_share_offset(self):
         from georay.pack import pack_sequences
@@ -108,16 +108,23 @@ class TestDataAwarePartitions:
     """``georay.partition.partitions``, the one sizing rule, as the
     pack shuffle uses it."""
 
-    def test_partition_count_scales_with_rows(self, ray_session):
-        from georay.partition import partitions
+    def test_partition_count_scales_with_rows(self, ray_session, monkeypatch):
+        import georay.partition as gp
 
+        monkeypatch.setattr(gp, "ROWS_PER_PARTITION", 10)
         ds = ray.data.range(5000)  # row count is free plan metadata
-        assert partitions(ds, rows_per_partition=10) == 500
+        assert gp.partitions(ds) == 500
 
-    def test_unknown_rows_falls_back_to_cluster(self, ray_session):
-        from georay.partition import partitions
+    def test_unknown_rows_falls_back_to_cluster(self, ray_session, monkeypatch, tmp_path):
+        """A lazy map keeps its source's row count; a source that reports
+        none gets the cluster floor."""
+        import georay.partition as gp
 
+        monkeypatch.setattr(gp, "ROWS_PER_PARTITION", 10)
         floor = max(4, 2 * int(ray.cluster_resources()["CPU"]))
-        assert partitions() == floor
-        lazy = ray.data.range(10**6).map_batches(lambda b: b)  # count unknown
-        assert partitions(lazy, rows_per_partition=10) == floor
+        assert gp.partitions() == floor
+        lazy = ray.data.range(10**4).map_batches(lambda b: b)  # no count of its own
+        assert gp.partitions(lazy) == 1000
+        (tmp_path / "lines.txt").write_text("x\n" * 1000)
+        unknown = ray.data.read_text(str(tmp_path / "lines.txt")).map_batches(lambda b: b)
+        assert gp.partitions(unknown) == floor

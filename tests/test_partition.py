@@ -465,12 +465,26 @@ class TestOneMechanism:
         assert self._call_sites(calls_copartition) == {("partition.py", "keyed_join")}
 
     def test_no_partition_count_knob(self, capsys):
-        """``partitions()`` sizes every exchange: no function outside
-        ``partition.py`` takes a ``num_partitions`` parameter, and the
-        ``curate`` CLI has no ``--num-partitions`` flag."""
+        """``partitions()`` sizes every exchange: only ``partition.py``
+        calls it, no function outside ``partition.py`` takes a
+        ``num_partitions`` parameter, no exchange call outside it passes
+        a count but the ``georay.graph`` engine's (its actor count), and
+        the ``curate`` CLI has no ``--num-partitions`` flag."""
         import ast
 
         from georay.__main__ import main
+
+        def name(n):
+            return ast.unparse(n.func).split(".")[-1]
+
+        def counted(n):
+            given = {"hash_partition": 4, "copartition": 6}.get(name(n))
+            return given is not None and (
+                len(n.args) >= given or any(k.arg == "num_partitions" for k in n.keywords)
+            )
+
+        assert {f for f, _ in self._call_sites(lambda n: name(n) == "partitions")} == {"partition.py"}
+        assert self._call_sites(counted) == {("graph.py", "_hash_partition_refs")}
 
         hits = [
             f"{path.name}:{node.lineno}: {getattr(node, 'name', 'lambda')}"

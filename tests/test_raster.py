@@ -117,21 +117,22 @@ class TestRasterRoundTrip:
 
 class TestTileExchange:
     def test_exchange_is_sized_by_the_input_rows(self, ray_session, monkeypatch):
-        """The sizer gets the stage's input, whose row count a materialized
-        or freshly read Dataset knows for free, not the lazy partials,
-        whose count is unknown and would always give the floor: the
-        points for ``rasterize``, both point sets for ``raster_diff``."""
+        """The exchange is sized by the rows of the points under the lazy
+        partials, whose own count is unknown: the points for
+        ``rasterize``, both point sets together for ``raster_diff``."""
         import ray as _ray
 
-        import georay.raster as raster
+        import georay.partition as gp
 
-        seen, real = [], raster.partitions
+        seen, real = [], gp.partitions
 
-        def sizer(ds=None, **kwargs):
-            seen.append(ds._meta_count())
-            return real(ds, **kwargs)
+        def sizer(*datasets):
+            seen.append(real(*datasets))
+            return seen[-1]
 
-        monkeypatch.setattr(raster, "partitions", sizer)
+        monkeypatch.setattr(gp, "ROWS_PER_PARTITION", 100)
+        monkeypatch.setattr(gp, "partitions", sizer)
+        floor = 2 * int(_ray.cluster_resources()["CPU"])
 
         def points(n, seed):
             lon, lat = _points(n, seed)
@@ -142,12 +143,12 @@ class TestTileExchange:
         pix = raster_pixels(rasterize(ds, res=RES, tile=TILE), tile=TILE, n="band").to_pandas()
         nz = pix[pix.n > 0]
         assert {(r.tile_x, r.tile_y, r.idx): r.n for r in nz.itertuples()} == _expected_pixel_counts(lon, lat)
-        assert seen == [1500]
+        assert seen == [max(floor, 15)]
         (da, _, _), (db, _, _) = points(1500, 2), points(900, 3)
         diff = raster_pixels(raster_diff(da, db, res=RES, tile=TILE), tile=TILE, n_a="band_a", n_b="band_b")
         got = diff.to_pandas()
         assert (got.n_a.sum(), got.n_b.sum()) == (1500, 900)
-        assert seen == [1500, 1500, 900]
+        assert seen == [max(floor, 15), max(floor, 24)]
 
 
 class TestDownsample:

@@ -170,3 +170,25 @@ class TestHostQuota:
             "url": pa.array([], pa.string()),
         }))
         assert host_quota(ds, quota=3).count() == 0
+
+    def test_exchange_is_sized_by_the_pages_read(self, ray_session, monkeypatch):
+        """Over ``read_pages``' lazy synthesis map, whose own row count is
+        unknown, the exchange still gets one partition per
+        ``ROWS_PER_PARTITION`` pages of the read, not the cluster floor."""
+        import georay.partition as gp
+        from georay.pipelines.pages import read_pages
+        from georay.sources import parquet_rows
+        from georay.web import host_quota
+        from tests.test_flagship import SF
+
+        counts, real = [], gp._exchange
+
+        def spy(tagged, run, num_partitions):
+            counts.append(num_partitions)
+            return real(tagged, run, num_partitions)
+
+        monkeypatch.setattr(gp, "_exchange", spy)
+        monkeypatch.setattr(gp, "ROWS_PER_PARTITION", 10)
+        pages = parquet_rows(f"{SF}/documents.parquet")
+        assert host_quota(read_pages(SF), quota=2).count() > 0
+        assert counts == [-(-pages // 10)] and counts[0] > gp.partitions()
